@@ -98,6 +98,8 @@ class StepReport:
     clamped_cells: int = 0
     cutoff_activations: int = 0
     retries: int = 0
+    newton_fallbacks: int = 0
+    rejections: list[str] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
 
 
@@ -285,7 +287,10 @@ def density_solve(
                 accepted = trial
                 break
             step_len *= 0.5
-        n_k = accepted if accepted is not None else np.maximum(n_k + delta, 0.0)
+        if accepted is None:
+            report.newton_fallbacks += 1
+            accepted = np.maximum(n_k + delta, 0.0)
+        n_k = accepted
 
     n_new = n_old + dt * _density_rhs(n_k, state, params, regularized, ell)
     report.clamped_cells = int(np.count_nonzero(n_new < 0.0))
@@ -312,42 +317,39 @@ def _face_velocities(n_new: Field, params: ModelParams, regularized: bool) -> tu
     return u
 
 
-def fraction_update(
-    state: State,
-    n_new: Field,
+def _fraction_rates(
+    state: State, params: ModelParams, regularized: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K1, K2 and K1 + K2 + D on the current nutrient (cutoff-clamped when regularized).
+
+    They depend only on the state a step starts from, so one evaluation
+    serves every attempt of the step.
+    """
+    d_arg = state.d.values if not regularized else cutoff(state.d.values, params.ell_cut)
+    k1 = np.asarray(params.rates.K1(d_arg), dtype=float)
+    k2 = np.asarray(params.rates.K2(d_arg), dtype=float)
+    return k1, k2, k1 + k2 + params.D
+
+
+def _fraction_budget(
+    grid: Grid,
     dt: float,
     params: ModelParams,
-    regularized: bool = False,
-) -> tuple[Field, float]:
-    """Explicit upwind advection of the fraction plus explicit reaction.
+    regularized: bool,
+    rate_sum: np.ndarray,
+    u: tuple[np.ndarray, ...] = (),
+) -> np.ndarray:
+    """Per-cell monotonicity budget of the explicit fraction update.
 
-    The per-cell monotonicity budget (advection + diffusion Courant numbers
-    plus dt times the reaction rates) must stay at or below one; that is the
-    condition under which the update is a convex combination and the
-    reaction keeps c inside [0, 1].  A violated budget raises SolverFailure
-    so the caller can halve dt.
+    Sums, in this order, the advective inflow Courant numbers of the face
+    velocities u, the viscous 2 dt eps / h^2 per axis and dt (K1 + K2 + D).
+    Only the first part depends on the new density.  Without u the result
+    is the n-independent floor; every term is non-negative and rounded
+    addition is monotone, so the floor never exceeds the full budget.
     """
-    grid = state.grid
-    c = state.c.values
-    u = _face_velocities(n_new, params, regularized)
-
-    # advective form via flux differencing: div(u c_up) - c div(u)
-    cf = Field(grid, c)
-    if grid.dim == 1:
-        up_c = (upwind_face_values(c[:-1], c[1:], u[0]),)
-    else:
-        up_c = (
-            upwind_face_values(c[:-1, :], c[1:, :], u[0]),
-            upwind_face_values(c[:, :-1], c[:, 1:], u[1]),
-        )
-    adv = divergence(grid, tuple(ui * ci for ui, ci in zip(u, up_c))) - c * divergence(grid, u)
-
-    # per-cell Courant budget of the convex-combination argument
     budget = np.zeros(grid.shape)
-    speed_max = 0.0
     for axis, ui in enumerate(u):
         h = grid.h[axis]
-        speed_max = max(speed_max, float(np.max(np.abs(ui))) if ui.size else 0.0)
         inflow_lo = np.maximum(ui, 0.0)   # face feeds the right cell
         inflow_hi = np.maximum(-ui, 0.0)  # face feeds the left cell
         if grid.dim == 1:
@@ -359,24 +361,62 @@ def fraction_update(
         else:
             budget[:, 1:] += dt / h * inflow_lo
             budget[:, :-1] += dt / h * inflow_hi
-
-    diff = 0.0
     if regularized and params.eps_reg > 0.0:
-        diff = params.eps_reg * laplacian_neumann(cf)
         for h in grid.h:
             budget += 2.0 * dt * params.eps_reg / h**2
+    budget += dt * rate_sum
+    return budget
 
-    d_arg = state.d.values if not regularized else cutoff(state.d.values, params.ell_cut)
-    k1 = np.asarray(params.rates.K1(d_arg), dtype=float)
-    k2 = np.asarray(params.rates.K2(d_arg), dtype=float)
-    reaction = k1 * (1.0 - c) - k2 * c - params.D * c * (1.0 - c)
-    budget += dt * (k1 + k2 + params.D)
 
+def _enforce_budget(budget: np.ndarray) -> None:
     worst = float(np.max(budget))
     if worst > 1.0 + CFL_SLACK:
         raise SolverFailure(f"fraction update monotonicity budget {worst:.3f} exceeds 1")
 
+
+def fraction_update(
+    state: State,
+    n_new: Field,
+    dt: float,
+    params: ModelParams,
+    regularized: bool = False,
+    rates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[Field, float]:
+    """Explicit upwind advection of the fraction plus explicit reaction.
+
+    The per-cell monotonicity budget (advection + diffusion Courant numbers
+    plus dt times the reaction rates, see ``_fraction_budget``) must stay at
+    or below one; that is the condition under which the update is a convex
+    combination and the reaction keeps c inside [0, 1].  A violated budget
+    raises SolverFailure so the caller can halve dt.  Within a step, the
+    retry loop has already checked the n-independent part of the budget at
+    this dt, so a rejection here comes from the advective inflow.  ``rates``
+    are the step's ``_fraction_rates``; they are evaluated here when omitted.
+    """
+    grid = state.grid
+    c = state.c.values
+    u = _face_velocities(n_new, params, regularized)
+
+    # advective form via flux differencing: div(u c_up) - c div(u)
+    if grid.dim == 1:
+        up_c = (upwind_face_values(c[:-1], c[1:], u[0]),)
+    else:
+        up_c = (
+            upwind_face_values(c[:-1, :], c[1:, :], u[0]),
+            upwind_face_values(c[:, :-1], c[:, 1:], u[1]),
+        )
+    adv = divergence(grid, tuple(ui * ci for ui, ci in zip(u, up_c))) - c * divergence(grid, u)
+
+    diff = 0.0
+    if regularized and params.eps_reg > 0.0:
+        diff = params.eps_reg * laplacian_neumann(Field(grid, c))
+
+    k1, k2, rate_sum = rates if rates is not None else _fraction_rates(state, params, regularized)
+    reaction = k1 * (1.0 - c) - k2 * c - params.D * c * (1.0 - c)
+    _enforce_budget(_fraction_budget(grid, dt, params, regularized, rate_sum, u))
+
     c_new = c + dt * (-adv + diff + reaction)
+    speed_max = max([0.0, *(float(np.max(np.abs(ui))) for ui in u if ui.size)])
     h_min = min(grid.h)
     cfl_limit = h_min / speed_max if speed_max > 0.0 else math.inf
     return Field(grid, c_new), cfl_limit
@@ -491,10 +531,11 @@ def _pipeline(
     settings: SolverSettings,
     dt: float,
     regularized: bool,
+    rates: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[State, StepReport]:
     ell = params.ell_cut if regularized else 0.0
     n_new, report = density_solve(state, dt, params, settings, regularized, ell)
-    c_new, cfl_limit = fraction_update(state, n_new, dt, params, regularized)
+    c_new, cfl_limit = fraction_update(state, n_new, dt, params, regularized, rates)
     report.cfl_limit = cfl_limit
     d_new, clamped, lin = nutrient_solve(state, n_new, c_new, dt, params, consts, settings)
     report.clamped_cells += clamped
@@ -539,18 +580,35 @@ def _step_with_retries(
     dt_hint: float,
     regularized: bool,
 ) -> tuple[State, StepReport]:
+    """Try dt_hint, halving dt after each rejected attempt, up to retry_max times.
+
+    Before the solves of an attempt, the n-independent floor of the fraction
+    budget (viscous and reaction terms) is checked at its dt.  Any dt it
+    rejects would also fail the full solve, at the latest in the full budget
+    of ``fraction_update``, so the pre-check changes no accepted dt or state;
+    it only skips the doomed solves.  Either kind of rejection counts as one
+    retry and is recorded in ``StepReport.rejections``.
+    """
     if not (dt_hint > 0.0):
         raise ValueError(f"dt must be positive, got {dt_hint}")
+    rates = _fraction_rates(state, params, regularized)
     dt = dt_hint
+    rejections: list[str] = []
     last_error = None
     for attempt in range(settings.retry_max + 1):
+        stage = "pre-check"
         try:
-            new_state, report = _pipeline(state, params, consts, settings, dt, regularized)
-            report.retries = attempt
-            return new_state, report
+            _enforce_budget(_fraction_budget(state.grid, dt, params, regularized, rates[2]))
+            stage = "solve"
+            new_state, report = _pipeline(state, params, consts, settings, dt, regularized, rates)
         except SolverFailure as exc:
+            rejections.append(f"{stage}: {exc}")
             last_error = exc
             dt *= 0.5
+            continue
+        report.retries = attempt
+        report.rejections = rejections
+        return new_state, report
     raise SolverFailure(
         f"step failed after {settings.retry_max} dt halvings (last: {last_error})"
     )

@@ -1,4 +1,7 @@
 import math
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tissuesim import stepper
+from tissuesim.config import parse_config
 from tissuesim.errors import SolverFailure
 from tissuesim.grid import Field, Grid, integrate
-from tissuesim.model import ModelParams, RateFunction, RateFunctions, derive_constants
+from tissuesim.harness import apply_lift, build_grid, initial_fields, make_params, make_settings
+from tissuesim.model import (
+    BOUND_INFLATION,
+    ModelParams,
+    RateFunction,
+    RateFunctions,
+    derive_constants,
+)
 from tissuesim.stepper import (
+    CFL_SLACK,
     SolverSettings,
     State,
     density_solve,
@@ -19,6 +32,8 @@ from tissuesim.stepper import (
     step,
     suggest_dt,
 )
+
+EPS_STUDY_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "eps_study.cfg"
 
 
 def rates(g=("constant", 0.0), k1=("constant", 0.0), k2=("constant", 0.0),
@@ -100,6 +115,29 @@ class TestDensitySolve:
         # g*dt > 1 makes backward Euler growth infeasible; Newton cannot converge
         with pytest.raises(SolverFailure):
             density_solve(s, 0.5, params, SolverSettings(newton_max=8))
+
+    def test_undamped_fallback_counted(self, monkeypatch):
+        # an ascent direction on the first iteration defeats all 8 halvings,
+        # so the loop falls back to the full step once and then converges
+        g_rate, dt = 0.8, 0.05
+        grid = small_grid(3)
+        params = ModelParams(rates=rates(g=("constant", g_rate)), gamma=3.0, d_b=0.0)
+        s = uniform_state(grid, n=0.5, gamma=3.0)
+        _, plain = density_solve(s, dt, params, SETTINGS)
+        assert plain.newton_fallbacks == 0
+
+        real = stepper._solve_newton_system
+        calls = []
+
+        def first_flipped(*args):
+            delta, lin = real(*args)
+            calls.append(delta)
+            return (-delta if len(calls) == 1 else delta), lin
+
+        monkeypatch.setattr(stepper, "_solve_newton_system", first_flipped)
+        n_new, report = density_solve(s, dt, params, SETTINGS)
+        assert report.newton_fallbacks == 1
+        assert np.allclose(n_new.values, 0.5 / (1.0 - g_rate * dt), rtol=1e-12)
 
 
 class TestFractionUpdate:
@@ -193,6 +231,56 @@ class TestFractionUpdate:
             return  # budget rejected the step; nothing to assert
         assert c_new.values.min() >= -1e-12
         assert c_new.values.max() <= 1.0 + 1e-12
+
+
+class TestBudgetFloor:
+    @given(
+        dim=st.sampled_from([1, 2]),
+        regularized=st.booleans(),
+        cells=st.integers(3, 9),
+        extent=st.floats(0.1, 10.0),
+        dt=st.floats(1e-6, 10.0),
+        eps=st.floats(1e-6, 1.0),
+        k1=st.floats(0.0, 50.0),
+        k2=st.floats(0.0, 50.0),
+        D=st.floats(1e-6, 50.0),
+        gamma=st.floats(1.0, 8.0),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_floor_never_exceeds_full_budget(
+        self, dim, regularized, cells, extent, dt, eps, k1, k2, D, gamma, data
+    ):
+        grid = Grid(dim=dim, extents=(extent,) * dim, cells=(cells,) * dim)
+        values = arrays(float, grid.shape, elements=st.floats(0.0, 2.0))
+        params = ModelParams(
+            rates=rates(k1=("linear", k1), k2=("constant", k2)),
+            D=D, gamma=gamma, d_b=1.0,
+            eps_reg=eps if regularized else 0.0, ell_cut=1.5 if regularized else 0.0,
+        )
+        s = State(
+            t=0.0,
+            n=Field(grid, data.draw(values) + 1e-3),
+            c=Field(grid, data.draw(values) / 2.0),
+            d=Field(grid, data.draw(values)),
+            gamma=gamma,
+        )
+        n_new = Field(grid, data.draw(values))
+        step_rates = stepper._fraction_rates(s, params, regularized)
+        floor = stepper._fraction_budget(grid, dt, params, regularized, step_rates[2])
+
+        # capture the budget fraction_update itself checks
+        with mock.patch.object(stepper, "_enforce_budget", wraps=stepper._enforce_budget) as spy:
+            try:
+                fraction_update(s, n_new, dt, params, regularized)
+                rejected = False
+            except SolverFailure:
+                rejected = True
+        full = spy.call_args.args[0]
+        assert np.all(floor <= full)
+        assert float(np.max(floor)) <= float(np.max(full))
+        if float(np.max(floor)) > 1.0 + CFL_SLACK:
+            assert rejected
 
 
 class TestNutrientSolve:
@@ -310,7 +398,8 @@ class TestStep:
         s = uniform_state(grid, n=0.5, c=0.2)
         # dt * (K1 + K2 + D) = 1.5 > 1 violates the budget; one halving fixes it
         s2, report = step(s, params, consts, SETTINGS, 0.3)
-        assert report.retries >= 1
+        assert report.retries == 1
+        assert report.rejections[0].startswith("pre-check: ")
         assert report.dt_used == pytest.approx(0.15)
 
     def test_exhausted_retries_raise(self):
@@ -322,6 +411,31 @@ class TestStep:
         s = uniform_state(grid, n=0.5, c=0.2)
         with pytest.raises(SolverFailure):
             step(s, params, consts, SolverSettings(retry_max=0), 0.3)
+
+    def viscous_only(self):
+        # uniform n: no transport and no reactions, so the budget is the
+        # viscous 2 dt eps / h^2 = 2 dt alone
+        grid = small_grid(10)
+        params = ModelParams(rates=rates(), D=1e-30, gamma=2.0, d_b=0.0, T_final=10.0,
+                             eps_reg=0.01, ell_cut=10.0)
+        consts = derive_constants(params, Field.full(grid, 0.0))
+        return uniform_state(grid, n=0.5, c=0.2), params, consts
+
+    def test_viscous_budget_forces_halvings(self):
+        s, params, consts = self.viscous_only()
+        k = 3  # budgets 6.4, 3.2, 1.6, then 0.8 at dt = 0.4
+        _, report = regularized_step(s, params, consts, SolverSettings(retry_max=k), 3.2)
+        assert report.retries == k == len(report.rejections)
+        assert all(r.startswith("pre-check: ") for r in report.rejections)
+        assert report.dt_used == 0.4
+        # the plain scheme has no viscous term and takes the full step
+        _, plain = step(s, replace(params, eps_reg=0.0), consts, SETTINGS, 3.2)
+        assert plain.retries == 0 and plain.rejections == []
+
+    def test_viscous_budget_exhausts_retries(self):
+        s, params, consts = self.viscous_only()
+        with pytest.raises(SolverFailure, match="after 2 dt halvings"):
+            regularized_step(s, params, consts, SolverSettings(retry_max=2), 3.2)
 
     def test_determinism(self):
         grid, params, consts = self.make_inert(cells=20)
@@ -411,3 +525,61 @@ class TestRegularizedStep:
         jump_before = abs(c[12] - c[11])
         jump_after = abs(s2.c.values[12] - s2.c.values[11])
         assert jump_after < jump_before
+
+
+def eps_study_start(eps):
+    """The eps study's initial state and parameters, resolved as harness.run does."""
+    cfg = parse_config(EPS_STUDY_CONFIG.read_text())
+    if eps > 0.0:
+        cfg = cfg.with_overrides(model__eps_reg=eps, initial__lift="eps")
+    grid = build_grid(cfg)
+    params = make_params(cfg)
+    n0, c0, d0 = initial_fields(cfg, grid, params)
+    consts = derive_constants(params, d0)
+    if eps > 0.0:
+        n0, c0 = apply_lift(n0, c0, eps)
+        ell = max(consts.L, math.exp(2.0 * consts.M0 * params.T_final) * float(n0.values.max()))
+        params = replace(params, ell_cut=ell * (1.0 + BOUND_INFLATION))
+    state = State(t=0.0, n=n0, c=c0, d=d0, gamma=params.gamma)
+    return state, params, consts, make_settings(cfg)
+
+
+def reference_step(state, params, consts, settings, dt, regularized):
+    """Retry loop without the budget pre-check: solve, halve on failure."""
+    rates = stepper._fraction_rates(state, params, regularized)
+    for attempt in range(settings.retry_max + 1):
+        try:
+            new_state, _ = stepper._pipeline(state, params, consts, settings, dt, regularized, rates)
+            return new_state, dt, attempt
+        except SolverFailure:
+            dt *= 0.5
+    raise SolverFailure("reference retries exhausted")
+
+
+@pytest.mark.parametrize(
+    "eps, hint_scale, stages_seen",
+    [
+        (0.1, 1.0, {"pre-check", "solve"}),
+        # the plain run has no rejects at the suggested dt, and its floor
+        # dt (K1 + K2 + D) stays below one up to T_final; a larger hint
+        # makes the full budget reject there
+        (0.0, 16.0, {"solve"}),
+    ],
+)
+def test_precheck_matches_reference_retry_loop(eps, hint_scale, stages_seen):
+    state, params, consts, settings = eps_study_start(eps)
+    advance = regularized_step if eps > 0.0 else step
+    ref = state
+    stages = set()
+    for _ in range(20):
+        hint = hint_scale * suggest_dt(state, params, consts, settings.safety)
+        hint = min(hint, settings.dt_max, params.T_final - state.t)
+        state, report = advance(state, params, consts, settings, hint)
+        ref, ref_dt, ref_retries = reference_step(ref, params, consts, settings, hint, eps > 0.0)
+        for a, b in ((state.n, ref.n), (state.c, ref.c), (state.d, ref.d)):
+            assert np.array_equal(a.values, b.values)
+        assert state.t == ref.t
+        assert report.dt_used == ref_dt
+        assert report.retries == ref_retries == len(report.rejections)
+        stages.update(r.split(":")[0] for r in report.rejections)
+    assert stages == stages_seen
