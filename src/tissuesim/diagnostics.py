@@ -7,9 +7,10 @@ product |1-n| v, and the complementarity residual |v (lap v + R)|) plus a
 few solver-verification checks (entropy dissipation, the porous-medium
 time-monotonicity gap, bound checks).
 
-Quadratures in time use the trapezoid rule over snapshot times; energy
-windows that start between snapshots interpolate the integrand linearly at
-the window edge.
+Quadratures in time use the trapezoid rule over the ledger's columns at the
+snapshot times, so each integrand is computed once, in ``make_ledger_row``;
+energy windows that start between snapshots interpolate the integrand
+linearly at the window edge.
 """
 
 from __future__ import annotations
@@ -173,25 +174,21 @@ def _windowed_trapezoid(times: np.ndarray, values: np.ndarray, lo: float, hi: fl
     return float(np.trapezoid(np.asarray(vs), np.asarray(ts)))
 
 
-def weighted_energy(history: RunHistory, tau: float) -> float:
+def weighted_energy(ledger: EnergyLedger, tau: float) -> float:
     """Time-quadrature of t * (integral v^2 + integral |grad v|^2) over [tau, T].
 
-    This is the quantity whose uniform-in-gamma boundedness drives the
-    stiff-pressure limit; it must stay O(1) along a gamma sweep.
+    Integrates the ledger's ``t_v_sq + t_grad_v_sq`` columns.  This is the
+    quantity whose uniform-in-gamma boundedness drives the stiff-pressure
+    limit; it must stay O(1) along a gamma sweep.
     """
-    times = history.times
+    times = ledger.column("t")
     if len(times) < 2:
-        raise ValueError("need at least 2 snapshots")
+        raise ValueError("need at least 2 ledger rows")
     t_end = float(times[-1])
     if not (0.0 <= tau < t_end):
         raise ValueError(f"tau must lie in [0, T), got {tau} with T = {t_end}")
-    integrand = []
-    for s in history.snapshots:
-        v = s.v
-        a = float(np.sum(v.values**2)) * s.grid.cell_volume
-        b = grad_squared_integral(v)
-        integrand.append(s.t * (a + b))
-    return _windowed_trapezoid(times, np.array(integrand), tau, t_end)
+    integrand = ledger.column("t_v_sq") + ledger.column("t_grad_v_sq")
+    return _windowed_trapezoid(times, integrand, tau, t_end)
 
 
 def complementarity_residual(state: State, params: ModelParams) -> float:
@@ -232,16 +229,15 @@ def segregation_product(state: State) -> float:
     return float(np.sum(np.abs(1.0 - state.n.values) * v)) * state.grid.cell_volume
 
 
-def entropy_dissipation(history: RunHistory) -> float:
-    """Time-quadrature of integral |grad n^((gamma+1)/2)|^2 over the whole run."""
-    times = history.times
+def entropy_dissipation(ledger: EnergyLedger) -> float:
+    """Time-quadrature of the ledger's ``entropy_rate`` column over the whole run.
+
+    The column is integral |grad n^((gamma+1)/2)|^2 at each ledger time.
+    """
+    times = ledger.column("t")
     if len(times) < 2:
-        raise ValueError("need at least 2 snapshots")
-    vals = []
-    for s in history.snapshots:
-        half_power = s.n.with_values(np.maximum(s.n.values, 0.0) ** ((s.gamma + 1.0) / 2.0))
-        vals.append(grad_squared_integral(half_power))
-    return float(np.trapezoid(np.asarray(vals), times))
+        raise ValueError("need at least 2 ledger rows")
+    return float(np.trapezoid(ledger.column("entropy_rate"), times))
 
 
 def aronson_benilan_gap(history: RunHistory) -> float:

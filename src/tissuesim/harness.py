@@ -181,7 +181,7 @@ class RunResult:
     h7_pass: bool | None = None
     h7_ratio: float = math.nan
     warnings: list[str] = field(default_factory=list)
-    violations: list = field(default_factory=list)
+    violations: list[str] = field(default_factory=list)
     failure: str | None = None
     steps: int = 0
     total_cutoff_activations: int = 0
@@ -226,9 +226,11 @@ def _inject_fault(state: State, mode: str, consts: DerivedConstants) -> State:
 def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
     """Drive the stepper to T_final, recording snapshots and the ledger.
 
-    Solver failures and invariant violations stop the run but still return
-    the partial result so callers can flush outputs; ``RunResult.ok`` tells
-    them apart from a clean finish.
+    ``check_all`` checks the invariants of the initial state and of the
+    state after every step.  Solver failures and invariant violations
+    (stored as their messages) stop the run but still return the partial
+    result so callers can flush outputs; ``RunResult.ok`` tells them apart
+    from a clean finish.
     """
     t_start = _time.perf_counter()
     grid = build_grid(cfg)
@@ -313,7 +315,7 @@ def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
 
     initial_violations = check_all(state, consts, tolcfg)
     if initial_violations:
-        result.violations = initial_violations
+        result.violations = [str(v) for v in initial_violations]
         if not permissive:
             result.wall_clock = _time.perf_counter() - t_start
             return result
@@ -331,24 +333,20 @@ def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
             result.total_cutoff_activations += report.cutoff_activations
             if inject != "none" and steps == 1:
                 state = _inject_fault(state, inject, consts)
-            fatal = list(report.violations)
-            at_snapshot = (steps % stride == 0) or state.t >= T - 1e-14
-            if at_snapshot or inject != "none":
-                found = check_all(state, consts, tolcfg)
-                fatal.extend(str(v) for v in found if str(v) not in fatal)
-                if at_snapshot:
-                    history_states.append(state)
-                    history_dts.append(report.dt_used)
-                    ledger.rows.append(
-                        make_ledger_row(
-                            state, params, delta, report.dt_used,
-                            newton_iters=report.newton_iters,
-                            clamped_cells=report.clamped_cells,
-                            cutoff_activations=report.cutoff_activations,
-                        )
+            if (steps % stride == 0) or state.t >= T - 1e-14:
+                history_states.append(state)
+                history_dts.append(report.dt_used)
+                ledger.rows.append(
+                    make_ledger_row(
+                        state, params, delta, report.dt_used,
+                        newton_iters=report.newton_iters,
+                        clamped_cells=report.clamped_cells,
+                        cutoff_activations=report.cutoff_activations,
                     )
-            if fatal:
-                result.violations = fatal
+                )
+            found = check_all(state, consts, tolcfg)
+            if found:
+                result.violations = [str(v) for v in found]
                 if not permissive:
                     break
             if steps > max_steps:
@@ -362,7 +360,7 @@ def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
     )
     bad_rows = ledger.finite_problems()
     if bad_rows:
-        result.violations = list(result.violations) + bad_rows
+        result.violations = result.violations + bad_rows
     result.wall_clock = _time.perf_counter() - t_start
     return result
 
@@ -491,13 +489,15 @@ def gamma_sweep(sc: SweepConfig) -> SweepReport:
     """Run each gamma on identical data (with the 1/gamma vacuum lift).
 
     Per-run diagnostics summarize over t >= tau; consecutive runs are
-    compared through the space-time distance of v.  A failed run marks its
-    entry and leaves the others alone.
+    compared through the space-time distance of v, so only the previous
+    run's history is held.  A failed run marks its entry and leaves the
+    others alone.
     """
     T = sc.base["time.T_final"]
     entries: list[SweepEntry] = []
-    results: list[RunResult | None] = []
     ledgers: list[EnergyLedger | None] = []
+    distances: list[float] = []
+    prev: RunResult | None = None   # the previous gamma's run, if it finished cleanly
     for gamma in sc.gammas:
         cfg_g = sc.base.with_overrides(**{
             "model__gamma": gamma,
@@ -506,53 +506,47 @@ def gamma_sweep(sc: SweepConfig) -> SweepReport:
         try:
             res = run(cfg_g)
         except (SolverFailure, ConfigError) as exc:
-            entries.append(SweepEntry(
+            res = None
+            entry = SweepEntry(
                 gamma=gamma, cfg_hash=config_hash(cfg_g), ok=False,
                 h7_pass=None, h7_ratio=math.nan, energy=math.nan,
                 excess_max=math.nan, seg_integral=math.nan, comp_integral=math.nan,
                 fraction_gap=math.nan, wall_clock=0.0, failure=str(exc),
-            ))
-            results.append(None)
+            )
             ledgers.append(None)
-            continue
-        ok = res.ok
-        energy = math.nan
-        if len(res.history.snapshots) >= 2 and res.history.times[-1] > sc.tau:
-            energy = weighted_energy(res.history, sc.tau)
-        entries.append(SweepEntry(
-            gamma=gamma,
-            cfg_hash=res.cfg_hash,
-            ok=ok,
-            h7_pass=res.h7_pass,
-            h7_ratio=res.h7_ratio,
-            energy=energy,
-            excess_max=_window_max(res.ledger, "excess", sc.tau),
-            seg_integral=_window_integral(res.ledger, "segregation", sc.tau),
-            comp_integral=_window_integral(res.ledger, "comp_t2", sc.tau),
-            fraction_gap=math.nan,
-            wall_clock=res.wall_clock,
-            failure=res.failure if res.failure else (
-                "; ".join(str(v) for v in res.violations) if res.violations else None
-            ),
-        ))
-        results.append(res if ok else None)
-        ledgers.append(res.ledger)
-
-    distances: list[float] = []
-    for left, right in zip(results, results[1:]):
-        if left is None or right is None:
-            distances.append(math.nan)
         else:
-            distances.append(
-                space_time_distance(left.history, right.history, sc.tau, T, sc.compare_times)
+            energy = math.nan
+            if len(res.ledger.rows) >= 2 and res.ledger.rows[-1].t > sc.tau:
+                energy = weighted_energy(res.ledger, sc.tau)
+            entry = SweepEntry(
+                gamma=gamma,
+                cfg_hash=res.cfg_hash,
+                ok=res.ok,
+                h7_pass=res.h7_pass,
+                h7_ratio=res.h7_ratio,
+                energy=energy,
+                excess_max=_window_max(res.ledger, "excess", sc.tau),
+                seg_integral=_window_integral(res.ledger, "segregation", sc.tau),
+                comp_integral=_window_integral(res.ledger, "comp_t2", sc.tau),
+                fraction_gap=math.nan,
+                wall_clock=res.wall_clock,
+                failure=res.failure if res.failure else (
+                    "; ".join(res.violations) if res.violations else None
+                ),
             )
-    # fraction-convergence evidence for the open ratio question: recorded, never asserted
-    for i in range(1, len(results)):
-        if results[i - 1] is not None and results[i] is not None:
-            entries[i].fraction_gap = space_time_distance(
-                results[i - 1].history, results[i].history, sc.tau, T, sc.compare_times,
-                values_of=lambda s: s.c.values,
-            )
+            ledgers.append(res.ledger)
+            if not res.ok:
+                res = None
+        if entries:
+            dist = math.nan
+            if prev is not None and res is not None:
+                window = (prev.history, res.history, sc.tau, T, sc.compare_times)
+                dist = space_time_distance(*window)
+                # fraction-convergence evidence for the open ratio question: recorded, never asserted
+                entry.fraction_gap = space_time_distance(*window, values_of=lambda s: s.c.values)
+            distances.append(dist)
+        entries.append(entry)
+        prev = res
     return SweepReport(
         tau=sc.tau, delta=sc.delta, entries=entries, distances=distances, ledgers=ledgers,
     )
@@ -624,7 +618,7 @@ def eps_study(eps_list, base_cfg: RunConfig, compare_times: int = 33) -> EpsRepo
             min_density=min_density,
             barrier=barrier,
             failure=res.failure if res.failure else (
-                "; ".join(str(v) for v in res.violations) if res.violations else None
+                "; ".join(res.violations) if res.violations else None
             ),
         ))
     return EpsReport(entries=entries)

@@ -8,7 +8,7 @@ accumulation orders: identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -23,15 +23,13 @@ DIRECT_RESIDUAL_TOL = 1e-12
 class TriDiag:
     """Tridiagonal matrix in per-row coefficient form.
 
-    ``lower[0]`` and ``upper[-1]`` are ignored.  The diagonal-dominance flag
-    is recorded for telemetry; the solver itself only requires nonsingularity
-    (LAPACK pivots internally).
+    ``lower[0]`` and ``upper[-1]`` are ignored.  The solver only requires
+    nonsingularity (LAPACK pivots internally).
     """
 
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
-    diagonally_dominant: bool = field(init=False)
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -42,10 +40,6 @@ class TriDiag:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "diag", di)
         object.__setattr__(self, "upper", up)
-        off = np.zeros_like(di)
-        off[:-1] += np.abs(up[:-1])
-        off[1:] += np.abs(lo[1:])
-        object.__setattr__(self, "diagonally_dominant", bool(np.all(np.abs(di) >= off)))
 
     @property
     def n(self) -> int:

@@ -197,7 +197,7 @@ def cutoff(s, ell: float):
     if not (ell > 0.0):
         raise ValueError(f"cutoff level must be positive, got {ell}")
     arr = np.asarray(s, dtype=float)
-    out = np.clip(arr, 0.0, ell)
+    out = np.minimum(np.maximum(arr, 0.0), ell)  # np.clip does the same, slower
     if arr.ndim == 0:
         return float(out)
     return out

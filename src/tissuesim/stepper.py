@@ -17,9 +17,12 @@ equation is the algebraic consequence of the two species equations:
 subtracting c times the n-equation from the n2-equation yields
 dc/dt - grad(p).grad(c) = K1(1-c) - K2 c - D c(1-c).
 
-The regularized mode adds eps-viscosity to each species equation (which in
-(n, c) variables becomes eps*lap(c) plus a drift 2 eps grad(ln n)) and routes
-every nonlinear coefficient through the band cutoff.
+There is one scheme, the viscous cutoff scheme: eps-viscosity on each
+species equation (in (n, c) variables, eps*lap(c) plus a drift
+2 eps grad(ln n) in the fraction equation) and every nonlinear coefficient
+routed through the band cutoff [0, ell].  The unregularized scheme is its
+eps = 0 case, whose cutoff level is ell = inf: the viscous terms vanish and,
+for n >= 0 with c in [0, 1], no clamp acts.
 """
 
 from __future__ import annotations
@@ -36,9 +39,6 @@ from .model import DerivedConstants, ModelParams, cutoff
 
 #: Jacobian degeneracy floor: diffusion derivative is evaluated at max(n, this)
 VACUUM_FLOOR = 1e-14
-
-#: fraction bound slack before the step records an invariant violation
-FRACTION_TOL = 1e-12
 
 #: monotonicity budget slack for the explicit fraction update
 CFL_SLACK = 1e-9
@@ -100,83 +100,95 @@ class StepReport:
     retries: int = 0
     newton_fallbacks: int = 0
     rejections: list[str] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
 
 
-def _reaction_rate(params: ModelParams, d: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per-cell linear reaction rate r with R = r * n (plain mode)."""
-    g = np.asarray(params.rates.G(d), dtype=float)
-    return g - params.D * c
+def _cutoff_level(params: ModelParams) -> float:
+    """Band cutoff level of the scheme: ell_cut with viscosity, inf without."""
+    return params.ell_cut if params.eps_reg > 0.0 else math.inf
 
 
-def _flux_potential(n: np.ndarray, gamma: float) -> np.ndarray:
-    """K(n) = gamma/(gamma+1) * (n+)^(gamma+1), so lap K = the density flux."""
-    return gamma / (gamma + 1.0) * np.maximum(n, 0.0) ** (gamma + 1.0)
+@dataclass(frozen=True)
+class _Coefficients:
+    """Density-equation coefficients frozen at the state a step starts from."""
+
+    ell: float            # cutoff level
+    g: np.ndarray         # G(cutoff(d))
+    c: np.ndarray
+    rate: np.ndarray      # G - D c: the reaction rate wherever no clamp acts
+    in_band: bool         # c in [0, 1] and n_old >= 0
+    spread: float         # max of c and 1 - c over the cells
+
+    def unclamped(self, n_max: float) -> bool:
+        """No cutoff acts on n1 = (1-c) n or n2 = c n for any n in [0, n_max].
+
+        Newton iterates are floored at zero, so n >= 0 holds in every
+        residual of a solve once it holds for the old density.
+        """
+        return self.in_band and n_max * self.spread <= self.ell
 
 
-def _flux_potential_cut(n: np.ndarray, gamma: float, ell: float) -> np.ndarray:
+def _coefficients(state: State, params: ModelParams) -> _Coefficients:
+    ell = _cutoff_level(params)
+    c = state.c.values
+    g = np.asarray(params.rates.G(cutoff(state.d.values, ell)), dtype=float)
+    c_min, c_max = float(c.min()), float(c.max())
+    return _Coefficients(
+        ell=ell,
+        g=g,
+        c=c,
+        rate=g - params.D * c,
+        in_band=c_min >= 0.0 and c_max <= 1.0 and state.n.min() >= 0.0,
+        spread=max(c_max, 1.0 - c_min),
+    )
+
+
+def _flux_potential(n: np.ndarray, gamma: float, ell: float, n_max: float) -> np.ndarray:
     """Cutoff flux potential: gamma * integral of cutoff(s, ell)^gamma ds.
 
-    Matches the plain potential on [0, ell] and continues linearly above,
-    which is exactly the effect of clamping the mobility coefficients.
+    Equals gamma/(gamma+1) * (n+)^(gamma+1) on [0, ell] and continues
+    linearly above, which is exactly the effect of clamping the mobility
+    coefficients.  ``n_max`` is max(n).
     """
-    base = np.minimum(np.maximum(n, 0.0), ell)
-    out = gamma / (gamma + 1.0) * base ** (gamma + 1.0)
-    above = n > ell
-    if np.any(above):
-        out = out + np.where(above, gamma * ell**gamma * (n - ell), 0.0)
-    return out
+    if n_max <= ell:
+        return gamma / (gamma + 1.0) * np.maximum(n, 0.0) ** (gamma + 1.0)
+    base = cutoff(n, ell)
+    above = np.where(n > ell, gamma * ell**gamma * (n - ell), 0.0)
+    return gamma / (gamma + 1.0) * base ** (gamma + 1.0) + above
 
 
-def _density_rhs(
-    n: np.ndarray,
-    state: State,
-    params: ModelParams,
-    regularized: bool,
-    ell: float,
-) -> np.ndarray:
+def _density_rhs(n: np.ndarray, grid: Grid, params: ModelParams, co: _Coefficients) -> np.ndarray:
     """Right-hand side of dn/dt = ... with c, d frozen at the current state."""
-    grid = state.grid
-    nf = Field(grid, n)
-    if regularized:
-        pot = _flux_potential_cut(n, params.gamma, ell)
-        c = state.c.values
-        g = np.asarray(params.rates.G(cutoff(state.d.values, ell)), dtype=float)
-        reaction = g * cutoff((1.0 - c) * n, ell) + (g - params.D) * cutoff(c * n, ell)
+    n_max = float(n.max())
+    pot = _flux_potential(n, params.gamma, co.ell, n_max)
+    if co.unclamped(n_max):
+        reaction = co.rate * n
     else:
-        pot = _flux_potential(n, params.gamma)
-        reaction = _reaction_rate(params, state.d.values, state.c.values) * n
+        n1, n2 = cutoff((1.0 - co.c) * n, co.ell), cutoff(co.c * n, co.ell)
+        reaction = co.g * n1 + (co.g - params.D) * n2
     out = laplacian_neumann(Field(grid, pot)) + reaction
     if params.eps_reg > 0.0:
-        out = out + params.eps_reg * laplacian_neumann(nf)
+        out = out + params.eps_reg * laplacian_neumann(Field(grid, n))
     return out
 
 
-def _diffusion_derivative(
-    n: np.ndarray, params: ModelParams, regularized: bool, ell: float
-) -> np.ndarray:
-    """d/dn of the flux potential, floored away from the vacuum."""
-    floored = np.maximum(n, VACUUM_FLOOR)
-    if regularized:
-        deriv = params.gamma * cutoff(floored, ell) ** params.gamma
-    else:
-        deriv = params.gamma * floored**params.gamma
-    return deriv + params.eps_reg
+def _density_jacobian(
+    n: np.ndarray, params: ModelParams, co: _Coefficients
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal factors (a, r) of the Newton Jacobian of ``_density_rhs``.
 
-
-def _reaction_derivative(
-    n: np.ndarray, state: State, params: ModelParams, regularized: bool, ell: float
-) -> np.ndarray:
-    c = state.c.values
-    if not regularized:
-        g = np.asarray(params.rates.G(state.d.values), dtype=float)
-        return g - params.D * c
-    g = np.asarray(params.rates.G(cutoff(state.d.values, ell)), dtype=float)
+    a is d/dn of the flux potential, floored away from the vacuum, plus eps;
+    r is d/dn of the reaction, with each species term switched off where its
+    cutoff is not strictly inside the band.
+    """
+    a = params.gamma * cutoff(np.maximum(n, VACUUM_FLOOR), co.ell) ** params.gamma + params.eps_reg
+    if co.unclamped(float(n.max())):
+        return a, co.rate
+    c = co.c
     n1 = (1.0 - c) * n
     n2 = c * n
-    active1 = ((n1 > 0.0) & (n1 < ell)).astype(float)
-    active2 = ((n2 > 0.0) & (n2 < ell)).astype(float)
-    return g * (1.0 - c) * active1 + (g - params.D) * c * active2
+    active1 = ((n1 > 0.0) & (n1 < co.ell)).astype(float)
+    active2 = ((n2 > 0.0) & (n2 < co.ell)).astype(float)
+    return a, co.g * (1.0 - c) * active1 + (co.g - params.D) * c * active2
 
 
 def _count_cutoff_activations(n: np.ndarray, c: np.ndarray, ell: float) -> int:
@@ -243,8 +255,6 @@ def density_solve(
     dt: float,
     params: ModelParams,
     settings: SolverSettings,
-    regularized: bool = False,
-    ell: float = 0.0,
 ) -> tuple[Field, StepReport]:
     """Backward-Euler solve for the total density with frozen c and d.
 
@@ -255,11 +265,12 @@ def density_solve(
     """
     grid = state.grid
     n_old = state.n.values
+    co = _coefficients(state, params)
     report = StepReport(dt_used=dt)
     n_k = n_old.copy()
     res_norm = math.inf
     for it in range(settings.newton_max + 1):
-        f = n_k - n_old - dt * _density_rhs(n_k, state, params, regularized, ell)
+        f = n_k - n_old - dt * _density_rhs(n_k, grid, params, co)
         res_norm = float(np.max(np.abs(f)))
         report.newton_iters = it + 1  # residual evaluations, 1 on a fixed point
         report.newton_residual = res_norm
@@ -272,8 +283,7 @@ def density_solve(
                 f"density Newton did not converge in {settings.newton_max} iterations "
                 f"(residual {res_norm:.3e})"
             )
-        a = _diffusion_derivative(n_k, params, regularized, ell)
-        r = _reaction_derivative(n_k, state, params, regularized, ell)
+        a, r = _density_jacobian(n_k, params, co)
         delta, lin = _solve_newton_system(grid, a, r, dt, -f, settings)
         report.linear_iters += lin
         # damped update: halve until the residual shrinks, full step as fallback
@@ -281,7 +291,7 @@ def density_solve(
         accepted = None
         for _ in range(8):
             trial = np.maximum(n_k + step_len * delta, 0.0)
-            f_trial = trial - n_old - dt * _density_rhs(trial, state, params, regularized, ell)
+            f_trial = trial - n_old - dt * _density_rhs(trial, grid, params, co)
             trial_norm = float(np.max(np.abs(f_trial)))
             if math.isfinite(trial_norm) and trial_norm < res_norm:
                 accepted = trial
@@ -292,40 +302,37 @@ def density_solve(
             accepted = np.maximum(n_k + delta, 0.0)
         n_k = accepted
 
-    n_new = n_old + dt * _density_rhs(n_k, state, params, regularized, ell)
+    n_new = n_old + dt * _density_rhs(n_k, grid, params, co)
     report.clamped_cells = int(np.count_nonzero(n_new < 0.0))
     n_new = np.maximum(n_new, 0.0)
-    if regularized:
-        report.cutoff_activations = _count_cutoff_activations(n_k, state.c.values, ell)
+    report.cutoff_activations = _count_cutoff_activations(n_k, state.c.values, co.ell)
     return Field(grid, n_new), report
 
 
-def _face_velocities(n_new: Field, params: ModelParams, regularized: bool) -> tuple[np.ndarray, ...]:
+def _face_velocities(n_new: Field, gamma: float, eps: float) -> tuple[np.ndarray, ...]:
     """Darcy velocity u = -grad(n^gamma) per interior face.
 
-    In regularized mode the species viscosity contributes an extra drift
+    With eps > 0 the species viscosity contributes an extra drift
     -2 eps grad(ln n) (from rewriting eps*lap(n_i) in fraction variables).
     """
     grid = n_new.grid
-    p = np.maximum(n_new.values, 0.0) ** params.gamma
+    p = np.maximum(n_new.values, 0.0) ** gamma
     grads = face_gradient(Field(grid, p))
     u = tuple(-g for g in grads)
-    if regularized and params.eps_reg > 0.0:
+    if eps > 0.0:
         logn = np.log(np.maximum(n_new.values, VACUUM_FLOOR))
         dlog = face_gradient(Field(grid, logn))
-        u = tuple(ui - 2.0 * params.eps_reg * gi for ui, gi in zip(u, dlog))
+        u = tuple(ui - 2.0 * eps * gi for ui, gi in zip(u, dlog))
     return u
 
 
-def _fraction_rates(
-    state: State, params: ModelParams, regularized: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K1, K2 and K1 + K2 + D on the current nutrient (cutoff-clamped when regularized).
+def _fraction_rates(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K1, K2 and K1 + K2 + D on the cutoff-clamped current nutrient.
 
     They depend only on the state a step starts from, so one evaluation
     serves every attempt of the step.
     """
-    d_arg = state.d.values if not regularized else cutoff(state.d.values, params.ell_cut)
+    d_arg = cutoff(state.d.values, _cutoff_level(params))
     k1 = np.asarray(params.rates.K1(d_arg), dtype=float)
     k2 = np.asarray(params.rates.K2(d_arg), dtype=float)
     return k1, k2, k1 + k2 + params.D
@@ -335,7 +342,6 @@ def _fraction_budget(
     grid: Grid,
     dt: float,
     params: ModelParams,
-    regularized: bool,
     rate_sum: np.ndarray,
     u: tuple[np.ndarray, ...] = (),
 ) -> np.ndarray:
@@ -361,7 +367,7 @@ def _fraction_budget(
         else:
             budget[:, 1:] += dt / h * inflow_lo
             budget[:, :-1] += dt / h * inflow_hi
-    if regularized and params.eps_reg > 0.0:
+    if params.eps_reg > 0.0:
         for h in grid.h:
             budget += 2.0 * dt * params.eps_reg / h**2
     budget += dt * rate_sum
@@ -379,7 +385,6 @@ def fraction_update(
     n_new: Field,
     dt: float,
     params: ModelParams,
-    regularized: bool = False,
     rates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Field, float]:
     """Explicit upwind advection of the fraction plus explicit reaction.
@@ -395,7 +400,7 @@ def fraction_update(
     """
     grid = state.grid
     c = state.c.values
-    u = _face_velocities(n_new, params, regularized)
+    u = _face_velocities(n_new, params.gamma, params.eps_reg)
 
     # advective form via flux differencing: div(u c_up) - c div(u)
     if grid.dim == 1:
@@ -408,12 +413,12 @@ def fraction_update(
     adv = divergence(grid, tuple(ui * ci for ui, ci in zip(u, up_c))) - c * divergence(grid, u)
 
     diff = 0.0
-    if regularized and params.eps_reg > 0.0:
+    if params.eps_reg > 0.0:
         diff = params.eps_reg * laplacian_neumann(Field(grid, c))
 
-    k1, k2, rate_sum = rates if rates is not None else _fraction_rates(state, params, regularized)
+    k1, k2, rate_sum = rates if rates is not None else _fraction_rates(state, params)
     reaction = k1 * (1.0 - c) - k2 * c - params.D * c * (1.0 - c)
-    _enforce_budget(_fraction_budget(grid, dt, params, regularized, rate_sum, u))
+    _enforce_budget(_fraction_budget(grid, dt, params, rate_sum, u))
 
     c_new = c + dt * (-adv + diff + reaction)
     speed_max = max([0.0, *(float(np.max(np.abs(ui))) for ui in u if ui.size)])
@@ -492,9 +497,9 @@ def suggest_dt(
     """Advective-CFL and reaction-rate based step suggestion.
 
     dt = safety * min(h / max|u|, 1 / (K1_max + K2_max + D)), clipped to the
-    remaining horizon.
+    remaining horizon.  The velocity leaves out the viscous drift.
     """
-    u = _face_velocities(state.n, params, regularized=False)
+    u = _face_velocities(state.n, params.gamma, 0.0)
     speed = 0.0
     for ui in u:
         if ui.size:
@@ -512,38 +517,22 @@ def suggest_dt(
     return dt
 
 
-def _quick_invariant_check(s: State, consts: DerivedConstants) -> list[str]:
-    out = []
-    c_min, c_max = s.c.min(), s.c.max()
-    if c_min < -FRACTION_TOL or c_max > 1.0 + FRACTION_TOL:
-        out.append(f"fraction out of [0,1] by {max(-c_min, c_max - 1.0):.3e}")
-    if s.n.min() < 0.0:
-        out.append(f"negative density {s.n.min():.3e}")
-    if s.d.min() < -1e-10 or s.d.max() > consts.L + 1e-10:
-        out.append("nutrient outside [0, L]")
-    return out
-
-
 def _pipeline(
     state: State,
     params: ModelParams,
     consts: DerivedConstants,
     settings: SolverSettings,
     dt: float,
-    regularized: bool,
     rates: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[State, StepReport]:
-    ell = params.ell_cut if regularized else 0.0
-    n_new, report = density_solve(state, dt, params, settings, regularized, ell)
-    c_new, cfl_limit = fraction_update(state, n_new, dt, params, regularized, rates)
+    n_new, report = density_solve(state, dt, params, settings)
+    c_new, cfl_limit = fraction_update(state, n_new, dt, params, rates)
     report.cfl_limit = cfl_limit
     d_new, clamped, lin = nutrient_solve(state, n_new, c_new, dt, params, consts, settings)
     report.clamped_cells += clamped
     report.linear_iters += lin
-    new_state = State(t=state.t + dt, n=n_new, c=c_new, d=d_new, gamma=params.gamma)
     report.dt_used = dt
-    report.violations = _quick_invariant_check(new_state, consts)
-    return new_state, report
+    return State(t=state.t + dt, n=n_new, c=c_new, d=d_new, gamma=params.gamma), report
 
 
 def step(
@@ -553,54 +542,31 @@ def step(
     settings: SolverSettings,
     dt_hint: float,
 ) -> tuple[State, StepReport]:
-    """Advance one step of the plain (non-cutoff) scheme, halving dt on failure."""
-    return _step_with_retries(state, params, consts, settings, dt_hint, regularized=False)
+    """Advance one step of the scheme: try dt_hint, halving dt after each rejected attempt.
 
-
-def regularized_step(
-    state: State,
-    params: ModelParams,
-    consts: DerivedConstants,
-    settings: SolverSettings,
-    dt_hint: float,
-) -> tuple[State, StepReport]:
-    """Advance one step of the viscous cutoff scheme (eps_reg > 0 required)."""
-    if not (params.eps_reg > 0.0):
-        raise ValueError("regularized_step requires eps_reg > 0; use step instead")
-    if not (params.ell_cut > 0.0):
-        raise ValueError("regularized_step requires a resolved cutoff level ell_cut > 0")
-    return _step_with_retries(state, params, consts, settings, dt_hint, regularized=True)
-
-
-def _step_with_retries(
-    state: State,
-    params: ModelParams,
-    consts: DerivedConstants,
-    settings: SolverSettings,
-    dt_hint: float,
-    regularized: bool,
-) -> tuple[State, StepReport]:
-    """Try dt_hint, halving dt after each rejected attempt, up to retry_max times.
-
-    Before the solves of an attempt, the n-independent floor of the fraction
-    budget (viscous and reaction terms) is checked at its dt.  Any dt it
-    rejects would also fail the full solve, at the latest in the full budget
-    of ``fraction_update``, so the pre-check changes no accepted dt or state;
+    eps_reg = 0 runs the plain scheme; eps_reg > 0 needs a resolved cutoff
+    level ell_cut > 0.  Up to retry_max halvings are made.  Before the
+    solves of an attempt, the n-independent floor of the fraction budget
+    (viscous and reaction terms) is checked at its dt.  Any dt it rejects
+    would also fail the full solve, at the latest in the full budget of
+    ``fraction_update``, so the pre-check changes no accepted dt or state;
     it only skips the doomed solves.  Either kind of rejection counts as one
     retry and is recorded in ``StepReport.rejections``.
     """
+    if params.eps_reg > 0.0 and not (params.ell_cut > 0.0):
+        raise ValueError("eps_reg > 0 requires a resolved cutoff level ell_cut > 0")
     if not (dt_hint > 0.0):
         raise ValueError(f"dt must be positive, got {dt_hint}")
-    rates = _fraction_rates(state, params, regularized)
+    rates = _fraction_rates(state, params)
     dt = dt_hint
     rejections: list[str] = []
     last_error = None
     for attempt in range(settings.retry_max + 1):
         stage = "pre-check"
         try:
-            _enforce_budget(_fraction_budget(state.grid, dt, params, regularized, rates[2]))
+            _enforce_budget(_fraction_budget(state.grid, dt, params, rates[2]))
             stage = "solve"
-            new_state, report = _pipeline(state, params, consts, settings, dt, regularized, rates)
+            new_state, report = _pipeline(state, params, consts, settings, dt, rates)
         except SolverFailure as exc:
             rejections.append(f"{stage}: {exc}")
             last_error = exc
@@ -612,3 +578,18 @@ def _step_with_retries(
     raise SolverFailure(
         f"step failed after {settings.retry_max} dt halvings (last: {last_error})"
     )
+
+
+def regularized_step(
+    state: State,
+    params: ModelParams,
+    consts: DerivedConstants,
+    settings: SolverSettings,
+    dt_hint: float,
+) -> tuple[State, StepReport]:
+    """``step`` restricted to the viscous cutoff scheme (eps_reg > 0 required)."""
+    if not (params.eps_reg > 0.0):
+        raise ValueError("regularized_step requires eps_reg > 0; use step instead")
+    if not (params.ell_cut > 0.0):
+        raise ValueError("regularized_step requires a resolved cutoff level ell_cut > 0")
+    return step(state, params, consts, settings, dt_hint)

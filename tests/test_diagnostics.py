@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tissuesim.diagnostics import (
+    EnergyLedger,
     RunHistory,
     TolConfig,
     aronson_benilan_gap,
@@ -12,6 +13,7 @@ from tissuesim.diagnostics import (
     entropy_dissipation,
     excess_measure,
     free_boundary,
+    make_ledger_row,
     segregation_product,
     weighted_energy,
 )
@@ -55,46 +57,51 @@ def static_history(state, times, reaction_free=True, solver_dt=0.01):
     )
 
 
+def static_ledger(state, times):
+    rows = [
+        make_ledger_row(State(t=t, n=state.n, c=state.c, d=state.d, gamma=state.gamma),
+                        make_params(), 0.05, 0.0)
+        for t in times
+    ]
+    return EnergyLedger(rows)
+
+
 CONSTS = DerivedConstants(L=1.0, G0=1.0, M0=1.0, d_crit=1.0, K1_max=0.0, K2_max=0.0)
 
 
 class TestWeightedEnergy:
     def test_zero_density_gives_zero(self):
         s = make_state(np.zeros(8))
-        hist = static_history(s, [0.0, 0.5, 1.0])
-        assert weighted_energy(hist, 0.25) == 0.0
+        ledger = static_ledger(s, [0.0, 0.5, 1.0])
+        assert weighted_energy(ledger, 0.25) == 0.0
 
     def test_static_unit_density_closed_form(self):
         # v = 1, grad v = 0 on the unit domain: integral over [0.5, 1] of t dt = 0.375
         s = make_state(np.ones(16))
-        hist = static_history(s, [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert weighted_energy(hist, 0.5) == pytest.approx(0.375, rel=1e-12)
+        ledger = static_ledger(s, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert weighted_energy(ledger, 0.5) == pytest.approx(0.375, rel=1e-12)
 
     def test_window_edge_interpolation(self):
         # tau between snapshots: the integrand t*1 is linear, trapezoid stays exact
         s = make_state(np.ones(16))
-        hist = static_history(s, [0.0, 0.4, 0.8, 1.0])
-        assert weighted_energy(hist, 0.5) == pytest.approx(0.375, rel=1e-12)
+        ledger = static_ledger(s, [0.0, 0.4, 0.8, 1.0])
+        assert weighted_energy(ledger, 0.5) == pytest.approx(0.375, rel=1e-12)
 
     def test_additive_over_windows(self):
         rng = np.random.default_rng(2)
         s = make_state(0.5 + 0.3 * rng.random(12))
-        hist = static_history(s, list(np.linspace(0, 1, 21)))
-        whole = weighted_energy(hist, 0.2)
+        ledger = static_ledger(s, list(np.linspace(0, 1, 21)))
+        whole = weighted_energy(ledger, 0.2)
         # split at a snapshot time to avoid double interpolation
-        left = weighted_energy(
-            RunHistory(hist.grid, hist.gamma, hist.snapshots[:11], hist.snapshot_dts[:11],
-                       hist.reaction_free),
-            0.2,
-        )
-        right = weighted_energy(hist, 0.5)
+        left = weighted_energy(EnergyLedger(ledger.rows[:11]), 0.2)
+        right = weighted_energy(ledger, 0.5)
         assert whole == pytest.approx(left + right, rel=1e-10)
 
     def test_too_few_snapshots_rejected(self):
         s = make_state(np.ones(8))
-        hist = static_history(s, [0.0])
+        ledger = static_ledger(s, [0.0])
         with pytest.raises(ValueError):
-            weighted_energy(hist, 0.5)
+            weighted_energy(ledger, 0.5)
 
 
 class TestComplementarity:
@@ -163,13 +170,13 @@ class TestSegregation:
 class TestEntropyDissipation:
     def test_static_uniform_zero(self):
         s = make_state(np.full(8, 0.7))
-        hist = static_history(s, [0.0, 0.5, 1.0])
-        assert entropy_dissipation(hist) == 0.0
+        ledger = static_ledger(s, [0.0, 0.5, 1.0])
+        assert entropy_dissipation(ledger) == 0.0
 
     def test_nonuniform_positive(self):
         s = make_state(0.5 + 0.3 * np.sin(np.linspace(0, 3, 16)))
-        hist = static_history(s, [0.0, 1.0])
-        assert entropy_dissipation(hist) > 0.0
+        ledger = static_ledger(s, [0.0, 1.0])
+        assert entropy_dissipation(ledger) > 0.0
 
 
 class TestAronsonBenilan:

@@ -225,8 +225,8 @@ class TestQuadratureRobustness:
         # recording snapshots twice as often must not move the energy much
         base = parse_config(BUMP_TEXT + "initial.lift = gamma\n")
         fine = base.with_overrides(time__snapshot_stride=2)
-        e_coarse = weighted_energy(run(base).history, 0.02)
-        e_fine = weighted_energy(run(fine).history, 0.02)
+        e_coarse = weighted_energy(run(base).ledger, 0.02)
+        e_fine = weighted_energy(run(fine).ledger, 0.02)
         assert e_coarse == pytest.approx(e_fine, rel=0.05)
 
     def test_entropy_cauchy_under_dt_refinement(self):
@@ -234,15 +234,15 @@ class TestQuadratureRobustness:
             time__snapshot_stride=2
         )
         halved = base.with_overrides(time__dt_max=0.002)
-        e1 = entropy_dissipation(run(base).history)
-        e2 = entropy_dissipation(run(halved).history)
+        e1 = entropy_dissipation(run(base).ledger)
+        e2 = entropy_dissipation(run(halved).ledger)
         assert e1 == pytest.approx(e2, rel=0.05)
 
     def test_entropy_regularized_within_factor_two(self):
         plain = parse_config(BUMP_TEXT)
         reg = plain.with_overrides(model__eps_reg=0.001, initial__lift="eps")
-        e_plain = entropy_dissipation(run(plain).history)
-        e_reg = entropy_dissipation(run(reg).history)
+        e_plain = entropy_dissipation(run(plain).ledger)
+        e_reg = entropy_dissipation(run(reg).ledger)
         assert 0.5 * e_plain <= e_reg <= 2.0 * e_plain
 
 

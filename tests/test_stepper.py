@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from tissuesim import stepper
 from tissuesim.config import parse_config
+from tissuesim.diagnostics import TolConfig, check_all
 from tissuesim.errors import SolverFailure
 from tissuesim.grid import Field, Grid, integrate
 from tissuesim.harness import apply_lift, build_grid, initial_fields, make_params, make_settings
@@ -266,13 +267,13 @@ class TestBudgetFloor:
             gamma=gamma,
         )
         n_new = Field(grid, data.draw(values))
-        step_rates = stepper._fraction_rates(s, params, regularized)
-        floor = stepper._fraction_budget(grid, dt, params, regularized, step_rates[2])
+        step_rates = stepper._fraction_rates(s, params)
+        floor = stepper._fraction_budget(grid, dt, params, step_rates[2])
 
         # capture the budget fraction_update itself checks
         with mock.patch.object(stepper, "_enforce_budget", wraps=stepper._enforce_budget) as spy:
             try:
-                fraction_update(s, n_new, dt, params, regularized)
+                fraction_update(s, n_new, dt, params)
                 rejected = False
             except SolverFailure:
                 rejected = True
@@ -376,7 +377,7 @@ class TestStep:
         assert np.allclose(s2.n.values, 0.6, atol=1e-14)
         assert np.all(s2.c.values == 0.0)
         assert np.allclose(s2.d.values, 0.0, atol=1e-14)
-        assert report.violations == []
+        assert check_all(s2, consts, TolConfig()) == []
 
     def test_mass_constant_without_reactions(self):
         grid, params, consts = self.make_inert(cells=40)
@@ -513,6 +514,24 @@ class TestRegularizedStep:
         _, report = regularized_step(s, params, consts, SETTINGS, 0.01)
         assert report.cutoff_activations > 0
 
+    def test_step_is_the_regularized_scheme(self):
+        # one scheme: with eps_reg > 0, step and regularized_step take the
+        # same viscous cutoff step, bit for bit
+        s, params, consts = self.make_setup(0.05)
+        c = s.c.values.copy()
+        c[:12] = 0.6
+        s = replace(s, c=Field(s.grid, c))
+        a, report_a = step(s, params, consts, SETTINGS, 0.01)
+        b, report_b = regularized_step(s, params, consts, SETTINGS, 0.01)
+        for x, y in ((a.n, b.n), (a.c, b.c), (a.d, b.d)):
+            assert np.array_equal(x.values, y.values)
+        assert report_a == report_b
+
+    def test_step_rejects_unresolved_cutoff(self):
+        s, params, consts = self.make_setup(0.05)
+        with pytest.raises(ValueError, match="ell_cut"):
+            step(s, replace(params, ell_cut=0.0), consts, SETTINGS, 0.01)
+
     def test_viscosity_spreads_the_fraction(self):
         s, params, consts = self.make_setup(0.1)
         c = s.c.values.copy()
@@ -544,12 +563,12 @@ def eps_study_start(eps):
     return state, params, consts, make_settings(cfg)
 
 
-def reference_step(state, params, consts, settings, dt, regularized):
+def reference_step(state, params, consts, settings, dt):
     """Retry loop without the budget pre-check: solve, halve on failure."""
-    rates = stepper._fraction_rates(state, params, regularized)
+    rates = stepper._fraction_rates(state, params)
     for attempt in range(settings.retry_max + 1):
         try:
-            new_state, _ = stepper._pipeline(state, params, consts, settings, dt, regularized, rates)
+            new_state, _ = stepper._pipeline(state, params, consts, settings, dt, rates)
             return new_state, dt, attempt
         except SolverFailure:
             dt *= 0.5
@@ -575,7 +594,7 @@ def test_precheck_matches_reference_retry_loop(eps, hint_scale, stages_seen):
         hint = hint_scale * suggest_dt(state, params, consts, settings.safety)
         hint = min(hint, settings.dt_max, params.T_final - state.t)
         state, report = advance(state, params, consts, settings, hint)
-        ref, ref_dt, ref_retries = reference_step(ref, params, consts, settings, hint, eps > 0.0)
+        ref, ref_dt, ref_retries = reference_step(ref, params, consts, settings, hint)
         for a, b in ((state.n, ref.n), (state.c, ref.c), (state.d, ref.d)):
             assert np.array_equal(a.values, b.values)
         assert state.t == ref.t
