@@ -331,37 +331,33 @@ def _worst_cell(mask_values: np.ndarray) -> tuple:
 
 
 def check_all(state: State, consts: DerivedConstants, tolcfg: TolConfig) -> list[Violation]:
-    """Bound and maximum-principle checks; empty list on success."""
+    """Bound and maximum-principle checks; empty list on success.
+
+    Each bound is tested on one min or max of its field.  Rounded addition
+    and subtraction are monotone, so the largest excess over the cells is
+    the excess of that extreme; the full per-cell excess is built only for a
+    violated bound, to locate its worst cell.
+    """
     out = []
     n, c, d = state.n.values, state.c.values, state.d.values
-
-    deficit = -(n + tolcfg.n_tol)
-    if np.max(deficit) > 0.0:
-        out.append(Violation("density nonnegativity", _worst_cell(deficit), float(np.max(deficit))))
-
-    low = -(c + tolcfg.c_tol)
-    if np.max(low) > 0.0:
-        out.append(Violation("fraction lower bound", _worst_cell(low), float(np.max(low))))
-    high = c - (1.0 + tolcfg.c_tol)
-    if np.max(high) > 0.0:
-        out.append(Violation("fraction upper bound", _worst_cell(high), float(np.max(high))))
-
-    low_d = -(d + tolcfg.d_tol)
-    if np.max(low_d) > 0.0:
-        out.append(Violation("nutrient floor", _worst_cell(low_d), float(np.max(low_d))))
-    high_d = d - (consts.L + tolcfg.d_tol)
-    if np.max(high_d) > 0.0:
-        out.append(Violation("nutrient ceiling", _worst_cell(high_d), float(np.max(high_d))))
-
+    n_min = n.min()
+    c_high = 1.0 + tolcfg.c_tol
+    d_high = consts.L + tolcfg.d_tol
+    # (invariant, largest excess, per-cell excess): a bound is violated when the excess is positive
+    bounds = [
+        ("density nonnegativity", -(n_min + tolcfg.n_tol), lambda: -(n + tolcfg.n_tol)),
+        ("fraction lower bound", -(c.min() + tolcfg.c_tol), lambda: -(c + tolcfg.c_tol)),
+        ("fraction upper bound", c.max() - c_high, lambda: c - c_high),
+        ("nutrient floor", -(d.min() + tolcfg.d_tol), lambda: -(d + tolcfg.d_tol)),
+        ("nutrient ceiling", d.max() - d_high, lambda: d - d_high),
+    ]
     if tolcfg.cap_base is not None:
         cap = math.exp(consts.G0 * state.t) * tolcfg.cap_base * (1.0 + 1e-6)
-        over = n - cap
-        if np.max(over) > 0.0:
-            out.append(Violation("weak maximum principle", _worst_cell(over), float(np.max(over))))
-
+        bounds.append(("weak maximum principle", n.max() - cap, lambda: n - cap))
     if tolcfg.min_floor is not None:
-        under = (tolcfg.min_floor - 1e-12) - n
-        if np.max(under) > 0.0:
-            out.append(Violation("lower barrier", _worst_cell(under), float(np.max(under))))
-
+        floor = tolcfg.min_floor - 1e-12
+        bounds.append(("lower barrier", floor - n_min, lambda: floor - n))
+    for name, excess, per_cell in bounds:
+        if excess > 0.0:
+            out.append(Violation(name, _worst_cell(per_cell()), float(excess)))
     return out

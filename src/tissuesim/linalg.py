@@ -1,17 +1,22 @@
 """Deterministic linear solvers for the implicit sub-steps.
 
-1D systems are tridiagonal and go through a banded direct solve; 2D systems
-are SPD (after symmetrization in the caller) and go through conjugate
-gradients with Jacobi preconditioning.  Both paths use fixed iteration and
-accumulation orders: identical inputs give bit-identical outputs.
+Tridiagonal systems go through a banded direct solve; a block of independent
+tridiagonal systems is one banded system whose couplings between blocks are
+zero.  The orthonormal sine transform (DST-II) diagonalizes the cell-centred
+Dirichlet Laplacian along one axis, so it turns a constant-coefficient 2D
+solve into such a block.  Variable-coefficient 2D systems are SPD (after
+symmetrization in the caller) and go through conjugate gradients with
+Jacobi preconditioning.  Every path uses fixed iteration and accumulation
+orders: identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import SolverFailure
 
@@ -24,7 +29,8 @@ class TriDiag:
     """Tridiagonal matrix in per-row coefficient form.
 
     ``lower[0]`` and ``upper[-1]`` are ignored.  The solver only requires
-    nonsingularity (LAPACK pivots internally).
+    nonsingularity (LAPACK pivots internally).  Independent systems stacked
+    end to end form one TriDiag whose couplings between them are zero.
     """
 
     lower: np.ndarray
@@ -53,29 +59,71 @@ class TriDiag:
 
 
 def thomas_solve(m: TriDiag, rhs: np.ndarray) -> np.ndarray:
-    """Direct tridiagonal solve with a residual check.
+    """Direct tridiagonal solve (LAPACK gtsv, partial pivoting) with a residual check.
 
-    Raises SolverFailure on a singular system or an unexpectedly large
-    residual.
+    Raises SolverFailure on a singular system, a non-finite solution or an
+    unexpectedly large (or non-finite) residual.
     """
     rhs = np.asarray(rhs, dtype=float)
-    ab = np.zeros((3, m.n))
-    ab[0, 1:] = m.upper[:-1]
-    ab[1, :] = m.diag
-    ab[2, :-1] = m.lower[1:]
-    try:
-        x = solve_banded((1, 1), ab, rhs, overwrite_ab=False, overwrite_b=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"tridiagonal solve failed: {exc}") from exc
+    *_, x, info = dgtsv(m.lower[1:], m.diag, m.upper[:-1], rhs)
+    if info > 0:
+        raise SolverFailure("tridiagonal solve failed: singular matrix")
     if not np.all(np.isfinite(x)):
         raise SolverFailure("tridiagonal solve produced non-finite values")
     resid = float(np.max(np.abs(m.matvec(x) - rhs)))
     scale = float(np.max(np.abs(rhs))) + float(np.max(np.abs(x)))
-    if resid > DIRECT_RESIDUAL_TOL * max(scale, 1e-300):
+    if not resid <= DIRECT_RESIDUAL_TOL * max(scale, 1e-300):
         raise SolverFailure(
             f"tridiagonal residual {resid:.3e} exceeds {DIRECT_RESIDUAL_TOL:.1e} * {scale:.3e}"
         )
     return x
+
+
+def _sine_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of pi k / 2n for the modes k = 1..n."""
+    theta = np.pi * np.arange(1, n + 1) / (2 * n)
+    return np.sin(theta), np.cos(theta)
+
+
+def _sine_scale(n: int) -> np.ndarray:
+    """Orthonormal scaling of the DST-II modes k = 1..n."""
+    scale = np.full(n, math.sqrt(2.0 / n))
+    scale[-1] = math.sqrt(1.0 / n)
+    return scale
+
+
+def sine_transform(v: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-II along the last axis, through a length-2n real FFT.
+
+    Mode k = 1..n is sqrt(2/n) sum_j v_j sin(pi k (j + 1/2) / n), with the
+    k = n mode scaled by a further 1/sqrt(2).  Its inverse is
+    ``inverse_sine_transform``.
+    """
+    n = v.shape[-1]
+    spectrum = np.fft.rfft(np.concatenate((v, -v[..., ::-1]), axis=-1), axis=-1)[..., 1:]
+    sin, cos = _sine_phases(n)
+    return 0.5 * _sine_scale(n) * (sin * spectrum.real - cos * spectrum.imag)
+
+
+def dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
+    """Eigenvalues 4/h^2 sin^2(pi k / 2n) of -lap_D on the sine modes k = 1..n.
+
+    lap_D is the cell-centred Laplacian of n cells of width h with ghost
+    values that put zero on both walls; ``sine_transform`` diagonalizes it.
+    """
+    sin, _ = _sine_phases(n)
+    return 4.0 / h**2 * sin**2
+
+
+def inverse_sine_transform(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse (the transpose, a DST-III) of ``sine_transform`` along the last axis."""
+    n = coeffs.shape[-1]
+    sin, cos = _sine_phases(n)
+    weights = _sine_scale(n) * coeffs
+    weights[..., -1] *= 2.0  # the k = n term is folded into one real FFT entry
+    spectrum = np.zeros(coeffs.shape[:-1] + (n + 1,), dtype=complex)
+    spectrum[..., 1:] = weights * (sin - 1j * cos)
+    return n * np.fft.irfft(spectrum, n=2 * n, axis=-1)[..., :n]
 
 
 @dataclass
@@ -111,7 +159,8 @@ def pcg_solve(op: LinOp, rhs: np.ndarray, tol: float, max_iters: int) -> PcgResu
     """Jacobi-preconditioned conjugate gradients.
 
     Converges when the 2-norm residual drops below tol * |rhs|; raises
-    SolverFailure on stagnation at max_iters.
+    SolverFailure on stagnation at max_iters.  The iterates x, r, z and p
+    are updated in place, with the same roundings as the textbook updates.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
@@ -123,6 +172,7 @@ def pcg_solve(op: LinOp, rhs: np.ndarray, tol: float, max_iters: int) -> PcgResu
     r = rhs.copy()
     z = inv_diag * r
     p = z.copy()
+    scaled = np.empty(n)
     rz = float(np.dot(r, z))
     history = [float(np.sqrt(abs(rz)))]
     for k in range(1, max_iters + 1):
@@ -131,14 +181,14 @@ def pcg_solve(op: LinOp, rhs: np.ndarray, tol: float, max_iters: int) -> PcgResu
         if denom <= 0.0:
             raise SolverFailure("conjugate gradient hit a non-positive curvature direction")
         alpha = rz / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        z = inv_diag * r
+        x += np.multiply(p, alpha, out=scaled)
+        r -= np.multiply(ap, alpha, out=scaled)
+        np.multiply(inv_diag, r, out=z)
         rz_new = float(np.dot(r, z))
         history.append(float(np.sqrt(abs(rz_new))))
         if float(np.linalg.norm(r)) <= tol * rhs_norm:
             return PcgResult(x=x, iterations=k, residual_norms=tuple(history))
-        beta = rz_new / rz
-        p = z + beta * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverFailure(f"conjugate gradient stagnated after {max_iters} iterations")

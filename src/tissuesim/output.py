@@ -9,8 +9,10 @@ are renamed into place; no output file is ever left half-written.
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
+from collections.abc import Iterable
 
 from .diagnostics import EnergyLedger
 from .grid import Grid
@@ -34,13 +36,16 @@ def fmt(x) -> str:
     return f"{float(x):.16e}"
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` followed by LF; a line may itself span several rows."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
         with os.fdopen(fd, "w", newline="\n") as f:
-            f.write(text)
+            for line in lines:
+                f.write(line)
+                f.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -54,48 +59,43 @@ def _grid_descriptor(grid: Grid) -> str:
     return f"{grid.dim}D {cells} cells on {extents}"
 
 
+#: cells formatted per block by ``write_snapshot``; bounds its temporary strings
+_SNAPSHOT_BLOCK = 1024
+
+
 def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
-    """One row per cell: coordinates, n, n1, n2, c, d, p, v."""
+    """One row per cell, in C order of the cell index: coordinates, n, n1, n2, c, d, p, v.
+
+    Rows are formatted a block of cells at a time with one ``%.16e`` row
+    format, which gives the same text as ``fmt`` on every value, and each
+    block is written before the next is formatted.
+    """
     grid = state.grid
-    lines = [
+    coord_names = ("x",) if grid.dim == 1 else ("x", "y")
+    header = [
         f"# time = {fmt(state.t)}",
         f"# gamma = {fmt(state.gamma)}",
         f"# grid = {_grid_descriptor(grid)}",
         f"# config = {cfg_hash}",
+        ",".join(coord_names + ("n", "n1", "n2", "c", "d", "p", "v")),
     ]
-    coord_names = ("x",) if grid.dim == 1 else ("x", "y")
-    lines.append(",".join(coord_names + ("n", "n1", "n2", "c", "d", "p", "v")))
-    coords = grid.coordinate_fields()
-    n = state.n.values
-    n1 = state.n1.values
-    n2 = state.n2.values
-    c = state.c.values
-    d = state.d.values
-    p = state.p.values
-    v = state.v.values
-    for idx in _cell_order(grid):
-        row = [fmt(coords[ax][idx]) for ax in range(grid.dim)]
-        row += [fmt(n[idx]), fmt(n1[idx]), fmt(n2[idx]), fmt(c[idx]),
-                fmt(d[idx]), fmt(p[idx]), fmt(v[idx])]
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    fields = (state.n, state.n1, state.n2, state.c, state.d, state.p, state.v)
+    columns = [x.ravel() for x in grid.coordinate_fields()] + [f.values.ravel() for f in fields]
+    row_format = ",".join(["%.16e"] * len(columns))
 
+    def blocks():
+        for start in range(0, grid.num_cells, _SNAPSHOT_BLOCK):
+            block = slice(start, start + _SNAPSHOT_BLOCK)
+            yield "\n".join(row_format % row for row in zip(*(col[block].tolist() for col in columns)))
 
-def _cell_order(grid: Grid):
-    if grid.dim == 1:
-        for i in range(grid.cells[0]):
-            yield (i,)
-    else:
-        for i in range(grid.cells[0]):
-            for j in range(grid.cells[1]):
-                yield (i, j)
+    _atomic_write(path, itertools.chain(header, blocks()))
 
 
 def write_timeseries(path: str, ledger: EnergyLedger, cfg_hash: str) -> None:
     lines = [f"# config = {cfg_hash}", ",".join(_LEDGER_COLUMNS)]
     for row in ledger.rows:
         lines.append(",".join(fmt(getattr(row, col)) for col in _LEDGER_COLUMNS))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, lines)
 
 
 def write_sweep_report(path: str, report: SweepReport) -> None:
@@ -118,7 +118,7 @@ def write_sweep_report(path: str, report: SweepReport) -> None:
             fmt(e.energy), fmt(e.excess_max), fmt(e.seg_integral),
             fmt(e.comp_integral), fmt(e.fraction_gap), fmt(dist),
         ]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, lines)
 
 
 def write_eps_report(path: str, report: EpsReport) -> None:
@@ -128,7 +128,7 @@ def write_eps_report(path: str, report: EpsReport) -> None:
             fmt(e.eps), e.cfg_hash, "1" if e.ok else "0", fmt(e.distance),
             str(e.cutoff_activations), fmt(e.min_density), fmt(e.barrier),
         ]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, lines)
 
 
 def write_bench_report(path: str, report: BenchReport) -> None:
@@ -141,4 +141,4 @@ def write_bench_report(path: str, report: BenchReport) -> None:
             str(r.cells), fmt(r.h), fmt(r.l1_error), fmt(r.rel_error),
             fmt(r.order), fmt(r.mass_drift),
         ]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, lines)

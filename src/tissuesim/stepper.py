@@ -4,12 +4,16 @@ One step advances, in order:
 
   1. total density n: backward Euler on the degenerate diffusion equation
      dn/dt = lap(K(n)) + eps*lap(n) + (G(d) - D*c) n, solved by Newton
-     (K is the flux potential, gamma/(gamma+1) * n^(gamma+1));
+     (K is the flux potential, gamma/(gamma+1) * n^(gamma+1)); each Newton
+     system is a tridiagonal direct solve in 1D and Jacobi-preconditioned CG
+     on a symmetrized 5-point stencil in 2D;
   2. autophagic fraction c = n2/n: explicit upwind advection by the Darcy
      velocity u = -grad(n^gamma) plus explicit reaction
      K1(d)(1-c) - K2(d)c - D c(1-c), whose right side points into [0, 1];
   3. nutrient d: semi-implicit solve of b dd/dt - lap(d) = -psi(d_old) n + a c n
-     with Dirichlet boundary data, clamped to [0, L].
+     with Dirichlet boundary data, clamped to [0, L]; the operator has
+     constant coefficients, so a sine transform along y reduces it to
+     tridiagonal x-systems, solved directly in 1D and 2D alike.
 
 Evolving (n, c) instead of the two species densities keeps n1 + n2 = n exact
 and gives the fraction a maximum principle on [0, 1] for free.  The fraction
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import linalg
 from .errors import SolverFailure
-from .grid import Field, Grid, divergence, face_gradient, laplacian_dirichlet, laplacian_neumann, upwind_face_values
+from .grid import Field, Grid, divergence, face_gradient, laplacian_neumann, upwind_face_values
 from .model import DerivedConstants, ModelParams, cutoff
 
 #: Jacobian degeneracy floor: diffusion derivative is evaluated at max(n, this)
@@ -177,8 +181,9 @@ def _density_jacobian(
     """Diagonal factors (a, r) of the Newton Jacobian of ``_density_rhs``.
 
     a is d/dn of the flux potential, floored away from the vacuum, plus eps;
-    r is d/dn of the reaction, with each species term switched off where its
-    cutoff is not strictly inside the band.
+    r is d/dn of the reaction, with each species term switched off where the
+    right derivative of its cutoff is zero (outside [0, ell)), so that a
+    vacuum cell gets the same r on both paths when no clamp acts.
     """
     a = params.gamma * cutoff(np.maximum(n, VACUUM_FLOOR), co.ell) ** params.gamma + params.eps_reg
     if co.unclamped(float(n.max())):
@@ -186,8 +191,8 @@ def _density_jacobian(
     c = co.c
     n1 = (1.0 - c) * n
     n2 = c * n
-    active1 = ((n1 > 0.0) & (n1 < co.ell)).astype(float)
-    active2 = ((n2 > 0.0) & (n2 < co.ell)).astype(float)
+    active1 = ((n1 >= 0.0) & (n1 < co.ell)).astype(float)
+    active2 = ((n2 >= 0.0) & (n2 < co.ell)).astype(float)
     return a, co.g * (1.0 - c) * active1 + (co.g - params.D) * c * active2
 
 
@@ -199,6 +204,44 @@ def _count_cutoff_activations(n: np.ndarray, c: np.ndarray, ell: float) -> int:
     for s in (n1, n2):
         hit = hit | (s > ell) | (s < 0.0)
     return int(np.count_nonzero(hit))
+
+
+def _density_operator(grid: Grid, a: np.ndarray, r: np.ndarray, dt: float) -> linalg.LinOp:
+    """The symmetrized 2D Newton matrix S J S^-1 = diag(1 - dt r) - dt S lap S, S = diag(sqrt(a)).
+
+    It is a 5-point stencil: neighbours i, j across a face couple with
+    weight -dt sqrt(a_i a_j) / h^2, and the diagonal is 1 - dt r_i plus
+    dt a_i / h^2 per interior face of cell i.  The weights are built once
+    per Newton system; each matvec then works on contiguous slices of the
+    flattened cell vector.
+    """
+    ny = grid.cells[1]
+    hx2, hy2 = grid.h[0] ** 2, grid.h[1] ** 2
+    sqrt_a = np.sqrt(a)
+    degx = np.full(grid.shape, 2.0)
+    degx[0, :] = degx[-1, :] = 1.0
+    degy = np.full(grid.shape, 2.0)
+    degy[:, 0] = degy[:, -1] = 1.0
+    diag = ((1.0 - dt * r) + dt * a * (degx / hx2 + degy / hy2)).ravel()
+    # x-faces couple flat cells k and k + ny; y-faces couple k and k + 1,
+    # with a zero weight where k ends a row
+    wx = (dt * sqrt_a[:-1, :] * sqrt_a[1:, :] / hx2).ravel()
+    wy = np.zeros(grid.shape)
+    wy[:, :-1] = dt * sqrt_a[:, :-1] * sqrt_a[:, 1:] / hy2
+    wy = wy.ravel()[:-1]
+    n = grid.num_cells
+    scratch = np.empty(n)
+
+    def matvec(y: np.ndarray) -> np.ndarray:
+        out = diag * y
+        for w, shift in ((wx, ny), (wy, 1)):
+            coupled = np.multiply(w, y[shift:], out=scratch[: n - shift])
+            out[:-shift] -= coupled
+            np.multiply(w, y[:-shift], out=coupled)
+            out[shift:] -= coupled
+        return out
+
+    return linalg.LinOp(shape_n=n, matvec=matvec, diagonal=diag)
 
 
 def _solve_newton_system(
@@ -213,7 +256,7 @@ def _solve_newton_system(
 
     1D goes through the banded direct solver.  2D is symmetrized with
     S = diag(sqrt(a)) -- S J S^-1 = diag(1 - dt r) - dt S lap S is SPD -- and
-    solved by Jacobi-preconditioned CG.
+    solved by Jacobi-preconditioned CG on its stencil (``_density_operator``).
     """
     if grid.dim == 1:
         h2 = grid.h[0] ** 2
@@ -228,24 +271,11 @@ def _solve_newton_system(
         m = linalg.TriDiag(lower=lower, diag=diag, upper=upper)
         return linalg.thomas_solve(m, rhs), 1
 
-    reac_diag = 1.0 - dt * r
-    if np.min(reac_diag) <= 0.0:
+    if np.min(1.0 - dt * r) <= 0.0:
         raise SolverFailure("density Jacobian lost positivity; dt too large for the reactions")
     a_safe = np.maximum(a, 1e-30)
     sqrt_a = np.sqrt(a_safe)
-
-    def matvec(y_flat: np.ndarray) -> np.ndarray:
-        y = y_flat.reshape(grid.shape)
-        lap = laplacian_neumann(Field(grid, sqrt_a * y))
-        return (reac_diag * y - dt * sqrt_a * lap).ravel()
-
-    hx2, hy2 = grid.h[0] ** 2, grid.h[1] ** 2
-    degx = np.full(grid.shape, 2.0)
-    degx[0, :] = degx[-1, :] = 1.0
-    degy = np.full(grid.shape, 2.0)
-    degy[:, 0] = degy[:, -1] = 1.0
-    diag = reac_diag + dt * a_safe * (degx / hx2 + degy / hy2)
-    op = linalg.LinOp(shape_n=grid.num_cells, matvec=matvec, diagonal=diag.ravel())
+    op = _density_operator(grid, a_safe, r, dt)
     result = linalg.pcg_solve(op, (sqrt_a * rhs).ravel(), settings.linear_tol, settings.linear_max)
     return (result.x.reshape(grid.shape) / sqrt_a), result.iterations
 
@@ -434,13 +464,18 @@ def nutrient_solve(
     dt: float,
     params: ModelParams,
     consts: DerivedConstants,
-    settings: SolverSettings,
 ) -> tuple[Field, int, int]:
     """Semi-implicit nutrient solve: implicit diffusion, explicit consumption.
 
     Solves (b/dt)(d_new - d_old) - lap_dirichlet(d_new) = -psi(d_old) n + a c n
-    and clamps the result to [0, L], counting clamp events.  Returns
-    (field, clamped_cells, linear_iterations).
+    directly and clamps the result to [0, L], counting clamp events.  The
+    operator has constant coefficients.  In 2D the orthonormal sine
+    transform along y diagonalizes the Dirichlet Laplacian there, with
+    eigenvalues 4/h_y^2 sin^2(pi k / 2 N_y), k = 1..N_y; that leaves one
+    tridiagonal x-system per mode, with shift b/dt + lambda_k, and all of
+    them go through one banded solve before the transform back.  1D is the
+    same solve with a single mode of shift b/dt.  Returns (field,
+    clamped_cells, linear_iterations), one iteration for the direct solve.
     """
     grid = state.grid
     d_old = state.d.values
@@ -448,44 +483,32 @@ def nutrient_solve(
     psi_old = np.asarray(params.rates.psi(d_old), dtype=float)
     source = -psi_old * n_new.values + params.a * c_new.values * n_new.values
     rhs = b_dt * d_old + source
+    # the Dirichlet ghost value 2 d_b - d puts 2 d_b / h^2 on each wall cell's right side
+    for axis, h in enumerate(grid.h):
+        walls = np.swapaxes(rhs, 0, axis)
+        walls[0] += 2.0 * params.d_b / h**2
+        walls[-1] += 2.0 * params.d_b / h**2
 
     if grid.dim == 1:
-        h2 = grid.h[0] ** 2
-        nc = grid.cells[0]
-        diag = np.full(nc, b_dt + 2.0 / h2)
-        diag[0] = diag[-1] = b_dt + 3.0 / h2
-        lower = np.full(nc, -1.0 / h2)
-        upper = np.full(nc, -1.0 / h2)
-        lower[0] = upper[-1] = 0.0
-        rhs = rhs.copy()
-        rhs[0] += 2.0 * params.d_b / h2
-        rhs[-1] += 2.0 * params.d_b / h2
-        m = linalg.TriDiag(lower=lower, diag=diag, upper=upper)
-        d_new = linalg.thomas_solve(m, rhs)
-        lin_iters = 1
+        shifts = np.array([b_dt])
+        lines = rhs[None, :]
     else:
-        # rhs picks up the Dirichlet ghost contribution; operator uses zero data
-        bnd = laplacian_dirichlet(Field(grid, np.zeros(grid.shape)), params.d_b)
-        rhs = rhs + bnd
-
-        def matvec(x_flat: np.ndarray) -> np.ndarray:
-            x = x_flat.reshape(grid.shape)
-            return (b_dt * x - laplacian_dirichlet(Field(grid, x), 0.0)).ravel()
-
-        hx2, hy2 = grid.h[0] ** 2, grid.h[1] ** 2
-        degx = np.full(grid.shape, 2.0)
-        degx[0, :] = degx[-1, :] = 3.0
-        degy = np.full(grid.shape, 2.0)
-        degy[:, 0] = degy[:, -1] = 3.0
-        diag = b_dt + degx / hx2 + degy / hy2
-        op = linalg.LinOp(shape_n=grid.num_cells, matvec=matvec, diagonal=diag.ravel())
-        result = linalg.pcg_solve(op, rhs.ravel(), settings.linear_tol, settings.linear_max)
-        d_new = result.x.reshape(grid.shape)
-        lin_iters = result.iterations
+        shifts = b_dt + linalg.dirichlet_eigenvalues(grid.cells[1], grid.h[1])
+        lines = linalg.sine_transform(rhs).T  # one x-line per y-mode
+    nx, hx2 = grid.cells[0], grid.h[0] ** 2
+    deg = np.full(nx, 2.0)
+    deg[0] = deg[-1] = 3.0
+    diag = shifts[:, None] + deg / hx2
+    lower = np.full(lines.shape, -1.0 / hx2)
+    upper = lower.copy()
+    lower[:, 0] = upper[:, -1] = 0.0  # no coupling between the lines
+    m = linalg.TriDiag(lower=lower.ravel(), diag=diag.ravel(), upper=upper.ravel())
+    solved = linalg.thomas_solve(m, lines.ravel()).reshape(lines.shape)
+    d_new = solved[0] if grid.dim == 1 else linalg.inverse_sine_transform(solved.T)
 
     clamped = int(np.count_nonzero((d_new < 0.0) | (d_new > consts.L)))
     d_new = np.clip(d_new, 0.0, consts.L)
-    return Field(grid, d_new), clamped, lin_iters
+    return Field(grid, d_new), clamped, 1
 
 
 def suggest_dt(
@@ -528,7 +551,7 @@ def _pipeline(
     n_new, report = density_solve(state, dt, params, settings)
     c_new, cfl_limit = fraction_update(state, n_new, dt, params, rates)
     report.cfl_limit = cfl_limit
-    d_new, clamped, lin = nutrient_solve(state, n_new, c_new, dt, params, consts, settings)
+    d_new, clamped, lin = nutrient_solve(state, n_new, c_new, dt, params, consts)
     report.clamped_cells += clamped
     report.linear_iters += lin
     report.dt_used = dt

@@ -12,8 +12,8 @@ Criteria recap (tolerances pinned here, nothing deferred):
   07 pairwise v-distances strictly decreasing along the doubling sweep
   08 eps-study distances strictly decreasing; zero cutoff activations
   09 porous-medium monotonicity gap >= -10 (h^2 + dt)
-  10 byte-identical reruns; 4-cell/3-step match with an independent
-     brute-force fixed-point re-implementation to 1e-8
+  10 byte-identical reruns (1D and 32x32 2D); 4-cell/3-step match with an
+     independent brute-force fixed-point re-implementation to 1e-8
 """
 
 import math
@@ -288,8 +288,24 @@ def test_09_porous_medium_monotonicity(barenblatt_run):
     _report(9, ok, f"monotonicity gap {gap:.3e} >= {tol:.3e}")
 
 
-def test_10a_byte_identical_reruns(tmp_path_factory):
-    cfg = parse_config(EPS_TEXT)
+GROWTH_2D_TEXT = """
+grid.dim = 2
+grid.cells_x = 32
+grid.cells_y = 32
+model.gamma = 3
+initial.profile = bump
+initial.n0 = 0.1
+initial.height = 0.8
+initial.width = 0.4
+initial.c0 = 0.2
+time.T_final = 0.25
+time.snapshot_stride = 5
+"""
+
+
+def _rerun_payloads(text, tmp_path_factory):
+    """Timeseries and final-snapshot bytes of two identical runs of one config."""
+    cfg = parse_config(text)
     payloads = []
     for name in ("a", "b"):
         out = tmp_path_factory.mktemp(name)
@@ -300,8 +316,19 @@ def test_10a_byte_identical_reruns(tmp_path_factory):
         write_timeseries(str(ts), res.ledger, res.cfg_hash)
         write_snapshot(str(snap), res.final_state, res.cfg_hash)
         payloads.append((ts.read_bytes(), snap.read_bytes()))
+    return payloads
+
+
+def test_10a_byte_identical_reruns(tmp_path_factory):
+    payloads = _rerun_payloads(EPS_TEXT, tmp_path_factory)
     ok = payloads[0] == payloads[1]
     _report(10, ok, "repeated identical runs produce byte-identical CSV outputs")
+
+
+def test_10a_byte_identical_reruns_2d(tmp_path_factory):
+    payloads = _rerun_payloads(GROWTH_2D_TEXT, tmp_path_factory)
+    ok = payloads[0] == payloads[1]
+    _report(10, ok, "repeated identical 32x32 2D runs produce byte-identical CSV outputs")
 
 
 # --- criterion 10b: independent brute-force re-implementation ----------------

@@ -8,7 +8,7 @@ from tissuesim.config import default_config, parse_config
 from tissuesim.diagnostics import EnergyLedger, make_ledger_row
 from tissuesim.grid import Field, Grid
 from tissuesim.harness import make_params, run
-from tissuesim.output import write_snapshot, write_timeseries
+from tissuesim.output import fmt, write_snapshot, write_timeseries
 from tissuesim.stepper import State
 
 
@@ -50,6 +50,30 @@ class TestWriters:
         for row in rows:
             vals = dict(zip(header.split(","), map(float, row.split(","))))
             assert vals["n1"] + vals["n2"] == pytest.approx(vals["n"], abs=1e-14)
+
+    @pytest.mark.parametrize("cells", [(9,), (41, 29)], ids=["1d", "2d"])
+    def test_snapshot_matches_cellwise_format(self, tmp_path, cells):
+        # block formatting must give fmt's text for every value, in C cell
+        # order; 41 x 29 cells span two blocks, and the special values
+        # include nan, inf, -0.0 and subnormals
+        grid = Grid(dim=len(cells), extents=(1.0,) * len(cells), cells=cells)
+        rng = np.random.default_rng(3)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e308])
+        n = rng.standard_normal(grid.num_cells)
+        n[: special.size] = special
+        n = n.reshape(cells)
+        s = State(t=0.125, n=Field(grid, n), c=Field(grid, rng.random(cells)),
+                  d=Field(grid, rng.random(cells)), gamma=3.0)
+        path = tmp_path / "snap.csv"
+        with np.errstate(invalid="ignore", over="ignore"):
+            write_snapshot(str(path), s, "abc123")
+            fields = [*grid.coordinate_fields(), s.n.values, s.n1.values, s.n2.values,
+                      s.c.values, s.d.values, s.p.values, s.v.values]
+        rows = [",".join(fmt(f[idx]) for f in fields) for idx in np.ndindex(*cells)]
+        text = path.read_text()
+        assert text.split("\n")[5:] == rows + [""]
+        for token in ("nan", "-inf", "-0.0000000000000000e+00", "4.9406564584124654e-324"):
+            assert token in text
 
     def test_empty_history_header_only(self, tmp_path):
         path = str(tmp_path / "ts.csv")

@@ -7,6 +7,7 @@ from tissuesim.diagnostics import (
     EnergyLedger,
     RunHistory,
     TolConfig,
+    Violation,
     aronson_benilan_gap,
     check_all,
     complementarity_residual,
@@ -278,3 +279,47 @@ class TestCheckAll:
         s = make_state(np.full(8, 1e-6))
         found = check_all(s, CONSTS, TolConfig(min_floor=1e-3))
         assert any("barrier" in v.invariant for v in found)
+
+    @staticmethod
+    def reference_check(state, consts, tolcfg):
+        """Cell-by-cell form of every bound: the full excess array, then its max."""
+        n, c, d = state.n.values, state.c.values, state.d.values
+        excesses = [
+            ("density nonnegativity", -(n + tolcfg.n_tol)),
+            ("fraction lower bound", -(c + tolcfg.c_tol)),
+            ("fraction upper bound", c - (1.0 + tolcfg.c_tol)),
+            ("nutrient floor", -(d + tolcfg.d_tol)),
+            ("nutrient ceiling", d - (consts.L + tolcfg.d_tol)),
+        ]
+        if tolcfg.cap_base is not None:
+            cap = math.exp(consts.G0 * state.t) * tolcfg.cap_base * (1.0 + 1e-6)
+            excesses.append(("weak maximum principle", n - cap))
+        if tolcfg.min_floor is not None:
+            excesses.append(("lower barrier", (tolcfg.min_floor - 1e-12) - n))
+        out = []
+        for name, excess in excesses:
+            if np.max(excess) > 0.0:
+                cell = np.unravel_index(int(np.argmax(excess)), excess.shape)
+                out.append(Violation(name, tuple(int(i) for i in cell), float(np.max(excess))))
+        return out
+
+    def test_matches_cellwise_reference(self):
+        # values straddle every bound by a few ulps, with repeated extremes
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            shape = (5, 4) if seed % 2 else (12,)
+            grid = Grid(dim=len(shape), extents=(1.0,) * len(shape), cells=shape)
+
+            def near(values):
+                picks = rng.choice(values, grid.num_cells)
+                picks = picks * (1.0 + rng.integers(-3, 4, grid.num_cells) * 2.0**-52)
+                return np.where(rng.random(grid.num_cells) < 0.02, -picks, picks).reshape(shape)
+
+            n = near([0.0, 1e-12, 2e-3, 0.9, 2.5, 3.0])
+            c = near([0.0, 1e-12, 0.5, 1.0, 1.0 + 1e-12])
+            d = near([0.0, 1e-10, 0.5, CONSTS.L, CONSTS.L + 1e-10])
+            s = State(t=0.3 * (seed % 3), n=Field(grid, n), c=Field(grid, c), d=Field(grid, d),
+                      gamma=2.0)
+            for tolcfg in (TolConfig(), TolConfig(cap_base=1.0, min_floor=2e-3),
+                           TolConfig(n_tol=1e-12)):
+                assert check_all(s, CONSTS, tolcfg) == self.reference_check(s, CONSTS, tolcfg)

@@ -5,7 +5,15 @@ from hypothesis import strategies as st
 
 from tissuesim.errors import SolverFailure
 from tissuesim.grid import Field, Grid, laplacian_dirichlet
-from tissuesim.linalg import LinOp, TriDiag, pcg_solve, thomas_solve
+from tissuesim.linalg import (
+    LinOp,
+    TriDiag,
+    dirichlet_eigenvalues,
+    inverse_sine_transform,
+    pcg_solve,
+    sine_transform,
+    thomas_solve,
+)
 
 
 def identity_tridiag(n):
@@ -44,6 +52,13 @@ class TestThomas:
         with pytest.raises(SolverFailure):
             thomas_solve(m, np.ones(3))
 
+    def test_non_finite_input_is_solver_failure(self):
+        m = TriDiag(lower=np.zeros(3), diag=np.array([1.0, np.inf, 1.0]), upper=np.zeros(3))
+        with pytest.raises(SolverFailure), np.errstate(invalid="ignore"):
+            thomas_solve(m, np.ones(3))
+        with pytest.raises(SolverFailure):
+            thomas_solve(identity_tridiag(3), np.array([1.0, np.nan, 1.0]))
+
     def test_determinism(self):
         rng = np.random.default_rng(1)
         n = 50
@@ -67,6 +82,40 @@ class TestThomas:
         dense = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
         expected = np.linalg.solve(dense, rhs)
         assert np.allclose(thomas_solve(m, rhs), expected, atol=1e-10)
+
+
+def dst2_matrix(n):
+    """Dense orthonormal DST-II: row k - 1 is mode k = 1..n."""
+    k = np.arange(1, n + 1)[:, None]
+    j = np.arange(n)[None, :]
+    out = np.sqrt(2.0 / n) * np.sin(np.pi * k * (j + 0.5) / n)
+    out[-1] /= np.sqrt(2.0)
+    return out
+
+
+class TestSineTransform:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
+    def test_matches_dense_orthonormal_dst2(self, n):
+        s = dst2_matrix(n)
+        assert np.allclose(s @ s.T, np.eye(n), atol=1e-14)
+        v = np.random.default_rng(n).standard_normal((4, n))
+        assert np.allclose(sine_transform(v), v @ s.T, atol=1e-13)
+        assert np.allclose(inverse_sine_transform(v), v @ s, atol=1e-13)
+
+    def test_round_trip_along_last_axis(self):
+        v = np.random.default_rng(7).standard_normal((5, 11))
+        assert np.allclose(inverse_sine_transform(sine_transform(v)), v, atol=1e-14)
+
+    def test_diagonalizes_dirichlet_laplacian(self):
+        # -lap_D of mode k along one axis is 4/h^2 sin^2(pi k / 2n) times the mode
+        n, h = 9, 0.3
+        g = Grid(dim=1, extents=(n * h,), cells=(n,))
+        modes = dst2_matrix(n)
+        lam = dirichlet_eigenvalues(n, h)
+        assert np.allclose(lam, 4.0 / h**2 * np.sin(np.pi * np.arange(1, n + 1) / (2 * n)) ** 2)
+        for k in range(1, n + 1):
+            applied = -laplacian_dirichlet(Field(g, modes[k - 1]), 0.0)
+            assert np.allclose(applied, lam[k - 1] * modes[k - 1], atol=1e-12)
 
 
 def helmholtz_op(grid, shift):

@@ -1,10 +1,16 @@
-"""The benchmark tracer wraps package functions by module attribute name.
+"""Contracts between the package and the benchmark.
 
-A renamed or deleted attribute would make the traced benchmark run fail, so
+The benchmark tracer wraps package functions by module attribute name.  A
+renamed or deleted attribute would make the traced benchmark run fail, so
 every (module, attribute) pair it wraps must resolve to a callable.
+
+The benchmark also measures set-up time and peak memory, which grow with
+every heavy module the package imports.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -21,3 +27,16 @@ def test_every_traced_attribute_resolves():
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
+
+
+def test_import_loads_no_scipy_fft_or_sparse():
+    # numpy.fft comes with numpy; scipy.fft and scipy.sparse would add
+    # set-up time and several MB of resident memory to every run
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import tissuesim; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'fft'], ['scipy', 'sparse'])))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

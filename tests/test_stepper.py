@@ -13,7 +13,7 @@ from tissuesim import stepper
 from tissuesim.config import parse_config
 from tissuesim.diagnostics import TolConfig, check_all
 from tissuesim.errors import SolverFailure
-from tissuesim.grid import Field, Grid, integrate
+from tissuesim.grid import Field, Grid, integrate, laplacian_dirichlet, laplacian_neumann
 from tissuesim.harness import apply_lift, build_grid, initial_fields, make_params, make_settings
 from tissuesim.model import (
     BOUND_INFLATION,
@@ -139,6 +139,53 @@ class TestDensitySolve:
         n_new, report = density_solve(s, dt, params, SETTINGS)
         assert report.newton_fallbacks == 1
         assert np.allclose(n_new.values, 0.5 / (1.0 - g_rate * dt), rtol=1e-12)
+
+
+class TestDensityJacobian:
+    def test_vacuum_cells_get_the_same_rate_on_both_paths(self):
+        # the clamp path (ell = 0.4 < max n) and the no-clamp path (ell = 10)
+        # must agree wherever no clamp acts, vacuum cells included; d = 0.25
+        # lies inside both bands, so G(cutoff(d)) = 0.25 on both
+        grid = small_grid(6)
+        n = np.array([0.0, 0.0, 0.5, 1.0, 0.5, 0.0])
+        s = State(t=0.0, n=Field(grid, n), c=Field.full(grid, 0.5), d=Field.full(grid, 0.25),
+                  gamma=2.0)
+        r_at = {}
+        for ell in (10.0, 0.4):
+            params = ModelParams(rates=rates(g=("linear", 1.0)), D=1.0, gamma=2.0, d_b=1.0,
+                                 eps_reg=0.01, ell_cut=ell)
+            co = stepper._coefficients(s, params)
+            assert co.unclamped(float(n.max())) == (ell == 10.0)
+            _, r_at[ell] = stepper._density_jacobian(n, params, co)
+        vacuum = n == 0.0
+        assert np.array_equal(r_at[10.0][vacuum], np.full(3, 0.25 - 0.5))
+        assert np.array_equal(r_at[0.4][vacuum], r_at[10.0][vacuum])
+
+
+class TestDensityOperator:
+    def operator(self):
+        grid = Grid(dim=2, extents=(1.0, 0.7), cells=(6, 9))
+        rng = np.random.default_rng(4)
+        a = rng.uniform(0.05, 3.0, grid.shape)
+        r = rng.uniform(-1.0, 1.0, grid.shape)
+        dt = 0.01
+        return grid, a, r, dt, stepper._density_operator(grid, a, r, dt)
+
+    def test_stencil_equals_composed_operator(self):
+        grid, a, r, dt, op = self.operator()
+        sqrt_a = np.sqrt(a)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            y = rng.standard_normal(grid.shape)
+            composed = (1.0 - dt * r) * y - dt * sqrt_a * laplacian_neumann(Field(grid, sqrt_a * y))
+            stencil = op.matvec(y.ravel()).reshape(grid.shape)
+            assert np.max(np.abs(stencil - composed)) <= 1e-14 * np.max(np.abs(composed))
+
+    def test_symmetric_with_its_own_diagonal(self):
+        grid, _, _, _, op = self.operator()
+        assert op.verify_symmetric()
+        dense = np.column_stack([op.matvec(e) for e in np.eye(grid.num_cells)])
+        assert np.array_equal(np.diag(dense), op.diagonal)
 
 
 class TestFractionUpdate:
@@ -290,7 +337,7 @@ class TestNutrientSolve:
         params = ModelParams(rates=rates(), gamma=2.0, d_b=0.7)
         consts = derive_constants(params, Field.full(grid, 0.7))
         s = uniform_state(grid, n=0.0, d=0.7)
-        d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 0.1, params, consts, SETTINGS)
+        d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 0.1, params, consts)
         assert np.allclose(d_new.values, 0.7, atol=1e-12)
         assert clamped == 0
 
@@ -299,7 +346,7 @@ class TestNutrientSolve:
         params = ModelParams(rates=rates(), gamma=2.0, d_b=1.0)
         consts = derive_constants(params, Field.full(grid, 0.2))
         s = uniform_state(grid, n=0.0, d=0.2)
-        d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.05, params, consts, SETTINGS)
+        d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.05, params, consts)
         assert np.all(d_new.values > 0.2 - 1e-12)
         assert np.all(d_new.values < 1.0 + 1e-12)
         # interior cells move strictly toward the boundary value
@@ -314,7 +361,7 @@ class TestNutrientSolve:
                              gamma=2.0, d_b=1.0)
         consts = derive_constants(params, Field.full(grid, 1.0))
         s = uniform_state(grid, n=1.0, c=0.0, d=1.0)
-        d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.1, params, consts, SETTINGS)
+        d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.1, params, consts)
         assert d_new.values[1] == pytest.approx(0.9, abs=1e-9)
 
     def test_clamping_counted(self):
@@ -323,9 +370,34 @@ class TestNutrientSolve:
         params = ModelParams(rates=rates(psi=("linear", 5.0)), a=5.0, gamma=2.0, d_b=1.0)
         consts = derive_constants(params, Field.full(grid, 1.0))
         s = uniform_state(grid, n=10.0, c=0.0, d=1.0)
-        d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 1.0, params, consts, SETTINGS)
+        d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 1.0, params, consts)
         assert clamped > 0
         assert d_new.values.min() >= 0.0
+
+    @pytest.mark.parametrize("grid", [
+        Grid(dim=1, extents=(1.3,), cells=(9,)),
+        Grid(dim=2, extents=(1.0, 2.2), cells=(7, 11)),
+    ], ids=["1d", "2d"])
+    def test_matches_dense_solve(self, grid):
+        # (b/dt) d - lap_D d = (b/dt) d_old - psi(d_old) n + a c n, assembled
+        # column by column from the grid's Dirichlet Laplacian
+        rng = np.random.default_rng(17)
+        params = ModelParams(rates=rates(psi=("linear", 1.0)), a=1.0, b=1.0, gamma=2.0, d_b=0.6)
+        field = lambda lo, hi: Field(grid, rng.uniform(lo, hi, grid.shape))
+        s = State(t=0.0, n=field(0.2, 1.0), c=field(0.0, 1.0), d=field(0.3, 0.7), gamma=2.0)
+        consts = derive_constants(params, s.d)
+        dt = 0.05
+        d_new, clamped, lin = nutrient_solve(s, s.n, s.c, dt, params, consts)
+
+        cols = [laplacian_dirichlet(Field(grid, e.reshape(grid.shape)), 0.0).ravel()
+                for e in np.eye(grid.num_cells)]
+        matrix = params.b / dt * np.eye(grid.num_cells) - np.column_stack(cols)
+        ghost = laplacian_dirichlet(Field.zeros(grid), params.d_b)
+        source = -s.d.values * s.n.values + params.a * s.c.values * s.n.values
+        rhs = params.b / dt * s.d.values + source + ghost
+        expected = np.linalg.solve(matrix, rhs.ravel()).reshape(grid.shape)
+        assert clamped == 0 and lin == 1
+        assert np.max(np.abs(d_new.values - expected)) <= 1e-12
 
 
 class TestSuggestDt:
