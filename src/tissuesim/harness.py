@@ -185,6 +185,9 @@ class RunResult:
     failure: str | None = None
     steps: int = 0
     total_cutoff_activations: int = 0
+    # StepReport counts summed over the accepted steps; in no CSV
+    newton_iters: int = 0
+    linear_iters: int = 0
     wall_clock: float = 0.0
 
     @property
@@ -331,6 +334,8 @@ def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
             state, report = advance(state, params, consts, settings, dt_hint)
             steps += 1
             result.total_cutoff_activations += report.cutoff_activations
+            result.newton_iters += report.newton_iters
+            result.linear_iters += report.linear_iters
             if inject != "none" and steps == 1:
                 state = _inject_fault(state, inject, consts)
             if (steps % stride == 0) or state.t >= T - 1e-14:

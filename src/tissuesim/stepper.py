@@ -6,7 +6,8 @@ One step advances, in order:
      dn/dt = lap(K(n)) + eps*lap(n) + (G(d) - D*c) n, solved by Newton
      (K is the flux potential, gamma/(gamma+1) * n^(gamma+1)); each Newton
      system is a tridiagonal direct solve in 1D and Jacobi-preconditioned CG
-     on a symmetrized 5-point stencil in 2D;
+     on a symmetrized 5-point stencil in 2D, to a tolerance sized to the
+     Newton residual;
   2. autophagic fraction c = n2/n: explicit upwind advection by the Darcy
      velocity u = -grad(n^gamma) plus explicit reaction
      K1(d)(1-c) - K2(d)c - D c(1-c), whose right side points into [0, 1];
@@ -250,13 +251,16 @@ def _solve_newton_system(
     r: np.ndarray,
     dt: float,
     rhs: np.ndarray,
-    settings: SolverSettings,
+    tol: float,
+    max_iters: int,
 ) -> tuple[np.ndarray, int]:
     """Solve (I - dt*(lap o diag(a) + diag(r))) delta = rhs.
 
-    1D goes through the banded direct solver.  2D is symmetrized with
-    S = diag(sqrt(a)) -- S J S^-1 = diag(1 - dt r) - dt S lap S is SPD -- and
-    solved by Jacobi-preconditioned CG on its stencil (``_density_operator``).
+    1D goes through the banded direct solver and ignores ``tol`` and
+    ``max_iters``.  2D is symmetrized with S = diag(sqrt(a)) --
+    S J S^-1 = diag(1 - dt r) - dt S lap S is SPD -- and solved by
+    Jacobi-preconditioned CG on its stencil (``_density_operator``) to the
+    2-norm residual tol * |S rhs|, in at most ``max_iters`` iterations.
     """
     if grid.dim == 1:
         h2 = grid.h[0] ** 2
@@ -276,7 +280,7 @@ def _solve_newton_system(
     a_safe = np.maximum(a, 1e-30)
     sqrt_a = np.sqrt(a_safe)
     op = _density_operator(grid, a_safe, r, dt)
-    result = linalg.pcg_solve(op, (sqrt_a * rhs).ravel(), settings.linear_tol, settings.linear_max)
+    result = linalg.pcg_solve(op, (sqrt_a * rhs).ravel(), tol, max_iters)
     return (result.x.reshape(grid.shape) / sqrt_a), result.iterations
 
 
@@ -288,19 +292,29 @@ def density_solve(
 ) -> tuple[Field, StepReport]:
     """Backward-Euler solve for the total density with frozen c and d.
 
-    Newton iterates on the cell vector; after convergence the update is
-    re-applied in explicit conservative form, n_new = n_old + dt*rhs(n*),
-    so that no-flux runs conserve mass to rounding rather than to the
-    Newton tolerance.  The result is floored at zero with clamps counted.
+    Damped Newton on the cell vector, converged when max|f| <= newton_tol
+    for the residual f(n) = n - n_old - dt*rhs(n).  Newton system k is
+    solved to the relative tolerance max(linear_tol, min(0.1, max|f_k|)),
+    an inexact-Newton forcing term that keeps the quadratic convergence
+    (Dembo, Eisenstat and Steihaug 1982) without solving early systems
+    beyond what their residual can use; the 1D direct solve is exact.  The
+    line search halves the step until the residual shrinks; the iterate it
+    accepts brings its right side and residual into the next iteration, so
+    each iterate's right side is evaluated once.  When 8 halvings fail, the
+    full step is taken as a fallback; a second fallback in one solve raises
+    SolverFailure.  After convergence the update is re-applied in explicit
+    conservative form, n_new = n_old + dt*rhs(n*), so that no-flux runs
+    conserve mass to rounding rather than to the Newton tolerance.  The
+    result is floored at zero with clamps counted.
     """
     grid = state.grid
     n_old = state.n.values
     co = _coefficients(state, params)
     report = StepReport(dt_used=dt)
     n_k = n_old.copy()
-    res_norm = math.inf
+    rhs_k = _density_rhs(n_k, grid, params, co)
+    f = n_k - n_old - dt * rhs_k
     for it in range(settings.newton_max + 1):
-        f = n_k - n_old - dt * _density_rhs(n_k, grid, params, co)
         res_norm = float(np.max(np.abs(f)))
         report.newton_iters = it + 1  # residual evaluations, 1 on a fixed point
         report.newton_residual = res_norm
@@ -314,25 +328,34 @@ def density_solve(
                 f"(residual {res_norm:.3e})"
             )
         a, r = _density_jacobian(n_k, params, co)
-        delta, lin = _solve_newton_system(grid, a, r, dt, -f, settings)
+        tol = max(settings.linear_tol, min(0.1, res_norm))
+        delta, lin = _solve_newton_system(grid, a, r, dt, -f, tol, settings.linear_max)
         report.linear_iters += lin
-        # damped update: halve until the residual shrinks, full step as fallback
+        # damped update: halve until the residual shrinks; the full step,
+        # which is the first trial, is the fallback
         step_len = 1.0
-        accepted = None
+        full = None
         for _ in range(8):
             trial = np.maximum(n_k + step_len * delta, 0.0)
-            f_trial = trial - n_old - dt * _density_rhs(trial, grid, params, co)
+            rhs_trial = _density_rhs(trial, grid, params, co)
+            f_trial = trial - n_old - dt * rhs_trial
+            if full is None:
+                full = (trial, rhs_trial, f_trial)
             trial_norm = float(np.max(np.abs(f_trial)))
             if math.isfinite(trial_norm) and trial_norm < res_norm:
-                accepted = trial
                 break
             step_len *= 0.5
-        if accepted is None:
+        else:
             report.newton_fallbacks += 1
-            accepted = np.maximum(n_k + delta, 0.0)
-        n_k = accepted
+            if report.newton_fallbacks > 1:
+                raise SolverFailure(
+                    "density Newton fell back to an undamped step twice "
+                    f"(residual {res_norm:.3e})"
+                )
+            trial, rhs_trial, f_trial = full
+        n_k, rhs_k, f = trial, rhs_trial, f_trial
 
-    n_new = n_old + dt * _density_rhs(n_k, grid, params, co)
+    n_new = n_old + dt * rhs_k
     report.clamped_cells = int(np.count_nonzero(n_new < 0.0))
     n_new = np.maximum(n_new, 0.0)
     report.cutoff_activations = _count_cutoff_activations(n_k, state.c.values, co.ell)

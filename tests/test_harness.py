@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from tissuesim import linalg, stepper
 from tissuesim.config import parse_config
 from tissuesim.diagnostics import (
     aronson_benilan_gap,
@@ -316,6 +317,32 @@ time.snapshot_stride = 5
         m0 = res.ledger.rows[0].mass
         mT = res.ledger.rows[-1].mass
         assert abs(mT - m0) <= 1e-11 * m0
+
+    def test_iteration_totals(self, monkeypatch):
+        # every density CG iteration of the run plus one per direct nutrient solve
+        text = self.TEXT_2D.replace("= 20", "= 16")
+        cg_iters, reports = [], []
+        pcg, density_solve = linalg.pcg_solve, stepper.density_solve
+
+        def pcg_spy(*args):
+            result = pcg(*args)
+            cg_iters.append(result.iterations)
+            return result
+
+        def density_spy(*args):
+            n_new, report = density_solve(*args)
+            reports.append(report)
+            return n_new, report
+
+        monkeypatch.setattr(linalg, "pcg_solve", pcg_spy)
+        monkeypatch.setattr(stepper, "density_solve", density_spy)
+        res = run(parse_config(text))
+        assert res.ok
+        # no attempt was rejected, so every solve belongs to an accepted step
+        assert len(reports) == res.steps > 0
+        assert res.newton_iters == sum(r.newton_iters for r in reports)
+        assert res.linear_iters == sum(cg_iters) + res.steps
+        assert sum(cg_iters) > 0
 
     def test_2d_deterministic(self):
         a = run(parse_config(self.TEXT_2D))

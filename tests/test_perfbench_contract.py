@@ -29,6 +29,15 @@ def test_every_traced_attribute_resolves():
     assert missing == []
 
 
+def test_stepper_reaches_linalg_through_the_module():
+    # the tracer wraps linalg.pcg_solve and linalg.thomas_solve; a name bound
+    # in stepper itself would bypass the wrapper and the solves would go
+    # unattributed
+    from tissuesim import stepper
+
+    assert [name for name in ("pcg_solve", "thomas_solve") if hasattr(stepper, name)] == []
+
+
 def test_import_loads_no_scipy_fft_or_sparse():
     # numpy.fft comes with numpy; scipy.fft and scipy.sparse would add
     # set-up time and several MB of resident memory to every run

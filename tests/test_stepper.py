@@ -140,6 +140,199 @@ class TestDensitySolve:
         assert report.newton_fallbacks == 1
         assert np.allclose(n_new.values, 0.5 / (1.0 - g_rate * dt), rtol=1e-12)
 
+    def growth_setup(self):
+        grid = small_grid(3)
+        params = ModelParams(rates=rates(g=("constant", 0.8)), gamma=3.0, d_b=0.0, T_final=1.0)
+        return uniform_state(grid, n=0.5, gamma=3.0), params
+
+    def test_second_fallback_is_a_solver_failure(self, monkeypatch):
+        s, params = self.growth_setup()
+        flip_first_directions(monkeypatch, 2)
+        with pytest.raises(SolverFailure, match="undamped step twice"):
+            density_solve(s, 0.05, params, SETTINGS)
+
+    def test_step_halves_dt_after_a_second_fallback(self, monkeypatch):
+        s, params = self.growth_setup()
+        consts = derive_constants(params, s.d)
+        flip_first_directions(monkeypatch, 2)
+        _, report = step(s, params, consts, SETTINGS, 0.05)
+        assert report.retries == 1
+        assert report.rejections[0].startswith("solve: density Newton fell back")
+        assert report.dt_used == 0.025
+        assert report.newton_fallbacks == 0
+
+
+def flip_first_directions(monkeypatch, count):
+    """Reverse the first ``count`` Newton directions, turning each into an ascent direction."""
+    real = stepper._solve_newton_system
+    calls = []
+
+    def flipped(*args):
+        delta, lin = real(*args)
+        calls.append(delta)
+        return (-delta if len(calls) <= count else delta), lin
+
+    monkeypatch.setattr(stepper, "_solve_newton_system", flipped)
+
+
+def reference_density_solve(state, dt, params, settings):
+    """The Newton loop that recomputes each residual at its top, kept as the reference.
+
+    It evaluates the right side of an accepted iterate again at the top of
+    the next iteration, and of the converged iterate once more for the
+    conservative update; ``density_solve`` must give the same bits.
+    """
+    grid = state.grid
+    n_old = state.n.values
+    co = stepper._coefficients(state, params)
+    report = stepper.StepReport(dt_used=dt)
+    n_k = n_old.copy()
+    for it in range(settings.newton_max + 1):
+        f = n_k - n_old - dt * stepper._density_rhs(n_k, grid, params, co)
+        res_norm = float(np.max(np.abs(f)))
+        report.newton_iters = it + 1
+        report.newton_residual = res_norm
+        if res_norm <= settings.newton_tol:
+            break
+        assert it < settings.newton_max
+        a, r = stepper._density_jacobian(n_k, params, co)
+        delta, _ = stepper._solve_newton_system(
+            grid, a, r, dt, -f, settings.linear_tol, settings.linear_max
+        )
+        step_len = 1.0
+        accepted = None
+        for _ in range(8):
+            trial = np.maximum(n_k + step_len * delta, 0.0)
+            f_trial = trial - n_old - dt * stepper._density_rhs(trial, grid, params, co)
+            trial_norm = float(np.max(np.abs(f_trial)))
+            if math.isfinite(trial_norm) and trial_norm < res_norm:
+                accepted = trial
+                break
+            step_len *= 0.5
+        if accepted is None:
+            accepted = np.maximum(n_k + delta, 0.0)
+        n_k = accepted
+    n_new = np.maximum(n_old + dt * stepper._density_rhs(n_k, grid, params, co), 0.0)
+    return n_new, report
+
+
+def bump_1d(cells=40, gamma=3.0, eps=0.0, ell=0.0, c_jump=False):
+    grid = small_grid(cells)
+    x = grid.centers(0)
+    params = ModelParams(
+        rates=rates(g=("linear", 1.0), k1=("linear", 0.5), k2=("constant", 0.5)),
+        D=1.0, gamma=gamma, d_b=1.0, eps_reg=eps, ell_cut=ell,
+    )
+    c = np.where(x < 0.5, 0.6, 0.2) if c_jump else np.full(cells, 0.2)
+    s = State(t=0.0, n=Field(grid, 0.05 + eps + 0.9 * np.exp(-30 * (x - 0.5) ** 2)),
+              c=Field(grid, c), d=Field.full(grid, 0.9), gamma=gamma)
+    return s, params
+
+
+class TestNewtonLoop:
+    def count_rhs_calls(self, monkeypatch):
+        real = stepper._density_rhs
+        seen = []
+
+        def spy(n, *args):
+            seen.append(n.copy())
+            return real(n, *args)
+
+        monkeypatch.setattr(stepper, "_density_rhs", spy)
+        return seen
+
+    @pytest.mark.parametrize("flipped", [0, 1])
+    def test_each_iterate_evaluated_once(self, monkeypatch, flipped):
+        # one call for the start and one per line-search trial: none for an
+        # accepted iterate's residual and none for the conservative update
+        s, params = bump_1d()
+        flip_first_directions(monkeypatch, flipped)
+        seen = self.count_rhs_calls(monkeypatch)
+        _, report = density_solve(s, 0.01, params, SETTINGS)
+        assert report.newton_iters >= 4
+        assert report.newton_fallbacks == flipped
+        # every direction takes its full step at once, except a flipped one,
+        # which tries all 8 step lengths before falling back
+        assert len(seen) == report.newton_iters + 7 * flipped
+        assert np.array_equal(seen[0], s.n.values)
+        for i, a in enumerate(seen):
+            assert not any(np.array_equal(a, b) for b in seen[i + 1:])
+
+    @pytest.mark.parametrize("flipped", [0, 1])
+    @pytest.mark.parametrize(
+        "eps, ell", [(0.0, 0.0), (0.05, 10.0), (0.05, 0.4)], ids=["plain", "regularized", "clamped"]
+    )
+    def test_1d_matches_reference_loop_bitwise(self, monkeypatch, eps, ell, flipped):
+        s, params = bump_1d(eps=eps, ell=ell, c_jump=eps > 0.0)
+        for dt in (0.002, 0.02):
+            flip_first_directions(monkeypatch, flipped)
+            n_new, report = density_solve(s, dt, params, SETTINGS)
+            monkeypatch.undo()
+            flip_first_directions(monkeypatch, flipped)
+            n_ref, ref = reference_density_solve(s, dt, params, SETTINGS)
+            monkeypatch.undo()
+            assert np.array_equal(n_new.values, n_ref)
+            assert report.newton_iters == ref.newton_iters > 1
+            assert report.newton_residual == ref.newton_residual
+            assert report.newton_fallbacks == flipped
+
+    def state_2d(self):
+        # h_x = 1/12 differs from h_y = 0.07
+        grid = Grid(dim=2, extents=(1.0, 0.7), cells=(12, 10))
+        x, y = np.meshgrid(grid.centers(0), grid.centers(1), indexing="ij")
+        n0 = 0.2 + 0.9 * np.exp(-((x - 0.45) ** 2 + (y - 0.4) ** 2) / 0.05)
+        params = ModelParams(rates=rates(g=("linear", 1.0)), D=1.0, gamma=3.0, d_b=1.0)
+        s = State(t=0.0, n=Field(grid, n0), c=Field(grid, np.where(x > 0.5, 0.5, 0.2)),
+                  d=Field.full(grid, 0.9), gamma=3.0)
+        return s, params
+
+    def dense_newton(self, s, dt, params, settings):
+        """Undamped Newton with every system solved by dense elimination."""
+        grid = s.grid
+        n_old = s.n.values
+        co = stepper._coefficients(s, params)
+        lap = np.column_stack([
+            laplacian_neumann(Field(grid, e.reshape(grid.shape))).ravel()
+            for e in np.eye(grid.num_cells)
+        ])
+        n_k = n_old.copy()
+        for _ in range(settings.newton_max):
+            f = n_k - n_old - dt * stepper._density_rhs(n_k, grid, params, co)
+            if np.max(np.abs(f)) <= settings.newton_tol:
+                break
+            a, r = stepper._density_jacobian(n_k, params, co)
+            jac = np.eye(grid.num_cells) - dt * (lap * a.ravel() + np.diag(r.ravel()))
+            n_k = n_k + np.linalg.solve(jac, -f.ravel()).reshape(grid.shape)
+        return np.maximum(n_old + dt * stepper._density_rhs(n_k, grid, params, co), 0.0)
+
+    @pytest.mark.parametrize("linear_tol", [1e-10, 1e-6])
+    def test_2d_forcing_term(self, monkeypatch, linear_tol):
+        s, params = self.state_2d()
+        settings = SolverSettings(linear_tol=linear_tol)
+        res_norms, tols = [], []
+        solve_system, pcg = stepper._solve_newton_system, stepper.linalg.pcg_solve
+
+        def system_spy(grid, a, r, dt, rhs, *rest):
+            res_norms.append(float(np.max(np.abs(rhs))))
+            return solve_system(grid, a, r, dt, rhs, *rest)
+
+        def pcg_spy(op, rhs, tol, max_iters):
+            tols.append(tol)
+            return pcg(op, rhs, tol, max_iters)
+
+        monkeypatch.setattr(stepper, "_solve_newton_system", system_spy)
+        monkeypatch.setattr(stepper.linalg, "pcg_solve", pcg_spy)
+        n_new, report = density_solve(s, 0.01, params, settings)
+        assert len(tols) == len(res_norms) == report.newton_iters - 1
+        assert tols == [max(linear_tol, min(0.1, f)) for f in res_norms]
+        # the cap, the residual itself and, with the looser floor, the floor all occur
+        assert tols[0] == 0.1 and linear_tol < tols[-2] < 0.1
+        assert (tols[-1] == linear_tol) == (linear_tol == 1e-6)
+        assert report.newton_residual <= settings.newton_tol
+        assert report.newton_fallbacks == 0
+        ref = self.dense_newton(s, 0.01, params, settings)
+        assert np.max(np.abs(n_new.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+
 
 class TestDensityJacobian:
     def test_vacuum_cells_get_the_same_rate_on_both_paths(self):
