@@ -41,6 +41,6 @@ from .model import (
     derive_constants,
     eval_rates,
 )
-from .stepper import SolverSettings, State, StepReport, regularized_step, step, suggest_dt
+from .stepper import SolverSettings, State, StepReport, step, suggest_dt
 
 __version__ = "0.1.0"

@@ -182,7 +182,8 @@ def _cmd_eps(cfg) -> int:
     for e in report.entries:
         print(
             f"eps {e.eps:g}: distance {e.distance:.6g}, "
-            f"cutoff activations {e.cutoff_activations}"
+            f"cutoff activations {e.cutoff_activations}, "
+            f"{e.steps} steps, {e.rejected_attempts} rejected attempts"
             + (f"  [FAILED: {e.failure}]" if not e.ok else "")
         )
     if any(not e.ok for e in report.entries):

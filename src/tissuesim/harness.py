@@ -41,7 +41,10 @@ from .model import (
     derive_constants,
     validate_rates,
 )
-from .stepper import SolverSettings, State, regularized_step, step, suggest_dt
+from .stepper import SolverSettings, State, step, suggest_dt
+
+# perfbench/tracer.py wraps harness.regularized_step by name; run calls step
+regularized_step = step
 
 
 def make_params(cfg: RunConfig) -> ModelParams:
@@ -188,6 +191,7 @@ class RunResult:
     # StepReport counts summed over the accepted steps; in no CSV
     newton_iters: int = 0
     linear_iters: int = 0
+    rejected_attempts: int = 0
     wall_clock: float = 0.0
 
     @property
@@ -288,9 +292,6 @@ def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
                 f"cutoff level {params.ell_cut:.6g} is below the inactive-cutoff bound "
                 f"{ell_floor:.6g}; clamping may distort the solution"
             )
-        advance = regularized_step
-    else:
-        advance = step
 
     state = State(t=0.0, n=n0, c=c0, d=d0, gamma=params.gamma)
     history_states = [state]
@@ -331,11 +332,12 @@ def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
         while state.t < T - 1e-14:
             dt_hint = suggest_dt(state, params, consts, settings.safety)
             dt_hint = min(dt_hint, settings.dt_max, T - state.t)
-            state, report = advance(state, params, consts, settings, dt_hint)
+            state, report = step(state, params, consts, settings, dt_hint)
             steps += 1
             result.total_cutoff_activations += report.cutoff_activations
             result.newton_iters += report.newton_iters
             result.linear_iters += report.linear_iters
+            result.rejected_attempts += report.retries
             if inject != "none" and steps == 1:
                 state = _inject_fault(state, inject, consts)
             if (steps % stride == 0) or state.t >= T - 1e-14:
@@ -571,6 +573,9 @@ class EpsEntry:
     min_density: float
     barrier: float
     failure: str | None = None
+    # from the entry's RunResult; in no CSV
+    steps: int = 0
+    rejected_attempts: int = 0
 
 
 @dataclass
@@ -625,6 +630,8 @@ def eps_study(eps_list, base_cfg: RunConfig, compare_times: int = 33) -> EpsRepo
             failure=res.failure if res.failure else (
                 "; ".join(res.violations) if res.violations else None
             ),
+            steps=res.steps,
+            rejected_attempts=res.rejected_attempts,
         ))
     return EpsReport(entries=entries)
 

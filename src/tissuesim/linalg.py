@@ -186,7 +186,7 @@ def pcg_solve(op: LinOp, rhs: np.ndarray, tol: float, max_iters: int) -> PcgResu
         np.multiply(inv_diag, r, out=z)
         rz_new = float(np.dot(r, z))
         history.append(float(np.sqrt(abs(rz_new))))
-        if float(np.linalg.norm(r)) <= tol * rhs_norm:
+        if math.sqrt(float(np.dot(r, r))) <= tol * rhs_norm:
             return PcgResult(x=x, iterations=k, residual_norms=tuple(history))
         p *= rz_new / rz
         p += z

@@ -28,6 +28,12 @@ species equation (in (n, c) variables, eps*lap(c) plus a drift
 routed through the band cutoff [0, ell].  The unregularized scheme is its
 eps = 0 case, whose cutoff level is ell = inf: the viscous terms vanish and,
 for n >= 0 with c in [0, 1], no clamp acts.
+
+``suggest_dt`` is the one dt controller.  Its dt meets the CFL and reaction
+bounds, scaled by the safety factor, and the whole fraction monotonicity
+budget of the current state, viscous term included.  ``step`` keeps its
+budget pre-check and dt halving as guards for a hint from elsewhere or a new
+density whose advective inflow outgrows the current one.
 """
 
 from __future__ import annotations
@@ -368,13 +374,16 @@ def _face_velocities(n_new: Field, gamma: float, eps: float) -> tuple[np.ndarray
     With eps > 0 the species viscosity contributes an extra drift
     -2 eps grad(ln n) (from rewriting eps*lap(n_i) in fraction variables).
     """
-    grid = n_new.grid
     p = np.maximum(n_new.values, 0.0) ** gamma
-    grads = face_gradient(Field(grid, p))
-    u = tuple(-g for g in grads)
+    grads = face_gradient(Field(n_new.grid, p))
+    return _with_viscous_drift(tuple(-g for g in grads), n_new, eps)
+
+
+def _with_viscous_drift(u: tuple[np.ndarray, ...], n: Field, eps: float) -> tuple[np.ndarray, ...]:
+    """The face velocities u plus the drift -2 eps grad(ln n); u itself at eps = 0."""
     if eps > 0.0:
-        logn = np.log(np.maximum(n_new.values, VACUUM_FLOOR))
-        dlog = face_gradient(Field(grid, logn))
+        logn = np.log(np.maximum(n.values, VACUUM_FLOOR))
+        dlog = face_gradient(Field(n.grid, logn))
         u = tuple(ui - 2.0 * eps * gi for ui, gi in zip(u, dlog))
     return u
 
@@ -540,10 +549,15 @@ def suggest_dt(
     consts: DerivedConstants,
     safety: float,
 ) -> float:
-    """Advective-CFL and reaction-rate based step suggestion.
+    """The step's dt controller: a dt that the fraction monotonicity budget accepts.
 
-    dt = safety * min(h / max|u|, 1 / (K1_max + K2_max + D)), clipped to the
-    remaining horizon.  The velocity leaves out the viscous drift.
+    dt = min(safety * min(h / max|u|, 1 / (K1_max + K2_max + D)), 1 / max beta),
+    clipped to the remaining horizon.  The CFL velocity u leaves out the
+    viscous drift.  beta is ``_fraction_budget`` at dt = 1 on the current
+    state, with the per-cell ``_fraction_rates`` and the face velocities
+    including the drift; the budget is linear in dt, so 1 / max beta is the
+    largest dt it accepts at the current density.  This bound carries the
+    viscous 2 dt eps / h^2 term, which the CFL and reaction bounds leave out.
     """
     u = _face_velocities(state.n, params.gamma, 0.0)
     speed = 0.0
@@ -557,6 +571,11 @@ def suggest_dt(
     rate_sum = consts.K1_max + consts.K2_max + params.D
     dt_react = 1.0 / rate_sum if rate_sum > 0.0 else math.inf
     dt = safety * min(dt_adv, dt_react)
+    u = _with_viscous_drift(u, state.n, params.eps_reg)
+    budget = _fraction_budget(state.grid, 1.0, params, _fraction_rates(state, params)[2], u)
+    beta = float(np.max(budget))
+    if beta > 0.0:
+        dt = min(dt, 1.0 / beta)
     remaining = params.T_final - state.t
     if remaining > 0.0:
         dt = min(dt, remaining)
@@ -591,13 +610,15 @@ def step(
     """Advance one step of the scheme: try dt_hint, halving dt after each rejected attempt.
 
     eps_reg = 0 runs the plain scheme; eps_reg > 0 needs a resolved cutoff
-    level ell_cut > 0.  Up to retry_max halvings are made.  Before the
-    solves of an attempt, the n-independent floor of the fraction budget
-    (viscous and reaction terms) is checked at its dt.  Any dt it rejects
-    would also fail the full solve, at the latest in the full budget of
-    ``fraction_update``, so the pre-check changes no accepted dt or state;
-    it only skips the doomed solves.  Either kind of rejection counts as one
-    retry and is recorded in ``StepReport.rejections``.
+    level ell_cut > 0.  At the dt ``suggest_dt`` proposes, the fraction
+    budget of the current state holds, so the halvings are guards.  Up to
+    retry_max halvings are made.  Before the solves of an attempt, the
+    n-independent floor of the fraction budget (viscous and reaction terms)
+    is checked at its dt.  Any dt it rejects would also fail the full solve,
+    at the latest in the full budget of ``fraction_update``, so the
+    pre-check changes no accepted dt or state; it only skips the doomed
+    solves.  Either kind of rejection counts as one retry and is recorded
+    in ``StepReport.rejections``.
     """
     if params.eps_reg > 0.0 and not (params.ell_cut > 0.0):
         raise ValueError("eps_reg > 0 requires a resolved cutoff level ell_cut > 0")
@@ -624,18 +645,3 @@ def step(
     raise SolverFailure(
         f"step failed after {settings.retry_max} dt halvings (last: {last_error})"
     )
-
-
-def regularized_step(
-    state: State,
-    params: ModelParams,
-    consts: DerivedConstants,
-    settings: SolverSettings,
-    dt_hint: float,
-) -> tuple[State, StepReport]:
-    """``step`` restricted to the viscous cutoff scheme (eps_reg > 0 required)."""
-    if not (params.eps_reg > 0.0):
-        raise ValueError("regularized_step requires eps_reg > 0; use step instead")
-    if not (params.ell_cut > 0.0):
-        raise ValueError("regularized_step requires a resolved cutoff level ell_cut > 0")
-    return step(state, params, consts, settings, dt_hint)

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -237,8 +238,11 @@ class TestCli:
             + f"output.dir = {tmp_path}/ep\neps.values = 0.05,0.01\n",
         )
         code = main(["eps-study", "--config", cfg_path])
+        out = capsys.readouterr().out
         assert code == 0
         assert os.path.exists(tmp_path / "ep" / "run_eps.csv")
+        for eps in ("0.05", "0.01"):
+            assert re.search(rf"^eps {eps}: .*, \d+ steps, \d+ rejected attempts$", out, re.M)
 
     def test_bench_subcommand(self, tmp_path, capsys):
         text = """

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from tissuesim import linalg, stepper
+from tissuesim import harness, linalg, stepper
 from tissuesim.config import parse_config
 from tissuesim.diagnostics import (
     aronson_benilan_gap,
@@ -147,6 +147,24 @@ class TestEpsStudy:
         assert len(rep.entries) == 1
         assert rep.entries[0].ok
         assert rep.entries[0].distance > 0.0
+
+    def test_rejected_attempts_total(self, monkeypatch):
+        # the spy hands step 5x the suggested dt, so the fraction budget
+        # rejects attempts; the run sums the accepted steps' retries
+        reports = []
+        real_step = harness.step
+
+        def spy(state, params, consts, settings, dt_hint):
+            hint = min(5.0 * dt_hint, params.T_final - state.t)
+            new_state, report = real_step(state, params, consts, settings, hint)
+            reports.append(report)
+            return new_state, report
+
+        monkeypatch.setattr(harness, "step", spy)
+        res = run(parse_config(BUMP_TEXT + "model.eps_reg = 0.05\ninitial.lift = eps\n"))
+        assert res.ok
+        assert len(reports) == res.steps
+        assert res.rejected_attempts == sum(r.retries for r in reports) > 0
 
     def test_duplicated_eps_gives_identical_distances(self):
         cfg = parse_config(BUMP_TEXT.replace("grid.cells_x = 64", "grid.cells_x = 32"))

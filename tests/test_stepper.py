@@ -9,12 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tissuesim import stepper
+from tissuesim import harness, stepper
 from tissuesim.config import parse_config
 from tissuesim.diagnostics import TolConfig, check_all
 from tissuesim.errors import SolverFailure
 from tissuesim.grid import Field, Grid, integrate, laplacian_dirichlet, laplacian_neumann
-from tissuesim.harness import apply_lift, build_grid, initial_fields, make_params, make_settings
+from tissuesim.harness import (
+    apply_lift,
+    barenblatt_benchmark,
+    build_grid,
+    gamma_sweep,
+    initial_fields,
+    make_params,
+    make_settings,
+    run,
+    sweep_config_from,
+)
 from tissuesim.model import (
     BOUND_INFLATION,
     ModelParams,
@@ -29,12 +39,12 @@ from tissuesim.stepper import (
     density_solve,
     fraction_update,
     nutrient_solve,
-    regularized_step,
     step,
     suggest_dt,
 )
 
-EPS_STUDY_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "eps_study.cfg"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+EPS_STUDY_CONFIG = CONFIGS / "eps_study.cfg"
 
 
 def rates(g=("constant", 0.0), k1=("constant", 0.0), k2=("constant", 0.0),
@@ -62,6 +72,16 @@ def small_grid(cells=3, extent=1.0):
 
 
 SETTINGS = SolverSettings()
+
+
+def viscous_only():
+    # uniform n: no transport and no reactions, so the budget is the
+    # viscous 2 dt eps / h^2 = 2 dt alone
+    grid = small_grid(10)
+    params = ModelParams(rates=rates(), D=1e-30, gamma=2.0, d_b=0.0, T_final=10.0,
+                         eps_reg=0.01, ell_cut=10.0)
+    consts = derive_constants(params, Field.full(grid, 0.0))
+    return uniform_state(grid, n=0.5, c=0.2), params, consts
 
 
 class TestDensitySolve:
@@ -626,6 +646,16 @@ class TestSuggestDt:
         )
         assert suggest_dt(s, params, consts, 0.9) == pytest.approx(0.045)
 
+    def test_viscous_bound_arithmetic(self):
+        # the budget 2 dt binds at dt = 1/2, where the CFL and reaction
+        # bounds allow the whole horizon
+        s, params, consts = viscous_only()
+        dt = suggest_dt(s, params, consts, 0.5)
+        assert dt == pytest.approx(0.5, rel=1e-12)
+        assert suggest_dt(s, replace(params, eps_reg=0.0), consts, 0.5) == 10.0
+        _, report = step(s, params, consts, SETTINGS, dt)
+        assert report.retries == 0 and report.dt_used == dt
+
 
 class TestStep:
     def make_inert(self, cells=6):
@@ -678,19 +708,10 @@ class TestStep:
         with pytest.raises(SolverFailure):
             step(s, params, consts, SolverSettings(retry_max=0), 0.3)
 
-    def viscous_only(self):
-        # uniform n: no transport and no reactions, so the budget is the
-        # viscous 2 dt eps / h^2 = 2 dt alone
-        grid = small_grid(10)
-        params = ModelParams(rates=rates(), D=1e-30, gamma=2.0, d_b=0.0, T_final=10.0,
-                             eps_reg=0.01, ell_cut=10.0)
-        consts = derive_constants(params, Field.full(grid, 0.0))
-        return uniform_state(grid, n=0.5, c=0.2), params, consts
-
     def test_viscous_budget_forces_halvings(self):
-        s, params, consts = self.viscous_only()
+        s, params, consts = viscous_only()
         k = 3  # budgets 6.4, 3.2, 1.6, then 0.8 at dt = 0.4
-        _, report = regularized_step(s, params, consts, SolverSettings(retry_max=k), 3.2)
+        _, report = step(s, params, consts, SolverSettings(retry_max=k), 3.2)
         assert report.retries == k == len(report.rejections)
         assert all(r.startswith("pre-check: ") for r in report.rejections)
         assert report.dt_used == 0.4
@@ -699,9 +720,9 @@ class TestStep:
         assert plain.retries == 0 and plain.rejections == []
 
     def test_viscous_budget_exhausts_retries(self):
-        s, params, consts = self.viscous_only()
+        s, params, consts = viscous_only()
         with pytest.raises(SolverFailure, match="after 2 dt halvings"):
-            regularized_step(s, params, consts, SolverSettings(retry_max=2), 3.2)
+            step(s, params, consts, SolverSettings(retry_max=2), 3.2)
 
     def test_determinism(self):
         grid, params, consts = self.make_inert(cells=20)
@@ -761,36 +782,15 @@ class TestRegularizedStep:
         s = State(t=0.0, n=n0, c=Field.full(grid, 0.2), d=Field.full(grid, 1.0), gamma=3.0)
         return s, params, consts
 
-    def test_zero_eps_rejected(self):
-        s, params, consts = self.make_setup(0.05)
-        bad = ModelParams(rates=params.rates, D=params.D, gamma=params.gamma,
-                          eps_reg=0.0, ell_cut=params.ell_cut, d_b=params.d_b,
-                          T_final=params.T_final)
-        with pytest.raises(ValueError):
-            regularized_step(s, bad, consts, SETTINGS, 0.01)
-
     def test_inactive_cutoff_counts_zero(self):
         s, params, consts = self.make_setup(0.05)
-        _, report = regularized_step(s, params, consts, SETTINGS, 0.01)
+        _, report = step(s, params, consts, SETTINGS, 0.01)
         assert report.cutoff_activations == 0
 
     def test_low_cutoff_level_activates(self):
         s, params, consts = self.make_setup(0.05, ell=0.4)  # below max n ~ 0.75
-        _, report = regularized_step(s, params, consts, SETTINGS, 0.01)
+        _, report = step(s, params, consts, SETTINGS, 0.01)
         assert report.cutoff_activations > 0
-
-    def test_step_is_the_regularized_scheme(self):
-        # one scheme: with eps_reg > 0, step and regularized_step take the
-        # same viscous cutoff step, bit for bit
-        s, params, consts = self.make_setup(0.05)
-        c = s.c.values.copy()
-        c[:12] = 0.6
-        s = replace(s, c=Field(s.grid, c))
-        a, report_a = step(s, params, consts, SETTINGS, 0.01)
-        b, report_b = regularized_step(s, params, consts, SETTINGS, 0.01)
-        for x, y in ((a.n, b.n), (a.c, b.c), (a.d, b.d)):
-            assert np.array_equal(x.values, y.values)
-        assert report_a == report_b
 
     def test_step_rejects_unresolved_cutoff(self):
         s, params, consts = self.make_setup(0.05)
@@ -802,7 +802,7 @@ class TestRegularizedStep:
         c = s.c.values.copy()
         c[:12] = 0.6
         s = State(t=0.0, n=s.n, c=Field(s.grid, c), d=s.d, gamma=s.gamma)
-        s2, _ = regularized_step(s, params, consts, SETTINGS, 0.001)
+        s2, _ = step(s, params, consts, SETTINGS, 0.001)
         assert s2.c.values.max() <= 0.6 + 1e-12
         assert s2.c.values.min() >= 0.0
         # the jump at the interface is smoothed
@@ -811,9 +811,9 @@ class TestRegularizedStep:
         assert jump_after < jump_before
 
 
-def eps_study_start(eps):
+def eps_study_start(eps, cells=100):
     """The eps study's initial state and parameters, resolved as harness.run does."""
-    cfg = parse_config(EPS_STUDY_CONFIG.read_text())
+    cfg = parse_config(EPS_STUDY_CONFIG.read_text()).with_overrides(grid__cells_x=cells)
     if eps > 0.0:
         cfg = cfg.with_overrides(model__eps_reg=eps, initial__lift="eps")
     grid = build_grid(cfg)
@@ -843,7 +843,10 @@ def reference_step(state, params, consts, settings, dt):
 @pytest.mark.parametrize(
     "eps, hint_scale, stages_seen",
     [
-        (0.1, 1.0, {"pre-check", "solve"}),
+        # the suggested dt meets the whole budget, so only a larger hint is
+        # rejected: halving 5x its value fails the n-independent floor twice,
+        # then the full budget, which adds the advective inflow
+        (0.1, 5.0, {"pre-check", "solve"}),
         # the plain run has no rejects at the suggested dt, and its floor
         # dt (K1 + K2 + D) stays below one up to T_final; a larger hint
         # makes the full budget reject there
@@ -852,13 +855,12 @@ def reference_step(state, params, consts, settings, dt):
 )
 def test_precheck_matches_reference_retry_loop(eps, hint_scale, stages_seen):
     state, params, consts, settings = eps_study_start(eps)
-    advance = regularized_step if eps > 0.0 else step
     ref = state
     stages = set()
     for _ in range(20):
         hint = hint_scale * suggest_dt(state, params, consts, settings.safety)
         hint = min(hint, settings.dt_max, params.T_final - state.t)
-        state, report = advance(state, params, consts, settings, hint)
+        state, report = step(state, params, consts, settings, hint)
         ref, ref_dt, ref_retries = reference_step(ref, params, consts, settings, hint)
         for a, b in ((state.n, ref.n), (state.c, ref.c), (state.d, ref.d)):
             assert np.array_equal(a.values, b.values)
@@ -867,3 +869,127 @@ def test_precheck_matches_reference_retry_loop(eps, hint_scale, stages_seen):
         assert report.retries == ref_retries == len(report.rejections)
         stages.update(r.split(":")[0] for r in report.rejections)
     assert stages == stages_seen
+
+
+def old_suggest_dt(state, params, consts, safety):
+    """The controller before the fraction budget bound: CFL and reaction bounds only."""
+    u = stepper._face_velocities(state.n, params.gamma, 0.0)
+    speed = max([0.0, *(float(np.max(np.abs(ui))) for ui in u if ui.size)])
+    dt_adv = min(state.grid.h) / speed if speed > 0.0 else math.inf
+    rate_sum = consts.K1_max + consts.K2_max + params.D
+    dt_react = 1.0 / rate_sum if rate_sum > 0.0 else math.inf
+    dt = safety * min(dt_adv, dt_react)
+    remaining = params.T_final - state.t
+    if remaining > 0.0:
+        dt = min(dt, remaining)
+    return dt
+
+
+def budget_limit(state, params):
+    """1 / max beta: the largest dt the full fraction budget accepts at the current state."""
+    u = stepper._face_velocities(state.n, params.gamma, params.eps_reg)
+    rate_sum = stepper._fraction_rates(state, params)[2]
+    return 1.0 / float(np.max(stepper._fraction_budget(state.grid, 1.0, params, rate_sum, u)))
+
+
+#: where the refined eps = 0.1 studies failed with the CFL and reaction hint
+LATE_T = 0.214
+
+
+@pytest.fixture(scope="module")
+def eps_late_state():
+    """The 100-cell eps = 0.1 study's state at LATE_T."""
+    cfg = parse_config(EPS_STUDY_CONFIG.read_text()).with_overrides(
+        model__eps_reg=0.1, initial__lift="eps", time__T_final=LATE_T
+    )
+    res = run(cfg)
+    assert res.ok
+    return res.final_state
+
+
+def controller_case(eps, cells, late_state=None):
+    """The eps study on ``cells`` cells, at its start or at ``late_state`` put on its grid."""
+    state, params, consts, settings = eps_study_start(eps, cells)
+    if late_state is not None:
+        x, x_late = state.grid.centers(0), late_state.grid.centers(0)
+
+        def on_grid(f):
+            return Field(state.grid, np.interp(x, x_late, f.values))
+
+        state = State(t=late_state.t, n=on_grid(late_state.n), c=on_grid(late_state.c),
+                      d=on_grid(late_state.d), gamma=params.gamma)
+    return state, params, consts, settings
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["start", "late"])
+@pytest.mark.parametrize("cells", [100, 200, 400])
+@pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+class TestDtController:
+    @pytest.fixture
+    def case(self, eps, cells, late, eps_late_state):
+        return controller_case(eps, cells, eps_late_state if late else None)
+
+    def test_suggested_dt_meets_the_budget(self, case):
+        state, params, consts, settings = case
+        dt = suggest_dt(state, params, consts, settings.safety)
+        u = stepper._face_velocities(state.n, params.gamma, params.eps_reg)
+        rate_sum = stepper._fraction_rates(state, params)[2]
+        stepper._enforce_budget(stepper._fraction_budget(state.grid, dt, params, rate_sum, u))
+
+    def test_step_takes_the_suggested_dt(self, case):
+        state, params, consts, settings = case
+        dt = suggest_dt(state, params, consts, settings.safety)
+        _, report = step(state, params, consts, settings, dt)
+        assert report.retries == 0 and report.rejections == []
+        assert report.dt_used == dt
+
+
+def test_refined_late_state_is_out_of_reach_of_halving(eps_late_state):
+    # on 400 cells the CFL and reaction hint halved retry_max times still
+    # exceeds the budget, so step fails from it; the suggested dt needs no halving
+    state, params, consts, settings = controller_case(0.1, 400, eps_late_state)
+    old = old_suggest_dt(state, params, consts, settings.safety)
+    assert old > 2**settings.retry_max * budget_limit(state, params)
+    with pytest.raises(SolverFailure, match=f"after {settings.retry_max} dt halvings"):
+        step(state, params, consts, settings, old)
+    dt = suggest_dt(state, params, consts, settings.safety)
+    _, report = step(state, params, consts, settings, dt)
+    assert report.retries == 0
+
+
+def test_2d_suggested_dt_meets_the_budget():
+    grid = Grid(dim=2, extents=(1.0, 0.8), cells=(16, 12))
+    params = ModelParams(
+        rates=rates(g=("linear", 0.5), k1=("linear", 0.3), k2=("constant", 0.2)),
+        D=1.0, a=1.0, gamma=3.0, d_b=1.0, T_final=0.1, eps_reg=0.05, ell_cut=2.0,
+    )
+    consts = derive_constants(params, Field.full(grid, 1.0))
+    x, y = grid.coordinate_fields()
+    n = Field(grid, 0.3 + 0.6 * np.exp(-20 * ((x - 0.5) ** 2 + (y - 0.4) ** 2)))
+    s = State(t=0.0, n=n, c=Field.full(grid, 0.2), d=Field.full(grid, 1.0), gamma=3.0)
+    dt = suggest_dt(s, params, consts, SETTINGS.safety)
+    assert dt == pytest.approx(budget_limit(s, params), rel=1e-12)  # the budget binds
+    _, report = step(s, params, consts, SETTINGS, dt)
+    assert report.retries == 0
+
+
+def test_plain_suggestion_is_the_old_formula(monkeypatch):
+    # at eps = 0 the budget bound never binds on the shipped configs: the
+    # suggested dt is the CFL and reaction formula, bit for bit
+    seen = []
+
+    def spy(state, params, consts, safety):
+        dt = suggest_dt(state, params, consts, safety)
+        assert dt == old_suggest_dt(state, params, consts, safety)
+        seen.append(dt)
+        return dt
+
+    def read(name):
+        return parse_config((CONFIGS / name).read_text())
+
+    monkeypatch.setattr(harness, "suggest_dt", spy)
+    assert run(read("growth_1d.cfg")).ok
+    assert run(read("eps_study.cfg")).ok  # the study's eps = 0 reference
+    assert all(e.ok for e in gamma_sweep(sweep_config_from(read("sweep.cfg"))).entries)
+    barenblatt_benchmark(read("barenblatt.cfg"))
+    assert len(seen) > 100
