@@ -23,6 +23,7 @@ from .errors import ConfigError, SolverFailure
 from .harness import (
     barenblatt_benchmark,
     build_grid,
+    check_initial_mass,
     derive_constants,
     eps_study,
     gamma_sweep,
@@ -31,7 +32,6 @@ from .harness import (
     run,
     sweep_config_from,
 )
-from .model import check_h7
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -116,16 +116,12 @@ def _cmd_check(cfg) -> int:
     print(f"G0      {consts.G0:.12g}")
     print(f"M0      {consts.M0:.12g}")
     print(f"d_crit  {consts.d_crit:.12g}")
-    sigma = cfg["model.sigma"]
-    T = cfg["time.T_final"]
-    if sigma == 0.0:
-        sigma = 0.5 * math.exp(-consts.G0 * T)
-    if sigma < math.exp(-consts.G0 * T):
-        ok, ratio = check_h7(n0, sigma, consts.G0, T)
+    sigma, ok, ratio = check_initial_mass(cfg, consts, n0)
+    if ok is None:
+        print(f"H7      not checkable (sigma = {sigma:.6g} not admissible)")
+    else:
         verdict = "pass" if ok else "FAIL"
         print(f"H7      {verdict} (sigma = {sigma:.6g}, ratio = {ratio:.6g})")
-    else:
-        print(f"H7      not checkable (sigma = {sigma:.6g} not admissible)")
     return EXIT_OK
 
 

@@ -126,12 +126,12 @@ class RunConfig:
     def __getitem__(self, name: str):
         return dict(self.values)[name]
 
-    def get(self, name: str):
-        return dict(self.values)[name]
-
     def with_overrides(self, **dotted) -> "RunConfig":
-        """Return a copy with the given keys replaced (dots become __ in kwargs
-        or pass a dict via ``dotted={'model.gamma': 7}`` style keys)."""
+        """Return a copy with the given keys replaced.
+
+        Write a dotted key with ``__`` for the dot (``model__gamma=7``) or
+        unpack a dict (``**{"model.gamma": 7}``).
+        """
         updates = {}
         for k, v in dotted.items():
             updates[k.replace("__", ".")] = v

@@ -61,7 +61,6 @@ class RunHistory:
     snapshots: tuple[State, ...]
     snapshot_dts: tuple[float, ...]     # dt of the step landing on each snapshot
     reaction_free: bool = False
-    params: ModelParams | None = None
 
     @property
     def times(self) -> np.ndarray:

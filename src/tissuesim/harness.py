@@ -203,11 +203,23 @@ class RunResult:
         return self.history.snapshots[-1]
 
 
-def _resolve_sigma(cfg: RunConfig, consts: DerivedConstants, T: float) -> float:
+def check_initial_mass(
+    cfg: RunConfig, consts: DerivedConstants, n0: Field
+) -> tuple[float, bool | None, float]:
+    """The initial-mass hypothesis H7 on the unlifted n0: (sigma, pass, ratio).
+
+    sigma is ``model.sigma``, or 0.5 e^(-G0 T) when that is 0.  H7 is
+    checked only for an admissible sigma < e^(-G0 T); otherwise the result
+    is (sigma, None, nan).
+    """
+    T = cfg["time.T_final"]
     sigma = cfg["model.sigma"]
-    if sigma > 0.0:
-        return sigma
-    return 0.5 * math.exp(-consts.G0 * T)
+    if sigma == 0.0:
+        sigma = 0.5 * math.exp(-consts.G0 * T)
+    if sigma < math.exp(-consts.G0 * T):
+        h7_pass, h7_ratio = check_h7(n0, sigma, consts.G0, T)
+        return sigma, h7_pass, h7_ratio
+    return sigma, None, math.nan
 
 
 def _reaction_free(cfg: RunConfig, params: ModelParams) -> bool:
@@ -252,20 +264,16 @@ def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
     warnings: list[str] = []
     T = params.T_final
 
-    h7_pass: bool | None = None
-    h7_ratio = math.nan
-    sigma = _resolve_sigma(cfg, consts, T)
-    if sigma < math.exp(-consts.G0 * T):
-        h7_pass, h7_ratio = check_h7(n0, sigma, consts.G0, T)
-        if not h7_pass:
-            warnings.append(
-                f"initial-mass hypothesis fails: superlevel ratio {h7_ratio:.3g} > 1 "
-                f"(sigma = {sigma:.3g})"
-            )
-    else:
+    sigma, h7_pass, h7_ratio = check_initial_mass(cfg, consts, n0)
+    if h7_pass is None:
         warnings.append(
             f"sigma = {sigma:.3g} is not admissible (needs < e^(-G0 T) = "
             f"{math.exp(-consts.G0 * T):.3g}); hypothesis not checked"
+        )
+    elif not h7_pass:
+        warnings.append(
+            f"initial-mass hypothesis fails: superlevel ratio {h7_ratio:.3g} > 1 "
+            f"(sigma = {sigma:.3g})"
         )
 
     lift = cfg["initial.lift"]
@@ -307,7 +315,6 @@ def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
             snapshots=tuple(history_states),
             snapshot_dts=tuple(history_dts),
             reaction_free=_reaction_free(cfg, params),
-            params=params,
         ),
         ledger=ledger,
         consts=consts,
@@ -330,8 +337,7 @@ def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
     steps = 0
     try:
         while state.t < T - 1e-14:
-            dt_hint = suggest_dt(state, params, consts, settings.safety)
-            dt_hint = min(dt_hint, settings.dt_max, T - state.t)
+            dt_hint = min(suggest_dt(state, params, consts, settings.safety), settings.dt_max)
             state, report = step(state, params, consts, settings, dt_hint)
             steps += 1
             result.total_cutoff_activations += report.cutoff_activations
@@ -381,7 +387,6 @@ class SweepConfig:
     gammas: tuple[float, ...]
     base: RunConfig
     tau: float
-    delta: float
     compare_times: int = 33
 
     def __post_init__(self):
@@ -405,7 +410,6 @@ def sweep_config_from(cfg: RunConfig) -> SweepConfig:
         gammas=tuple(cfg["sweep.gammas"]),
         base=cfg,
         tau=tau,
-        delta=cfg["sweep.delta"],
         compare_times=cfg["sweep.compare_times"],
     )
 
@@ -555,7 +559,8 @@ def gamma_sweep(sc: SweepConfig) -> SweepReport:
         entries.append(entry)
         prev = res
     return SweepReport(
-        tau=sc.tau, delta=sc.delta, entries=entries, distances=distances, ledgers=ledgers,
+        tau=sc.tau, delta=sc.base["sweep.delta"], entries=entries, distances=distances,
+        ledgers=ledgers,
     )
 
 

@@ -31,9 +31,9 @@ for n >= 0 with c in [0, 1], no clamp acts.
 
 ``suggest_dt`` is the one dt controller.  Its dt meets the CFL and reaction
 bounds, scaled by the safety factor, and the whole fraction monotonicity
-budget of the current state, viscous term included.  ``step`` keeps its
-budget pre-check and dt halving as guards for a hint from elsewhere or a new
-density whose advective inflow outgrows the current one.
+budget of the current state, viscous term included.  ``step`` halves dt
+after a rejected attempt, a guard for a hint from elsewhere or a new density
+whose advective inflow outgrows the current one.
 """
 
 from __future__ import annotations
@@ -108,9 +108,13 @@ class StepReport:
     cfl_limit: float = math.inf
     clamped_cells: int = 0
     cutoff_activations: int = 0
-    retries: int = 0
     newton_fallbacks: int = 0
     rejections: list[str] = field(default_factory=list)
+
+    @property
+    def retries(self) -> int:
+        """Rejected attempts before the accepted one, one dt halving each."""
+        return len(self.rejections)
 
 
 def _cutoff_level(params: ModelParams) -> float:
@@ -391,8 +395,8 @@ def _with_viscous_drift(u: tuple[np.ndarray, ...], n: Field, eps: float) -> tupl
 def _fraction_rates(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K1, K2 and K1 + K2 + D on the cutoff-clamped current nutrient.
 
-    They depend only on the state a step starts from, so one evaluation
-    serves every attempt of the step.
+    They depend only on the state a step starts from; ``suggest_dt`` and
+    ``fraction_update`` each evaluate them.
     """
     d_arg = cutoff(state.d.values, _cutoff_level(params))
     k1 = np.asarray(params.rates.K1(d_arg), dtype=float)
@@ -405,15 +409,14 @@ def _fraction_budget(
     dt: float,
     params: ModelParams,
     rate_sum: np.ndarray,
-    u: tuple[np.ndarray, ...] = (),
+    u: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """Per-cell monotonicity budget of the explicit fraction update.
 
     Sums, in this order, the advective inflow Courant numbers of the face
     velocities u, the viscous 2 dt eps / h^2 per axis and dt (K1 + K2 + D).
-    Only the first part depends on the new density.  Without u the result
-    is the n-independent floor; every term is non-negative and rounded
-    addition is monotone, so the floor never exceeds the full budget.
+    ``suggest_dt`` evaluates it at dt = 1 on the current density;
+    ``fraction_update`` enforces it at the step's dt on the new one.
     """
     budget = np.zeros(grid.shape)
     for axis, ui in enumerate(u):
@@ -447,7 +450,6 @@ def fraction_update(
     n_new: Field,
     dt: float,
     params: ModelParams,
-    rates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Field, float]:
     """Explicit upwind advection of the fraction plus explicit reaction.
 
@@ -455,10 +457,7 @@ def fraction_update(
     plus dt times the reaction rates, see ``_fraction_budget``) must stay at
     or below one; that is the condition under which the update is a convex
     combination and the reaction keeps c inside [0, 1].  A violated budget
-    raises SolverFailure so the caller can halve dt.  Within a step, the
-    retry loop has already checked the n-independent part of the budget at
-    this dt, so a rejection here comes from the advective inflow.  ``rates``
-    are the step's ``_fraction_rates``; they are evaluated here when omitted.
+    raises SolverFailure so the caller can halve dt.
     """
     grid = state.grid
     c = state.c.values
@@ -478,7 +477,7 @@ def fraction_update(
     if params.eps_reg > 0.0:
         diff = params.eps_reg * laplacian_neumann(Field(grid, c))
 
-    k1, k2, rate_sum = rates if rates is not None else _fraction_rates(state, params)
+    k1, k2, rate_sum = _fraction_rates(state, params)
     reaction = k1 * (1.0 - c) - k2 * c - params.D * c * (1.0 - c)
     _enforce_budget(_fraction_budget(grid, dt, params, rate_sum, u))
 
@@ -588,15 +587,13 @@ def _pipeline(
     consts: DerivedConstants,
     settings: SolverSettings,
     dt: float,
-    rates: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[State, StepReport]:
     n_new, report = density_solve(state, dt, params, settings)
-    c_new, cfl_limit = fraction_update(state, n_new, dt, params, rates)
+    c_new, cfl_limit = fraction_update(state, n_new, dt, params)
     report.cfl_limit = cfl_limit
     d_new, clamped, lin = nutrient_solve(state, n_new, c_new, dt, params, consts)
     report.clamped_cells += clamped
     report.linear_iters += lin
-    report.dt_used = dt
     return State(t=state.t + dt, n=n_new, c=c_new, d=d_new, gamma=params.gamma), report
 
 
@@ -610,38 +607,28 @@ def step(
     """Advance one step of the scheme: try dt_hint, halving dt after each rejected attempt.
 
     eps_reg = 0 runs the plain scheme; eps_reg > 0 needs a resolved cutoff
-    level ell_cut > 0.  At the dt ``suggest_dt`` proposes, the fraction
-    budget of the current state holds, so the halvings are guards.  Up to
-    retry_max halvings are made.  Before the solves of an attempt, the
-    n-independent floor of the fraction budget (viscous and reaction terms)
-    is checked at its dt.  Any dt it rejects would also fail the full solve,
-    at the latest in the full budget of ``fraction_update``, so the
-    pre-check changes no accepted dt or state; it only skips the doomed
-    solves.  Either kind of rejection counts as one retry and is recorded
-    in ``StepReport.rejections``.
+    level ell_cut > 0.  An attempt runs the density solve, the fraction
+    update and the nutrient solve at its dt; a SolverFailure from any of
+    them rejects it, records its message in ``StepReport.rejections`` and
+    halves dt, up to retry_max times.  At the dt ``suggest_dt`` proposes,
+    the fraction budget of the current state holds, so the halvings are
+    guards.
     """
     if params.eps_reg > 0.0 and not (params.ell_cut > 0.0):
         raise ValueError("eps_reg > 0 requires a resolved cutoff level ell_cut > 0")
     if not (dt_hint > 0.0):
         raise ValueError(f"dt must be positive, got {dt_hint}")
-    rates = _fraction_rates(state, params)
     dt = dt_hint
     rejections: list[str] = []
-    last_error = None
-    for attempt in range(settings.retry_max + 1):
-        stage = "pre-check"
+    for _ in range(settings.retry_max + 1):
         try:
-            _enforce_budget(_fraction_budget(state.grid, dt, params, rates[2]))
-            stage = "solve"
-            new_state, report = _pipeline(state, params, consts, settings, dt, rates)
+            new_state, report = _pipeline(state, params, consts, settings, dt)
         except SolverFailure as exc:
-            rejections.append(f"{stage}: {exc}")
-            last_error = exc
+            rejections.append(str(exc))
             dt *= 0.5
             continue
-        report.retries = attempt
         report.rejections = rejections
         return new_state, report
     raise SolverFailure(
-        f"step failed after {settings.retry_max} dt halvings (last: {last_error})"
+        f"step failed after {settings.retry_max} dt halvings (last: {rejections[-1]})"
     )

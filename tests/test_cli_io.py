@@ -141,6 +141,18 @@ class TestCli:
         assert code == 0
         assert "L " in out and "G0" in out and "M0" in out and "H7" in out
 
+    def test_check_and_run_agree_on_an_inadmissible_sigma(self, tmp_path, capsys):
+        # G0 = 1 and T = 0.05 admit sigma < e^-0.05 = 0.951 only
+        cfg_path = write_cfg(
+            tmp_path, BASE_TEXT + f"model.sigma = 0.99\noutput.dir = {tmp_path}/out\n"
+        )
+        assert main(["check", "--config", cfg_path]) == 0
+        out = capsys.readouterr().out
+        assert "H7      not checkable (sigma = 0.99 not admissible)" in out
+        assert main(["run", "--config", cfg_path]) == 0
+        err = capsys.readouterr().err
+        assert "warning: sigma = 0.99 is not admissible (needs < e^(-G0 T) = 0.951)" in err
+
     def test_missing_config_flag_is_config_error(self, capsys):
         code = main(["run"])
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tissuesim.config import parse_config
 from tissuesim.diagnostics import (
     aronson_benilan_gap,
     entropy_dissipation,
+    excess_measure,
     free_boundary,
     weighted_energy,
 )
@@ -24,6 +26,8 @@ from tissuesim.harness import (
     space_time_distance,
     sweep_config_from,
 )
+
+SWEEP_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sweep.cfg"
 
 INERT_TEXT = """
 grid.cells_x = 16
@@ -110,17 +114,36 @@ class TestSweep:
     def test_requires_two_gammas(self):
         cfg = parse_config(BUMP_TEXT)
         with pytest.raises(ValueError):
-            SweepConfig(gammas=(5.0,), base=cfg, tau=0.02, delta=0.05)
+            SweepConfig(gammas=(5.0,), base=cfg, tau=0.02)
 
     def test_rejects_decreasing(self):
         cfg = parse_config(BUMP_TEXT)
         with pytest.raises(ValueError):
-            SweepConfig(gammas=(10.0, 5.0), base=cfg, tau=0.02, delta=0.05)
+            SweepConfig(gammas=(10.0, 5.0), base=cfg, tau=0.02)
 
     def test_tau_must_be_inside_horizon(self):
         cfg = parse_config(BUMP_TEXT)
         with pytest.raises(ValueError):
-            SweepConfig(gammas=(5.0, 10.0), base=cfg, tau=0.5, delta=0.05)
+            SweepConfig(gammas=(5.0, 10.0), base=cfg, tau=0.5)
+
+    def test_delta_follows_the_base_config(self):
+        # the reported delta is the one the excess measure {n >= 1 + delta} used
+        shipped = parse_config(SWEEP_CONFIG.read_text())
+        excess = {}
+        for delta in (0.05, 0.4):
+            base = shipped.with_overrides(
+                initial__height=1.5, time__T_final=0.01, time__snapshot_stride=1,
+                sweep__delta=delta,
+            )
+            report = gamma_sweep(SweepConfig(gammas=(1.0, 2.0), base=base, tau=0.001))
+            assert report.delta == delta
+            for entry in report.entries:
+                res = run(base.with_overrides(model__gamma=entry.gamma, initial__lift="gamma"))
+                late = [s for s in res.history.snapshots if s.t >= 0.001 - 1e-14]
+                assert entry.excess_max == max(excess_measure(s, delta) for s in late)
+            excess[delta] = [e.excess_max for e in report.entries]
+        assert excess[0.05] == pytest.approx([0.805, 0.28], abs=1e-12)
+        assert excess[0.4] == pytest.approx([0.355, 0.14], abs=1e-12)
 
     def test_report_has_one_entry_per_gamma(self):
         cfg = parse_config(BUMP_TEXT + "sweep.gammas = 4,8,16\nsweep.tau = 0.02\n")

@@ -2,7 +2,8 @@
 
 The benchmark tracer wraps package functions by module attribute name.  A
 renamed or deleted attribute would make the traced benchmark run fail, so
-every (module, attribute) pair it wraps must resolve to a callable.
+every (module, attribute) pair it wraps must resolve to a callable, and a
+traced run must count each step and each attempt in the layer that made it.
 
 The benchmark also measures set-up time and peak memory, which grow with
 every heavy module the package imports.
@@ -13,13 +14,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+CONFIGS = ROOT / "configs"
 
 
-def test_every_traced_attribute_resolves():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_attribute_resolves():
+    tracer = load_tracer()
     assert tracer._SPANS
     missing = [
         f"{module.__name__}.{attr}"
@@ -27,6 +35,29 @@ def test_every_traced_attribute_resolves():
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
+
+
+def test_traced_run_attributes_every_attempt():
+    # each step asks suggest_dt once, and each attempt runs the density
+    # solve, the fraction update and the nutrient solve once
+    from tissuesim import harness
+    from tissuesim.config import parse_config
+
+    tracer = load_tracer().Tracer()
+    cfg = parse_config((CONFIGS / "growth_1d.cfg").read_text())
+    tracer.install()
+    try:
+        res = harness.run(cfg)
+    finally:
+        unrestored = tracer.uninstall()
+    assert unrestored == []
+    assert res.ok
+    counts = tracer.counts
+    assert counts["stepper.steps"] == res.steps > 0
+    assert counts["stepper.attempts"] == res.steps
+    assert counts["stepper.suggest_dt.calls"] == res.steps
+    for phase in ("density_solve", "fraction_update", "nutrient_solve"):
+        assert counts[f"stepper.{phase}.calls"] == counts["stepper.attempts"]
 
 
 def test_stepper_reaches_linalg_through_the_module():
