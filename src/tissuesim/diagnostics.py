@@ -290,17 +290,13 @@ def free_boundary(state: State, threshold: float, axis: int = 0):
 
 
 def _line_crossings(vals: np.ndarray, coords: np.ndarray, threshold: float) -> np.ndarray:
+    """Sorted cell centres where vals equals threshold, plus the linear
+    interpolant of each sign change of vals - threshold between neighbours."""
     s = vals - threshold
-    crossings = []
-    for i in range(len(vals) - 1):
-        if s[i] == 0.0:
-            crossings.append(float(coords[i]))
-        elif s[i] * s[i + 1] < 0.0:
-            w = s[i] / (s[i] - s[i + 1])
-            crossings.append(float(coords[i] + w * (coords[i + 1] - coords[i])))
-    if len(vals) and s[-1] == 0.0:
-        crossings.append(float(coords[-1]))
-    return np.array(sorted(crossings))
+    i = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+    w = s[i] / (s[i] - s[i + 1])
+    interpolated = coords[i] + w * (coords[i + 1] - coords[i])
+    return np.sort(np.concatenate((coords[s == 0.0], interpolated)))
 
 
 @dataclass(frozen=True)

@@ -425,7 +425,9 @@ class SweepEntry:
     excess_max: float
     seg_integral: float
     comp_integral: float
-    fraction_gap: float       # max |c - c of the previous gamma run| proxy, nan for first
+    # L2 distance of c to the previous gamma's run over Omega x [tau, T]
+    # (space_time_distance), nan for the first gamma
+    fraction_gap: float
     wall_clock: float
     failure: str | None = None
 

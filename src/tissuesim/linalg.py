@@ -1,10 +1,14 @@
 """Deterministic linear solvers for the implicit sub-steps.
 
-Tridiagonal systems go through a banded direct solve; a block of independent
-tridiagonal systems is one banded system whose couplings between blocks are
-zero.  The orthonormal sine transform (DST-II) diagonalizes the cell-centred
-Dirichlet Laplacian along one axis, so it turns a constant-coefficient 2D
-solve into such a block.  Variable-coefficient 2D systems are SPD (after
+Tridiagonal systems go through a banded direct solve, LAPACK ``dgtsv``; a
+block of independent tridiagonal systems is one banded system whose
+couplings between blocks are zero.  ``dgtsv`` comes from scipy's compiled
+LAPACK extension ``scipy.linalg._flapack``, loaded on its own:
+``scipy.linalg`` itself is never imported, because importing that package
+takes longer than all of tissuesim's other imports together.  The
+orthonormal sine transform (DST-II) diagonalizes the cell-centred Dirichlet
+Laplacian along one axis, so it turns a constant-coefficient 2D solve into
+such a block.  Variable-coefficient 2D systems are SPD (after
 symmetrization in the caller) and go through conjugate gradients with
 Jacobi preconditioning.  Every path uses fixed iteration and accumulation
 orders: identical inputs give bit-identical outputs.
@@ -12,16 +16,41 @@ orders: identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import SolverFailure
 
 #: direct-solve residual must stay below this times (|rhs| + |solution|)
 DIRECT_RESIDUAL_TOL = 1e-12
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK module, found and loaded without importing scipy.
+
+    ``find_spec("scipy")`` only locates the top-level package; resolving
+    ``scipy.linalg._flapack`` by its dotted name would run the ``scipy`` and
+    ``scipy.linalg`` package imports first.  The extension itself needs
+    numpy alone.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed: its LAPACK extension provides dgtsv")
+    linalg_dir = os.path.join(os.path.dirname(scipy_spec.origin), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", [linalg_dir])
+    if spec is None:
+        raise ImportError(f"scipy.linalg._flapack not found in {linalg_dir}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dgtsv = _load_flapack().dgtsv
 
 
 @dataclass(frozen=True)

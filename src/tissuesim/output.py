@@ -101,6 +101,11 @@ def write_timeseries(path: str, ledger: EnergyLedger, cfg_hash: str) -> None:
 def write_sweep_report(path: str, report: SweepReport) -> None:
     """Per-gamma aggregates plus the consecutive-pair v distances.
 
+    The two distances of row i pair different runs: ``fraction_gap`` is the
+    c distance between gamma_{i-1} and gamma_i (nan on the first row), while
+    ``dist_to_next`` is the v distance between gamma_i and gamma_{i+1} (nan on
+    the last row).
+
     Wall-clock timings are intentionally not serialized (they would break
     byte-identical reruns); callers print them to the console instead.
     """

@@ -18,6 +18,7 @@ from tissuesim.diagnostics import (
     segregation_product,
     weighted_energy,
 )
+from tissuesim.diagnostics import _line_crossings
 from tissuesim.grid import Field, Grid
 from tissuesim.model import DerivedConstants, ModelParams, RateFunction, RateFunctions
 from tissuesim.stepper import State
@@ -240,6 +241,55 @@ class TestFreeBoundary:
         s = make_state(np.ones(8))
         with pytest.raises(ValueError):
             free_boundary(s, 0.0)
+
+
+def reference_line_crossings(vals, coords, threshold):
+    """The per-cell loop that ``_line_crossings`` replaced."""
+    s = vals - threshold
+    crossings = []
+    for i in range(len(vals) - 1):
+        if s[i] == 0.0:
+            crossings.append(float(coords[i]))
+        elif s[i] * s[i + 1] < 0.0:
+            w = s[i] / (s[i] - s[i + 1])
+            crossings.append(float(coords[i] + w * (coords[i + 1] - coords[i])))
+    if len(vals) and s[-1] == 0.0:
+        crossings.append(float(coords[-1]))
+    return np.array(sorted(crossings))
+
+
+class TestLineCrossings:
+    @staticmethod
+    def assert_matches_reference(vals, coords, threshold):
+        got = _line_crossings(vals, coords, threshold)
+        want = reference_line_crossings(vals, coords, threshold)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_profiles(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        coords = np.sort(rng.uniform(-1.0, 1.0, n))
+        self.assert_matches_reference(rng.standard_normal(n), coords, 0.3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_hits_on_the_threshold(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 60))
+        coords = np.cumsum(rng.uniform(0.1, 1.0, n))
+        vals = rng.choice([0.25, 0.5, 0.5, 0.75], n)
+        vals[-1] = 0.5  # a hit on the last cell
+        self.assert_matches_reference(vals, coords, 0.5)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5])
+    def test_all_zero_input(self, threshold):
+        coords = np.linspace(0.0, 1.0, 17)
+        self.assert_matches_reference(np.zeros(17), coords, threshold)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_cells(self, n):
+        self.assert_matches_reference(np.full(n, 0.5), np.arange(n, dtype=float), 0.5)
 
 
 class TestCheckAll:

@@ -1,8 +1,16 @@
+import importlib.machinery
+import importlib.util
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tissuesim import linalg
 from tissuesim.errors import SolverFailure
 from tissuesim.grid import Field, Grid, laplacian_dirichlet
 from tissuesim.linalg import (
@@ -82,6 +90,63 @@ class TestThomas:
         dense = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
         expected = np.linalg.solve(dense, rhs)
         assert np.allclose(thomas_solve(m, rhs), expected, atol=1e-10)
+
+
+def dominant_tridiag(rng, n):
+    lower = rng.uniform(-1, 1, n)
+    upper = rng.uniform(-1, 1, n)
+    lower[0] = upper[-1] = 0.0
+    return TriDiag(lower=lower, diag=3.0 + rng.uniform(0, 1, n), upper=upper)
+
+
+def run_probe(code):
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = f"import sys; sys.path.insert(0, {str(src)!r}); " + code
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+class TestLapackLoader:
+    def test_import_loads_only_the_lapack_extension(self):
+        # the scipy package import costs more start-up than all of tissuesim
+        out = run_probe(
+            "import tissuesim; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        assert out == "['scipy.linalg._flapack']"
+
+    def test_scipy_linalg_imports_after_tissuesim(self):
+        out = run_probe(
+            "import numpy as np; import tissuesim; import scipy.linalg; "
+            "from tissuesim.linalg import TriDiag, dgtsv, thomas_solve; "
+            "m = TriDiag(np.array([0.0, 1.0, 1.0]), np.full(3, 4.0), np.array([1.0, 1.0, 0.0])); "
+            "rhs = np.array([1.0, 2.0, 3.0]); "
+            "banded = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]); "
+            "print(dgtsv is scipy.linalg.lapack.dgtsv, "
+            "np.array_equal(scipy.linalg.solve_banded((1, 1), banded, rhs), thomas_solve(m, rhs)))"
+        )
+        assert out == "True True"
+
+    @pytest.mark.parametrize("blocks", [1, 8])
+    def test_bit_identical_to_scipy_dgtsv(self, blocks):
+        from scipy.linalg.lapack import dgtsv
+
+        rng = np.random.default_rng(blocks)
+        m = dominant_tridiag(rng, 400)
+        # independent systems stacked end to end: no coupling across block edges
+        m.lower[::400 // blocks] = 0.0
+        m.upper[400 // blocks - 1::400 // blocks] = 0.0
+        rhs = rng.standard_normal(400)
+        *_, expected, info = dgtsv(m.lower[1:], m.diag, m.upper[:-1], rhs)
+        assert info == 0
+        assert thomas_solve(m, rhs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("installed", [True, False])
+    def test_missing_extension_is_import_error(self, monkeypatch, tmp_path, installed):
+        spec = importlib.machinery.ModuleSpec("scipy", None, origin=str(tmp_path / "__init__.py"))
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec if installed else None)
+        match = re.escape(str(tmp_path / "linalg")) if installed else "scipy is not installed"
+        with pytest.raises(ImportError, match=match):
+            linalg._load_flapack()
 
 
 def dst2_matrix(n):
