@@ -36,19 +36,11 @@ def grad_squared_integral(f: Field) -> float:
 
 def cellwise_grad_squared(f: Field) -> np.ndarray:
     """|grad f|^2 averaged onto cells; boundary faces contribute zero (no-flux)."""
-    grid = f.grid
-    out = np.zeros(grid.shape)
-    grads = face_gradient(f)
-    if grid.dim == 1:
-        g2 = grads[0] ** 2
-        out[:-1] += 0.5 * g2
-        out[1:] += 0.5 * g2
-        return out
-    gx2, gy2 = grads[0] ** 2, grads[1] ** 2
-    out[:-1, :] += 0.5 * gx2
-    out[1:, :] += 0.5 * gx2
-    out[:, :-1] += 0.5 * gy2
-    out[:, 1:] += 0.5 * gy2
+    out = np.zeros(f.grid.shape)
+    for g, (lo, hi) in zip(face_gradient(f), f.grid.sides):
+        g2 = g ** 2
+        out[lo] += 0.5 * g2
+        out[hi] += 0.5 * g2
     return out
 
 
@@ -200,13 +192,7 @@ def complementarity_residual(state: State, params: ModelParams) -> float:
     grid = state.grid
     v = state.v
     grads = face_gradient(v)
-    if grid.dim == 1:
-        v_face = (0.5 * (v.values[:-1] + v.values[1:]),)
-    else:
-        v_face = (
-            0.5 * (v.values[:-1, :] + v.values[1:, :]),
-            0.5 * (v.values[:, :-1] + v.values[:, 1:]),
-        )
+    v_face = tuple(0.5 * (v.values[lo] + v.values[hi]) for lo, hi in grid.sides)
     div_term = divergence(grid, tuple(vf * g for vf, g in zip(v_face, grads)))
     grad_sq = cellwise_grad_squared(v)
     g = np.asarray(params.rates.G(state.d.values), dtype=float)
@@ -266,11 +252,12 @@ def aronson_benilan_gap(history: RunHistory) -> float:
     return gap
 
 
-def free_boundary(state: State, threshold: float, axis: int = 0):
+def free_boundary(state: State, threshold: float):
     """Linear-interpolated crossings of v = threshold.
 
     1D: sorted array of crossing coordinates.  2D: list of
-    (axis, line_index, coordinate) tuples, scanning along both axes.
+    (axis, line_index, coordinate) tuples, the lines along x (by their y
+    index) first, then the lines along y (by their x index).
     """
     if not (threshold > 0.0):
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -279,13 +266,10 @@ def free_boundary(state: State, threshold: float, axis: int = 0):
     if grid.dim == 1:
         return _line_crossings(v, grid.centers(0), threshold)
     out = []
-    xs, ys = grid.centers(0), grid.centers(1)
-    for j in range(grid.cells[1]):
-        for pos in _line_crossings(v[:, j], xs, threshold):
-            out.append((0, j, pos))
-    for i in range(grid.cells[0]):
-        for pos in _line_crossings(v[i, :], ys, threshold):
-            out.append((1, i, pos))
+    for axis in range(grid.dim):
+        coords = grid.centers(axis)
+        for k, line in enumerate(np.moveaxis(v, axis, -1)):
+            out.extend((axis, k, pos) for pos in _line_crossings(line, coords, threshold))
     return out
 
 

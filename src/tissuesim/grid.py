@@ -4,10 +4,16 @@ Conventions:
   * fields live at cell centers, one value per cell;
   * fluxes and gradients live on interior faces, one array per axis;
   * boundary faces carry zero flux (no-flux boundary for the cell equations),
-    the nutrient equation uses Dirichlet ghost cells instead.
+    the nutrient equation uses Dirichlet ghost cells instead;
+  * ``Grid.sides[axis]`` is the pair ``(lo, hi)`` of index tuples that pick
+    the cells below and above each interior face of that axis, so face k of
+    a face array sits between ``values[lo][k]`` and ``values[hi][k]``.  In 1D
+    that is ``((slice(None, -1),), (slice(1, None),))``.
 
-All operators are pure functions of their inputs.  ``integrate`` accumulates
-in a fixed order so repeated runs are bit-identical.
+Each operator is written once for any dimension, as a loop over the axes'
+sides in axis order (x before y).  All operators are pure functions of their
+inputs.  ``integrate`` accumulates in a fixed order so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ class Grid:
     extents: tuple[float, ...]
     cells: tuple[int, ...]
     h: tuple[float, ...] = field(init=False)
+    # derived from cells; slices are unhashable before Python 3.12
+    sides: tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -40,6 +50,11 @@ class Grid:
         object.__setattr__(
             self, "h", tuple(e / n for e, n in zip(self.extents, self.cells))
         )
+        whole = (slice(None),) * self.dim
+        object.__setattr__(self, "sides", tuple(
+            tuple(whole[:axis] + (cut,) + whole[axis + 1:] for cut in (slice(None, -1), slice(1, None)))
+            for axis in range(self.dim)
+        ))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -64,11 +79,7 @@ class Grid:
 
     def coordinate_fields(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinates, broadcast to the full cell shape."""
-        if self.dim == 1:
-            return (self.centers(0),)
-        x = self.centers(0)[:, None] + np.zeros(self.cells)
-        y = self.centers(1)[None, :] + np.zeros(self.cells)
-        return x, y
+        return tuple(np.meshgrid(*(self.centers(a) for a in range(self.dim)), indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -110,13 +121,8 @@ def face_gradient(f: Field) -> tuple[np.ndarray, ...]:
     1D: shape (nx-1,).  2D: x-faces (nx-1, ny) and y-faces (nx, ny-1).
     Boundary faces are excluded (no-flux).
     """
-    g = f.grid
     v = f.values
-    if g.dim == 1:
-        return ((v[1:] - v[:-1]) / g.h[0],)
-    gx = (v[1:, :] - v[:-1, :]) / g.h[0]
-    gy = (v[:, 1:] - v[:, :-1]) / g.h[1]
-    return gx, gy
+    return tuple((v[hi] - v[lo]) / h for (lo, hi), h in zip(f.grid.sides, f.grid.h))
 
 
 def divergence(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -126,16 +132,9 @@ def divergence(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> np.ndarray:
     what makes the implicit density update conservative.
     """
     out = np.zeros(grid.shape)
-    if grid.dim == 1:
-        q = fluxes[0]
-        out[:-1] += q / grid.h[0]
-        out[1:] -= q / grid.h[0]
-        return out
-    qx, qy = fluxes
-    out[:-1, :] += qx / grid.h[0]
-    out[1:, :] -= qx / grid.h[0]
-    out[:, :-1] += qy / grid.h[1]
-    out[:, 1:] -= qy / grid.h[1]
+    for q, (lo, hi), h in zip(fluxes, grid.sides, grid.h):
+        out[lo] += q / h
+        out[hi] -= q / h
     return out
 
 
@@ -154,23 +153,14 @@ def laplacian_dirichlet(f: Field, boundary_value: float) -> np.ndarray:
     The ghost value 2*boundary_value - interior puts the boundary value on
     the face, giving second-order accuracy at the wall.
     """
-    g = f.grid
-    v = f.values
     out = laplacian_neumann(f)
     # Neumann part has zero boundary-face flux; add the Dirichlet correction
     # (ghost - interior)/h = 2*(boundary_value - interior)/h per boundary face.
-    if g.dim == 1:
-        h = g.h[0]
-        out = out.copy()
-        out[0] += 2.0 * (boundary_value - v[0]) / h**2
-        out[-1] += 2.0 * (boundary_value - v[-1]) / h**2
-        return out
-    hx, hy = g.h
-    out = out.copy()
-    out[0, :] += 2.0 * (boundary_value - v[0, :]) / hx**2
-    out[-1, :] += 2.0 * (boundary_value - v[-1, :]) / hx**2
-    out[:, 0] += 2.0 * (boundary_value - v[:, 0]) / hy**2
-    out[:, -1] += 2.0 * (boundary_value - v[:, -1]) / hy**2
+    for axis, h in enumerate(f.grid.h):
+        walls = np.swapaxes(out, 0, axis)
+        v = np.swapaxes(f.values, 0, axis)
+        walls[0] += 2.0 * (boundary_value - v[0]) / h**2
+        walls[-1] += 2.0 * (boundary_value - v[-1]) / h**2
     return out
 
 

@@ -86,12 +86,11 @@ def make_settings(cfg: RunConfig) -> SolverSettings:
 
 def build_grid(cfg: RunConfig) -> Grid:
     dim = cfg["grid.dim"]
-    if dim == 1:
-        return Grid(dim=1, extents=(cfg["grid.extent_x"],), cells=(cfg["grid.cells_x"],))
+    axes = ("x", "y")[:dim]
     return Grid(
-        dim=2,
-        extents=(cfg["grid.extent_x"], cfg["grid.extent_y"]),
-        cells=(cfg["grid.cells_x"], cfg["grid.cells_y"]),
+        dim=dim,
+        extents=tuple(cfg[f"grid.extent_{a}"] for a in axes),
+        cells=tuple(cfg[f"grid.cells_{a}"] for a in axes),
     )
 
 
@@ -133,39 +132,29 @@ def initial_fields(cfg: RunConfig, grid: Grid, params: ModelParams) -> tuple[Fie
             shape = np.where(inside, np.exp(1.0 - 1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
         n = n + cfg["initial.height"] * shape
     else:  # barenblatt
-        coords = grid.coordinate_fields()
-        if grid.dim == 1:
-            n = barenblatt_profile(
-                coords[0], cfg["initial.t0"], params.gamma, cfg["initial.bb_const"],
-                center=cfg["initial.center"], dim=1,
-            )
-        else:
-            r2 = (coords[0] - cfg["initial.center"]) ** 2 + (coords[1] - cfg["initial.center_y"]) ** 2
-            n = barenblatt_profile(
-                np.sqrt(r2), cfg["initial.t0"], params.gamma, cfg["initial.bb_const"],
-                center=0.0, dim=2,
-            )
+        r = np.sqrt(sum(o ** 2 for o in _offsets(cfg, grid)))
+        n = barenblatt_profile(
+            r, cfg["initial.t0"], params.gamma, cfg["initial.bb_const"], dim=grid.dim
+        )
     c = np.full(grid.shape, cfg["initial.c0"])
     d = np.full(grid.shape, cfg["initial.d0"])
     return Field(grid, n), Field(grid, c), Field(grid, d)
 
 
+def _offsets(cfg: RunConfig, grid: Grid) -> tuple[np.ndarray, ...]:
+    """Per-axis offsets of the cell centres from the configured centre."""
+    center = (cfg["initial.center"], cfg["initial.center_y"])
+    return tuple(x - x0 for x, x0 in zip(grid.coordinate_fields(), center))
+
+
 def _window_mask(cfg: RunConfig, grid: Grid) -> np.ndarray:
     half = cfg["initial.width"] / 2.0
-    coords = grid.coordinate_fields()
-    inside = np.abs(coords[0] - cfg["initial.center"]) <= half
-    if grid.dim == 2:
-        inside = inside & (np.abs(coords[1] - cfg["initial.center_y"]) <= half)
-    return inside
+    return np.all([np.abs(o) <= half for o in _offsets(cfg, grid)], axis=0)
 
 
 def _radial_sq(cfg: RunConfig, grid: Grid) -> np.ndarray:
     half = cfg["initial.width"] / 2.0
-    coords = grid.coordinate_fields()
-    r2 = ((coords[0] - cfg["initial.center"]) / half) ** 2
-    if grid.dim == 2:
-        r2 = r2 + ((coords[1] - cfg["initial.center_y"]) / half) ** 2
-    return r2
+    return sum((o / half) ** 2 for o in _offsets(cfg, grid))
 
 
 def apply_lift(n: Field, c: Field, amount: float) -> tuple[Field, Field]:

@@ -71,7 +71,7 @@ def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
     block is written before the next is formatted.
     """
     grid = state.grid
-    coord_names = ("x",) if grid.dim == 1 else ("x", "y")
+    coord_names = ("x", "y")[: grid.dim]
     header = [
         f"# time = {fmt(state.t)}",
         f"# gamma = {fmt(state.gamma)}",

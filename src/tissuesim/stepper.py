@@ -105,7 +105,6 @@ class StepReport:
     newton_iters: int = 0
     newton_residual: float = math.inf
     linear_iters: int = 0
-    cfl_limit: float = math.inf
     clamped_cells: int = 0
     cutoff_activations: int = 0
     newton_fallbacks: int = 0
@@ -419,19 +418,11 @@ def _fraction_budget(
     ``fraction_update`` enforces it at the step's dt on the new one.
     """
     budget = np.zeros(grid.shape)
-    for axis, ui in enumerate(u):
-        h = grid.h[axis]
-        inflow_lo = np.maximum(ui, 0.0)   # face feeds the right cell
-        inflow_hi = np.maximum(-ui, 0.0)  # face feeds the left cell
-        if grid.dim == 1:
-            budget[1:] += dt / h * inflow_lo
-            budget[:-1] += dt / h * inflow_hi
-        elif axis == 0:
-            budget[1:, :] += dt / h * inflow_lo
-            budget[:-1, :] += dt / h * inflow_hi
-        else:
-            budget[:, 1:] += dt / h * inflow_lo
-            budget[:, :-1] += dt / h * inflow_hi
+    for ui, (lo, hi), h in zip(u, grid.sides, grid.h):
+        inflow_lo = np.maximum(ui, 0.0)   # face feeds the hi cell
+        inflow_hi = np.maximum(-ui, 0.0)  # face feeds the lo cell
+        budget[hi] += dt / h * inflow_lo
+        budget[lo] += dt / h * inflow_hi
     if params.eps_reg > 0.0:
         for h in grid.h:
             budget += 2.0 * dt * params.eps_reg / h**2
@@ -450,7 +441,7 @@ def fraction_update(
     n_new: Field,
     dt: float,
     params: ModelParams,
-) -> tuple[Field, float]:
+) -> Field:
     """Explicit upwind advection of the fraction plus explicit reaction.
 
     The per-cell monotonicity budget (advection + diffusion Courant numbers
@@ -464,13 +455,7 @@ def fraction_update(
     u = _face_velocities(n_new, params.gamma, params.eps_reg)
 
     # advective form via flux differencing: div(u c_up) - c div(u)
-    if grid.dim == 1:
-        up_c = (upwind_face_values(c[:-1], c[1:], u[0]),)
-    else:
-        up_c = (
-            upwind_face_values(c[:-1, :], c[1:, :], u[0]),
-            upwind_face_values(c[:, :-1], c[:, 1:], u[1]),
-        )
+    up_c = tuple(upwind_face_values(c[lo], c[hi], ui) for ui, (lo, hi) in zip(u, grid.sides))
     adv = divergence(grid, tuple(ui * ci for ui, ci in zip(u, up_c))) - c * divergence(grid, u)
 
     diff = 0.0
@@ -481,11 +466,7 @@ def fraction_update(
     reaction = k1 * (1.0 - c) - k2 * c - params.D * c * (1.0 - c)
     _enforce_budget(_fraction_budget(grid, dt, params, rate_sum, u))
 
-    c_new = c + dt * (-adv + diff + reaction)
-    speed_max = max([0.0, *(float(np.max(np.abs(ui))) for ui in u if ui.size)])
-    h_min = min(grid.h)
-    cfl_limit = h_min / speed_max if speed_max > 0.0 else math.inf
-    return Field(grid, c_new), cfl_limit
+    return Field(grid, c + dt * (-adv + diff + reaction))
 
 
 def nutrient_solve(
@@ -589,8 +570,7 @@ def _pipeline(
     dt: float,
 ) -> tuple[State, StepReport]:
     n_new, report = density_solve(state, dt, params, settings)
-    c_new, cfl_limit = fraction_update(state, n_new, dt, params)
-    report.cfl_limit = cfl_limit
+    c_new = fraction_update(state, n_new, dt, params)
     d_new, clamped, lin = nutrient_solve(state, n_new, c_new, dt, params, consts)
     report.clamped_cells += clamped
     report.linear_iters += lin

@@ -405,7 +405,7 @@ class TestFractionUpdate:
         grid = small_grid(8)
         params = ModelParams(rates=rates(k2=("constant", 3.0)), gamma=2.0, d_b=0.0)
         s = uniform_state(grid, n=0.5, c=0.0, d=0.3)
-        c_new, _ = fraction_update(s, s.n, 0.05, params)
+        c_new = fraction_update(s, s.n, 0.05, params)
         assert np.all(c_new.values == 0.0)
 
     def test_full_fraction_stays_without_back_transition(self):
@@ -413,7 +413,7 @@ class TestFractionUpdate:
         grid = small_grid(8)
         params = ModelParams(rates=rates(k1=("constant", 2.0)), gamma=2.0, d_b=0.0)
         s = uniform_state(grid, n=0.5, c=1.0, d=0.3)
-        c_new, _ = fraction_update(s, s.n, 0.05, params)
+        c_new = fraction_update(s, s.n, 0.05, params)
         assert np.allclose(c_new.values, 1.0, atol=1e-15)
 
     def test_single_step_reaction_oracle(self):
@@ -425,7 +425,7 @@ class TestFractionUpdate:
             D=1e-30, gamma=2.0, d_b=0.0,
         )
         s = uniform_state(grid, n=0.5, c=0.0)
-        c_new, _ = fraction_update(s, s.n, 0.1, params)
+        c_new = fraction_update(s, s.n, 0.1, params)
         assert c_new.values[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_many_steps_track_relaxation_odes(self):
@@ -438,7 +438,7 @@ class TestFractionUpdate:
         s = uniform_state(grid, n=0.5, c=0.0)
         dt = 0.01
         for _ in range(100):
-            c_new, _ = fraction_update(s, s.n, dt, params)
+            c_new = fraction_update(s, s.n, dt, params)
             s = State(t=s.t + dt, n=s.n, c=c_new, d=s.d, gamma=s.gamma)
         exact = 0.5 * (1.0 - math.exp(-2.0))
         assert s.c.values[0] == pytest.approx(exact, abs=5e-3)
@@ -459,7 +459,7 @@ class TestFractionUpdate:
         c = Field(grid, (x < 0.5).astype(float))
         s = State(t=0.0, n=n, c=c, d=Field.zeros(grid), gamma=2.0)
         dt = 0.25 * grid.h[0] / 2.0
-        c_new, _ = fraction_update(s, n, dt, params)
+        c_new = fraction_update(s, n, dt, params)
         assert c_new.values.min() >= -1e-12
         assert c_new.values.max() <= 1.0 + 1e-12
 
@@ -486,7 +486,7 @@ class TestFractionUpdate:
         )
         dt = 0.2 * grid.h[0] / max(1.0, 2.0 * float(np.max(n_vals)) ** 2)
         try:
-            c_new, _ = fraction_update(s, s.n, dt, params)
+            c_new = fraction_update(s, s.n, dt, params)
         except SolverFailure:
             return  # budget rejected the step; nothing to assert
         assert c_new.values.min() >= -1e-12
