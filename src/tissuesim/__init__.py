@@ -9,19 +9,18 @@ quantities that control the incompressible (gamma -> infinity) limit.
 from .config import RunConfig, config_hash, default_config, parse_config, serialize_config
 from .diagnostics import (
     EnergyLedger,
+    FieldSamples,
     RunHistory,
     TolConfig,
+    WindowIntegrals,
     aronson_benilan_gap,
     check_all,
-    complementarity_residual,
-    entropy_dissipation,
     excess_measure,
     free_boundary,
-    segregation_product,
-    weighted_energy,
+    v_integrals,
 )
 from .errors import ConfigError, SolverFailure
-from .grid import Field, Grid, divergence, face_gradient, integrate, laplacian_dirichlet, laplacian_neumann
+from .grid import Field, Grid, divergence, face_gradient, laplacian_neumann
 from .harness import (
     SweepConfig,
     barenblatt_benchmark,

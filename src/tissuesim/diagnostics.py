@@ -4,44 +4,70 @@ Everything here is pure post-processing: the incompressible-limit study
 hinges on a handful of integral quantities (time-weighted energy of
 v = n^(gamma+1), the excess measure of {n >= 1+delta}, the segregation
 product |1-n| v, and the complementarity residual |v (lap v + R)|) plus a
-few solver-verification checks (entropy dissipation, the porous-medium
-time-monotonicity gap, bound checks).
+few solver-verification checks (porous-medium time-monotonicity gap, bounds).
 
-Quadratures in time use the trapezoid rule over the ledger's columns at the
-snapshot times, so each integrand is computed once, in ``make_ledger_row``;
-energy windows that start between snapshots interpolate the integrand
-linearly at the window edge.
+``v_integrals`` computes the integrands for the ledger rows and the time
+quadratures alike.  ``WindowIntegrals`` and ``FieldSamples`` are fed every
+accepted state of a run, so no time quantity depends on the snapshot stride.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, Grid, divergence, face_gradient
+from .grid import Grid, divergence, face_gradient
 from .model import DerivedConstants, ModelParams
 from .stepper import State
 
 
-def grad_squared_integral(f: Field) -> float:
-    """Integral of |grad f|^2 with face gradients, one cell volume per face."""
+def grad_squared_integral(grads: tuple[np.ndarray, ...], cell_volume: float) -> float:
+    """Integral of |grad f|^2 from its face gradients, one cell volume per face."""
     total = 0.0
-    vol = f.grid.cell_volume
-    for g in face_gradient(f):
-        total += float(np.sum(g * g)) * vol
+    for g in grads:
+        total += float(np.sum(g * g)) * cell_volume
     return total
 
 
-def cellwise_grad_squared(f: Field) -> np.ndarray:
+def cellwise_grad_squared(grid: Grid, grads: tuple[np.ndarray, ...]) -> np.ndarray:
     """|grad f|^2 averaged onto cells; boundary faces contribute zero (no-flux)."""
-    out = np.zeros(f.grid.shape)
-    for g, (lo, hi) in zip(face_gradient(f), f.grid.sides):
+    out = np.zeros(grid.shape)
+    for g, (lo, hi) in zip(grads, grid.sides):
         g2 = g ** 2
         out[lo] += 0.5 * g2
         out[hi] += 0.5 * g2
     return out
+
+
+class VIntegrals(NamedTuple):
+    v_sq: float            # integral of v^2
+    grad_v_sq: float       # integral of |grad v|^2
+    segregation: float     # integral of |1 - n| v: must vanish in the stiff limit
+    comp_resid: float      # integral of |div(v_face grad v) - |grad v|^2 + v R|
+
+
+def v_integrals(state: State, params: ModelParams) -> VIntegrals:
+    """The integrals of v = n^(gamma+1), from one v and one face gradient of it.
+
+    The residual takes v lap v in the product form div(v grad v) - |grad v|^2,
+    as the limit problem defines it (and best-behaved near the front).
+    """
+    grid, vol, v_field = state.grid, state.grid.cell_volume, state.v
+    v, grads = v_field.values, face_gradient(v_field)
+    v_face = tuple(0.5 * (v[lo] + v[hi]) for lo, hi in grid.sides)
+    div_term = divergence(grid, tuple(vf * g for vf, g in zip(v_face, grads)))
+    growth = np.asarray(params.rates.G(state.d.values), dtype=float)
+    reaction = growth * state.n.values - params.D * state.c.values * state.n.values
+    cellwise = div_term - cellwise_grad_squared(grid, grads) + v * reaction
+    return VIntegrals(
+        v_sq=float(np.sum(v**2)) * vol,
+        grad_v_sq=grad_squared_integral(grads, vol),
+        segregation=float(np.sum(np.abs(1.0 - state.n.values) * v)) * vol,
+        comp_resid=float(np.sum(np.abs(cellwise))) * vol,
+    )
 
 
 @dataclass(frozen=True)
@@ -53,10 +79,6 @@ class RunHistory:
     snapshots: tuple[State, ...]
     snapshot_dts: tuple[float, ...]     # dt of the step landing on each snapshot
     reaction_free: bool = False
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
 
 
 @dataclass(frozen=True)
@@ -90,9 +112,6 @@ class LedgerRow:
 class EnergyLedger:
     rows: list[LedgerRow] = field(default_factory=list)
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
-
     def finite_problems(self) -> list[str]:
         out = []
         for i, row in enumerate(self.rows):
@@ -113,13 +132,10 @@ def make_ledger_row(
     clamped_cells: int = 0,
     cutoff_activations: int = 0,
 ) -> LedgerRow:
-    v = state.v
-    v_sq = float(np.sum(v.values**2)) * state.grid.cell_volume
-    gv_sq = grad_squared_integral(v)
+    vi = v_integrals(state, params)
     half_power = state.n.with_values(
         np.maximum(state.n.values, 0.0) ** ((state.gamma + 1.0) / 2.0)
     )
-    comp = complementarity_residual(state, params)
     return LedgerRow(
         t=state.t,
         mass=float(np.sum(state.n.values)) * state.grid.cell_volume,
@@ -129,76 +145,20 @@ def make_ledger_row(
         c_max=state.c.max(),
         d_min=state.d.min(),
         d_max=state.d.max(),
-        v_sq=v_sq,
-        grad_v_sq=gv_sq,
-        t_v_sq=state.t * v_sq,
-        t_grad_v_sq=state.t * gv_sq,
-        entropy_rate=grad_squared_integral(half_power),
+        v_sq=vi.v_sq,
+        grad_v_sq=vi.grad_v_sq,
+        t_v_sq=state.t * vi.v_sq,
+        t_grad_v_sq=state.t * vi.grad_v_sq,
+        entropy_rate=grad_squared_integral(face_gradient(half_power), state.grid.cell_volume),
         excess=excess_measure(state, delta),
-        segregation=segregation_product(state),
-        comp_resid=comp,
-        comp_t2=state.t**2 * comp,
+        segregation=vi.segregation,
+        comp_resid=vi.comp_resid,
+        comp_t2=state.t**2 * vi.comp_resid,
         dt_used=dt_used,
         newton_iters=newton_iters,
         clamped_cells=clamped_cells,
         cutoff_activations=cutoff_activations,
     )
-
-
-def _windowed_trapezoid(times: np.ndarray, values: np.ndarray, lo: float, hi: float) -> float:
-    """Trapezoid integral of a sampled function over [lo, hi].
-
-    The left edge interpolates linearly when lo falls between samples.
-    """
-    mask = (times >= lo - 1e-14) & (times <= hi + 1e-14)
-    ts = list(times[mask])
-    vs = list(values[mask])
-    if ts and ts[0] > lo + 1e-14:
-        k = int(np.searchsorted(times, lo))
-        if k > 0:
-            t0, t1 = times[k - 1], times[k]
-            w = (lo - t0) / (t1 - t0)
-            ts.insert(0, lo)
-            vs.insert(0, (1.0 - w) * values[k - 1] + w * values[k])
-    if len(ts) < 2:
-        raise ValueError("need at least 2 snapshots inside the time window")
-    return float(np.trapezoid(np.asarray(vs), np.asarray(ts)))
-
-
-def weighted_energy(ledger: EnergyLedger, tau: float) -> float:
-    """Time-quadrature of t * (integral v^2 + integral |grad v|^2) over [tau, T].
-
-    Integrates the ledger's ``t_v_sq + t_grad_v_sq`` columns.  This is the
-    quantity whose uniform-in-gamma boundedness drives the stiff-pressure
-    limit; it must stay O(1) along a gamma sweep.
-    """
-    times = ledger.column("t")
-    if len(times) < 2:
-        raise ValueError("need at least 2 ledger rows")
-    t_end = float(times[-1])
-    if not (0.0 <= tau < t_end):
-        raise ValueError(f"tau must lie in [0, T), got {tau} with T = {t_end}")
-    integrand = ledger.column("t_v_sq") + ledger.column("t_grad_v_sq")
-    return _windowed_trapezoid(times, integrand, tau, t_end)
-
-
-def complementarity_residual(state: State, params: ModelParams) -> float:
-    """Integral of |div(v_face grad v) - |grad v|^2 + v R| in product form.
-
-    The product form div(v grad v) - |grad v|^2 is how v lap v is defined in
-    the limit problem; discretely it is also the best-behaved form near the
-    front.  Vanishes identically when v does.
-    """
-    grid = state.grid
-    v = state.v
-    grads = face_gradient(v)
-    v_face = tuple(0.5 * (v.values[lo] + v.values[hi]) for lo, hi in grid.sides)
-    div_term = divergence(grid, tuple(vf * g for vf, g in zip(v_face, grads)))
-    grad_sq = cellwise_grad_squared(v)
-    g = np.asarray(params.rates.G(state.d.values), dtype=float)
-    reaction = g * state.n.values - params.D * state.c.values * state.n.values
-    cellwise = div_term - grad_sq + v.values * reaction
-    return float(np.sum(np.abs(cellwise))) * grid.cell_volume
 
 
 def excess_measure(state: State, delta: float) -> float:
@@ -208,21 +168,104 @@ def excess_measure(state: State, delta: float) -> float:
     return float(np.count_nonzero(state.n.values >= 1.0 + delta)) * state.grid.cell_volume
 
 
-def segregation_product(state: State) -> float:
-    """Integral of |1 - n| v: must vanish in the stiff limit."""
-    v = state.v.values
-    return float(np.sum(np.abs(1.0 - state.n.values) * v)) * state.grid.cell_volume
+class WindowIntegrals:
+    """Trapezoid integrals over [tau, t] through the accepted states added so far.
 
-
-def entropy_dissipation(ledger: EnergyLedger) -> float:
-    """Time-quadrature of the ledger's ``entropy_rate`` column over the whole run.
-
-    The column is integral |grad n^((gamma+1)/2)|^2 at each ledger time.
+    ``energy``, ``seg_integral`` and ``comp_integral`` integrate
+    t (integral v^2 + integral |grad v|^2), integral |1 - n| v and t^2 times
+    the complementarity residual.  The step that crosses tau is split there,
+    its integrands interpolated linearly; states before it are never
+    evaluated.  ``excess_max`` is the largest excess at t >= tau.  All four
+    are nan until a state at or past tau arrives.
     """
-    times = ledger.column("t")
-    if len(times) < 2:
-        raise ValueError("need at least 2 ledger rows")
-    return float(np.trapezoid(ledger.column("entropy_rate"), times))
+
+    def __init__(self, tau: float, params: ModelParams, delta: float):
+        self.tau, self.params, self.delta = tau, params, delta
+        self.energy = self.seg_integral = self.comp_integral = self.excess_max = math.nan
+        self._before: State | None = None    # the last state before tau
+        self._last: tuple | None = None      # (t, integrands) of the last node
+        self._sums = np.zeros(3)
+
+    def _integrands(self, state: State) -> np.ndarray:
+        t, vi = state.t, v_integrals(state, self.params)
+        return np.array([t * vi.v_sq + t * vi.grad_v_sq, vi.segregation, t**2 * vi.comp_resid])
+
+    def add(self, state: State) -> None:
+        t1 = state.t
+        if t1 < self.tau:
+            self._before = state
+            return
+        f1 = self._integrands(state)
+        excess = excess_measure(state, self.delta)
+        if self._last is None:
+            self.excess_max, self._last = excess, (t1, f1)
+            if self._before is not None and t1 > self.tau:
+                t0 = self._before.t
+                w = (self.tau - t0) / (t1 - t0)
+                self._last = (self.tau, (1.0 - w) * self._integrands(self._before) + w * f1)
+        t0, f0 = self._last
+        self._sums += 0.5 * (t1 - t0) * (f0 + f1)
+        self.energy, self.seg_integral, self.comp_integral = (float(x) for x in self._sums)
+        self.excess_max = max(self.excess_max, excess)
+        self._last = (t1, f1)
+
+
+class FieldSamples:
+    """v and c of a run at fixed times, from its accepted states.
+
+    Each sample interpolates linearly between the two accepted states around
+    its time, so v is computed only for those states.  Times up to the first
+    state take its fields; times past the last state hold the last state's.
+    """
+
+    def __init__(self, times: np.ndarray):
+        self.times = np.asarray(times, dtype=float)
+        self._filled = 0     # the samples before this index are set
+        self._prev: State | None = None
+
+    def add(self, state: State) -> None:
+        lo, prev = self._filled, self._prev
+        if prev is None:
+            self._v = np.empty((len(self.times),) + state.grid.shape)
+            self._c = np.empty_like(self._v)
+        self._prev = state
+        if lo == len(self.times) or state.t < self.times[lo]:
+            return
+        end = int(np.searchsorted(self.times, state.t, side="right"))
+        v1, c1 = state.v.values, state.c.values
+        if prev is None:
+            self._v[:end], self._c[:end] = v1, c1
+        else:
+            w = (self.times[lo:end] - prev.t) / (state.t - prev.t)
+            w = w.reshape((-1,) + (1,) * v1.ndim)
+            self._v[lo:end] = (1.0 - w) * prev.v.values + w * v1
+            self._c[lo:end] = (1.0 - w) * prev.c.values + w * c1
+        self._filled = end
+
+    def _hold_last(self) -> None:
+        if self._filled < len(self.times):
+            self._v[self._filled:] = self._prev.v.values
+            self._c[self._filled:] = self._prev.c.values
+
+    @property
+    def v(self) -> np.ndarray:
+        self._hold_last()
+        return self._v
+
+    @property
+    def c(self) -> np.ndarray:
+        self._hold_last()
+        return self._c
+
+
+def space_time_distance(
+    times: np.ndarray, a: np.ndarray, b: np.ndarray, cell_volume: float
+) -> float:
+    """L2(Omega x [times[0], times[-1]]) distance of two fields sampled at ``times``."""
+    if a.shape != b.shape:
+        raise ValueError("runs live on different grids")
+    sq = np.array([float(np.sum((a[i] - b[i]) ** 2)) * cell_volume for i in range(len(times))])
+    return math.sqrt(float(np.trapezoid(sq, times)))
 
 
 def aronson_benilan_gap(history: RunHistory) -> float:

@@ -3,8 +3,8 @@
 Conventions:
   * fields live at cell centers, one value per cell;
   * fluxes and gradients live on interior faces, one array per axis;
-  * boundary faces carry zero flux (no-flux boundary for the cell equations),
-    the nutrient equation uses Dirichlet ghost cells instead;
+  * boundary faces carry zero flux (no-flux boundary for the cell equations);
+    the nutrient solve applies its Dirichlet data itself;
   * ``Grid.sides[axis]`` is the pair ``(lo, hi)`` of index tuples that pick
     the cells below and above each interior face of that axis, so face k of
     a face array sits between ``values[lo][k]`` and ``values[hi][k]``.  In 1D
@@ -12,8 +12,7 @@ Conventions:
 
 Each operator is written once for any dimension, as a loop over the axes'
 sides in axis order (x before y).  All operators are pure functions of their
-inputs.  ``integrate`` accumulates in a fixed order so repeated runs are
-bit-identical.
+inputs.
 """
 
 from __future__ import annotations
@@ -147,52 +146,8 @@ def laplacian_neumann(f: Field) -> np.ndarray:
     return divergence(f.grid, face_gradient(f))
 
 
-def laplacian_dirichlet(f: Field, boundary_value: float) -> np.ndarray:
-    """Laplacian with Dirichlet data via linearly extrapolated ghost cells.
-
-    The ghost value 2*boundary_value - interior puts the boundary value on
-    the face, giving second-order accuracy at the wall.
-    """
-    out = laplacian_neumann(f)
-    # Neumann part has zero boundary-face flux; add the Dirichlet correction
-    # (ghost - interior)/h = 2*(boundary_value - interior)/h per boundary face.
-    for axis, h in enumerate(f.grid.h):
-        walls = np.swapaxes(out, 0, axis)
-        v = np.swapaxes(f.values, 0, axis)
-        walls[0] += 2.0 * (boundary_value - v[0]) / h**2
-        walls[-1] += 2.0 * (boundary_value - v[-1]) / h**2
-    return out
-
-
-def integrate(f: Field) -> float:
-    """Midpoint-rule integral: sum of cell values times cell volume."""
-    return float(np.sum(f.values)) * f.grid.cell_volume
-
-
 def upwind_face_values(
     left: np.ndarray, right: np.ndarray, velocity: np.ndarray
 ) -> np.ndarray:
     """Upwind value per face; a zero-velocity tie takes the arithmetic mean."""
     return np.where(velocity > 0.0, left, np.where(velocity < 0.0, right, 0.5 * (left + right)))
-
-
-def upwind_face_value(c: Field, velocity_at_face: float, face, axis: int = 0) -> float:
-    """Upwind value of ``c`` at a single interior face.
-
-    In 1D ``face`` is an int: face ``i`` separates cells ``i`` and ``i+1``.
-    In 2D ``face`` is an ``(i, j)`` index into the face array along ``axis``.
-    """
-    if c.grid.dim == 1:
-        left = c.values[face]
-        right = c.values[face + 1]
-    else:
-        i, j = face
-        if axis == 0:
-            left, right = c.values[i, j], c.values[i + 1, j]
-        else:
-            left, right = c.values[i, j], c.values[i, j + 1]
-    if velocity_at_face > 0.0:
-        return float(left)
-    if velocity_at_face < 0.0:
-        return float(right)
-    return float(0.5 * (left + right))

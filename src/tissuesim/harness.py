@@ -23,11 +23,13 @@ import numpy as np
 from .config import RunConfig, config_hash
 from .diagnostics import (
     EnergyLedger,
+    FieldSamples,
     RunHistory,
     TolConfig,
+    WindowIntegrals,
     check_all,
     make_ledger_row,
-    weighted_energy,
+    space_time_distance,
 )
 from .errors import ConfigError, SolverFailure
 from .grid import Field, Grid
@@ -43,8 +45,10 @@ from .model import (
 )
 from .stepper import SolverSettings, State, step, suggest_dt
 
-# perfbench/tracer.py wraps harness.regularized_step by name; run calls step
+# perfbench/tracer.py wraps harness.regularized_step and harness.weighted_energy
+# by name; run calls step, and the sweep builds WindowIntegrals
 regularized_step = step
+weighted_energy = WindowIntegrals
 
 
 def make_params(cfg: RunConfig) -> ModelParams:
@@ -231,9 +235,11 @@ def _inject_fault(state: State, mode: str, consts: DerivedConstants) -> State:
     return state
 
 
-def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
+def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
     """Drive the stepper to T_final, recording snapshots and the ledger.
 
+    ``on_state``, when given, is called with the initial (lifted) state and
+    then with every accepted state, whatever the snapshot stride.
     ``check_all`` checks the invariants of the initial state and of the
     state after every step.  Solver failures and invariant violations
     (stored as their messages) stop the run but still return the partial
@@ -296,6 +302,8 @@ def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
     ledger = EnergyLedger()
     delta = cfg["sweep.delta"]
     ledger.rows.append(make_ledger_row(state, params, delta, 0.0))
+    if on_state is not None:
+        on_state(state)
 
     result = RunResult(
         history=RunHistory(
@@ -335,6 +343,8 @@ def run(cfg: RunConfig, permissive: bool = False) -> RunResult:
             result.rejected_attempts += report.retries
             if inject != "none" and steps == 1:
                 state = _inject_fault(state, inject, consts)
+            if on_state is not None:
+                on_state(state)
             if (steps % stride == 0) or state.t >= T - 1e-14:
                 history_states.append(state)
                 history_dts.append(report.dt_used)
@@ -410,14 +420,14 @@ class SweepEntry:
     ok: bool
     h7_pass: bool | None
     h7_ratio: float
-    energy: float
-    excess_max: float
-    seg_integral: float
-    comp_integral: float
+    energy: float = math.nan
+    excess_max: float = math.nan
+    seg_integral: float = math.nan
+    comp_integral: float = math.nan
     # L2 distance of c to the previous gamma's run over Omega x [tau, T]
     # (space_time_distance), nan for the first gamma
-    fraction_gap: float
-    wall_clock: float
+    fraction_gap: float = math.nan
+    wall_clock: float = 0.0
     failure: str | None = None
 
 
@@ -430,107 +440,50 @@ class SweepReport:
     ledgers: list[EnergyLedger | None] = field(default_factory=list)  # per-gamma rows
 
 
-def _interp_field_series(history: RunHistory, times: np.ndarray, values_of) -> np.ndarray:
-    """Sample a per-state cell array at given times by linear interpolation."""
-    snap_times = history.times
-    out = np.empty((len(times),) + history.grid.shape)
-    for i, t in enumerate(times):
-        k = int(np.searchsorted(snap_times, t))
-        if k <= 0:
-            out[i] = values_of(history.snapshots[0])
-        elif k >= len(snap_times):
-            out[i] = values_of(history.snapshots[-1])
-        else:
-            t0, t1 = snap_times[k - 1], snap_times[k]
-            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            a = values_of(history.snapshots[k - 1])
-            b = values_of(history.snapshots[k])
-            out[i] = (1.0 - w) * a + w * b
-    return out
-
-
-def space_time_distance(
-    hist_a: RunHistory,
-    hist_b: RunHistory,
-    t_lo: float,
-    t_hi: float,
-    n_times: int,
-    values_of=lambda s: s.v.values,
-) -> float:
-    """L2(Omega x [t_lo, t_hi]) distance of a per-state field between two runs.
-
-    Snapshot times differ between runs (adaptive dt), so both are sampled on
-    a shared uniform time grid by linear interpolation.
-    """
-    if hist_a.grid.shape != hist_b.grid.shape:
-        raise ValueError("runs live on different grids")
-    times = np.linspace(t_lo, t_hi, n_times)
-    va = _interp_field_series(hist_a, times, values_of)
-    vb = _interp_field_series(hist_b, times, values_of)
-    sq = np.array(
-        [float(np.sum((va[i] - vb[i]) ** 2)) * hist_a.grid.cell_volume for i in range(n_times)]
-    )
-    return math.sqrt(float(np.trapezoid(sq, times)))
-
-
-def _window_max(ledger: EnergyLedger, column: str, t_lo: float) -> float:
-    vals = [getattr(r, column) for r in ledger.rows if r.t >= t_lo - 1e-14]
-    return max(vals) if vals else math.nan
-
-
-def _window_integral(ledger: EnergyLedger, column: str, t_lo: float) -> float:
-    pairs = [(r.t, getattr(r, column)) for r in ledger.rows if r.t >= t_lo - 1e-14]
-    if len(pairs) < 2:
-        return math.nan
-    ts = np.array([p[0] for p in pairs])
-    vs = np.array([p[1] for p in pairs])
-    return float(np.trapezoid(vs, ts))
-
-
 def gamma_sweep(sc: SweepConfig) -> SweepReport:
     """Run each gamma on identical data (with the 1/gamma vacuum lift).
 
-    Per-run diagnostics summarize over t >= tau; consecutive runs are
-    compared through the space-time distance of v, so only the previous
-    run's history is held.  A failed run marks its entry and leaves the
-    others alone.
+    Per-run diagnostics integrate over t >= tau through every accepted
+    step; consecutive runs are compared through the space-time distance of
+    v, sampled at fixed times, so only the previous run's samples are held.
+    A failed run marks its entry and leaves the others alone.
     """
     T = sc.base["time.T_final"]
+    delta = sc.base["sweep.delta"]
+    times = np.linspace(sc.tau, T, sc.compare_times)
     entries: list[SweepEntry] = []
     ledgers: list[EnergyLedger | None] = []
     distances: list[float] = []
-    prev: RunResult | None = None   # the previous gamma's run, if it finished cleanly
+    prev: FieldSamples | None = None   # the previous gamma's samples, if it finished cleanly
     for gamma in sc.gammas:
-        cfg_g = sc.base.with_overrides(**{
-            "model__gamma": gamma,
-            "initial__lift": "gamma",
-        })
+        cfg_g = sc.base.with_overrides(model__gamma=gamma, initial__lift="gamma")
+        samples = FieldSamples(times)
         try:
-            res = run(cfg_g)
+            integrals = WindowIntegrals(sc.tau, make_params(cfg_g), delta)
+
+            def on_state(state: State) -> None:
+                integrals.add(state)
+                samples.add(state)
+
+            res = run(cfg_g, on_state=on_state)
         except (SolverFailure, ConfigError) as exc:
             res = None
             entry = SweepEntry(
                 gamma=gamma, cfg_hash=config_hash(cfg_g), ok=False,
-                h7_pass=None, h7_ratio=math.nan, energy=math.nan,
-                excess_max=math.nan, seg_integral=math.nan, comp_integral=math.nan,
-                fraction_gap=math.nan, wall_clock=0.0, failure=str(exc),
+                h7_pass=None, h7_ratio=math.nan, failure=str(exc),
             )
             ledgers.append(None)
         else:
-            energy = math.nan
-            if len(res.ledger.rows) >= 2 and res.ledger.rows[-1].t > sc.tau:
-                energy = weighted_energy(res.ledger, sc.tau)
             entry = SweepEntry(
                 gamma=gamma,
                 cfg_hash=res.cfg_hash,
                 ok=res.ok,
                 h7_pass=res.h7_pass,
                 h7_ratio=res.h7_ratio,
-                energy=energy,
-                excess_max=_window_max(res.ledger, "excess", sc.tau),
-                seg_integral=_window_integral(res.ledger, "segregation", sc.tau),
-                comp_integral=_window_integral(res.ledger, "comp_t2", sc.tau),
-                fraction_gap=math.nan,
+                energy=integrals.energy,
+                excess_max=integrals.excess_max,
+                seg_integral=integrals.seg_integral,
+                comp_integral=integrals.comp_integral,
                 wall_clock=res.wall_clock,
                 failure=res.failure if res.failure else (
                     "; ".join(res.violations) if res.violations else None
@@ -542,15 +495,15 @@ def gamma_sweep(sc: SweepConfig) -> SweepReport:
         if entries:
             dist = math.nan
             if prev is not None and res is not None:
-                window = (prev.history, res.history, sc.tau, T, sc.compare_times)
-                dist = space_time_distance(*window)
+                volume = res.history.grid.cell_volume
+                dist = space_time_distance(times, prev.v, samples.v, volume)
                 # fraction-convergence evidence for the open ratio question: recorded, never asserted
-                entry.fraction_gap = space_time_distance(*window, values_of=lambda s: s.c.values)
+                entry.fraction_gap = space_time_distance(times, prev.c, samples.c, volume)
             distances.append(dist)
         entries.append(entry)
-        prev = res
+        prev = samples if res is not None else None
     return SweepReport(
-        tau=sc.tau, delta=sc.base["sweep.delta"], entries=entries, distances=distances,
+        tau=sc.tau, delta=delta, entries=entries, distances=distances,
         ledgers=ledgers,
     )
 
@@ -590,16 +543,26 @@ def eps_study(eps_list, base_cfg: RunConfig, compare_times: int = 33) -> EpsRepo
         raise ValueError("eps values must be nonincreasing")
 
     T = base_cfg["time.T_final"]
+    times = np.linspace(0.0, T, compare_times)
     ref_cfg = base_cfg.with_overrides(model__eps_reg=0.0, initial__lift="none")
-    ref = run(ref_cfg)
+    ref_samples = FieldSamples(times)
+    ref = run(ref_cfg, on_state=ref_samples.add)
     if not ref.ok:
         raise SolverFailure(f"reference run failed: {ref.failure or ref.violations}")
+    volume = ref.history.grid.cell_volume
 
     entries: list[EpsEntry] = []
     for eps in eps_list:
         cfg_e = base_cfg.with_overrides(model__eps_reg=eps, initial__lift="eps")
+        samples = FieldSamples(times)
+        lows: list[float] = []    # min n of every accepted state
+
+        def on_state(state: State) -> None:
+            samples.add(state)
+            lows.append(state.n.min())
+
         try:
-            res = run(cfg_e)
+            res = run(cfg_e, on_state=on_state)
         except SolverFailure as exc:
             entries.append(EpsEntry(
                 eps=eps, cfg_hash=config_hash(cfg_e), ok=False, distance=math.nan,
@@ -607,13 +570,7 @@ def eps_study(eps_list, base_cfg: RunConfig, compare_times: int = 33) -> EpsRepo
                 failure=str(exc),
             ))
             continue
-        dist = math.nan
-        if res.ok:
-            dist = space_time_distance(
-                res.history, ref.history, 0.0, T, compare_times,
-                values_of=lambda s: s.v.values,
-            )
-        min_density = min(float(s.n.values.min()) for s in res.history.snapshots)
+        dist = space_time_distance(times, samples.v, ref_samples.v, volume) if res.ok else math.nan
         barrier = eps * math.exp(-res.consts.M0 * T)
         entries.append(EpsEntry(
             eps=eps,
@@ -621,7 +578,7 @@ def eps_study(eps_list, base_cfg: RunConfig, compare_times: int = 33) -> EpsRepo
             ok=res.ok,
             distance=dist,
             cutoff_activations=res.total_cutoff_activations,
-            min_density=min_density,
+            min_density=min(lows),
             barrier=barrier,
             failure=res.failure if res.failure else (
                 "; ".join(res.violations) if res.violations else None

@@ -163,19 +163,6 @@ class LinOp:
     matvec: "callable"
     diagonal: np.ndarray
 
-    def verify_symmetric(self, rel_tol: float = 1e-10, probes: int = 3) -> bool:
-        """Probe <Ax, y> == <x, Ay> with a fixed-seed random pair."""
-        rng = np.random.default_rng(0)
-        for _ in range(probes):
-            x = rng.standard_normal(self.shape_n)
-            y = rng.standard_normal(self.shape_n)
-            ax_y = float(np.dot(self.matvec(x), y))
-            x_ay = float(np.dot(x, self.matvec(y)))
-            scale = max(abs(ax_y), abs(x_ay), 1e-300)
-            if abs(ax_y - x_ay) > rel_tol * scale:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class PcgResult:

@@ -8,12 +8,13 @@ import pytest
 from tissuesim import harness, linalg, stepper
 from tissuesim.config import parse_config
 from tissuesim.diagnostics import (
+    FieldSamples,
     aronson_benilan_gap,
-    entropy_dissipation,
     excess_measure,
     free_boundary,
-    weighted_energy,
+    grad_squared_integral,
 )
+from tissuesim.grid import face_gradient
 from tissuesim.harness import (
     SweepConfig,
     barenblatt_benchmark,
@@ -27,7 +28,8 @@ from tissuesim.harness import (
     sweep_config_from,
 )
 
-SWEEP_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sweep.cfg"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SWEEP_CONFIG = CONFIGS / "sweep.cfg"
 
 INERT_TEXT = """
 grid.cells_x = 16
@@ -262,29 +264,67 @@ bench.grids = 50,100
         assert aronson_benilan_gap(res.history) > -1.0
 
 
+def entropy_dissipation(cfg):
+    """Trapezoid integral over [0, T] of integral |grad n^((gamma+1)/2)|^2,
+    through every accepted state of the run."""
+    times, rates = [], []
+
+    def on_state(s):
+        half_power = s.n.with_values(np.maximum(s.n.values, 0.0) ** ((s.gamma + 1.0) / 2.0))
+        times.append(s.t)
+        rates.append(grad_squared_integral(face_gradient(half_power), s.grid.cell_volume))
+
+    assert run(cfg, on_state=on_state).ok
+    return float(np.trapezoid(rates, times))
+
+
 class TestQuadratureRobustness:
-    def test_stride_halving_self_check(self):
-        # recording snapshots twice as often must not move the energy much
-        base = parse_config(BUMP_TEXT + "initial.lift = gamma\n")
-        fine = base.with_overrides(time__snapshot_stride=2)
-        e_coarse = weighted_energy(run(base).ledger, 0.02)
-        e_fine = weighted_energy(run(fine).ledger, 0.02)
-        assert e_coarse == pytest.approx(e_fine, rel=0.05)
+    STRIDES = (1, 10, 50)
+
+    def test_sweep_independent_of_snapshot_stride(self):
+        # every time quantity comes from every accepted step, never from the
+        # snapshots, so the stride cannot move any of them by a single bit
+        shipped = parse_config(SWEEP_CONFIG.read_text())
+        fields = ("energy", "seg_integral", "comp_integral", "excess_max", "fraction_gap")
+        results = []
+        for stride in self.STRIDES:
+            base = shipped.with_overrides(time__snapshot_stride=stride)
+            report = gamma_sweep(SweepConfig(gammas=(5.0, 80.0, 640.0), base=base, tau=0.05))
+            assert all(e.ok for e in report.entries)
+            results.append((
+                [[getattr(e, name) for name in fields] for e in report.entries],
+                report.distances,
+            ))
+        assert all(np.isfinite(results[0][1]))
+        for other in results[1:]:
+            assert np.array_equal(np.array(other[0]), np.array(results[0][0]), equal_nan=True)
+            assert other[1] == results[0][1]
+
+    def test_eps_study_independent_of_snapshot_stride(self):
+        shipped = parse_config((CONFIGS / "eps_study.cfg").read_text())
+        results = []
+        for stride in self.STRIDES:
+            base = shipped.with_overrides(time__snapshot_stride=stride)
+            report = eps_study(shipped["eps.values"], base)
+            assert all(e.ok for e in report.entries)
+            results.append([(e.distance, e.min_density) for e in report.entries])
+        assert results[1] == results[0]
+        assert results[2] == results[0]
 
     def test_entropy_cauchy_under_dt_refinement(self):
         base = parse_config(BUMP_TEXT + "time.dt_max = 0.004\n").with_overrides(
             time__snapshot_stride=2
         )
         halved = base.with_overrides(time__dt_max=0.002)
-        e1 = entropy_dissipation(run(base).ledger)
-        e2 = entropy_dissipation(run(halved).ledger)
+        e1 = entropy_dissipation(base)
+        e2 = entropy_dissipation(halved)
         assert e1 == pytest.approx(e2, rel=0.05)
 
     def test_entropy_regularized_within_factor_two(self):
         plain = parse_config(BUMP_TEXT)
         reg = plain.with_overrides(model__eps_reg=0.001, initial__lift="eps")
-        e_plain = entropy_dissipation(run(plain).ledger)
-        e_reg = entropy_dissipation(run(reg).ledger)
+        e_plain = entropy_dissipation(plain)
+        e_reg = entropy_dissipation(reg)
         assert 0.5 * e_plain <= e_reg <= 2.0 * e_plain
 
 
@@ -394,9 +434,11 @@ time.snapshot_stride = 5
 class TestDistances:
     def test_distance_of_run_with_itself_is_zero(self):
         cfg = parse_config(BUMP_TEXT)
-        a = run(cfg)
-        b = run(cfg)
-        d = space_time_distance(a.history, b.history, 0.05, 0.2, 17)
+        times = np.linspace(0.05, 0.2, 17)
+        a, b = FieldSamples(times), FieldSamples(times)
+        res = run(cfg, on_state=a.add)
+        run(cfg, on_state=b.add)
+        d = space_time_distance(times, a.v, b.v, res.history.grid.cell_volume)
         assert d == 0.0
 
     def test_initial_fields_profiles(self):
