@@ -10,7 +10,6 @@ from .config import RunConfig, config_hash, default_config, parse_config, serial
 from .diagnostics import (
     EnergyLedger,
     FieldSamples,
-    RunHistory,
     TolConfig,
     WindowIntegrals,
     aronson_benilan_gap,

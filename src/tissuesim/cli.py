@@ -129,7 +129,7 @@ def _flush_run_outputs(cfg, result) -> None:
     h = result.cfg_hash
     output.write_timeseries(_out_path(cfg, "timeseries.csv"), result.ledger, h)
     output.write_snapshot(_out_path(cfg, "final.csv"), result.final_state, h)
-    output.write_snapshot(_out_path(cfg, "initial.csv"), result.history.snapshots[0], h)
+    output.write_snapshot(_out_path(cfg, "initial.csv"), result.initial_state, h)
 
 
 def _cmd_run(cfg, permissive: bool) -> int:

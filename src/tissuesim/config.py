@@ -200,9 +200,6 @@ def _cross_validate(cfg: RunConfig) -> list[str]:
             "model.psi_alpha: a saturating consumption rate never reaches the supply "
             f"rate a = {a!r} unless psi_alpha > a; no critical concentration exists"
         )
-    for name in ("model.K1", "model.K2"):
-        if cfg[f"{name}_preset"] == "linear" and cfg[f"{name}_alpha"] < 0:
-            problems.append(f"{name}_alpha: transition rates must be nonnegative")
     if cfg["initial.profile"] == "barenblatt" and cfg["initial.c0"] != 0.0:
         problems.append("initial.c0: the self-similar benchmark profile requires c0 = 0")
     if cfg["model.eps_reg"] == 0.0 and cfg["initial.lift"] == "eps":

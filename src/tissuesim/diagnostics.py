@@ -71,17 +71,6 @@ def v_integrals(state: State, params: ModelParams) -> VIntegrals:
 
 
 @dataclass(frozen=True)
-class RunHistory:
-    """Snapshots of one run plus the metadata diagnostics need."""
-
-    grid: Grid
-    gamma: float
-    snapshots: tuple[State, ...]
-    snapshot_dts: tuple[float, ...]     # dt of the step landing on each snapshot
-    reaction_free: bool = False
-
-
-@dataclass(frozen=True)
 class LedgerRow:
     """Per-snapshot record of every quantity the analysis controls."""
 
@@ -268,29 +257,31 @@ def space_time_distance(
     return math.sqrt(float(np.trapezoid(sq, times)))
 
 
-def aronson_benilan_gap(history: RunHistory) -> float:
-    """Min over cells and snapshot pairs of (dn/dt + n / (gamma t)).
+def reaction_free(params: ModelParams, c0) -> bool:
+    """No growth and no n1 -> n2 transition from a start without n2: the
+    density then solves the pure porous medium equation."""
+    return params.rates.G.is_zero and params.rates.K1.is_zero and not np.any(c0)
 
-    Only meaningful for reaction-free runs (the pure porous medium equation);
-    nonnegative there up to discretization error.  Early snapshots with
-    t < 10 * dt are excluded to keep the 1/t weight from amplifying startup
-    error.
+
+def aronson_benilan_gap(states, params: ModelParams) -> float:
+    """Min over cells and consecutive state pairs of (dn/dt + n / (gamma t)).
+
+    ``states`` are consecutive accepted states of one run, the initial one
+    first (``run(cfg, on_state=states.append)``).  Only meaningful for
+    reaction-free runs (the pure porous medium equation); nonnegative there
+    up to discretization error.  A pair whose earlier state has t < 10 dt,
+    dt = t1 - t0, is excluded to keep the 1/t weight from amplifying
+    startup error.
     """
-    if not history.reaction_free:
+    if not reaction_free(params, states[0].c.values):
         raise ValueError("the porous-medium monotonicity gap requires a reaction-free run")
-    gamma = history.gamma
     gap = math.inf
-    snaps = history.snapshots
-    for k in range(len(snaps) - 1):
-        s0, s1 = snaps[k], snaps[k + 1]
-        dt_here = history.snapshot_dts[min(k + 1, len(history.snapshot_dts) - 1)]
-        if s0.t <= 0.0 or s0.t < 10.0 * dt_here:
+    for s0, s1 in zip(states, states[1:]):
+        dt = s1.t - s0.t
+        if s0.t <= 0.0 or s0.t < 10.0 * dt:
             continue
-        dt_pair = s1.t - s0.t
-        if dt_pair <= 0.0:
-            continue
-        rate = (s1.n.values - s0.n.values) / dt_pair
-        bound = s0.n.values / (gamma * s0.t)
+        rate = (s1.n.values - s0.n.values) / dt
+        bound = s0.n.values / (params.gamma * s0.t)
         gap = min(gap, float(np.min(rate + bound)))
     return gap
 

@@ -24,11 +24,11 @@ from .config import RunConfig, config_hash
 from .diagnostics import (
     EnergyLedger,
     FieldSamples,
-    RunHistory,
     TolConfig,
     WindowIntegrals,
     check_all,
     make_ledger_row,
+    reaction_free,
     space_time_distance,
 )
 from .errors import ConfigError, SolverFailure
@@ -170,7 +170,8 @@ def apply_lift(n: Field, c: Field, amount: float) -> tuple[Field, Field]:
 
 @dataclass
 class RunResult:
-    history: RunHistory
+    initial_state: State
+    final_state: State        # the state of the last ledger row
     ledger: EnergyLedger
     consts: DerivedConstants
     cfg_hash: str
@@ -190,10 +191,6 @@ class RunResult:
     @property
     def ok(self) -> bool:
         return self.failure is None and not self.violations
-
-    @property
-    def final_state(self) -> State:
-        return self.history.snapshots[-1]
 
 
 def check_initial_mass(
@@ -215,14 +212,6 @@ def check_initial_mass(
     return sigma, None, math.nan
 
 
-def _reaction_free(cfg: RunConfig, params: ModelParams) -> bool:
-    return (
-        params.rates.G.is_zero
-        and params.rates.K1.is_zero
-        and cfg["initial.c0"] == 0.0
-    )
-
-
 def _inject_fault(state: State, mode: str, consts: DerivedConstants) -> State:
     if mode == "d_ceiling":
         d = state.d.values.copy()
@@ -236,10 +225,11 @@ def _inject_fault(state: State, mode: str, consts: DerivedConstants) -> State:
 
 
 def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
-    """Drive the stepper to T_final, recording snapshots and the ledger.
+    """Drive the stepper to T_final, recording the ledger.
 
     ``on_state``, when given, is called with the initial (lifted) state and
-    then with every accepted state, whatever the snapshot stride.
+    then with every accepted state, whatever the snapshot stride; ``run``
+    itself keeps only the initial state and the state of the last ledger row.
     ``check_all`` checks the invariants of the initial state and of the
     state after every step.  Solver failures and invariant violations
     (stored as their messages) stop the run but still return the partial
@@ -297,8 +287,6 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
             )
 
     state = State(t=0.0, n=n0, c=c0, d=d0, gamma=params.gamma)
-    history_states = [state]
-    history_dts = [0.0]
     ledger = EnergyLedger()
     delta = cfg["sweep.delta"]
     ledger.rows.append(make_ledger_row(state, params, delta, 0.0))
@@ -306,13 +294,8 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
         on_state(state)
 
     result = RunResult(
-        history=RunHistory(
-            grid=grid,
-            gamma=params.gamma,
-            snapshots=tuple(history_states),
-            snapshot_dts=tuple(history_dts),
-            reaction_free=_reaction_free(cfg, params),
-        ),
+        initial_state=state,
+        final_state=state,
         ledger=ledger,
         consts=consts,
         cfg_hash=config_hash(cfg),
@@ -346,8 +329,7 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
             if on_state is not None:
                 on_state(state)
             if (steps % stride == 0) or state.t >= T - 1e-14:
-                history_states.append(state)
-                history_dts.append(report.dt_used)
+                result.final_state = state
                 ledger.rows.append(
                     make_ledger_row(
                         state, params, delta, report.dt_used,
@@ -367,9 +349,6 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
         result.failure = str(exc)
 
     result.steps = steps
-    result.history = replace(
-        result.history, snapshots=tuple(history_states), snapshot_dts=tuple(history_dts)
-    )
     bad_rows = ledger.finite_problems()
     if bad_rows:
         result.violations = result.violations + bad_rows
@@ -495,7 +474,7 @@ def gamma_sweep(sc: SweepConfig) -> SweepReport:
         if entries:
             dist = math.nan
             if prev is not None and res is not None:
-                volume = res.history.grid.cell_volume
+                volume = res.final_state.grid.cell_volume
                 dist = space_time_distance(times, prev.v, samples.v, volume)
                 # fraction-convergence evidence for the open ratio question: recorded, never asserted
                 entry.fraction_gap = space_time_distance(times, prev.c, samples.c, volume)
@@ -549,7 +528,7 @@ def eps_study(eps_list, base_cfg: RunConfig, compare_times: int = 33) -> EpsRepo
     ref = run(ref_cfg, on_state=ref_samples.add)
     if not ref.ok:
         raise SolverFailure(f"reference run failed: {ref.failure or ref.violations}")
-    volume = ref.history.grid.cell_volume
+    volume = ref.final_state.grid.cell_volume
 
     entries: list[EpsEntry] = []
     for eps in eps_list:
@@ -617,7 +596,7 @@ def barenblatt_benchmark(cfg: RunConfig) -> BenchReport:
     if cfg["initial.profile"] != "barenblatt":
         raise ValueError("the benchmark needs initial.profile = barenblatt")
     params_probe = make_params(cfg)
-    if not _reaction_free(cfg, params_probe):
+    if not reaction_free(params_probe, cfg["initial.c0"]):
         raise ValueError(
             "the benchmark needs a reaction-free config: zero growth preset, "
             "zero K1 preset, and c0 = 0"
@@ -636,8 +615,8 @@ def barenblatt_benchmark(cfg: RunConfig) -> BenchReport:
         res = run(cfg_n)
         if not res.ok:
             raise SolverFailure(f"benchmark run at N = {n_cells} failed: {res.failure}")
-        grid = res.history.grid
         final = res.final_state
+        grid = final.grid
         s_exact = t0 + T * gamma / (gamma + 1.0)
         exact = barenblatt_profile(grid.centers(0), s_exact, gamma, const, center=center, dim=1)
         err = float(np.sum(np.abs(final.n.values - exact))) * grid.cell_volume

@@ -155,24 +155,16 @@ def inverse_sine_transform(coeffs: np.ndarray) -> np.ndarray:
     return n * np.fft.irfft(spectrum, n=2 * n, axis=-1)[..., :n]
 
 
-@dataclass
-class LinOp:
-    """Matrix-free SPD operator: deterministic action plus its diagonal."""
-
-    shape_n: int
-    matvec: "callable"
-    diagonal: np.ndarray
-
-
 @dataclass(frozen=True)
 class PcgResult:
     x: np.ndarray
     iterations: int
-    residual_norms: tuple[float, ...]  # preconditioned norms sqrt(r' M^-1 r)
 
 
-def pcg_solve(op: LinOp, rhs: np.ndarray, tol: float, max_iters: int) -> PcgResult:
-    """Jacobi-preconditioned conjugate gradients.
+def pcg_solve(
+    matvec, diagonal: np.ndarray, rhs: np.ndarray, tol: float, max_iters: int
+) -> PcgResult:
+    """Jacobi-preconditioned conjugate gradients for the SPD operator ``matvec``.
 
     Converges when the 2-norm residual drops below tol * |rhs|; raises
     SolverFailure on stagnation at max_iters.  The iterates x, r, z and p
@@ -183,16 +175,15 @@ def pcg_solve(op: LinOp, rhs: np.ndarray, tol: float, max_iters: int) -> PcgResu
     rhs_norm = float(np.linalg.norm(rhs))
     x = np.zeros(n)
     if rhs_norm == 0.0:
-        return PcgResult(x=x, iterations=0, residual_norms=(0.0,))
-    inv_diag = 1.0 / op.diagonal
+        return PcgResult(x=x, iterations=0)
+    inv_diag = 1.0 / diagonal
     r = rhs.copy()
     z = inv_diag * r
     p = z.copy()
     scaled = np.empty(n)
     rz = float(np.dot(r, z))
-    history = [float(np.sqrt(abs(rz)))]
     for k in range(1, max_iters + 1):
-        ap = op.matvec(p)
+        ap = matvec(p)
         denom = float(np.dot(p, ap))
         if denom <= 0.0:
             raise SolverFailure("conjugate gradient hit a non-positive curvature direction")
@@ -201,9 +192,8 @@ def pcg_solve(op: LinOp, rhs: np.ndarray, tol: float, max_iters: int) -> PcgResu
         r -= np.multiply(ap, alpha, out=scaled)
         np.multiply(inv_diag, r, out=z)
         rz_new = float(np.dot(r, z))
-        history.append(float(np.sqrt(abs(rz_new))))
         if math.sqrt(float(np.dot(r, r))) <= tol * rhs_norm:
-            return PcgResult(x=x, iterations=k, residual_norms=tuple(history))
+            return PcgResult(x=x, iterations=k)
         p *= rz_new / rz
         p += z
         rz = rz_new

@@ -216,14 +216,14 @@ def _count_cutoff_activations(n: np.ndarray, c: np.ndarray, ell: float) -> int:
     return int(np.count_nonzero(hit))
 
 
-def _density_operator(grid: Grid, a: np.ndarray, r: np.ndarray, dt: float) -> linalg.LinOp:
+def _density_operator(grid: Grid, a: np.ndarray, r: np.ndarray, dt: float):
     """The symmetrized 2D Newton matrix S J S^-1 = diag(1 - dt r) - dt S lap S, S = diag(sqrt(a)).
 
-    It is a 5-point stencil: neighbours i, j across a face couple with
-    weight -dt sqrt(a_i a_j) / h^2, and the diagonal is 1 - dt r_i plus
-    dt a_i / h^2 per interior face of cell i.  The weights are built once
-    per Newton system; each matvec then works on contiguous slices of the
-    flattened cell vector.
+    Returns its matvec and its diagonal.  It is a 5-point stencil:
+    neighbours i, j across a face couple with weight -dt sqrt(a_i a_j) / h^2,
+    and the diagonal is 1 - dt r_i plus dt a_i / h^2 per interior face of
+    cell i.  The weights are built once per Newton system; each matvec then
+    works on contiguous slices of the flattened cell vector.
     """
     ny = grid.cells[1]
     hx2, hy2 = grid.h[0] ** 2, grid.h[1] ** 2
@@ -251,7 +251,7 @@ def _density_operator(grid: Grid, a: np.ndarray, r: np.ndarray, dt: float) -> li
             out[shift:] -= coupled
         return out
 
-    return linalg.LinOp(shape_n=n, matvec=matvec, diagonal=diag)
+    return matvec, diag
 
 
 def _solve_newton_system(
@@ -288,8 +288,8 @@ def _solve_newton_system(
         raise SolverFailure("density Jacobian lost positivity; dt too large for the reactions")
     a_safe = np.maximum(a, 1e-30)
     sqrt_a = np.sqrt(a_safe)
-    op = _density_operator(grid, a_safe, r, dt)
-    result = linalg.pcg_solve(op, (sqrt_a * rhs).ravel(), tol, max_iters)
+    matvec, diagonal = _density_operator(grid, a_safe, r, dt)
+    result = linalg.pcg_solve(matvec, diagonal, (sqrt_a * rhs).ravel(), tol, max_iters)
     return (result.x.reshape(grid.shape) / sqrt_a), result.iterations
 
 

@@ -53,14 +53,15 @@ def upwind_face_value(c, velocity_at_face, face, axis=0):
     return float(0.5 * (left + right))
 
 
-def is_symmetric(op, rel_tol=1e-10, probes=3):
-    """Probe <Ax, y> == <x, Ay> for a LinOp with a fixed-seed random pair."""
+def is_symmetric(matvec, size, rel_tol=1e-10, probes=3):
+    """Probe <Ax, y> == <x, Ay> for the matvec A on vectors of ``size`` with
+    a fixed-seed random pair."""
     rng = np.random.default_rng(0)
     for _ in range(probes):
-        x = rng.standard_normal(op.shape_n)
-        y = rng.standard_normal(op.shape_n)
-        ax_y = float(np.dot(op.matvec(x), y))
-        x_ay = float(np.dot(x, op.matvec(y)))
+        x = rng.standard_normal(size)
+        y = rng.standard_normal(size)
+        ax_y = float(np.dot(matvec(x), y))
+        x_ay = float(np.dot(x, matvec(y)))
         scale = max(abs(ax_y), abs(x_ay), 1e-300)
         if abs(ax_y - x_ay) > rel_tol * scale:
             return False

@@ -1,5 +1,6 @@
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ class TestWriters:
         s = self.make_state(4)
         path = str(tmp_path / "snap.csv")
         write_snapshot(path, s, "abc123")
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         data = [l for l in lines if not l.startswith("#")]
         header, rows = data[0], data[1:]
         assert header.split(",") == ["x", "n", "n1", "n2", "c", "d", "p", "v"]
@@ -79,7 +80,7 @@ class TestWriters:
     def test_empty_history_header_only(self, tmp_path):
         path = str(tmp_path / "ts.csv")
         write_timeseries(path, EnergyLedger(rows=[]), "abc123")
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0].startswith("# config")
         assert lines[1].startswith("t,mass")
         assert len(lines) == 2
@@ -90,7 +91,7 @@ class TestWriters:
         ledger = EnergyLedger(rows=[make_ledger_row(s, params, 0.05, 0.01)])
         path = str(tmp_path / "ts.csv")
         write_timeseries(path, ledger, "abc123")
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert b"\r" not in raw
         text = raw.decode()
         assert "e-" in text or "e+" in text  # scientific notation
@@ -99,7 +100,7 @@ class TestWriters:
         path = str(tmp_path / "snap.csv")
         write_snapshot(path, self.make_state(4), "first")
         write_snapshot(path, self.make_state(4), "second")
-        assert "second" in open(path).read()
+        assert "second" in Path(path).read_text()
         leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
         assert leftovers == []
 

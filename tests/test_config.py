@@ -66,6 +66,19 @@ class TestParse:
             parse_config(text)
         assert any("psi_alpha" in e for e in err.value.errors)
 
+    def test_negative_transition_rate_reported_once(self):
+        # the schema rejects the value, so the table keeps the default and
+        # no cross-key check sees it
+        for preset in ("constant", "linear"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(f"model.K1_preset = {preset}\nmodel.K1_alpha = -1\n")
+            assert err.value.errors == [
+                "line 2: model.K1_alpha: transition rates must be >= 0"
+            ]
+        with pytest.raises(ConfigError) as err:
+            default_config().with_overrides(model__K1_preset="linear", model__K1_alpha=-1)
+        assert err.value.errors == ["model.K1_alpha: transition rates must be >= 0"]
+
     def test_list_values(self):
         cfg = parse_config("sweep.gammas = 5, 10, 20\nbench.grids = 50,100\n")
         assert cfg["sweep.gammas"] == (5.0, 10.0, 20.0)

@@ -8,7 +8,6 @@ from tissuesim import diagnostics
 from tissuesim.diagnostics import (
     FieldSamples,
     LedgerRow,
-    RunHistory,
     TolConfig,
     Violation,
     WindowIntegrals,
@@ -47,17 +46,6 @@ def make_state(n_values, t=0.0, gamma=2.0, c=0.0, d=0.0, extent=1.0):
         c=Field.full(grid, c),
         d=Field.full(grid, d),
         gamma=gamma,
-    )
-
-
-def static_history(state, times, reaction_free=True, solver_dt=0.01):
-    snaps = tuple(
-        State(t=t, n=state.n, c=state.c, d=state.d, gamma=state.gamma) for t in times
-    )
-    dts = tuple([0.0] + [solver_dt] * (len(times) - 1))
-    return RunHistory(
-        grid=state.grid, gamma=state.gamma, snapshots=snaps, snapshot_dts=dts,
-        reaction_free=reaction_free,
     )
 
 
@@ -409,29 +397,34 @@ class TestEntropyDissipation:
 
 
 class TestAronsonBenilan:
+    PARAMS = replace(make_params(), gamma=2.0)
+
     def test_static_gap_is_density_over_gamma_t(self):
         s = make_state(np.full(8, 0.6), gamma=2.0)
-        times = [0.0, 1.0, 2.0]
-        hist = static_history(s, times)
-        # rate = 0, the binding term is n/(gamma t) at the earlier snapshot
-        # of each admitted pair; minimum at the largest admitted t
-        got = aronson_benilan_gap(hist)
-        assert got == pytest.approx(0.6 / (2.0 * 1.0))
+        states = [at_time(s, t) for t in (0.0, 0.05, 1.0, 1.05, 1.1)]
+        # rate = 0, the binding term is n/(gamma t) at the earlier state of
+        # each admitted pair; the pair from t = 0 and the pair from
+        # t = 0.05 < 10 * 0.95 are skipped, and the minimum is at the
+        # largest admitted t = 1.05
+        got = aronson_benilan_gap(states, self.PARAMS)
+        assert got == pytest.approx(0.6 / (2.0 * 1.05))
 
     def test_reactions_present_rejected(self):
         s = make_state(np.full(8, 0.6))
-        hist = static_history(s, [0.0, 1.0, 2.0], reaction_free=False)
+        states = [at_time(s, t) for t in (0.0, 1.0, 1.01)]
         with pytest.raises(ValueError):
-            aronson_benilan_gap(hist)
+            aronson_benilan_gap(states, replace(make_params(g_alpha=1.0), gamma=2.0))
+        # the autophagic species dies at rate D c, so c > 0 at the start is a reaction too
+        with_n2 = [at_time(make_state(np.full(8, 0.6), c=0.1), t) for t in (0.0, 1.0, 1.01)]
+        with pytest.raises(ValueError):
+            aronson_benilan_gap(with_n2, self.PARAMS)
 
     def test_early_snapshots_excluded(self):
         s = make_state(np.full(8, 0.6), gamma=2.0)
-        snaps = tuple(State(t=t, n=s.n, c=s.c, d=s.d, gamma=2.0) for t in (0.0, 0.5, 1.0))
-        hist = RunHistory(grid=s.grid, gamma=2.0, snapshots=snaps,
-                          snapshot_dts=(0.0, 0.5, 0.5), reaction_free=True)
-        # t = 0.5 < 10 * dt = 5: both pairs drop their early member; only the
-        # pair starting at t = 0.5 is excluded too, leaving an empty scan
-        assert aronson_benilan_gap(hist) == math.inf
+        states = [at_time(s, t) for t in (0.0, 0.5, 1.0)]
+        # the pair from t = 0 and the pair from t = 0.5 < 10 * 0.5 are both
+        # excluded, leaving an empty scan
+        assert aronson_benilan_gap(states, self.PARAMS) == math.inf
 
 
 class TestFreeBoundary:

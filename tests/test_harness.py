@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from tissuesim.diagnostics import (
     excess_measure,
     free_boundary,
     grad_squared_integral,
+    reaction_free,
 )
 from tissuesim.grid import face_gradient
 from tissuesim.harness import (
@@ -63,28 +66,51 @@ time.snapshot_stride = 4
 class TestRun:
     def test_zero_horizon_single_snapshot(self):
         cfg = parse_config(INERT_TEXT.replace("time.T_final = 0.2", "time.T_final = 0.0"))
-        res = run(cfg)
+        states = []
+        res = run(cfg, on_state=states.append)
         assert res.ok
-        assert len(res.history.snapshots) == 1
+        assert len(states) == 1
+        assert res.initial_state is res.final_state is states[0]
         assert len(res.ledger.rows) == 1
 
     def test_inert_run_is_static(self):
         cfg = parse_config(INERT_TEXT)
         res = run(cfg)
         assert res.ok
-        first, last = res.history.snapshots[0], res.history.snapshots[-1]
+        first, last = res.initial_state, res.final_state
         assert np.allclose(last.n.values, first.n.values, atol=1e-13)
         assert np.allclose(last.c.values, first.c.values, atol=1e-13)
         assert np.allclose(last.d.values, first.d.values, atol=1e-13)
         assert last.t == pytest.approx(0.2)
 
     def test_snapshots_at_stride_and_final(self):
+        # the stride thins the ledger rows; the final state is the last row's
         cfg = parse_config(BUMP_TEXT)
-        res = run(cfg)
+        states = []
+        res = run(cfg, on_state=states.append)
         assert res.ok
-        assert res.history.snapshots[0].t == 0.0
-        assert res.history.snapshots[-1].t == pytest.approx(0.2)
-        assert len(res.history.snapshots) >= 3
+        assert res.initial_state is states[0] and res.initial_state.t == 0.0
+        assert res.final_state is states[-1] and res.final_state.t == pytest.approx(0.2)
+        recorded = states[::4] + ([states[-1]] if (len(states) - 1) % 4 else [])
+        assert [row.t for row in res.ledger.rows] == [s.t for s in recorded]
+        assert len(res.ledger.rows) >= 3
+
+    def test_run_keeps_no_intermediate_state(self):
+        refs = []
+        res = run(parse_config(BUMP_TEXT), on_state=lambda s: refs.append(weakref.ref(s)))
+        gc.collect()
+        alive = [r() for r in refs if r() is not None]
+        assert len(refs) > 4 + 1   # longer than one stride
+        assert len(alive) == 2
+        assert alive[0] is res.initial_state and alive[1] is res.final_state
+
+    def test_stopped_run_final_state_is_last_ledger_row(self):
+        # the fault stops the run after step 1, before the first stride-5 row
+        text = BUMP_TEXT.replace("time.snapshot_stride = 4", "time.snapshot_stride = 5")
+        res = run(parse_config(text + "debug.inject = c_bounds\n"))
+        assert res.violations and res.steps == 1
+        assert res.final_state.t == res.ledger.rows[-1].t
+        assert res.final_state is res.initial_state
 
     def test_h7_recorded(self):
         cfg = parse_config(BUMP_TEXT)
@@ -95,7 +121,7 @@ class TestRun:
     def test_gamma_lift_applied(self):
         cfg = parse_config(BUMP_TEXT + "initial.lift = gamma\n")
         res = run(cfg)
-        n0 = res.history.snapshots[0].n.values
+        n0 = res.initial_state.n.values
         assert n0.min() >= 1.0 / 4.0 - 1e-12  # background 0.05 is below the 1/gamma lift
 
     def test_performance_smoke(self):
@@ -140,8 +166,10 @@ class TestSweep:
             report = gamma_sweep(SweepConfig(gammas=(1.0, 2.0), base=base, tau=0.001))
             assert report.delta == delta
             for entry in report.entries:
-                res = run(base.with_overrides(model__gamma=entry.gamma, initial__lift="gamma"))
-                late = [s for s in res.history.snapshots if s.t >= 0.001 - 1e-14]
+                states = []
+                run(base.with_overrides(model__gamma=entry.gamma, initial__lift="gamma"),
+                    on_state=states.append)
+                late = [s for s in states if s.t >= 0.001 - 1e-14]
                 assert entry.excess_max == max(excess_measure(s, delta) for s in late)
             excess[delta] = [e.excess_max for e in report.entries]
         assert excess[0.05] == pytest.approx([0.805, 0.28], abs=1e-12)
@@ -259,9 +287,11 @@ bench.grids = 50,100
 
     def test_reaction_free_flag_feeds_monotonicity_gap(self):
         cfg = parse_config(self.BENCH_TEXT)
-        res = run(cfg)
-        assert res.history.reaction_free
-        assert aronson_benilan_gap(res.history) > -1.0
+        params = make_params(cfg)
+        states = []
+        assert run(cfg, on_state=states.append).ok
+        assert reaction_free(params, cfg["initial.c0"])
+        assert aronson_benilan_gap(states, params) > -1.0
 
 
 def entropy_dissipation(cfg):
@@ -348,12 +378,12 @@ initial.bb_const = 0.4
 time.T_final = 0.5
 time.snapshot_stride = 10
 """
-        res = run(parse_config(text))
-        assert res.ok
+        states = []
+        assert run(parse_config(text), on_state=states.append).ok
         threshold = 1e-4
         fronts = []
-        for snap in res.history.snapshots:
-            crossings = free_boundary(snap, threshold)
+        for state in states:
+            crossings = free_boundary(state, threshold)
             if len(crossings):
                 fronts.append(crossings[-1])
         assert len(fronts) >= 4
@@ -438,7 +468,7 @@ class TestDistances:
         a, b = FieldSamples(times), FieldSamples(times)
         res = run(cfg, on_state=a.add)
         run(cfg, on_state=b.add)
-        d = space_time_distance(times, a.v, b.v, res.history.grid.cell_volume)
+        d = space_time_distance(times, a.v, b.v, res.final_state.grid.cell_volume)
         assert d == 0.0
 
     def test_initial_fields_profiles(self):
