@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import Grid, divergence, face_gradient
 from .model import DerivedConstants, ModelParams
-from .stepper import State
+from .stepper import State, positive_power
 
 
 def grad_squared_integral(grads: tuple[np.ndarray, ...], cell_volume: float) -> float:
@@ -122,9 +122,7 @@ def make_ledger_row(
     cutoff_activations: int = 0,
 ) -> LedgerRow:
     vi = v_integrals(state, params)
-    half_power = state.n.with_values(
-        np.maximum(state.n.values, 0.0) ** ((state.gamma + 1.0) / 2.0)
-    )
+    half_power = state.n.with_values(positive_power(state.n.values, (state.gamma + 1.0) / 2.0))
     return LedgerRow(
         t=state.t,
         mass=float(np.sum(state.n.values)) * state.grid.cell_volume,

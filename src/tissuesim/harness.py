@@ -43,7 +43,7 @@ from .model import (
     derive_constants,
     validate_rates,
 )
-from .stepper import SolverSettings, State, step, suggest_dt
+from .stepper import SolverSettings, State, StepReport, step, suggest_dt
 
 # perfbench/tracer.py wraps harness.regularized_step and harness.weighted_energy
 # by name; run calls step, and the sweep builds WindowIntegrals
@@ -234,7 +234,9 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
     state after every step.  Solver failures and invariant violations
     (stored as their messages) stop the run but still return the partial
     result so callers can flush outputs; ``RunResult.ok`` tells them apart
-    from a clean finish.
+    from a clean finish.  A stopped run's last accepted state gets a ledger
+    row of its own if its step was off the stride, so the outputs end with
+    the state the run stopped at.
     """
     t_start = _time.perf_counter()
     grid = build_grid(cfg)
@@ -311,6 +313,17 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
             result.wall_clock = _time.perf_counter() - t_start
             return result
 
+    def record(state: State, report: StepReport) -> None:
+        result.final_state = state
+        ledger.rows.append(
+            make_ledger_row(
+                state, params, delta, report.dt_used,
+                newton_iters=report.newton_iters,
+                clamped_cells=report.clamped_cells,
+                cutoff_activations=report.cutoff_activations,
+            )
+        )
+
     stride = cfg["time.snapshot_stride"]
     inject = cfg["debug.inject"]
     max_steps = cfg["time.max_steps"]
@@ -329,15 +342,7 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
             if on_state is not None:
                 on_state(state)
             if (steps % stride == 0) or state.t >= T - 1e-14:
-                result.final_state = state
-                ledger.rows.append(
-                    make_ledger_row(
-                        state, params, delta, report.dt_used,
-                        newton_iters=report.newton_iters,
-                        clamped_cells=report.clamped_cells,
-                        cutoff_activations=report.cutoff_activations,
-                    )
-                )
+                record(state, report)
             found = check_all(state, consts, tolcfg)
             if found:
                 result.violations = [str(v) for v in found]
@@ -347,6 +352,8 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
                 raise SolverFailure(f"exceeded max_steps = {max_steps}")
     except SolverFailure as exc:
         result.failure = str(exc)
+    if result.final_state is not state:  # stopped off the stride
+        record(state, report)
 
     result.steps = steps
     bad_rows = ledger.finite_problems()

@@ -97,10 +97,13 @@ def thomas_solve(m: TriDiag, rhs: np.ndarray) -> np.ndarray:
     *_, x, info = dgtsv(m.lower[1:], m.diag, m.upper[:-1], rhs)
     if info > 0:
         raise SolverFailure("tridiagonal solve failed: singular matrix")
-    if not np.all(np.isfinite(x)):
+    x_max = float(np.abs(x).max())  # nan or inf exactly when some x is
+    if not math.isfinite(x_max):
         raise SolverFailure("tridiagonal solve produced non-finite values")
-    resid = float(np.max(np.abs(m.matvec(x) - rhs)))
-    scale = float(np.max(np.abs(rhs))) + float(np.max(np.abs(x)))
+    residual = m.matvec(x)
+    residual -= rhs
+    resid = float(np.abs(residual, out=residual).max())
+    scale = float(np.abs(rhs).max()) + x_max
     if not resid <= DIRECT_RESIDUAL_TOL * max(scale, 1e-300):
         raise SolverFailure(
             f"tridiagonal residual {resid:.3e} exceeds {DIRECT_RESIDUAL_TOL:.1e} * {scale:.3e}"

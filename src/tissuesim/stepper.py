@@ -55,6 +55,25 @@ VACUUM_FLOOR = 1e-14
 CFL_SLACK = 1e-9
 
 
+def positive_power(x: np.ndarray, e: float) -> np.ndarray:
+    """``np.maximum(x, 0.0) ** e`` for e >= 1, bit for bit, with pow only where it can be nonzero.
+
+    Below ``floor`` the exact power is under 2^-1100, 25 binades below the
+    smallest subnormal, so pow returns +0 there.  numpy's vectorized pow
+    leaves its fast path for every lane that underflows, and at stiff gamma
+    most cells outside the tumour do.  The floor is never below the
+    smallest subnormal, so -0.0 gives +0 as np.maximum does.  NaN is not
+    below the floor: it stays on the pow path and comes out NaN.
+    """
+    floor = 2.0 ** -min(1100.0 / e, 1074.0)
+    if x.min() >= floor:
+        return x ** e
+    out = np.zeros(x.shape)
+    live = ~(x < floor)
+    out[live] = x[live] ** e
+    return out
+
+
 @dataclass(frozen=True)
 class State:
     """Cell fields at one instant; n1, n2, p, v are derived views."""
@@ -75,11 +94,11 @@ class State:
 
     @property
     def p(self) -> Field:
-        return self.n.with_values(np.maximum(self.n.values, 0.0) ** self.gamma)
+        return self.n.with_values(positive_power(self.n.values, self.gamma))
 
     @property
     def v(self) -> Field:
-        return self.n.with_values(np.maximum(self.n.values, 0.0) ** (self.gamma + 1.0))
+        return self.n.with_values(positive_power(self.n.values, self.gamma + 1.0))
 
     @property
     def grid(self) -> Grid:
@@ -164,10 +183,9 @@ def _flux_potential(n: np.ndarray, gamma: float, ell: float, n_max: float) -> np
     coefficients.  ``n_max`` is max(n).
     """
     if n_max <= ell:
-        return gamma / (gamma + 1.0) * np.maximum(n, 0.0) ** (gamma + 1.0)
-    base = cutoff(n, ell)
+        return gamma / (gamma + 1.0) * positive_power(n, gamma + 1.0)
     above = np.where(n > ell, gamma * ell**gamma * (n - ell), 0.0)
-    return gamma / (gamma + 1.0) * base ** (gamma + 1.0) + above
+    return gamma / (gamma + 1.0) * positive_power(cutoff(n, ell), gamma + 1.0) + above
 
 
 def _density_rhs(n: np.ndarray, grid: Grid, params: ModelParams, co: _Coefficients) -> np.ndarray:
@@ -179,9 +197,10 @@ def _density_rhs(n: np.ndarray, grid: Grid, params: ModelParams, co: _Coefficien
     else:
         n1, n2 = cutoff((1.0 - co.c) * n, co.ell), cutoff(co.c * n, co.ell)
         reaction = co.g * n1 + (co.g - params.D) * n2
-    out = laplacian_neumann(Field(grid, pot)) + reaction
+    out = laplacian_neumann(Field(grid, pot))
+    out += reaction
     if params.eps_reg > 0.0:
-        out = out + params.eps_reg * laplacian_neumann(Field(grid, n))
+        out += params.eps_reg * laplacian_neumann(Field(grid, n))
     return out
 
 
@@ -195,7 +214,10 @@ def _density_jacobian(
     right derivative of its cutoff is zero (outside [0, ell)), so that a
     vacuum cell gets the same r on both paths when no clamp acts.
     """
-    a = params.gamma * cutoff(np.maximum(n, VACUUM_FLOOR), co.ell) ** params.gamma + params.eps_reg
+    floored = np.maximum(n, VACUUM_FLOOR)
+    if co.ell < math.inf:  # cutoff(., inf) is the identity on [VACUUM_FLOOR, inf)
+        floored = cutoff(floored, co.ell)
+    a = params.gamma * positive_power(floored, params.gamma) + params.eps_reg
     if co.unclamped(float(n.max())):
         return a, co.rate
     c = co.c
@@ -272,16 +294,20 @@ def _solve_newton_system(
     2-norm residual tol * |S rhs|, in at most ``max_iters`` iterations.
     """
     if grid.dim == 1:
+        # diag = 1 + dt deg a / h^2 - dt r, deg the number of interior faces
         h2 = grid.h[0] ** 2
-        nc = grid.cells[0]
-        deg = np.full(nc, 2.0)
-        deg[0] = deg[-1] = 1.0
-        diag = 1.0 + dt * deg * a / h2 - dt * r
-        lower = np.zeros(nc)
-        upper = np.zeros(nc)
-        lower[1:] = -dt * a[:-1] / h2
-        upper[:-1] = -dt * a[1:] / h2
-        m = linalg.TriDiag(lower=lower, diag=diag, upper=upper)
+        diag = np.full(grid.cells[0], 2.0 * dt)
+        diag[0] = diag[-1] = dt
+        diag *= a
+        diag /= h2
+        diag += 1.0
+        diag -= dt * r
+        # cell i couples to i - 1 and i + 1 with -dt a / h^2 of the
+        # neighbour: lower[i] = w[i - 1] and upper[i] = w[i + 1], zero padded
+        w = np.zeros(grid.cells[0] + 2)
+        np.multiply(a, -dt, out=w[1:-1])
+        w[1:-1] /= h2
+        m = linalg.TriDiag(lower=w[:-2], diag=diag, upper=w[2:])
         return linalg.thomas_solve(m, rhs), 1
 
     if np.min(1.0 - dt * r) <= 0.0:
@@ -322,9 +348,10 @@ def density_solve(
     report = StepReport(dt_used=dt)
     n_k = n_old.copy()
     rhs_k = _density_rhs(n_k, grid, params, co)
-    f = n_k - n_old - dt * rhs_k
+    f = n_k - n_old
+    f -= dt * rhs_k
     for it in range(settings.newton_max + 1):
-        res_norm = float(np.max(np.abs(f)))
+        res_norm = float(np.abs(f).max())
         report.newton_iters = it + 1  # residual evaluations, 1 on a fixed point
         report.newton_residual = res_norm
         if not math.isfinite(res_norm):
@@ -345,12 +372,14 @@ def density_solve(
         step_len = 1.0
         full = None
         for _ in range(8):
-            trial = np.maximum(n_k + step_len * delta, 0.0)
+            trial = n_k + step_len * delta
+            np.maximum(trial, 0.0, out=trial)
             rhs_trial = _density_rhs(trial, grid, params, co)
-            f_trial = trial - n_old - dt * rhs_trial
+            f_trial = trial - n_old
+            f_trial -= dt * rhs_trial
             if full is None:
                 full = (trial, rhs_trial, f_trial)
-            trial_norm = float(np.max(np.abs(f_trial)))
+            trial_norm = float(np.abs(f_trial).max())
             if math.isfinite(trial_norm) and trial_norm < res_norm:
                 break
             step_len *= 0.5
@@ -377,7 +406,7 @@ def _face_velocities(n_new: Field, gamma: float, eps: float) -> tuple[np.ndarray
     With eps > 0 the species viscosity contributes an extra drift
     -2 eps grad(ln n) (from rewriting eps*lap(n_i) in fraction variables).
     """
-    p = np.maximum(n_new.values, 0.0) ** gamma
+    p = positive_power(n_new.values, gamma)
     grads = face_gradient(Field(n_new.grid, p))
     return _with_viscous_drift(tuple(-g for g in grads), n_new, eps)
 

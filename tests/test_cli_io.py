@@ -188,6 +188,22 @@ class TestCli:
         assert code == 2
         assert "nutrient ceiling" in err
 
+    def test_stopped_run_writes_the_state_it_stopped_at(self, tmp_path, capsys):
+        # growth_1d writes every 5th step; the fault stops the run after step 1
+        text = (Path(__file__).parent.parent / "configs" / "growth_1d.cfg").read_text()
+        cfg_path = write_cfg(tmp_path, text + "debug.inject = c_bounds\n")
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        final = (tmp_path / "out" / "growth_final.csv").read_text().splitlines()
+        t_final = float(final[0].split("=")[1])
+        assert t_final > 0.0
+        assert f"1 steps to t = {t_final:.6g}," in capsys.readouterr().out
+        header = final[4].split(",")
+        assert float(final[5].split(",")[header.index("c")]) == 1.5
+        series = [l for l in (tmp_path / "out" / "growth_timeseries.csv").read_text().splitlines()
+                  if not l.startswith("#")]
+        assert len(series) == 3   # header, t = 0 and step 1
+        assert float(dict(zip(series[0].split(","), series[-1].split(",")))["t"]) == t_final
+
     def test_injected_violation_permissive_passes(self, tmp_path, capsys):
         cfg_path = write_cfg(
             tmp_path, BASE_TEXT + f"output.dir = {tmp_path}/out2\ndebug.inject = d_ceiling\n"

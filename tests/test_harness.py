@@ -105,12 +105,16 @@ class TestRun:
         assert alive[0] is res.initial_state and alive[1] is res.final_state
 
     def test_stopped_run_final_state_is_last_ledger_row(self):
-        # the fault stops the run after step 1, before the first stride-5 row
+        # the fault stops the run after step 1, before the first stride-5
+        # row; the state it stopped at still gets a row, with step 1's report
         text = BUMP_TEXT.replace("time.snapshot_stride = 4", "time.snapshot_stride = 5")
         res = run(parse_config(text + "debug.inject = c_bounds\n"))
         assert res.violations and res.steps == 1
-        assert res.final_state.t == res.ledger.rows[-1].t
-        assert res.final_state is res.initial_state
+        assert len(res.ledger.rows) == 2
+        assert res.final_state.t == res.ledger.rows[-1].t > 0.0
+        assert res.final_state.c.values[0] == 1.5
+        assert res.ledger.rows[-1].newton_iters == res.newton_iters
+        assert res.ledger.rows[-1].dt_used == res.final_state.t
 
     def test_h7_recorded(self):
         cfg = parse_config(BUMP_TEXT)

@@ -11,7 +11,7 @@ import pytest
 
 from tissuesim.config import parse_config
 from tissuesim.diagnostics import _line_crossings, cellwise_grad_squared, free_boundary
-from tissuesim.grid import Field, Grid, divergence, face_gradient
+from tissuesim.grid import Field, Grid, divergence, face_gradient, laplacian_neumann
 from tissuesim.harness import (
     _radial_sq,
     _window_mask,
@@ -230,6 +230,16 @@ class TestGridOperators:
     def test_divergence(self, grid):
         q = random_faces(grid, 2)
         assert_same(divergence(grid, q), reference_divergence(grid, q))
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    def test_laplacian_neumann_is_the_composed_operator(self, grid, ties):
+        # with ties, neighbouring cells often hold equal values or +-0.0, so
+        # zero face fluxes meet and the sign of every zero must match too
+        f = random_field(grid, 4)
+        if ties:
+            choice = np.random.default_rng(5).integers(0, 4, grid.shape)
+            f = f.with_values(np.array([-0.0, 0.0, 1.0, -2.5])[choice])
+        assert_same(laplacian_neumann(f), divergence(grid, face_gradient(f)))
 
     @pytest.mark.parametrize("boundary_value", [0.0, 0.7])
     def test_laplacian_dirichlet(self, grid, boundary_value):

@@ -69,6 +69,34 @@ def test_stepper_reaches_linalg_through_the_module():
     assert [name for name in ("pcg_solve", "thomas_solve") if hasattr(stepper, name)] == []
 
 
+def test_thomas_solve_calls_count_the_1d_linear_systems(monkeypatch):
+    # the benchmark's linalg.thomas_solve.calls counts 1D linear systems:
+    # exactly one per Newton system and one per nutrient solve
+    from tissuesim import harness, linalg, stepper
+    from tissuesim.config import parse_config
+
+    calls = {"thomas_solve": 0, "_solve_newton_system": 0, "nutrient_solve": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(linalg, "thomas_solve")
+    spy(stepper, "_solve_newton_system")
+    spy(stepper, "nutrient_solve")
+    cfg = parse_config((CONFIGS / "growth_1d.cfg").read_text()).with_overrides(time__T_final=0.05)
+    res = harness.run(cfg)
+    assert res.ok and res.rejected_attempts == 0
+    assert calls["_solve_newton_system"] == res.newton_iters - res.steps > res.steps > 0
+    assert calls["nutrient_solve"] == res.steps
+    assert calls["thomas_solve"] == calls["_solve_newton_system"] + calls["nutrient_solve"]
+
+
 def test_import_loads_no_scipy_fft_or_sparse():
     # numpy.fft comes with numpy; scipy.fft and scipy.sparse would add
     # set-up time and several MB of resident memory to every run

@@ -38,6 +38,7 @@ from tissuesim.stepper import (
     density_solve,
     fraction_update,
     nutrient_solve,
+    positive_power,
     step,
     suggest_dt,
 )
@@ -374,6 +375,90 @@ class TestDensityJacobian:
         vacuum = n == 0.0
         assert np.array_equal(r_at[10.0][vacuum], np.full(3, 0.25 - 0.5))
         assert np.array_equal(r_at[0.4][vacuum], r_at[10.0][vacuum])
+
+
+POWER_EXPONENTS = [1.0, 1.5, 3.0, 6.0, 81.0, 161.0, 320.5, 641.0]
+
+
+def underflow_floor(e):
+    """The value below which (x+)^e is under 2^-1100, or the smallest subnormal."""
+    return 2.0 ** -min(1100.0 / e, 1074.0)
+
+
+def power_inputs(e, shape, below):
+    """Random values in [floor, 2], plus, with ``below``, every special value.
+
+    The specials are 0, -0.0, negatives, nan, +-inf, subnormals and the
+    neighbours of the underflow floor; without ``below`` only +inf, the
+    floor itself and its upper neighbour join the random values, so the
+    minimum stays at the floor.
+    """
+    rng = np.random.default_rng(int(e * 10))
+    floor = underflow_floor(e)
+    x = rng.uniform(floor, 2.0, shape).ravel()
+    special = [np.inf, floor, np.nextafter(floor, np.inf)]
+    if below:
+        special += [0.0, -0.0, -1.5, -np.inf, np.nan, 5e-324, 2.2e-310, 1e-300,
+                    np.nextafter(floor, 0.0), 0.5 * floor]
+    x[: len(special)] = special
+    rng.shuffle(x)
+    return x.reshape(shape), floor
+
+
+class TestPositivePower:
+    @pytest.mark.parametrize("shape", [(400,), (23, 17)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("below", [False, True], ids=["fast", "masked"])
+    @pytest.mark.parametrize("e", POWER_EXPONENTS)
+    def test_bitwise_equal_to_clamped_pow(self, e, shape, below):
+        x, floor = power_inputs(e, shape, below)
+        assert (x.min() >= floor) != below
+        with np.errstate(invalid="ignore"):
+            expected = np.maximum(x, 0.0) ** e
+        got = positive_power(x, e)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        assert np.array_equal(np.isnan(got), np.isnan(x))
+
+
+def reference_newton_tridiag(grid, a, r, dt):
+    """The 1D Newton matrix as built with a degree array and two zero-filled off-diagonals."""
+    h2 = grid.h[0] ** 2
+    nc = grid.cells[0]
+    deg = np.full(nc, 2.0)
+    deg[0] = deg[-1] = 1.0
+    diag = 1.0 + dt * deg * a / h2 - dt * r
+    lower = np.zeros(nc)
+    upper = np.zeros(nc)
+    lower[1:] = -dt * a[:-1] / h2
+    upper[:-1] = -dt * a[1:] / h2
+    return lower, diag, upper
+
+
+class TestNewtonSystem1D:
+    @pytest.mark.parametrize("cells", [3, 7, 400])
+    def test_tridiag_matches_reference_bitwise(self, monkeypatch, cells):
+        grid = Grid(dim=1, extents=(1.3,), cells=(cells,))
+        rng = np.random.default_rng(cells)
+        a = rng.uniform(0.0, 3.0, cells)
+        a[::3] = 0.0   # vacuum cells, whose couplings are -0.0
+        r = rng.uniform(-1.0, 1.0, cells)
+        rhs = rng.standard_normal(cells)
+        seen = []
+        real = stepper.linalg.thomas_solve
+
+        def spy(m, b):
+            seen.append(m)
+            return real(m, b)
+
+        monkeypatch.setattr(stepper.linalg, "thomas_solve", spy)
+        for dt in (1e-3, 0.07):
+            delta, lin = stepper._solve_newton_system(grid, a, r, dt, rhs, 1e-10, 100)
+            assert lin == 1
+            m = seen[-1]
+            lower, diag, upper = reference_newton_tridiag(grid, a, r, dt)
+            for got, want in ((m.lower, lower), (m.diag, diag), (m.upper, upper)):
+                assert got.tobytes() == want.tobytes()
+            assert np.max(np.abs(m.matvec(delta) - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 class TestDensityOperator:
