@@ -49,14 +49,17 @@ class VIntegrals(NamedTuple):
     comp_resid: float      # integral of |div(v_face grad v) - |grad v|^2 + v R|
 
 
-def v_integrals(state: State, params: ModelParams) -> VIntegrals:
+def v_integrals(state: State, params: ModelParams, v: np.ndarray | None = None) -> VIntegrals:
     """The integrals of v = n^(gamma+1), from one v and one face gradient of it.
 
+    ``v``, when given, is ``state.v.values``, computed once by the caller.
     The residual takes v lap v in the product form div(v grad v) - |grad v|^2,
     as the limit problem defines it (and best-behaved near the front).
     """
-    grid, vol, v_field = state.grid, state.grid.cell_volume, state.v
-    v, grads = v_field.values, face_gradient(v_field)
+    grid, vol = state.grid, state.grid.cell_volume
+    if v is None:
+        v = state.v.values
+    grads = face_gradient(state.n.with_values(v))
     v_face = tuple(0.5 * (v[lo] + v[hi]) for lo, hi in grid.sides)
     div_term = divergence(grid, tuple(vf * g for vf, g in zip(v_face, grads)))
     growth = np.asarray(params.rates.G(state.d.values), dtype=float)
@@ -163,33 +166,34 @@ class WindowIntegrals:
     the complementarity residual.  The step that crosses tau is split there,
     its integrands interpolated linearly; states before it are never
     evaluated.  ``excess_max`` is the largest excess at t >= tau.  All four
-    are nan until a state at or past tau arrives.
+    are nan until a state at or past tau arrives.  ``add`` takes the
+    state's v when its caller has it, so v is not computed again.
     """
 
     def __init__(self, tau: float, params: ModelParams, delta: float):
         self.tau, self.params, self.delta = tau, params, delta
         self.energy = self.seg_integral = self.comp_integral = self.excess_max = math.nan
-        self._before: State | None = None    # the last state before tau
+        self._before: tuple | None = None    # (state, v) of the last state before tau
         self._last: tuple | None = None      # (t, integrands) of the last node
         self._sums = np.zeros(3)
 
-    def _integrands(self, state: State) -> np.ndarray:
-        t, vi = state.t, v_integrals(state, self.params)
+    def _integrands(self, state: State, v: np.ndarray | None) -> np.ndarray:
+        t, vi = state.t, v_integrals(state, self.params, v)
         return np.array([t * vi.v_sq + t * vi.grad_v_sq, vi.segregation, t**2 * vi.comp_resid])
 
-    def add(self, state: State) -> None:
+    def add(self, state: State, v: np.ndarray | None = None) -> None:
         t1 = state.t
         if t1 < self.tau:
-            self._before = state
+            self._before = (state, v)
             return
-        f1 = self._integrands(state)
+        f1 = self._integrands(state, v)
         excess = excess_measure(state, self.delta)
         if self._last is None:
             self.excess_max, self._last = excess, (t1, f1)
             if self._before is not None and t1 > self.tau:
-                t0 = self._before.t
+                t0 = self._before[0].t
                 w = (self.tau - t0) / (t1 - t0)
-                self._last = (self.tau, (1.0 - w) * self._integrands(self._before) + w * f1)
+                self._last = (self.tau, (1.0 - w) * self._integrands(*self._before) + w * f1)
         t0, f0 = self._last
         self._sums += 0.5 * (t1 - t0) * (f0 + f1)
         self.energy, self.seg_integral, self.comp_integral = (float(x) for x in self._sums)
@@ -201,37 +205,48 @@ class FieldSamples:
     """v and c of a run at fixed times, from its accepted states.
 
     Each sample interpolates linearly between the two accepted states around
-    its time, so v is computed only for those states.  Times up to the first
-    state take its fields; times past the last state hold the last state's.
+    its time, so v is computed only for those states, unless ``add`` is
+    given it.  Times up to the first state take its fields; times past the
+    last state hold the last state's.
     """
 
     def __init__(self, times: np.ndarray):
         self.times = np.asarray(times, dtype=float)
         self._filled = 0     # the samples before this index are set
         self._prev: State | None = None
+        self._prev_v: np.ndarray | None = None   # v of _prev, once computed or given
 
-    def add(self, state: State) -> None:
-        lo, prev = self._filled, self._prev
-        if prev is None:
+    def _last_v(self) -> np.ndarray:
+        if self._prev_v is None:
+            self._prev_v = self._prev.v.values
+        return self._prev_v
+
+    def add(self, state: State, v: np.ndarray | None = None) -> None:
+        """Take the next accepted state; ``v``, when given, is its ``state.v.values``."""
+        lo, first = self._filled, self._prev is None
+        if first:
             self._v = np.empty((len(self.times),) + state.grid.shape)
             self._c = np.empty_like(self._v)
-        self._prev = state
         if lo == len(self.times) or state.t < self.times[lo]:
+            self._prev, self._prev_v = state, v
             return
         end = int(np.searchsorted(self.times, state.t, side="right"))
-        v1, c1 = state.v.values, state.c.values
-        if prev is None:
+        v1 = state.v.values if v is None else v
+        c1 = state.c.values
+        if first:
             self._v[:end], self._c[:end] = v1, c1
         else:
+            prev = self._prev
             w = (self.times[lo:end] - prev.t) / (state.t - prev.t)
             w = w.reshape((-1,) + (1,) * v1.ndim)
-            self._v[lo:end] = (1.0 - w) * prev.v.values + w * v1
+            self._v[lo:end] = (1.0 - w) * self._last_v() + w * v1
             self._c[lo:end] = (1.0 - w) * prev.c.values + w * c1
+        self._prev, self._prev_v = state, v1
         self._filled = end
 
     def _hold_last(self) -> None:
         if self._filled < len(self.times):
-            self._v[self._filled:] = self._prev.v.values
+            self._v[self._filled:] = self._last_v()
             self._c[self._filled:] = self._prev.c.values
 
     @property

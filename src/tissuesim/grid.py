@@ -138,14 +138,18 @@ def divergence(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def laplacian_neumann(f: Field) -> np.ndarray:
-    """No-flux Laplacian: divergence of the interior face gradients.
+    """No-flux Laplacian of a cell field: ``laplacian_neumann_values`` of its values."""
+    return laplacian_neumann_values(f.grid, f.values)
+
+
+def laplacian_neumann_values(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """No-flux Laplacian of the cell values ``v``: divergence of the interior face gradients.
 
     It is ``divergence(grid, face_gradient(f))`` with the same roundings,
     each face difference divided by h twice, formed once per face: every
     face flux enters its two cells with opposite signs, which keeps the
     discrete conservation identity exact.
     """
-    v, grid = f.values, f.grid
     out = np.zeros(grid.shape)
     for (lo, hi), h in zip(grid.sides, grid.h):
         q = v[hi] - v[lo]

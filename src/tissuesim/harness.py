@@ -448,8 +448,9 @@ def gamma_sweep(sc: SweepConfig) -> SweepReport:
             integrals = WindowIntegrals(sc.tau, make_params(cfg_g), delta)
 
             def on_state(state: State) -> None:
-                integrals.add(state)
-                samples.add(state)
+                v = state.v.values   # once, for both accumulators
+                integrals.add(state, v)
+                samples.add(state, v)
 
             res = run(cfg_g, on_state=on_state)
         except (SolverFailure, ConfigError) as exc:

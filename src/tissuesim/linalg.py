@@ -9,8 +9,9 @@ takes longer than all of tissuesim's other imports together.  The
 orthonormal sine transform (DST-II) diagonalizes the cell-centred Dirichlet
 Laplacian along one axis, so it turns a constant-coefficient 2D solve into
 such a block.  Variable-coefficient 2D systems are SPD (after
-symmetrization in the caller) and go through conjugate gradients with
-Jacobi preconditioning.  Every path uses fixed iteration and accumulation
+symmetrization in the caller) and go through conjugate gradients on the
+operator scaled by its diagonal: Jacobi-preconditioned CG, with the scaling
+folded into the operator.  Every path uses fixed iteration and accumulation
 orders: identical inputs give bit-identical outputs.
 """
 
@@ -165,39 +166,50 @@ class PcgResult:
 
 
 def pcg_solve(
-    matvec, diagonal: np.ndarray, rhs: np.ndarray, tol: float, max_iters: int
+    matvec, weights: np.ndarray, rhs: np.ndarray, tol: float, max_iters: int, work=None
 ) -> PcgResult:
-    """Jacobi-preconditioned conjugate gradients for the SPD operator ``matvec``.
+    """Conjugate gradients for a Jacobi-scaled SPD operator, stopped in the unscaled norm.
 
-    Converges when the 2-norm residual drops below tol * |rhs|; raises
-    SolverFailure on stagnation at max_iters.  The iterates x, r, z and p
-    are updated in place, with the same roundings as the textbook updates.
+    ``matvec(y, out)`` writes A y into ``out``, where A = D^-1/2 M D^-1/2 is
+    the SPD matrix M scaled by its diagonal D, so the iterates are those of
+    Jacobi-preconditioned CG on M.  ``weights`` is the diagonal of M: the
+    residual of M is D^1/2 times that of A, so the solve converges when
+    sqrt(sum weights r^2) drops below tol times the same norm of ``rhs``,
+    the 2-norm test on M.  Raises SolverFailure on stagnation at max_iters.
+    ``work``, when given, is a (5, n) array that holds x, r, p, A p and a
+    scratch vector, so a caller that solves many systems allocates them
+    once; the returned x is then ``work[0]``.  Every update is in place,
+    with the same roundings as the textbook updates.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
-    rhs_norm = float(np.linalg.norm(rhs))
-    x = np.zeros(n)
+    x, r, p, ap, scaled = np.empty((5, n)) if work is None else work
+    x.fill(0.0)
+    rhs_norm = math.sqrt(float(np.dot(np.multiply(weights, rhs, out=scaled), rhs)))
     if rhs_norm == 0.0:
         return PcgResult(x=x, iterations=0)
-    inv_diag = 1.0 / diagonal
-    r = rhs.copy()
-    z = inv_diag * r
-    p = z.copy()
-    scaled = np.empty(n)
-    rz = float(np.dot(r, z))
+    np.copyto(r, rhs)
+    np.copyto(p, r)
+    rr = float(np.dot(r, r))
+    # sum(weights r^2) >= min(weights) r.r, so the weighted norm is formed
+    # only once that lower bound meets the test; the slack is far above the
+    # rounding of either sum, so the decision is the weighted test's
+    floor = float(weights.min()) * (1.0 - 1e-9)
+    bound = (tol * rhs_norm) ** 2
     for k in range(1, max_iters + 1):
-        ap = matvec(p)
+        matvec(p, ap)
         denom = float(np.dot(p, ap))
         if denom <= 0.0:
             raise SolverFailure("conjugate gradient hit a non-positive curvature direction")
-        alpha = rz / denom
+        alpha = rr / denom
         x += np.multiply(p, alpha, out=scaled)
         r -= np.multiply(ap, alpha, out=scaled)
-        np.multiply(inv_diag, r, out=z)
-        rz_new = float(np.dot(r, z))
-        if math.sqrt(float(np.dot(r, r))) <= tol * rhs_norm:
+        rr_new = float(np.dot(r, r))
+        if floor * rr_new <= bound and (
+            math.sqrt(float(np.dot(np.multiply(weights, r, out=scaled), r))) <= tol * rhs_norm
+        ):
             return PcgResult(x=x, iterations=k)
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
+        p *= rr_new / rr
+        p += r
+        rr = rr_new
     raise SolverFailure(f"conjugate gradient stagnated after {max_iters} iterations")

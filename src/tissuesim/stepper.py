@@ -5,9 +5,10 @@ One step advances, in order:
   1. total density n: backward Euler on the degenerate diffusion equation
      dn/dt = lap(K(n)) + eps*lap(n) + (G(d) - D*c) n, solved by Newton
      (K is the flux potential, gamma/(gamma+1) * n^(gamma+1)); each Newton
-     system is a tridiagonal direct solve in 1D and Jacobi-preconditioned CG
-     on a symmetrized 5-point stencil in 2D, to a tolerance sized to the
-     Newton residual;
+     system is a tridiagonal direct solve in 1D and, in 2D, CG on the
+     symmetrized 5-point stencil scaled to a unit diagonal (that is,
+     Jacobi-preconditioned CG with the scaling folded into the operator),
+     to a tolerance sized to the Newton residual;
   2. autophagic fraction c = n2/n: explicit upwind advection by the Darcy
      velocity u = -grad(n^gamma) plus explicit reaction
      K1(d)(1-c) - K2(d)c - D c(1-c), whose right side points into [0, 1];
@@ -45,7 +46,14 @@ import numpy as np
 
 from . import linalg
 from .errors import SolverFailure
-from .grid import Field, Grid, divergence, face_gradient, laplacian_neumann, upwind_face_values
+from .grid import (
+    Field,
+    Grid,
+    divergence,
+    face_gradient,
+    laplacian_neumann_values,
+    upwind_face_values,
+)
 from .model import DerivedConstants, ModelParams, cutoff
 
 #: Jacobian degeneracy floor: diffusion derivative is evaluated at max(n, this)
@@ -197,10 +205,10 @@ def _density_rhs(n: np.ndarray, grid: Grid, params: ModelParams, co: _Coefficien
     else:
         n1, n2 = cutoff((1.0 - co.c) * n, co.ell), cutoff(co.c * n, co.ell)
         reaction = co.g * n1 + (co.g - params.D) * n2
-    out = laplacian_neumann(Field(grid, pot))
+    out = laplacian_neumann_values(grid, pot)
     out += reaction
     if params.eps_reg > 0.0:
-        out += params.eps_reg * laplacian_neumann(Field(grid, n))
+        out += params.eps_reg * laplacian_neumann_values(grid, n)
     return out
 
 
@@ -238,42 +246,69 @@ def _count_cutoff_activations(n: np.ndarray, c: np.ndarray, ell: float) -> int:
     return int(np.count_nonzero(hit))
 
 
-def _density_operator(grid: Grid, a: np.ndarray, r: np.ndarray, dt: float):
-    """The symmetrized 2D Newton matrix S J S^-1 = diag(1 - dt r) - dt S lap S, S = diag(sqrt(a)).
+class _DensityOperator:
+    """The Jacobi-scaled 2D Newton matrix and the work arrays of its CG solves.
 
-    Returns its matvec and its diagonal.  It is a 5-point stencil:
-    neighbours i, j across a face couple with weight -dt sqrt(a_i a_j) / h^2,
-    and the diagonal is 1 - dt r_i plus dt a_i / h^2 per interior face of
-    cell i.  The weights are built once per Newton system; each matvec then
-    works on contiguous slices of the flattened cell vector.
+    With S = diag(sqrt(a)), S J S^-1 = diag(1 - dt r) - dt S lap S is a
+    5-point stencil: its diagonal D is 1 - dt r_i plus dt a_i / h^2 per
+    interior face of cell i, and neighbours i, j across a face couple with
+    -dt sqrt(a_i a_j) / h^2.  Scaled by its diagonal, D^-1/2 S J S^-1 D^-1/2
+    has a unit diagonal and couplings -(dt / h^2) t_i t_j with
+    t = sqrt(a / D), so its matvec is y - (dt / h^2) t (neighbour sum of t y).
+
+    Cell vectors live on a flat layout in which each grid row is followed by
+    one ghost entry, so a shift by one entry never reaches into the next
+    row; the product t y sits between two ghost rows, so a shift by a whole
+    row reaches only zeros past the x walls.  t is zero on every ghost
+    entry, which keeps the ghost entries of every CG vector zero.  One
+    density solve builds one operator; each Newton system refills its scales
+    in place, and every array is allocated here, once.
     """
-    ny = grid.cells[1]
-    hx2, hy2 = grid.h[0] ** 2, grid.h[1] ** 2
-    sqrt_a = np.sqrt(a)
-    degx = np.full(grid.shape, 2.0)
-    degx[0, :] = degx[-1, :] = 1.0
-    degy = np.full(grid.shape, 2.0)
-    degy[:, 0] = degy[:, -1] = 1.0
-    diag = ((1.0 - dt * r) + dt * a * (degx / hx2 + degy / hy2)).ravel()
-    # x-faces couple flat cells k and k + ny; y-faces couple k and k + 1,
-    # with a zero weight where k ends a row
-    wx = (dt * sqrt_a[:-1, :] * sqrt_a[1:, :] / hx2).ravel()
-    wy = np.zeros(grid.shape)
-    wy[:, :-1] = dt * sqrt_a[:, :-1] * sqrt_a[:, 1:] / hy2
-    wy = wy.ravel()[:-1]
-    n = grid.num_cells
-    scratch = np.empty(n)
 
-    def matvec(y: np.ndarray) -> np.ndarray:
-        out = diag * y
-        for w, shift in ((wx, ny), (wy, 1)):
-            coupled = np.multiply(w, y[shift:], out=scratch[: n - shift])
-            out[:-shift] -= coupled
-            np.multiply(w, y[:-shift], out=coupled)
-            out[shift:] -= coupled
-        return out
+    def __init__(self, grid: Grid):
+        nx, ny = grid.cells
+        self.stride = ny + 1
+        size = nx * self.stride
+        hx2, hy2 = grid.h[0] ** 2, grid.h[1] ** 2
+        degx = np.full(grid.shape, 2.0)
+        degx[0, :] = degx[-1, :] = 1.0
+        degy = np.full(grid.shape, 2.0)
+        degy[:, 0] = degy[:, -1] = 1.0
+        self.faces_over_h2 = degx / hx2 + degy / hy2  # D = 1 - dt r + dt a faces_over_h2
+        self.hx2 = hx2
+        self.y_ratio = hx2 / hy2                     # y couplings relative to x couplings
+        self.product = np.zeros(size + 2 * self.stride)
+        # the scales t, dt t / h_x^2 and D, the scaled right side, and the CG vectors
+        self.t, self.coupling, self.weights, self.scaled_rhs = np.zeros((4, size))
+        self.weights.fill(1.0)  # a ghost weight meets a zero residual; 1 keeps min(weights) a cell's
+        self.work = np.zeros((5, size))
 
-    return matvec, diag
+    def cells(self, padded: np.ndarray) -> np.ndarray:
+        """The grid-shaped view of the cell entries of a padded vector."""
+        return padded.reshape(-1, self.stride)[:, :-1]
+
+    def assemble(self, a: np.ndarray, diag_reaction: np.ndarray, dt: float) -> None:
+        """Fill the scales for S J S^-1 with a > 0 and diag_reaction = 1 - dt r > 0."""
+        d = self.cells(self.weights)
+        np.multiply(a, dt, out=d)
+        d *= self.faces_over_h2
+        d += diag_reaction
+        t = self.cells(self.t)
+        np.divide(a, d, out=t)
+        np.sqrt(t, out=t)
+        np.multiply(self.t, dt / self.hx2, out=self.coupling)
+
+    def matvec(self, y: np.ndarray, out: np.ndarray) -> None:
+        """out = y - (dt / h^2) t (neighbour sum of t y), ghost entries included."""
+        w, n, u = self.stride, y.shape[0], self.product
+        np.multiply(self.t, y, out=u[w:w + n])
+        np.add(u[w - 1:w - 1 + n], u[w + 1:w + 1 + n], out=out)
+        if self.y_ratio != 1.0:
+            out *= self.y_ratio
+        out += u[:n]
+        out += u[2 * w:]
+        out *= self.coupling
+        np.subtract(y, out, out=out)
 
 
 def _solve_newton_system(
@@ -284,14 +319,16 @@ def _solve_newton_system(
     rhs: np.ndarray,
     tol: float,
     max_iters: int,
+    op: _DensityOperator | None = None,
 ) -> tuple[np.ndarray, int]:
     """Solve (I - dt*(lap o diag(a) + diag(r))) delta = rhs.
 
-    1D goes through the banded direct solver and ignores ``tol`` and
-    ``max_iters``.  2D is symmetrized with S = diag(sqrt(a)) --
-    S J S^-1 = diag(1 - dt r) - dt S lap S is SPD -- and solved by
-    Jacobi-preconditioned CG on its stencil (``_density_operator``) to the
-    2-norm residual tol * |S rhs|, in at most ``max_iters`` iterations.
+    1D goes through the banded direct solver and ignores ``tol``,
+    ``max_iters`` and ``op``.  2D is symmetrized with S = diag(sqrt(a)) --
+    S J S^-1 = diag(1 - dt r) - dt S lap S is SPD -- and scaled by the
+    diagonal D of that matrix; CG on the scaled operator ``op`` (a new one
+    when None) runs to the 2-norm residual tol * |S rhs| of the symmetrized
+    system, in at most ``max_iters`` iterations.
     """
     if grid.dim == 1:
         # diag = 1 + dt deg a / h^2 - dt r, deg the number of interior faces
@@ -310,13 +347,19 @@ def _solve_newton_system(
         m = linalg.TriDiag(lower=w[:-2], diag=diag, upper=w[2:])
         return linalg.thomas_solve(m, rhs), 1
 
-    if np.min(1.0 - dt * r) <= 0.0:
+    diag_reaction = 1.0 - dt * r
+    if np.min(diag_reaction) <= 0.0:
         raise SolverFailure("density Jacobian lost positivity; dt too large for the reactions")
+    op = op or _DensityOperator(grid)
     a_safe = np.maximum(a, 1e-30)
-    sqrt_a = np.sqrt(a_safe)
-    matvec, diagonal = _density_operator(grid, a_safe, r, dt)
-    result = linalg.pcg_solve(matvec, diagonal, (sqrt_a * rhs).ravel(), tol, max_iters)
-    return (result.x.reshape(grid.shape) / sqrt_a), result.iterations
+    op.assemble(a_safe, diag_reaction, dt)
+    # D^-1/2 S rhs = t rhs; the solution of S J S^-1 is D^-1/2 x, and delta = S^-1 D^-1/2 x = t x / a
+    t = op.cells(op.t)
+    np.multiply(t, rhs, out=op.cells(op.scaled_rhs))
+    result = linalg.pcg_solve(op.matvec, op.weights, op.scaled_rhs, tol, max_iters, op.work)
+    delta = op.cells(result.x) * t
+    delta /= a_safe
+    return delta, result.iterations
 
 
 def density_solve(
@@ -345,6 +388,7 @@ def density_solve(
     grid = state.grid
     n_old = state.n.values
     co = _coefficients(state, params)
+    op = _DensityOperator(grid) if grid.dim == 2 else None
     report = StepReport(dt_used=dt)
     n_k = n_old.copy()
     rhs_k = _density_rhs(n_k, grid, params, co)
@@ -365,7 +409,7 @@ def density_solve(
             )
         a, r = _density_jacobian(n_k, params, co)
         tol = max(settings.linear_tol, min(0.1, res_norm))
-        delta, lin = _solve_newton_system(grid, a, r, dt, -f, tol, settings.linear_max)
+        delta, lin = _solve_newton_system(grid, a, r, dt, -f, tol, settings.linear_max, op)
         report.linear_iters += lin
         # damped update: halve until the residual shrinks; the full step,
         # which is the first trial, is the fallback
@@ -489,7 +533,7 @@ def fraction_update(
 
     diff = 0.0
     if params.eps_reg > 0.0:
-        diff = params.eps_reg * laplacian_neumann(Field(grid, c))
+        diff = params.eps_reg * laplacian_neumann_values(grid, c)
 
     k1, k2, rate_sum = _fraction_rates(state, params)
     reaction = k1 * (1.0 - c) - k2 * c - params.D * c * (1.0 - c)

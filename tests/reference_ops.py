@@ -4,9 +4,12 @@ The tests check the package against these; nothing under ``src/`` calls
 them.
 """
 
+import math
+
 import numpy as np
 
-from tissuesim.grid import laplacian_neumann
+from tissuesim.errors import SolverFailure
+from tissuesim.grid import Field, laplacian_neumann
 
 
 def integrate(f):
@@ -66,3 +69,56 @@ def is_symmetric(matvec, size, rel_tol=1e-10, probes=3):
         if abs(ax_y - x_ay) > rel_tol * scale:
             return False
     return True
+
+
+def dense(matvec, size):
+    """The dense matrix of a matvec that returns A x, column by column."""
+    return np.column_stack([matvec(e) for e in np.eye(size)])
+
+
+def symmetrized_newton_matrix(grid, a, r, dt):
+    """Dense S J S^-1 = diag(1 - dt r) - dt S lap S, S = diag(sqrt(a)), on flattened 2D cells,
+    composed from ``laplacian_neumann``."""
+    sqrt_a = np.sqrt(a)
+
+    def matvec(y):
+        y = y.reshape(grid.shape)
+        return ((1.0 - dt * r) * y - dt * sqrt_a * laplacian_neumann(Field(grid, sqrt_a * y))).ravel()
+
+    return dense(matvec, grid.num_cells)
+
+
+def jacobi_pcg(matvec, diagonal, rhs, tol, max_iters):
+    """Jacobi-preconditioned CG on the SPD operator ``matvec`` (x -> A x).
+
+    Converges when the 2-norm residual drops below tol * |rhs|; returns
+    (x, iterations) and raises SolverFailure on stagnation at max_iters.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    n = rhs.shape[0]
+    rhs_norm = float(np.linalg.norm(rhs))
+    x = np.zeros(n)
+    if rhs_norm == 0.0:
+        return x, 0
+    inv_diag = 1.0 / diagonal
+    r = rhs.copy()
+    z = inv_diag * r
+    p = z.copy()
+    scaled = np.empty(n)
+    rz = float(np.dot(r, z))
+    for k in range(1, max_iters + 1):
+        ap = matvec(p)
+        denom = float(np.dot(p, ap))
+        if denom <= 0.0:
+            raise SolverFailure("conjugate gradient hit a non-positive curvature direction")
+        alpha = rz / denom
+        x += np.multiply(p, alpha, out=scaled)
+        r -= np.multiply(ap, alpha, out=scaled)
+        np.multiply(inv_diag, r, out=z)
+        rz_new = float(np.dot(r, z))
+        if math.sqrt(float(np.dot(r, r))) <= tol * rhs_norm:
+            return x, k
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+    raise SolverFailure(f"conjugate gradient stagnated after {max_iters} iterations")

@@ -145,9 +145,9 @@ class TestWindowIntegrals:
         seen = []
         real = diagnostics.v_integrals
 
-        def spy(state, params):
+        def spy(state, params, v=None):
             seen.append(state.t)
-            return real(state, params)
+            return real(state, params, v)
 
         monkeypatch.setattr(diagnostics, "v_integrals", spy)
         s = make_state(np.full(8, 0.6))
@@ -214,6 +214,31 @@ class TestFieldSamples:
         for s in states:
             samples.add(s)
         assert sorted(computed) == [0.2, 0.3]
+
+    def test_a_given_v_is_used_as_it_is(self, monkeypatch):
+        # the sweep hands each state's v to both accumulators; the samples
+        # and the window integrals keep their bits and compute no v of their own
+        states = self.states(4, [0.0, 0.1, 0.2, 0.3, 0.45, 0.5])
+        times = np.array([0.05, 0.25, 0.28, 0.45, 0.7])
+        vs = [s.v.values for s in states]
+        plain, plain_window = FieldSamples(times), WindowIntegrals(0.15, make_params(), 0.05)
+        for s in states:
+            plain.add(s)
+            plain_window.add(s)
+        plain_v, plain_c = plain.v.copy(), plain.c.copy()
+
+        def no_v(self):
+            raise AssertionError("v computed again")
+
+        monkeypatch.setattr(State, "v", property(no_v))
+        given, given_window = FieldSamples(times), WindowIntegrals(0.15, make_params(), 0.05)
+        for s, v in zip(states, vs):
+            given.add(s, v)
+            given_window.add(s, v)
+        assert given.v.tobytes() == plain_v.tobytes()
+        assert given.c.tobytes() == plain_c.tobytes()
+        for name in ("energy", "seg_integral", "comp_integral", "excess_max"):
+            assert getattr(given_window, name) == getattr(plain_window, name)
 
 
 class TestSpaceTimeDistance:

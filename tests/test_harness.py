@@ -179,6 +179,31 @@ class TestSweep:
         assert excess[0.05] == pytest.approx([0.805, 0.28], abs=1e-12)
         assert excess[0.4] == pytest.approx([0.355, 0.14], abs=1e-12)
 
+    def test_v_is_computed_once_per_accepted_state(self, monkeypatch):
+        # the window integrals and the samples share one v per state; only
+        # the ledger rows, on snapshot steps, compute it again
+        computed, in_ledger = [], []
+        real_v, real_row = stepper.State.v, harness.make_ledger_row
+
+        def v_spy(state):
+            if not in_ledger:
+                computed.append(state)
+            return real_v.fget(state)
+
+        def row_spy(*args, **kwargs):
+            in_ledger.append(True)
+            try:
+                return real_row(*args, **kwargs)
+            finally:
+                in_ledger.pop()
+
+        monkeypatch.setattr(stepper.State, "v", property(v_spy))
+        monkeypatch.setattr(harness, "make_ledger_row", row_spy)
+        cfg = parse_config(BUMP_TEXT + "sweep.gammas = 4,8\nsweep.tau = 0.02\n")
+        report = gamma_sweep(sweep_config_from(cfg))
+        assert all(e.ok for e in report.entries)
+        assert len({id(s) for s in computed}) == len(computed) > 2 * 10
+
     def test_report_has_one_entry_per_gamma(self):
         cfg = parse_config(BUMP_TEXT + "sweep.gammas = 4,8,16\nsweep.tau = 0.02\n")
         report = gamma_sweep(sweep_config_from(cfg))

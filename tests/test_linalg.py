@@ -1,5 +1,6 @@
 import importlib.machinery
 import importlib.util
+import math
 import re
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from tissuesim.linalg import (
     thomas_solve,
 )
 
-from reference_ops import is_symmetric, laplacian_dirichlet
+from reference_ops import dense, is_symmetric, jacobi_pcg, laplacian_dirichlet
 
 
 def identity_tridiag(n):
@@ -185,7 +186,7 @@ class TestSineTransform:
 
 
 def helmholtz_op(grid, shift):
-    """(shift*I - laplacian_dirichlet) as its matvec and its diagonal."""
+    """(shift*I - laplacian_dirichlet) as its matvec (x -> A x) and its diagonal."""
 
     def matvec(x_flat):
         x = x_flat.reshape(grid.shape)
@@ -200,39 +201,51 @@ def helmholtz_op(grid, shift):
     return matvec, diag.ravel()
 
 
+def jacobi_scaled(matvec, diagonal):
+    """``pcg_solve``'s operator for the system (matvec, diagonal): D^-1/2 A D^-1/2 x into out."""
+    inv_sqrt = 1.0 / np.sqrt(diagonal)
+
+    def scaled(y, out):
+        out[:] = inv_sqrt * matvec(inv_sqrt * y)
+
+    return scaled, diagonal
+
+
+def solve_scaled(matvec, diagonal, rhs, tol, max_iters, work=None):
+    """Solve A x = rhs through ``pcg_solve`` on the Jacobi-scaled operator; (x, iterations)."""
+    inv_sqrt = 1.0 / np.sqrt(diagonal)
+    res = pcg_solve(*jacobi_scaled(matvec, diagonal), inv_sqrt * rhs, tol, max_iters, work)
+    return inv_sqrt * res.x, res.iterations
+
+
 class TestPcg:
     def test_zero_rhs_zero_iterations(self):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(8, 8))
-        res = pcg_solve(*helmholtz_op(g, 1.0), np.zeros(64), tol=1e-12, max_iters=100)
+        res = pcg_solve(*jacobi_scaled(*helmholtz_op(g, 1.0)), np.zeros(64), tol=1e-12, max_iters=100)
         assert res.iterations == 0
         assert np.all(res.x == 0.0)
 
     def test_identity_converges_in_one(self):
         rhs = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        res = pcg_solve(lambda x: x.copy(), np.ones(5), rhs, tol=1e-12, max_iters=10)
+
+        def identity(y, out):
+            out[:] = y
+
+        res = pcg_solve(identity, np.ones(5), rhs, tol=1e-12, max_iters=10)
         assert res.iterations <= 1
         assert np.allclose(res.x, rhs, atol=1e-12)
 
     def test_helmholtz_matches_direct_solve_on_separable_problem(self):
-        # cross-solver oracle: a 1D-in-x problem embedded in 2D must match the
-        # tridiagonal solve on each grid line
+        # cross-solver oracle: the 2D Dirichlet Helmholtz problem against a
+        # dense solve of the same operator
         nx, ny = 64, 5
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(nx, ny))
-        shift = 10.0
-        matvec, diagonal = helmholtz_op(g, shift)
-
-        # rhs varying only in x, Neumann-like in y is impossible with Dirichlet
-        # walls, so solve the full 2D problem and compare against a dense solve
+        matvec, diagonal = helmholtz_op(g, 10.0)
         rng = np.random.default_rng(3)
-        rhs = rng.standard_normal((nx, ny))
-        res = pcg_solve(matvec, diagonal, rhs.ravel(), tol=1e-12, max_iters=2000)
-
-        dense = np.zeros((g.num_cells, g.num_cells))
-        eye = np.eye(g.num_cells)
-        for j in range(g.num_cells):
-            dense[:, j] = matvec(eye[:, j])
-        x_direct = np.linalg.solve(dense, rhs.ravel())
-        assert np.allclose(res.x, x_direct, atol=1e-8)
+        rhs = rng.standard_normal((nx, ny)).ravel()
+        x, _ = solve_scaled(matvec, diagonal, rhs, tol=1e-12, max_iters=2000)
+        x_direct = np.linalg.solve(dense(matvec, g.num_cells), rhs)
+        assert np.allclose(x, x_direct, atol=1e-8)
 
     def test_helmholtz_1d_line_cross_check(self):
         # same operator assembled as a tridiagonal system in 1D
@@ -251,19 +264,61 @@ class TestPcg:
         x_direct = thomas_solve(m, rhs)
 
         def matvec(x):
-            out = shift * x - laplacian_dirichlet(Field(g1, x), 0.0)
-            return out
+            return shift * x - laplacian_dirichlet(Field(g1, x), 0.0)
 
-        dg = np.full(n, shift + 2.0 / h2)
-        dg[0] = dg[-1] = shift + 3.0 / h2
-        res = pcg_solve(matvec, dg, rhs, tol=1e-13, max_iters=1000)
-        assert np.allclose(res.x, x_direct, atol=1e-8)
+        x, _ = solve_scaled(matvec, diag, rhs, tol=1e-13, max_iters=1000)
+        assert np.allclose(x, x_direct, atol=1e-8)
+
+    @pytest.mark.parametrize("cells, shift, tol", [
+        ((12, 12), 9.0, 1e-10), ((16, 7), 1e-3, 1e-6), ((20, 20), 0.5, 0.1),
+    ])
+    def test_matches_reference_jacobi_pcg(self, cells, shift, tol):
+        # CG on D^-1/2 A D^-1/2 is Jacobi-PCG on A in exact arithmetic; its
+        # stopping test is the 2-norm test on A's residual
+        g = Grid(dim=2, extents=(1.0, 0.8), cells=cells)
+        matvec, diagonal = helmholtz_op(g, shift)
+        rng = np.random.default_rng(cells[1])
+        rhs = rng.standard_normal(g.num_cells)
+        x, iters = solve_scaled(matvec, diagonal, rhs, tol, 2000)
+        x_ref, iters_ref = jacobi_pcg(matvec, diagonal, rhs, tol, 2000)
+        assert abs(iters - iters_ref) <= 1 and iters > 1
+        assert np.linalg.norm(matvec(x) - rhs) <= tol * np.linalg.norm(rhs)
+        x_direct = np.linalg.solve(dense(matvec, g.num_cells), rhs)
+        cond = np.linalg.cond(dense(matvec, g.num_cells))
+        for sol in (x, x_ref):
+            assert np.linalg.norm(sol - x_direct) <= cond * tol * np.linalg.norm(x_direct)
+
+    def test_exit_residual_meets_the_weighted_test(self):
+        # the last residual of the scaled system, weighted by the diagonal,
+        # is within tol of the weighted right side; one iteration earlier it was not
+        g = Grid(dim=2, extents=(1.0, 1.0), cells=(10, 14))
+        matvec, diagonal = helmholtz_op(g, 2.0)
+        scaled, weights = jacobi_scaled(matvec, diagonal)
+        rhs = np.random.default_rng(8).standard_normal(g.num_cells)
+        tol = 1e-7
+        res = pcg_solve(scaled, weights, rhs, tol, 500)
+        ax = np.empty(g.num_cells)
+        scaled(res.x, ax)
+        weighted_norm = lambda v: math.sqrt(float(np.dot(weights * v, v)))
+        assert weighted_norm(rhs - ax) <= tol * weighted_norm(rhs)
+        with pytest.raises(SolverFailure, match="stagnated"):
+            pcg_solve(scaled, weights, rhs, tol, res.iterations - 1)
+
+    def test_work_array_holds_the_solution(self):
+        g = Grid(dim=2, extents=(1.0, 1.0), cells=(9, 9))
+        scaled, weights = jacobi_scaled(*helmholtz_op(g, 3.0))
+        rhs = np.random.default_rng(2).standard_normal(g.num_cells)
+        work = np.full((5, g.num_cells), np.nan)
+        fresh = pcg_solve(scaled, weights, rhs, 1e-10, 500)
+        reused = pcg_solve(scaled, weights, rhs, 1e-10, 500, work)
+        assert np.shares_memory(reused.x, work[0])
+        assert np.array_equal(reused.x, fresh.x) and reused.iterations == fresh.iterations
 
     def test_stagnation_raises(self):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(16, 16))
         rhs = np.ones(g.num_cells)
         with pytest.raises(SolverFailure):
-            pcg_solve(*helmholtz_op(g, 1e-6), rhs, tol=1e-14, max_iters=2)
+            pcg_solve(*jacobi_scaled(*helmholtz_op(g, 1e-6)), rhs, tol=1e-14, max_iters=2)
 
     def test_symmetry_probe(self):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(10, 10))
@@ -279,7 +334,7 @@ class TestPcg:
 
     def test_determinism(self):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(12, 12))
-        op = helmholtz_op(g, 9.0)
+        op = jacobi_scaled(*helmholtz_op(g, 9.0))
         rng = np.random.default_rng(13)
         rhs = rng.standard_normal(g.num_cells)
         r1 = pcg_solve(*op, rhs, tol=1e-12, max_iters=500)

@@ -11,7 +11,14 @@ import pytest
 
 from tissuesim.config import parse_config
 from tissuesim.diagnostics import _line_crossings, cellwise_grad_squared, free_boundary
-from tissuesim.grid import Field, Grid, divergence, face_gradient, laplacian_neumann
+from tissuesim.grid import (
+    Field,
+    Grid,
+    divergence,
+    face_gradient,
+    laplacian_neumann,
+    laplacian_neumann_values,
+)
 from tissuesim.harness import (
     _radial_sq,
     _window_mask,
@@ -240,6 +247,7 @@ class TestGridOperators:
             choice = np.random.default_rng(5).integers(0, 4, grid.shape)
             f = f.with_values(np.array([-0.0, 0.0, 1.0, -2.5])[choice])
         assert_same(laplacian_neumann(f), divergence(grid, face_gradient(f)))
+        assert_same(laplacian_neumann_values(grid, f.values), divergence(grid, face_gradient(f)))
 
     @pytest.mark.parametrize("boundary_value", [0.0, 0.7])
     def test_laplacian_dirichlet(self, grid, boundary_value):

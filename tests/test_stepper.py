@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -43,7 +44,12 @@ from tissuesim.stepper import (
     suggest_dt,
 )
 
-from reference_ops import integrate, is_symmetric, laplacian_dirichlet
+from reference_ops import (
+    integrate,
+    jacobi_pcg,
+    laplacian_dirichlet,
+    symmetrized_newton_matrix,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 EPS_STUDY_CONFIG = CONFIGS / "eps_study.cfg"
@@ -338,9 +344,9 @@ class TestNewtonLoop:
             res_norms.append(float(np.max(np.abs(rhs))))
             return solve_system(grid, a, r, dt, rhs, *rest)
 
-        def pcg_spy(matvec, diagonal, rhs, tol, max_iters):
+        def pcg_spy(matvec, weights, rhs, tol, *rest):
             tols.append(tol)
-            return pcg(matvec, diagonal, rhs, tol, max_iters)
+            return pcg(matvec, weights, rhs, tol, *rest)
 
         monkeypatch.setattr(stepper, "_solve_newton_system", system_spy)
         monkeypatch.setattr(stepper.linalg, "pcg_solve", pcg_spy)
@@ -461,30 +467,120 @@ class TestNewtonSystem1D:
             assert np.max(np.abs(m.matvec(delta) - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
+def padded(op, values):
+    """A grid-shaped cell array on the operator's padded layout, ghost entries zero."""
+    out = np.zeros(op.t.shape)
+    op.cells(out)[...] = values
+    return out
+
+
+def ghosts(op, vec):
+    """The ghost entries of a padded vector: the last entry of each row."""
+    return vec.reshape(-1, op.stride)[:, -1]
+
+
 class TestDensityOperator:
-    def operator(self):
-        grid = Grid(dim=2, extents=(1.0, 0.7), cells=(6, 9))
-        rng = np.random.default_rng(4)
+    @staticmethod
+    def system(cells, extents, seed=4, dt=0.01):
+        grid = Grid(dim=2, extents=extents, cells=cells)
+        rng = np.random.default_rng(seed)
         a = rng.uniform(0.05, 3.0, grid.shape)
         r = rng.uniform(-1.0, 1.0, grid.shape)
-        dt = 0.01
-        return (grid, a, r, dt, *stepper._density_operator(grid, a, r, dt))
+        op = stepper._DensityOperator(grid)
+        op.assemble(a, 1.0 - dt * r, dt)
+        return grid, a, r, dt, op
 
-    def test_stencil_equals_composed_operator(self):
-        grid, a, r, dt, matvec, _ = self.operator()
-        sqrt_a = np.sqrt(a)
+    # square with h_x = h_y, non-square with h_x != h_y, and 3-cell axes
+    GRIDS = [((8, 8), (1.0, 1.0)), ((6, 9), (1.0, 0.7)), ((3, 3), (0.3, 0.9)),
+             ((3, 7), (1.0, 1.0)), ((7, 3), (0.5, 2.0))]
+
+    @pytest.mark.parametrize("cells, extents", GRIDS)
+    def test_padded_matvec_equals_the_scaled_dense_matrix(self, cells, extents):
+        grid, a, r, dt, op = self.system(cells, extents)
+        m = symmetrized_newton_matrix(grid, a, r, dt)
+        inv_sqrt_d = 1.0 / np.sqrt(np.diag(m))
+        scaled = inv_sqrt_d[:, None] * m * inv_sqrt_d[None, :]
+        assert np.allclose(op.cells(op.weights).ravel(), np.diag(m), rtol=1e-14, atol=0.0)
         rng = np.random.default_rng(5)
+        out = np.full(op.t.shape, np.nan)
         for _ in range(3):
             y = rng.standard_normal(grid.shape)
-            composed = (1.0 - dt * r) * y - dt * sqrt_a * laplacian_neumann(Field(grid, sqrt_a * y))
-            stencil = matvec(y.ravel()).reshape(grid.shape)
-            assert np.max(np.abs(stencil - composed)) <= 1e-14 * np.max(np.abs(composed))
+            op.matvec(padded(op, y), out)
+            want = scaled @ y.ravel()
+            assert np.max(np.abs(op.cells(out).ravel() - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.all(ghosts(op, out) == 0.0)
+        # the ghost rows and columns of the product buffer stay zero as well
+        w = op.stride
+        assert np.all(op.product[:w] == 0.0) and np.all(op.product[-w:] == 0.0)
+        assert np.all(ghosts(op, op.product[w:-w]) == 0.0)
+        assert np.all(ghosts(op, op.t) == 0.0)
 
-    def test_symmetric_with_its_own_diagonal(self):
-        grid, _, _, _, matvec, diagonal = self.operator()
-        assert is_symmetric(matvec, grid.num_cells)
-        dense = np.column_stack([matvec(e) for e in np.eye(grid.num_cells)])
-        assert np.array_equal(np.diag(dense), diagonal)
+    @pytest.mark.parametrize("cells, extents", GRIDS[:2])
+    def test_newton_system_matches_reference_jacobi_pcg(self, cells, extents):
+        # the 2D Newton solve against Jacobi-PCG on the unscaled S J S^-1
+        grid, a, r, dt, _ = self.system(cells, extents, seed=9, dt=0.05)
+        m = symmetrized_newton_matrix(grid, a, r, dt)
+        sqrt_a = np.sqrt(a)
+        rhs = np.random.default_rng(6).standard_normal(grid.shape)
+        for tol in (0.1, 1e-4, 1e-10):
+            delta, iters = stepper._solve_newton_system(grid, a, r, dt, rhs, tol, 500)
+            x_ref, iters_ref = jacobi_pcg(lambda y: m @ y, np.diag(m), (sqrt_a * rhs).ravel(), tol, 500)
+            assert abs(iters - iters_ref) <= 1
+            # the exit residual of the symmetrized system meets the 2-norm test
+            b = (sqrt_a * rhs).ravel()
+            x = (sqrt_a * delta).ravel()
+            assert np.linalg.norm(m @ x - b) <= tol * np.linalg.norm(b)
+            err = np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref)
+            assert err <= 2.0 * np.linalg.cond(m) * tol
+
+    def test_newton_system_allocations_do_not_grow_with_cg_iterations(self, monkeypatch):
+        # the CG vectors, stencil buffers and scales belong to the operator
+        # that a density solve builds once, so between two matvecs CG
+        # allocates nothing cell-sized, and a Newton system makes the same
+        # few cell-sized allocations (its set-up temporaries, numpy's buffers
+        # for the strided cell views, and delta) at any iteration count.  The
+        # tracemalloc peak over each stretch between matvec calls counts the
+        # cell-sized arrays alive at once in it.
+        grid = Grid(dim=2, extents=(1.0, 1.0), cells=(64, 64))
+        rng = np.random.default_rng(1)
+        a = rng.uniform(0.05, 3.0, grid.shape)
+        r = rng.uniform(-1.0, 1.0, grid.shape)
+        rhs = rng.standard_normal(grid.shape)
+        cell_bytes = 8 * grid.num_cells
+        op = stepper._DensityOperator(grid)
+        pcg = stepper.linalg.pcg_solve
+        counted = []
+
+        def tick():
+            current, peak = tracemalloc.get_traced_memory()
+            counted.append((peak - tick.base) // cell_bytes)
+            tracemalloc.reset_peak()
+            tick.base = current
+
+        def pcg_spy(matvec, *args):
+            def ticking(y, out):
+                tick()
+                matvec(y, out)
+
+            return pcg(ticking, *args)
+
+        monkeypatch.setattr(stepper.linalg, "pcg_solve", pcg_spy)
+        totals = {}
+        for tol in (1e-2, 1e-10):
+            counted.clear()
+            tracemalloc.start()
+            try:
+                tick.base = tracemalloc.get_traced_memory()[0]
+                delta, iters = stepper._solve_newton_system(grid, a, r, 0.01, rhs, tol, 500, op)
+                tick()
+            finally:
+                tracemalloc.stop()
+            assert len(counted) == iters + 1
+            assert sum(counted[1:-1]) == 0   # nothing cell-sized inside the CG loop
+            totals[iters] = sum(counted)
+        (few, few_total), (many, many_total) = sorted(totals.items())
+        assert many >= 5 * few
+        assert few_total == many_total <= 8
 
 
 class TestFractionUpdate:
