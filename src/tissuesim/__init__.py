@@ -19,7 +19,7 @@ from .diagnostics import (
     v_integrals,
 )
 from .errors import ConfigError, SolverFailure
-from .grid import Field, Grid, divergence, face_gradient, laplacian_neumann
+from .grid import Grid, divergence, face_gradient, laplacian_neumann
 from .harness import (
     SweepConfig,
     barenblatt_benchmark,

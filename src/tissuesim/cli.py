@@ -116,7 +116,7 @@ def _cmd_check(cfg) -> int:
     print(f"G0      {consts.G0:.12g}")
     print(f"M0      {consts.M0:.12g}")
     print(f"d_crit  {consts.d_crit:.12g}")
-    sigma, ok, ratio = check_initial_mass(cfg, consts, n0)
+    sigma, ok, ratio = check_initial_mass(cfg, consts, grid, n0)
     if ok is None:
         print(f"H7      not checkable (sigma = {sigma:.6g} not admissible)")
     else:

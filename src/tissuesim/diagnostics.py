@@ -9,6 +9,7 @@ few solver-verification checks (porous-medium time-monotonicity gap, bounds).
 ``v_integrals`` computes the integrands for the ledger rows and the time
 quadratures alike.  ``WindowIntegrals`` and ``FieldSamples`` are fed every
 accepted state of a run, so no time quantity depends on the snapshot stride.
+All of them read v from ``State.v``, which each state computes once.
 """
 
 from __future__ import annotations
@@ -49,26 +50,23 @@ class VIntegrals(NamedTuple):
     comp_resid: float      # integral of |div(v_face grad v) - |grad v|^2 + v R|
 
 
-def v_integrals(state: State, params: ModelParams, v: np.ndarray | None = None) -> VIntegrals:
-    """The integrals of v = n^(gamma+1), from one v and one face gradient of it.
+def v_integrals(state: State, params: ModelParams) -> VIntegrals:
+    """The integrals of v = n^(gamma+1), from the state's v and one face gradient of it.
 
-    ``v``, when given, is ``state.v.values``, computed once by the caller.
     The residual takes v lap v in the product form div(v grad v) - |grad v|^2,
     as the limit problem defines it (and best-behaved near the front).
     """
-    grid, vol = state.grid, state.grid.cell_volume
-    if v is None:
-        v = state.v.values
-    grads = face_gradient(state.n.with_values(v))
+    grid, vol, v = state.grid, state.grid.cell_volume, state.v
+    grads = face_gradient(grid, v)
     v_face = tuple(0.5 * (v[lo] + v[hi]) for lo, hi in grid.sides)
     div_term = divergence(grid, tuple(vf * g for vf, g in zip(v_face, grads)))
-    growth = np.asarray(params.rates.G(state.d.values), dtype=float)
-    reaction = growth * state.n.values - params.D * state.c.values * state.n.values
+    growth = np.asarray(params.rates.G(state.d), dtype=float)
+    reaction = growth * state.n - params.D * state.c * state.n
     cellwise = div_term - cellwise_grad_squared(grid, grads) + v * reaction
     return VIntegrals(
         v_sq=float(np.sum(v**2)) * vol,
         grad_v_sq=grad_squared_integral(grads, vol),
-        segregation=float(np.sum(np.abs(1.0 - state.n.values) * v)) * vol,
+        segregation=float(np.sum(np.abs(1.0 - state.n) * v)) * vol,
         comp_resid=float(np.sum(np.abs(cellwise))) * vol,
     )
 
@@ -125,21 +123,23 @@ def make_ledger_row(
     cutoff_activations: int = 0,
 ) -> LedgerRow:
     vi = v_integrals(state, params)
-    half_power = state.n.with_values(positive_power(state.n.values, (state.gamma + 1.0) / 2.0))
+    half_power = positive_power(state.n, (state.gamma + 1.0) / 2.0)
     return LedgerRow(
         t=state.t,
-        mass=float(np.sum(state.n.values)) * state.grid.cell_volume,
-        n_min=state.n.min(),
-        n_max=state.n.max(),
-        c_min=state.c.min(),
-        c_max=state.c.max(),
-        d_min=state.d.min(),
-        d_max=state.d.max(),
+        mass=float(np.sum(state.n)) * state.grid.cell_volume,
+        n_min=float(state.n.min()),
+        n_max=float(state.n.max()),
+        c_min=float(state.c.min()),
+        c_max=float(state.c.max()),
+        d_min=float(state.d.min()),
+        d_max=float(state.d.max()),
         v_sq=vi.v_sq,
         grad_v_sq=vi.grad_v_sq,
         t_v_sq=state.t * vi.v_sq,
         t_grad_v_sq=state.t * vi.grad_v_sq,
-        entropy_rate=grad_squared_integral(face_gradient(half_power), state.grid.cell_volume),
+        entropy_rate=grad_squared_integral(
+            face_gradient(state.grid, half_power), state.grid.cell_volume
+        ),
         excess=excess_measure(state, delta),
         segregation=vi.segregation,
         comp_resid=vi.comp_resid,
@@ -155,7 +155,7 @@ def excess_measure(state: State, delta: float) -> float:
     """Total volume of cells where n >= 1 + delta."""
     if not (delta > 0.0):
         raise ValueError(f"delta must be positive, got {delta}")
-    return float(np.count_nonzero(state.n.values >= 1.0 + delta)) * state.grid.cell_volume
+    return float(np.count_nonzero(state.n >= 1.0 + delta)) * state.grid.cell_volume
 
 
 class WindowIntegrals:
@@ -166,34 +166,33 @@ class WindowIntegrals:
     the complementarity residual.  The step that crosses tau is split there,
     its integrands interpolated linearly; states before it are never
     evaluated.  ``excess_max`` is the largest excess at t >= tau.  All four
-    are nan until a state at or past tau arrives.  ``add`` takes the
-    state's v when its caller has it, so v is not computed again.
+    are nan until a state at or past tau arrives.
     """
 
     def __init__(self, tau: float, params: ModelParams, delta: float):
         self.tau, self.params, self.delta = tau, params, delta
         self.energy = self.seg_integral = self.comp_integral = self.excess_max = math.nan
-        self._before: tuple | None = None    # (state, v) of the last state before tau
+        self._before: State | None = None    # the last state before tau
         self._last: tuple | None = None      # (t, integrands) of the last node
         self._sums = np.zeros(3)
 
-    def _integrands(self, state: State, v: np.ndarray | None) -> np.ndarray:
-        t, vi = state.t, v_integrals(state, self.params, v)
+    def _integrands(self, state: State) -> np.ndarray:
+        t, vi = state.t, v_integrals(state, self.params)
         return np.array([t * vi.v_sq + t * vi.grad_v_sq, vi.segregation, t**2 * vi.comp_resid])
 
-    def add(self, state: State, v: np.ndarray | None = None) -> None:
+    def add(self, state: State) -> None:
         t1 = state.t
         if t1 < self.tau:
-            self._before = (state, v)
+            self._before = state
             return
-        f1 = self._integrands(state, v)
+        f1 = self._integrands(state)
         excess = excess_measure(state, self.delta)
         if self._last is None:
             self.excess_max, self._last = excess, (t1, f1)
             if self._before is not None and t1 > self.tau:
-                t0 = self._before[0].t
+                t0 = self._before.t
                 w = (self.tau - t0) / (t1 - t0)
-                self._last = (self.tau, (1.0 - w) * self._integrands(*self._before) + w * f1)
+                self._last = (self.tau, (1.0 - w) * self._integrands(self._before) + w * f1)
         t0, f0 = self._last
         self._sums += 0.5 * (t1 - t0) * (f0 + f1)
         self.energy, self.seg_integral, self.comp_integral = (float(x) for x in self._sums)
@@ -205,49 +204,40 @@ class FieldSamples:
     """v and c of a run at fixed times, from its accepted states.
 
     Each sample interpolates linearly between the two accepted states around
-    its time, so v is computed only for those states, unless ``add`` is
-    given it.  Times up to the first state take its fields; times past the
-    last state hold the last state's.
+    its time, so v is computed only for those states.  Times up to the first
+    state take its fields; times past the last state hold the last state's.
     """
 
     def __init__(self, times: np.ndarray):
         self.times = np.asarray(times, dtype=float)
         self._filled = 0     # the samples before this index are set
         self._prev: State | None = None
-        self._prev_v: np.ndarray | None = None   # v of _prev, once computed or given
 
-    def _last_v(self) -> np.ndarray:
-        if self._prev_v is None:
-            self._prev_v = self._prev.v.values
-        return self._prev_v
-
-    def add(self, state: State, v: np.ndarray | None = None) -> None:
-        """Take the next accepted state; ``v``, when given, is its ``state.v.values``."""
+    def add(self, state: State) -> None:
+        """Take the next accepted state."""
         lo, first = self._filled, self._prev is None
         if first:
             self._v = np.empty((len(self.times),) + state.grid.shape)
             self._c = np.empty_like(self._v)
         if lo == len(self.times) or state.t < self.times[lo]:
-            self._prev, self._prev_v = state, v
+            self._prev = state
             return
         end = int(np.searchsorted(self.times, state.t, side="right"))
-        v1 = state.v.values if v is None else v
-        c1 = state.c.values
         if first:
-            self._v[:end], self._c[:end] = v1, c1
+            self._v[:end], self._c[:end] = state.v, state.c
         else:
             prev = self._prev
             w = (self.times[lo:end] - prev.t) / (state.t - prev.t)
-            w = w.reshape((-1,) + (1,) * v1.ndim)
-            self._v[lo:end] = (1.0 - w) * self._last_v() + w * v1
-            self._c[lo:end] = (1.0 - w) * prev.c.values + w * c1
-        self._prev, self._prev_v = state, v1
+            w = w.reshape((-1,) + (1,) * state.grid.dim)
+            self._v[lo:end] = (1.0 - w) * prev.v + w * state.v
+            self._c[lo:end] = (1.0 - w) * prev.c + w * state.c
+        self._prev = state
         self._filled = end
 
     def _hold_last(self) -> None:
         if self._filled < len(self.times):
-            self._v[self._filled:] = self._last_v()
-            self._c[self._filled:] = self._prev.c.values
+            self._v[self._filled:] = self._prev.v
+            self._c[self._filled:] = self._prev.c
 
     @property
     def v(self) -> np.ndarray:
@@ -286,15 +276,15 @@ def aronson_benilan_gap(states, params: ModelParams) -> float:
     dt = t1 - t0, is excluded to keep the 1/t weight from amplifying
     startup error.
     """
-    if not reaction_free(params, states[0].c.values):
+    if not reaction_free(params, states[0].c):
         raise ValueError("the porous-medium monotonicity gap requires a reaction-free run")
     gap = math.inf
     for s0, s1 in zip(states, states[1:]):
         dt = s1.t - s0.t
         if s0.t <= 0.0 or s0.t < 10.0 * dt:
             continue
-        rate = (s1.n.values - s0.n.values) / dt
-        bound = s0.n.values / (params.gamma * s0.t)
+        rate = (s1.n - s0.n) / dt
+        bound = s0.n / (params.gamma * s0.t)
         gap = min(gap, float(np.min(rate + bound)))
     return gap
 
@@ -308,8 +298,7 @@ def free_boundary(state: State, threshold: float):
     """
     if not (threshold > 0.0):
         raise ValueError(f"threshold must be positive, got {threshold}")
-    grid = state.grid
-    v = state.v.values
+    grid, v = state.grid, state.v
     if grid.dim == 1:
         return _line_crossings(v, grid.centers(0), threshold)
     out = []
@@ -365,7 +354,7 @@ def check_all(state: State, consts: DerivedConstants, tolcfg: TolConfig) -> list
     violated bound, to locate its worst cell.
     """
     out = []
-    n, c, d = state.n.values, state.c.values, state.d.values
+    n, c, d = state.n, state.c, state.d
     n_min = n.min()
     c_high = 1.0 + tolcfg.c_tol
     d_high = consts.L + tolcfg.d_tol

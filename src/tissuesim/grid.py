@@ -81,47 +81,13 @@ class Grid:
         return tuple(np.meshgrid(*(self.centers(a) for a in range(self.dim)), indexing="ij"))
 
 
-@dataclass(frozen=True)
-class Field:
-    """A scalar cell field bound to its grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise ValueError(
-                f"field shape {v.shape} does not match grid {self.grid.shape}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def full(cls, grid: Grid, value: float) -> "Field":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "Field":
-        return cls.full(grid, 0.0)
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def max(self) -> float:
-        return float(self.values.max())
-
-
-def face_gradient(f: Field) -> tuple[np.ndarray, ...]:
-    """Two-point gradient on interior faces, one array per axis.
+def face_gradient(grid: Grid, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Two-point gradient of the cell values ``v`` on interior faces, one array per axis.
 
     1D: shape (nx-1,).  2D: x-faces (nx-1, ny) and y-faces (nx, ny-1).
     Boundary faces are excluded (no-flux).
     """
-    v = f.values
-    return tuple((v[hi] - v[lo]) / h for (lo, hi), h in zip(f.grid.sides, f.grid.h))
+    return tuple((v[hi] - v[lo]) / h for (lo, hi), h in zip(grid.sides, grid.h))
 
 
 def divergence(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -137,15 +103,10 @@ def divergence(grid: Grid, fluxes: tuple[np.ndarray, ...]) -> np.ndarray:
     return out
 
 
-def laplacian_neumann(f: Field) -> np.ndarray:
-    """No-flux Laplacian of a cell field: ``laplacian_neumann_values`` of its values."""
-    return laplacian_neumann_values(f.grid, f.values)
-
-
-def laplacian_neumann_values(grid: Grid, v: np.ndarray) -> np.ndarray:
+def laplacian_neumann(grid: Grid, v: np.ndarray) -> np.ndarray:
     """No-flux Laplacian of the cell values ``v``: divergence of the interior face gradients.
 
-    It is ``divergence(grid, face_gradient(f))`` with the same roundings,
+    It is ``divergence(grid, face_gradient(grid, v))`` with the same roundings,
     each face difference divided by h twice, formed once per face: every
     face flux enters its two cells with opposite signs, which keeps the
     discrete conservation identity exact.

@@ -32,7 +32,7 @@ from .diagnostics import (
     space_time_distance,
 )
 from .errors import ConfigError, SolverFailure
-from .grid import Field, Grid
+from .grid import Grid
 from .model import (
     BOUND_INFLATION,
     DerivedConstants,
@@ -118,8 +118,10 @@ def barenblatt_profile(
     return s ** (-alpha) * np.maximum(core, 0.0) ** (1.0 / (m - 1.0))
 
 
-def initial_fields(cfg: RunConfig, grid: Grid, params: ModelParams) -> tuple[Field, Field, Field]:
-    """Unlifted initial (n, c, d) per the configured profile."""
+def initial_fields(
+    cfg: RunConfig, grid: Grid, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unlifted initial cell arrays (n, c, d) per the configured profile."""
     profile = cfg["initial.profile"]
     n0 = cfg["initial.n0"]
     if profile == "uniform":
@@ -142,7 +144,7 @@ def initial_fields(cfg: RunConfig, grid: Grid, params: ModelParams) -> tuple[Fie
         )
     c = np.full(grid.shape, cfg["initial.c0"])
     d = np.full(grid.shape, cfg["initial.d0"])
-    return Field(grid, n), Field(grid, c), Field(grid, d)
+    return n, c, d
 
 
 def _offsets(cfg: RunConfig, grid: Grid) -> tuple[np.ndarray, ...]:
@@ -161,11 +163,10 @@ def _radial_sq(cfg: RunConfig, grid: Grid) -> np.ndarray:
     return sum((o / half) ** 2 for o in _offsets(cfg, grid))
 
 
-def apply_lift(n: Field, c: Field, amount: float) -> tuple[Field, Field]:
+def apply_lift(n: np.ndarray, c: np.ndarray, amount: float) -> tuple[np.ndarray, np.ndarray]:
     """Vacuum lift n -> n + amount keeping the species mass n2 unchanged."""
-    lifted = n.values + amount
-    c_new = c.values * n.values / lifted
-    return n.with_values(lifted), c.with_values(c_new)
+    lifted = n + amount
+    return lifted, c * n / lifted
 
 
 @dataclass
@@ -194,7 +195,7 @@ class RunResult:
 
 
 def check_initial_mass(
-    cfg: RunConfig, consts: DerivedConstants, n0: Field
+    cfg: RunConfig, consts: DerivedConstants, grid: Grid, n0: np.ndarray
 ) -> tuple[float, bool | None, float]:
     """The initial-mass hypothesis H7 on the unlifted n0: (sigma, pass, ratio).
 
@@ -207,20 +208,20 @@ def check_initial_mass(
     if sigma == 0.0:
         sigma = 0.5 * math.exp(-consts.G0 * T)
     if sigma < math.exp(-consts.G0 * T):
-        h7_pass, h7_ratio = check_h7(n0, sigma, consts.G0, T)
+        h7_pass, h7_ratio = check_h7(grid, n0, sigma, consts.G0, T)
         return sigma, h7_pass, h7_ratio
     return sigma, None, math.nan
 
 
 def _inject_fault(state: State, mode: str, consts: DerivedConstants) -> State:
     if mode == "d_ceiling":
-        d = state.d.values.copy()
+        d = state.d.copy()
         d.flat[0] = consts.L + 1.0
-        return replace(state, d=state.d.with_values(d))
+        return replace(state, d=d)
     if mode == "c_bounds":
-        c = state.c.values.copy()
+        c = state.c.copy()
         c.flat[0] = 1.5
-        return replace(state, c=state.c.with_values(c))
+        return replace(state, c=c)
     return state
 
 
@@ -234,9 +235,10 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
     state after every step.  Solver failures and invariant violations
     (stored as their messages) stop the run but still return the partial
     result so callers can flush outputs; ``RunResult.ok`` tells them apart
-    from a clean finish.  A stopped run's last accepted state gets a ledger
-    row of its own if its step was off the stride, so the outputs end with
-    the state the run stopped at.
+    from a clean finish.  A run that needs more than ``time.max_steps``
+    steps fails after that many.  A stopped run's last accepted state gets a
+    ledger row of its own if its step was off the stride, so the outputs end
+    with the state the run stopped at.
     """
     t_start = _time.perf_counter()
     grid = build_grid(cfg)
@@ -251,7 +253,7 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
     warnings: list[str] = []
     T = params.T_final
 
-    sigma, h7_pass, h7_ratio = check_initial_mass(cfg, consts, n0)
+    sigma, h7_pass, h7_ratio = check_initial_mass(cfg, consts, grid, n0)
     if h7_pass is None:
         warnings.append(
             f"sigma = {sigma:.3g} is not admissible (needs < e^(-G0 T) = "
@@ -270,7 +272,7 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
         n0, c0 = apply_lift(n0, c0, params.eps_reg)
 
     tolcfg = TolConfig(
-        cap_base=float(n0.values.max()) if lift == "gamma" else None,
+        cap_base=float(n0.max()) if lift == "gamma" else None,
         min_floor=(
             params.eps_reg * math.exp(-consts.M0 * T)
             if (params.eps_reg > 0.0 and lift == "eps")
@@ -279,7 +281,7 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
     )
 
     if params.eps_reg > 0.0:
-        ell_floor = max(consts.L, math.exp(2.0 * consts.M0 * T) * float(n0.values.max()))
+        ell_floor = max(consts.L, math.exp(2.0 * consts.M0 * T) * float(n0.max()))
         if params.ell_cut == 0.0:
             params = replace(params, ell_cut=ell_floor * (1.0 + BOUND_INFLATION))
         elif params.ell_cut < ell_floor:
@@ -288,7 +290,7 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
                 f"{ell_floor:.6g}; clamping may distort the solution"
             )
 
-    state = State(t=0.0, n=n0, c=c0, d=d0, gamma=params.gamma)
+    state = State(t=0.0, grid=grid, n=n0, c=c0, d=d0, gamma=params.gamma)
     ledger = EnergyLedger()
     delta = cfg["sweep.delta"]
     ledger.rows.append(make_ledger_row(state, params, delta, 0.0))
@@ -330,6 +332,8 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
     steps = 0
     try:
         while state.t < T - 1e-14:
+            if steps == max_steps:
+                raise SolverFailure(f"max_steps = {max_steps} reached before T_final")
             dt_hint = min(suggest_dt(state, params, consts, settings.safety), settings.dt_max)
             state, report = step(state, params, consts, settings, dt_hint)
             steps += 1
@@ -348,8 +352,6 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
                 result.violations = [str(v) for v in found]
                 if not permissive:
                     break
-            if steps > max_steps:
-                raise SolverFailure(f"exceeded max_steps = {max_steps}")
     except SolverFailure as exc:
         result.failure = str(exc)
     if result.final_state is not state:  # stopped off the stride
@@ -448,9 +450,8 @@ def gamma_sweep(sc: SweepConfig) -> SweepReport:
             integrals = WindowIntegrals(sc.tau, make_params(cfg_g), delta)
 
             def on_state(state: State) -> None:
-                v = state.v.values   # once, for both accumulators
-                integrals.add(state, v)
-                samples.add(state, v)
+                integrals.add(state)
+                samples.add(state)
 
             res = run(cfg_g, on_state=on_state)
         except (SolverFailure, ConfigError) as exc:
@@ -546,7 +547,7 @@ def eps_study(eps_list, base_cfg: RunConfig, compare_times: int = 33) -> EpsRepo
 
         def on_state(state: State) -> None:
             samples.add(state)
-            lows.append(state.n.min())
+            lows.append(float(state.n.min()))
 
         try:
             res = run(cfg_e, on_state=on_state)
@@ -627,7 +628,7 @@ def barenblatt_benchmark(cfg: RunConfig) -> BenchReport:
         grid = final.grid
         s_exact = t0 + T * gamma / (gamma + 1.0)
         exact = barenblatt_profile(grid.centers(0), s_exact, gamma, const, center=center, dim=1)
-        err = float(np.sum(np.abs(final.n.values - exact))) * grid.cell_volume
+        err = float(np.sum(np.abs(final.n - exact))) * grid.cell_volume
         mass0 = res.ledger.rows[0].mass
         mass_t = res.ledger.rows[-1].mass
         order = math.nan

@@ -166,7 +166,7 @@ class PcgResult:
 
 
 def pcg_solve(
-    matvec, weights: np.ndarray, rhs: np.ndarray, tol: float, max_iters: int, work=None
+    matvec, weights: np.ndarray, rhs: np.ndarray, tol: float, max_iters: int, work: np.ndarray
 ) -> PcgResult:
     """Conjugate gradients for a Jacobi-scaled SPD operator, stopped in the unscaled norm.
 
@@ -176,14 +176,13 @@ def pcg_solve(
     residual of M is D^1/2 times that of A, so the solve converges when
     sqrt(sum weights r^2) drops below tol times the same norm of ``rhs``,
     the 2-norm test on M.  Raises SolverFailure on stagnation at max_iters.
-    ``work``, when given, is a (5, n) array that holds x, r, p, A p and a
-    scratch vector, so a caller that solves many systems allocates them
-    once; the returned x is then ``work[0]``.  Every update is in place,
-    with the same roundings as the textbook updates.
+    ``work`` is a (5, n) array that holds x, r, p, A p and a scratch
+    vector, so a caller that solves many systems allocates them once; the
+    returned x is ``work[0]``.  Every update is in place, with the same
+    roundings as the textbook updates.
     """
     rhs = np.asarray(rhs, dtype=float)
-    n = rhs.shape[0]
-    x, r, p, ap, scaled = np.empty((5, n)) if work is None else work
+    x, r, p, ap, scaled = work
     x.fill(0.0)
     rhs_norm = math.sqrt(float(np.dot(np.multiply(weights, rhs, out=scaled), rhs)))
     if rhs_norm == 0.0:

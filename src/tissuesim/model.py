@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field
+from .grid import Grid
 
 PRESETS = ("linear", "saturating", "constant")
 
@@ -157,7 +157,7 @@ def _sample_levels(L: float) -> np.ndarray:
     return np.linspace(0.0, L, RATE_SAMPLES)
 
 
-def derive_constants(params: ModelParams, d0_field: Field) -> DerivedConstants:
+def derive_constants(params: ModelParams, d0: np.ndarray) -> DerivedConstants:
     """Compute L, G0, M0 and the transition-rate bounds for one run."""
     d_crit = params.rates.psi.critical_level(params.a)
     if not math.isfinite(d_crit):
@@ -165,7 +165,7 @@ def derive_constants(params: ModelParams, d0_field: Field) -> DerivedConstants:
             ["psi never reaches the supply rate a: no critical concentration; "
              "use a linear psi, or a saturating psi with alpha > a"]
         )
-    L = max(params.d_b, float(d0_field.values.max()), d_crit)
+    L = max(params.d_b, float(d0.max()), d_crit)
     s = _sample_levels(L)
     g = np.asarray(params.rates.G(s), dtype=float)
     G0 = float(g.max())
@@ -203,25 +203,22 @@ def cutoff(s, ell: float):
     return out
 
 
-def check_h7(n0: Field, sigma: float, G0: float, T: float) -> tuple[bool, float]:
+def check_h7(grid: Grid, n0: np.ndarray, sigma: float, G0: float, T: float) -> tuple[bool, float]:
     """Initial-mass smallness hypothesis behind the stiff-limit estimates.
 
-    Measures the superlevel set {n0 >= sigma} on the grid and compares it to
-    |Omega| / (e^{G0 T} * max n0).  Returns (passed, ratio) where ratio is
+    Measures the superlevel set {n0 >= sigma} of the cell values n0 on
+    ``grid`` and compares it to |Omega| / (e^{G0 T} * max n0).  Returns (passed, ratio) where ratio is
     measured / allowed; ratio <= 1 passes.  sigma must lie in (0, e^{-G0 T}).
     """
     if not (0.0 < sigma < math.exp(-G0 * T)):
         raise ValueError(
             f"sigma must lie in (0, e^(-G0*T)) = (0, {math.exp(-G0 * T):.6g}), got {sigma}"
         )
-    vol = n0.grid.cell_volume
-    measured = float(np.count_nonzero(n0.values >= sigma)) * vol
-    n0_max = float(n0.values.max())
+    vol = grid.cell_volume
+    measured = float(np.count_nonzero(n0 >= sigma)) * vol
     if measured == 0.0:
         return True, 0.0
-    domain = n0.grid.num_cells * vol
-    if n0_max <= 0.0:
-        return True, 0.0
-    allowed = domain / (math.exp(G0 * T) * n0_max)
+    # some cell has n0 >= sigma > 0, so max n0 > 0
+    allowed = grid.num_cells * vol / (math.exp(G0 * T) * float(n0.max()))
     ratio = measured / allowed
     return ratio <= 1.0, ratio

@@ -80,7 +80,7 @@ def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
         ",".join(coord_names + ("n", "n1", "n2", "c", "d", "p", "v")),
     ]
     fields = (state.n, state.n1, state.n2, state.c, state.d, state.p, state.v)
-    columns = [x.ravel() for x in grid.coordinate_fields()] + [f.values.ravel() for f in fields]
+    columns = [x.ravel() for x in grid.coordinate_fields() + fields]
     row_format = ",".join(["%.16e"] * len(columns))
 
     def blocks():

@@ -41,19 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import SolverFailure
-from .grid import (
-    Field,
-    Grid,
-    divergence,
-    face_gradient,
-    laplacian_neumann_values,
-    upwind_face_values,
-)
+from .grid import Grid, divergence, face_gradient, laplacian_neumann, upwind_face_values
 from .model import DerivedConstants, ModelParams, cutoff
 
 #: Jacobian degeneracy floor: diffusion derivative is evaluated at max(n, this)
@@ -84,33 +78,44 @@ def positive_power(x: np.ndarray, e: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class State:
-    """Cell fields at one instant; n1, n2, p, v are derived views."""
+    """Cell arrays n, c, d on ``grid`` at one instant; n1, n2, p and v derive from them.
+
+    v = n^(gamma+1) is computed on first use and kept, read-only, for the
+    life of the state, so the ledger, the accumulators and a snapshot of one
+    state share it.
+    """
 
     t: float
-    n: Field
-    c: Field
-    d: Field
+    grid: Grid
+    n: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
     gamma: float
 
-    @property
-    def n1(self) -> Field:
-        return self.n.with_values((1.0 - self.c.values) * self.n.values)
+    def __post_init__(self):
+        for name in ("n", "c", "d"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if values.shape != self.grid.shape:
+                raise ValueError(f"{name} has shape {values.shape}, grid has {self.grid.shape}")
+            object.__setattr__(self, name, values)
 
     @property
-    def n2(self) -> Field:
-        return self.n.with_values(self.c.values * self.n.values)
+    def n1(self) -> np.ndarray:
+        return (1.0 - self.c) * self.n
 
     @property
-    def p(self) -> Field:
-        return self.n.with_values(positive_power(self.n.values, self.gamma))
+    def n2(self) -> np.ndarray:
+        return self.c * self.n
 
     @property
-    def v(self) -> Field:
-        return self.n.with_values(positive_power(self.n.values, self.gamma + 1.0))
+    def p(self) -> np.ndarray:
+        return positive_power(self.n, self.gamma)
 
-    @property
-    def grid(self) -> Grid:
-        return self.n.grid
+    @cached_property
+    def v(self) -> np.ndarray:
+        v = positive_power(self.n, self.gamma + 1.0)
+        v.flags.writeable = False
+        return v
 
 
 @dataclass(frozen=True)
@@ -170,15 +175,15 @@ class _Coefficients:
 
 def _coefficients(state: State, params: ModelParams) -> _Coefficients:
     ell = _cutoff_level(params)
-    c = state.c.values
-    g = np.asarray(params.rates.G(cutoff(state.d.values, ell)), dtype=float)
+    c = state.c
+    g = np.asarray(params.rates.G(cutoff(state.d, ell)), dtype=float)
     c_min, c_max = float(c.min()), float(c.max())
     return _Coefficients(
         ell=ell,
         g=g,
         c=c,
         rate=g - params.D * c,
-        in_band=c_min >= 0.0 and c_max <= 1.0 and state.n.min() >= 0.0,
+        in_band=c_min >= 0.0 and c_max <= 1.0 and float(state.n.min()) >= 0.0,
         spread=max(c_max, 1.0 - c_min),
     )
 
@@ -205,10 +210,10 @@ def _density_rhs(n: np.ndarray, grid: Grid, params: ModelParams, co: _Coefficien
     else:
         n1, n2 = cutoff((1.0 - co.c) * n, co.ell), cutoff(co.c * n, co.ell)
         reaction = co.g * n1 + (co.g - params.D) * n2
-    out = laplacian_neumann_values(grid, pot)
+    out = laplacian_neumann(grid, pot)
     out += reaction
     if params.eps_reg > 0.0:
-        out += params.eps_reg * laplacian_neumann_values(grid, n)
+        out += params.eps_reg * laplacian_neumann(grid, n)
     return out
 
 
@@ -319,15 +324,15 @@ def _solve_newton_system(
     rhs: np.ndarray,
     tol: float,
     max_iters: int,
-    op: _DensityOperator | None = None,
+    op: _DensityOperator | None,
 ) -> tuple[np.ndarray, int]:
     """Solve (I - dt*(lap o diag(a) + diag(r))) delta = rhs.
 
     1D goes through the banded direct solver and ignores ``tol``,
-    ``max_iters`` and ``op``.  2D is symmetrized with S = diag(sqrt(a)) --
-    S J S^-1 = diag(1 - dt r) - dt S lap S is SPD -- and scaled by the
-    diagonal D of that matrix; CG on the scaled operator ``op`` (a new one
-    when None) runs to the 2-norm residual tol * |S rhs| of the symmetrized
+    ``max_iters`` and ``op``, which is None there.  2D is symmetrized with
+    S = diag(sqrt(a)) -- S J S^-1 = diag(1 - dt r) - dt S lap S is SPD --
+    and scaled by the diagonal D of that matrix; CG on the scaled operator
+    ``op`` runs to the 2-norm residual tol * |S rhs| of the symmetrized
     system, in at most ``max_iters`` iterations.
     """
     if grid.dim == 1:
@@ -350,7 +355,6 @@ def _solve_newton_system(
     diag_reaction = 1.0 - dt * r
     if np.min(diag_reaction) <= 0.0:
         raise SolverFailure("density Jacobian lost positivity; dt too large for the reactions")
-    op = op or _DensityOperator(grid)
     a_safe = np.maximum(a, 1e-30)
     op.assemble(a_safe, diag_reaction, dt)
     # D^-1/2 S rhs = t rhs; the solution of S J S^-1 is D^-1/2 x, and delta = S^-1 D^-1/2 x = t x / a
@@ -367,7 +371,7 @@ def density_solve(
     dt: float,
     params: ModelParams,
     settings: SolverSettings,
-) -> tuple[Field, StepReport]:
+) -> tuple[np.ndarray, StepReport]:
     """Backward-Euler solve for the total density with frozen c and d.
 
     Damped Newton on the cell vector, converged when max|f| <= newton_tol
@@ -386,7 +390,7 @@ def density_solve(
     result is floored at zero with clamps counted.
     """
     grid = state.grid
-    n_old = state.n.values
+    n_old = state.n
     co = _coefficients(state, params)
     op = _DensityOperator(grid) if grid.dim == 2 else None
     report = StepReport(dt_used=dt)
@@ -440,26 +444,28 @@ def density_solve(
     n_new = n_old + dt * rhs_k
     report.clamped_cells = int(np.count_nonzero(n_new < 0.0))
     n_new = np.maximum(n_new, 0.0)
-    report.cutoff_activations = _count_cutoff_activations(n_k, state.c.values, co.ell)
-    return Field(grid, n_new), report
+    report.cutoff_activations = _count_cutoff_activations(n_k, state.c, co.ell)
+    return n_new, report
 
 
-def _face_velocities(n_new: Field, gamma: float, eps: float) -> tuple[np.ndarray, ...]:
+def _face_velocities(
+    grid: Grid, n_new: np.ndarray, gamma: float, eps: float
+) -> tuple[np.ndarray, ...]:
     """Darcy velocity u = -grad(n^gamma) per interior face.
 
     With eps > 0 the species viscosity contributes an extra drift
     -2 eps grad(ln n) (from rewriting eps*lap(n_i) in fraction variables).
     """
-    p = positive_power(n_new.values, gamma)
-    grads = face_gradient(Field(n_new.grid, p))
-    return _with_viscous_drift(tuple(-g for g in grads), n_new, eps)
+    grads = face_gradient(grid, positive_power(n_new, gamma))
+    return _with_viscous_drift(grid, tuple(-g for g in grads), n_new, eps)
 
 
-def _with_viscous_drift(u: tuple[np.ndarray, ...], n: Field, eps: float) -> tuple[np.ndarray, ...]:
+def _with_viscous_drift(
+    grid: Grid, u: tuple[np.ndarray, ...], n: np.ndarray, eps: float
+) -> tuple[np.ndarray, ...]:
     """The face velocities u plus the drift -2 eps grad(ln n); u itself at eps = 0."""
     if eps > 0.0:
-        logn = np.log(np.maximum(n.values, VACUUM_FLOOR))
-        dlog = face_gradient(Field(n.grid, logn))
+        dlog = face_gradient(grid, np.log(np.maximum(n, VACUUM_FLOOR)))
         u = tuple(ui - 2.0 * eps * gi for ui, gi in zip(u, dlog))
     return u
 
@@ -470,7 +476,7 @@ def _fraction_rates(state: State, params: ModelParams) -> tuple[np.ndarray, np.n
     They depend only on the state a step starts from; ``suggest_dt`` and
     ``fraction_update`` each evaluate them.
     """
-    d_arg = cutoff(state.d.values, _cutoff_level(params))
+    d_arg = cutoff(state.d, _cutoff_level(params))
     k1 = np.asarray(params.rates.K1(d_arg), dtype=float)
     k2 = np.asarray(params.rates.K2(d_arg), dtype=float)
     return k1, k2, k1 + k2 + params.D
@@ -511,10 +517,10 @@ def _enforce_budget(budget: np.ndarray) -> None:
 
 def fraction_update(
     state: State,
-    n_new: Field,
+    n_new: np.ndarray,
     dt: float,
     params: ModelParams,
-) -> Field:
+) -> np.ndarray:
     """Explicit upwind advection of the fraction plus explicit reaction.
 
     The per-cell monotonicity budget (advection + diffusion Courant numbers
@@ -524,8 +530,8 @@ def fraction_update(
     raises SolverFailure so the caller can halve dt.
     """
     grid = state.grid
-    c = state.c.values
-    u = _face_velocities(n_new, params.gamma, params.eps_reg)
+    c = state.c
+    u = _face_velocities(grid, n_new, params.gamma, params.eps_reg)
 
     # advective form via flux differencing: div(u c_up) - c div(u)
     up_c = tuple(upwind_face_values(c[lo], c[hi], ui) for ui, (lo, hi) in zip(u, grid.sides))
@@ -533,23 +539,23 @@ def fraction_update(
 
     diff = 0.0
     if params.eps_reg > 0.0:
-        diff = params.eps_reg * laplacian_neumann_values(grid, c)
+        diff = params.eps_reg * laplacian_neumann(grid, c)
 
     k1, k2, rate_sum = _fraction_rates(state, params)
     reaction = k1 * (1.0 - c) - k2 * c - params.D * c * (1.0 - c)
     _enforce_budget(_fraction_budget(grid, dt, params, rate_sum, u))
 
-    return Field(grid, c + dt * (-adv + diff + reaction))
+    return c + dt * (-adv + diff + reaction)
 
 
 def nutrient_solve(
     state: State,
-    n_new: Field,
-    c_new: Field,
+    n_new: np.ndarray,
+    c_new: np.ndarray,
     dt: float,
     params: ModelParams,
     consts: DerivedConstants,
-) -> tuple[Field, int, int]:
+) -> tuple[np.ndarray, int, int]:
     """Semi-implicit nutrient solve: implicit diffusion, explicit consumption.
 
     Solves (b/dt)(d_new - d_old) - lap_dirichlet(d_new) = -psi(d_old) n + a c n
@@ -559,14 +565,14 @@ def nutrient_solve(
     eigenvalues 4/h_y^2 sin^2(pi k / 2 N_y), k = 1..N_y; that leaves one
     tridiagonal x-system per mode, with shift b/dt + lambda_k, and all of
     them go through one banded solve before the transform back.  1D is the
-    same solve with a single mode of shift b/dt.  Returns (field,
+    same solve with a single mode of shift b/dt.  Returns (d_new,
     clamped_cells, linear_iterations), one iteration for the direct solve.
     """
     grid = state.grid
-    d_old = state.d.values
+    d_old = state.d
     b_dt = params.b / dt
     psi_old = np.asarray(params.rates.psi(d_old), dtype=float)
-    source = -psi_old * n_new.values + params.a * c_new.values * n_new.values
+    source = -psi_old * n_new + params.a * c_new * n_new
     rhs = b_dt * d_old + source
     # the Dirichlet ghost value 2 d_b - d puts 2 d_b / h^2 on each wall cell's right side
     for axis, h in enumerate(grid.h):
@@ -593,7 +599,7 @@ def nutrient_solve(
 
     clamped = int(np.count_nonzero((d_new < 0.0) | (d_new > consts.L)))
     d_new = np.clip(d_new, 0.0, consts.L)
-    return Field(grid, d_new), clamped, 1
+    return d_new, clamped, 1
 
 
 def suggest_dt(
@@ -612,7 +618,7 @@ def suggest_dt(
     largest dt it accepts at the current density.  This bound carries the
     viscous 2 dt eps / h^2 term, which the CFL and reaction bounds leave out.
     """
-    u = _face_velocities(state.n, params.gamma, 0.0)
+    u = _face_velocities(state.grid, state.n, params.gamma, 0.0)
     speed = 0.0
     for ui in u:
         if ui.size:
@@ -624,7 +630,7 @@ def suggest_dt(
     rate_sum = consts.K1_max + consts.K2_max + params.D
     dt_react = 1.0 / rate_sum if rate_sum > 0.0 else math.inf
     dt = safety * min(dt_adv, dt_react)
-    u = _with_viscous_drift(u, state.n, params.eps_reg)
+    u = _with_viscous_drift(state.grid, u, state.n, params.eps_reg)
     budget = _fraction_budget(state.grid, 1.0, params, _fraction_rates(state, params)[2], u)
     beta = float(np.max(budget))
     if beta > 0.0:
@@ -647,7 +653,10 @@ def _pipeline(
     d_new, clamped, lin = nutrient_solve(state, n_new, c_new, dt, params, consts)
     report.clamped_cells += clamped
     report.linear_iters += lin
-    return State(t=state.t + dt, n=n_new, c=c_new, d=d_new, gamma=params.gamma), report
+    new_state = State(
+        t=state.t + dt, grid=state.grid, n=n_new, c=c_new, d=d_new, gamma=params.gamma
+    )
+    return new_state, report
 
 
 def step(

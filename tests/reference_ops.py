@@ -9,46 +9,46 @@ import math
 import numpy as np
 
 from tissuesim.errors import SolverFailure
-from tissuesim.grid import Field, laplacian_neumann
+from tissuesim.grid import laplacian_neumann
 
 
-def integrate(f):
-    """Midpoint-rule integral: sum of cell values times cell volume."""
-    return float(np.sum(f.values)) * f.grid.cell_volume
+def integrate(grid, v):
+    """Midpoint-rule integral: sum of the cell values ``v`` times the cell volume."""
+    return float(np.sum(v)) * grid.cell_volume
 
 
-def laplacian_dirichlet(f, boundary_value):
+def laplacian_dirichlet(grid, values, boundary_value):
     """Laplacian with Dirichlet data via linearly extrapolated ghost cells.
 
     The ghost value 2*boundary_value - interior puts the boundary value on
     the face, giving second-order accuracy at the wall.
     """
-    out = laplacian_neumann(f)
+    out = laplacian_neumann(grid, values)
     # Neumann part has zero boundary-face flux; add the Dirichlet correction
     # (ghost - interior)/h = 2*(boundary_value - interior)/h per boundary face.
-    for axis, h in enumerate(f.grid.h):
+    for axis, h in enumerate(grid.h):
         walls = np.swapaxes(out, 0, axis)
-        v = np.swapaxes(f.values, 0, axis)
+        v = np.swapaxes(values, 0, axis)
         walls[0] += 2.0 * (boundary_value - v[0]) / h**2
         walls[-1] += 2.0 * (boundary_value - v[-1]) / h**2
     return out
 
 
-def upwind_face_value(c, velocity_at_face, face, axis=0):
-    """Upwind value of ``c`` at a single interior face.
+def upwind_face_value(grid, c, velocity_at_face, face, axis=0):
+    """Upwind value of the cell values ``c`` at a single interior face.
 
     In 1D ``face`` is an int: face ``i`` separates cells ``i`` and ``i+1``.
     In 2D ``face`` is an ``(i, j)`` index into the face array along ``axis``.
     """
-    if c.grid.dim == 1:
-        left = c.values[face]
-        right = c.values[face + 1]
+    if grid.dim == 1:
+        left = c[face]
+        right = c[face + 1]
     else:
         i, j = face
         if axis == 0:
-            left, right = c.values[i, j], c.values[i + 1, j]
+            left, right = c[i, j], c[i + 1, j]
         else:
-            left, right = c.values[i, j], c.values[i, j + 1]
+            left, right = c[i, j], c[i, j + 1]
     if velocity_at_face > 0.0:
         return float(left)
     if velocity_at_face < 0.0:
@@ -83,7 +83,7 @@ def symmetrized_newton_matrix(grid, a, r, dt):
 
     def matvec(y):
         y = y.reshape(grid.shape)
-        return ((1.0 - dt * r) * y - dt * sqrt_a * laplacian_neumann(Field(grid, sqrt_a * y))).ravel()
+        return ((1.0 - dt * r) * y - dt * sqrt_a * laplacian_neumann(grid, sqrt_a * y)).ravel()
 
     return dense(matvec, grid.num_cells)
 

@@ -24,7 +24,7 @@ import pytest
 
 from tissuesim.config import parse_config
 from tissuesim.diagnostics import aronson_benilan_gap
-from tissuesim.grid import Field, Grid
+from tissuesim.grid import Grid
 from tissuesim.harness import (
     barenblatt_benchmark,
     eps_study,
@@ -423,14 +423,15 @@ def test_10b_brute_force_oracle():
     n0 = [0.8, 1.0, 0.6, 0.4]
     c0 = [0.2, 0.3, 0.1, 0.0]
     d0 = [1.0, 0.9, 0.8, 1.0]
-    consts = derive_constants(params, Field(grid, np.array(d0)))
+    consts = derive_constants(params, np.array(d0))
     settings = SolverSettings(newton_tol=1e-13)
 
     state = State(
         t=0.0,
-        n=Field(grid, np.array(n0)),
-        c=Field(grid, np.array(c0)),
-        d=Field(grid, np.array(d0)),
+        grid=grid,
+        n=np.array(n0),
+        c=np.array(c0),
+        d=np.array(d0),
         gamma=gamma,
     )
     for _ in range(3):
@@ -456,9 +457,9 @@ def test_10b_brute_force_oracle():
         bn, bc, bd = n_new, c_new, d_new
 
     diff = max(
-        float(np.max(np.abs(state.n.values - np.array(bn)))),
-        float(np.max(np.abs(state.c.values - np.array(bc)))),
-        float(np.max(np.abs(state.d.values - np.array(bd)))),
+        float(np.max(np.abs(state.n - np.array(bn)))),
+        float(np.max(np.abs(state.c - np.array(bc)))),
+        float(np.max(np.abs(state.d - np.array(bd)))),
     )
     ok = diff <= 1e-8
     _report(10, ok, f"4-cell/3-step brute-force max-norm difference {diff:.3e} (tol 1e-8)")

@@ -8,7 +8,7 @@ import pytest
 from tissuesim.cli import main
 from tissuesim.config import default_config, parse_config
 from tissuesim.diagnostics import EnergyLedger, make_ledger_row
-from tissuesim.grid import Field, Grid
+from tissuesim.grid import Grid
 from tissuesim.harness import make_params, run
 from tissuesim.output import fmt, write_snapshot, write_timeseries
 from tissuesim.stepper import State
@@ -35,10 +35,10 @@ def write_cfg(tmp_path, text, name="case.cfg"):
 class TestWriters:
     def make_state(self, cells=4):
         grid = Grid(dim=1, extents=(1.0,), cells=(cells,))
-        n = Field(grid, np.linspace(0.1, 0.7, cells))
-        c = Field(grid, np.linspace(0.0, 0.6, cells))
-        d = Field(grid, np.full(cells, 0.4))
-        return State(t=0.25, n=n, c=c, d=d, gamma=4.0)
+        n = np.linspace(0.1, 0.7, cells)
+        c = np.linspace(0.0, 0.6, cells)
+        d = np.full(cells, 0.4)
+        return State(t=0.25, grid=grid, n=n, c=c, d=d, gamma=4.0)
 
     def test_snapshot_rows_and_species_identity(self, tmp_path):
         s = self.make_state(4)
@@ -64,13 +64,11 @@ class TestWriters:
         n = rng.standard_normal(grid.num_cells)
         n[: special.size] = special
         n = n.reshape(cells)
-        s = State(t=0.125, n=Field(grid, n), c=Field(grid, rng.random(cells)),
-                  d=Field(grid, rng.random(cells)), gamma=3.0)
+        s = State(t=0.125, grid=grid, n=n, c=rng.random(cells), d=rng.random(cells), gamma=3.0)
         path = tmp_path / "snap.csv"
         with np.errstate(invalid="ignore", over="ignore"):
             write_snapshot(str(path), s, "abc123")
-            fields = [*grid.coordinate_fields(), s.n.values, s.n1.values, s.n2.values,
-                      s.c.values, s.d.values, s.p.values, s.v.values]
+            fields = [*grid.coordinate_fields(), s.n, s.n1, s.n2, s.c, s.d, s.p, s.v]
         rows = [",".join(fmt(f[idx]) for f in fields) for idx in np.ndindex(*cells)]
         text = path.read_text()
         assert text.split("\n")[5:] == rows + [""]

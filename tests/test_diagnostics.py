@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tissuesim import diagnostics
+from tissuesim import diagnostics, stepper
 from tissuesim.diagnostics import (
     FieldSamples,
     LedgerRow,
@@ -20,7 +20,7 @@ from tissuesim.diagnostics import (
     v_integrals,
 )
 from tissuesim.diagnostics import _line_crossings
-from tissuesim.grid import Field, Grid, divergence, face_gradient
+from tissuesim.grid import Grid, divergence, face_gradient
 from tissuesim.model import DerivedConstants, ModelParams, RateFunction, RateFunctions
 from tissuesim.stepper import State
 
@@ -42,15 +42,16 @@ def make_state(n_values, t=0.0, gamma=2.0, c=0.0, d=0.0, extent=1.0):
     grid = Grid(dim=1, extents=(extent,), cells=(len(n_values),))
     return State(
         t=t,
-        n=Field(grid, n_values),
-        c=Field.full(grid, c),
-        d=Field.full(grid, d),
+        grid=grid,
+        n=n_values,
+        c=np.full(grid.shape, float(c)),
+        d=np.full(grid.shape, float(d)),
         gamma=gamma,
     )
 
 
 def at_time(state, t):
-    return State(t=t, n=state.n, c=state.c, d=state.d, gamma=state.gamma)
+    return replace(state, t=t)
 
 
 def window(states, tau, delta=0.05):
@@ -89,7 +90,7 @@ class TestWeightedEnergy:
         base = make_state(0.5 + 0.3 * rng.random(12), c=0.3, d=0.4)
         params = make_params(g_alpha=0.7)
         states = [
-            replace(base, t=t, n=base.n.with_values(base.n.values * (1.0 + t)))
+            replace(base, t=t, n=base.n * (1.0 + t))
             for t in np.linspace(0, 1, 21)
         ]
 
@@ -145,9 +146,9 @@ class TestWindowIntegrals:
         seen = []
         real = diagnostics.v_integrals
 
-        def spy(state, params, v=None):
+        def spy(state, params):
             seen.append(state.t)
-            return real(state, params, v)
+            return real(state, params)
 
         monkeypatch.setattr(diagnostics, "v_integrals", spy)
         s = make_state(np.full(8, 0.6))
@@ -166,8 +167,8 @@ class TestFieldSamples:
         rng = np.random.default_rng(seed)
         grid = Grid(dim=len(shape), extents=(1.0,) * len(shape), cells=shape)
         return [
-            State(t=t, n=Field(grid, 0.2 + rng.random(shape)), c=Field(grid, rng.random(shape)),
-                  d=Field.zeros(grid), gamma=3.0)
+            State(t=t, grid=grid, n=0.2 + rng.random(shape), c=rng.random(shape),
+                  d=np.zeros(shape), gamma=3.0)
             for t in times
         ]
 
@@ -178,8 +179,8 @@ class TestFieldSamples:
         for s in states:
             samples.add(s)
         for i, k in enumerate((0, 1, 2, 4)):
-            assert samples.v[i].tobytes() == states[k].v.values.tobytes()
-            assert samples.c[i].tobytes() == states[k].c.values.tobytes()
+            assert samples.v[i].tobytes() == states[k].v.tobytes()
+            assert samples.c[i].tobytes() == states[k].c.tobytes()
 
     def test_linear_between_the_states_around_each_time(self):
         states = self.states(1, [0.0, 0.2, 0.6, 1.0])
@@ -189,56 +190,33 @@ class TestFieldSamples:
         for i, (t, k) in enumerate(((0.1, 0), (0.5, 1), (0.9, 2))):
             a, b = states[k], states[k + 1]
             w = (t - a.t) / (b.t - a.t)
-            assert np.allclose(samples.v[i], (1 - w) * a.v.values + w * b.v.values, rtol=1e-14)
-            assert np.allclose(samples.c[i], (1 - w) * a.c.values + w * b.c.values, rtol=1e-14)
+            assert np.allclose(samples.v[i], (1 - w) * a.v + w * b.v, rtol=1e-14)
+            assert np.allclose(samples.c[i], (1 - w) * a.c + w * b.c, rtol=1e-14)
 
     def test_holds_the_last_state(self):
         states = self.states(2, [0.0, 0.3, 0.5])
         samples = FieldSamples(np.array([0.2, 0.8, 1.0]))
         for s in states:
             samples.add(s)
-        assert np.array_equal(samples.v[1], states[-1].v.values)
-        assert np.array_equal(samples.c[2], states[-1].c.values)
+        assert np.array_equal(samples.v[1], states[-1].v)
+        assert np.array_equal(samples.c[2], states[-1].c)
 
     def test_computes_v_only_around_the_sample_times(self, monkeypatch):
         states = self.states(3, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-        computed = []
-        real_v = State.v
+        bases = []   # every array raised to a power, kept alive so identity is unambiguous
+        real = stepper.positive_power
 
-        def spy(self):
-            computed.append(self.t)
-            return real_v.fget(self)
+        def spy(x, e):
+            bases.append(x)
+            return real(x, e)
 
-        monkeypatch.setattr(State, "v", property(spy))
+        monkeypatch.setattr(stepper, "positive_power", spy)
         samples = FieldSamples(np.array([0.25, 0.28]))
         for s in states:
             samples.add(s)
-        assert sorted(computed) == [0.2, 0.3]
-
-    def test_a_given_v_is_used_as_it_is(self, monkeypatch):
-        # the sweep hands each state's v to both accumulators; the samples
-        # and the window integrals keep their bits and compute no v of their own
-        states = self.states(4, [0.0, 0.1, 0.2, 0.3, 0.45, 0.5])
-        times = np.array([0.05, 0.25, 0.28, 0.45, 0.7])
-        vs = [s.v.values for s in states]
-        plain, plain_window = FieldSamples(times), WindowIntegrals(0.15, make_params(), 0.05)
-        for s in states:
-            plain.add(s)
-            plain_window.add(s)
-        plain_v, plain_c = plain.v.copy(), plain.c.copy()
-
-        def no_v(self):
-            raise AssertionError("v computed again")
-
-        monkeypatch.setattr(State, "v", property(no_v))
-        given, given_window = FieldSamples(times), WindowIntegrals(0.15, make_params(), 0.05)
-        for s, v in zip(states, vs):
-            given.add(s, v)
-            given_window.add(s, v)
-        assert given.v.tobytes() == plain_v.tobytes()
-        assert given.c.tobytes() == plain_c.tobytes()
-        for name in ("energy", "seg_integral", "comp_integral", "excess_max"):
-            assert getattr(given_window, name) == getattr(plain_window, name)
+        assert samples.v.shape == (2, 9)
+        assert len(bases) == 2
+        assert sorted(s.t for s in states if any(x is s.n for x in bases)) == [0.2, 0.3]
 
 
 class TestSpaceTimeDistance:
@@ -263,47 +241,45 @@ def reference_make_ledger_row(state, params, delta, dt_used):
     """``make_ledger_row`` as it was before the v integrals shared one helper:
     each integral computes v, and its face gradient, on its own."""
 
+    grid = state.grid
+
     def grad_squared_integral(f):
         total = 0.0
-        vol = f.grid.cell_volume
-        for g in face_gradient(f):
+        vol = grid.cell_volume
+        for g in face_gradient(grid, f):
             total += float(np.sum(g * g)) * vol
         return total
 
     def cellwise_grad_squared(f):
-        out = np.zeros(f.grid.shape)
-        for g, (lo, hi) in zip(face_gradient(f), f.grid.sides):
+        out = np.zeros(grid.shape)
+        for g, (lo, hi) in zip(face_gradient(grid, f), grid.sides):
             g2 = g ** 2
             out[lo] += 0.5 * g2
             out[hi] += 0.5 * g2
         return out
 
     def complementarity_residual(state, params):
-        grid = state.grid
         v = state.v
-        grads = face_gradient(v)
-        v_face = tuple(0.5 * (v.values[lo] + v.values[hi]) for lo, hi in grid.sides)
+        grads = face_gradient(grid, v)
+        v_face = tuple(0.5 * (v[lo] + v[hi]) for lo, hi in grid.sides)
         div_term = divergence(grid, tuple(vf * g for vf, g in zip(v_face, grads)))
         grad_sq = cellwise_grad_squared(v)
-        g = np.asarray(params.rates.G(state.d.values), dtype=float)
-        reaction = g * state.n.values - params.D * state.c.values * state.n.values
-        cellwise = div_term - grad_sq + v.values * reaction
+        g = np.asarray(params.rates.G(state.d), dtype=float)
+        reaction = g * state.n - params.D * state.c * state.n
+        cellwise = div_term - grad_sq + v * reaction
         return float(np.sum(np.abs(cellwise))) * grid.cell_volume
 
     def segregation_product(state):
-        v = state.v.values
-        return float(np.sum(np.abs(1.0 - state.n.values) * v)) * state.grid.cell_volume
+        return float(np.sum(np.abs(1.0 - state.n) * state.v)) * grid.cell_volume
 
     v = state.v
-    v_sq = float(np.sum(v.values**2)) * state.grid.cell_volume
+    v_sq = float(np.sum(v**2)) * grid.cell_volume
     gv_sq = grad_squared_integral(v)
-    half_power = state.n.with_values(
-        np.maximum(state.n.values, 0.0) ** ((state.gamma + 1.0) / 2.0)
-    )
+    half_power = np.maximum(state.n, 0.0) ** ((state.gamma + 1.0) / 2.0)
     comp = complementarity_residual(state, params)
     return LedgerRow(
         t=state.t,
-        mass=float(np.sum(state.n.values)) * state.grid.cell_volume,
+        mass=float(np.sum(state.n)) * grid.cell_volume,
         n_min=state.n.min(),
         n_max=state.n.max(),
         c_min=state.c.min(),
@@ -334,9 +310,10 @@ class TestLedgerRow:
         grid = Grid(dim=len(shape), extents=(1.0, 0.8)[:len(shape)], cells=shape)
         state = State(
             t=rng.uniform(0.0, 2.0),
-            n=Field(grid, rng.uniform(0.0, 1.3, shape)),
-            c=Field(grid, rng.random(shape)),
-            d=Field(grid, rng.random(shape)),
+            grid=grid,
+            n=rng.uniform(0.0, 1.3, shape),
+            c=rng.random(shape),
+            d=rng.random(shape),
             gamma=float(rng.choice([1.0, 3.0, 40.0])),
         )
         params = make_params(g_alpha=rng.uniform(0.0, 2.0))
@@ -364,7 +341,7 @@ class TestComplementarity:
         s = make_state(vals.copy(), gamma=3.0)
         params = make_params(g_alpha=0.5)
         v_integrals(s, params)
-        assert np.array_equal(s.n.values, vals)
+        assert np.array_equal(s.n, vals)
 
     def test_identically_zero_v_gives_exact_zero(self):
         # every term carries a factor of v or grad v
@@ -463,7 +440,7 @@ class TestFreeBoundary:
         x = grid.centers(0) - 2.0
         v_target = np.maximum(0.0, 1.0 - np.abs(x))
         n = v_target ** (1.0 / 2.0)  # gamma = 1: v = n^2
-        s = State(t=0.0, n=Field(grid, n), c=Field.zeros(grid), d=Field.zeros(grid),
+        s = State(t=0.0, grid=grid, n=n, c=np.zeros(grid.shape), d=np.zeros(grid.shape),
                   gamma=1.0)
         crossings = free_boundary(s, 0.5) - 2.0
         assert len(crossings) == 2
@@ -474,8 +451,8 @@ class TestFreeBoundary:
         grid = Grid(dim=2, extents=(1.0, 1.0), cells=(16, 4))
         x = grid.coordinate_fields()[0]
         n = np.where(x < 0.5, 1.0, 0.0)
-        s = State(t=0.0, n=Field(grid, n), c=Field(grid, np.zeros(grid.shape)),
-                  d=Field(grid, np.zeros(grid.shape)), gamma=1.0)
+        s = State(t=0.0, grid=grid, n=n, c=np.zeros(grid.shape),
+                  d=np.zeros(grid.shape), gamma=1.0)
         found = free_boundary(s, 0.25)
         rows = [f for f in found if f[0] == 0]
         assert len(rows) == 4  # one crossing per y-line
@@ -544,9 +521,9 @@ class TestCheckAll:
 
     def test_nutrient_ceiling_violation_named(self):
         s = make_state(np.full(8, 0.5), c=0.3, d=0.0)
-        d = s.d.values.copy()
+        d = s.d.copy()
         d[3] = CONSTS.L + 1.0
-        bad = State(t=0.0, n=s.n, c=s.c, d=s.d.with_values(d), gamma=s.gamma)
+        bad = replace(s, d=d)
         found = check_all(bad, CONSTS, TolConfig())
         assert len(found) == 1
         assert "nutrient ceiling" in found[0].invariant
@@ -554,9 +531,9 @@ class TestCheckAll:
 
     def test_fraction_violation_named(self):
         s = make_state(np.full(8, 0.5), c=0.0, d=0.5)
-        c = s.c.values.copy()
+        c = s.c.copy()
         c[5] = 1.5
-        bad = State(t=0.0, n=s.n, c=s.c.with_values(c), d=s.d, gamma=s.gamma)
+        bad = replace(s, c=c)
         found = check_all(bad, CONSTS, TolConfig())
         assert len(found) == 1
         assert "fraction upper" in found[0].invariant
@@ -578,7 +555,7 @@ class TestCheckAll:
     @staticmethod
     def reference_check(state, consts, tolcfg):
         """Cell-by-cell form of every bound: the full excess array, then its max."""
-        n, c, d = state.n.values, state.c.values, state.d.values
+        n, c, d = state.n, state.c, state.d
         excesses = [
             ("density nonnegativity", -(n + tolcfg.n_tol)),
             ("fraction lower bound", -(c + tolcfg.c_tol)),
@@ -613,8 +590,7 @@ class TestCheckAll:
             n = near([0.0, 1e-12, 2e-3, 0.9, 2.5, 3.0])
             c = near([0.0, 1e-12, 0.5, 1.0, 1.0 + 1e-12])
             d = near([0.0, 1e-10, 0.5, CONSTS.L, CONSTS.L + 1e-10])
-            s = State(t=0.3 * (seed % 3), n=Field(grid, n), c=Field(grid, c), d=Field(grid, d),
-                      gamma=2.0)
+            s = State(t=0.3 * (seed % 3), grid=grid, n=n, c=c, d=d, gamma=2.0)
             for tolcfg in (TolConfig(), TolConfig(cap_base=1.0, min_floor=2e-3),
                            TolConfig(n_tol=1e-12)):
                 assert check_all(s, CONSTS, tolcfg) == self.reference_check(s, CONSTS, tolcfg)

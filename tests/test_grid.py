@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tissuesim.grid import (
-    Field,
-    Grid,
-    divergence,
-    face_gradient,
-    laplacian_neumann,
-    upwind_face_values,
-)
+from tissuesim.grid import Grid, divergence, face_gradient, laplacian_neumann, upwind_face_values
 
 from reference_ops import integrate, laplacian_dirichlet, upwind_face_value
 
@@ -35,11 +28,6 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             Grid(dim=3, extents=(1.0, 1.0, 1.0), cells=(4, 4, 4))
 
-    def test_field_shape_must_match(self):
-        g = grid1d(8)
-        with pytest.raises(ValueError):
-            Field(g, np.zeros(7))
-
     def test_cell_volume_2d(self):
         g = grid2d(cells=(4, 8), extents=(1.0, 2.0))
         assert g.cell_volume == pytest.approx((1.0 / 4) * (2.0 / 8))
@@ -48,26 +36,26 @@ class TestGridConstruction:
 class TestFaceGradient:
     def test_constant_field_zero_gradient(self):
         g = grid1d(16)
-        f = Field.full(g, 3.7)
-        assert np.all(face_gradient(f)[0] == 0.0)
+        f = np.full(g.shape, 3.7)
+        assert np.all(face_gradient(g, f)[0] == 0.0)
 
     def test_linear_field_exact(self):
         g = grid1d(64)
-        f = Field(g, g.centers(0))
-        gx = face_gradient(f)[0]
+        f = g.centers(0)
+        gx = face_gradient(g, f)[0]
         assert np.allclose(gx, 1.0, rtol=0, atol=1e-13)
 
     def test_two_cell_difference(self):
         # values [0, 3] across one face at spacing 0.5 -> gradient 6
         g = grid1d(cells=4, extent=2.0)
-        f = Field(g, np.array([0.0, 3.0, 3.0, 3.0]))
-        assert face_gradient(f)[0][0] == pytest.approx(6.0)
+        f = np.array([0.0, 3.0, 3.0, 3.0])
+        assert face_gradient(g, f)[0][0] == pytest.approx(6.0)
 
     def test_2d_linear_exact_both_axes(self):
         g = grid2d()
         x, y = g.coordinate_fields()
-        f = Field(g, 2.0 * x - 3.0 * y)
-        gx, gy = face_gradient(f)
+        f = 2.0 * x - 3.0 * y
+        gx, gy = face_gradient(g, f)
         assert np.allclose(gx, 2.0, atol=1e-13)
         assert np.allclose(gy, -3.0, atol=1e-13)
 
@@ -110,25 +98,25 @@ class TestDivergence:
 class TestLaplacians:
     def test_neumann_constant_is_zero(self):
         g = grid1d(12)
-        assert np.all(laplacian_neumann(Field.full(g, 5.0)) == 0.0)
+        assert np.all(laplacian_neumann(g, np.full(g.shape, 5.0)) == 0.0)
 
     def test_dirichlet_constant_matching_boundary_is_zero(self):
         g = grid1d(12)
-        out = laplacian_dirichlet(Field.full(g, 1.25), 1.25)
+        out = laplacian_dirichlet(g, np.full(g.shape, 1.25), 1.25)
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_neumann_conservation_any_field(self):
         rng = np.random.default_rng(7)
         g = grid1d(33)
-        f = Field(g, rng.standard_normal(33))
-        out = laplacian_neumann(f)
+        f = rng.standard_normal(33)
+        out = laplacian_neumann(g, f)
         assert abs(np.sum(out) * g.cell_volume) <= 1e-12
 
     @given(st.lists(st.floats(-100.0, 100.0), min_size=9, max_size=9))
     @settings(max_examples=100)
     def test_neumann_conservation_property(self, vals):
         g = grid1d(9)
-        out = laplacian_neumann(Field(g, np.array(vals)))
+        out = laplacian_neumann(g, np.array(vals))
         scale = 1.0 + np.max(np.abs(vals)) / g.h[0] ** 2
         assert abs(np.sum(out) * g.cell_volume) <= 1e-12 * scale
 
@@ -136,8 +124,8 @@ class TestLaplacians:
         # f(x) = x^2 has laplacian 2; interior cells of a fine grid recover it
         g = grid1d(cells=200, extent=1.0)
         x = g.centers(0)
-        f = Field(g, x**2)
-        out = laplacian_neumann(f)
+        f = x**2
+        out = laplacian_neumann(g, f)
         interior = out[1:-1]
         assert np.allclose(interior, 2.0, atol=1e-8)
 
@@ -146,48 +134,48 @@ class TestLaplacians:
         # stencil is only solve-accurate, so the pointwise oracle is interior
         g = grid1d(cells=100, extent=1.0)
         x = g.centers(0)
-        f = Field(g, x * (1.0 - x))
-        out = laplacian_dirichlet(f, 0.0)
+        f = x * (1.0 - x)
+        out = laplacian_dirichlet(g, f, 0.0)
         assert np.allclose(out[1:-1], -2.0, atol=1e-9)
 
     def test_2d_five_point_quadratic(self):
         g = grid2d(cells=(40, 40))
         x, y = g.coordinate_fields()
-        f = Field(g, x**2 + y**2)
-        out = laplacian_neumann(f)
+        f = x**2 + y**2
+        out = laplacian_neumann(g, f)
         assert np.allclose(out[1:-1, 1:-1], 4.0, atol=1e-8)
 
 
 class TestIntegrate:
     def test_unit_constant(self):
         g = grid1d(50)
-        assert integrate(Field.full(g, 1.0)) == pytest.approx(1.0)
+        assert integrate(g, np.full(g.shape, 1.0)) == pytest.approx(1.0)
 
     def test_zero(self):
         g = grid1d(5)
-        assert integrate(Field.zeros(g)) == 0.0
+        assert integrate(g, np.zeros(g.shape)) == 0.0
 
     def test_midpoint_exact_for_linear(self):
         g = grid1d(cells=1000, extent=1.0)
-        f = Field(g, g.centers(0))
-        assert integrate(f) == pytest.approx(0.5, abs=1e-14)
+        f = g.centers(0)
+        assert integrate(g, f) == pytest.approx(0.5, abs=1e-14)
 
 
 class TestUpwind:
     def test_positive_velocity_takes_left(self):
         g = grid1d(4)
-        c = Field(g, np.array([0.2, 0.4, 0.6, 0.8]))
-        assert upwind_face_value(c, 1.0, 1) == 0.4
+        c = np.array([0.2, 0.4, 0.6, 0.8])
+        assert upwind_face_value(g, c, 1.0, 1) == 0.4
 
     def test_negative_velocity_takes_right(self):
         g = grid1d(4)
-        c = Field(g, np.array([0.2, 0.4, 0.6, 0.8]))
-        assert upwind_face_value(c, -1.0, 1) == 0.6
+        c = np.array([0.2, 0.4, 0.6, 0.8])
+        assert upwind_face_value(g, c, -1.0, 1) == 0.6
 
     def test_tie_takes_mean(self):
         g = grid1d(4)
-        c = Field(g, np.array([0.2, 0.2, 0.4, 0.8]))
-        assert upwind_face_value(c, 0.0, 1) == pytest.approx(0.3)
+        c = np.array([0.2, 0.2, 0.4, 0.8])
+        assert upwind_face_value(g, c, 0.0, 1) == pytest.approx(0.3)
 
     @given(
         st.floats(-1e3, 1e3, allow_nan=False),

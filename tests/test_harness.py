@@ -2,6 +2,7 @@ import gc
 import math
 import time
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from tissuesim.diagnostics import (
     reaction_free,
 )
 from tissuesim.grid import face_gradient
+from tissuesim.output import write_snapshot
 from tissuesim.harness import (
     SweepConfig,
     barenblatt_benchmark,
@@ -78,9 +80,9 @@ class TestRun:
         res = run(cfg)
         assert res.ok
         first, last = res.initial_state, res.final_state
-        assert np.allclose(last.n.values, first.n.values, atol=1e-13)
-        assert np.allclose(last.c.values, first.c.values, atol=1e-13)
-        assert np.allclose(last.d.values, first.d.values, atol=1e-13)
+        assert np.allclose(last.n, first.n, atol=1e-13)
+        assert np.allclose(last.c, first.c, atol=1e-13)
+        assert np.allclose(last.d, first.d, atol=1e-13)
         assert last.t == pytest.approx(0.2)
 
     def test_snapshots_at_stride_and_final(self):
@@ -112,9 +114,30 @@ class TestRun:
         assert res.violations and res.steps == 1
         assert len(res.ledger.rows) == 2
         assert res.final_state.t == res.ledger.rows[-1].t > 0.0
-        assert res.final_state.c.values[0] == 1.5
+        assert res.final_state.c[0] == 1.5
         assert res.ledger.rows[-1].newton_iters == res.newton_iters
         assert res.ledger.rows[-1].dt_used == res.final_state.t
+
+    def test_max_steps_admits_exactly_the_needed_steps(self):
+        needed = run(parse_config(BUMP_TEXT)).steps
+        res = run(parse_config(BUMP_TEXT + f"time.max_steps = {needed}\n"))
+        assert res.ok and res.steps == needed
+        assert res.final_state.t == pytest.approx(0.2)
+
+    def test_max_steps_stops_one_short(self):
+        # one step short of T_final: the run fails after max_steps steps and
+        # its outputs end at the state it reached
+        full = []
+        run(parse_config(BUMP_TEXT), on_state=full.append)
+        needed = len(full) - 1
+        states = []
+        res = run(parse_config(BUMP_TEXT + f"time.max_steps = {needed - 1}\n"),
+                  on_state=states.append)
+        assert "max_steps" in res.failure
+        assert res.steps == needed - 1 and len(states) == needed
+        assert res.final_state is states[-1]
+        assert res.ledger.rows[-1].t == res.final_state.t == full[-2].t < 0.2
+        assert np.array_equal(res.final_state.n, full[-2].n)
 
     def test_h7_recorded(self):
         cfg = parse_config(BUMP_TEXT)
@@ -125,7 +148,7 @@ class TestRun:
     def test_gamma_lift_applied(self):
         cfg = parse_config(BUMP_TEXT + "initial.lift = gamma\n")
         res = run(cfg)
-        n0 = res.initial_state.n.values
+        n0 = res.initial_state.n
         assert n0.min() >= 1.0 / 4.0 - 1e-12  # background 0.05 is below the 1/gamma lift
 
     def test_performance_smoke(self):
@@ -179,30 +202,34 @@ class TestSweep:
         assert excess[0.05] == pytest.approx([0.805, 0.28], abs=1e-12)
         assert excess[0.4] == pytest.approx([0.355, 0.14], abs=1e-12)
 
-    def test_v_is_computed_once_per_accepted_state(self, monkeypatch):
-        # the window integrals and the samples share one v per state; only
-        # the ledger rows, on snapshot steps, compute it again
-        computed, in_ledger = [], []
-        real_v, real_row = stepper.State.v, harness.make_ledger_row
+    def test_v_is_computed_at_most_once_per_state(self, monkeypatch, tmp_path):
+        # the ledger rows, the window integrals, the samples and a snapshot
+        # write of one state all read the one v it computed
+        powers = []   # (base, exponent) of every stepper power; keeps the bases alive
+        states = []
+        real_power, real_run = stepper.positive_power, harness.run
 
-        def v_spy(state):
-            if not in_ledger:
-                computed.append(state)
-            return real_v.fget(state)
+        def power_spy(x, e):
+            powers.append((x, e))
+            return real_power(x, e)
 
-        def row_spy(*args, **kwargs):
-            in_ledger.append(True)
-            try:
-                return real_row(*args, **kwargs)
-            finally:
-                in_ledger.pop()
+        def run_spy(cfg, permissive=False, on_state=None):
+            def both(state):
+                states.append(state)
+                on_state(state)
 
-        monkeypatch.setattr(stepper.State, "v", property(v_spy))
-        monkeypatch.setattr(harness, "make_ledger_row", row_spy)
+            return real_run(cfg, permissive, both)
+
+        monkeypatch.setattr(stepper, "positive_power", power_spy)
+        monkeypatch.setattr(harness, "run", run_spy)
         cfg = parse_config(BUMP_TEXT + "sweep.gammas = 4,8\nsweep.tau = 0.02\n")
         report = gamma_sweep(sweep_config_from(cfg))
         assert all(e.ok for e in report.entries)
-        assert len({id(s) for s in computed}) == len(computed) > 2 * 10
+        write_snapshot(str(tmp_path / "last.csv"), states[-1], "x")
+        computed = Counter((id(x), e) for x, e in powers)
+        per_state = [computed[id(s.n), s.gamma + 1.0] for s in states]
+        assert len(states) > 2 * 10
+        assert per_state[-1] == 1 and max(per_state) == 1
 
     def test_report_has_one_entry_per_gamma(self):
         cfg = parse_config(BUMP_TEXT + "sweep.gammas = 4,8,16\nsweep.tau = 0.02\n")
@@ -329,9 +356,9 @@ def entropy_dissipation(cfg):
     times, rates = [], []
 
     def on_state(s):
-        half_power = s.n.with_values(np.maximum(s.n.values, 0.0) ** ((s.gamma + 1.0) / 2.0))
+        half_power = np.maximum(s.n, 0.0) ** ((s.gamma + 1.0) / 2.0)
         times.append(s.t)
-        rates.append(grad_squared_integral(face_gradient(half_power), s.grid.cell_volume))
+        rates.append(grad_squared_integral(face_gradient(s.grid, half_power), s.grid.cell_volume))
 
     assert run(cfg, on_state=on_state).ok
     return float(np.trapezoid(rates, times))
@@ -487,7 +514,7 @@ time.snapshot_stride = 5
     def test_2d_deterministic(self):
         a = run(parse_config(self.TEXT_2D))
         b = run(parse_config(self.TEXT_2D))
-        assert np.array_equal(a.final_state.n.values, b.final_state.n.values)
+        assert np.array_equal(a.final_state.n, b.final_state.n)
 
 
 class TestDistances:
@@ -508,6 +535,6 @@ class TestDistances:
         grid = build_grid(cfg)
         n, c, d = initial_fields(cfg, grid, params)
         # the bump center sits on a cell face; the peak sample is just inside
-        assert 0.94 < n.values.max() <= 0.95
-        assert np.all(c.values == 0.2)
-        assert np.all(d.values == 1.0)
+        assert 0.94 < n.max() <= 0.95
+        assert np.all(c == 0.2)
+        assert np.all(d == 1.0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tissuesim import linalg
 from tissuesim.errors import SolverFailure
-from tissuesim.grid import Field, Grid
+from tissuesim.grid import Grid
 from tissuesim.linalg import (
     TriDiag,
     dirichlet_eigenvalues,
@@ -181,7 +181,7 @@ class TestSineTransform:
         lam = dirichlet_eigenvalues(n, h)
         assert np.allclose(lam, 4.0 / h**2 * np.sin(np.pi * np.arange(1, n + 1) / (2 * n)) ** 2)
         for k in range(1, n + 1):
-            applied = -laplacian_dirichlet(Field(g, modes[k - 1]), 0.0)
+            applied = -laplacian_dirichlet(g, modes[k - 1], 0.0)
             assert np.allclose(applied, lam[k - 1] * modes[k - 1], atol=1e-12)
 
 
@@ -190,7 +190,7 @@ def helmholtz_op(grid, shift):
 
     def matvec(x_flat):
         x = x_flat.reshape(grid.shape)
-        out = shift * x - laplacian_dirichlet(Field(grid, x), 0.0)
+        out = shift * x - laplacian_dirichlet(grid, x, 0.0)
         return out.ravel()
 
     degx = np.full(grid.shape, 2.0)
@@ -211,17 +211,23 @@ def jacobi_scaled(matvec, diagonal):
     return scaled, diagonal
 
 
-def solve_scaled(matvec, diagonal, rhs, tol, max_iters, work=None):
+def work_for(rhs):
+    """A fresh (5, n) work array for ``pcg_solve`` on the right side ``rhs``."""
+    return np.empty((5, len(rhs)))
+
+
+def solve_scaled(matvec, diagonal, rhs, tol, max_iters):
     """Solve A x = rhs through ``pcg_solve`` on the Jacobi-scaled operator; (x, iterations)."""
     inv_sqrt = 1.0 / np.sqrt(diagonal)
-    res = pcg_solve(*jacobi_scaled(matvec, diagonal), inv_sqrt * rhs, tol, max_iters, work)
+    res = pcg_solve(*jacobi_scaled(matvec, diagonal), inv_sqrt * rhs, tol, max_iters, work_for(rhs))
     return inv_sqrt * res.x, res.iterations
 
 
 class TestPcg:
     def test_zero_rhs_zero_iterations(self):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(8, 8))
-        res = pcg_solve(*jacobi_scaled(*helmholtz_op(g, 1.0)), np.zeros(64), tol=1e-12, max_iters=100)
+        rhs = np.zeros(64)
+        res = pcg_solve(*jacobi_scaled(*helmholtz_op(g, 1.0)), rhs, 1e-12, 100, work_for(rhs))
         assert res.iterations == 0
         assert np.all(res.x == 0.0)
 
@@ -231,7 +237,7 @@ class TestPcg:
         def identity(y, out):
             out[:] = y
 
-        res = pcg_solve(identity, np.ones(5), rhs, tol=1e-12, max_iters=10)
+        res = pcg_solve(identity, np.ones(5), rhs, 1e-12, 10, work_for(rhs))
         assert res.iterations <= 1
         assert np.allclose(res.x, rhs, atol=1e-12)
 
@@ -264,7 +270,7 @@ class TestPcg:
         x_direct = thomas_solve(m, rhs)
 
         def matvec(x):
-            return shift * x - laplacian_dirichlet(Field(g1, x), 0.0)
+            return shift * x - laplacian_dirichlet(g1, x, 0.0)
 
         x, _ = solve_scaled(matvec, diag, rhs, tol=1e-13, max_iters=1000)
         assert np.allclose(x, x_direct, atol=1e-8)
@@ -296,20 +302,20 @@ class TestPcg:
         scaled, weights = jacobi_scaled(matvec, diagonal)
         rhs = np.random.default_rng(8).standard_normal(g.num_cells)
         tol = 1e-7
-        res = pcg_solve(scaled, weights, rhs, tol, 500)
+        res = pcg_solve(scaled, weights, rhs, tol, 500, work_for(rhs))
         ax = np.empty(g.num_cells)
         scaled(res.x, ax)
         weighted_norm = lambda v: math.sqrt(float(np.dot(weights * v, v)))
         assert weighted_norm(rhs - ax) <= tol * weighted_norm(rhs)
         with pytest.raises(SolverFailure, match="stagnated"):
-            pcg_solve(scaled, weights, rhs, tol, res.iterations - 1)
+            pcg_solve(scaled, weights, rhs, tol, res.iterations - 1, work_for(rhs))
 
     def test_work_array_holds_the_solution(self):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(9, 9))
         scaled, weights = jacobi_scaled(*helmholtz_op(g, 3.0))
         rhs = np.random.default_rng(2).standard_normal(g.num_cells)
         work = np.full((5, g.num_cells), np.nan)
-        fresh = pcg_solve(scaled, weights, rhs, 1e-10, 500)
+        fresh = pcg_solve(scaled, weights, rhs, 1e-10, 500, np.zeros((5, g.num_cells)))
         reused = pcg_solve(scaled, weights, rhs, 1e-10, 500, work)
         assert np.shares_memory(reused.x, work[0])
         assert np.array_equal(reused.x, fresh.x) and reused.iterations == fresh.iterations
@@ -318,7 +324,7 @@ class TestPcg:
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(16, 16))
         rhs = np.ones(g.num_cells)
         with pytest.raises(SolverFailure):
-            pcg_solve(*jacobi_scaled(*helmholtz_op(g, 1e-6)), rhs, tol=1e-14, max_iters=2)
+            pcg_solve(*jacobi_scaled(*helmholtz_op(g, 1e-6)), rhs, 1e-14, 2, work_for(rhs))
 
     def test_symmetry_probe(self):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(10, 10))
@@ -337,7 +343,7 @@ class TestPcg:
         op = jacobi_scaled(*helmholtz_op(g, 9.0))
         rng = np.random.default_rng(13)
         rhs = rng.standard_normal(g.num_cells)
-        r1 = pcg_solve(*op, rhs, tol=1e-12, max_iters=500)
-        r2 = pcg_solve(*op, rhs, tol=1e-12, max_iters=500)
+        r1 = pcg_solve(*op, rhs, 1e-12, 500, work_for(rhs))
+        r2 = pcg_solve(*op, rhs, 1e-12, 500, work_for(rhs))
         assert np.array_equal(r1.x, r2.x)
         assert r1.iterations == r2.iterations

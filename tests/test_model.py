@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tissuesim.errors import ConfigError
-from tissuesim.grid import Field, Grid
+from tissuesim.grid import Grid
 from tissuesim.model import (
     ModelParams,
     RateFunction,
@@ -27,9 +27,12 @@ def make_rates(psi_slope=1.0, g_kind="linear", g_alpha=1.0):
     )
 
 
+def unit_grid(cells=8):
+    return Grid(dim=1, extents=(1.0,), cells=(cells,))
+
+
 def uniform_field(value, cells=8):
-    g = Grid(dim=1, extents=(1.0,), cells=(cells,))
-    return Field.full(g, value)
+    return np.full(unit_grid(cells).shape, float(value))
 
 
 class TestEvalRates:
@@ -167,12 +170,12 @@ class TestH7:
     def test_whole_domain_violation(self):
         # n0 = 2 everywhere: superlevel set is all of Omega, allowed is smaller
         n0 = uniform_field(2.0)
-        ok, ratio = check_h7(n0, sigma=0.5, G0=0.0, T=1.0)
+        ok, ratio = check_h7(unit_grid(), n0, sigma=0.5, G0=0.0, T=1.0)
         assert not ok
         assert ratio > 1.0
 
     def test_zero_data_passes_with_zero_measure(self):
-        ok, ratio = check_h7(uniform_field(0.0), sigma=0.5, G0=1.0, T=0.1)
+        ok, ratio = check_h7(unit_grid(), uniform_field(0.0), sigma=0.5, G0=1.0, T=0.1)
         assert ok
         assert ratio == 0.0
 
@@ -180,17 +183,15 @@ class TestH7:
         # n0 = 0.9 on the left 10% of the unit interval, G0*T = 0.5, sigma = 0.5.
         # Independent oracle: measured = 0.1, allowed = 1/(e^0.5 * 0.9) = 0.67420...,
         # ratio = 0.1 * e^0.5 * 0.9 = 0.148336...; passes.
-        g = Grid(dim=1, extents=(1.0,), cells=(100,))
-        vals = np.zeros(100)
-        vals[:10] = 0.9
-        n0 = Field(g, vals)
-        ok, ratio = check_h7(n0, sigma=0.5, G0=0.5, T=1.0)
+        n0 = np.zeros(100)
+        n0[:10] = 0.9
+        ok, ratio = check_h7(unit_grid(100), n0, sigma=0.5, G0=0.5, T=1.0)
         oracle_ratio = 0.1 * math.exp(0.5) * 0.9
         assert ok
         assert ratio == pytest.approx(oracle_ratio, rel=1e-12)
 
     def test_sigma_outside_interval_rejected(self):
         with pytest.raises(ValueError):
-            check_h7(uniform_field(0.1), sigma=1.5, G0=1.0, T=1.0)
+            check_h7(unit_grid(), uniform_field(0.1), sigma=1.5, G0=1.0, T=1.0)
         with pytest.raises(ValueError):
-            check_h7(uniform_field(0.1), sigma=0.0, G0=1.0, T=1.0)
+            check_h7(unit_grid(), uniform_field(0.1), sigma=0.0, G0=1.0, T=1.0)

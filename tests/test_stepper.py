@@ -14,7 +14,7 @@ from tissuesim import harness, stepper
 from tissuesim.config import parse_config
 from tissuesim.diagnostics import TolConfig, check_all
 from tissuesim.errors import SolverFailure
-from tissuesim.grid import Field, Grid, laplacian_neumann
+from tissuesim.grid import Grid, laplacian_neumann
 from tissuesim.harness import (
     apply_lift,
     barenblatt_benchmark,
@@ -68,9 +68,10 @@ def rates(g=("constant", 0.0), k1=("constant", 0.0), k2=("constant", 0.0),
 def uniform_state(grid, n=1.0, c=0.0, d=0.0, gamma=2.0, t=0.0):
     return State(
         t=t,
-        n=Field.full(grid, n),
-        c=Field.full(grid, c),
-        d=Field.full(grid, d),
+        grid=grid,
+        n=np.full(grid.shape, n),
+        c=np.full(grid.shape, c),
+        d=np.full(grid.shape, d),
         gamma=gamma,
     )
 
@@ -88,8 +89,35 @@ def viscous_only():
     grid = small_grid(10)
     params = ModelParams(rates=rates(), D=1e-30, gamma=2.0, d_b=0.0, T_final=10.0,
                          eps_reg=0.01, ell_cut=10.0)
-    consts = derive_constants(params, Field.full(grid, 0.0))
+    consts = derive_constants(params, np.full(grid.shape, 0.0))
     return uniform_state(grid, n=0.5, c=0.2), params, consts
+
+
+class TestState:
+    @pytest.mark.parametrize("name", ["n", "c", "d"])
+    def test_mis_shaped_array_rejected(self, name):
+        grid = small_grid(8)
+        arrays = {"n": np.ones(8), "c": np.zeros(8), "d": np.zeros(8)}
+        arrays[name] = np.zeros(7)
+        with pytest.raises(ValueError, match=name):
+            State(t=0.0, grid=grid, gamma=2.0, **arrays)
+
+    def test_v_is_read_only_and_kept(self):
+        s = uniform_state(small_grid(5), n=0.5, gamma=3.0)
+        v = s.v
+        assert v is s.v
+        assert np.array_equal(v, np.full(5, 0.5**4))
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+        with pytest.raises(AttributeError):
+            s.v = np.zeros(5)
+        assert np.array_equal(s.v, np.full(5, 0.5**4))
+
+    def test_replaced_state_computes_its_own_v(self):
+        s = uniform_state(small_grid(5), n=0.5, gamma=3.0)
+        assert s.v[0] == 0.5**4
+        moved = replace(s, n=np.full(5, 2.0))
+        assert np.array_equal(moved.v, np.full(5, 16.0))
 
 
 class TestDensitySolve:
@@ -98,7 +126,7 @@ class TestDensitySolve:
         params = ModelParams(rates=rates(), gamma=2.0, d_b=0.0)
         s = uniform_state(grid, n=0.7)
         n_new, report = density_solve(s, 0.1, params, SETTINGS)
-        assert np.allclose(n_new.values, 0.7, atol=1e-14)
+        assert np.allclose(n_new, 0.7, atol=1e-14)
         assert report.newton_iters == 1
 
     def test_scalar_growth_ode_oracle(self):
@@ -111,7 +139,7 @@ class TestDensitySolve:
         s = uniform_state(grid, n=0.5, gamma=3.0)
         n_new, _ = density_solve(s, dt, params, SETTINGS)
         oracle = 0.5 / (1.0 - g_rate * dt)
-        assert np.allclose(n_new.values, oracle, rtol=1e-12)
+        assert np.allclose(n_new, oracle, rtol=1e-12)
 
     def test_multistep_growth_tracks_exponential(self):
         g_rate = 1.0
@@ -122,20 +150,21 @@ class TestDensitySolve:
         dt = 0.005
         while s.t < 1.0 - 1e-12:
             n_new, _ = density_solve(s, dt, params, SETTINGS)
-            s = State(t=s.t + dt, n=n_new, c=s.c, d=s.d, gamma=s.gamma)
+            s = replace(s, t=s.t + dt, n=n_new)
         exact = 0.1 * math.exp(1.0)
         # backward Euler overshoots growth at O(dt)
-        assert s.n.values[0] == pytest.approx(exact, rel=5e-3)
+        assert s.n[0] == pytest.approx(exact, rel=5e-3)
 
     def test_mass_conserved_without_reactions(self):
         rng = np.random.default_rng(0)
         grid = small_grid(50)
         params = ModelParams(rates=rates(), gamma=4.0, d_b=0.0)
-        n0 = Field(grid, 0.5 + 0.4 * np.sin(2 * np.pi * grid.centers(0)) + 0.05 * rng.random(50))
-        s = State(t=0.0, n=n0, c=Field.zeros(grid), d=Field.zeros(grid), gamma=4.0)
-        mass0 = integrate(n0)
+        n0 = 0.5 + 0.4 * np.sin(2 * np.pi * grid.centers(0)) + 0.05 * rng.random(50)
+        s = State(t=0.0, grid=grid, n=n0, c=np.zeros(grid.shape), d=np.zeros(grid.shape),
+                  gamma=4.0)
+        mass0 = integrate(grid, n0)
         n_new, _ = density_solve(s, 0.01, params, SETTINGS)
-        assert abs(integrate(n_new) - mass0) <= 1e-12 * mass0
+        assert abs(integrate(grid, n_new) - mass0) <= 1e-12 * mass0
 
     def test_nonconvergence_raises(self):
         grid = small_grid(16)
@@ -166,7 +195,7 @@ class TestDensitySolve:
         monkeypatch.setattr(stepper, "_solve_newton_system", first_flipped)
         n_new, report = density_solve(s, dt, params, SETTINGS)
         assert report.newton_fallbacks == 1
-        assert np.allclose(n_new.values, 0.5 / (1.0 - g_rate * dt), rtol=1e-12)
+        assert np.allclose(n_new, 0.5 / (1.0 - g_rate * dt), rtol=1e-12)
 
     def growth_setup(self):
         grid = small_grid(3)
@@ -211,8 +240,9 @@ def reference_density_solve(state, dt, params, settings):
     conservative update; ``density_solve`` must give the same bits.
     """
     grid = state.grid
-    n_old = state.n.values
+    n_old = state.n
     co = stepper._coefficients(state, params)
+    op = stepper._DensityOperator(grid) if grid.dim == 2 else None
     report = stepper.StepReport(dt_used=dt)
     n_k = n_old.copy()
     for it in range(settings.newton_max + 1):
@@ -225,7 +255,7 @@ def reference_density_solve(state, dt, params, settings):
         assert it < settings.newton_max
         a, r = stepper._density_jacobian(n_k, params, co)
         delta, _ = stepper._solve_newton_system(
-            grid, a, r, dt, -f, settings.linear_tol, settings.linear_max
+            grid, a, r, dt, -f, settings.linear_tol, settings.linear_max, op
         )
         step_len = 1.0
         accepted = None
@@ -252,8 +282,8 @@ def bump_1d(cells=40, gamma=3.0, eps=0.0, ell=0.0, c_jump=False):
         D=1.0, gamma=gamma, d_b=1.0, eps_reg=eps, ell_cut=ell,
     )
     c = np.where(x < 0.5, 0.6, 0.2) if c_jump else np.full(cells, 0.2)
-    s = State(t=0.0, n=Field(grid, 0.05 + eps + 0.9 * np.exp(-30 * (x - 0.5) ** 2)),
-              c=Field(grid, c), d=Field.full(grid, 0.9), gamma=gamma)
+    s = State(t=0.0, grid=grid, n=0.05 + eps + 0.9 * np.exp(-30 * (x - 0.5) ** 2),
+              c=c, d=np.full(grid.shape, 0.9), gamma=gamma)
     return s, params
 
 
@@ -282,7 +312,7 @@ class TestNewtonLoop:
         # every direction takes its full step at once, except a flipped one,
         # which tries all 8 step lengths before falling back
         assert len(seen) == report.newton_iters + 7 * flipped
-        assert np.array_equal(seen[0], s.n.values)
+        assert np.array_equal(seen[0], s.n)
         for i, a in enumerate(seen):
             assert not any(np.array_equal(a, b) for b in seen[i + 1:])
 
@@ -299,7 +329,7 @@ class TestNewtonLoop:
             flip_first_directions(monkeypatch, flipped)
             n_ref, ref = reference_density_solve(s, dt, params, SETTINGS)
             monkeypatch.undo()
-            assert np.array_equal(n_new.values, n_ref)
+            assert np.array_equal(n_new, n_ref)
             assert report.newton_iters == ref.newton_iters > 1
             assert report.newton_residual == ref.newton_residual
             assert report.newton_fallbacks == flipped
@@ -310,17 +340,17 @@ class TestNewtonLoop:
         x, y = np.meshgrid(grid.centers(0), grid.centers(1), indexing="ij")
         n0 = 0.2 + 0.9 * np.exp(-((x - 0.45) ** 2 + (y - 0.4) ** 2) / 0.05)
         params = ModelParams(rates=rates(g=("linear", 1.0)), D=1.0, gamma=3.0, d_b=1.0)
-        s = State(t=0.0, n=Field(grid, n0), c=Field(grid, np.where(x > 0.5, 0.5, 0.2)),
-                  d=Field.full(grid, 0.9), gamma=3.0)
+        s = State(t=0.0, grid=grid, n=n0, c=np.where(x > 0.5, 0.5, 0.2),
+                  d=np.full(grid.shape, 0.9), gamma=3.0)
         return s, params
 
     def dense_newton(self, s, dt, params, settings):
         """Undamped Newton with every system solved by dense elimination."""
         grid = s.grid
-        n_old = s.n.values
+        n_old = s.n
         co = stepper._coefficients(s, params)
         lap = np.column_stack([
-            laplacian_neumann(Field(grid, e.reshape(grid.shape))).ravel()
+            laplacian_neumann(grid, e.reshape(grid.shape)).ravel()
             for e in np.eye(grid.num_cells)
         ])
         n_k = n_old.copy()
@@ -359,7 +389,7 @@ class TestNewtonLoop:
         assert report.newton_residual <= settings.newton_tol
         assert report.newton_fallbacks == 0
         ref = self.dense_newton(s, 0.01, params, settings)
-        assert np.max(np.abs(n_new.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert np.max(np.abs(n_new - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 class TestDensityJacobian:
@@ -369,7 +399,8 @@ class TestDensityJacobian:
         # lies inside both bands, so G(cutoff(d)) = 0.25 on both
         grid = small_grid(6)
         n = np.array([0.0, 0.0, 0.5, 1.0, 0.5, 0.0])
-        s = State(t=0.0, n=Field(grid, n), c=Field.full(grid, 0.5), d=Field.full(grid, 0.25),
+        s = State(t=0.0, grid=grid, n=n, c=np.full(grid.shape, 0.5),
+                  d=np.full(grid.shape, 0.25),
                   gamma=2.0)
         r_at = {}
         for ell in (10.0, 0.4):
@@ -458,7 +489,7 @@ class TestNewtonSystem1D:
 
         monkeypatch.setattr(stepper.linalg, "thomas_solve", spy)
         for dt in (1e-3, 0.07):
-            delta, lin = stepper._solve_newton_system(grid, a, r, dt, rhs, 1e-10, 100)
+            delta, lin = stepper._solve_newton_system(grid, a, r, dt, rhs, 1e-10, 100, None)
             assert lin == 1
             m = seen[-1]
             lower, diag, upper = reference_newton_tridiag(grid, a, r, dt)
@@ -518,12 +549,12 @@ class TestDensityOperator:
     @pytest.mark.parametrize("cells, extents", GRIDS[:2])
     def test_newton_system_matches_reference_jacobi_pcg(self, cells, extents):
         # the 2D Newton solve against Jacobi-PCG on the unscaled S J S^-1
-        grid, a, r, dt, _ = self.system(cells, extents, seed=9, dt=0.05)
+        grid, a, r, dt, op = self.system(cells, extents, seed=9, dt=0.05)
         m = symmetrized_newton_matrix(grid, a, r, dt)
         sqrt_a = np.sqrt(a)
         rhs = np.random.default_rng(6).standard_normal(grid.shape)
         for tol in (0.1, 1e-4, 1e-10):
-            delta, iters = stepper._solve_newton_system(grid, a, r, dt, rhs, tol, 500)
+            delta, iters = stepper._solve_newton_system(grid, a, r, dt, rhs, tol, 500, op)
             x_ref, iters_ref = jacobi_pcg(lambda y: m @ y, np.diag(m), (sqrt_a * rhs).ravel(), tol, 500)
             assert abs(iters - iters_ref) <= 1
             # the exit residual of the symmetrized system meets the 2-norm test
@@ -589,7 +620,7 @@ class TestFractionUpdate:
         params = ModelParams(rates=rates(k2=("constant", 3.0)), gamma=2.0, d_b=0.0)
         s = uniform_state(grid, n=0.5, c=0.0, d=0.3)
         c_new = fraction_update(s, s.n, 0.05, params)
-        assert np.all(c_new.values == 0.0)
+        assert np.all(c_new == 0.0)
 
     def test_full_fraction_stays_without_back_transition(self):
         # at c = 1 both K2 and the crowding death term vanish
@@ -597,7 +628,7 @@ class TestFractionUpdate:
         params = ModelParams(rates=rates(k1=("constant", 2.0)), gamma=2.0, d_b=0.0)
         s = uniform_state(grid, n=0.5, c=1.0, d=0.3)
         c_new = fraction_update(s, s.n, 0.05, params)
-        assert np.allclose(c_new.values, 1.0, atol=1e-15)
+        assert np.allclose(c_new, 1.0, atol=1e-15)
 
     def test_single_step_reaction_oracle(self):
         # zero velocity, K1 = K2 = 1, D ~ 0: c' = 1 - 2c, c(0) = 0,
@@ -609,7 +640,7 @@ class TestFractionUpdate:
         )
         s = uniform_state(grid, n=0.5, c=0.0)
         c_new = fraction_update(s, s.n, 0.1, params)
-        assert c_new.values[0] == pytest.approx(0.1, abs=1e-15)
+        assert c_new[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_many_steps_track_relaxation_odes(self):
         # c' = 1 - 2c -> c(t) = (1 - e^(-2t))/2; explicit Euler with dt = 0.01
@@ -622,9 +653,9 @@ class TestFractionUpdate:
         dt = 0.01
         for _ in range(100):
             c_new = fraction_update(s, s.n, dt, params)
-            s = State(t=s.t + dt, n=s.n, c=c_new, d=s.d, gamma=s.gamma)
+            s = replace(s, t=s.t + dt, c=c_new)
         exact = 0.5 * (1.0 - math.exp(-2.0))
-        assert s.c.values[0] == pytest.approx(exact, abs=5e-3)
+        assert s.c[0] == pytest.approx(exact, abs=5e-3)
 
     def test_budget_violation_raises(self):
         grid = small_grid(3)
@@ -638,13 +669,13 @@ class TestFractionUpdate:
         grid = small_grid(50)
         params = ModelParams(rates=rates(), gamma=2.0, d_b=0.0)
         x = grid.centers(0)
-        n = Field(grid, 1.0 - 0.8 * x)
-        c = Field(grid, (x < 0.5).astype(float))
-        s = State(t=0.0, n=n, c=c, d=Field.zeros(grid), gamma=2.0)
+        n = 1.0 - 0.8 * x
+        c = (x < 0.5).astype(float)
+        s = State(t=0.0, grid=grid, n=n, c=c, d=np.zeros(grid.shape), gamma=2.0)
         dt = 0.25 * grid.h[0] / 2.0
         c_new = fraction_update(s, n, dt, params)
-        assert c_new.values.min() >= -1e-12
-        assert c_new.values.max() <= 1.0 + 1e-12
+        assert c_new.min() >= -1e-12
+        assert c_new.max() <= 1.0 + 1e-12
 
     @given(
         c_vals=arrays(float, 16, elements=st.floats(0.0, 1.0)),
@@ -662,9 +693,10 @@ class TestFractionUpdate:
         )
         s = State(
             t=0.0,
-            n=Field(grid, n_vals),
-            c=Field(grid, c_vals),
-            d=Field.full(grid, d_val),
+            grid=grid,
+            n=n_vals,
+            c=c_vals,
+            d=np.full(grid.shape, d_val),
             gamma=2.0,
         )
         dt = 0.2 * grid.h[0] / max(1.0, 2.0 * float(np.max(n_vals)) ** 2)
@@ -672,30 +704,30 @@ class TestFractionUpdate:
             c_new = fraction_update(s, s.n, dt, params)
         except SolverFailure:
             return  # budget rejected the step; nothing to assert
-        assert c_new.values.min() >= -1e-12
-        assert c_new.values.max() <= 1.0 + 1e-12
+        assert c_new.min() >= -1e-12
+        assert c_new.max() <= 1.0 + 1e-12
 
 
 class TestNutrientSolve:
     def test_boundary_steady_state(self):
         grid = small_grid(8)
         params = ModelParams(rates=rates(), gamma=2.0, d_b=0.7)
-        consts = derive_constants(params, Field.full(grid, 0.7))
+        consts = derive_constants(params, np.full(grid.shape, 0.7))
         s = uniform_state(grid, n=0.0, d=0.7)
         d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 0.1, params, consts)
-        assert np.allclose(d_new.values, 0.7, atol=1e-12)
+        assert np.allclose(d_new, 0.7, atol=1e-12)
         assert clamped == 0
 
     def test_relaxation_toward_boundary_value(self):
         grid = small_grid(16)
         params = ModelParams(rates=rates(), gamma=2.0, d_b=1.0)
-        consts = derive_constants(params, Field.full(grid, 0.2))
+        consts = derive_constants(params, np.full(grid.shape, 0.2))
         s = uniform_state(grid, n=0.0, d=0.2)
         d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.05, params, consts)
-        assert np.all(d_new.values > 0.2 - 1e-12)
-        assert np.all(d_new.values < 1.0 + 1e-12)
+        assert np.all(d_new > 0.2 - 1e-12)
+        assert np.all(d_new < 1.0 + 1e-12)
         # interior cells move strictly toward the boundary value
-        assert d_new.values[8] > 0.2
+        assert d_new[8] > 0.2
 
     def test_scalar_backward_euler_oracle_in_huge_cell_limit(self):
         # psi(d_old) n = 1, no supply, dt = 0.1, d_old = 1: the center cell of a
@@ -704,20 +736,20 @@ class TestNutrientSolve:
         grid = Grid(dim=1, extents=(3e6,), cells=(3,))
         params = ModelParams(rates=rates(psi=("linear", 1.0)), a=1.0, b=1.0,
                              gamma=2.0, d_b=1.0)
-        consts = derive_constants(params, Field.full(grid, 1.0))
+        consts = derive_constants(params, np.full(grid.shape, 1.0))
         s = uniform_state(grid, n=1.0, c=0.0, d=1.0)
         d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.1, params, consts)
-        assert d_new.values[1] == pytest.approx(0.9, abs=1e-9)
+        assert d_new[1] == pytest.approx(0.9, abs=1e-9)
 
     def test_clamping_counted(self):
         # a savage explicit sink pulls d below zero; the clamp catches it
         grid = small_grid(8)
         params = ModelParams(rates=rates(psi=("linear", 5.0)), a=5.0, gamma=2.0, d_b=1.0)
-        consts = derive_constants(params, Field.full(grid, 1.0))
+        consts = derive_constants(params, np.full(grid.shape, 1.0))
         s = uniform_state(grid, n=10.0, c=0.0, d=1.0)
         d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 1.0, params, consts)
         assert clamped > 0
-        assert d_new.values.min() >= 0.0
+        assert d_new.min() >= 0.0
 
     @pytest.mark.parametrize("grid", [
         Grid(dim=1, extents=(1.3,), cells=(9,)),
@@ -728,21 +760,22 @@ class TestNutrientSolve:
         # column by column from the grid's Dirichlet Laplacian
         rng = np.random.default_rng(17)
         params = ModelParams(rates=rates(psi=("linear", 1.0)), a=1.0, b=1.0, gamma=2.0, d_b=0.6)
-        field = lambda lo, hi: Field(grid, rng.uniform(lo, hi, grid.shape))
-        s = State(t=0.0, n=field(0.2, 1.0), c=field(0.0, 1.0), d=field(0.3, 0.7), gamma=2.0)
+        field = lambda lo, hi: rng.uniform(lo, hi, grid.shape)
+        s = State(t=0.0, grid=grid, n=field(0.2, 1.0), c=field(0.0, 1.0), d=field(0.3, 0.7),
+                  gamma=2.0)
         consts = derive_constants(params, s.d)
         dt = 0.05
         d_new, clamped, lin = nutrient_solve(s, s.n, s.c, dt, params, consts)
 
-        cols = [laplacian_dirichlet(Field(grid, e.reshape(grid.shape)), 0.0).ravel()
+        cols = [laplacian_dirichlet(grid, e.reshape(grid.shape), 0.0).ravel()
                 for e in np.eye(grid.num_cells)]
         matrix = params.b / dt * np.eye(grid.num_cells) - np.column_stack(cols)
-        ghost = laplacian_dirichlet(Field.zeros(grid), params.d_b)
-        source = -s.d.values * s.n.values + params.a * s.c.values * s.n.values
-        rhs = params.b / dt * s.d.values + source + ghost
+        ghost = laplacian_dirichlet(grid, np.zeros(grid.shape), params.d_b)
+        source = -s.d * s.n + params.a * s.c * s.n
+        rhs = params.b / dt * s.d + source + ghost
         expected = np.linalg.solve(matrix, rhs.ravel()).reshape(grid.shape)
         assert clamped == 0 and lin == 1
-        assert np.max(np.abs(d_new.values - expected)) <= 1e-12
+        assert np.max(np.abs(d_new - expected)) <= 1e-12
 
 
 class TestSuggestDt:
@@ -753,14 +786,14 @@ class TestSuggestDt:
             rates=rates(k1=("constant", 2.0), k2=("constant", 1.0)),
             D=1.0, gamma=2.0, d_b=0.0, T_final=100.0,
         )
-        consts = derive_constants(params, Field.full(grid, 0.0))
+        consts = derive_constants(params, np.full(grid.shape, 0.0))
         s = uniform_state(grid, n=0.4)
         assert suggest_dt(s, params, consts, 0.5) == pytest.approx(0.125)
 
     def test_horizon_clipping(self):
         grid = small_grid(4)
         params = ModelParams(rates=rates(), D=1.0, gamma=2.0, d_b=0.0, T_final=1.0)
-        consts = derive_constants(params, Field.full(grid, 0.0))
+        consts = derive_constants(params, np.full(grid.shape, 0.0))
         s = uniform_state(grid, n=0.4, t=1.0 - 1e-9)
         assert suggest_dt(s, params, consts, 0.5) == pytest.approx(1e-9)
 
@@ -768,12 +801,13 @@ class TestSuggestDt:
         # |u| = 2 at gamma = 1, h = 0.1, large reaction headroom, safety 0.9
         grid = Grid(dim=1, extents=(0.3,), cells=(3,))
         params = ModelParams(rates=rates(), D=1.0, gamma=1.0, d_b=0.0, T_final=100.0)
-        consts = derive_constants(params, Field.full(grid, 0.0))
+        consts = derive_constants(params, np.full(grid.shape, 0.0))
         s = State(
             t=0.0,
-            n=Field(grid, np.array([0.4, 0.2, 0.2])),
-            c=Field.zeros(grid),
-            d=Field.zeros(grid),
+            grid=grid,
+            n=np.array([0.4, 0.2, 0.2]),
+            c=np.zeros(grid.shape),
+            d=np.zeros(grid.shape),
             gamma=1.0,
         )
         assert suggest_dt(s, params, consts, 0.9) == pytest.approx(0.045)
@@ -793,7 +827,7 @@ class TestStep:
     def make_inert(self, cells=6):
         grid = small_grid(cells)
         params = ModelParams(rates=rates(), D=1.0, a=1.0, gamma=2.0, d_b=0.0, T_final=1.0)
-        consts = derive_constants(params, Field.full(grid, 0.0))
+        consts = derive_constants(params, np.full(grid.shape, 0.0))
         return grid, params, consts
 
     def test_global_fixed_point(self):
@@ -801,28 +835,28 @@ class TestStep:
         s = uniform_state(grid, n=0.6, c=0.0, d=0.0)
         s2, report = step(s, params, consts, SETTINGS, 0.05)
         assert s2.t == pytest.approx(0.05)
-        assert np.allclose(s2.n.values, 0.6, atol=1e-14)
-        assert np.all(s2.c.values == 0.0)
-        assert np.allclose(s2.d.values, 0.0, atol=1e-14)
+        assert np.allclose(s2.n, 0.6, atol=1e-14)
+        assert np.all(s2.c == 0.0)
+        assert np.allclose(s2.d, 0.0, atol=1e-14)
         assert check_all(s2, consts, TolConfig()) == []
 
     def test_mass_constant_without_reactions(self):
         grid, params, consts = self.make_inert(cells=40)
         x = grid.centers(0)
-        n0 = Field(grid, np.maximum(1.0 - 4.0 * (x - 0.5) ** 2, 0.0))
-        s = State(t=0.0, n=n0, c=Field.zeros(grid), d=Field.zeros(grid), gamma=2.0)
-        mass0 = integrate(n0)
+        n0 = np.maximum(1.0 - 4.0 * (x - 0.5) ** 2, 0.0)
+        s = State(t=0.0, grid=grid, n=n0, c=np.zeros(grid.shape), d=np.zeros(grid.shape), gamma=2.0)
+        mass0 = integrate(grid, n0)
         for _ in range(5):
             dt = suggest_dt(s, params, consts, 0.5)
             s, _ = step(s, params, consts, SETTINGS, dt)
-        assert abs(integrate(s.n) - mass0) <= 1e-12 * mass0
+        assert abs(integrate(grid, s.n) - mass0) <= 1e-12 * mass0
 
     def test_retry_halves_dt_until_feasible(self):
         grid = small_grid(6)
         params = ModelParams(
             rates=rates(k1=("constant", 4.0)), D=1.0, gamma=2.0, d_b=0.0, T_final=1.0,
         )
-        consts = derive_constants(params, Field.full(grid, 0.0))
+        consts = derive_constants(params, np.full(grid.shape, 0.0))
         s = uniform_state(grid, n=0.5, c=0.2)
         # dt * (K1 + K2 + D) = 1.5 > 1 violates the budget; one halving fixes it
         s2, report = step(s, params, consts, SETTINGS, 0.3)
@@ -835,7 +869,7 @@ class TestStep:
         params = ModelParams(
             rates=rates(k1=("constant", 4.0)), D=1.0, gamma=2.0, d_b=0.0, T_final=1.0,
         )
-        consts = derive_constants(params, Field.full(grid, 0.0))
+        consts = derive_constants(params, np.full(grid.shape, 0.0))
         s = uniform_state(grid, n=0.5, c=0.2)
         with pytest.raises(SolverFailure):
             step(s, params, consts, SolverSettings(retry_max=0), 0.3)
@@ -868,13 +902,13 @@ class TestStep:
     def test_determinism(self):
         grid, params, consts = self.make_inert(cells=20)
         x = grid.centers(0)
-        n0 = Field(grid, 0.5 + 0.3 * np.cos(2 * np.pi * x))
-        s = State(t=0.0, n=n0, c=Field.full(grid, 0.25), d=Field.zeros(grid), gamma=2.0)
+        n0 = 0.5 + 0.3 * np.cos(2 * np.pi * x)
+        s = State(t=0.0, grid=grid, n=n0, c=np.full(grid.shape, 0.25), d=np.zeros(grid.shape), gamma=2.0)
         a, _ = step(s, params, consts, SETTINGS, 0.01)
         b, _ = step(s, params, consts, SETTINGS, 0.01)
-        assert np.array_equal(a.n.values, b.n.values)
-        assert np.array_equal(a.c.values, b.c.values)
-        assert np.array_equal(a.d.values, b.d.values)
+        assert np.array_equal(a.n, b.n)
+        assert np.array_equal(a.c, b.c)
+        assert np.array_equal(a.d, b.d)
 
     def test_mass_balance_identity_with_reactions(self):
         # discrete weak-form balance: the mass gained in a density step equals
@@ -887,17 +921,18 @@ class TestStep:
         x = grid.centers(0)
         s = State(
             t=0.0,
-            n=Field(grid, 0.4 + 0.5 * np.exp(-30 * (x - 0.5) ** 2)),
-            c=Field.full(grid, 0.25),
-            d=Field.full(grid, 0.9),
+            grid=grid,
+            n=0.4 + 0.5 * np.exp(-30 * (x - 0.5) ** 2),
+            c=np.full(grid.shape, 0.25),
+            d=np.full(grid.shape, 0.9),
             gamma=3.0,
         )
         dt = 0.01
         tight = SolverSettings(newton_tol=1e-12)
         n_new, _ = density_solve(s, dt, params, tight)
-        g_of_d = np.asarray(params.rates.G(s.d.values))
-        reaction = (g_of_d - params.D * s.c.values) * n_new.values
-        gained = integrate(n_new) - integrate(s.n)
+        g_of_d = np.asarray(params.rates.G(s.d))
+        reaction = (g_of_d - params.D * s.c) * n_new
+        gained = integrate(grid, n_new) - integrate(grid, s.n)
         source = dt * float(np.sum(reaction)) * grid.cell_volume
         assert abs(gained - source) <= 100 * tight.newton_tol
 
@@ -910,7 +945,7 @@ class TestRegularizedStep:
             D=1.0, a=1.0, gamma=3.0, d_b=1.0, T_final=0.1,
             eps_reg=eps, ell_cut=(ell if ell is not None else 0.0),
         )
-        consts = derive_constants(params, Field.full(grid, 1.0))
+        consts = derive_constants(params, np.full(grid.shape, 1.0))
         if ell is None:
             auto = max(consts.L, math.exp(2 * consts.M0 * 0.1) * 1.0)
             params = ModelParams(
@@ -919,8 +954,8 @@ class TestRegularizedStep:
                 d_b=params.d_b, T_final=params.T_final,
             )
         x = grid.centers(0)
-        n0 = Field(grid, 0.3 + 0.4 * np.exp(-20 * (x - 0.5) ** 2) + eps)
-        s = State(t=0.0, n=n0, c=Field.full(grid, 0.2), d=Field.full(grid, 1.0), gamma=3.0)
+        n0 = 0.3 + 0.4 * np.exp(-20 * (x - 0.5) ** 2) + eps
+        s = State(t=0.0, grid=grid, n=n0, c=np.full(grid.shape, 0.2), d=np.full(grid.shape, 1.0), gamma=3.0)
         return s, params, consts
 
     def test_inactive_cutoff_counts_zero(self):
@@ -940,15 +975,15 @@ class TestRegularizedStep:
 
     def test_viscosity_spreads_the_fraction(self):
         s, params, consts = self.make_setup(0.1)
-        c = s.c.values.copy()
+        c = s.c.copy()
         c[:12] = 0.6
-        s = State(t=0.0, n=s.n, c=Field(s.grid, c), d=s.d, gamma=s.gamma)
+        s = replace(s, t=0.0, c=c)
         s2, _ = step(s, params, consts, SETTINGS, 0.001)
-        assert s2.c.values.max() <= 0.6 + 1e-12
-        assert s2.c.values.min() >= 0.0
+        assert s2.c.max() <= 0.6 + 1e-12
+        assert s2.c.min() >= 0.0
         # the jump at the interface is smoothed
         jump_before = abs(c[12] - c[11])
-        jump_after = abs(s2.c.values[12] - s2.c.values[11])
+        jump_after = abs(s2.c[12] - s2.c[11])
         assert jump_after < jump_before
 
 
@@ -963,15 +998,15 @@ def eps_study_start(eps, cells=100):
     consts = derive_constants(params, d0)
     if eps > 0.0:
         n0, c0 = apply_lift(n0, c0, eps)
-        ell = max(consts.L, math.exp(2.0 * consts.M0 * params.T_final) * float(n0.values.max()))
+        ell = max(consts.L, math.exp(2.0 * consts.M0 * params.T_final) * float(n0.max()))
         params = replace(params, ell_cut=ell * (1.0 + BOUND_INFLATION))
-    state = State(t=0.0, n=n0, c=c0, d=d0, gamma=params.gamma)
+    state = State(t=0.0, grid=grid, n=n0, c=c0, d=d0, gamma=params.gamma)
     return state, params, consts, make_settings(cfg)
 
 
 def old_suggest_dt(state, params, consts, safety):
     """The controller before the fraction budget bound: CFL and reaction bounds only."""
-    u = stepper._face_velocities(state.n, params.gamma, 0.0)
+    u = stepper._face_velocities(state.grid, state.n, params.gamma, 0.0)
     speed = max([0.0, *(float(np.max(np.abs(ui))) for ui in u if ui.size)])
     dt_adv = min(state.grid.h) / speed if speed > 0.0 else math.inf
     rate_sum = consts.K1_max + consts.K2_max + params.D
@@ -985,7 +1020,7 @@ def old_suggest_dt(state, params, consts, safety):
 
 def budget_limit(state, params):
     """1 / max beta: the largest dt the full fraction budget accepts at the current state."""
-    u = stepper._face_velocities(state.n, params.gamma, params.eps_reg)
+    u = stepper._face_velocities(state.grid, state.n, params.gamma, params.eps_reg)
     rate_sum = stepper._fraction_rates(state, params)[2]
     return 1.0 / float(np.max(stepper._fraction_budget(state.grid, 1.0, params, rate_sum, u)))
 
@@ -1012,10 +1047,10 @@ def controller_case(eps, cells, late_state=None):
         x, x_late = state.grid.centers(0), late_state.grid.centers(0)
 
         def on_grid(f):
-            return Field(state.grid, np.interp(x, x_late, f.values))
+            return np.interp(x, x_late, f)
 
-        state = State(t=late_state.t, n=on_grid(late_state.n), c=on_grid(late_state.c),
-                      d=on_grid(late_state.d), gamma=params.gamma)
+        state = State(t=late_state.t, grid=state.grid, n=on_grid(late_state.n),
+                      c=on_grid(late_state.c), d=on_grid(late_state.d), gamma=params.gamma)
     return state, params, consts, settings
 
 
@@ -1030,7 +1065,7 @@ class TestDtController:
     def test_suggested_dt_meets_the_budget(self, case):
         state, params, consts, settings = case
         dt = suggest_dt(state, params, consts, settings.safety)
-        u = stepper._face_velocities(state.n, params.gamma, params.eps_reg)
+        u = stepper._face_velocities(state.grid, state.n, params.gamma, params.eps_reg)
         rate_sum = stepper._fraction_rates(state, params)[2]
         stepper._enforce_budget(stepper._fraction_budget(state.grid, dt, params, rate_sum, u))
 
@@ -1061,10 +1096,10 @@ def test_2d_suggested_dt_meets_the_budget():
         rates=rates(g=("linear", 0.5), k1=("linear", 0.3), k2=("constant", 0.2)),
         D=1.0, a=1.0, gamma=3.0, d_b=1.0, T_final=0.1, eps_reg=0.05, ell_cut=2.0,
     )
-    consts = derive_constants(params, Field.full(grid, 1.0))
+    consts = derive_constants(params, np.full(grid.shape, 1.0))
     x, y = grid.coordinate_fields()
-    n = Field(grid, 0.3 + 0.6 * np.exp(-20 * ((x - 0.5) ** 2 + (y - 0.4) ** 2)))
-    s = State(t=0.0, n=n, c=Field.full(grid, 0.2), d=Field.full(grid, 1.0), gamma=3.0)
+    n = 0.3 + 0.6 * np.exp(-20 * ((x - 0.5) ** 2 + (y - 0.4) ** 2))
+    s = State(t=0.0, grid=grid, n=n, c=np.full(grid.shape, 0.2), d=np.full(grid.shape, 1.0), gamma=3.0)
     dt = suggest_dt(s, params, consts, SETTINGS.safety)
     assert dt == pytest.approx(budget_limit(s, params), rel=1e-12)  # the budget binds
     _, report = step(s, params, consts, SETTINGS, dt)

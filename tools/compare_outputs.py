@@ -1,0 +1,112 @@
+"""Run the shipped campaigns on two source trees and compare their CSVs byte for byte.
+
+Usage:
+
+    python3 tools/compare_outputs.py PARENT_ROOT CHANGE_ROOT
+
+Each root is a checkout of this repository.  Every case below runs once per
+root, as ``python -m tissuesim`` with ``PYTHONPATH=<root>/src`` and
+``OPENBLAS_NUM_THREADS=1``, on a config built from that root's ``configs/``
+plus the case's overrides.  Both sides of a case write to the same ``--out``
+directory, one after the other, so the config hashes stamped into the CSVs
+match.  The script lists every CSV whose bytes differ (or that only one side
+wrote) and every case whose exit codes differ, and exits 1 if there is any;
+it exits 0 when all CSVs are byte-identical.  It needs only the standard
+library and the packages tissuesim itself imports.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+GROWTH_2D = {
+    "grid.dim": "2",
+    "grid.cells_x": "128",
+    "grid.cells_y": "128",
+    "grid.extent_y": "1.0",
+    "initial.center_y": "0.5",
+    "time.T_final": "0.1",
+}
+
+# (case name, subcommand, shipped config, overrides)
+CASES = (
+    ("run_growth_1d", "run", "growth_1d.cfg", {}),
+    ("sweep_shipped", "sweep", "sweep.cfg", {}),
+    ("sweep_stiff", "sweep", "sweep.cfg", {"sweep.gammas": "5,10,20,40,80,160,320,640"}),
+    ("eps_study", "eps-study", "eps_study.cfg", {}),
+    ("bench", "bench", "barenblatt.cfg", {}),
+    ("growth_2d", "run", "growth_1d.cfg", GROWTH_2D),
+    ("inject_c_bounds", "run", "growth_1d.cfg", {"debug.inject": "c_bounds"}),
+)
+
+
+def config_text(path: str, overrides: dict[str, str]) -> str:
+    """The ``key = value`` lines of a config file with ``overrides`` applied."""
+    entries = {}
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            text = line.split("#", 1)[0].strip()
+            if text:
+                key, value = (part.strip() for part in text.split("=", 1))
+                entries[key] = value
+    entries.update(overrides)
+    return "".join(f"{key} = {value}\n" for key, value in entries.items())
+
+
+def run_case(root: str, case: tuple, work: str) -> tuple[int, dict[str, bytes]]:
+    """Run one case on one root; return its exit code and the bytes of each CSV it wrote."""
+    name, sub, config, overrides = case
+    cfg_path = os.path.join(work, f"{name}.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as f:
+        f.write(config_text(os.path.join(root, "configs", config), overrides))
+    out = os.path.join(work, name)
+    shutil.rmtree(out, ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tissuesim", sub, "--config", cfg_path, "--out", out],
+        env=env, cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    files = {}
+    if os.path.isdir(out):
+        for entry in sorted(os.listdir(out)):
+            if entry.endswith(".csv"):
+                with open(os.path.join(out, entry), "rb") as f:
+                    files[entry] = f.read()
+    shutil.rmtree(out, ignore_errors=True)
+    return proc.returncode, files
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: compare_outputs.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        return 2
+    parent, change = (os.path.abspath(a) for a in argv)
+    differ = []
+    compared = 0
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as work:
+        for case in CASES:
+            name = case[0]
+            code_a, files_a = run_case(parent, case, work)
+            code_b, files_b = run_case(change, case, work)
+            if code_a != code_b:
+                differ.append(f"{name}: exit code {code_a} -> {code_b}")
+            for entry in sorted(files_a.keys() | files_b.keys()):
+                compared += 1
+                a, b = files_a.get(entry), files_b.get(entry)
+                if a is None or b is None:
+                    differ.append(f"{name}/{entry}: only in {'change' if a is None else 'parent'}")
+                elif a != b:
+                    differ.append(f"{name}/{entry}: bytes differ")
+            print(f"{name}: exit {code_a}/{code_b}, {len(files_a | files_b)} CSVs")
+    for line in differ:
+        print(f"DIFFERS {line}")
+    print(f"{compared} CSVs compared, {len(differ)} differences")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
