@@ -9,10 +9,11 @@ takes longer than all of tissuesim's other imports together.  The
 orthonormal sine transform (DST-II) diagonalizes the cell-centred Dirichlet
 Laplacian along one axis, so it turns a constant-coefficient 2D solve into
 such a block.  Variable-coefficient 2D systems are SPD (after
-symmetrization in the caller) and go through conjugate gradients on the
-operator scaled by its diagonal: Jacobi-preconditioned CG, with the scaling
-folded into the operator.  Every path uses fixed iteration and accumulation
-orders: identical inputs give bit-identical outputs.
+symmetrization in the caller) and go through conjugate gradients on an
+operator scaled to a unit diagonal, stopped by a bound on the residual
+weighted by the diagonal the scaling took out; the caller reduces the
+system to its black cells first.  Every path uses fixed iteration and
+accumulation orders: identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -166,35 +167,41 @@ class PcgResult:
 
 
 def pcg_solve(
-    matvec, weights: np.ndarray, rhs: np.ndarray, tol: float, max_iters: int, work: np.ndarray
+    matvec, weights: np.ndarray, rhs: np.ndarray, bound: float, max_iters: int, work: np.ndarray
 ) -> PcgResult:
-    """Conjugate gradients for a Jacobi-scaled SPD operator, stopped in the unscaled norm.
+    """Conjugate gradients for a Jacobi-scaled SPD operator, stopped by a weighted residual bound.
 
-    ``matvec(y, out)`` writes A y into ``out``, where A = D^-1/2 M D^-1/2 is
-    the SPD matrix M scaled by its diagonal D, so the iterates are those of
-    Jacobi-preconditioned CG on M.  ``weights`` is the diagonal of M: the
-    residual of M is D^1/2 times that of A, so the solve converges when
-    sqrt(sum weights r^2) drops below tol times the same norm of ``rhs``,
-    the 2-norm test on M.  Raises SolverFailure on stagnation at max_iters.
-    ``work`` is a (5, n) array that holds x, r, p, A p and a scratch
-    vector, so a caller that solves many systems allocates them once; the
-    returned x is ``work[0]``.  Every update is in place, with the same
-    roundings as the textbook updates.
+    ``matvec(y, out)`` writes A y into ``out`` for an SPD matrix A scaled to
+    a unit diagonal, so the iterates are those of Jacobi-preconditioned CG
+    on the unscaled matrix.  The solve converges when sqrt(sum weights r^2)
+    is at most ``bound`` for the residual r of A; with ``weights`` the
+    diagonal the scaling took out, that is the 2-norm of the unscaled
+    residual.  The test is made on the initial residual too, so a right
+    side that meets it, zero for one, returns x = 0 after 0 iterations.
+    Raises SolverFailure on a non-positive curvature direction or on
+    stagnation at max_iters.  ``work`` is a (5, n) array that holds x, r, p,
+    A p and a scratch vector, so a caller that solves many systems allocates
+    them once; the returned x is ``work[0]``.  Every update is in place,
+    with the same roundings as the textbook updates.
     """
-    rhs = np.asarray(rhs, dtype=float)
     x, r, p, ap, scaled = work
     x.fill(0.0)
-    rhs_norm = math.sqrt(float(np.dot(np.multiply(weights, rhs, out=scaled), rhs)))
-    if rhs_norm == 0.0:
-        return PcgResult(x=x, iterations=0)
     np.copyto(r, rhs)
-    np.copyto(p, r)
-    rr = float(np.dot(r, r))
     # sum(weights r^2) >= min(weights) r.r, so the weighted norm is formed
     # only once that lower bound meets the test; the slack is far above the
     # rounding of either sum, so the decision is the weighted test's
     floor = float(weights.min()) * (1.0 - 1e-9)
-    bound = (tol * rhs_norm) ** 2
+    bound_sq = bound * bound
+
+    def converged(rr: float) -> bool:
+        return floor * rr <= bound_sq and (
+            math.sqrt(float(np.dot(np.multiply(weights, r, out=scaled), r))) <= bound
+        )
+
+    rr = float(np.dot(r, r))
+    if converged(rr):
+        return PcgResult(x=x, iterations=0)
+    np.copyto(p, r)
     for k in range(1, max_iters + 1):
         matvec(p, ap)
         denom = float(np.dot(p, ap))
@@ -204,9 +211,7 @@ def pcg_solve(
         x += np.multiply(p, alpha, out=scaled)
         r -= np.multiply(ap, alpha, out=scaled)
         rr_new = float(np.dot(r, r))
-        if floor * rr_new <= bound and (
-            math.sqrt(float(np.dot(np.multiply(weights, r, out=scaled), r))) <= tol * rhs_norm
-        ):
+        if converged(rr_new):
             return PcgResult(x=x, iterations=k)
         p *= rr_new / rr
         p += r

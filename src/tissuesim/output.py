@@ -14,6 +14,8 @@ import os
 import tempfile
 from collections.abc import Iterable
 
+import numpy as np
+
 from .diagnostics import EnergyLedger
 from .grid import Grid
 from .harness import BenchReport, EpsReport, SweepReport
@@ -60,15 +62,17 @@ def _grid_descriptor(grid: Grid) -> str:
 
 
 #: cells formatted per block by ``write_snapshot``; bounds its temporary strings
-_SNAPSHOT_BLOCK = 1024
+_SNAPSHOT_BLOCK = 256
 
 
 def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
     """One row per cell, in C order of the cell index: coordinates, n, n1, n2, c, d, p, v.
 
-    Rows are formatted a block of cells at a time with one ``%.16e`` row
-    format, which gives the same text as ``fmt`` on every value, and each
-    block is written before the next is formatted.
+    Values are formatted a block of cells at a time, each distinct bit
+    pattern of the block once, with the ``%.16e`` format that ``fmt`` uses,
+    so the text is the same as ``fmt`` on every value; comparing bit
+    patterns keeps -0.0, NaN payloads and subnormals apart.  Each block is
+    written before the next is formatted.
     """
     grid = state.grid
     coord_names = ("x", "y")[: grid.dim]
@@ -81,12 +85,14 @@ def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
     ]
     fields = (state.n, state.n1, state.n2, state.c, state.d, state.p, state.v)
     columns = [x.ravel() for x in grid.coordinate_fields() + fields]
-    row_format = ",".join(["%.16e"] * len(columns))
 
     def blocks():
         for start in range(0, grid.num_cells, _SNAPSHOT_BLOCK):
-            block = slice(start, start + _SNAPSHOT_BLOCK)
-            yield "\n".join(row_format % row for row in zip(*(col[block].tolist() for col in columns)))
+            block = np.stack([col[start:start + _SNAPSHOT_BLOCK] for col in columns], axis=1)
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            text = ("%.16e\n" * bits.size) % tuple(bits.view(float).tolist())
+            values = np.array(text.split("\n")[:-1], dtype=object)[inverse.reshape(block.shape)]
+            yield "\n".join(map(",".join, values.tolist()))
 
     _atomic_write(path, itertools.chain(header, blocks()))
 

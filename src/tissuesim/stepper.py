@@ -6,9 +6,10 @@ One step advances, in order:
      dn/dt = lap(K(n)) + eps*lap(n) + (G(d) - D*c) n, solved by Newton
      (K is the flux potential, gamma/(gamma+1) * n^(gamma+1)); each Newton
      system is a tridiagonal direct solve in 1D and, in 2D, CG on the
-     symmetrized 5-point stencil scaled to a unit diagonal (that is,
-     Jacobi-preconditioned CG with the scaling folded into the operator),
-     to a tolerance sized to the Newton residual;
+     red-black reduced system of the symmetrized 5-point stencil scaled to
+     a unit diagonal: the Schur complement on the black cells of a
+     checkerboard, with the red cells back-substituted, to a tolerance
+     sized to the Newton residual;
   2. autophagic fraction c = n2/n: explicit upwind advection by the Darcy
      velocity u = -grad(n^gamma) plus explicit reaction
      K1(d)(1-c) - K2(d)c - D c(1-c), whose right side points into [0, 1];
@@ -252,28 +253,39 @@ def _count_cutoff_activations(n: np.ndarray, c: np.ndarray, ell: float) -> int:
 
 
 class _DensityOperator:
-    """The Jacobi-scaled 2D Newton matrix and the work arrays of its CG solves.
+    """The red-black reduced 2D Newton matrix and the work arrays of its CG solves.
 
     With S = diag(sqrt(a)), S J S^-1 = diag(1 - dt r) - dt S lap S is a
     5-point stencil: its diagonal D is 1 - dt r_i plus dt a_i / h^2 per
     interior face of cell i, and neighbours i, j across a face couple with
-    -dt sqrt(a_i a_j) / h^2.  Scaled by its diagonal, D^-1/2 S J S^-1 D^-1/2
-    has a unit diagonal and couplings -(dt / h^2) t_i t_j with
-    t = sqrt(a / D), so its matvec is y - (dt / h^2) t (neighbour sum of t y).
+    -dt sqrt(a_i a_j) / h^2.  Scaled by its diagonal, A = D^-1/2 S J S^-1 D^-1/2
+    has a unit diagonal and couplings -(dt / h^2) t_i t_j with t = sqrt(a / D).
+    Every face joins a red cell (i + j even) to a black one, so with the red
+    cells first A = [[I, -C], [-C^T, I]], and A x = b reduces to the SPD
+    Schur complement system (I - C^T C) x_b = b_b + C^T b_r on the black
+    cells, with x_r = b_r + C x_b (the reduced system of Hageman and Young,
+    Applied Iterative Methods, 1981).  ``matvec`` applies I - C^T C.
 
-    Cell vectors live on a flat layout in which each grid row is followed by
-    one ghost entry, so a shift by one entry never reaches into the next
-    row; the product t y sits between two ghost rows, so a shift by a whole
-    row reaches only zeros past the x walls.  t is zero on every ghost
-    entry, which keeps the ghost entries of every CG vector zero.  One
+    Cell vectors live on a flat layout of odd row stride 2q + 1: each grid
+    row is followed by one ghost entry, or two when ny is odd, and the
+    length is padded to even.  A cell's colour is then the parity of its
+    flat index; the red cells are the even entries and the black cells the
+    odd ones, each colour a contiguous half-length vector on which every
+    neighbour is a constant shift: black m couples to red m, m + 1 (along y)
+    and m - q, m + q + 1 (along x); red m to black m - 1, m and m - q - 1,
+    m + q.  The product t y of one colour sits between q + 1 zeros on either
+    side, so a shift reaches only zeros past the x walls; t is zero on every
+    ghost entry, which keeps the ghost entries of every CG vector zero.  One
     density solve builds one operator; each Newton system refills its scales
     in place, and every array is allocated here, once.
     """
 
     def __init__(self, grid: Grid):
         nx, ny = grid.cells
-        self.stride = ny + 1
-        size = nx * self.stride
+        self.shape = grid.shape
+        self.stride = ny + 1 + ny % 2
+        self.q = self.stride // 2
+        half = (nx * self.stride + 1) // 2
         hx2, hy2 = grid.h[0] ** 2, grid.h[1] ** 2
         degx = np.full(grid.shape, 2.0)
         degx[0, :] = degx[-1, :] = 1.0
@@ -282,37 +294,63 @@ class _DensityOperator:
         self.faces_over_h2 = degx / hx2 + degy / hy2  # D = 1 - dt r + dt a faces_over_h2
         self.hx2 = hx2
         self.y_ratio = hx2 / hy2                     # y couplings relative to x couplings
-        self.product = np.zeros(size + 2 * self.stride)
-        # the scales t, dt t / h_x^2 and D, the scaled right side, and the CG vectors
-        self.t, self.coupling, self.weights, self.scaled_rhs = np.zeros((4, size))
-        self.weights.fill(1.0)  # a ghost weight meets a zero residual; 1 keeps min(weights) a cell's
-        self.work = np.zeros((5, size))
+        # on the whole layout: t, D and the scaled right side, which becomes the solution
+        self.t, self.diagonal, self.x = np.zeros((3, 2 * half))
+        self.diagonal.fill(1.0)  # a ghost weight meets a zero residual; 1 keeps min(weights) off 0
+        # per colour: t and the couplings dt t / h_x^2, D on the black cells,
+        # the reduced right side and the product C y
+        (self.t_red, self.t_black, self.coupling_red, self.coupling_black,
+         self.weights, self.reduced_rhs, self.red) = np.zeros((7, half))
+        self.product = np.zeros(half + 2 * (self.q + 1))
+        self.work = np.zeros((5, half))
 
-    def cells(self, padded: np.ndarray) -> np.ndarray:
-        """The grid-shaped view of the cell entries of a padded vector."""
-        return padded.reshape(-1, self.stride)[:, :-1]
+    def cells(self, flat: np.ndarray) -> np.ndarray:
+        """The grid-shaped view of the cell entries of a vector on the whole layout."""
+        nx, ny = self.shape
+        return flat[:nx * self.stride].reshape(nx, self.stride)[:, :ny]
 
     def assemble(self, a: np.ndarray, diag_reaction: np.ndarray, dt: float) -> None:
         """Fill the scales for S J S^-1 with a > 0 and diag_reaction = 1 - dt r > 0."""
-        d = self.cells(self.weights)
+        d = self.cells(self.diagonal)
         np.multiply(a, dt, out=d)
         d *= self.faces_over_h2
         d += diag_reaction
         t = self.cells(self.t)
         np.divide(a, d, out=t)
         np.sqrt(t, out=t)
-        np.multiply(self.t, dt / self.hx2, out=self.coupling)
+        np.copyto(self.t_red, self.t[0::2])
+        np.copyto(self.t_black, self.t[1::2])
+        np.copyto(self.weights, self.diagonal[1::2])
+        np.multiply(self.t_red, dt / self.hx2, out=self.coupling_red)
+        np.multiply(self.t_black, dt / self.hx2, out=self.coupling_black)
 
-    def matvec(self, y: np.ndarray, out: np.ndarray) -> None:
-        """out = y - (dt / h^2) t (neighbour sum of t y), ghost entries included."""
-        w, n, u = self.stride, y.shape[0], self.product
-        np.multiply(self.t, y, out=u[w:w + n])
-        np.add(u[w - 1:w - 1 + n], u[w + 1:w + 1 + n], out=out)
+    def _couple(self, y, t, coupling, shift, out) -> None:
+        """out = coupling (neighbour sum of t y) on the other colour.
+
+        ``shift`` is the lower of the two y shifts: -1 onto red, 0 onto black.
+        """
+        n, q, u = y.shape[0], self.q, self.product
+        o = q + 1 + shift
+        np.multiply(t, y, out=u[q + 1:q + 1 + n])
+        np.add(u[o:o + n], u[o + 1:o + 1 + n], out=out)
         if self.y_ratio != 1.0:
             out *= self.y_ratio
-        out += u[:n]
-        out += u[2 * w:]
-        out *= self.coupling
+        out += u[o - q:o - q + n]
+        out += u[o + q + 1:o + q + 1 + n]
+        out *= coupling
+
+    def apply_c(self, y_black: np.ndarray, out_red: np.ndarray) -> None:
+        """out_red = C y_black."""
+        self._couple(y_black, self.t_black, self.coupling_red, -1, out_red)
+
+    def apply_ct(self, y_red: np.ndarray, out_black: np.ndarray) -> None:
+        """out_black = C^T y_red."""
+        self._couple(y_red, self.t_red, self.coupling_black, 0, out_black)
+
+    def matvec(self, y: np.ndarray, out: np.ndarray) -> None:
+        """out = (I - C^T C) y on the black cells, ghost entries included."""
+        self.apply_c(y, self.red)
+        self.apply_ct(self.red, out)
         np.subtract(y, out, out=out)
 
 
@@ -331,9 +369,11 @@ def _solve_newton_system(
     1D goes through the banded direct solver and ignores ``tol``,
     ``max_iters`` and ``op``, which is None there.  2D is symmetrized with
     S = diag(sqrt(a)) -- S J S^-1 = diag(1 - dt r) - dt S lap S is SPD --
-    and scaled by the diagonal D of that matrix; CG on the scaled operator
-    ``op`` runs to the 2-norm residual tol * |S rhs| of the symmetrized
-    system, in at most ``max_iters`` iterations.
+    scaled by the diagonal D of that matrix and reduced to its black cells
+    (see ``_DensityOperator``); CG on the reduced system runs, in at most
+    ``max_iters`` iterations, until sqrt(sum D_black r^2) is at most
+    tol * |S rhs|.  The back-substitution leaves the red residual zero up
+    to rounding, so that is the 2-norm test on the symmetrized system.
     """
     if grid.dim == 1:
         # diag = 1 + dt deg a / h^2 - dt r, deg the number of interior faces
@@ -357,11 +397,19 @@ def _solve_newton_system(
         raise SolverFailure("density Jacobian lost positivity; dt too large for the reactions")
     a_safe = np.maximum(a, 1e-30)
     op.assemble(a_safe, diag_reaction, dt)
-    # D^-1/2 S rhs = t rhs; the solution of S J S^-1 is D^-1/2 x, and delta = S^-1 D^-1/2 x = t x / a
-    t = op.cells(op.t)
-    np.multiply(t, rhs, out=op.cells(op.scaled_rhs))
-    result = linalg.pcg_solve(op.matvec, op.weights, op.scaled_rhs, tol, max_iters, op.work)
-    delta = op.cells(result.x) * t
+    # b = D^-1/2 S rhs = t rhs, and the reduced right side is b_black + C^T b_red
+    b = op.x
+    np.multiply(op.cells(op.t), rhs, out=op.cells(b))
+    op.apply_ct(b[0::2], op.reduced_rhs)
+    op.reduced_rhs += b[1::2]
+    bound = tol * math.sqrt(float(np.vdot(a_safe * rhs, rhs)))  # tol |S rhs|
+    result = linalg.pcg_solve(op.matvec, op.weights, op.reduced_rhs, bound, max_iters, op.work)
+    # x_red = b_red + C x_black, in place of b
+    b[1::2] = result.x
+    op.apply_c(result.x, op.red)
+    b[0::2] += op.red
+    # the solution of S J S^-1 is D^-1/2 x, and delta = S^-1 D^-1/2 x = t x / a
+    delta = op.cells(b) * op.cells(op.t)
     delta /= a_safe
     return delta, result.iterations
 

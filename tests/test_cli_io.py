@@ -53,25 +53,40 @@ class TestWriters:
             vals = dict(zip(header.split(","), map(float, row.split(","))))
             assert vals["n1"] + vals["n2"] == pytest.approx(vals["n"], abs=1e-14)
 
-    @pytest.mark.parametrize("cells", [(9,), (41, 29)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("cells", [(20,), (1100,), (41, 29)], ids=["1d", "1d-blocks", "2d"])
     def test_snapshot_matches_cellwise_format(self, tmp_path, cells):
-        # block formatting must give fmt's text for every value, in C cell
-        # order; 41 x 29 cells span two blocks, and the special values
-        # include nan, inf, -0.0 and subnormals
+        # formatting each distinct bit pattern of a block once must give
+        # fmt's text for every value, in C cell order, byte for byte; 1100
+        # and 41 x 29 cells span two blocks.  The special values include
+        # both zeros, nan with two payloads and both signs, infinities and
+        # subnormals; n is constant on most cells and repeats values of c
         grid = Grid(dim=len(cells), extents=(1.0,) * len(cells), cells=cells)
         rng = np.random.default_rng(3)
-        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e308])
-        n = rng.standard_normal(grid.num_cells)
+        payload_nan, negative_nan = np.array([0x7FF8000000000001, -0x0008000000000000]).view(float)
+        special = np.array([np.nan, payload_nan, negative_nan, np.inf, -np.inf, -0.0, 0.0, -0.0,
+                            0.0, 5e-324, -2.5e-310, 5e-324, 1e308])
+        c = rng.random(grid.num_cells)
+        n = np.full(grid.num_cells, 0.25)
+        n[: grid.num_cells // 4] = c[: grid.num_cells // 4]
         n[: special.size] = special
-        n = n.reshape(cells)
-        s = State(t=0.125, grid=grid, n=n, c=rng.random(cells), d=rng.random(cells), gamma=3.0)
+        n[-3:] = (-0.0, 0.0, 5e-324)
+        s = State(t=0.125, grid=grid, n=n.reshape(cells), c=c.reshape(cells),
+                  d=np.full(cells, 0.5), gamma=3.0)
         path = tmp_path / "snap.csv"
         with np.errstate(invalid="ignore", over="ignore"):
             write_snapshot(str(path), s, "abc123")
             fields = [*grid.coordinate_fields(), s.n, s.n1, s.n2, s.c, s.d, s.p, s.v]
+        extents = "x".join(["1.0"] * grid.dim)
+        header = [
+            "# time = 1.2500000000000000e-01",
+            "# gamma = 3.0000000000000000e+00",
+            f"# grid = {grid.dim}D {'x'.join(map(str, cells))} cells on {extents}",
+            "# config = abc123",
+            ",".join(("x", "y")[: grid.dim] + ("n", "n1", "n2", "c", "d", "p", "v")),
+        ]
         rows = [",".join(fmt(f[idx]) for f in fields) for idx in np.ndindex(*cells)]
-        text = path.read_text()
-        assert text.split("\n")[5:] == rows + [""]
+        text = path.read_bytes().decode()
+        assert path.read_bytes() == "".join(line + "\n" for line in header + rows).encode()
         for token in ("nan", "-inf", "-0.0000000000000000e+00", "4.9406564584124654e-324"):
             assert token in text
 

@@ -216,10 +216,17 @@ def work_for(rhs):
     return np.empty((5, len(rhs)))
 
 
+def bound_for(weights, rhs, tol):
+    """``pcg_solve``'s stopping bound for the relative tolerance tol: tol sqrt(sum weights rhs^2)."""
+    return tol * math.sqrt(float(np.dot(weights * rhs, rhs)))
+
+
 def solve_scaled(matvec, diagonal, rhs, tol, max_iters):
-    """Solve A x = rhs through ``pcg_solve`` on the Jacobi-scaled operator; (x, iterations)."""
+    """Solve A x = rhs through ``pcg_solve`` on the Jacobi-scaled operator to the
+    2-norm residual tol |rhs|; (x, iterations)."""
     inv_sqrt = 1.0 / np.sqrt(diagonal)
-    res = pcg_solve(*jacobi_scaled(matvec, diagonal), inv_sqrt * rhs, tol, max_iters, work_for(rhs))
+    bound = tol * float(np.linalg.norm(rhs))
+    res = pcg_solve(*jacobi_scaled(matvec, diagonal), inv_sqrt * rhs, bound, max_iters, work_for(rhs))
     return inv_sqrt * res.x, res.iterations
 
 
@@ -227,9 +234,30 @@ class TestPcg:
     def test_zero_rhs_zero_iterations(self):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(8, 8))
         rhs = np.zeros(64)
-        res = pcg_solve(*jacobi_scaled(*helmholtz_op(g, 1.0)), rhs, 1e-12, 100, work_for(rhs))
-        assert res.iterations == 0
+        for bound in (0.0, 1e-12):
+            work = np.full((5, 64), np.nan)
+            res = pcg_solve(*jacobi_scaled(*helmholtz_op(g, 1.0)), rhs, bound, 100, work)
+            assert res.iterations == 0
+            assert np.all(res.x == 0.0)
+
+    def test_initial_residual_within_the_bound_zero_iterations(self):
+        # the test is made before the first iteration: a right side whose
+        # weighted norm already meets the bound returns x = 0 without a matvec
+        g = Grid(dim=2, extents=(1.0, 1.0), cells=(8, 8))
+        scaled, weights = jacobi_scaled(*helmholtz_op(g, 1.0))
+        rhs = np.random.default_rng(4).standard_normal(64)
+        rhs_norm = bound_for(weights, rhs, 1.0)
+        calls = []
+
+        def counted(y, out):
+            calls.append(1)
+            scaled(y, out)
+
+        res = pcg_solve(counted, weights, rhs, rhs_norm, 100, work_for(rhs))
+        assert res.iterations == 0 and calls == []
         assert np.all(res.x == 0.0)
+        res = pcg_solve(counted, weights, rhs, 0.999 * rhs_norm, 100, work_for(rhs))
+        assert res.iterations == len(calls) >= 1
 
     def test_identity_converges_in_one(self):
         rhs = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -237,7 +265,7 @@ class TestPcg:
         def identity(y, out):
             out[:] = y
 
-        res = pcg_solve(identity, np.ones(5), rhs, 1e-12, 10, work_for(rhs))
+        res = pcg_solve(identity, np.ones(5), rhs, 1e-12 * np.linalg.norm(rhs), 10, work_for(rhs))
         assert res.iterations <= 1
         assert np.allclose(res.x, rhs, atol=1e-12)
 
@@ -302,29 +330,32 @@ class TestPcg:
         scaled, weights = jacobi_scaled(matvec, diagonal)
         rhs = np.random.default_rng(8).standard_normal(g.num_cells)
         tol = 1e-7
-        res = pcg_solve(scaled, weights, rhs, tol, 500, work_for(rhs))
+        weighted_norm = lambda v: math.sqrt(float(np.dot(weights * v, v)))
+        bound = bound_for(weights, rhs, tol)
+        res = pcg_solve(scaled, weights, rhs, bound, 500, work_for(rhs))
         ax = np.empty(g.num_cells)
         scaled(res.x, ax)
-        weighted_norm = lambda v: math.sqrt(float(np.dot(weights * v, v)))
-        assert weighted_norm(rhs - ax) <= tol * weighted_norm(rhs)
+        assert weighted_norm(rhs - ax) <= bound
         with pytest.raises(SolverFailure, match="stagnated"):
-            pcg_solve(scaled, weights, rhs, tol, res.iterations - 1, work_for(rhs))
+            pcg_solve(scaled, weights, rhs, bound, res.iterations - 1, work_for(rhs))
 
     def test_work_array_holds_the_solution(self):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(9, 9))
         scaled, weights = jacobi_scaled(*helmholtz_op(g, 3.0))
         rhs = np.random.default_rng(2).standard_normal(g.num_cells)
         work = np.full((5, g.num_cells), np.nan)
-        fresh = pcg_solve(scaled, weights, rhs, 1e-10, 500, np.zeros((5, g.num_cells)))
-        reused = pcg_solve(scaled, weights, rhs, 1e-10, 500, work)
+        bound = bound_for(weights, rhs, 1e-10)
+        fresh = pcg_solve(scaled, weights, rhs, bound, 500, np.zeros((5, g.num_cells)))
+        reused = pcg_solve(scaled, weights, rhs, bound, 500, work)
         assert np.shares_memory(reused.x, work[0])
         assert np.array_equal(reused.x, fresh.x) and reused.iterations == fresh.iterations
 
     def test_stagnation_raises(self):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(16, 16))
         rhs = np.ones(g.num_cells)
+        scaled, weights = jacobi_scaled(*helmholtz_op(g, 1e-6))
         with pytest.raises(SolverFailure):
-            pcg_solve(*jacobi_scaled(*helmholtz_op(g, 1e-6)), rhs, 1e-14, 2, work_for(rhs))
+            pcg_solve(scaled, weights, rhs, bound_for(weights, rhs, 1e-14), 2, work_for(rhs))
 
     def test_symmetry_probe(self):
         g = Grid(dim=2, extents=(1.0, 1.0), cells=(10, 10))
@@ -343,7 +374,8 @@ class TestPcg:
         op = jacobi_scaled(*helmholtz_op(g, 9.0))
         rng = np.random.default_rng(13)
         rhs = rng.standard_normal(g.num_cells)
-        r1 = pcg_solve(*op, rhs, 1e-12, 500, work_for(rhs))
-        r2 = pcg_solve(*op, rhs, 1e-12, 500, work_for(rhs))
+        bound = bound_for(op[1], rhs, 1e-12)
+        r1 = pcg_solve(*op, rhs, bound, 500, work_for(rhs))
+        r2 = pcg_solve(*op, rhs, bound, 500, work_for(rhs))
         assert np.array_equal(r1.x, r2.x)
         assert r1.iterations == r2.iterations

@@ -11,12 +11,16 @@ plus the case's overrides.  Both sides of a case write to the same ``--out``
 directory, one after the other, so the config hashes stamped into the CSVs
 match.  The script lists every CSV whose bytes differ (or that only one side
 wrote) and every case whose exit codes differ, and exits 1 if there is any;
-it exits 0 when all CSVs are byte-identical.  It needs only the standard
-library and the packages tissuesim itself imports.
+it exits 0 when all CSVs are byte-identical.  For a CSV whose bytes differ
+it also prints the largest relative difference |a - b| / max(|a|, |b|) over
+the numeric fields at the same place in both files, so a change that moves
+values within a tolerance can quote how far they moved.  It needs only the
+standard library and the packages tissuesim itself imports.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import subprocess
@@ -80,6 +84,48 @@ def run_case(root: str, case: tuple, work: str) -> tuple[int, dict[str, bytes]]:
     return proc.returncode, files
 
 
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _fields(line: str) -> list[str]:
+    """The comma-separated fields of a CSV line; of a preamble line, those of its value."""
+    return (line.split("=", 1)[-1] if line.startswith("#") else line).split(",")
+
+
+def max_relative_difference(a: bytes, b: bytes) -> str:
+    """The largest relative difference over the numeric fields of two CSVs, as text.
+
+    Fields pair up by line and column; ``# key = value`` preamble lines
+    compare their values.  Two NaNs agree; a field that is a number on one
+    side only, a NaN against a number, or unequal infinities count as inf.
+    Files whose line or field counts differ cannot be paired field by field.
+    """
+    lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
+    if len(lines_a) != len(lines_b):
+        return f"line counts differ ({len(lines_a)} vs {len(lines_b)})"
+    worst = 0.0
+    for line_a, line_b in zip(lines_a, lines_b):
+        fields_a, fields_b = _fields(line_a), _fields(line_b)
+        if len(fields_a) != len(fields_b):
+            return "field counts differ"
+        for text_a, text_b in zip(fields_a, fields_b):
+            if text_a == text_b:
+                continue
+            x, y = _number(text_a), _number(text_b)
+            if x is None and y is None:
+                continue
+            if x is None or y is None or math.isnan(x) != math.isnan(y):
+                worst = math.inf
+            elif x != y:
+                scale = max(abs(x), abs(y))
+                worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
+    return f"max relative difference {worst:.3e}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: compare_outputs.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
@@ -100,7 +146,7 @@ def main(argv: list[str]) -> int:
                 if a is None or b is None:
                     differ.append(f"{name}/{entry}: only in {'change' if a is None else 'parent'}")
                 elif a != b:
-                    differ.append(f"{name}/{entry}: bytes differ")
+                    differ.append(f"{name}/{entry}: bytes differ, {max_relative_difference(a, b)}")
             print(f"{name}: exit {code_a}/{code_b}, {len(files_a | files_b)} CSVs")
     for line in differ:
         print(f"DIFFERS {line}")
