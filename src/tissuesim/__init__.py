@@ -21,13 +21,11 @@ from .diagnostics import (
 from .errors import ConfigError, SolverFailure
 from .grid import Grid, divergence, face_gradient, laplacian_neumann
 from .harness import (
-    SweepConfig,
     barenblatt_benchmark,
     barenblatt_profile,
     eps_study,
     gamma_sweep,
     run,
-    sweep_config_from,
 )
 from .model import (
     DerivedConstants,

@@ -7,8 +7,11 @@ Subcommands:
   bench      self-similar-solution convergence benchmark
   check      validate a config, print derived constants, run nothing
 
-Exit codes: 0 success, 2 invariant violation (without --permissive),
-3 solver or I/O failure, 4 configuration error.
+Exit codes: 0 success, 2 invariant violation in ``run`` (without
+--permissive), 3 solver or I/O failure, 4 configuration error.  ``sweep``,
+``eps-study`` and ``bench`` exit 3 when any of their runs stops, also on an
+invariant violation.  --permissive is accepted by every subcommand but only
+``run`` reads it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .harness import (
     initial_fields,
     make_params,
     run,
-    sweep_config_from,
 )
 
 EXIT_OK = 0
@@ -152,14 +154,12 @@ def _cmd_run(cfg, permissive: bool) -> int:
 
 
 def _cmd_sweep(cfg) -> int:
-    sc = sweep_config_from(cfg)
-    report = gamma_sweep(sc)
+    report = gamma_sweep(cfg)
     output.write_sweep_report(_out_path(cfg, "sweep.csv"), report)
     for entry, ledger in zip(report.entries, report.ledgers):
-        if ledger is not None:
-            output.write_timeseries(
-                _out_path(cfg, f"gamma{entry.gamma:g}_timeseries.csv"), ledger, entry.cfg_hash
-            )
+        output.write_timeseries(
+            _out_path(cfg, f"gamma{entry.gamma:g}_timeseries.csv"), ledger, entry.cfg_hash
+        )
     failed = [e for e in report.entries if not e.ok]
     for e in report.entries:
         print(
@@ -173,7 +173,7 @@ def _cmd_sweep(cfg) -> int:
 
 
 def _cmd_eps(cfg) -> int:
-    report = eps_study(cfg["eps.values"], cfg)
+    report = eps_study(cfg)
     output.write_eps_report(_out_path(cfg, "eps.csv"), report)
     for e in report.entries:
         print(

@@ -10,12 +10,19 @@ The Barenblatt benchmark exercises the reaction-free reduction of the density
 equation, dn/dt = gamma/(gamma+1) * lap(n^(gamma+1)), against the closed-form
 self-similar source solution (the classical convergence oracle for porous
 medium solvers).
+
+Every campaign (``gamma_sweep``, ``eps_study``, ``barenblatt_benchmark``)
+takes the ``RunConfig`` and reads its own keys (``sweep.*``, ``eps.values``,
+``bench.grids``), checking them before any run.  ``run`` never raises for a
+stopped run; each campaign reports why one stopped as
+``RunResult.failure_text``.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -193,6 +200,13 @@ class RunResult:
     def ok(self) -> bool:
         return self.failure is None and not self.violations
 
+    @property
+    def failure_text(self) -> str | None:
+        """Why the run stopped: the solver failure, else the violations, else None."""
+        if self.failure is not None:
+            return self.failure
+        return "; ".join(self.violations) if self.violations else None
+
 
 def check_initial_mass(
     cfg: RunConfig, consts: DerivedConstants, grid: Grid, n0: np.ndarray
@@ -365,40 +379,22 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
     return result
 
 
+def _sampled_run(
+    cfg: RunConfig, times: np.ndarray, extra: Callable[[State], None]
+) -> tuple[RunResult, FieldSamples]:
+    """Run ``cfg``, feeding every accepted state to ``extra`` and to samples at ``times``."""
+    samples = FieldSamples(times)
+
+    def on_state(state: State) -> None:
+        extra(state)
+        samples.add(state)
+
+    # run is looked up at call time, so a wrapper set on harness.run sees every campaign run
+    return run(cfg, on_state=on_state), samples
+
+
 # ---------------------------------------------------------------------------
 # gamma sweep
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    gammas: tuple[float, ...]
-    base: RunConfig
-    tau: float
-    compare_times: int = 33
-
-    def __post_init__(self):
-        if len(self.gammas) < 2:
-            raise ValueError("a sweep needs at least 2 gamma values")
-        gs = self.gammas
-        if any(g < 1.0 for g in gs):
-            raise ValueError("all gamma values must be >= 1")
-        if any(b < a for a, b in zip(gs, gs[1:])):
-            raise ValueError("gamma values must be nondecreasing")
-        T = self.base["time.T_final"]
-        if not (0.0 < self.tau < T):
-            raise ValueError(f"tau must lie in (0, T_final) = (0, {T}), got {self.tau}")
-
-
-def sweep_config_from(cfg: RunConfig) -> SweepConfig:
-    tau = cfg["sweep.tau"]
-    if tau == 0.0:
-        tau = 0.1 * cfg["time.T_final"]
-    return SweepConfig(
-        gammas=tuple(cfg["sweep.gammas"]),
-        base=cfg,
-        tau=tau,
-        compare_times=cfg["sweep.compare_times"],
-    )
 
 
 @dataclass
@@ -408,15 +404,15 @@ class SweepEntry:
     ok: bool
     h7_pass: bool | None
     h7_ratio: float
-    energy: float = math.nan
-    excess_max: float = math.nan
-    seg_integral: float = math.nan
-    comp_integral: float = math.nan
+    energy: float
+    excess_max: float
+    seg_integral: float
+    comp_integral: float
     # L2 distance of c to the previous gamma's run over Omega x [tau, T]
     # (space_time_distance), nan for the first gamma
-    fraction_gap: float = math.nan
-    wall_clock: float = 0.0
-    failure: str | None = None
+    fraction_gap: float
+    wall_clock: float
+    failure: str | None
 
 
 @dataclass
@@ -425,79 +421,74 @@ class SweepReport:
     delta: float
     entries: list[SweepEntry]
     distances: list[float]    # consecutive-pair L2 distances of v over Omega x [tau, T]
-    ledgers: list[EnergyLedger | None] = field(default_factory=list)  # per-gamma rows
+    ledgers: list[EnergyLedger]  # per-gamma rows
 
 
-def gamma_sweep(sc: SweepConfig) -> SweepReport:
-    """Run each gamma on identical data (with the 1/gamma vacuum lift).
+def gamma_sweep(cfg: RunConfig) -> SweepReport:
+    """Run each of ``sweep.gammas`` on identical data (with the 1/gamma vacuum lift).
 
     Per-run diagnostics integrate over t >= tau through every accepted
     step; consecutive runs are compared through the space-time distance of
-    v, sampled at fixed times, so only the previous run's samples are held.
-    A failed run marks its entry and leaves the others alone.
+    v, sampled at ``sweep.compare_times`` fixed times, so only the previous
+    run's samples are held.  ``sweep.tau = 0`` means 0.1 T_final.  A failed
+    run marks its entry and leaves the others alone.
     """
-    T = sc.base["time.T_final"]
-    delta = sc.base["sweep.delta"]
-    times = np.linspace(sc.tau, T, sc.compare_times)
+    gammas = cfg["sweep.gammas"]
+    T = cfg["time.T_final"]
+    tau = cfg["sweep.tau"]
+    if tau == 0.0:
+        tau = 0.1 * T
+    if len(gammas) < 2:
+        raise ValueError("a sweep needs at least 2 gamma values")
+    if any(g < 1.0 for g in gammas):
+        raise ValueError("all gamma values must be >= 1")
+    if any(b < a for a, b in zip(gammas, gammas[1:])):
+        raise ValueError("gamma values must be nondecreasing")
+    if not (0.0 < tau < T):
+        raise ValueError(f"tau must lie in (0, T_final) = (0, {T}), got {tau}")
+
+    delta = cfg["sweep.delta"]
+    times = np.linspace(tau, T, cfg["sweep.compare_times"])
     entries: list[SweepEntry] = []
-    ledgers: list[EnergyLedger | None] = []
+    ledgers: list[EnergyLedger] = []
     distances: list[float] = []
     prev: FieldSamples | None = None   # the previous gamma's samples, if it finished cleanly
-    for gamma in sc.gammas:
-        cfg_g = sc.base.with_overrides(model__gamma=gamma, initial__lift="gamma")
-        samples = FieldSamples(times)
-        try:
-            integrals = WindowIntegrals(sc.tau, make_params(cfg_g), delta)
-
-            def on_state(state: State) -> None:
-                integrals.add(state)
-                samples.add(state)
-
-            res = run(cfg_g, on_state=on_state)
-        except (SolverFailure, ConfigError) as exc:
-            res = None
-            entry = SweepEntry(
-                gamma=gamma, cfg_hash=config_hash(cfg_g), ok=False,
-                h7_pass=None, h7_ratio=math.nan, failure=str(exc),
-            )
-            ledgers.append(None)
-        else:
-            entry = SweepEntry(
-                gamma=gamma,
-                cfg_hash=res.cfg_hash,
-                ok=res.ok,
-                h7_pass=res.h7_pass,
-                h7_ratio=res.h7_ratio,
-                energy=integrals.energy,
-                excess_max=integrals.excess_max,
-                seg_integral=integrals.seg_integral,
-                comp_integral=integrals.comp_integral,
-                wall_clock=res.wall_clock,
-                failure=res.failure if res.failure else (
-                    "; ".join(res.violations) if res.violations else None
-                ),
-            )
-            ledgers.append(res.ledger)
-            if not res.ok:
-                res = None
+    for gamma in gammas:
+        cfg_g = cfg.with_overrides(model__gamma=gamma, initial__lift="gamma")
+        integrals = WindowIntegrals(tau, make_params(cfg_g), delta)
+        res, samples = _sampled_run(cfg_g, times, integrals.add)
+        dist = gap = math.nan
+        if prev is not None and res.ok:
+            volume = res.final_state.grid.cell_volume
+            dist = space_time_distance(times, prev.v, samples.v, volume)
+            # fraction-convergence evidence for the open ratio question: recorded, never asserted
+            gap = space_time_distance(times, prev.c, samples.c, volume)
         if entries:
-            dist = math.nan
-            if prev is not None and res is not None:
-                volume = res.final_state.grid.cell_volume
-                dist = space_time_distance(times, prev.v, samples.v, volume)
-                # fraction-convergence evidence for the open ratio question: recorded, never asserted
-                entry.fraction_gap = space_time_distance(times, prev.c, samples.c, volume)
             distances.append(dist)
-        entries.append(entry)
-        prev = samples if res is not None else None
-    return SweepReport(
-        tau=sc.tau, delta=delta, entries=entries, distances=distances,
-        ledgers=ledgers,
-    )
+        entries.append(SweepEntry(
+            gamma=gamma,
+            cfg_hash=res.cfg_hash,
+            ok=res.ok,
+            h7_pass=res.h7_pass,
+            h7_ratio=res.h7_ratio,
+            energy=integrals.energy,
+            excess_max=integrals.excess_max,
+            seg_integral=integrals.seg_integral,
+            comp_integral=integrals.comp_integral,
+            fraction_gap=gap,
+            wall_clock=res.wall_clock,
+            failure=res.failure_text,
+        ))
+        ledgers.append(res.ledger)
+        prev = samples if res.ok else None
+    return SweepReport(tau=tau, delta=delta, entries=entries, distances=distances, ledgers=ledgers)
 
 
 # ---------------------------------------------------------------------------
 # eps refinement study
+
+#: fixed times over [0, T] at which the eps study samples v
+EPS_COMPARE_TIMES = 33
 
 
 @dataclass
@@ -509,10 +500,10 @@ class EpsEntry:
     cutoff_activations: int
     min_density: float
     barrier: float
-    failure: str | None = None
+    failure: str | None
     # from the entry's RunResult; in no CSV
-    steps: int = 0
-    rejected_attempts: int = 0
+    steps: int
+    rejected_attempts: int
 
 
 @dataclass
@@ -520,9 +511,9 @@ class EpsReport:
     entries: list[EpsEntry]
 
 
-def eps_study(eps_list, base_cfg: RunConfig, compare_times: int = 33) -> EpsReport:
-    """Viscous-scheme consistency: distances to the eps = 0 reference run."""
-    eps_list = list(eps_list)
+def eps_study(cfg: RunConfig) -> EpsReport:
+    """Viscous-scheme consistency: distances of each of ``eps.values`` to the eps = 0 run."""
+    eps_list = cfg["eps.values"]
     if not eps_list:
         raise ValueError("eps list must not be empty")
     if any(e <= 0.0 for e in eps_list):
@@ -530,36 +521,23 @@ def eps_study(eps_list, base_cfg: RunConfig, compare_times: int = 33) -> EpsRepo
     if any(b > a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps values must be nonincreasing")
 
-    T = base_cfg["time.T_final"]
-    times = np.linspace(0.0, T, compare_times)
-    ref_cfg = base_cfg.with_overrides(model__eps_reg=0.0, initial__lift="none")
+    T = cfg["time.T_final"]
+    times = np.linspace(0.0, T, EPS_COMPARE_TIMES)
+    ref_cfg = cfg.with_overrides(model__eps_reg=0.0, initial__lift="none")
     ref_samples = FieldSamples(times)
     ref = run(ref_cfg, on_state=ref_samples.add)
     if not ref.ok:
-        raise SolverFailure(f"reference run failed: {ref.failure or ref.violations}")
+        raise SolverFailure(f"reference run failed: {ref.failure_text}")
     volume = ref.final_state.grid.cell_volume
 
     entries: list[EpsEntry] = []
     for eps in eps_list:
-        cfg_e = base_cfg.with_overrides(model__eps_reg=eps, initial__lift="eps")
-        samples = FieldSamples(times)
         lows: list[float] = []    # min n of every accepted state
-
-        def on_state(state: State) -> None:
-            samples.add(state)
-            lows.append(float(state.n.min()))
-
-        try:
-            res = run(cfg_e, on_state=on_state)
-        except SolverFailure as exc:
-            entries.append(EpsEntry(
-                eps=eps, cfg_hash=config_hash(cfg_e), ok=False, distance=math.nan,
-                cutoff_activations=0, min_density=math.nan, barrier=math.nan,
-                failure=str(exc),
-            ))
-            continue
+        res, samples = _sampled_run(
+            cfg.with_overrides(model__eps_reg=eps, initial__lift="eps"), times,
+            lambda state: lows.append(float(state.n.min())),
+        )
         dist = space_time_distance(times, samples.v, ref_samples.v, volume) if res.ok else math.nan
-        barrier = eps * math.exp(-res.consts.M0 * T)
         entries.append(EpsEntry(
             eps=eps,
             cfg_hash=res.cfg_hash,
@@ -567,10 +545,8 @@ def eps_study(eps_list, base_cfg: RunConfig, compare_times: int = 33) -> EpsRepo
             distance=dist,
             cutoff_activations=res.total_cutoff_activations,
             min_density=min(lows),
-            barrier=barrier,
-            failure=res.failure if res.failure else (
-                "; ".join(res.violations) if res.violations else None
-            ),
+            barrier=eps * math.exp(-res.consts.M0 * T),
+            failure=res.failure_text,
             steps=res.steps,
             rejected_attempts=res.rejected_attempts,
         ))
@@ -623,7 +599,7 @@ def barenblatt_benchmark(cfg: RunConfig) -> BenchReport:
         cfg_n = cfg.with_overrides(grid__cells_x=n_cells)
         res = run(cfg_n)
         if not res.ok:
-            raise SolverFailure(f"benchmark run at N = {n_cells} failed: {res.failure}")
+            raise SolverFailure(f"benchmark run at N = {n_cells} failed: {res.failure_text}")
         final = res.final_state
         grid = final.grid
         s_exact = t0 + T * gamma / (gamma + 1.0)

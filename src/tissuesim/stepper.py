@@ -57,6 +57,9 @@ VACUUM_FLOOR = 1e-14
 #: monotonicity budget slack for the explicit fraction update
 CFL_SLACK = 1e-9
 
+#: iteration cap of the 2D density CG
+LINEAR_MAX = 10_000
+
 
 def positive_power(x: np.ndarray, e: float) -> np.ndarray:
     """``np.maximum(x, 0.0) ** e`` for e >= 1, bit for bit, with pow only where it can be nonzero.
@@ -124,7 +127,6 @@ class SolverSettings:
     newton_tol: float = 1e-10
     linear_tol: float = 1e-10
     newton_max: int = 50
-    linear_max: int = 10_000
     retry_max: int = 8
     safety: float = 0.5
     dt_max: float = math.inf
@@ -461,7 +463,7 @@ def density_solve(
             )
         a, r = _density_jacobian(n_k, params, co)
         tol = max(settings.linear_tol, min(0.1, res_norm))
-        delta, lin = _solve_newton_system(grid, a, r, dt, -f, tol, settings.linear_max, op)
+        delta, lin = _solve_newton_system(grid, a, r, dt, -f, tol, LINEAR_MAX, op)
         report.linear_iters += lin
         # damped update: halve until the residual shrinks; the full step,
         # which is the first trial, is the fallback

@@ -31,7 +31,6 @@ from tissuesim.harness import (
     gamma_sweep,
     make_params,
     run,
-    sweep_config_from,
 )
 from tissuesim.model import ModelParams, RateFunction, RateFunctions, derive_constants
 from tissuesim.output import write_snapshot, write_timeseries
@@ -149,13 +148,13 @@ def maxprin_runs():
 def sweep():
     cfg = parse_config(SWEEP_TEXT)
     t0 = time.perf_counter()
-    rep = gamma_sweep(sweep_config_from(cfg))
+    rep = gamma_sweep(cfg)
     return rep, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def eps_report():
-    return eps_study([0.1, 0.01, 0.001], parse_config(EPS_TEXT))
+    return eps_study(parse_config(EPS_TEXT).with_overrides(eps__values=(0.1, 0.01, 0.001)))
 
 
 @pytest.fixture(scope="module")

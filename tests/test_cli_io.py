@@ -25,6 +25,28 @@ time.T_final = 0.05
 time.snapshot_stride = 4
 """
 
+# the three campaigns' configs, each built on BASE_TEXT but the benchmark's
+SWEEP_TEXT = BASE_TEXT + "sweep.gammas = 3,6\nsweep.tau = 0.01\nsweep.compare_times = 9\n"
+EPS_TEXT = BASE_TEXT.replace("grid.cells_x = 24", "grid.cells_x = 20") + "eps.values = 0.05,0.01\n"
+BENCH_TEXT = """
+grid.extent_x = 4.0
+grid.cells_x = 40
+model.gamma = 2
+model.G_preset = constant
+model.G_alpha = 0.0
+model.K1_preset = constant
+model.K1_alpha = 0.0
+initial.profile = barenblatt
+initial.n0 = 0.0
+initial.c0 = 0.0
+initial.center = 2.0
+initial.t0 = 0.1
+initial.bb_const = 0.4
+time.T_final = 0.2
+bench.grids = 40,80
+"""
+CAMPAIGN_TEXTS = {"sweep": SWEEP_TEXT, "eps-study": EPS_TEXT, "bench": BENCH_TEXT}
+
 
 def write_cfg(tmp_path, text, name="case.cfg"):
     path = tmp_path / name
@@ -120,15 +142,13 @@ class TestWriters:
 
 class TestDeterminism:
     def test_sweep_report_byte_identical(self, tmp_path):
-        from tissuesim.harness import gamma_sweep, sweep_config_from
+        from tissuesim.harness import gamma_sweep
         from tissuesim.output import write_sweep_report
 
-        cfg = parse_config(
-            BASE_TEXT + "sweep.gammas = 3,6\nsweep.tau = 0.01\nsweep.compare_times = 9\n"
-        )
+        cfg = parse_config(SWEEP_TEXT)
         paths = []
         for name in ("s1.csv", "s2.csv"):
-            report = gamma_sweep(sweep_config_from(cfg))
+            report = gamma_sweep(cfg)
             path = tmp_path / name
             write_sweep_report(str(path), report)
             paths.append(path)
@@ -261,11 +281,7 @@ class TestCli:
         assert "usage" in capsys.readouterr().out
 
     def test_sweep_subcommand(self, tmp_path, capsys):
-        cfg_path = write_cfg(
-            tmp_path,
-            BASE_TEXT + f"output.dir = {tmp_path}/sw\n"
-            "sweep.gammas = 3,6\nsweep.tau = 0.01\nsweep.compare_times = 9\n",
-        )
+        cfg_path = write_cfg(tmp_path, SWEEP_TEXT + f"output.dir = {tmp_path}/sw\n")
         code = main(["sweep", "--config", cfg_path])
         out = capsys.readouterr().out
         assert code == 0
@@ -274,11 +290,7 @@ class TestCli:
         assert os.path.exists(tmp_path / "sw" / "run_gamma3_timeseries.csv")
 
     def test_eps_subcommand(self, tmp_path, capsys):
-        cfg_path = write_cfg(
-            tmp_path,
-            BASE_TEXT.replace("grid.cells_x = 24", "grid.cells_x = 20")
-            + f"output.dir = {tmp_path}/ep\neps.values = 0.05,0.01\n",
-        )
+        cfg_path = write_cfg(tmp_path, EPS_TEXT + f"output.dir = {tmp_path}/ep\n")
         code = main(["eps-study", "--config", cfg_path])
         out = capsys.readouterr().out
         assert code == 0
@@ -287,26 +299,30 @@ class TestCli:
             assert re.search(rf"^eps {eps}: .*, \d+ steps, \d+ rejected attempts$", out, re.M)
 
     def test_bench_subcommand(self, tmp_path, capsys):
-        text = """
-grid.extent_x = 4.0
-grid.cells_x = 40
-model.gamma = 2
-model.G_preset = constant
-model.G_alpha = 0.0
-model.K1_preset = constant
-model.K1_alpha = 0.0
-initial.profile = barenblatt
-initial.n0 = 0.0
-initial.c0 = 0.0
-initial.center = 2.0
-initial.t0 = 0.1
-initial.bb_const = 0.4
-time.T_final = 0.2
-bench.grids = 40,80
-"""
-        cfg_path = write_cfg(tmp_path, text + f"output.dir = {tmp_path}/bb\n")
+        cfg_path = write_cfg(tmp_path, BENCH_TEXT + f"output.dir = {tmp_path}/bb\n")
         code = main(["bench", "--config", cfg_path])
         out = capsys.readouterr().out
         assert code == 0
         assert "order" in out
         assert os.path.exists(tmp_path / "bb" / "run_bench.csv")
+
+    @pytest.mark.parametrize("sub", list(CAMPAIGN_TEXTS))
+    def test_campaign_stopped_by_a_violation_exits_3(self, tmp_path, capsys, sub):
+        # run exits 2 on an invariant violation; a campaign exits 3 when any
+        # of its runs stops, and only run reads --permissive
+        text = CAMPAIGN_TEXTS[sub] + f"output.dir = {tmp_path}/out\ndebug.inject = c_bounds\n"
+        cfg_path = write_cfg(tmp_path, text)
+        assert main([sub, "--config", cfg_path]) == 3
+        assert main([sub, "--config", cfg_path, "--permissive"]) == 3
+
+    @pytest.mark.parametrize("sub, line", [
+        ("sweep", "[FAILED: {}]\n"),
+        ("eps-study", "solver failure: reference run failed: {}\n"),
+        ("bench", "solver failure: benchmark run at N = 40 failed: {}\n"),
+    ], ids=list(CAMPAIGN_TEXTS))
+    def test_campaign_failure_names_the_violated_bound(self, tmp_path, capsys, sub, line):
+        text = CAMPAIGN_TEXTS[sub] + f"output.dir = {tmp_path}/out\ndebug.inject = c_bounds\n"
+        main([sub, "--config", write_cfg(tmp_path, text)])
+        captured = capsys.readouterr()
+        bound = "fraction upper bound at cell (0,) by 5.000e-01"
+        assert line.format(bound) in captured.out + captured.err

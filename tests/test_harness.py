@@ -21,7 +21,6 @@ from tissuesim.diagnostics import (
 from tissuesim.grid import face_gradient
 from tissuesim.output import write_snapshot
 from tissuesim.harness import (
-    SweepConfig,
     barenblatt_benchmark,
     barenblatt_profile,
     eps_study,
@@ -30,7 +29,6 @@ from tissuesim.harness import (
     make_params,
     run,
     space_time_distance,
-    sweep_config_from,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -159,27 +157,47 @@ class TestRun:
         assert time.perf_counter() - t0 < 10.0
 
 
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if a campaign starts a run."""
+    def fail(*args, **kwargs):
+        pytest.fail("a run started before the campaign's arguments were checked")
+
+    monkeypatch.setattr(harness, "run", fail)
+
+
 class TestSweep:
     def test_duplicate_gammas_give_zero_distance(self):
         cfg = parse_config(BUMP_TEXT + "sweep.gammas = 5,5\nsweep.tau = 0.02\n")
-        report = gamma_sweep(sweep_config_from(cfg))
+        report = gamma_sweep(cfg)
         assert report.distances[0] == 0.0
         assert report.entries[0].energy == report.entries[1].energy
 
-    def test_requires_two_gammas(self):
-        cfg = parse_config(BUMP_TEXT)
-        with pytest.raises(ValueError):
-            SweepConfig(gammas=(5.0,), base=cfg, tau=0.02)
+    def test_requires_two_gammas(self, no_run):
+        cfg = parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(5.0,), sweep__tau=0.02)
+        with pytest.raises(ValueError, match="at least 2 gamma values"):
+            gamma_sweep(cfg)
 
-    def test_rejects_decreasing(self):
-        cfg = parse_config(BUMP_TEXT)
-        with pytest.raises(ValueError):
-            SweepConfig(gammas=(10.0, 5.0), base=cfg, tau=0.02)
+    def test_rejects_decreasing(self, no_run):
+        cfg = parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(10.0, 5.0), sweep__tau=0.02)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            gamma_sweep(cfg)
 
-    def test_tau_must_be_inside_horizon(self):
-        cfg = parse_config(BUMP_TEXT)
-        with pytest.raises(ValueError):
-            SweepConfig(gammas=(5.0, 10.0), base=cfg, tau=0.5)
+    def test_tau_must_be_inside_horizon(self, no_run):
+        for tau in (0.5, 0.2):   # T_final = 0.2
+            cfg = parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(5.0, 10.0), sweep__tau=tau)
+            with pytest.raises(ValueError, match="tau must lie in"):
+                gamma_sweep(cfg)
+
+    def test_rejects_gamma_below_one(self, no_run):
+        cfg = parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(0.5, 2.0), sweep__tau=0.02)
+        with pytest.raises(ValueError, match=">= 1"):
+            gamma_sweep(cfg)
+
+    def test_zero_tau_means_a_tenth_of_the_horizon(self):
+        cfg = parse_config(INERT_TEXT + "sweep.gammas = 2,3\n")
+        assert cfg["sweep.tau"] == 0.0
+        assert gamma_sweep(cfg).tau == pytest.approx(0.02)
 
     def test_delta_follows_the_base_config(self):
         # the reported delta is the one the excess measure {n >= 1 + delta} used
@@ -190,7 +208,7 @@ class TestSweep:
                 initial__height=1.5, time__T_final=0.01, time__snapshot_stride=1,
                 sweep__delta=delta,
             )
-            report = gamma_sweep(SweepConfig(gammas=(1.0, 2.0), base=base, tau=0.001))
+            report = gamma_sweep(base.with_overrides(sweep__gammas=(1.0, 2.0), sweep__tau=0.001))
             assert report.delta == delta
             for entry in report.entries:
                 states = []
@@ -223,7 +241,7 @@ class TestSweep:
         monkeypatch.setattr(stepper, "positive_power", power_spy)
         monkeypatch.setattr(harness, "run", run_spy)
         cfg = parse_config(BUMP_TEXT + "sweep.gammas = 4,8\nsweep.tau = 0.02\n")
-        report = gamma_sweep(sweep_config_from(cfg))
+        report = gamma_sweep(cfg)
         assert all(e.ok for e in report.entries)
         write_snapshot(str(tmp_path / "last.csv"), states[-1], "x")
         computed = Counter((id(x), e) for x, e in powers)
@@ -233,26 +251,31 @@ class TestSweep:
 
     def test_report_has_one_entry_per_gamma(self):
         cfg = parse_config(BUMP_TEXT + "sweep.gammas = 4,8,16\nsweep.tau = 0.02\n")
-        report = gamma_sweep(sweep_config_from(cfg))
+        report = gamma_sweep(cfg)
         assert [e.gamma for e in report.entries] == [4.0, 8.0, 16.0]
         assert len(report.distances) == 2
         assert len(report.ledgers) == 3
 
 
 class TestEpsStudy:
-    def test_rejects_increasing(self):
-        cfg = parse_config(BUMP_TEXT)
-        with pytest.raises(ValueError):
-            eps_study([0.01, 0.1], cfg)
+    def test_rejects_increasing(self, no_run):
+        cfg = parse_config(BUMP_TEXT).with_overrides(eps__values=(0.01, 0.1))
+        with pytest.raises(ValueError, match="nonincreasing"):
+            eps_study(cfg)
 
-    def test_rejects_nonpositive(self):
-        cfg = parse_config(BUMP_TEXT)
-        with pytest.raises(ValueError):
-            eps_study([0.1, 0.0], cfg)
+    def test_rejects_nonpositive(self, no_run):
+        cfg = parse_config(BUMP_TEXT).with_overrides(eps__values=(0.1, 0.0))
+        with pytest.raises(ValueError, match="positive"):
+            eps_study(cfg)
+
+    def test_rejects_empty(self, no_run):
+        cfg = parse_config(BUMP_TEXT).with_overrides(eps__values="")
+        with pytest.raises(ValueError, match="must not be empty"):
+            eps_study(cfg)
 
     def test_single_eps_runs(self):
         cfg = parse_config(BUMP_TEXT.replace("grid.cells_x = 64", "grid.cells_x = 32"))
-        rep = eps_study([0.05], cfg)
+        rep = eps_study(cfg.with_overrides(eps__values=(0.05,)))
         assert len(rep.entries) == 1
         assert rep.entries[0].ok
         assert rep.entries[0].distance > 0.0
@@ -277,7 +300,7 @@ class TestEpsStudy:
 
     def test_duplicated_eps_gives_identical_distances(self):
         cfg = parse_config(BUMP_TEXT.replace("grid.cells_x = 64", "grid.cells_x = 32"))
-        rep = eps_study([0.05, 0.05], cfg)
+        rep = eps_study(cfg.with_overrides(eps__values=(0.05, 0.05)))
         assert rep.entries[0].distance == rep.entries[1].distance
 
 
@@ -375,7 +398,9 @@ class TestQuadratureRobustness:
         results = []
         for stride in self.STRIDES:
             base = shipped.with_overrides(time__snapshot_stride=stride)
-            report = gamma_sweep(SweepConfig(gammas=(5.0, 80.0, 640.0), base=base, tau=0.05))
+            report = gamma_sweep(
+                base.with_overrides(sweep__gammas=(5.0, 80.0, 640.0), sweep__tau=0.05)
+            )
             assert all(e.ok for e in report.entries)
             results.append((
                 [[getattr(e, name) for name in fields] for e in report.entries],
@@ -391,7 +416,7 @@ class TestQuadratureRobustness:
         results = []
         for stride in self.STRIDES:
             base = shipped.with_overrides(time__snapshot_stride=stride)
-            report = eps_study(shipped["eps.values"], base)
+            report = eps_study(base)
             assert all(e.ok for e in report.entries)
             results.append([(e.distance, e.min_density) for e in report.entries])
         assert results[1] == results[0]

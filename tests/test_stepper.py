@@ -24,7 +24,6 @@ from tissuesim.harness import (
     make_params,
     make_settings,
     run,
-    sweep_config_from,
 )
 from tissuesim.model import (
     BOUND_INFLATION,
@@ -255,7 +254,7 @@ def reference_density_solve(state, dt, params, settings):
         assert it < settings.newton_max
         a, r = stepper._density_jacobian(n_k, params, co)
         delta, _ = stepper._solve_newton_system(
-            grid, a, r, dt, -f, settings.linear_tol, settings.linear_max, op
+            grid, a, r, dt, -f, settings.linear_tol, stepper.LINEAR_MAX, op
         )
         step_len = 1.0
         accepted = None
@@ -1169,6 +1168,6 @@ def test_plain_suggestion_is_the_old_formula(monkeypatch):
     monkeypatch.setattr(harness, "suggest_dt", spy)
     assert run(read("growth_1d.cfg")).ok
     assert run(read("eps_study.cfg")).ok  # the study's eps = 0 reference
-    assert all(e.ok for e in gamma_sweep(sweep_config_from(read("sweep.cfg"))).entries)
+    assert all(e.ok for e in gamma_sweep(read("sweep.cfg")).entries)
     barenblatt_benchmark(read("barenblatt.cfg"))
     assert len(seen) > 100

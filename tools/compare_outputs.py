@@ -45,6 +45,10 @@ CASES = (
     ("bench", "bench", "barenblatt.cfg", {}),
     ("growth_2d", "run", "growth_1d.cfg", GROWTH_2D),
     ("inject_c_bounds", "run", "growth_1d.cfg", {"debug.inject": "c_bounds"}),
+    # each run of these campaigns stops after its first step
+    ("inject_c_bounds_sweep", "sweep", "sweep.cfg", {"debug.inject": "c_bounds"}),
+    ("inject_c_bounds_eps_study", "eps-study", "eps_study.cfg", {"debug.inject": "c_bounds"}),
+    ("inject_c_bounds_bench", "bench", "barenblatt.cfg", {"debug.inject": "c_bounds"}),
 )
 
 
