@@ -35,7 +35,6 @@ from .model import (
     check_h7,
     cutoff,
     derive_constants,
-    eval_rates,
 )
 from .stepper import SolverSettings, State, StepReport, step, suggest_dt
 

@@ -8,6 +8,10 @@ The config grammar is line based::
 Every key is validated against the schema below; unknown keys are hard
 errors (with a closest-match suggestion), and all problems are reported
 together with their line numbers rather than stopping at the first one.
+Every number must be finite: ``inf``, ``nan`` and values such as ``1e400``
+that overflow are rejected.  The schema is the only check on a run's input;
+the model layer relies on it for the structural hypotheses on the rates
+(K1, K2 >= 0, psi nondecreasing with psi(0) = 0).
 
 ``parse_config(serialize_config(cfg))`` is the identity on valid configs;
 the canonical serialization is also what gets hashed into the config hash
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -174,6 +179,9 @@ def _coerce(key: _Key, text: str):
             raise AssertionError(key.type)
     except ValueError:
         return None, f"expected {key.type}, got '{text}'"
+    floats = val if key.type == "float_list" else (val,) if key.type == "float" else ()
+    if not all(map(math.isfinite, floats)):
+        return None, f"must be a finite number, got '{text}'"
     if key.choices and val not in key.choices:
         return None, f"must be one of {', '.join(map(str, key.choices))}; got '{val}'"
     if key.check is not None and not key.check(val):

@@ -38,7 +38,7 @@ from .diagnostics import (
     reaction_free,
     space_time_distance,
 )
-from .errors import ConfigError, SolverFailure
+from .errors import SolverFailure
 from .grid import Grid
 from .model import (
     BOUND_INFLATION,
@@ -48,7 +48,6 @@ from .model import (
     RateFunctions,
     check_h7,
     derive_constants,
-    validate_rates,
 )
 from .stepper import SolverSettings, State, StepReport, step, suggest_dt
 
@@ -67,7 +66,7 @@ def make_params(cfg: RunConfig) -> ModelParams:
         )
 
     rates = RateFunctions(G=rate("G"), K1=rate("K1"), K2=rate("K2"), psi=rate("psi"))
-    params = ModelParams(
+    return ModelParams(
         rates=rates,
         D=cfg["model.D"],
         a=cfg["model.a"],
@@ -78,10 +77,6 @@ def make_params(cfg: RunConfig) -> ModelParams:
         d_b=cfg["model.d_b"],
         T_final=cfg["time.T_final"],
     )
-    problems = params.validate()
-    if problems:
-        raise ConfigError(problems)
-    return params
 
 
 def make_settings(cfg: RunConfig) -> SolverSettings:
@@ -260,9 +255,6 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
     settings = make_settings(cfg)
     n0, c0, d0 = initial_fields(cfg, grid, params)
     consts = derive_constants(params, d0)
-    problems = validate_rates(params, consts)
-    if problems:
-        raise ConfigError(problems)
 
     warnings: list[str] = []
     T = params.T_final

@@ -55,54 +55,30 @@ def _load_flapack():
 dgtsv = _load_flapack().dgtsv
 
 
-@dataclass(frozen=True)
-class TriDiag:
-    """Tridiagonal matrix in per-row coefficient form.
-
-    ``lower[0]`` and ``upper[-1]`` are ignored.  The solver only requires
-    nonsingularity (LAPACK pivots internally).  Independent systems stacked
-    end to end form one TriDiag whose couplings between them are zero.
-    """
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        di = np.asarray(self.diag, dtype=float)
-        up = np.asarray(self.upper, dtype=float)
-        if not (lo.shape == di.shape == up.shape) or di.ndim != 1:
-            raise ValueError("lower/diag/upper must be 1-D arrays of equal length")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "diag", di)
-        object.__setattr__(self, "upper", up)
-
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        y[:-1] += self.upper[:-1] * x[1:]
-        y[1:] += self.lower[1:] * x[:-1]
-        return y
-
-
-def thomas_solve(m: TriDiag, rhs: np.ndarray) -> np.ndarray:
+def thomas_solve(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
     """Direct tridiagonal solve (LAPACK gtsv, partial pivoting) with a residual check.
 
-    Raises SolverFailure on a singular system, a non-finite solution or an
-    unexpectedly large (or non-finite) residual.
+    The matrix is given in gtsv's band form: ``diag`` of length n, and the
+    off-diagonals ``lower`` (row i + 1, column i) and ``upper`` (row i,
+    column i + 1) of length n - 1; gtsv raises ValueError on other lengths.
+    Independent systems stacked end to end are one system whose
+    off-diagonal entries between them are zero.  The solver only requires
+    nonsingularity (LAPACK pivots internally).  Raises SolverFailure on a
+    singular system, a non-finite solution or an unexpectedly large (or
+    non-finite) residual.
     """
     rhs = np.asarray(rhs, dtype=float)
-    *_, x, info = dgtsv(m.lower[1:], m.diag, m.upper[:-1], rhs)
+    *_, x, info = dgtsv(lower, diag, upper, rhs)
     if info > 0:
         raise SolverFailure("tridiagonal solve failed: singular matrix")
     x_max = float(np.abs(x).max())  # nan or inf exactly when some x is
     if not math.isfinite(x_max):
         raise SolverFailure("tridiagonal solve produced non-finite values")
-    residual = m.matvec(x)
+    residual = diag * x
+    residual[:-1] += upper * x[1:]
+    residual[1:] += lower * x[:-1]
     residual -= rhs
     resid = float(np.abs(residual, out=residual).max())
     scale = float(np.abs(rhs).max()) + x_max

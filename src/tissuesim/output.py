@@ -9,6 +9,7 @@ are renamed into place; no output file is ever left half-written.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import tempfile
@@ -16,17 +17,12 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .diagnostics import EnergyLedger
+from .diagnostics import EnergyLedger, LedgerRow
 from .grid import Grid
 from .harness import BenchReport, EpsReport, SweepReport
-from .stepper import State
+from .stepper import State, positive_power
 
-_LEDGER_COLUMNS = (
-    "t", "mass", "n_min", "n_max", "c_min", "c_max", "d_min", "d_max",
-    "v_sq", "grad_v_sq", "t_v_sq", "t_grad_v_sq", "entropy_rate",
-    "excess", "segregation", "comp_resid", "comp_t2",
-    "dt_used", "newton_iters", "clamped_cells", "cutoff_activations",
-)
+_LEDGER_COLUMNS = tuple(f.name for f in dataclasses.fields(LedgerRow))
 
 
 def fmt(x) -> str:
@@ -71,8 +67,9 @@ def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
     Values are formatted a block of cells at a time, each distinct bit
     pattern of the block once, with the ``%.16e`` format that ``fmt`` uses,
     so the text is the same as ``fmt`` on every value; comparing bit
-    patterns keeps -0.0, NaN payloads and subnormals apart.  Each block is
-    written before the next is formatted.
+    patterns keeps -0.0, NaN payloads and subnormals apart.  Each block's
+    columns are formed from slices of the state's arrays and written before
+    the next block is formatted, so no whole-grid temporary is made.
     """
     grid = state.grid
     coord_names = ("x", "y")[: grid.dim]
@@ -83,12 +80,20 @@ def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
         f"# config = {cfg_hash}",
         ",".join(coord_names + ("n", "n1", "n2", "c", "d", "p", "v")),
     ]
-    fields = (state.n, state.n1, state.n2, state.c, state.d, state.p, state.v)
-    columns = [x.ravel() for x in grid.coordinate_fields() + fields]
+    centers = [grid.centers(axis) for axis in range(grid.dim)]
+    n, c, d, v = (x.ravel() for x in (state.n, state.c, state.d, state.v))
 
     def blocks():
         for start in range(0, grid.num_cells, _SNAPSHOT_BLOCK):
-            block = np.stack([col[start:start + _SNAPSHOT_BLOCK] for col in columns], axis=1)
+            stop = min(start + _SNAPSHOT_BLOCK, grid.num_cells)
+            index = np.unravel_index(np.arange(start, stop), grid.shape)
+            nb, cb = n[start:stop], c[start:stop]
+            # n1, n2 and p with the arithmetic of State's properties
+            columns = [x[i] for x, i in zip(centers, index)] + [
+                nb, (1.0 - cb) * nb, cb * nb, cb, d[start:stop],
+                positive_power(nb, state.gamma), v[start:stop],
+            ]
+            block = np.stack(columns, axis=1)
             bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
             text = ("%.16e\n" * bits.size) % tuple(bits.view(float).tolist())
             values = np.array(text.split("\n")[:-1], dtype=object)[inverse.reshape(block.shape)]

@@ -386,13 +386,11 @@ def _solve_newton_system(
         diag /= h2
         diag += 1.0
         diag -= dt * r
-        # cell i couples to i - 1 and i + 1 with -dt a / h^2 of the
-        # neighbour: lower[i] = w[i - 1] and upper[i] = w[i + 1], zero padded
-        w = np.zeros(grid.cells[0] + 2)
-        np.multiply(a, -dt, out=w[1:-1])
-        w[1:-1] /= h2
-        m = linalg.TriDiag(lower=w[:-2], diag=diag, upper=w[2:])
-        return linalg.thomas_solve(m, rhs), 1
+        # cell i couples to i - 1 and i + 1 with w = -dt a / h^2 of the
+        # neighbour: row i + 1 holds w[i] below the diagonal, row i w[i + 1] above
+        w = np.multiply(a, -dt)
+        w /= h2
+        return linalg.thomas_solve(w[:-1], diag, w[1:], rhs), 1
 
     diag_reaction = 1.0 - dt * r
     if np.min(diag_reaction) <= 0.0:
@@ -640,11 +638,9 @@ def nutrient_solve(
     deg = np.full(nx, 2.0)
     deg[0] = deg[-1] = 3.0
     diag = shifts[:, None] + deg / hx2
-    lower = np.full(lines.shape, -1.0 / hx2)
-    upper = lower.copy()
-    lower[:, 0] = upper[:, -1] = 0.0  # no coupling between the lines
-    m = linalg.TriDiag(lower=lower.ravel(), diag=diag.ravel(), upper=upper.ravel())
-    solved = linalg.thomas_solve(m, lines.ravel()).reshape(lines.shape)
+    off = np.full(lines.size - 1, -1.0 / hx2)  # symmetric: lower = upper
+    off[nx - 1::nx] = 0.0  # no coupling between the lines
+    solved = linalg.thomas_solve(off, diag.ravel(), off, lines.ravel()).reshape(lines.shape)
     d_new = solved[0] if grid.dim == 1 else linalg.inverse_sine_transform(solved.T)
 
     clamped = int(np.count_nonzero((d_new < 0.0) | (d_new > consts.L)))

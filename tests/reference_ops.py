@@ -17,6 +17,14 @@ def integrate(grid, v):
     return float(np.sum(v)) * grid.cell_volume
 
 
+def tridiag_matvec(lower, diag, upper, x):
+    """The product of the tridiagonal matrix in gtsv's band form with ``x``."""
+    y = diag * x
+    y[:-1] += upper * x[1:]
+    y[1:] += lower * x[:-1]
+    return y
+
+
 def laplacian_dirichlet(grid, values, boundary_value):
     """Laplacian with Dirichlet data via linearly extrapolated ghost cells.
 

@@ -204,6 +204,21 @@ class TestCli:
         assert "gamma must be >= 1" in err
         assert "did you mean" in err
 
+    @pytest.mark.parametrize("text, named", [
+        ("model.G_alpha = nan\n", "model.G_alpha: must be a finite number"),
+        ("model.gamma = inf\n", "model.gamma: must be a finite number"),
+        ("time.newton_tol = inf\n", "time.newton_tol: must be a finite number"),
+        ("initial.center = nan\n", "initial.center: must be a finite number"),
+        # finite data whose rate K1(L) = 1e309 overflows
+        ("model.K1_alpha = 1e308\nmodel.d_b = 10\n", "rate K1 is not finite"),
+    ])
+    def test_non_finite_input_is_config_error_in_check_and_run(self, tmp_path, capsys, text, named):
+        cfg_path = write_cfg(tmp_path, text + f"output.dir = {tmp_path}/out\n")
+        for sub in ("check", "run"):
+            assert main([sub, "--config", cfg_path]) == 4
+            assert named in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_run_writes_outputs_and_exits_zero(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, BASE_TEXT + f"output.dir = {tmp_path}/out\n")
         code = main(["run", "--config", cfg_path])

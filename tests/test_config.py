@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tissuesim.config import (
+    _SCHEMA,
     config_hash,
     default_config,
     parse_config,
@@ -78,6 +81,32 @@ class TestParse:
         with pytest.raises(ConfigError) as err:
             default_config().with_overrides(model__K1_preset="linear", model__K1_alpha=-1)
         assert err.value.errors == ["model.K1_alpha: transition rates must be >= 0"]
+
+    def test_nonpositive_death_rate_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("model.D = 0\n")
+        assert err.value.errors == ["line 1: model.D: death rate D must be positive"]
+
+    @pytest.mark.parametrize(
+        "name", [k.name for k in _SCHEMA if k.type in ("float", "float_list")]
+    )
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_number_rejected_with_key_and_line(self, name, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"# comment\n{name} = {value}\n")
+        assert err.value.errors == [f"line 2: {name}: must be a finite number, got '{value}'"]
+
+    def test_overflowing_and_listed_non_finite_numbers_rejected(self):
+        text = "model.gamma = 1e400\nsweep.gammas = 5, nan, 20\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == [
+            "line 1: model.gamma: must be a finite number, got '1e400'",
+            "line 2: sweep.gammas: must be a finite number, got '5, nan, 20'",
+        ]
+        with pytest.raises(ConfigError) as err:
+            default_config().with_overrides(model__gamma=math.inf)
+        assert err.value.errors == ["model.gamma: must be a finite number, got 'inf'"]
 
     def test_list_values(self):
         cfg = parse_config("sweep.gammas = 5, 10, 20\nbench.grids = 50,100\n")

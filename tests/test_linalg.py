@@ -15,7 +15,6 @@ from tissuesim import linalg
 from tissuesim.errors import SolverFailure
 from tissuesim.grid import Grid
 from tissuesim.linalg import (
-    TriDiag,
     dirichlet_eigenvalues,
     inverse_sine_transform,
     pcg_solve,
@@ -23,82 +22,81 @@ from tissuesim.linalg import (
     thomas_solve,
 )
 
-from reference_ops import dense, is_symmetric, jacobi_pcg, laplacian_dirichlet
+from reference_ops import dense, is_symmetric, jacobi_pcg, laplacian_dirichlet, tridiag_matvec
 
 
 def identity_tridiag(n):
-    return TriDiag(lower=np.zeros(n), diag=np.ones(n), upper=np.zeros(n))
+    """(lower, diag, upper) of the n x n identity, off-diagonals of length n - 1."""
+    return np.zeros(n - 1), np.ones(n), np.zeros(n - 1)
 
 
 class TestThomas:
     def test_identity_returns_rhs(self):
         rhs = np.array([1.0, -2.0, 3.0, 0.5])
-        x = thomas_solve(identity_tridiag(4), rhs)
+        x = thomas_solve(*identity_tridiag(4), rhs)
         assert np.allclose(x, rhs, atol=1e-14)
 
     def test_small_symmetric_system(self):
         # [[2,1],[1,2]] x = [3,3] -> x = [1,1]
-        m = TriDiag(lower=np.array([0.0, 1.0]), diag=np.array([2.0, 2.0]),
-                    upper=np.array([1.0, 0.0]))
-        x = thomas_solve(m, np.array([3.0, 3.0]))
+        x = thomas_solve(np.array([1.0]), np.array([2.0, 2.0]), np.array([1.0]),
+                         np.array([3.0, 3.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_random_diagonally_dominant_residual(self):
         rng = np.random.default_rng(42)
         n = 100
-        lower = rng.uniform(-1, 1, n)
-        upper = rng.uniform(-1, 1, n)
-        lower[0] = upper[-1] = 0.0
+        lower = rng.uniform(-1, 1, n - 1)
+        upper = rng.uniform(-1, 1, n - 1)
         diag = 3.0 + rng.uniform(0, 1, n)
-        m = TriDiag(lower=lower, diag=diag, upper=upper)
         rhs = rng.standard_normal(n)
-        x = thomas_solve(m, rhs)
-        resid = np.max(np.abs(m.matvec(x) - rhs))
+        x = thomas_solve(lower, diag, upper, rhs)
+        resid = np.max(np.abs(tridiag_matvec(lower, diag, upper, x) - rhs))
         scale = np.max(np.abs(rhs)) + np.max(np.abs(x))
         assert resid <= 1e-12 * scale
 
     def test_singular_system_raises(self):
-        m = TriDiag(lower=np.zeros(3), diag=np.zeros(3), upper=np.zeros(3))
         with pytest.raises(SolverFailure):
-            thomas_solve(m, np.ones(3))
+            thomas_solve(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
 
     def test_non_finite_input_is_solver_failure(self):
-        m = TriDiag(lower=np.zeros(3), diag=np.array([1.0, np.inf, 1.0]), upper=np.zeros(3))
         with pytest.raises(SolverFailure), np.errstate(invalid="ignore"):
-            thomas_solve(m, np.ones(3))
+            thomas_solve(np.zeros(2), np.array([1.0, np.inf, 1.0]), np.zeros(2), np.ones(3))
         with pytest.raises(SolverFailure):
-            thomas_solve(identity_tridiag(3), np.array([1.0, np.nan, 1.0]))
+            thomas_solve(*identity_tridiag(3), np.array([1.0, np.nan, 1.0]))
 
     def test_determinism(self):
         rng = np.random.default_rng(1)
         n = 50
-        m = TriDiag(lower=rng.uniform(-1, 1, n), diag=4.0 + rng.uniform(0, 1, n),
-                    upper=rng.uniform(-1, 1, n))
+        m = (rng.uniform(-1, 1, n - 1), 4.0 + rng.uniform(0, 1, n), rng.uniform(-1, 1, n - 1))
         rhs = rng.standard_normal(n)
-        x1 = thomas_solve(m, rhs)
-        x2 = thomas_solve(m, rhs)
+        x1 = thomas_solve(*m, rhs)
+        x2 = thomas_solve(*m, rhs)
         assert np.array_equal(x1, x2)
 
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 40))
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_solver(self, seed, n):
         rng = np.random.default_rng(seed)
-        lower = rng.uniform(-1, 1, n)
-        upper = rng.uniform(-1, 1, n)
-        lower[0] = upper[-1] = 0.0
+        lower = rng.uniform(-1, 1, n - 1)
+        upper = rng.uniform(-1, 1, n - 1)
         diag = 3.0 + rng.uniform(0, 1, n)
-        m = TriDiag(lower=lower, diag=diag, upper=upper)
         rhs = rng.standard_normal(n)
-        dense = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
+        dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
         expected = np.linalg.solve(dense, rhs)
-        assert np.allclose(thomas_solve(m, rhs), expected, atol=1e-10)
+        assert np.allclose(thomas_solve(lower, diag, upper, rhs), expected, atol=1e-10)
+
+    def test_mismatched_lengths_are_value_errors(self):
+        # gtsv's band form: off-diagonals of length n - 1, the right side of length n
+        lower, diag, upper = identity_tridiag(4)
+        for args in ((np.zeros(4), diag, upper, np.ones(4)),
+                     (lower, diag, np.zeros(2), np.ones(4)),
+                     (lower, diag, upper, np.ones(3))):
+            with pytest.raises(ValueError):
+                thomas_solve(*args)
 
 
 def dominant_tridiag(rng, n):
-    lower = rng.uniform(-1, 1, n)
-    upper = rng.uniform(-1, 1, n)
-    lower[0] = upper[-1] = 0.0
-    return TriDiag(lower=lower, diag=3.0 + rng.uniform(0, 1, n), upper=upper)
+    return rng.uniform(-1, 1, n - 1), 3.0 + rng.uniform(0, 1, n), rng.uniform(-1, 1, n - 1)
 
 
 def run_probe(code):
@@ -119,12 +117,12 @@ class TestLapackLoader:
     def test_scipy_linalg_imports_after_tissuesim(self):
         out = run_probe(
             "import numpy as np; import tissuesim; import scipy.linalg; "
-            "from tissuesim.linalg import TriDiag, dgtsv, thomas_solve; "
-            "m = TriDiag(np.array([0.0, 1.0, 1.0]), np.full(3, 4.0), np.array([1.0, 1.0, 0.0])); "
+            "from tissuesim.linalg import dgtsv, thomas_solve; "
+            "m = (np.ones(2), np.full(3, 4.0), np.ones(2)); "
             "rhs = np.array([1.0, 2.0, 3.0]); "
             "banded = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]); "
             "print(dgtsv is scipy.linalg.lapack.dgtsv, "
-            "np.array_equal(scipy.linalg.solve_banded((1, 1), banded, rhs), thomas_solve(m, rhs)))"
+            "np.array_equal(scipy.linalg.solve_banded((1, 1), banded, rhs), thomas_solve(*m, rhs)))"
         )
         assert out == "True True"
 
@@ -133,14 +131,14 @@ class TestLapackLoader:
         from scipy.linalg.lapack import dgtsv
 
         rng = np.random.default_rng(blocks)
-        m = dominant_tridiag(rng, 400)
+        lower, diag, upper = dominant_tridiag(rng, 400)
         # independent systems stacked end to end: no coupling across block edges
-        m.lower[::400 // blocks] = 0.0
-        m.upper[400 // blocks - 1::400 // blocks] = 0.0
+        lower[400 // blocks - 1::400 // blocks] = 0.0
+        upper[400 // blocks - 1::400 // blocks] = 0.0
         rhs = rng.standard_normal(400)
-        *_, expected, info = dgtsv(m.lower[1:], m.diag, m.upper[:-1], rhs)
+        *_, expected, info = dgtsv(lower, diag, upper, rhs)
         assert info == 0
-        assert thomas_solve(m, rhs).tobytes() == expected.tobytes()
+        assert thomas_solve(lower, diag, upper, rhs).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("installed", [True, False])
     def test_missing_extension_is_import_error(self, monkeypatch, tmp_path, installed):
@@ -289,13 +287,10 @@ class TestPcg:
         h2 = g1.h[0] ** 2
         diag = np.full(n, shift + 2.0 / h2)
         diag[0] = diag[-1] = shift + 3.0 / h2
-        lower = np.full(n, -1.0 / h2)
-        upper = np.full(n, -1.0 / h2)
-        lower[0] = upper[-1] = 0.0
-        m = TriDiag(lower=lower, diag=diag, upper=upper)
+        off = np.full(n - 1, -1.0 / h2)
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal(n)
-        x_direct = thomas_solve(m, rhs)
+        x_direct = thomas_solve(off, diag, off, rhs)
 
         def matvec(x):
             return shift * x - laplacian_dirichlet(g1, x, 0.0)

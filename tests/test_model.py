@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tissuesim.config import default_config
 from tissuesim.errors import ConfigError
 from tissuesim.grid import Grid
+from tissuesim.harness import make_params
 from tissuesim.model import (
+    PRESETS,
     ModelParams,
     RateFunction,
     RateFunctions,
     check_h7,
     cutoff,
     derive_constants,
-    eval_rates,
-    validate_rates,
 )
 
 
@@ -40,8 +41,7 @@ class TestEvalRates:
         # slope a/d_crit means psi(d_crit) = a by construction
         a, d_crit = 2.0, 0.8
         rates = make_rates(psi_slope=a / d_crit)
-        _, _, _, psi = eval_rates(rates, d_crit)
-        assert psi == pytest.approx(a)
+        assert rates.psi(d_crit) == pytest.approx(a)
         assert rates.psi.critical_level(a) == pytest.approx(d_crit)
 
     def test_psi_zero_at_zero_every_preset(self):
@@ -50,19 +50,20 @@ class TestEvalRates:
 
     def test_constant_growth(self):
         rates = make_rates(g_kind="constant", g_alpha=0.25)
-        g, _, _, _ = eval_rates(rates, 17.0)
-        assert g == 0.25
+        assert rates.G(17.0) == 0.25
 
     def test_nonfinite_rejected(self):
-        rates = make_rates()
-        with pytest.raises(ConfigError):
-            eval_rates(rates, np.inf)
+        # an infinite initial nutrient puts L at inf, where the linear G is inf
+        d0 = uniform_field(0.0)
+        d0[0] = np.inf
+        with pytest.raises(ConfigError, match="rate G is not finite"):
+            derive_constants(ModelParams(rates=make_rates()), d0)
 
     def test_vectorized(self):
         rates = make_rates()
-        g, k1, k2, psi = eval_rates(rates, np.array([0.0, 0.5, 1.0]))
-        assert np.allclose(g, [0.0, 0.5, 1.0])
-        assert np.allclose(k2, 0.5)
+        d = np.array([0.0, 0.5, 1.0])
+        assert np.allclose(rates.G(d), [0.0, 0.5, 1.0])
+        assert np.allclose(rates.K2(d), 0.5)
 
     def test_saturating_critical_level(self):
         psi = RateFunction("saturating", alpha=3.0, beta=2.0)
@@ -115,23 +116,56 @@ class TestDeriveConstants:
         with pytest.raises(ConfigError):
             derive_constants(ModelParams(rates=rates, a=1.0), uniform_field(0.0))
 
-    def test_validate_rates_accepts_presets(self):
-        params = ModelParams(rates=make_rates())
-        consts = derive_constants(params, uniform_field(0.5))
-        assert validate_rates(params, consts) == []
+    @pytest.mark.parametrize("name", ["G", "K1", "K2", "psi"])
+    def test_overflowing_rate_named(self, name):
+        # d_b = 10 puts L at 10, where alpha = 1e308 times d overflows
+        table = dict(G=RateFunction("linear"), K1=RateFunction("linear", 0.5),
+                     K2=RateFunction("constant", 0.5), psi=RateFunction("linear"))
+        table[name] = RateFunction("linear", alpha=1e308)
+        params = ModelParams(rates=RateFunctions(**table), d_b=10.0)
+        with pytest.raises(ConfigError, match=f"rate {name} is not finite"):
+            derive_constants(params, uniform_field(0.0))
+
+    def test_overflowing_net_rate_named(self):
+        # G and D are finite, but G - D = -1e308 - 1e308 overflows, and so would M0
+        params = ModelParams(rates=make_rates(g_kind="constant", g_alpha=-1e308), D=1e308)
+        with pytest.raises(ConfigError, match="rate G - D is not finite"):
+            derive_constants(params, uniform_field(0.0))
+
+    @pytest.mark.parametrize("kind", PRESETS)
+    @pytest.mark.parametrize("alpha, beta, d_b", [
+        (1.0, 1.0, 1.0), (-2.5, 0.3, 4.0), (7.0, 1e-3, 0.2), (0.25, 50.0, 12.0),
+    ])
+    def test_endpoint_maxima_equal_dense_sampling(self, kind, alpha, beta, d_b):
+        # every preset is monotone, so the maxima over 10 000 samples of
+        # [0, L] equal the maxima over its endpoints, bit for bit
+        rate = RateFunction(kind, alpha=alpha, beta=beta)
+        rates = RateFunctions(G=rate, K1=RateFunction(kind, abs(alpha), beta),
+                              K2=RateFunction(kind, abs(alpha), beta),
+                              psi=RateFunction("saturating", alpha=3.0, beta=beta))
+        params = ModelParams(rates=rates, D=1.5, d_b=d_b)
+        consts = derive_constants(params, uniform_field(0.3))
+        s = np.linspace(0.0, consts.L, 10_000)
+        g = np.asarray(rates.G(s), dtype=float)
+        assert consts.G0 == g.max()
+        assert consts.M0 == max(np.abs(g).max(), np.abs(g - params.D).max())
+        assert consts.K1_max == np.asarray(rates.K1(s), dtype=float).max()
+        assert consts.K2_max == np.asarray(rates.K2(s), dtype=float).max()
 
 
 class TestModelParamsValidation:
+    # ModelParams has no validator of its own: the config schema is the only
+    # check, so these go through the path a run takes, config -> make_params
     def test_gamma_below_one_rejected(self):
-        problems = ModelParams(rates=make_rates(), gamma=0.5).validate()
-        assert any("gamma" in p for p in problems)
-
-    def test_nonpositive_death_rate_rejected(self):
-        problems = ModelParams(rates=make_rates(), D=0.0).validate()
-        assert any("D" in p for p in problems)
+        with pytest.raises(ConfigError) as err:
+            make_params(default_config().with_overrides(model__gamma=0.5))
+        assert any("gamma" in e for e in err.value.errors)
 
     def test_defaults_valid(self):
-        assert ModelParams(rates=make_rates()).validate() == []
+        params = make_params(default_config())
+        assert params.gamma >= 1.0 and params.D > 0.0
+        consts = derive_constants(params, uniform_field(0.5))
+        assert all(math.isfinite(v) for v in (consts.G0, consts.M0, consts.K1_max, consts.K2_max))
 
 
 class TestCutoff:

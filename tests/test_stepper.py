@@ -48,6 +48,7 @@ from reference_ops import (
     jacobi_pcg,
     laplacian_dirichlet,
     symmetrized_newton_matrix,
+    tridiag_matvec,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -453,17 +454,13 @@ class TestPositivePower:
 
 
 def reference_newton_tridiag(grid, a, r, dt):
-    """The 1D Newton matrix as built with a degree array and two zero-filled off-diagonals."""
+    """The 1D Newton matrix in band form, its diagonal built with a degree array."""
     h2 = grid.h[0] ** 2
     nc = grid.cells[0]
     deg = np.full(nc, 2.0)
     deg[0] = deg[-1] = 1.0
     diag = 1.0 + dt * deg * a / h2 - dt * r
-    lower = np.zeros(nc)
-    upper = np.zeros(nc)
-    lower[1:] = -dt * a[:-1] / h2
-    upper[:-1] = -dt * a[1:] / h2
-    return lower, diag, upper
+    return -dt * a[:-1] / h2, diag, -dt * a[1:] / h2
 
 
 class TestNewtonSystem1D:
@@ -478,19 +475,18 @@ class TestNewtonSystem1D:
         seen = []
         real = stepper.linalg.thomas_solve
 
-        def spy(m, b):
-            seen.append(m)
-            return real(m, b)
+        def spy(lower, diag, upper, b):
+            seen.append((lower, diag, upper))
+            return real(lower, diag, upper, b)
 
         monkeypatch.setattr(stepper.linalg, "thomas_solve", spy)
         for dt in (1e-3, 0.07):
             delta, lin = stepper._solve_newton_system(grid, a, r, dt, rhs, 1e-10, 100, None)
             assert lin == 1
             m = seen[-1]
-            lower, diag, upper = reference_newton_tridiag(grid, a, r, dt)
-            for got, want in ((m.lower, lower), (m.diag, diag), (m.upper, upper)):
+            for got, want in zip(m, reference_newton_tridiag(grid, a, r, dt)):
                 assert got.tobytes() == want.tobytes()
-            assert np.max(np.abs(m.matvec(delta) - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+            assert np.max(np.abs(tridiag_matvec(*m, delta) - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 def split_colours(op, values):

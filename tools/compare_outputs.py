@@ -36,6 +36,16 @@ GROWTH_2D = {
     "time.T_final": "0.1",
 }
 
+# saturating is the only preset that is not affine in d, so the only one
+# whose rounded values over [0, L] could peak away from an endpoint;
+# psi_alpha = 2 exceeds the shipped supply rate a = 1
+SATURATING = {
+    "model.G_preset": "saturating",
+    "model.K1_preset": "saturating",
+    "model.psi_preset": "saturating",
+    "model.psi_alpha": "2",
+}
+
 # (case name, subcommand, shipped config, overrides)
 CASES = (
     ("run_growth_1d", "run", "growth_1d.cfg", {}),
@@ -49,6 +59,10 @@ CASES = (
     ("inject_c_bounds_sweep", "sweep", "sweep.cfg", {"debug.inject": "c_bounds"}),
     ("inject_c_bounds_eps_study", "eps-study", "eps_study.cfg", {"debug.inject": "c_bounds"}),
     ("inject_c_bounds_bench", "bench", "barenblatt.cfg", {"debug.inject": "c_bounds"}),
+    ("run_saturating", "run", "growth_1d.cfg", SATURATING),
+    ("sweep_saturating", "sweep", "sweep.cfg", SATURATING),
+    # the eps CSV's barrier column prints M0 at full precision
+    ("eps_study_saturating", "eps-study", "eps_study.cfg", SATURATING),
 )
 
 
