@@ -52,6 +52,10 @@ subcommands:
 """
 
 
+# flags that take the next argument, with what they take
+_VALUE_FLAGS = {"--config": "a path", "--out": "a directory", "--gamma": "a value"}
+
+
 def _parse_argv(argv):
     if not argv:
         raise ConfigError(["missing subcommand"])
@@ -64,21 +68,11 @@ def _parse_argv(argv):
     i = 1
     while i < len(argv):
         arg = argv[i]
-        if arg == "--config":
+        if arg in _VALUE_FLAGS:
             i += 1
             if i >= len(argv):
-                raise ConfigError(["--config needs a path"])
-            opts["config"] = argv[i]
-        elif arg == "--out":
-            i += 1
-            if i >= len(argv):
-                raise ConfigError(["--out needs a directory"])
-            opts["out"] = argv[i]
-        elif arg == "--gamma":
-            i += 1
-            if i >= len(argv):
-                raise ConfigError(["--gamma needs a value"])
-            opts["gamma"] = argv[i]
+                raise ConfigError([f"{arg} needs {_VALUE_FLAGS[arg]}"])
+            opts[arg[2:]] = argv[i]
         elif arg == "--permissive":
             opts["permissive"] = True
         else:
@@ -156,33 +150,32 @@ def _cmd_run(cfg, permissive: bool) -> int:
 def _cmd_sweep(cfg) -> int:
     report = gamma_sweep(cfg)
     output.write_sweep_report(_out_path(cfg, "sweep.csv"), report)
-    for entry, ledger in zip(report.entries, report.ledgers):
+    for e in report.entries:
         output.write_timeseries(
-            _out_path(cfg, f"gamma{entry.gamma:g}_timeseries.csv"), ledger, entry.cfg_hash
+            _out_path(cfg, f"gamma{e.gamma:g}_timeseries.csv"), e.run.ledger, e.run.cfg_hash
         )
-    failed = [e for e in report.entries if not e.ok]
     for e in report.entries:
         print(
             f"gamma {e.gamma:g}: energy {e.energy:.6g}, excess {e.excess_max:.6g}, "
-            f"segregation {e.seg_integral:.6g}, wall {e.wall_clock:.2f}s"
-            + (f"  [FAILED: {e.failure}]" if not e.ok else "")
+            f"segregation {e.seg_integral:.6g}, wall {e.run.wall_clock:.2f}s"
+            + (f"  [FAILED: {e.run.failure_text}]" if not e.run.ok else "")
         )
-    if failed:
+    if any(not e.run.ok for e in report.entries):
         return EXIT_SOLVER
     return EXIT_OK
 
 
 def _cmd_eps(cfg) -> int:
-    report = eps_study(cfg)
-    output.write_eps_report(_out_path(cfg, "eps.csv"), report)
-    for e in report.entries:
+    entries = eps_study(cfg)
+    output.write_eps_report(_out_path(cfg, "eps.csv"), entries)
+    for e in entries:
         print(
             f"eps {e.eps:g}: distance {e.distance:.6g}, "
-            f"cutoff activations {e.cutoff_activations}, "
-            f"{e.steps} steps, {e.rejected_attempts} rejected attempts"
-            + (f"  [FAILED: {e.failure}]" if not e.ok else "")
+            f"cutoff activations {e.run.total_cutoff_activations}, "
+            f"{e.run.steps} steps, {e.run.rejected_attempts} rejected attempts"
+            + (f"  [FAILED: {e.run.failure_text}]" if not e.run.ok else "")
         )
-    if any(not e.ok for e in report.entries):
+    if any(not e.run.ok for e in entries):
         return EXIT_SOLVER
     return EXIT_OK
 

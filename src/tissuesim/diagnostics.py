@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import Grid, divergence, face_gradient
 from .model import DerivedConstants, ModelParams
-from .stepper import State, positive_power
+from .stepper import State, StepReport, positive_power
 
 
 def grad_squared_integral(grads: tuple[np.ndarray, ...], cell_volume: float) -> float:
@@ -114,14 +114,9 @@ class EnergyLedger:
 
 
 def make_ledger_row(
-    state: State,
-    params: ModelParams,
-    delta: float,
-    dt_used: float,
-    newton_iters: int = 0,
-    clamped_cells: int = 0,
-    cutoff_activations: int = 0,
+    state: State, params: ModelParams, delta: float, report: StepReport
 ) -> LedgerRow:
+    """The ledger row of ``state``, reached by the step ``report`` describes."""
     vi = v_integrals(state, params)
     half_power = positive_power(state.n, (state.gamma + 1.0) / 2.0)
     return LedgerRow(
@@ -144,10 +139,10 @@ def make_ledger_row(
         segregation=vi.segregation,
         comp_resid=vi.comp_resid,
         comp_t2=state.t**2 * vi.comp_resid,
-        dt_used=dt_used,
-        newton_iters=newton_iters,
-        clamped_cells=clamped_cells,
-        cutoff_activations=cutoff_activations,
+        dt_used=report.dt_used,
+        newton_iters=report.newton_iters,
+        clamped_cells=report.clamped_cells,
+        cutoff_activations=report.cutoff_activations,
     )
 
 

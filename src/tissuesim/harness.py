@@ -299,7 +299,7 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
     state = State(t=0.0, grid=grid, n=n0, c=c0, d=d0, gamma=params.gamma)
     ledger = EnergyLedger()
     delta = cfg["sweep.delta"]
-    ledger.rows.append(make_ledger_row(state, params, delta, 0.0))
+    ledger.rows.append(make_ledger_row(state, params, delta, StepReport()))
     if on_state is not None:
         on_state(state)
 
@@ -323,14 +323,7 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
 
     def record(state: State, report: StepReport) -> None:
         result.final_state = state
-        ledger.rows.append(
-            make_ledger_row(
-                state, params, delta, report.dt_used,
-                newton_iters=report.newton_iters,
-                clamped_cells=report.clamped_cells,
-                cutoff_activations=report.cutoff_activations,
-            )
-        )
+        ledger.rows.append(make_ledger_row(state, params, delta, report))
 
     stride = cfg["time.snapshot_stride"]
     inject = cfg["debug.inject"]
@@ -392,10 +385,7 @@ def _sampled_run(
 @dataclass
 class SweepEntry:
     gamma: float
-    cfg_hash: str
-    ok: bool
-    h7_pass: bool | None
-    h7_ratio: float
+    run: RunResult
     energy: float
     excess_max: float
     seg_integral: float
@@ -403,8 +393,6 @@ class SweepEntry:
     # L2 distance of c to the previous gamma's run over Omega x [tau, T]
     # (space_time_distance), nan for the first gamma
     fraction_gap: float
-    wall_clock: float
-    failure: str | None
 
 
 @dataclass
@@ -413,7 +401,6 @@ class SweepReport:
     delta: float
     entries: list[SweepEntry]
     distances: list[float]    # consecutive-pair L2 distances of v over Omega x [tau, T]
-    ledgers: list[EnergyLedger]  # per-gamma rows
 
 
 def gamma_sweep(cfg: RunConfig) -> SweepReport:
@@ -442,7 +429,6 @@ def gamma_sweep(cfg: RunConfig) -> SweepReport:
     delta = cfg["sweep.delta"]
     times = np.linspace(tau, T, cfg["sweep.compare_times"])
     entries: list[SweepEntry] = []
-    ledgers: list[EnergyLedger] = []
     distances: list[float] = []
     prev: FieldSamples | None = None   # the previous gamma's samples, if it finished cleanly
     for gamma in gammas:
@@ -459,21 +445,15 @@ def gamma_sweep(cfg: RunConfig) -> SweepReport:
             distances.append(dist)
         entries.append(SweepEntry(
             gamma=gamma,
-            cfg_hash=res.cfg_hash,
-            ok=res.ok,
-            h7_pass=res.h7_pass,
-            h7_ratio=res.h7_ratio,
+            run=res,
             energy=integrals.energy,
             excess_max=integrals.excess_max,
             seg_integral=integrals.seg_integral,
             comp_integral=integrals.comp_integral,
             fraction_gap=gap,
-            wall_clock=res.wall_clock,
-            failure=res.failure_text,
         ))
-        ledgers.append(res.ledger)
         prev = samples if res.ok else None
-    return SweepReport(tau=tau, delta=delta, entries=entries, distances=distances, ledgers=ledgers)
+    return SweepReport(tau=tau, delta=delta, entries=entries, distances=distances)
 
 
 # ---------------------------------------------------------------------------
@@ -486,24 +466,13 @@ EPS_COMPARE_TIMES = 33
 @dataclass
 class EpsEntry:
     eps: float
-    cfg_hash: str
-    ok: bool
+    run: RunResult
     distance: float           # |(n_eps)^(gamma+1) - (n_0)^(gamma+1)| over Omega x (0,T)
-    cutoff_activations: int
     min_density: float
     barrier: float
-    failure: str | None
-    # from the entry's RunResult; in no CSV
-    steps: int
-    rejected_attempts: int
 
 
-@dataclass
-class EpsReport:
-    entries: list[EpsEntry]
-
-
-def eps_study(cfg: RunConfig) -> EpsReport:
+def eps_study(cfg: RunConfig) -> list[EpsEntry]:
     """Viscous-scheme consistency: distances of each of ``eps.values`` to the eps = 0 run."""
     eps_list = cfg["eps.values"]
     if not eps_list:
@@ -532,17 +501,12 @@ def eps_study(cfg: RunConfig) -> EpsReport:
         dist = space_time_distance(times, samples.v, ref_samples.v, volume) if res.ok else math.nan
         entries.append(EpsEntry(
             eps=eps,
-            cfg_hash=res.cfg_hash,
-            ok=res.ok,
+            run=res,
             distance=dist,
-            cutoff_activations=res.total_cutoff_activations,
             min_density=min(lows),
             barrier=eps * math.exp(-res.consts.M0 * T),
-            failure=res.failure_text,
-            steps=res.steps,
-            rejected_attempts=res.rejected_attempts,
         ))
-    return EpsReport(entries=entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -122,10 +122,15 @@ def derive_constants(params: ModelParams, d0: np.ndarray) -> DerivedConstants:
     The presets are monotone, so every maximum over [0, L] is taken over
     the values at the two endpoints.  Raises ConfigError if G, K1, K2, psi
     or the net rate G - D is non-finite there, or if psi never reaches the
-    supply rate a.
+    supply rate a, or reaches it only at a level that overflows.
     """
     d_crit = params.rates.psi.critical_level(params.a)
-    if not math.isfinite(d_crit):
+    if math.isinf(d_crit):
+        raise ConfigError(
+            [f"the critical concentration, where psi reaches the supply rate a = {params.a!r}, "
+             "overflows: it exceeds the largest float"]
+        )
+    if math.isnan(d_crit):
         raise ConfigError(
             ["psi never reaches the supply rate a: no critical concentration; "
              "use a linear psi, or a saturating psi with alpha > a"]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import EnergyLedger, LedgerRow
 from .grid import Grid
-from .harness import BenchReport, EpsReport, SweepReport
+from .harness import BenchReport, EpsEntry, SweepReport
 from .stepper import State, positive_power
 
 _LEDGER_COLUMNS = tuple(f.name for f in dataclasses.fields(LedgerRow))
@@ -88,7 +88,7 @@ def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
             stop = min(start + _SNAPSHOT_BLOCK, grid.num_cells)
             index = np.unravel_index(np.arange(start, stop), grid.shape)
             nb, cb = n[start:stop], c[start:stop]
-            # n1, n2 and p with the arithmetic of State's properties
+            # n1 = (1 - c) n, n2 = c n and p = (n+)^gamma
             columns = [x[i] for x, i in zip(centers, index)] + [
                 nb, (1.0 - cb) * nb, cb * nb, cb, d[start:stop],
                 positive_power(nb, state.gamma), v[start:stop],
@@ -128,21 +128,21 @@ def write_sweep_report(path: str, report: SweepReport) -> None:
     ]
     for i, e in enumerate(report.entries):
         dist = report.distances[i] if i < len(report.distances) else float("nan")
-        h7 = "" if e.h7_pass is None else ("1" if e.h7_pass else "0")
+        h7 = "" if e.run.h7_pass is None else ("1" if e.run.h7_pass else "0")
         lines.append(",".join([
-            fmt(e.gamma), e.cfg_hash, "1" if e.ok else "0", h7, fmt(e.h7_ratio),
+            fmt(e.gamma), e.run.cfg_hash, "1" if e.run.ok else "0", h7, fmt(e.run.h7_ratio),
             fmt(e.energy), fmt(e.excess_max), fmt(e.seg_integral),
             fmt(e.comp_integral), fmt(e.fraction_gap), fmt(dist),
         ]))
     _atomic_write(path, lines)
 
 
-def write_eps_report(path: str, report: EpsReport) -> None:
+def write_eps_report(path: str, entries: list[EpsEntry]) -> None:
     lines = ["eps,config,ok,distance,cutoff_activations,min_density,barrier"]
-    for e in report.entries:
+    for e in entries:
         lines.append(",".join([
-            fmt(e.eps), e.cfg_hash, "1" if e.ok else "0", fmt(e.distance),
-            str(e.cutoff_activations), fmt(e.min_density), fmt(e.barrier),
+            fmt(e.eps), e.run.cfg_hash, "1" if e.run.ok else "0", fmt(e.distance),
+            str(e.run.total_cutoff_activations), fmt(e.min_density), fmt(e.barrier),
         ]))
     _atomic_write(path, lines)
 

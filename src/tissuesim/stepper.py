@@ -82,7 +82,7 @@ def positive_power(x: np.ndarray, e: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class State:
-    """Cell arrays n, c, d on ``grid`` at one instant; n1, n2, p and v derive from them.
+    """Cell arrays n, c, d on ``grid`` at one instant, and the v they give.
 
     v = n^(gamma+1) is computed on first use and kept, read-only, for the
     life of the state, so the ledger, the accumulators and a snapshot of one
@@ -102,18 +102,6 @@ class State:
             if values.shape != self.grid.shape:
                 raise ValueError(f"{name} has shape {values.shape}, grid has {self.grid.shape}")
             object.__setattr__(self, name, values)
-
-    @property
-    def n1(self) -> np.ndarray:
-        return (1.0 - self.c) * self.n
-
-    @property
-    def n2(self) -> np.ndarray:
-        return self.c * self.n
-
-    @property
-    def p(self) -> np.ndarray:
-        return positive_power(self.n, self.gamma)
 
     @cached_property
     def v(self) -> np.ndarray:
@@ -464,15 +452,18 @@ def density_solve(
         delta, lin = _solve_newton_system(grid, a, r, dt, -f, tol, LINEAR_MAX, op)
         report.linear_iters += lin
         # damped update: halve until the residual shrinks; the full step,
-        # which is the first trial, is the fallback
+        # which is the first trial, is the fallback.  A trial far past
+        # saturation overflows n^(gamma+1); its residual is then not finite,
+        # which rejects it like any other residual that does not shrink
         step_len = 1.0
         full = None
         for _ in range(8):
             trial = n_k + step_len * delta
             np.maximum(trial, 0.0, out=trial)
-            rhs_trial = _density_rhs(trial, grid, params, co)
-            f_trial = trial - n_old
-            f_trial -= dt * rhs_trial
+            with np.errstate(over="ignore", invalid="ignore"):
+                rhs_trial = _density_rhs(trial, grid, params, co)
+                f_trial = trial - n_old
+                f_trial -= dt * rhs_trial
             if full is None:
                 full = (trial, rhs_trial, f_trial)
             trial_norm = float(np.abs(f_trial).max())

@@ -14,6 +14,11 @@ Criteria recap (tolerances pinned here, nothing deferred):
   09 porous-medium monotonicity gap >= -10 (h^2 + dt)
   10 byte-identical reruns (1D and 32x32 2D); 4-cell/3-step match with an
      independent brute-force fixed-point re-implementation to 1e-8
+  11 unweighted energy U(tau) on 400 and 800 cells, gamma = 5..640: for
+     ill-prepared data log U(0) rises by at least log(max n0) / 2 per unit
+     gamma from gamma = 20 on; U(1e-4 T) <= its gamma = 5 value and strictly
+     decreasing from gamma = 80 on; for well-prepared data U(0) <= its
+     gamma = 5 value
 """
 
 import math
@@ -23,7 +28,7 @@ import numpy as np
 import pytest
 
 from tissuesim.config import parse_config
-from tissuesim.diagnostics import aronson_benilan_gap
+from tissuesim.diagnostics import aronson_benilan_gap, v_integrals
 from tissuesim.grid import Grid
 from tissuesim.harness import (
     barenblatt_benchmark,
@@ -205,8 +210,8 @@ def test_04_bound_suite(mass_run, maxprin_runs, sweep, barenblatt_run):
         ledgers.append(res.ledger)
         consts_l.append(res.consts.L)
     sweep_rep, _ = sweep
-    for led in sweep_rep.ledgers:
-        ledgers.append(led)
+    for e in sweep_rep.entries:
+        ledgers.append(e.run.ledger)
         consts_l.append(1.0)  # sweep setup has L = 1
     worst_c = 0.0
     worst_d = 0.0
@@ -224,7 +229,7 @@ def test_04_bound_suite(mass_run, maxprin_runs, sweep, barenblatt_run):
 
 def test_05_uniform_weighted_energy(sweep):
     rep, wall = sweep
-    assert all(e.ok for e in rep.entries), [e.failure for e in rep.entries]
+    assert all(e.run.ok for e in rep.entries), [e.run.failure_text for e in rep.entries]
     energies = {e.gamma: e.energy for e in rep.entries}
     base = energies[5.0]
     ratios = {g: e / base for g, e in energies.items()}
@@ -262,11 +267,11 @@ def test_07_cauchy_proxy(sweep):
 
 
 def test_08_eps_consistency(eps_report):
-    rep = eps_report
-    assert all(e.ok for e in rep.entries), [e.failure for e in rep.entries]
-    dists = [e.distance for e in rep.entries]
-    activations = [e.cutoff_activations for e in rep.entries]
-    barrier_ok = all(e.min_density >= e.barrier - 1e-12 for e in rep.entries)
+    entries = eps_report
+    assert all(e.run.ok for e in entries), [e.run.failure_text for e in entries]
+    dists = [e.distance for e in entries]
+    activations = [e.run.total_cutoff_activations for e in entries]
+    barrier_ok = all(e.min_density >= e.barrier - 1e-12 for e in entries)
     ok = (
         all(b < a for a, b in zip(dists, dists[1:]))
         and all(a == 0 for a in activations)
@@ -462,3 +467,95 @@ def test_10b_brute_force_oracle():
     )
     ok = diff <= 1e-8
     _report(10, ok, f"4-cell/3-step brute-force max-norm difference {diff:.3e} (tol 1e-8)")
+
+
+# --- criterion 11: the energy estimate holds away from t = 0 -----------------
+#
+# The time-weighted energy E of criterion 05 stays bounded in gamma because
+# the weight t hides the initial layer.  The unweighted energy
+# U(tau) = sum of dt_k * integral |grad v^(k+1)|^2 over the steps with
+# t_k >= tau is the right-endpoint sum that backward Euler's discrete energy
+# identity controls.  For ill-prepared data (max n0 = 1.2 > 1) the layer at
+# t = 0 carries v ~ 1.2^(gamma+1), so U(0) grows exponentially in gamma,
+# while U(tau) for any fixed tau > 0 stays bounded.
+
+U_GAMMAS = (5.0, 20.0, 80.0, 320.0, 640.0)
+ILL_HEIGHT = 1.2        # SWEEP_TEXT's bump
+WELL_HEIGHT = 0.9
+
+
+def _unweighted_energy(cfg, tau):
+    """(U(0), U(tau)) of one run, from every accepted state."""
+    params = make_params(cfg)
+    t_start = None          # start time of the step that reached the state
+    total = late = 0.0
+
+    def on_state(state):
+        nonlocal t_start, total, late
+        if t_start is not None:
+            term = (state.t - t_start) * v_integrals(state, params).grad_v_sq
+            total += term
+            if t_start >= tau:
+                late += term
+        t_start = state.t
+
+    res = run(cfg, on_state=on_state)
+    assert res.ok, res.failure_text
+    return total, late
+
+
+@pytest.fixture(scope="module", params=[400, 800])
+def unweighted_energy(request):
+    """U(0) and U(1e-4 T) along U_GAMMAS per bump height, on ``request.param`` cells."""
+    base = parse_config(SWEEP_TEXT).with_overrides(
+        grid__cells_x=request.param, initial__lift="gamma"
+    )
+    tau = 1e-4 * base["time.T_final"]
+    out = {}
+    for height in (ILL_HEIGHT, WELL_HEIGHT):
+        runs = [
+            _unweighted_energy(base.with_overrides(model__gamma=g, initial__height=height), tau)
+            for g in U_GAMMAS
+        ]
+        out[height] = tuple(zip(*runs))   # (U(0) per gamma, U(tau) per gamma)
+    return request.param, out
+
+
+def test_11_initial_layer_energy_grows_exponentially(unweighted_energy):
+    cells, u = unweighted_energy
+    logs = [math.log(x) for x in u[ILL_HEIGHT][0]]
+    # from gamma = 20 on the layer outweighs the O(1) energy of the flow
+    floor = 0.5 * math.log(ILL_HEIGHT)
+    slopes = [(b - a) / (g1 - g0) for a, b, g0, g1 in zip(logs, logs[1:], U_GAMMAS, U_GAMMAS[1:])]
+    ok = slopes[0] > 0.0 and all(s >= floor for s in slopes[1:])
+    _report(
+        11, ok,
+        f"{cells} cells, ill-prepared: log U(0) "
+        + ", ".join(f"{g:g}: {x:.3g}" for g, x in zip(U_GAMMAS, logs))
+        + f"; slopes {['%.3f' % s for s in slopes]} (need >= {floor:.3f} from gamma = 20)",
+    )
+
+
+def test_11_energy_bounded_away_from_zero(unweighted_energy):
+    cells, u = unweighted_energy
+    late = u[ILL_HEIGHT][1]
+    falling = [x for g, x in zip(U_GAMMAS, late) if g >= 80.0]
+    ok = max(late) <= late[0] and all(b < a for a, b in zip(falling, falling[1:]))
+    _report(
+        11, ok,
+        f"{cells} cells, ill-prepared: U(1e-4 T) "
+        + ", ".join(f"{g:g}: {x:.3e}" for g, x in zip(U_GAMMAS, late))
+        + " (bounded by gamma = 5, strictly falling from gamma = 80)",
+    )
+
+
+def test_11_well_prepared_energy_bounded(unweighted_energy):
+    cells, u = unweighted_energy
+    total = u[WELL_HEIGHT][0]
+    ok = max(total) <= total[0]
+    _report(
+        11, ok,
+        f"{cells} cells, well-prepared: U(0) "
+        + ", ".join(f"{g:g}: {x:.3e}" for g, x in zip(U_GAMMAS, total))
+        + " (bounded by gamma = 5)",
+    )

@@ -11,7 +11,7 @@ from tissuesim.diagnostics import EnergyLedger, make_ledger_row
 from tissuesim.grid import Grid
 from tissuesim.harness import make_params, run
 from tissuesim.output import fmt, write_snapshot, write_timeseries
-from tissuesim.stepper import State
+from tissuesim.stepper import State, StepReport, positive_power
 
 
 BASE_TEXT = """
@@ -97,7 +97,8 @@ class TestWriters:
         path = tmp_path / "snap.csv"
         with np.errstate(invalid="ignore", over="ignore"):
             write_snapshot(str(path), s, "abc123")
-            fields = [*grid.coordinate_fields(), s.n, s.n1, s.n2, s.c, s.d, s.p, s.v]
+            fields = [*grid.coordinate_fields(), s.n, (1.0 - s.c) * s.n, s.c * s.n, s.c, s.d,
+                      positive_power(s.n, s.gamma), s.v]
         extents = "x".join(["1.0"] * grid.dim)
         header = [
             "# time = 1.2500000000000000e-01",
@@ -123,7 +124,7 @@ class TestWriters:
     def test_full_precision_and_lf_endings(self, tmp_path):
         s = self.make_state(4)
         params = make_params(default_config())
-        ledger = EnergyLedger(rows=[make_ledger_row(s, params, 0.05, 0.01)])
+        ledger = EnergyLedger(rows=[make_ledger_row(s, params, 0.05, StepReport(dt_used=0.01))])
         path = str(tmp_path / "ts.csv")
         write_timeseries(path, ledger, "abc123")
         raw = Path(path).read_bytes()
@@ -218,6 +219,27 @@ class TestCli:
             assert main([sub, "--config", cfg_path]) == 4
             assert named in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+    def test_overflowing_critical_level_is_named(self, tmp_path, capsys):
+        # a / psi_alpha = 1e310 overflows: psi does reach a, at a level past the largest float
+        cfg_path = write_cfg(tmp_path, "model.a = 1e300\nmodel.psi_alpha = 1e-10\n"
+                             f"output.dir = {tmp_path}/out\n")
+        for sub in ("check", "run"):
+            assert main([sub, "--config", cfg_path]) == 4
+            err = capsys.readouterr().err
+            assert "where psi reaches the supply rate a = 1e+300, overflows" in err
+            assert "never reaches" not in err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--config"], "--config needs a path"),
+        (["run", "--config", "x.cfg", "--out"], "--out needs a directory"),
+        (["check", "--gamma", "2", "--gamma"], "--gamma needs a value"),
+    ])
+    def test_flag_without_its_value(self, capsys, argv, message):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}\nusage:")
 
     def test_run_writes_outputs_and_exits_zero(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, BASE_TEXT + f"output.dir = {tmp_path}/out\n")

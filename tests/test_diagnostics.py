@@ -22,7 +22,7 @@ from tissuesim.diagnostics import (
 from tissuesim.diagnostics import _line_crossings
 from tissuesim.grid import Grid, divergence, face_gradient
 from tissuesim.model import DerivedConstants, ModelParams, RateFunction, RateFunctions
-from tissuesim.stepper import State
+from tissuesim.stepper import State, StepReport
 
 
 def make_params(g_alpha=0.0):
@@ -317,7 +317,7 @@ class TestLedgerRow:
             gamma=float(rng.choice([1.0, 3.0, 40.0])),
         )
         params = make_params(g_alpha=rng.uniform(0.0, 2.0))
-        got = make_ledger_row(state, params, 0.05, 1e-3)
+        got = make_ledger_row(state, params, 0.05, StepReport(dt_used=1e-3))
         want = reference_make_ledger_row(state, params, 0.05, 1e-3)
         for name in LedgerRow.__dataclass_fields__:
             a, b = getattr(got, name), getattr(want, name)
@@ -391,11 +391,11 @@ class TestEntropyDissipation:
     # the ledger's entropy_rate column: integral |grad n^((gamma+1)/2)|^2
     def test_static_uniform_zero(self):
         s = make_state(np.full(8, 0.7))
-        assert make_ledger_row(s, make_params(), 0.05, 0.0).entropy_rate == 0.0
+        assert make_ledger_row(s, make_params(), 0.05, StepReport()).entropy_rate == 0.0
 
     def test_nonuniform_positive(self):
         s = make_state(0.5 + 0.3 * np.sin(np.linspace(0, 3, 16)))
-        assert make_ledger_row(s, make_params(), 0.05, 0.0).entropy_rate > 0.0
+        assert make_ledger_row(s, make_params(), 0.05, StepReport()).entropy_rate > 0.0
 
 
 class TestAronsonBenilan:

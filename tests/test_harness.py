@@ -242,7 +242,7 @@ class TestSweep:
         monkeypatch.setattr(harness, "run", run_spy)
         cfg = parse_config(BUMP_TEXT + "sweep.gammas = 4,8\nsweep.tau = 0.02\n")
         report = gamma_sweep(cfg)
-        assert all(e.ok for e in report.entries)
+        assert all(e.run.ok for e in report.entries)
         write_snapshot(str(tmp_path / "last.csv"), states[-1], "x")
         computed = Counter((id(x), e) for x, e in powers)
         per_state = [computed[id(s.n), s.gamma + 1.0] for s in states]
@@ -254,7 +254,7 @@ class TestSweep:
         report = gamma_sweep(cfg)
         assert [e.gamma for e in report.entries] == [4.0, 8.0, 16.0]
         assert len(report.distances) == 2
-        assert len(report.ledgers) == 3
+        assert all(e.run.ledger.rows for e in report.entries)
 
 
 class TestEpsStudy:
@@ -275,10 +275,10 @@ class TestEpsStudy:
 
     def test_single_eps_runs(self):
         cfg = parse_config(BUMP_TEXT.replace("grid.cells_x = 64", "grid.cells_x = 32"))
-        rep = eps_study(cfg.with_overrides(eps__values=(0.05,)))
-        assert len(rep.entries) == 1
-        assert rep.entries[0].ok
-        assert rep.entries[0].distance > 0.0
+        entries = eps_study(cfg.with_overrides(eps__values=(0.05,)))
+        assert len(entries) == 1
+        assert entries[0].run.ok
+        assert entries[0].distance > 0.0
 
     def test_rejected_attempts_total(self, monkeypatch):
         # the spy hands step 5x the suggested dt, so the fraction budget
@@ -300,8 +300,8 @@ class TestEpsStudy:
 
     def test_duplicated_eps_gives_identical_distances(self):
         cfg = parse_config(BUMP_TEXT.replace("grid.cells_x = 64", "grid.cells_x = 32"))
-        rep = eps_study(cfg.with_overrides(eps__values=(0.05, 0.05)))
-        assert rep.entries[0].distance == rep.entries[1].distance
+        entries = eps_study(cfg.with_overrides(eps__values=(0.05, 0.05)))
+        assert entries[0].distance == entries[1].distance
 
 
 class TestBenchmark:
@@ -401,7 +401,7 @@ class TestQuadratureRobustness:
             report = gamma_sweep(
                 base.with_overrides(sweep__gammas=(5.0, 80.0, 640.0), sweep__tau=0.05)
             )
-            assert all(e.ok for e in report.entries)
+            assert all(e.run.ok for e in report.entries)
             results.append((
                 [[getattr(e, name) for name in fields] for e in report.entries],
                 report.distances,
@@ -416,9 +416,9 @@ class TestQuadratureRobustness:
         results = []
         for stride in self.STRIDES:
             base = shipped.with_overrides(time__snapshot_stride=stride)
-            report = eps_study(base)
-            assert all(e.ok for e in report.entries)
-            results.append([(e.distance, e.min_density) for e in report.entries])
+            entries = eps_study(base)
+            assert all(e.run.ok for e in entries)
+            results.append([(e.distance, e.min_density) for e in entries])
         assert results[1] == results[0]
         assert results[2] == results[0]
 

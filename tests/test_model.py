@@ -116,6 +116,16 @@ class TestDeriveConstants:
         with pytest.raises(ConfigError):
             derive_constants(ModelParams(rates=rates, a=1.0), uniform_field(0.0))
 
+    @pytest.mark.parametrize("psi", [
+        RateFunction("linear", alpha=1e-10),                     # a / alpha = 1e310
+        RateFunction("saturating", alpha=2e300, beta=1e10),      # a beta = 1e310
+    ], ids=["linear", "saturating"])
+    def test_overflowing_critical_level_named(self, psi):
+        rates = RateFunctions(G=RateFunction("linear"), K1=RateFunction("linear", 0.5),
+                              K2=RateFunction("constant", 0.5), psi=psi)
+        with pytest.raises(ConfigError, match="supply rate a = 1e\\+300, overflows"):
+            derive_constants(ModelParams(rates=rates, a=1e300), uniform_field(0.0))
+
     @pytest.mark.parametrize("name", ["G", "K1", "K2", "psi"])
     def test_overflowing_rate_named(self, name):
         # d_b = 10 puts L at 10, where alpha = 1e308 times d overflows

@@ -1164,6 +1164,6 @@ def test_plain_suggestion_is_the_old_formula(monkeypatch):
     monkeypatch.setattr(harness, "suggest_dt", spy)
     assert run(read("growth_1d.cfg")).ok
     assert run(read("eps_study.cfg")).ok  # the study's eps = 0 reference
-    assert all(e.ok for e in gamma_sweep(read("sweep.cfg")).entries)
+    assert all(e.run.ok for e in gamma_sweep(read("sweep.cfg")).entries)
     barenblatt_benchmark(read("barenblatt.cfg"))
     assert len(seen) > 100

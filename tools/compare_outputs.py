@@ -46,6 +46,26 @@ SATURATING = {
     "model.psi_alpha": "2",
 }
 
+# a patch n0 = 1 on vacuum at gamma = 160 under constant growth, the
+# Hele-Shaw test case: the only input known to reach the density Newton's
+# undamped fallback (2 fallbacks in 25 steps)
+STIFF_2D = {
+    **GROWTH_2D,
+    "time.T_final": "0.5",
+    "model.gamma": "160",
+    "model.G_preset": "constant",
+    "model.G_alpha": "1",
+    "model.K1_preset": "constant",
+    "model.K1_alpha": "0",
+    "model.K2_alpha": "0",
+    "initial.profile": "step",
+    "initial.n0": "0",
+    "initial.height": "1",
+    "initial.width": "0.4",
+    "initial.c0": "0",
+    "initial.lift": "none",
+}
+
 # (case name, subcommand, shipped config, overrides)
 CASES = (
     ("run_growth_1d", "run", "growth_1d.cfg", {}),
@@ -54,6 +74,7 @@ CASES = (
     ("eps_study", "eps-study", "eps_study.cfg", {}),
     ("bench", "bench", "barenblatt.cfg", {}),
     ("growth_2d", "run", "growth_1d.cfg", GROWTH_2D),
+    ("stiff_2d", "run", "growth_1d.cfg", STIFF_2D),
     ("inject_c_bounds", "run", "growth_1d.cfg", {"debug.inject": "c_bounds"}),
     # each run of these campaigns stops after its first step
     ("inject_c_bounds_sweep", "sweep", "sweep.cfg", {"debug.inject": "c_bounds"}),
