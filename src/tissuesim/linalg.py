@@ -7,8 +7,10 @@ LAPACK extension ``scipy.linalg._flapack``, loaded on its own:
 ``scipy.linalg`` itself is never imported, because importing that package
 takes longer than all of tissuesim's other imports together.  The
 orthonormal sine transform (DST-II) diagonalizes the cell-centred Dirichlet
-Laplacian along one axis, so it turns a constant-coefficient 2D solve into
-such a block.  Variable-coefficient 2D systems are SPD (after
+Laplacian along one axis, and its Neumann twin, the orthonormal cosine
+transform (DCT-II), the no-flux one; either turns a constant-coefficient 2D
+solve into such a block of lines.  Both go through one length-2n real FFT
+of the odd or even extension.  Variable-coefficient 2D systems are SPD (after
 symmetrization in the caller) and go through conjugate gradients on an
 operator scaled to a unit diagonal, stopped by a bound on the residual
 weighted by the diagonal the scaling took out; the caller reduces the
@@ -89,16 +91,16 @@ def thomas_solve(
     return x
 
 
-def _sine_phases(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """sin and cos of pi k / 2n for the modes k = 1..n."""
-    theta = np.pi * np.arange(1, n + 1) / (2 * n)
+def _phases(n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of pi k / 2n for the modes k = first..first + n - 1."""
+    theta = np.pi * np.arange(first, first + n) / (2 * n)
     return np.sin(theta), np.cos(theta)
 
 
-def _sine_scale(n: int) -> np.ndarray:
-    """Orthonormal scaling of the DST-II modes k = 1..n."""
+def _orthonormal_scale(n: int, single: int) -> np.ndarray:
+    """sqrt(2/n) per mode, sqrt(1/n) for the mode at index ``single``."""
     scale = np.full(n, math.sqrt(2.0 / n))
-    scale[-1] = math.sqrt(1.0 / n)
+    scale[single] = math.sqrt(1.0 / n)
     return scale
 
 
@@ -111,8 +113,8 @@ def sine_transform(v: np.ndarray) -> np.ndarray:
     """
     n = v.shape[-1]
     spectrum = np.fft.rfft(np.concatenate((v, -v[..., ::-1]), axis=-1), axis=-1)[..., 1:]
-    sin, cos = _sine_phases(n)
-    return 0.5 * _sine_scale(n) * (sin * spectrum.real - cos * spectrum.imag)
+    sin, cos = _phases(n, 1)
+    return 0.5 * _orthonormal_scale(n, -1) * (sin * spectrum.real - cos * spectrum.imag)
 
 
 def dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
@@ -121,18 +123,53 @@ def dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
     lap_D is the cell-centred Laplacian of n cells of width h with ghost
     values that put zero on both walls; ``sine_transform`` diagonalizes it.
     """
-    sin, _ = _sine_phases(n)
+    sin, _ = _phases(n, 1)
     return 4.0 / h**2 * sin**2
 
 
 def inverse_sine_transform(coeffs: np.ndarray) -> np.ndarray:
     """Inverse (the transpose, a DST-III) of ``sine_transform`` along the last axis."""
     n = coeffs.shape[-1]
-    sin, cos = _sine_phases(n)
-    weights = _sine_scale(n) * coeffs
+    sin, cos = _phases(n, 1)
+    weights = _orthonormal_scale(n, -1) * coeffs
     weights[..., -1] *= 2.0  # the k = n term is folded into one real FFT entry
     spectrum = np.zeros(coeffs.shape[:-1] + (n + 1,), dtype=complex)
     spectrum[..., 1:] = weights * (sin - 1j * cos)
+    return n * np.fft.irfft(spectrum, n=2 * n, axis=-1)[..., :n]
+
+
+def cosine_transform(v: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II along the last axis, through a length-2n real FFT.
+
+    Mode k = 0..n-1 is sqrt(2/n) sum_j v_j cos(pi k (j + 1/2) / n), with the
+    k = 0 mode scaled by a further 1/sqrt(2).  Its inverse is
+    ``inverse_cosine_transform``.
+    """
+    n = v.shape[-1]
+    spectrum = np.fft.rfft(np.concatenate((v, v[..., ::-1]), axis=-1), axis=-1)[..., :n]
+    sin, cos = _phases(n, 0)
+    return 0.5 * _orthonormal_scale(n, 0) * (cos * spectrum.real + sin * spectrum.imag)
+
+
+def neumann_eigenvalues(n: int, h: float) -> np.ndarray:
+    """Eigenvalues 4/h^2 sin^2(pi k / 2n) of -lap_N on the cosine modes k = 0..n-1.
+
+    lap_N is the cell-centred no-flux Laplacian of n cells of width h;
+    ``cosine_transform`` diagonalizes it, and the constant mode k = 0 has
+    eigenvalue 0.
+    """
+    sin, _ = _phases(n, 0)
+    return 4.0 / h**2 * sin**2
+
+
+def inverse_cosine_transform(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse (the transpose, a DCT-III) of ``cosine_transform`` along the last axis."""
+    n = coeffs.shape[-1]
+    sin, cos = _phases(n, 0)
+    weights = _orthonormal_scale(n, 0) * coeffs
+    weights[..., 0] *= 2.0  # the real FFT counts the k = 0 entry once, the others twice
+    spectrum = np.zeros(coeffs.shape[:-1] + (n + 1,), dtype=complex)
+    spectrum[..., :n] = weights * (cos + 1j * sin)
     return n * np.fft.irfft(spectrum, n=2 * n, axis=-1)[..., :n]
 
 

@@ -13,10 +13,14 @@ One step advances, in order:
   2. autophagic fraction c = n2/n: explicit upwind advection by the Darcy
      velocity u = -grad(n^gamma) plus explicit reaction
      K1(d)(1-c) - K2(d)c - D c(1-c), whose right side points into [0, 1];
+     with viscosity, backward Euler on eps*lap(c) after that explicit part;
   3. nutrient d: semi-implicit solve of b dd/dt - lap(d) = -psi(d_old) n + a c n
-     with Dirichlet boundary data, clamped to [0, L]; the operator has
-     constant coefficients, so a sine transform along y reduces it to
-     tridiagonal x-systems, solved directly in 1D and 2D alike.
+     with Dirichlet boundary data, clamped to [0, L].
+
+The nutrient operator and the fraction viscosity have constant
+coefficients, so both go through one line solve: a sine (Dirichlet) or
+cosine (no-flux) transform along y leaves one tridiagonal x-system per mode,
+solved directly in 1D and 2D alike.
 
 Evolving (n, c) instead of the two species densities keeps n1 + n2 = n exact
 and gives the fraction a maximum principle on [0, 1] for free.  The fraction
@@ -33,7 +37,8 @@ for n >= 0 with c in [0, 1], no clamp acts.
 
 ``suggest_dt`` is the one dt controller.  Its dt meets the CFL and reaction
 bounds, scaled by the safety factor, and the whole fraction monotonicity
-budget of the current state, viscous term included.  ``step`` halves dt
+budget of the current state, viscous drift included; the implicit viscosity
+adds no step limit.  ``step`` halves dt
 after a rejected attempt, a guard for a hint from elsewhere or a new density
 whose advective inflow outgrows the current one.
 """
@@ -54,7 +59,7 @@ from .model import DerivedConstants, ModelParams, cutoff
 #: Jacobian degeneracy floor: diffusion derivative is evaluated at max(n, this)
 VACUUM_FLOOR = 1e-14
 
-#: monotonicity budget slack for the explicit fraction update
+#: monotonicity budget slack for the explicit part of the fraction update
 CFL_SLACK = 1e-9
 
 #: iteration cap of the 2D density CG
@@ -524,16 +529,16 @@ def _fraction_rates(state: State, params: ModelParams) -> tuple[np.ndarray, np.n
 def _fraction_budget(
     grid: Grid,
     dt: float,
-    params: ModelParams,
     rate_sum: np.ndarray,
     u: tuple[np.ndarray, ...],
 ) -> np.ndarray:
-    """Per-cell monotonicity budget of the explicit fraction update.
+    """Per-cell monotonicity budget of the explicit part of the fraction update.
 
     Sums, in this order, the advective inflow Courant numbers of the face
-    velocities u, the viscous 2 dt eps / h^2 per axis and dt (K1 + K2 + D).
-    ``suggest_dt`` evaluates it at dt = 1 on the current density;
-    ``fraction_update`` enforces it at the step's dt on the new one.
+    velocities u (the viscous drift included) and dt (K1 + K2 + D).  The
+    implicit viscosity needs no share of it.  ``suggest_dt`` evaluates it
+    at dt = 1 on the current density; ``fraction_update`` enforces it at the
+    step's dt on the new one.
     """
     budget = np.zeros(grid.shape)
     for ui, (lo, hi), h in zip(u, grid.sides, grid.h):
@@ -541,9 +546,6 @@ def _fraction_budget(
         inflow_hi = np.maximum(-ui, 0.0)  # face feeds the lo cell
         budget[hi] += dt / h * inflow_lo
         budget[lo] += dt / h * inflow_hi
-    if params.eps_reg > 0.0:
-        for h in grid.h:
-            budget += 2.0 * dt * params.eps_reg / h**2
     budget += dt * rate_sum
     return budget
 
@@ -560,13 +562,19 @@ def fraction_update(
     dt: float,
     params: ModelParams,
 ) -> np.ndarray:
-    """Explicit upwind advection of the fraction plus explicit reaction.
+    """Explicit upwind advection and reaction of the fraction, then implicit viscosity.
 
-    The per-cell monotonicity budget (advection + diffusion Courant numbers
-    plus dt times the reaction rates, see ``_fraction_budget``) must stay at
-    or below one; that is the condition under which the update is a convex
-    combination and the reaction keeps c inside [0, 1].  A violated budget
-    raises SolverFailure so the caller can halve dt.
+    The explicit part c* = c + dt (-adv + reaction) advects by the face
+    velocities of ``_face_velocities``, the viscous drift included.  Its
+    per-cell monotonicity budget (advective Courant numbers plus dt times
+    the reaction rates, see ``_fraction_budget``) must stay at or below
+    one; that is the condition under which c* is a convex combination and
+    the reaction keeps it inside [0, 1].  A violated budget raises
+    SolverFailure so the caller can halve dt.  With eps > 0 the result
+    solves (I - dt eps lap_N) c_new = c*: that matrix is an M-matrix with
+    unit row sums, so c_new is a convex combination of c* for every dt,
+    and it is clipped to [min c*, max c*], which removes only the rounding
+    of the solve.
     """
     grid = state.grid
     c = state.c
@@ -576,15 +584,52 @@ def fraction_update(
     up_c = tuple(upwind_face_values(c[lo], c[hi], ui) for ui, (lo, hi) in zip(u, grid.sides))
     adv = divergence(grid, tuple(ui * ci for ui, ci in zip(u, up_c))) - c * divergence(grid, u)
 
-    diff = 0.0
-    if params.eps_reg > 0.0:
-        diff = params.eps_reg * laplacian_neumann(grid, c)
-
     k1, k2, rate_sum = _fraction_rates(state, params)
     reaction = k1 * (1.0 - c) - k2 * c - params.D * c * (1.0 - c)
-    _enforce_budget(_fraction_budget(grid, dt, params, rate_sum, u))
+    _enforce_budget(_fraction_budget(grid, dt, rate_sum, u))
 
-    return c + dt * (-adv + diff + reaction)
+    c_star = c + dt * (-adv + reaction)
+    if not params.eps_reg > 0.0:
+        return c_star
+    # (I - dt eps lap_N) c_new = c*, divided through by dt eps
+    shift = 1.0 / (dt * params.eps_reg)
+    c_new = _line_solve(grid, shift, shift * c_star, dirichlet=False)
+    return np.clip(c_new, c_star.min(), c_star.max(), out=c_new)
+
+
+def _line_solve(grid: Grid, shift: float, rhs: np.ndarray, dirichlet: bool) -> np.ndarray:
+    """Solve (shift - lap) x = rhs for the constant-coefficient cell-centred Laplacian.
+
+    lap has homogeneous Dirichlet walls (the ghost value -x, data already on
+    ``rhs``) or no-flux walls.  In 2D the orthonormal sine or cosine
+    transform along y diagonalizes lap there, with eigenvalues
+    4/h_y^2 sin^2(pi k / 2 N_y) for the sine modes k = 1..N_y or the cosine
+    modes k = 0..N_y - 1; that leaves one tridiagonal x-system per mode,
+    with shift + lambda_k, and all of them go through one banded solve
+    before the transform back.  1D is the same solve with a single mode of
+    shift ``shift``.  A wall cell's diagonal counts its one interior face,
+    plus two for the Dirichlet ghost.
+    """
+    if dirichlet:
+        forward, inverse, eigenvalues = (
+            linalg.sine_transform, linalg.inverse_sine_transform, linalg.dirichlet_eigenvalues)
+    else:
+        forward, inverse, eigenvalues = (
+            linalg.cosine_transform, linalg.inverse_cosine_transform, linalg.neumann_eigenvalues)
+    if grid.dim == 1:
+        shifts = np.array([shift])
+        lines = rhs[None, :]
+    else:
+        shifts = shift + eigenvalues(grid.cells[1], grid.h[1])
+        lines = forward(rhs).T  # one x-line per y-mode
+    nx, hx2 = grid.cells[0], grid.h[0] ** 2
+    deg = np.full(nx, 2.0)
+    deg[0] = deg[-1] = 3.0 if dirichlet else 1.0
+    diag = shifts[:, None] + deg / hx2
+    off = np.full(lines.size - 1, -1.0 / hx2)  # symmetric: lower = upper
+    off[nx - 1::nx] = 0.0  # no coupling between the lines
+    solved = linalg.thomas_solve(off, diag.ravel(), off, lines.ravel()).reshape(lines.shape)
+    return solved[0] if grid.dim == 1 else inverse(solved.T)
 
 
 def nutrient_solve(
@@ -598,41 +643,21 @@ def nutrient_solve(
     """Semi-implicit nutrient solve: implicit diffusion, explicit consumption.
 
     Solves (b/dt)(d_new - d_old) - lap_dirichlet(d_new) = -psi(d_old) n + a c n
-    directly and clamps the result to [0, L], counting clamp events.  The
-    operator has constant coefficients.  In 2D the orthonormal sine
-    transform along y diagonalizes the Dirichlet Laplacian there, with
-    eigenvalues 4/h_y^2 sin^2(pi k / 2 N_y), k = 1..N_y; that leaves one
-    tridiagonal x-system per mode, with shift b/dt + lambda_k, and all of
-    them go through one banded solve before the transform back.  1D is the
-    same solve with a single mode of shift b/dt.  Returns (d_new,
-    clamped_cells, linear_iterations), one iteration for the direct solve.
+    directly (``_line_solve`` with shift b/dt) and clamps the result to
+    [0, L], counting clamp events.  Returns (d_new, clamped_cells,
+    linear_iterations), one iteration for the direct solve.
     """
-    grid = state.grid
     d_old = state.d
     b_dt = params.b / dt
     psi_old = np.asarray(params.rates.psi(d_old), dtype=float)
     source = -psi_old * n_new + params.a * c_new * n_new
     rhs = b_dt * d_old + source
     # the Dirichlet ghost value 2 d_b - d puts 2 d_b / h^2 on each wall cell's right side
-    for axis, h in enumerate(grid.h):
+    for axis, h in enumerate(state.grid.h):
         walls = np.swapaxes(rhs, 0, axis)
         walls[0] += 2.0 * params.d_b / h**2
         walls[-1] += 2.0 * params.d_b / h**2
-
-    if grid.dim == 1:
-        shifts = np.array([b_dt])
-        lines = rhs[None, :]
-    else:
-        shifts = b_dt + linalg.dirichlet_eigenvalues(grid.cells[1], grid.h[1])
-        lines = linalg.sine_transform(rhs).T  # one x-line per y-mode
-    nx, hx2 = grid.cells[0], grid.h[0] ** 2
-    deg = np.full(nx, 2.0)
-    deg[0] = deg[-1] = 3.0
-    diag = shifts[:, None] + deg / hx2
-    off = np.full(lines.size - 1, -1.0 / hx2)  # symmetric: lower = upper
-    off[nx - 1::nx] = 0.0  # no coupling between the lines
-    solved = linalg.thomas_solve(off, diag.ravel(), off, lines.ravel()).reshape(lines.shape)
-    d_new = solved[0] if grid.dim == 1 else linalg.inverse_sine_transform(solved.T)
+    d_new = _line_solve(state.grid, b_dt, rhs, dirichlet=True)
 
     clamped = int(np.count_nonzero((d_new < 0.0) | (d_new > consts.L)))
     d_new = np.clip(d_new, 0.0, consts.L)
@@ -653,7 +678,8 @@ def suggest_dt(
     state, with the per-cell ``_fraction_rates`` and the face velocities
     including the drift; the budget is linear in dt, so 1 / max beta is the
     largest dt it accepts at the current density.  This bound carries the
-    viscous 2 dt eps / h^2 term, which the CFL and reaction bounds leave out.
+    drift's inflow, which the CFL bound leaves out.  The fraction viscosity
+    is implicit and sets no bound.
     """
     u = _face_velocities(state.grid, state.n, params.gamma, 0.0)
     speed = 0.0
@@ -668,7 +694,7 @@ def suggest_dt(
     dt_react = 1.0 / rate_sum if rate_sum > 0.0 else math.inf
     dt = safety * min(dt_adv, dt_react)
     u = _with_viscous_drift(state.grid, u, state.n, params.eps_reg)
-    budget = _fraction_budget(state.grid, 1.0, params, _fraction_rates(state, params)[2], u)
+    budget = _fraction_budget(state.grid, 1.0, _fraction_rates(state, params)[2], u)
     beta = float(np.max(budget))
     if beta > 0.0:
         dt = min(dt, 1.0 / beta)

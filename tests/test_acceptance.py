@@ -10,7 +10,8 @@ Criteria recap (tolerances pinned here, nothing deferred):
   06 excess(80) <= 0.2 excess(5); segregation nonincreasing with 20% slack;
      complementarity(80) < complementarity(5)
   07 pairwise v-distances strictly decreasing along the doubling sweep
-  08 eps-study distances strictly decreasing; zero cutoff activations
+  08 eps-study distances strictly decreasing; zero cutoff activations (1D
+     and 32x32 2D)
   09 porous-medium monotonicity gap >= -10 (h^2 + dt)
   10 byte-identical reruns (1D and 32x32 2D); 4-cell/3-step match with an
      independent brute-force fixed-point re-implementation to 1e-8
@@ -163,6 +164,15 @@ def eps_report():
 
 
 @pytest.fixture(scope="module")
+def eps_report_2d():
+    cfg = parse_config(EPS_TEXT).with_overrides(
+        eps__values=(0.1, 0.01, 0.001), grid__dim=2, grid__cells_x=32, grid__cells_y=32,
+        grid__extent_y=1.0, initial__center_y=0.5,
+    )
+    return eps_study(cfg)
+
+
+@pytest.fixture(scope="module")
 def barenblatt_run():
     states = []
     res = run(parse_config(BENCH_TEXT).with_overrides(grid__cells_x=200), on_state=states.append)
@@ -266,8 +276,7 @@ def test_07_cauchy_proxy(sweep):
     _report(7, ok, "pairwise v-distances " + " > ".join(f"{x:.3e}" for x in d))
 
 
-def test_08_eps_consistency(eps_report):
-    entries = eps_report
+def _check_eps_consistency(entries, where):
     assert all(e.run.ok for e in entries), [e.run.failure_text for e in entries]
     dists = [e.distance for e in entries]
     activations = [e.run.total_cutoff_activations for e in entries]
@@ -279,9 +288,17 @@ def test_08_eps_consistency(eps_report):
     )
     _report(
         8, ok,
-        "viscosity distances " + " > ".join(f"{x:.3e}" for x in dists)
+        f"{where}viscosity distances " + " > ".join(f"{x:.3e}" for x in dists)
         + f", cutoff activations {activations}, barrier respected {barrier_ok}",
     )
+
+
+def test_08_eps_consistency(eps_report):
+    _check_eps_consistency(eps_report, "")
+
+
+def test_08_eps_consistency_2d(eps_report_2d):
+    _check_eps_consistency(eps_report_2d, "32x32 2D: ")
 
 
 def test_09_porous_medium_monotonicity(barenblatt_run):

@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 
 from tissuesim import linalg
 from tissuesim.errors import SolverFailure
-from tissuesim.grid import Grid
+from tissuesim.grid import Grid, laplacian_neumann
 from tissuesim.linalg import (
+    cosine_transform,
     dirichlet_eigenvalues,
+    inverse_cosine_transform,
     inverse_sine_transform,
+    neumann_eigenvalues,
     pcg_solve,
     sine_transform,
     thomas_solve,
@@ -181,6 +184,43 @@ class TestSineTransform:
         for k in range(1, n + 1):
             applied = -laplacian_dirichlet(g, modes[k - 1], 0.0)
             assert np.allclose(applied, lam[k - 1] * modes[k - 1], atol=1e-12)
+
+
+def dct2_matrix(n):
+    """Dense orthonormal DCT-II: row k is mode k = 0..n-1."""
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    out = np.sqrt(2.0 / n) * np.cos(np.pi * k * (j + 0.5) / n)
+    out[0] /= np.sqrt(2.0)
+    return out
+
+
+class TestCosineTransform:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
+    def test_matches_dense_orthonormal_dct2(self, n):
+        s = dct2_matrix(n)
+        assert np.allclose(s @ s.T, np.eye(n), atol=1e-14)
+        v = np.random.default_rng(n).standard_normal((4, n))
+        assert np.allclose(cosine_transform(v), v @ s.T, atol=1e-13)
+        assert np.allclose(inverse_cosine_transform(v), v @ s, atol=1e-13)
+
+    def test_round_trip_along_last_axis(self):
+        v = np.random.default_rng(7).standard_normal((5, 11))
+        assert np.allclose(inverse_cosine_transform(cosine_transform(v)), v, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_diagonalizes_neumann_laplacian(self, n):
+        # -lap_N of mode k along one axis is 4/h^2 sin^2(pi k / 2n) times the
+        # mode; the constant mode k = 0 has eigenvalue 0
+        h = 0.3
+        g = Grid(dim=1, extents=(n * h,), cells=(n,))
+        modes = dct2_matrix(n)
+        lam = neumann_eigenvalues(n, h)
+        assert np.allclose(lam, 4.0 / h**2 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2)
+        assert lam[0] == 0.0
+        for k in range(n):
+            applied = -laplacian_neumann(g, modes[k])
+            assert np.allclose(applied, lam[k] * modes[k], atol=1e-12)
 
 
 def helmholtz_op(grid, shift):

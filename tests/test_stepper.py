@@ -83,12 +83,12 @@ def small_grid(cells=3, extent=1.0):
 SETTINGS = SolverSettings()
 
 
-def viscous_only():
-    # uniform n: no transport and no reactions, so the budget is the
-    # viscous 2 dt eps / h^2 = 2 dt alone
+def viscous_only(k1=0.0):
+    # uniform n: no transport, and no reactions unless k1 > 0; the implicit
+    # viscosity takes no share of the fraction budget, which is dt K1 alone
     grid = small_grid(10)
-    params = ModelParams(rates=rates(), D=1e-30, gamma=2.0, d_b=0.0, T_final=10.0,
-                         eps_reg=0.01, ell_cut=10.0)
+    params = ModelParams(rates=rates(k1=("constant", k1)), D=1e-30, gamma=2.0, d_b=0.0,
+                         T_final=10.0, eps_reg=0.01, ell_cut=10.0)
     consts = derive_constants(params, np.full(grid.shape, 0.0))
     return uniform_state(grid, n=0.5, c=0.2), params, consts
 
@@ -749,6 +749,68 @@ class TestFractionUpdate:
         assert c_new.max() <= 1.0 + 1e-12
 
 
+VISCOUS_GRIDS = [
+    Grid(dim=1, extents=(1.0,), cells=(40,)),
+    Grid(dim=1, extents=(1.0,), cells=(3,)),
+    Grid(dim=2, extents=(1.0, 0.8), cells=(16, 12)),
+    Grid(dim=2, extents=(1.0, 1.0), cells=(7, 3)),
+]
+
+
+@pytest.mark.parametrize("grid", VISCOUS_GRIDS, ids=["x".join(map(str, g.cells)) for g in VISCOUS_GRIDS])
+class TestImplicitViscosity:
+    """(I - dt eps lap_N) c_new = c* at dt 100 times the old limit h^2 / (2 eps dim).
+
+    A uniform density carries no transport and no drift, and without
+    reactions the explicit part c* is the fraction itself.
+    """
+
+    EPS = 0.05
+    PARAMS = ModelParams(rates=rates(), D=0.0, gamma=2.0, d_b=0.0, eps_reg=EPS, ell_cut=10.0)
+
+    @staticmethod
+    def state(grid, c):
+        return State(t=0.0, grid=grid, n=np.full(grid.shape, 0.5), c=c,
+                     d=np.zeros(grid.shape), gamma=2.0)
+
+    def update(self, grid, seed):
+        c = np.random.default_rng(seed).uniform(0.0, 1.0, grid.shape)
+        s = self.state(grid, c)
+        dt = 100.0 * min(grid.h) ** 2 / (2.0 * self.EPS * grid.dim)
+        return c, fraction_update(s, s.n, dt, self.PARAMS), dt
+
+    def test_solves_the_backward_euler_system(self, grid):
+        c_star, c_new, dt = self.update(grid, 1)
+        residual = c_new - dt * self.EPS * laplacian_neumann(grid, c_new) - c_star
+        assert np.abs(residual).max() <= 1e-13
+
+    def test_conserves_the_fraction_sum(self, grid):
+        c_star, c_new, _ = self.update(grid, 2)
+        assert float(np.sum(c_new)) == pytest.approx(float(np.sum(c_star)), rel=1e-14)
+
+    def test_stays_within_the_explicit_part(self, grid):
+        c_star, c_new, _ = self.update(grid, 3)
+        assert c_star.min() <= c_new.min() and c_new.max() <= c_star.max()
+        assert np.ptp(c_new) < np.ptp(c_star)  # and it smooths
+
+    @pytest.mark.parametrize("c_value", [1.0, 0.7])
+    def test_uniform_fraction_stays_exact(self, grid, c_value):
+        # the solve alone leaves a uniform c = 1 at 1 + 4e-16 on 10 cells, and
+        # the cutoff count would take (1 - c) n < 0 for an activation; the
+        # clip to [min c*, max c*] keeps c exact
+        s = self.state(grid, np.full(grid.shape, c_value))
+        for dt in (0.01, 1.0, 10.0):
+            assert np.all(fraction_update(s, s.n, dt, self.PARAMS) == c_value)
+
+    def test_plain_scheme_takes_no_line_solve(self, grid):
+        s = self.state(grid, np.full(grid.shape, 0.2))
+        with mock.patch.object(stepper, "_line_solve", wraps=stepper._line_solve) as spy:
+            fraction_update(s, s.n, 0.01, replace(self.PARAMS, eps_reg=0.0))
+            assert spy.call_count == 0
+            fraction_update(s, s.n, 0.01, self.PARAMS)
+            assert spy.call_count == 1
+
+
 class TestNutrientSolve:
     def test_boundary_steady_state(self):
         grid = small_grid(8)
@@ -854,14 +916,15 @@ class TestSuggestDt:
         assert suggest_dt(s, params, consts, 0.9) == pytest.approx(0.045)
 
     def test_viscous_bound_arithmetic(self):
-        # the budget 2 dt binds at dt = 1/2, where the CFL and reaction
-        # bounds allow the whole horizon
+        # the implicit viscosity sets no bound: with no transport and no
+        # reactions the whole horizon is suggested, with eps as without it,
+        # at 20 times the old explicit limit h^2 / (2 eps) = 0.5
         s, params, consts = viscous_only()
         dt = suggest_dt(s, params, consts, 0.5)
-        assert dt == pytest.approx(0.5, rel=1e-12)
-        assert suggest_dt(s, replace(params, eps_reg=0.0), consts, 0.5) == 10.0
-        _, report = step(s, params, consts, SETTINGS, dt)
+        assert dt == 10.0 == suggest_dt(s, replace(params, eps_reg=0.0), consts, 0.5)
+        s2, report = step(s, params, consts, SETTINGS, dt)
         assert report.retries == 0 and report.dt_used == dt
+        assert np.all(s2.c == 0.2)  # a uniform fraction stays uniform, in [0, 1]
 
 
 class TestStep:
@@ -916,27 +979,32 @@ class TestStep:
             step(s, params, consts, SolverSettings(retry_max=0), 0.3)
 
     def test_viscous_budget_forces_halvings(self):
-        s, params, consts = viscous_only()
+        s, params, consts = viscous_only(k1=2.0)
         k = 3  # budgets 6.4, 3.2, 1.6, then 0.8 at dt = 0.4
-        _, report = step(s, params, consts, SolverSettings(retry_max=k), 3.2)
+        s2, report = step(s, params, consts, SolverSettings(retry_max=k), 3.2)
         assert report.retries == k == len(report.rejections)
         assert all(r.startswith("fraction update monotonicity budget") for r in report.rejections)
         assert report.dt_used == 0.4
-        # the plain scheme has no viscous term and takes the full step
-        _, plain = step(s, replace(params, eps_reg=0.0), consts, SETTINGS, 3.2)
-        assert plain.retries == 0 and plain.rejections == []
+        assert np.all((s2.c >= 0.0) & (s2.c <= 1.0))
+        # the viscosity adds nothing to the budget: the plain scheme is
+        # rejected alike, and without the reaction the full step is taken
+        _, plain = step(s, replace(params, eps_reg=0.0), consts, SolverSettings(retry_max=k), 3.2)
+        assert plain.rejections == report.rejections
+        s_inert, params_inert, consts_inert = viscous_only()
+        _, inert = step(s_inert, params_inert, consts_inert, SETTINGS, 3.2)
+        assert inert.retries == 0 and inert.rejections == []
 
     @pytest.mark.parametrize("hint, k", [(0.4, 0), (3.2, 3)])
     def test_one_budget_evaluation_per_attempt(self, hint, k):
         # each attempt sums the fraction budget once, in fraction_update
-        s, params, consts = viscous_only()
+        s, params, consts = viscous_only(k1=2.0)
         with mock.patch.object(stepper, "_fraction_budget", wraps=stepper._fraction_budget) as spy:
             _, report = step(s, params, consts, SETTINGS, hint)
         assert report.retries == k
         assert spy.call_count == k + 1
 
     def test_viscous_budget_exhausts_retries(self):
-        s, params, consts = viscous_only()
+        s, params, consts = viscous_only(k1=2.0)
         with pytest.raises(SolverFailure, match="after 2 dt halvings"):
             step(s, params, consts, SolverSettings(retry_max=2), 3.2)
 
@@ -1063,7 +1131,7 @@ def budget_limit(state, params):
     """1 / max beta: the largest dt the full fraction budget accepts at the current state."""
     u = stepper._face_velocities(state.grid, state.n, params.gamma, params.eps_reg)
     rate_sum = stepper._fraction_rates(state, params)[2]
-    return 1.0 / float(np.max(stepper._fraction_budget(state.grid, 1.0, params, rate_sum, u)))
+    return 1.0 / float(np.max(stepper._fraction_budget(state.grid, 1.0, rate_sum, u)))
 
 
 #: where the refined eps = 0.1 studies failed with the CFL and reaction hint
@@ -1108,7 +1176,7 @@ class TestDtController:
         dt = suggest_dt(state, params, consts, settings.safety)
         u = stepper._face_velocities(state.grid, state.n, params.gamma, params.eps_reg)
         rate_sum = stepper._fraction_rates(state, params)[2]
-        stepper._enforce_budget(stepper._fraction_budget(state.grid, dt, params, rate_sum, u))
+        stepper._enforce_budget(stepper._fraction_budget(state.grid, dt, rate_sum, u))
 
     def test_step_takes_the_suggested_dt(self, case):
         state, params, consts, settings = case
@@ -1119,19 +1187,25 @@ class TestDtController:
 
 
 def test_refined_late_state_is_out_of_reach_of_halving(eps_late_state):
-    # on 400 cells the CFL and reaction hint halved retry_max times still
-    # exceeds the budget, so step fails from it; the suggested dt needs no halving
+    # on 400 cells the CFL and reaction hint is more than 2^retry_max times
+    # the explicit viscous limit h^2 / (2 eps), so step failed from it while
+    # the viscosity was explicit.  It is implicit now: the whole budget
+    # accepts that hint, the controller suggests it, and step takes it
     state, params, consts, settings = controller_case(0.1, 400, eps_late_state)
     old = old_suggest_dt(state, params, consts, settings.safety)
-    assert old > 2**settings.retry_max * budget_limit(state, params)
-    with pytest.raises(SolverFailure, match=f"after {settings.retry_max} dt halvings"):
-        step(state, params, consts, settings, old)
-    dt = suggest_dt(state, params, consts, settings.safety)
-    _, report = step(state, params, consts, settings, dt)
-    assert report.retries == 0
+    h = state.grid.h[0]
+    assert old > 2**settings.retry_max * h**2 / (2.0 * params.eps_reg)
+    assert old <= budget_limit(state, params)
+    assert suggest_dt(state, params, consts, settings.safety) == old
+    _, report = step(state, params, consts, settings, old)
+    assert report.retries == 0 and report.dt_used == old
 
 
 def test_2d_suggested_dt_meets_the_budget():
+    # a pressure valley n^gamma = 0.3 + |x - x_c| + |y - y_c| with its floor
+    # at a cell centre: |u| = 1 on every face, and the floor cell takes
+    # inflow through all four faces, so the advective budget binds below
+    # the safety-scaled CFL bound h / (2 max|u|)
     grid = Grid(dim=2, extents=(1.0, 0.8), cells=(16, 12))
     params = ModelParams(
         rates=rates(g=("linear", 0.5), k1=("linear", 0.3), k2=("constant", 0.2)),
@@ -1139,10 +1213,13 @@ def test_2d_suggested_dt_meets_the_budget():
     )
     consts = derive_constants(params, np.full(grid.shape, 1.0))
     x, y = grid.coordinate_fields()
-    n = 0.3 + 0.6 * np.exp(-20 * ((x - 0.5) ** 2 + (y - 0.4) ** 2))
+    n = (0.3 + np.abs(x - grid.centers(0)[8]) + np.abs(y - grid.centers(1)[6])) ** (1.0 / 3.0)
     s = State(t=0.0, grid=grid, n=n, c=np.full(grid.shape, 0.2), d=np.full(grid.shape, 1.0), gamma=3.0)
     dt = suggest_dt(s, params, consts, SETTINGS.safety)
     assert dt == pytest.approx(budget_limit(s, params), rel=1e-12)  # the budget binds
+    assert dt < 0.5 * old_suggest_dt(s, params, consts, SETTINGS.safety)
+    # the viscous drift's inflow is part of it
+    assert dt < suggest_dt(s, replace(params, eps_reg=0.0), consts, SETTINGS.safety)
     _, report = step(s, params, consts, SETTINGS, dt)
     assert report.retries == 0
 

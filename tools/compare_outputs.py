@@ -66,12 +66,22 @@ STIFF_2D = {
     "initial.lift": "none",
 }
 
+# the eps study on a 32 x 32 grid: the 2D fraction viscosity
+EPS_STUDY_2D = {
+    "grid.dim": "2",
+    "grid.cells_x": "32",
+    "grid.cells_y": "32",
+    "grid.extent_y": "1",
+    "initial.center_y": "0.5",
+}
+
 # (case name, subcommand, shipped config, overrides)
 CASES = (
     ("run_growth_1d", "run", "growth_1d.cfg", {}),
     ("sweep_shipped", "sweep", "sweep.cfg", {}),
     ("sweep_stiff", "sweep", "sweep.cfg", {"sweep.gammas": "5,10,20,40,80,160,320,640"}),
     ("eps_study", "eps-study", "eps_study.cfg", {}),
+    ("eps_study_2d", "eps-study", "eps_study.cfg", EPS_STUDY_2D),
     ("bench", "bench", "barenblatt.cfg", {}),
     ("growth_2d", "run", "growth_1d.cfg", GROWTH_2D),
     ("stiff_2d", "run", "growth_1d.cfg", STIFF_2D),
