@@ -10,8 +10,9 @@ Subcommands:
 Exit codes: 0 success, 2 invariant violation in ``run`` (without
 --permissive), 3 solver or I/O failure, 4 configuration error.  ``sweep``,
 ``eps-study`` and ``bench`` exit 3 when any of their runs stops, also on an
-invariant violation.  --permissive is accepted by every subcommand but only
-``run`` reads it.
+invariant violation, and still write their CSV with that run's row marked,
+unless the eps study's eps = 0 reference stopped.  --permissive is accepted
+by every subcommand but only ``run`` reads it.
 """
 
 from __future__ import annotations
@@ -147,6 +148,14 @@ def _cmd_run(cfg, permissive: bool) -> int:
     return EXIT_OK
 
 
+def _failed(result) -> str:
+    return "" if result.ok else f"  [FAILED: {result.failure_text}]"
+
+
+def _campaign_exit(records) -> int:
+    return EXIT_SOLVER if any(not r.run.ok for r in records) else EXIT_OK
+
+
 def _cmd_sweep(cfg) -> int:
     report = gamma_sweep(cfg)
     output.write_sweep_report(_out_path(cfg, "sweep.csv"), report)
@@ -158,11 +167,9 @@ def _cmd_sweep(cfg) -> int:
         print(
             f"gamma {e.gamma:g}: energy {e.energy:.6g}, excess {e.excess_max:.6g}, "
             f"segregation {e.seg_integral:.6g}, wall {e.run.wall_clock:.2f}s"
-            + (f"  [FAILED: {e.run.failure_text}]" if not e.run.ok else "")
+            + _failed(e.run)
         )
-    if any(not e.run.ok for e in report.entries):
-        return EXIT_SOLVER
-    return EXIT_OK
+    return _campaign_exit(report.entries)
 
 
 def _cmd_eps(cfg) -> int:
@@ -173,11 +180,9 @@ def _cmd_eps(cfg) -> int:
             f"eps {e.eps:g}: distance {e.distance:.6g}, "
             f"cutoff activations {e.run.total_cutoff_activations}, "
             f"{e.run.steps} steps, {e.run.rejected_attempts} rejected attempts"
-            + (f"  [FAILED: {e.run.failure_text}]" if not e.run.ok else "")
+            + _failed(e.run)
         )
-    if any(not e.run.ok for e in entries):
-        return EXIT_SOLVER
-    return EXIT_OK
+    return _campaign_exit(entries)
 
 
 def _cmd_bench(cfg) -> int:
@@ -188,8 +193,9 @@ def _cmd_bench(cfg) -> int:
         print(
             f"N {r.cells}: L1 error {r.l1_error:.6e} (rel {r.rel_error:.3e}), "
             f"order {order}, mass drift {r.mass_drift:.3e}"
+            + _failed(r.run)
         )
-    return EXIT_OK
+    return _campaign_exit(report.rows)
 
 
 def main(argv=None) -> int:
@@ -224,9 +230,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

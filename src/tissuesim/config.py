@@ -11,7 +11,9 @@ together with their line numbers rather than stopping at the first one.
 Every number must be finite: ``inf``, ``nan`` and values such as ``1e400``
 that overflow are rejected.  The schema is the only check on a run's input;
 the model layer relies on it for the structural hypotheses on the rates
-(K1, K2 >= 0, psi nondecreasing with psi(0) = 0).
+(K1, K2 >= 0, psi nondecreasing with psi(0) = 0), and the campaigns for
+their lists (``sweep.gammas``, ``eps.values``, ``bench.grids``); they keep
+only the checks that depend on the subcommand or on ``sweep.tau = 0``.
 
 ``parse_config(serialize_config(cfg))`` is the identity on valid configs;
 the canonical serialization is also what gets hashed into the config hash
@@ -107,14 +109,20 @@ _SCHEMA: list[_Key] = [
     _Key("output.prefix", "str", "run"),
     _Key("output.formats", "str", "csv", choices=("csv",)),
 
-    _Key("sweep.gammas", "float_list", (5.0, 10.0, 20.0, 40.0, 80.0)),
+    _Key("sweep.gammas", "float_list", (5.0, 10.0, 20.0, 40.0, 80.0),
+         lambda v: len(v) >= 2 and v[0] >= 1.0 and all(a <= b for a, b in zip(v, v[1:])),
+         "needs at least 2 values, each >= 1, nondecreasing"),
     _Key("sweep.tau", "float", 0.0, _nonnegative, "must be >= 0 (0 = 0.1*T_final)"),
     _Key("sweep.delta", "float", 0.05, _positive, "must be positive"),
     _Key("sweep.compare_times", "int", 33, lambda v: v >= 2, "must be >= 2"),
 
-    _Key("eps.values", "float_list", (0.1, 0.01, 0.001)),
+    _Key("eps.values", "float_list", (0.1, 0.01, 0.001),
+         lambda v: len(v) >= 1 and v[-1] > 0.0 and all(a >= b for a, b in zip(v, v[1:])),
+         "needs at least 1 value, each > 0, nonincreasing"),
 
-    _Key("bench.grids", "int_list", (100, 200, 400)),
+    _Key("bench.grids", "int_list", (100, 200, 400),
+         lambda v: len(v) >= 1 and v[0] >= 3 and all(a < b for a, b in zip(v, v[1:])),
+         "needs at least 1 grid, each of at least 3 cells, strictly increasing"),
 
     _Key("debug.inject", "str", "none", choices=_INJECTS),
 ]

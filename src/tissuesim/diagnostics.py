@@ -314,13 +314,14 @@ def _line_crossings(vals: np.ndarray, coords: np.ndarray, threshold: float) -> n
     return np.sort(np.concatenate((coords[s == 0.0], interpolated)))
 
 
+#: slack of the fraction bounds 0 <= c <= 1 and of the nutrient bounds 0 <= d <= L
+C_TOL, D_TOL = 1e-12, 1e-10
+
+
 @dataclass(frozen=True)
 class TolConfig:
-    """Tolerances and optional bound data for the invariant sweep."""
+    """The optional bound data of the invariant sweep, which ``run`` derives."""
 
-    c_tol: float = 1e-12
-    d_tol: float = 1e-10
-    n_tol: float = 0.0
     cap_base: float | None = None   # max of lifted initial density (weak max principle)
     min_floor: float | None = None  # eps * exp(-M0 T) barrier for regularized runs
 
@@ -346,19 +347,19 @@ def check_all(state: State, consts: DerivedConstants, tolcfg: TolConfig) -> list
     Each bound is tested on one min or max of its field.  Rounded addition
     and subtraction are monotone, so the largest excess over the cells is
     the excess of that extreme; the full per-cell excess is built only for a
-    violated bound, to locate its worst cell.
+    violated bound, to locate its worst cell.  A NaN violates every bound of its field.
     """
     out = []
     n, c, d = state.n, state.c, state.d
     n_min = n.min()
-    c_high = 1.0 + tolcfg.c_tol
-    d_high = consts.L + tolcfg.d_tol
-    # (invariant, largest excess, per-cell excess): a bound is violated when the excess is positive
+    c_high = 1.0 + C_TOL
+    d_high = consts.L + D_TOL
+    # (invariant, largest excess, per-cell excess): a bound holds when the excess is <= 0
     bounds = [
-        ("density nonnegativity", -(n_min + tolcfg.n_tol), lambda: -(n + tolcfg.n_tol)),
-        ("fraction lower bound", -(c.min() + tolcfg.c_tol), lambda: -(c + tolcfg.c_tol)),
+        ("density nonnegativity", -n_min, lambda: -n),
+        ("fraction lower bound", -(c.min() + C_TOL), lambda: -(c + C_TOL)),
         ("fraction upper bound", c.max() - c_high, lambda: c - c_high),
-        ("nutrient floor", -(d.min() + tolcfg.d_tol), lambda: -(d + tolcfg.d_tol)),
+        ("nutrient floor", -(d.min() + D_TOL), lambda: -(d + D_TOL)),
         ("nutrient ceiling", d.max() - d_high, lambda: d - d_high),
     ]
     if tolcfg.cap_base is not None:
@@ -368,6 +369,6 @@ def check_all(state: State, consts: DerivedConstants, tolcfg: TolConfig) -> list
         floor = tolcfg.min_floor - 1e-12
         bounds.append(("lower barrier", floor - n_min, lambda: floor - n))
     for name, excess, per_cell in bounds:
-        if excess > 0.0:
+        if not excess <= 0.0:
             out.append(Violation(name, _worst_cell(per_cell()), float(excess)))
     return out

@@ -13,9 +13,10 @@ medium solvers).
 
 Every campaign (``gamma_sweep``, ``eps_study``, ``barenblatt_benchmark``)
 takes the ``RunConfig`` and reads its own keys (``sweep.*``, ``eps.values``,
-``bench.grids``), checking them before any run.  ``run`` never raises for a
-stopped run; each campaign reports why one stopped as
-``RunResult.failure_text``.
+``bench.grids``), whose lists the schema has checked; its own checks (the
+sweep's tau, the benchmark's data) raise ``ConfigError`` before any run.
+Each entry or row holds its ``RunResult``, whose ``failure_text`` says why
+it stopped; only the eps = 0 reference of the eps study aborts its campaign.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .diagnostics import (
     reaction_free,
     space_time_distance,
 )
-from .errors import SolverFailure
+from .errors import ConfigError, SolverFailure
 from .grid import Grid
 from .model import (
     BOUND_INFLATION,
@@ -414,17 +415,9 @@ def gamma_sweep(cfg: RunConfig) -> SweepReport:
     """
     gammas = cfg["sweep.gammas"]
     T = cfg["time.T_final"]
-    tau = cfg["sweep.tau"]
-    if tau == 0.0:
-        tau = 0.1 * T
-    if len(gammas) < 2:
-        raise ValueError("a sweep needs at least 2 gamma values")
-    if any(g < 1.0 for g in gammas):
-        raise ValueError("all gamma values must be >= 1")
-    if any(b < a for a, b in zip(gammas, gammas[1:])):
-        raise ValueError("gamma values must be nondecreasing")
+    tau = cfg["sweep.tau"] or 0.1 * T
     if not (0.0 < tau < T):
-        raise ValueError(f"tau must lie in (0, T_final) = (0, {T}), got {tau}")
+        raise ConfigError([f"sweep.tau: must lie in (0, T_final) = (0, {T}), got {tau}"])
 
     delta = cfg["sweep.delta"]
     times = np.linspace(tau, T, cfg["sweep.compare_times"])
@@ -473,15 +466,12 @@ class EpsEntry:
 
 
 def eps_study(cfg: RunConfig) -> list[EpsEntry]:
-    """Viscous-scheme consistency: distances of each of ``eps.values`` to the eps = 0 run."""
-    eps_list = cfg["eps.values"]
-    if not eps_list:
-        raise ValueError("eps list must not be empty")
-    if any(e <= 0.0 for e in eps_list):
-        raise ValueError("all eps values must be positive")
-    if any(b > a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps values must be nonincreasing")
+    """Viscous-scheme consistency: distances of each of ``eps.values`` to the eps = 0 run.
 
+    A stopped eps run gets a nan distance.  A stopped eps = 0 reference
+    raises SolverFailure, since without it no distance exists.
+    """
+    eps_list = cfg["eps.values"]
     T = cfg["time.T_final"]
     times = np.linspace(0.0, T, EPS_COMPARE_TIMES)
     ref_cfg = cfg.with_overrides(model__eps_reg=0.0, initial__lift="none")
@@ -516,10 +506,11 @@ def eps_study(cfg: RunConfig) -> list[EpsEntry]:
 @dataclass
 class BenchRow:
     cells: int
+    run: RunResult
     h: float
-    l1_error: float
+    l1_error: float           # nan for a stopped run, as are the three below
     rel_error: float          # relative to the initial mass
-    order: float              # observed order vs the previous grid, nan for first
+    order: float              # observed order vs the previous grid, nan for the first
     mass_drift: float         # |mass(T) - mass(0)| / mass(0)
 
 
@@ -530,49 +521,42 @@ class BenchReport:
 
 
 def barenblatt_benchmark(cfg: RunConfig) -> BenchReport:
-    """Grid-refinement study against the closed-form self-similar solution."""
-    grids = list(cfg["bench.grids"])
-    if any(b <= a for a, b in zip(grids, grids[1:])) or len(grids) < 1:
-        raise ValueError("bench grids must be strictly increasing")
+    """Grid-refinement study against the closed-form self-similar solution.
+
+    A stopped run's row has nan errors, so its order and the next one are nan.
+    """
     if cfg["initial.profile"] != "barenblatt":
-        raise ValueError("the benchmark needs initial.profile = barenblatt")
-    params_probe = make_params(cfg)
-    if not reaction_free(params_probe, cfg["initial.c0"]):
-        raise ValueError(
+        raise ConfigError(["initial.profile: the benchmark needs barenblatt"])
+    if not reaction_free(make_params(cfg), cfg["initial.c0"]):
+        raise ConfigError([
             "the benchmark needs a reaction-free config: zero growth preset, "
             "zero K1 preset, and c0 = 0"
-        )
+        ])
 
     gamma = cfg["model.gamma"]
-    T = cfg["time.T_final"]
-    t0 = cfg["initial.t0"]
-    const = cfg["initial.bb_const"]
-    center = cfg["initial.center"]
+    s_exact = cfg["initial.t0"] + cfg["time.T_final"] * gamma / (gamma + 1.0)
     rows: list[BenchRow] = []
-    prev_err = None
-    prev_h = None
-    for n_cells in grids:
-        cfg_n = cfg.with_overrides(grid__cells_x=n_cells)
-        res = run(cfg_n)
-        if not res.ok:
-            raise SolverFailure(f"benchmark run at N = {n_cells} failed: {res.failure_text}")
+    prev_err = prev_h = math.nan
+    for n_cells in cfg["bench.grids"]:
+        res = run(cfg.with_overrides(grid__cells_x=n_cells))
         final = res.final_state
         grid = final.grid
-        s_exact = t0 + T * gamma / (gamma + 1.0)
-        exact = barenblatt_profile(grid.centers(0), s_exact, gamma, const, center=center, dim=1)
-        err = float(np.sum(np.abs(final.n - exact))) * grid.cell_volume
-        mass0 = res.ledger.rows[0].mass
-        mass_t = res.ledger.rows[-1].mass
+        err = rel = drift = math.nan
+        if res.ok:
+            exact = barenblatt_profile(
+                grid.centers(0), s_exact, gamma, cfg["initial.bb_const"],
+                center=cfg["initial.center"], dim=1,
+            )
+            err = float(np.sum(np.abs(final.n - exact))) * grid.cell_volume
+            mass0 = res.ledger.rows[0].mass
+            rel = err / mass0
+            drift = abs(res.ledger.rows[-1].mass - mass0) / mass0
         order = math.nan
-        if prev_err is not None and err > 0.0 and prev_err > 0.0:
+        if err > 0.0 and prev_err > 0.0:
             order = math.log(prev_err / err) / math.log(prev_h / grid.h[0])
         rows.append(BenchRow(
-            cells=n_cells,
-            h=grid.h[0],
-            l1_error=err,
-            rel_error=err / mass0,
-            order=order,
-            mass_drift=abs(mass_t - mass0) / mass0,
+            cells=n_cells, run=res, h=grid.h[0], l1_error=err, rel_error=rel,
+            order=order, mass_drift=drift,
         ))
         prev_err, prev_h = err, grid.h[0]
     return BenchReport(gamma=gamma, rows=rows)

@@ -368,7 +368,8 @@ def _solve_newton_system(
     (see ``_DensityOperator``); CG on the reduced system runs, in at most
     ``max_iters`` iterations, until sqrt(sum D_black r^2) is at most
     tol * |S rhs|.  The back-substitution leaves the red residual zero up
-    to rounding, so that is the 2-norm test on the symmetrized system.
+    to rounding, so that is the 2-norm test on the symmetrized system.  A
+    bound that overflows raises SolverFailure before any operator work.
     """
     if grid.dim == 1:
         # diag = 1 + dt deg a / h^2 - dt r, deg the number of interior faces
@@ -389,13 +390,16 @@ def _solve_newton_system(
     if np.min(diag_reaction) <= 0.0:
         raise SolverFailure("density Jacobian lost positivity; dt too large for the reactions")
     a_safe = np.maximum(a, 1e-30)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = tol * math.sqrt(float(np.vdot(a_safe * rhs, rhs)))  # tol |S rhs|
+    if not math.isfinite(bound):
+        raise SolverFailure("density Newton system overflows: |S rhs| is not finite")
     op.assemble(a_safe, diag_reaction, dt)
     # b = D^-1/2 S rhs = t rhs, and the reduced right side is b_black + C^T b_red
     b = op.x
     np.multiply(op.cells(op.t), rhs, out=op.cells(b))
     op.apply_ct(b[0::2], op.reduced_rhs)
     op.reduced_rhs += b[1::2]
-    bound = tol * math.sqrt(float(np.vdot(a_safe * rhs, rhs)))  # tol |S rhs|
     result = linalg.pcg_solve(op.matvec, op.weights, op.reduced_rhs, bound, max_iters, op.work)
     # x_red = b_red + C x_black, in place of b
     b[1::2] = result.x
@@ -552,7 +556,7 @@ def _fraction_budget(
 
 def _enforce_budget(budget: np.ndarray) -> None:
     worst = float(np.max(budget))
-    if worst > 1.0 + CFL_SLACK:
+    if not worst <= 1.0 + CFL_SLACK:  # a NaN budget fails too
         raise SolverFailure(f"fraction update monotonicity budget {worst:.3f} exceeds 1")
 
 

@@ -231,6 +231,30 @@ class TestCli:
             assert "never reaches" not in err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("sub, key, value", [
+        ("sweep", "sweep.gammas", "5"),
+        ("sweep", "sweep.gammas", "10,5"),
+        ("sweep", "sweep.gammas", "0.5,2"),
+        ("eps-study", "eps.values", ""),
+        ("eps-study", "eps.values", "0.1,0"),
+        ("eps-study", "eps.values", "0.01,0.1"),
+        ("bench", "bench.grids", ""),
+        ("bench", "bench.grids", "200,100"),
+        ("bench", "bench.grids", "2,4"),
+    ])
+    def test_check_and_campaign_reject_the_same_list(self, tmp_path, capsys, sub, key, value):
+        text = re.sub(rf"^{re.escape(key)} = .*\n", "", CAMPAIGN_TEXTS[sub], flags=re.M)
+        text += f"output.dir = {tmp_path}/out\n{key} = {value}\n"
+        cfg_path = write_cfg(tmp_path, text)
+        errors = []
+        for command in ("check", sub):
+            assert main([command, "--config", cfg_path]) == 4
+            errors.append(capsys.readouterr().err)
+        line = len(text.splitlines())
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"config error: line {line}: {key}: needs at least")
+        assert not os.path.exists(tmp_path / "out")
+
     @pytest.mark.parametrize("argv, message", [
         (["run", "--config"], "--config needs a path"),
         (["run", "--config", "x.cfg", "--out"], "--out needs a directory"),
@@ -352,10 +376,27 @@ class TestCli:
         assert main([sub, "--config", cfg_path]) == 3
         assert main([sub, "--config", cfg_path, "--permissive"]) == 3
 
+    def test_stopped_bench_grid_writes_its_nan_row(self, tmp_path, capsys):
+        # 40 cells need fewer steps than 80; at max_steps between them only the finer grid stops
+        shipped = write_cfg(tmp_path, BENCH_TEXT + f"output.dir = {tmp_path}/full\n", "a.cfg")
+        assert main(["bench", "--config", shipped]) == 0
+        stopped = write_cfg(
+            tmp_path, BENCH_TEXT + f"output.dir = {tmp_path}/cut\ntime.max_steps = 8\n", "b.cfg"
+        )
+        assert main(["bench", "--config", stopped]) == 3
+        out = capsys.readouterr().out
+        assert "N 80: L1 error nan" in out and "[FAILED: max_steps = 8 reached" in out
+        full = (tmp_path / "full" / "run_bench.csv").read_text().splitlines()
+        cut = (tmp_path / "cut" / "run_bench.csv").read_text().splitlines()
+        assert cut[:3] == full[:3]   # preamble, header and the 40-cell row
+        cells, h, *errors = cut[3].split(",")
+        assert (cells, h) == tuple(full[3].split(",")[:2])
+        assert errors == [fmt(float("nan"))] * 4
+
     @pytest.mark.parametrize("sub, line", [
         ("sweep", "[FAILED: {}]\n"),
         ("eps-study", "solver failure: reference run failed: {}\n"),
-        ("bench", "solver failure: benchmark run at N = 40 failed: {}\n"),
+        ("bench", "[FAILED: {}]\n"),
     ], ids=list(CAMPAIGN_TEXTS))
     def test_campaign_failure_names_the_violated_bound(self, tmp_path, capsys, sub, line):
         text = CAMPAIGN_TEXTS[sub] + f"output.dir = {tmp_path}/out\ndebug.inject = c_bounds\n"

@@ -547,6 +547,19 @@ class TestCheckAll:
         s = make_state(np.full(8, 2.0), t=1.0)  # cap = e^1 * 1.0 = 2.718
         assert check_all(s, CONSTS, TolConfig(cap_base=1.0)) == []
 
+    @pytest.mark.parametrize("field, invariants", [
+        ("n", ("density nonnegativity",)),
+        ("c", ("fraction lower bound", "fraction upper bound")),
+        ("d", ("nutrient floor", "nutrient ceiling")),
+    ])
+    def test_nan_violates_every_bound_of_its_field(self, field, invariants):
+        s = make_state(np.full(8, 0.5), c=0.3, d=0.8)
+        values = getattr(s, field).copy()
+        values[2] = math.nan
+        found = check_all(replace(s, **{field: values}), CONSTS, TolConfig())
+        assert tuple(v.invariant for v in found) == invariants
+        assert all(v.cell == (2,) and math.isnan(v.magnitude) for v in found)
+
     def test_lower_barrier(self):
         s = make_state(np.full(8, 1e-6))
         found = check_all(s, CONSTS, TolConfig(min_floor=1e-3))
@@ -557,11 +570,11 @@ class TestCheckAll:
         """Cell-by-cell form of every bound: the full excess array, then its max."""
         n, c, d = state.n, state.c, state.d
         excesses = [
-            ("density nonnegativity", -(n + tolcfg.n_tol)),
-            ("fraction lower bound", -(c + tolcfg.c_tol)),
-            ("fraction upper bound", c - (1.0 + tolcfg.c_tol)),
-            ("nutrient floor", -(d + tolcfg.d_tol)),
-            ("nutrient ceiling", d - (consts.L + tolcfg.d_tol)),
+            ("density nonnegativity", -n),
+            ("fraction lower bound", -(c + diagnostics.C_TOL)),
+            ("fraction upper bound", c - (1.0 + diagnostics.C_TOL)),
+            ("nutrient floor", -(d + diagnostics.D_TOL)),
+            ("nutrient ceiling", d - (consts.L + diagnostics.D_TOL)),
         ]
         if tolcfg.cap_base is not None:
             cap = math.exp(consts.G0 * state.t) * tolcfg.cap_base * (1.0 + 1e-6)
@@ -591,6 +604,5 @@ class TestCheckAll:
             c = near([0.0, 1e-12, 0.5, 1.0, 1.0 + 1e-12])
             d = near([0.0, 1e-10, 0.5, CONSTS.L, CONSTS.L + 1e-10])
             s = State(t=0.3 * (seed % 3), grid=grid, n=n, c=c, d=d, gamma=2.0)
-            for tolcfg in (TolConfig(), TolConfig(cap_base=1.0, min_floor=2e-3),
-                           TolConfig(n_tol=1e-12)):
+            for tolcfg in (TolConfig(), TolConfig(cap_base=1.0, min_floor=2e-3)):
                 assert check_all(s, CONSTS, tolcfg) == self.reference_check(s, CONSTS, tolcfg)

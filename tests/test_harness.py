@@ -10,6 +10,7 @@ import pytest
 
 from tissuesim import harness, linalg, stepper
 from tissuesim.config import parse_config
+from tissuesim.errors import ConfigError
 from tissuesim.diagnostics import (
     FieldSamples,
     aronson_benilan_gap,
@@ -173,26 +174,26 @@ class TestSweep:
         assert report.distances[0] == 0.0
         assert report.entries[0].energy == report.entries[1].energy
 
-    def test_requires_two_gammas(self, no_run):
-        cfg = parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(5.0,), sweep__tau=0.02)
-        with pytest.raises(ValueError, match="at least 2 gamma values"):
-            gamma_sweep(cfg)
+    # the schema checks the gamma list, so no sweep can be built on a bad one
+    GAMMAS_RULE = "sweep.gammas: needs at least 2 values, each >= 1, nondecreasing"
 
-    def test_rejects_decreasing(self, no_run):
-        cfg = parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(10.0, 5.0), sweep__tau=0.02)
-        with pytest.raises(ValueError, match="nondecreasing"):
-            gamma_sweep(cfg)
+    def test_requires_two_gammas(self):
+        with pytest.raises(ConfigError, match=self.GAMMAS_RULE):
+            parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(5.0,))
+
+    def test_rejects_decreasing(self):
+        with pytest.raises(ConfigError, match=self.GAMMAS_RULE):
+            parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(10.0, 5.0))
 
     def test_tau_must_be_inside_horizon(self, no_run):
         for tau in (0.5, 0.2):   # T_final = 0.2
             cfg = parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(5.0, 10.0), sweep__tau=tau)
-            with pytest.raises(ValueError, match="tau must lie in"):
+            with pytest.raises(ConfigError, match=r"sweep.tau: must lie in \(0, T_final\)"):
                 gamma_sweep(cfg)
 
-    def test_rejects_gamma_below_one(self, no_run):
-        cfg = parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(0.5, 2.0), sweep__tau=0.02)
-        with pytest.raises(ValueError, match=">= 1"):
-            gamma_sweep(cfg)
+    def test_rejects_gamma_below_one(self):
+        with pytest.raises(ConfigError, match=self.GAMMAS_RULE):
+            parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(0.5, 2.0))
 
     def test_zero_tau_means_a_tenth_of_the_horizon(self):
         cfg = parse_config(INERT_TEXT + "sweep.gammas = 2,3\n")
@@ -258,20 +259,20 @@ class TestSweep:
 
 
 class TestEpsStudy:
-    def test_rejects_increasing(self, no_run):
-        cfg = parse_config(BUMP_TEXT).with_overrides(eps__values=(0.01, 0.1))
-        with pytest.raises(ValueError, match="nonincreasing"):
-            eps_study(cfg)
+    # the schema checks the eps list, so no study can be built on a bad one
+    EPS_RULE = "eps.values: needs at least 1 value, each > 0, nonincreasing"
 
-    def test_rejects_nonpositive(self, no_run):
-        cfg = parse_config(BUMP_TEXT).with_overrides(eps__values=(0.1, 0.0))
-        with pytest.raises(ValueError, match="positive"):
-            eps_study(cfg)
+    def test_rejects_increasing(self):
+        with pytest.raises(ConfigError, match=self.EPS_RULE):
+            parse_config(BUMP_TEXT).with_overrides(eps__values=(0.01, 0.1))
 
-    def test_rejects_empty(self, no_run):
-        cfg = parse_config(BUMP_TEXT).with_overrides(eps__values="")
-        with pytest.raises(ValueError, match="must not be empty"):
-            eps_study(cfg)
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ConfigError, match=self.EPS_RULE):
+            parse_config(BUMP_TEXT).with_overrides(eps__values=(0.1, 0.0))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ConfigError, match=self.EPS_RULE):
+            parse_config(BUMP_TEXT).with_overrides(eps__values="")
 
     def test_single_eps_runs(self):
         cfg = parse_config(BUMP_TEXT.replace("grid.cells_x = 64", "grid.cells_x = 32"))
@@ -329,13 +330,17 @@ bench.grids = 50,100
         assert rep.rows[1].l1_error < rep.rows[0].l1_error
 
     def test_rejects_nonincreasing_grids(self):
-        cfg = parse_config(self.BENCH_TEXT.replace("bench.grids = 50,100", "bench.grids = 100,50"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="line 16: bench.grids: needs at least 1 grid"):
+            parse_config(self.BENCH_TEXT.replace("bench.grids = 50,100", "bench.grids = 100,50"))
+
+    def test_rejects_reactions(self, no_run):
+        cfg = parse_config(self.BENCH_TEXT.replace("model.G_alpha = 0.0", "model.G_alpha = 1.0"))
+        with pytest.raises(ConfigError, match="reaction-free"):
             barenblatt_benchmark(cfg)
 
-    def test_rejects_reactions(self):
-        cfg = parse_config(self.BENCH_TEXT.replace("model.G_alpha = 0.0", "model.G_alpha = 1.0"))
-        with pytest.raises(ValueError):
+    def test_rejects_other_profiles(self, no_run):
+        cfg = parse_config(self.BENCH_TEXT.replace("profile = barenblatt", "profile = bump"))
+        with pytest.raises(ConfigError, match="initial.profile: the benchmark needs barenblatt"):
             barenblatt_benchmark(cfg)
 
     def test_profile_mass_independent_of_age(self):

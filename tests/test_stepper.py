@@ -705,6 +705,16 @@ class TestFractionUpdate:
         with pytest.raises(SolverFailure):
             fraction_update(s, s.n, 0.1, params)  # dt*(K1+K2+D) = 3.1 > 1
 
+    def test_nan_density_fails_the_budget(self):
+        # a NaN in n_new makes the budget NaN, which must not pass for <= 1
+        grid = small_grid(8)
+        params = ModelParams(rates=rates(), gamma=2.0, d_b=0.0)
+        s = uniform_state(grid, n=0.5, c=0.2)
+        n_new = s.n.copy()
+        n_new[3] = math.nan
+        with pytest.raises(SolverFailure, match="budget nan exceeds 1"):
+            fraction_update(s, n_new, 0.01, params)
+
     def test_advection_stays_in_bounds(self):
         # a sharp fraction front advected by a strong pressure gradient
         grid = small_grid(50)
@@ -1199,6 +1209,29 @@ def test_refined_late_state_is_out_of_reach_of_halving(eps_late_state):
     assert suggest_dt(state, params, consts, settings.safety) == old
     _, report = step(state, params, consts, settings, old)
     assert report.retries == 0 and report.dt_used == old
+
+
+def test_2d_newton_overflow_is_a_rejection(monkeypatch):
+    # the stiff 2D sweep data at gamma = 640: one attempt's Newton system
+    # overflows |S rhs|.  The suite turns warnings into errors, so an
+    # overflow warning on that path would fail this run.
+    cfg = parse_config((CONFIGS / "sweep.cfg").read_text()).with_overrides(**{
+        "grid.dim": 2, "grid.cells_x": 96, "grid.cells_y": 96, "grid.extent_y": 1.0,
+        "initial.center_y": 0.5, "initial.height": 0.9, "initial.lift": "gamma",
+        "model.gamma": 640.0,
+    })
+    rejections = []
+    real_step = harness.step
+
+    def spy(*args):
+        new_state, report = real_step(*args)
+        rejections.extend(report.rejections)
+        return new_state, report
+
+    monkeypatch.setattr(harness, "step", spy)
+    res = run(cfg)
+    assert res.ok
+    assert sum("Newton system overflows" in m for m in rejections) == 1
 
 
 def test_2d_suggested_dt_meets_the_budget():

@@ -75,6 +75,19 @@ EPS_STUDY_2D = {
     "initial.center_y": "0.5",
 }
 
+# the sweep data on a 96 x 96 grid at gamma = 640 with the 1/gamma lift:
+# one attempt's density Newton system overflows and is rejected
+STIFF_2D_WELL_PREPARED = {
+    "grid.dim": "2",
+    "grid.cells_x": "96",
+    "grid.cells_y": "96",
+    "grid.extent_y": "1",
+    "initial.center_y": "0.5",
+    "initial.height": "0.9",
+    "initial.lift": "gamma",
+    "model.gamma": "640",
+}
+
 # (case name, subcommand, shipped config, overrides)
 CASES = (
     ("run_growth_1d", "run", "growth_1d.cfg", {}),
@@ -94,6 +107,11 @@ CASES = (
     ("sweep_saturating", "sweep", "sweep.cfg", SATURATING),
     # the eps CSV's barrier column prints M0 at full precision
     ("eps_study_saturating", "eps-study", "eps_study.cfg", SATURATING),
+    ("stiff_2d_well_prepared", "run", "sweep.cfg", STIFF_2D_WELL_PREPARED),
+    # the 100, 200 and 400 cell grids take 26, 52 and 105 steps: only the finest stops
+    ("bench_stopped_grid", "bench", "barenblatt.cfg", {"time.max_steps": "60"}),
+    # a decreasing gamma list, which the schema rejects
+    ("check_sweep_gammas_decreasing", "check", "sweep.cfg", {"sweep.gammas": "10,5"}),
 )
 
 
