@@ -15,17 +15,20 @@ the model layer relies on it for the structural hypotheses on the rates
 their lists (``sweep.gammas``, ``eps.values``, ``bench.grids``); they keep
 only the checks that depend on the subcommand or on ``sweep.tau = 0``.
 
-``parse_config(serialize_config(cfg))`` is the identity on valid configs;
-the canonical serialization is also what gets hashed into the config hash
-stamped on every output file.
+``parse_config(serialize_config(cfg))`` is the identity on valid configs.
+The config hash stamped on every output file is the first 12 hex digits of
+the SHA-256 of the canonical serialization, from CPython's built-in module.
 """
 
 from __future__ import annotations
 
-import difflib
-import hashlib
 import math
 from dataclasses import dataclass
+
+try:  # CPython's built-in SHA-256, which loads no OpenSSL
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    from _sha256 import sha256  # Python <= 3.11
 
 from .errors import ConfigError
 from .model import PRESETS
@@ -145,9 +148,7 @@ class RunConfig:
         Write a dotted key with ``__`` for the dot (``model__gamma=7``) or
         unpack a dict (``**{"model.gamma": 7}``).
         """
-        updates = {}
-        for k, v in dotted.items():
-            updates[k.replace("__", ".")] = v
+        updates = {k.replace("__", "."): v for k, v in dotted.items()}
         table = dict(self.values)
         errors = []
         for name, raw in updates.items():
@@ -160,12 +161,10 @@ class RunConfig:
                 errors.append(f"{name}: {err}")
             else:
                 table[name] = val
+        cfg = RunConfig(values=tuple((k.name, table[k.name]) for k in _SCHEMA))
+        errors = errors or _cross_validate(cfg)  # cross-checks only on valid keys
         if errors:
             raise ConfigError(errors)
-        cfg = RunConfig(values=tuple((k.name, table[k.name]) for k in _SCHEMA))
-        problems = _cross_validate(cfg)
-        if problems:
-            raise ConfigError(problems)
         return cfg
 
 
@@ -238,6 +237,7 @@ def parse_config(text: str) -> RunConfig:
         name, _, raw_value = line.partition("=")
         name = name.strip()
         if name not in _BY_NAME:
+            import difflib  # only a misspelled key pays for it
             hint = difflib.get_close_matches(name, _BY_NAME.keys(), n=1)
             suffix = f" (did you mean '{hint[0]}'?)" if hint else ""
             errors.append(f"line {lineno}: unknown key '{name}'{suffix}")
@@ -277,5 +277,5 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Short stable digest of the canonical serialization."""
-    return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()[:12]
+    """The first 12 hex digits of the SHA-256 of the canonical serialization."""
+    return sha256(serialize_config(cfg).encode("utf-8")).hexdigest()[:12]

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +141,17 @@ class TestRoundTrip:
         again = parse_config(serialize_config(cfg))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
+
+    @pytest.mark.parametrize(
+        "name", ["default", "growth_1d", "sweep", "eps_study", "barenblatt"]
+    )
+    def test_hash_is_hashlib_sha256_prefix(self, name):
+        # the built-in SHA-256 gives every output file the digest hashlib would
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        text = "" if name == "default" else (configs / f"{name}.cfg").read_text()
+        cfg = parse_config(text)
+        reference = hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()[:12]
+        assert config_hash(cfg) == reference
 
     def test_hash_differs_on_changed_key(self):
         a = default_config()

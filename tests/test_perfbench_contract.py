@@ -108,3 +108,24 @@ def test_import_loads_no_scipy_fft_or_sparse():
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_run_loads_no_openssl_or_difflib(tmp_path):
+    # hashlib maps OpenSSL's libcrypto (about 3.5 MB of a 1D run's peak
+    # memory) and difflib is needed only for a misspelled key; neither may
+    # be loaded by the import or by a run
+    from tissuesim.config import parse_config, serialize_config
+
+    cfg = parse_config((CONFIGS / "growth_1d.cfg").read_text()).with_overrides(time__T_final=0.05)
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text(serialize_config(cfg))
+    src = ROOT / "src"
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import tissuesim; "
+        "heavy = lambda: sorted({'hashlib', '_hashlib', 'difflib'} & sys.modules.keys()); "
+        "after_import = heavy(); from tissuesim import cli; "
+        f"code = cli.main(['run', '--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(after_import, code, heavy())"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[] 0 []"

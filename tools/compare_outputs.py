@@ -112,6 +112,8 @@ CASES = (
     ("bench_stopped_grid", "bench", "barenblatt.cfg", {"time.max_steps": "60"}),
     # a decreasing gamma list, which the schema rejects
     ("check_sweep_gammas_decreasing", "check", "sweep.cfg", {"sweep.gammas": "10,5"}),
+    # a misspelled key, the only input that makes the parser load difflib
+    ("check_unknown_key", "check", "sweep.cfg", {"time.T_fianl": "0.5"}),
 )
 
 
