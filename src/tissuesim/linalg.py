@@ -3,23 +3,26 @@
 Tridiagonal systems go through a banded direct solve, LAPACK ``dgtsv``; a
 block of independent tridiagonal systems is one banded system whose
 couplings between blocks are zero.  ``dgtsv`` comes from scipy's compiled
-LAPACK extension ``scipy.linalg._flapack``, loaded on its own:
-``scipy.linalg`` itself is never imported, because importing that package
-takes longer than all of tissuesim's other imports together.  The
-orthonormal sine transform (DST-II) diagonalizes the cell-centred Dirichlet
-Laplacian along one axis, and its Neumann twin, the orthonormal cosine
-transform (DCT-II), the no-flux one; either turns a constant-coefficient 2D
-solve into such a block of lines.  Both go through one length-2n real FFT
-of the odd or even extension.  Variable-coefficient 2D systems are SPD (after
-symmetrization in the caller) and go through conjugate gradients on an
-operator scaled to a unit diagonal, stopped by a bound on the residual
-weighted by the diagonal the scaling took out; the caller reduces the
-system to its black cells first.  Every path uses fixed iteration and
-accumulation orders: identical inputs give bit-identical outputs.
+LAPACK extension ``scipy.linalg._flapack``, loaded on its own by the first
+tridiagonal solve: ``scipy.linalg`` itself is never imported, because
+importing that package takes longer than all of tissuesim's other imports
+together.  The orthonormal sine basis (DST-II) diagonalizes the
+cell-centred Dirichlet Laplacian along one axis, and the orthonormal cosine
+basis (DCT-II) the no-flux one; ``line_basis`` gives either as a dense
+matrix with its eigenvalues, so a constant-coefficient 2D solve is four
+small matrix products and a division, with no tridiagonal solve.  Every
+direct solve passes one normwise backward error test.
+Variable-coefficient 2D systems are SPD (after symmetrization in the
+caller) and go through conjugate gradients on an operator scaled to a unit
+diagonal, stopped by a bound on the residual weighted by the diagonal the
+scaling took out; the caller reduces the system to its black cells first.
+Every path uses fixed iteration and accumulation orders: identical inputs
+give bit-identical outputs.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import SolverFailure
 
-#: direct-solve residual must stay below this times (|rhs| + |solution|)
+#: direct-solve residual must stay below this times (|A| |solution| + |rhs|), infinity norms
 DIRECT_RESIDUAL_TOL = 1e-12
 
 
@@ -54,7 +57,37 @@ def _load_flapack():
     return module
 
 
-dgtsv = _load_flapack().dgtsv
+@functools.cache
+def _dgtsv():
+    """LAPACK ``dgtsv``, loaded by the first tridiagonal solve: a 2D run makes none."""
+    return _load_flapack().dgtsv
+
+
+def check_direct_solve(x: np.ndarray, residual_of, a_norm_of, rhs: np.ndarray, what: str) -> None:
+    """Raise SolverFailure unless the direct solution x of A x = rhs is finite and backward stable.
+
+    The residual r = A x - rhs must pass the normwise backward error test
+    |r|inf <= DIRECT_RESIDUAL_TOL (|A|inf |x|inf + |rhs|inf).  A
+    backward-stable solve leaves a residual of a few roundings of |A| |x|,
+    so a test without the |A| term rejects correct solves of systems with
+    large entries.  ``residual_of(x)`` returns r in a fresh array and is
+    called only on a finite x; ``a_norm_of()`` returns |A|inf, the largest
+    row sum of |A|, and is called only when |r|inf exceeds
+    DIRECT_RESIDUAL_TOL |rhs|inf, which the test passes whatever |A| is.
+    """
+    x_max = float(np.abs(x).max())  # nan or inf exactly when some x is
+    if not math.isfinite(x_max):
+        raise SolverFailure(f"{what} solve produced non-finite values")
+    residual = residual_of(x)
+    resid = float(np.abs(residual, out=residual).max())
+    rhs_max = float(np.abs(rhs).max())
+    if resid <= DIRECT_RESIDUAL_TOL * rhs_max:
+        return
+    scale = a_norm_of() * x_max + rhs_max
+    if not resid <= DIRECT_RESIDUAL_TOL * max(scale, 1e-300):
+        raise SolverFailure(
+            f"{what} residual {resid:.3e} exceeds {DIRECT_RESIDUAL_TOL:.1e} * {scale:.3e}"
+        )
 
 
 def thomas_solve(
@@ -68,109 +101,53 @@ def thomas_solve(
     Independent systems stacked end to end are one system whose
     off-diagonal entries between them are zero.  The solver only requires
     nonsingularity (LAPACK pivots internally).  Raises SolverFailure on a
-    singular system, a non-finite solution or an unexpectedly large (or
-    non-finite) residual.
+    singular system, a non-finite solution or a residual that fails
+    ``check_direct_solve``.
     """
     rhs = np.asarray(rhs, dtype=float)
-    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    *_, x, info = _dgtsv()(lower, diag, upper, rhs)
     if info > 0:
         raise SolverFailure("tridiagonal solve failed: singular matrix")
-    x_max = float(np.abs(x).max())  # nan or inf exactly when some x is
-    if not math.isfinite(x_max):
-        raise SolverFailure("tridiagonal solve produced non-finite values")
-    residual = diag * x
-    residual[:-1] += upper * x[1:]
-    residual[1:] += lower * x[:-1]
-    residual -= rhs
-    resid = float(np.abs(residual, out=residual).max())
-    scale = float(np.abs(rhs).max()) + x_max
-    if not resid <= DIRECT_RESIDUAL_TOL * max(scale, 1e-300):
-        raise SolverFailure(
-            f"tridiagonal residual {resid:.3e} exceeds {DIRECT_RESIDUAL_TOL:.1e} * {scale:.3e}"
-        )
+
+    def residual_of(x):
+        residual = diag * x
+        residual[:-1] += upper * x[1:]
+        residual[1:] += lower * x[:-1]
+        residual -= rhs
+        return residual
+
+    def a_norm_of():
+        row_sums = np.abs(diag)
+        row_sums[:-1] += np.abs(upper)
+        row_sums[1:] += np.abs(lower)
+        return float(row_sums.max())
+
+    check_direct_solve(x, residual_of, a_norm_of, rhs, "tridiagonal")
     return x
 
 
-def _phases(n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """sin and cos of pi k / 2n for the modes k = first..first + n - 1."""
-    theta = np.pi * np.arange(first, first + n) / (2 * n)
-    return np.sin(theta), np.cos(theta)
+@functools.lru_cache(maxsize=4)  # a 2D run asks for at most two axes times two wall types
+def line_basis(n: int, h: float, dirichlet: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal modes of -lap on n cells of width h, and their eigenvalues.
 
-
-def _orthonormal_scale(n: int, single: int) -> np.ndarray:
-    """sqrt(2/n) per mode, sqrt(1/n) for the mode at index ``single``."""
-    scale = np.full(n, math.sqrt(2.0 / n))
-    scale[single] = math.sqrt(1.0 / n)
-    return scale
-
-
-def sine_transform(v: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-II along the last axis, through a length-2n real FFT.
-
-    Mode k = 1..n is sqrt(2/n) sum_j v_j sin(pi k (j + 1/2) / n), with the
-    k = n mode scaled by a further 1/sqrt(2).  Its inverse is
-    ``inverse_sine_transform``.
+    lap is the cell-centred Laplacian whose wall cells have degree 3 (a
+    Dirichlet ghost value of minus the wall cell's) or 1 (no flux).  Its modes
+    are the rows of the orthonormal DST-II, mode k = 1..n being
+    sqrt(2/n) sin(pi k (j + 1/2) / n) with the k = n row scaled by a further
+    1/sqrt(2), or of the orthonormal DCT-II, mode k = 0..n-1 being
+    sqrt(2/n) cos(pi k (j + 1/2) / n) with the k = 0 row scaled by
+    1/sqrt(2).  Mode k has eigenvalue 4/h^2 sin^2(pi k / 2n).  The matrix is
+    orthogonal, so its transpose is its inverse.  Both arrays are read-only
+    and cached: a run asks for the same bases at every step.
     """
-    n = v.shape[-1]
-    spectrum = np.fft.rfft(np.concatenate((v, -v[..., ::-1]), axis=-1), axis=-1)[..., 1:]
-    sin, cos = _phases(n, 1)
-    return 0.5 * _orthonormal_scale(n, -1) * (sin * spectrum.real - cos * spectrum.imag)
-
-
-def dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
-    """Eigenvalues 4/h^2 sin^2(pi k / 2n) of -lap_D on the sine modes k = 1..n.
-
-    lap_D is the cell-centred Laplacian of n cells of width h with ghost
-    values that put zero on both walls; ``sine_transform`` diagonalizes it.
-    """
-    sin, _ = _phases(n, 1)
-    return 4.0 / h**2 * sin**2
-
-
-def inverse_sine_transform(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse (the transpose, a DST-III) of ``sine_transform`` along the last axis."""
-    n = coeffs.shape[-1]
-    sin, cos = _phases(n, 1)
-    weights = _orthonormal_scale(n, -1) * coeffs
-    weights[..., -1] *= 2.0  # the k = n term is folded into one real FFT entry
-    spectrum = np.zeros(coeffs.shape[:-1] + (n + 1,), dtype=complex)
-    spectrum[..., 1:] = weights * (sin - 1j * cos)
-    return n * np.fft.irfft(spectrum, n=2 * n, axis=-1)[..., :n]
-
-
-def cosine_transform(v: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II along the last axis, through a length-2n real FFT.
-
-    Mode k = 0..n-1 is sqrt(2/n) sum_j v_j cos(pi k (j + 1/2) / n), with the
-    k = 0 mode scaled by a further 1/sqrt(2).  Its inverse is
-    ``inverse_cosine_transform``.
-    """
-    n = v.shape[-1]
-    spectrum = np.fft.rfft(np.concatenate((v, v[..., ::-1]), axis=-1), axis=-1)[..., :n]
-    sin, cos = _phases(n, 0)
-    return 0.5 * _orthonormal_scale(n, 0) * (cos * spectrum.real + sin * spectrum.imag)
-
-
-def neumann_eigenvalues(n: int, h: float) -> np.ndarray:
-    """Eigenvalues 4/h^2 sin^2(pi k / 2n) of -lap_N on the cosine modes k = 0..n-1.
-
-    lap_N is the cell-centred no-flux Laplacian of n cells of width h;
-    ``cosine_transform`` diagonalizes it, and the constant mode k = 0 has
-    eigenvalue 0.
-    """
-    sin, _ = _phases(n, 0)
-    return 4.0 / h**2 * sin**2
-
-
-def inverse_cosine_transform(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse (the transpose, a DCT-III) of ``cosine_transform`` along the last axis."""
-    n = coeffs.shape[-1]
-    sin, cos = _phases(n, 0)
-    weights = _orthonormal_scale(n, 0) * coeffs
-    weights[..., 0] *= 2.0  # the real FFT counts the k = 0 entry once, the others twice
-    spectrum = np.zeros(coeffs.shape[:-1] + (n + 1,), dtype=complex)
-    spectrum[..., :n] = weights * (cos + 1j * sin)
-    return n * np.fft.irfft(spectrum, n=2 * n, axis=-1)[..., :n]
+    k = np.arange(1, n + 1) if dirichlet else np.arange(n)
+    # the phase k (2j + 1) pi / 2n, reduced exactly to [0, 2 pi) first
+    phase = np.outer(k, 2 * np.arange(n) + 1) % (4 * n) * (np.pi / (2 * n))
+    basis = math.sqrt(2.0 / n) * (np.sin(phase) if dirichlet else np.cos(phase))
+    basis[-1 if dirichlet else 0] *= math.sqrt(0.5)
+    eigenvalues = 4.0 / h**2 * np.sin(np.pi * k / (2 * n)) ** 2
+    basis.flags.writeable = eigenvalues.flags.writeable = False
+    return basis, eigenvalues
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ One step advances, in order:
      with Dirichlet boundary data, clamped to [0, L].
 
 The nutrient operator and the fraction viscosity have constant
-coefficients, so both go through one line solve: a sine (Dirichlet) or
-cosine (no-flux) transform along y leaves one tridiagonal x-system per mode,
-solved directly in 1D and 2D alike.
+coefficients, so both go through one direct line solve: one tridiagonal
+system in 1D and, in 2D, a division in the product sine (Dirichlet) or
+cosine (no-flux) basis of the two axes, with no tridiagonal solve.
 
 Evolving (n, c) instead of the two species densities keeps n1 + n2 = n exact
 and gives the fraction a maximum principle on [0, 1] for free.  The fraction
@@ -605,35 +605,35 @@ def _line_solve(grid: Grid, shift: float, rhs: np.ndarray, dirichlet: bool) -> n
     """Solve (shift - lap) x = rhs for the constant-coefficient cell-centred Laplacian.
 
     lap has homogeneous Dirichlet walls (the ghost value -x, data already on
-    ``rhs``) or no-flux walls.  In 2D the orthonormal sine or cosine
-    transform along y diagonalizes lap there, with eigenvalues
-    4/h_y^2 sin^2(pi k / 2 N_y) for the sine modes k = 1..N_y or the cosine
-    modes k = 0..N_y - 1; that leaves one tridiagonal x-system per mode,
-    with shift + lambda_k, and all of them go through one banded solve
-    before the transform back.  1D is the same solve with a single mode of
-    shift ``shift``.  A wall cell's diagonal counts its one interior face,
-    plus two for the Dirichlet ghost.
+    ``rhs``) or no-flux walls: a wall cell's diagonal counts its one
+    interior face, plus two for the Dirichlet ghost.  1D is one tridiagonal
+    solve.  In 2D the operator is diagonal in the product of the
+    ``linalg.line_basis`` modes Bx and By of the two axes, so
+    x = Bx^T [(Bx rhs By^T) / (shift + lambda_x,i + lambda_y,j)] By, with the
+    normwise residual check of every direct solve.
     """
-    if dirichlet:
-        forward, inverse, eigenvalues = (
-            linalg.sine_transform, linalg.inverse_sine_transform, linalg.dirichlet_eigenvalues)
-    else:
-        forward, inverse, eigenvalues = (
-            linalg.cosine_transform, linalg.inverse_cosine_transform, linalg.neumann_eigenvalues)
     if grid.dim == 1:
-        shifts = np.array([shift])
-        lines = rhs[None, :]
-    else:
-        shifts = shift + eigenvalues(grid.cells[1], grid.h[1])
-        lines = forward(rhs).T  # one x-line per y-mode
-    nx, hx2 = grid.cells[0], grid.h[0] ** 2
-    deg = np.full(nx, 2.0)
-    deg[0] = deg[-1] = 3.0 if dirichlet else 1.0
-    diag = shifts[:, None] + deg / hx2
-    off = np.full(lines.size - 1, -1.0 / hx2)  # symmetric: lower = upper
-    off[nx - 1::nx] = 0.0  # no coupling between the lines
-    solved = linalg.thomas_solve(off, diag.ravel(), off, lines.ravel()).reshape(lines.shape)
-    return solved[0] if grid.dim == 1 else inverse(solved.T)
+        nx, hx2 = grid.cells[0], grid.h[0] ** 2
+        deg = np.full(nx, 2.0)
+        deg[0] = deg[-1] = 3.0 if dirichlet else 1.0
+        off = np.full(nx - 1, -1.0 / hx2)  # symmetric: lower = upper
+        return linalg.thomas_solve(off, shift + deg / hx2, off, rhs)
+    (bx, lam_x), (by, lam_y) = (linalg.line_basis(n, h, dirichlet) for n, h in zip(grid.cells, grid.h))
+    x = bx.T @ ((bx @ rhs @ by.T) / (shift + lam_x[:, None] + lam_y)) @ by
+
+    def residual_of(x):
+        residual = shift * x - laplacian_neumann(grid, x) - rhs
+        if dirichlet:
+            # the ghost value -x puts 2 x / h^2 more on each wall cell
+            for axis, h in enumerate(grid.h):
+                walls, edges = np.swapaxes(residual, 0, axis), np.swapaxes(x, 0, axis)
+                walls[0] += 2.0 * edges[0] / h**2
+                walls[-1] += 2.0 * edges[-1] / h**2
+        return residual
+
+    # the largest row sum of |shift - lap|, an interior cell's
+    linalg.check_direct_solve(x, residual_of, lambda: shift + sum(4.0 / h**2 for h in grid.h), rhs, "line")
+    return x
 
 
 def nutrient_solve(

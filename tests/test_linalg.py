@@ -1,7 +1,9 @@
 import importlib.machinery
 import importlib.util
 import math
+import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,18 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tissuesim import linalg
+from tissuesim.config import parse_config, serialize_config
 from tissuesim.errors import SolverFailure
 from tissuesim.grid import Grid, laplacian_neumann
-from tissuesim.linalg import (
-    cosine_transform,
-    dirichlet_eigenvalues,
-    inverse_cosine_transform,
-    inverse_sine_transform,
-    neumann_eigenvalues,
-    pcg_solve,
-    sine_transform,
-    thomas_solve,
-)
+from tissuesim.linalg import line_basis, pcg_solve, thomas_solve
 
 from reference_ops import dense, is_symmetric, jacobi_pcg, laplacian_dirichlet, tridiag_matvec
 
@@ -88,6 +82,39 @@ class TestThomas:
         expected = np.linalg.solve(dense, rhs)
         assert np.allclose(thomas_solve(lower, diag, upper, rhs), expected, atol=1e-10)
 
+    @staticmethod
+    def stiff_system(n=200, coupling=1e6):
+        """I - coupling lap_N on n unit cells, with a random right side: |A| |x| >> |rhs|."""
+        deg = np.full(n, 2.0)
+        deg[0] = deg[-1] = 1.0
+        off = np.full(n - 1, -coupling)
+        rhs = np.random.default_rng(5).standard_normal(n)
+        return off, 1.0 + coupling * deg, off, rhs
+
+    def test_large_entries_pass_the_backward_error_test(self):
+        # a bound of 1e-12 (|rhs| + |x|) has no |A| term and rejects this
+        # solve, whose residual is a few roundings of |A| |x|
+        lower, diag, upper, rhs = self.stiff_system()
+        x = thomas_solve(lower, diag, upper, rhs)
+        resid = np.max(np.abs(tridiag_matvec(lower, diag, upper, x) - rhs))
+        assert resid > 1e-12 * (np.max(np.abs(rhs)) + np.max(np.abs(x)))
+        a_norm = np.max(np.abs(diag) + np.abs(np.r_[upper, 0.0]) + np.abs(np.r_[0.0, lower]))
+        assert resid <= 1e-14 * a_norm * np.max(np.abs(x))
+
+    def test_perturbed_solution_fails(self, monkeypatch):
+        # a solution off by 1e-8 relative is no backward-stable solve
+        system = self.stiff_system()
+        noise = 1.0 + 1e-8 * np.random.default_rng(6).standard_normal(len(system[1]))
+        real = linalg._dgtsv()
+
+        def perturbed(*args):
+            *bands, x, info = real(*args)
+            return (*bands, x * noise, info)
+
+        monkeypatch.setattr(linalg, "_dgtsv", lambda: perturbed)
+        with pytest.raises(SolverFailure, match="tridiagonal residual"):
+            thomas_solve(*system)
+
     def test_mismatched_lengths_are_value_errors(self):
         # gtsv's band form: off-diagonals of length n - 1, the right side of length n
         lower, diag, upper = identity_tridiag(4)
@@ -102,30 +129,61 @@ def dominant_tridiag(rng, n):
     return rng.uniform(-1, 1, n - 1), 3.0 + rng.uniform(0, 1, n), rng.uniform(-1, 1, n - 1)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+#: the scipy modules and numpy.fft that a probe process has loaded
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.fft'))"
+
+#: growth_1d on 32 x 32 cells with the fraction viscosity: both 2D line solves
+GROWTH_2D_SMALL = {"grid.dim": 2, "grid.cells_x": 32, "grid.cells_y": 32, "grid.extent_y": 1.0,
+                   "initial.center_y": 0.5, "model.eps_reg": 0.01}
+
+
 def run_probe(code):
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = f"import sys; sys.path.insert(0, {str(src)!r}); " + code
+    probe = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); " + code
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     return out.stdout.strip()
 
 
+def short_run_config(tmp_path, overrides):
+    """A growth_1d config file to T = 0.02 with the given overrides."""
+    cfg = parse_config((ROOT / "configs" / "growth_1d.cfg").read_text())
+    path = tmp_path / "short.cfg"
+    path.write_text(serialize_config(cfg.with_overrides(**overrides, **{"time.T_final": 0.02})))
+    return path
+
+
+def run_and_list_modules(tmp_path, overrides):
+    cfg = short_run_config(tmp_path, overrides)
+    out = run_probe(
+        "import tissuesim; from tissuesim import cli; "
+        f"code = cli.main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        f"print(code, {LOADED})"
+    )
+    return out.splitlines()[-1]
+
+
 class TestLapackLoader:
-    def test_import_loads_only_the_lapack_extension(self):
-        # the scipy package import costs more start-up than all of tissuesim
-        out = run_probe(
-            "import tissuesim; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        )
-        assert out == "['scipy.linalg._flapack']"
+    def test_import_loads_no_scipy_or_fft(self):
+        # the scipy package import costs more start-up than all of tissuesim,
+        # and its LAPACK extension maps OpenBLAS and libgfortran
+        assert run_probe(f"import tissuesim; print({LOADED})") == "[]"
+
+    def test_2d_run_loads_no_scipy_or_fft(self, tmp_path):
+        assert run_and_list_modules(tmp_path, GROWTH_2D_SMALL) == "0 []"
+
+    def test_1d_run_loads_only_the_lapack_extension(self, tmp_path):
+        assert run_and_list_modules(tmp_path, {}) == "0 ['scipy.linalg._flapack']"
 
     def test_scipy_linalg_imports_after_tissuesim(self):
         out = run_probe(
-            "import numpy as np; import tissuesim; import scipy.linalg; "
-            "from tissuesim.linalg import dgtsv, thomas_solve; "
+            "import numpy as np; import tissuesim; from tissuesim import linalg; "
             "m = (np.ones(2), np.full(3, 4.0), np.ones(2)); "
-            "rhs = np.array([1.0, 2.0, 3.0]); "
+            "rhs = np.array([1.0, 2.0, 3.0]); x = linalg.thomas_solve(*m, rhs); "
+            "import scipy.linalg; "
             "banded = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]); "
-            "print(dgtsv is scipy.linalg.lapack.dgtsv, "
-            "np.array_equal(scipy.linalg.solve_banded((1, 1), banded, rhs), thomas_solve(*m, rhs)))"
+            "print(linalg._dgtsv() is scipy.linalg.lapack.dgtsv, "
+            "np.array_equal(scipy.linalg.solve_banded((1, 1), banded, rhs), x))"
         )
         assert out == "True True"
 
@@ -161,31 +219,6 @@ def dst2_matrix(n):
     return out
 
 
-class TestSineTransform:
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
-    def test_matches_dense_orthonormal_dst2(self, n):
-        s = dst2_matrix(n)
-        assert np.allclose(s @ s.T, np.eye(n), atol=1e-14)
-        v = np.random.default_rng(n).standard_normal((4, n))
-        assert np.allclose(sine_transform(v), v @ s.T, atol=1e-13)
-        assert np.allclose(inverse_sine_transform(v), v @ s, atol=1e-13)
-
-    def test_round_trip_along_last_axis(self):
-        v = np.random.default_rng(7).standard_normal((5, 11))
-        assert np.allclose(inverse_sine_transform(sine_transform(v)), v, atol=1e-14)
-
-    def test_diagonalizes_dirichlet_laplacian(self):
-        # -lap_D of mode k along one axis is 4/h^2 sin^2(pi k / 2n) times the mode
-        n, h = 9, 0.3
-        g = Grid(dim=1, extents=(n * h,), cells=(n,))
-        modes = dst2_matrix(n)
-        lam = dirichlet_eigenvalues(n, h)
-        assert np.allclose(lam, 4.0 / h**2 * np.sin(np.pi * np.arange(1, n + 1) / (2 * n)) ** 2)
-        for k in range(1, n + 1):
-            applied = -laplacian_dirichlet(g, modes[k - 1], 0.0)
-            assert np.allclose(applied, lam[k - 1] * modes[k - 1], atol=1e-12)
-
-
 def dct2_matrix(n):
     """Dense orthonormal DCT-II: row k is mode k = 0..n-1."""
     k = np.arange(n)[:, None]
@@ -195,32 +228,83 @@ def dct2_matrix(n):
     return out
 
 
-class TestCosineTransform:
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
-    def test_matches_dense_orthonormal_dct2(self, n):
-        s = dct2_matrix(n)
-        assert np.allclose(s @ s.T, np.eye(n), atol=1e-14)
-        v = np.random.default_rng(n).standard_normal((4, n))
-        assert np.allclose(cosine_transform(v), v @ s.T, atol=1e-13)
-        assert np.allclose(inverse_cosine_transform(v), v @ s, atol=1e-13)
+def check_basis(n, dirichlet, dense_matrix):
+    basis, _ = line_basis(n, 0.3, dirichlet)
+    assert np.allclose(basis, dense_matrix(n), rtol=0.0, atol=1e-14)
+    assert np.allclose(basis @ basis.T, np.eye(n), rtol=0.0, atol=1e-14)
+
+
+def check_round_trip(dirichlet):
+    # the basis along the last axis, then its transpose back
+    basis, _ = line_basis(11, 0.3, dirichlet)
+    v = np.random.default_rng(7).standard_normal((5, 11))
+    assert np.allclose((v @ basis.T) @ basis, v, rtol=0.0, atol=1e-14)
+
+
+def check_diagonalizes(n, dirichlet, dense_matrix, minus_laplacian):
+    # -lap of mode k along one axis is 4/h^2 sin^2(pi k / 2n) times the mode
+    h = 0.3
+    g = Grid(dim=1, extents=(n * h,), cells=(n,))
+    modes, lam = line_basis(n, h, dirichlet)
+    k = np.arange(1, n + 1) if dirichlet else np.arange(n)
+    assert np.allclose(lam, 4.0 / h**2 * np.sin(np.pi * k / (2 * n)) ** 2, rtol=1e-14, atol=0.0)
+    applied = np.array([minus_laplacian(g, mode) for mode in dense_matrix(n)])
+    assert np.allclose(applied, lam[:, None] * modes, rtol=0.0, atol=1e-12 * lam.max())
+
+
+class TestSineTransform:
+    """``line_basis`` with Dirichlet walls: the orthonormal DST-II."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 128])
+    def test_matches_dense_orthonormal_dst2(self, n):
+        check_basis(n, True, dst2_matrix)
 
     def test_round_trip_along_last_axis(self):
-        v = np.random.default_rng(7).standard_normal((5, 11))
-        assert np.allclose(inverse_cosine_transform(cosine_transform(v)), v, atol=1e-14)
+        check_round_trip(True)
 
-    @pytest.mark.parametrize("n", [8, 9])
+    def test_diagonalizes_dirichlet_laplacian(self):
+        for n in (3, 7, 9, 128):
+            check_diagonalizes(n, True, dst2_matrix, lambda g, v: -laplacian_dirichlet(g, v, 0.0))
+
+
+class TestCosineTransform:
+    """``line_basis`` with no-flux walls: the orthonormal DCT-II."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 128])
+    def test_matches_dense_orthonormal_dct2(self, n):
+        check_basis(n, False, dct2_matrix)
+
+    def test_round_trip_along_last_axis(self):
+        check_round_trip(False)
+
+    @pytest.mark.parametrize("n", [3, 7, 8, 9, 128])
     def test_diagonalizes_neumann_laplacian(self, n):
-        # -lap_N of mode k along one axis is 4/h^2 sin^2(pi k / 2n) times the
-        # mode; the constant mode k = 0 has eigenvalue 0
-        h = 0.3
-        g = Grid(dim=1, extents=(n * h,), cells=(n,))
-        modes = dct2_matrix(n)
-        lam = neumann_eigenvalues(n, h)
-        assert np.allclose(lam, 4.0 / h**2 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2)
-        assert lam[0] == 0.0
-        for k in range(n):
-            applied = -laplacian_neumann(g, modes[k])
-            assert np.allclose(applied, lam[k] * modes[k], atol=1e-12)
+        # the constant mode k = 0 has eigenvalue 0
+        check_diagonalizes(n, False, dct2_matrix, lambda g, v: -laplacian_neumann(g, v))
+        assert line_basis(n, 0.3, False)[1][0] == 0.0
+
+
+def test_line_basis_is_cached_and_read_only():
+    basis, lam = line_basis(9, 0.3, True)
+    assert line_basis(9, 0.3, True)[0] is basis
+    with pytest.raises(ValueError):
+        basis[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        lam[0] = 1.0
+
+
+def test_2d_run_is_bit_identical_across_blas_threads(tmp_path):
+    # the 2D line solves go through BLAS matrix products
+    cfg = short_run_config(tmp_path, GROWTH_2D_SMALL)
+    out = tmp_path / "out"
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(ROOT / "src")}
+        subprocess.run([sys.executable, "-m", "tissuesim", "run", "--config", str(cfg), "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        shutil.rmtree(out)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def helmholtz_op(grid, shift):

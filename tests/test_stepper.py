@@ -821,6 +821,39 @@ class TestImplicitViscosity:
             assert spy.call_count == 1
 
 
+class TestLineSolve:
+    """The 2D ``_line_solve``: a division in the product sine or cosine basis."""
+
+    GRID = Grid(dim=2, extents=(1.2, 0.5), cells=(6, 5))  # h_x = 0.2, h_y = 0.1
+
+    @pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "no-flux"])
+    def test_matches_dense_solve(self, dirichlet):
+        grid, shift = self.GRID, 3.0
+        lap = (lambda v: laplacian_dirichlet(grid, v, 0.0)) if dirichlet else (
+            lambda v: laplacian_neumann(grid, v))
+        cols = [lap(e.reshape(grid.shape)).ravel() for e in np.eye(grid.num_cells)]
+        matrix = shift * np.eye(grid.num_cells) - np.column_stack(cols)
+        rhs = np.random.default_rng(4).standard_normal(grid.shape)
+        expected = np.linalg.solve(matrix, rhs.ravel()).reshape(grid.shape)
+        x = stepper._line_solve(grid, shift, rhs, dirichlet)
+        assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_large_entries_pass_the_backward_error_test(self):
+        # no-flux walls at a small shift: x carries the mean of rhs / shift,
+        # and the residual, a few roundings of |A| |x|, exceeds 1e-12 (|rhs| + |x|)
+        grid = Grid(dim=2, extents=(1.0, 0.7), cells=(32, 35))
+        rhs = np.random.default_rng(3).standard_normal(grid.shape)
+        x = stepper._line_solve(grid, 1e-3, rhs, False)
+        resid = np.max(np.abs(1e-3 * x - laplacian_neumann(grid, x) - rhs))
+        assert resid > 1e-12 * (np.max(np.abs(rhs)) + np.max(np.abs(x)))
+
+    def test_nan_on_the_right_side_raises(self):
+        rhs = np.ones(self.GRID.shape)
+        rhs[2, 3] = np.nan
+        with pytest.raises(SolverFailure, match="non-finite"):
+            stepper._line_solve(self.GRID, 3.0, rhs, True)
+
+
 class TestNutrientSolve:
     def test_boundary_steady_state(self):
         grid = small_grid(8)

@@ -95,6 +95,9 @@ CASES = (
     ("sweep_stiff", "sweep", "sweep.cfg", {"sweep.gammas": "5,10,20,40,80,160,320,640"}),
     ("eps_study", "eps-study", "eps_study.cfg", {}),
     ("eps_study_2d", "eps-study", "eps_study.cfg", EPS_STUDY_2D),
+    # 400 cells at eps = 2, 1, 0.5: density Newton systems whose |A| |x| far
+    # exceeds their right side, the test case of the direct-solve residual bound
+    ("eps_study_fine", "eps-study", "eps_study.cfg", {"grid.cells_x": "400", "eps.values": "2,1,0.5"}),
     ("bench", "bench", "barenblatt.cfg", {}),
     ("growth_2d", "run", "growth_1d.cfg", GROWTH_2D),
     ("stiff_2d", "run", "growth_1d.cfg", STIFF_2D),
