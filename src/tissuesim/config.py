@@ -12,8 +12,9 @@ Every number must be finite: ``inf``, ``nan`` and values such as ``1e400``
 that overflow are rejected.  The schema is the only check on a run's input;
 the model layer relies on it for the structural hypotheses on the rates
 (K1, K2 >= 0, psi nondecreasing with psi(0) = 0), and the campaigns for
-their lists (``sweep.gammas``, ``eps.values``, ``bench.grids``); they keep
-only the checks that depend on the subcommand or on ``sweep.tau = 0``.
+their lists (``sweep.gammas``, ``eps.values``, ``bench.grids``) and the
+sweep's window start (``sweep.tau`` is 0 or below ``time.T_final``); they
+keep only the checks that depend on the subcommand or on ``T_final = 0``.
 
 ``parse_config(serialize_config(cfg))`` is the identity on valid configs.
 The config hash stamped on every output file is the first 12 hex digits of
@@ -219,6 +220,9 @@ def _cross_validate(cfg: RunConfig) -> list[str]:
         problems.append("initial.c0: the self-similar benchmark profile requires c0 = 0")
     if cfg["model.eps_reg"] == 0.0 and cfg["initial.lift"] == "eps":
         problems.append("initial.lift: eps lift needs model.eps_reg > 0")
+    T, tau = cfg["time.T_final"], cfg["sweep.tau"]
+    if tau != 0.0 and not tau < T:  # 0 means 0.1 T_final
+        problems.append(f"sweep.tau: must lie in (0, T_final) = (0, {T}), got {tau}")
     return problems
 
 

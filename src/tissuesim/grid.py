@@ -120,9 +120,3 @@ def laplacian_neumann(grid: Grid, v: np.ndarray) -> np.ndarray:
         out[hi] -= q
     return out
 
-
-def upwind_face_values(
-    left: np.ndarray, right: np.ndarray, velocity: np.ndarray
-) -> np.ndarray:
-    """Upwind value per face; a zero-velocity tie takes the arithmetic mean."""
-    return np.where(velocity > 0.0, left, np.where(velocity < 0.0, right, 0.5 * (left + right)))

@@ -13,8 +13,9 @@ medium solvers).
 
 Every campaign (``gamma_sweep``, ``eps_study``, ``barenblatt_benchmark``)
 takes the ``RunConfig`` and reads its own keys (``sweep.*``, ``eps.values``,
-``bench.grids``), whose lists the schema has checked; its own checks (the
-sweep's tau, the benchmark's data) raise ``ConfigError`` before any run.
+``bench.grids``), whose lists and ``sweep.tau`` the schema has checked;
+its own checks (a sweep at T_final = 0, whose automatic tau is 0, and the
+benchmark's data) raise ``ConfigError`` before any run.
 Each entry or row holds its ``RunResult``, whose ``failure_text`` says why
 it stopped; only the eps = 0 reference of the eps study aborts its campaign.
 """
@@ -416,7 +417,7 @@ def gamma_sweep(cfg: RunConfig) -> SweepReport:
     gammas = cfg["sweep.gammas"]
     T = cfg["time.T_final"]
     tau = cfg["sweep.tau"] or 0.1 * T
-    if not (0.0 < tau < T):
+    if not tau > 0.0:  # the schema keeps a given tau below T_final; 0.1 T is 0 at T = 0
         raise ConfigError([f"sweep.tau: must lie in (0, T_final) = (0, {T}), got {tau}"])
 
     delta = cfg["sweep.delta"]

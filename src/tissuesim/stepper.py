@@ -11,7 +11,8 @@ One step advances, in order:
      checkerboard, with the red cells back-substituted, to a tolerance
      sized to the Newton residual;
   2. autophagic fraction c = n2/n: explicit upwind advection by the Darcy
-     velocity u = -grad(n^gamma) plus explicit reaction
+     velocity u = -grad(n^gamma), in advective form (each face's inflow
+     times the jump from its upstream cell), plus explicit reaction
      K1(d)(1-c) - K2(d)c - D c(1-c), whose right side points into [0, 1];
      with viscosity, backward Euler on eps*lap(c) after that explicit part;
   3. nutrient d: semi-implicit solve of b dd/dt - lap(d) = -psi(d_old) n + a c n
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import linalg
 from .errors import SolverFailure
-from .grid import Grid, divergence, face_gradient, laplacian_neumann, upwind_face_values
+from .grid import Grid, face_gradient, laplacian_neumann
 from .model import DerivedConstants, ModelParams, cutoff
 
 #: Jacobian degeneracy floor: diffusion derivative is evaluated at max(n, this)
@@ -554,12 +555,6 @@ def _fraction_budget(
     return budget
 
 
-def _enforce_budget(budget: np.ndarray) -> None:
-    worst = float(np.max(budget))
-    if not worst <= 1.0 + CFL_SLACK:  # a NaN budget fails too
-        raise SolverFailure(f"fraction update monotonicity budget {worst:.3f} exceeds 1")
-
-
 def fraction_update(
     state: State,
     n_new: np.ndarray,
@@ -569,10 +564,12 @@ def fraction_update(
     """Explicit upwind advection and reaction of the fraction, then implicit viscosity.
 
     The explicit part c* = c + dt (-adv + reaction) advects by the face
-    velocities of ``_face_velocities``, the viscous drift included.  Its
-    per-cell monotonicity budget (advective Courant numbers plus dt times
-    the reaction rates, see ``_fraction_budget``) must stay at or below
-    one; that is the condition under which c* is a convex combination and
+    velocities u of ``_face_velocities``, the viscous drift included: with
+    J = (c_hi - c_lo) / h, a face adds max(u, 0) J to its hi cell and
+    min(u, 0) J to its lo cell, its inflow times the jump from upstream.  The
+    per-cell monotonicity budget (those inflows over h plus the reaction
+    rates, times dt; see ``_fraction_budget``) must stay at or below one;
+    that is the condition under which c* is a convex combination and
     the reaction keeps it inside [0, 1].  A violated budget raises
     SolverFailure so the caller can halve dt.  With eps > 0 the result
     solves (I - dt eps lap_N) c_new = c*: that matrix is an M-matrix with
@@ -583,14 +580,17 @@ def fraction_update(
     grid = state.grid
     c = state.c
     u = _face_velocities(grid, n_new, params.gamma, params.eps_reg)
-
-    # advective form via flux differencing: div(u c_up) - c div(u)
-    up_c = tuple(upwind_face_values(c[lo], c[hi], ui) for ui, (lo, hi) in zip(u, grid.sides))
-    adv = divergence(grid, tuple(ui * ci for ui, ci in zip(u, up_c))) - c * divergence(grid, u)
-
     k1, k2, rate_sum = _fraction_rates(state, params)
+    worst = float(np.max(_fraction_budget(grid, dt, rate_sum, u)))
+    if not worst <= 1.0 + CFL_SLACK:  # a NaN budget fails too
+        raise SolverFailure(f"fraction update monotonicity budget {worst:.3f} exceeds 1")
+
+    adv = np.zeros(grid.shape)
+    for ui, (lo, hi), h in zip(u, grid.sides, grid.h):
+        jump = c[hi] - c[lo]
+        adv[hi] += np.maximum(ui, 0.0) * jump / h
+        adv[lo] += np.minimum(ui, 0.0) * jump / h
     reaction = k1 * (1.0 - c) - k2 * c - params.D * c * (1.0 - c)
-    _enforce_budget(_fraction_budget(grid, dt, rate_sum, u))
 
     c_star = c + dt * (-adv + reaction)
     if not params.eps_reg > 0.0:
@@ -688,8 +688,7 @@ def suggest_dt(
     u = _face_velocities(state.grid, state.n, params.gamma, 0.0)
     speed = 0.0
     for ui in u:
-        if ui.size:
-            speed = max(speed, float(np.max(np.abs(ui))))
+        speed = max(speed, float(np.max(np.abs(ui))))
     if not math.isfinite(speed):
         raise SolverFailure("non-finite transport velocity")
     h_min = min(state.grid.h)

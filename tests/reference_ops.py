@@ -64,6 +64,35 @@ def upwind_face_value(grid, c, velocity_at_face, face, axis=0):
     return float(0.5 * (left + right))
 
 
+def explicit_fraction(grid, n, c, k1, k2, D, dt, gamma):
+    """The explicit part of the fraction update, one cell of a 2D grid at a time.
+
+    The velocity of a face is -(p_hi - p_lo) / h with p = (n+)^gamma.  Each
+    of a cell's faces adds |u| (c_cell - c_up) / h to its advection, c_up
+    the face's upwind value, so the term vanishes on the face's upstream
+    cell.
+    """
+    nx, ny = grid.shape
+    p = [[max(float(n[i, j]), 0.0) ** gamma for j in range(ny)] for i in range(nx)]
+    out = np.empty(grid.shape)
+    for i in range(nx):
+        for j in range(ny):
+            faces = []  # (velocity, face index, axis, width) of each interior face of the cell
+            for axis, (lo, hi), h in ((0, ((i - 1, j), (i, j)), grid.h[0]),
+                                      (0, ((i, j), (i + 1, j)), grid.h[0]),
+                                      (1, ((i, j - 1), (i, j)), grid.h[1]),
+                                      (1, ((i, j), (i, j + 1)), grid.h[1])):
+                if min(lo) >= 0 and hi[0] < nx and hi[1] < ny:
+                    faces.append((-(p[hi[0]][hi[1]] - p[lo[0]][lo[1]]) / h, lo, axis, h))
+            ci = float(c[i, j])
+            adv = 0.0
+            for velocity, face, axis, h in faces:
+                adv += abs(velocity) * (ci - upwind_face_value(grid, c, velocity, face, axis)) / h
+            reaction = k1[i, j] * (1.0 - ci) - k2[i, j] * ci - D * ci * (1.0 - ci)
+            out[i, j] = ci + dt * (-adv + reaction)
+    return out
+
+
 def is_symmetric(matvec, size, rel_tol=1e-10, probes=3):
     """Probe <Ax, y> == <x, Ay> for the matvec A on vectors of ``size`` with
     a fixed-seed random pair."""

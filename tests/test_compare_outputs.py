@@ -17,12 +17,38 @@ def test_largest_relative_difference_over_numeric_fields():
     tool = load_tool()
     parent = b"# time = 1.0e-01\n# config = abc\nx,n\n5.0e-01,2.0e+00\n1.0e+00,nan\n"
     change = b"# time = 1.0e-01\n# config = abc\nx,n\n5.0e-01,2.000002e+00\n1.0e+00,nan\n"
-    assert tool.max_relative_difference(parent, change) == "max relative difference 1.000e-06"
-    # the preamble's values count too; two NaNs agree, a NaN against a number does not
+    assert tool.max_relative_difference(parent, change) == (
+        "max relative difference 1.000e-06 in column n"
+    )
+    # the preamble's values count too, named by their key; two NaNs agree,
+    # a NaN against a number does not
     moved = parent.replace(b"time = 1.0e-01", b"time = 2.0e-01")
-    assert tool.max_relative_difference(parent, moved) == "max relative difference 5.000e-01"
-    assert tool.max_relative_difference(parent, parent.replace(b"nan", b"1.0")).endswith(" inf")
+    assert tool.max_relative_difference(parent, moved) == (
+        "max relative difference 5.000e-01 in column time"
+    )
+    assert tool.max_relative_difference(parent, parent.replace(b"nan", b"1.0")) == (
+        "max relative difference inf in column n"
+    )
     assert tool.max_relative_difference(parent, parent + b"0,0\n") == "line counts differ (5 vs 6)"
     assert tool.max_relative_difference(parent, parent.replace(b"x,n", b"x,n,c")) == (
         "field counts differ"
     )
+
+
+def test_largest_difference_names_its_column():
+    tool = load_tool()
+    parent = b"# config = abc\nt,mass,energy\n0.0,1.0,2.0\n0.1,1.0,4.0\n"
+    # mass moves by 1e-9 relative in row 1 and energy by 2.5e-7 in row 2: the
+    # larger move names the column, whatever comes first
+    change = b"# config = abc\nt,mass,energy\n0.0,1.000000001,2.0\n0.1,1.0,4.000001\n"
+    assert tool.max_relative_difference(parent, change) == (
+        "max relative difference 2.500e-07 in column energy"
+    )
+    # every field of a preamble value counts, named by the line's key
+    listed = parent.replace(b"# config = abc", b"# gammas = 5.0,10.0")
+    assert tool.max_relative_difference(listed, listed.replace(b"10.0", b"12.5")) == (
+        "max relative difference 2.000e-01 in column gammas"
+    )
+    # a text field that differs moves nothing and names no column
+    relabelled = parent.replace(b"config = abc", b"config = abd")
+    assert tool.max_relative_difference(parent, relabelled) == "max relative difference 0.000e+00"

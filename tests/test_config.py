@@ -110,6 +110,19 @@ class TestParse:
             default_config().with_overrides(model__gamma=math.inf)
         assert err.value.errors == ["model.gamma: must be a finite number, got 'inf'"]
 
+    def test_tau_must_be_inside_horizon(self):
+        # sweep.tau = 0 means 0.1 T_final; any other tau must lie below T_final
+        rule = "sweep.tau: must lie in (0, T_final) = (0, 0.2), got {}"
+        for tau in (0.5, 0.2):
+            with pytest.raises(ConfigError) as err:
+                parse_config(f"time.T_final = 0.2\nsweep.tau = {tau}\n")
+            assert err.value.errors == [rule.format(tau)]
+            with pytest.raises(ConfigError) as err:
+                parse_config("time.T_final = 0.2\n").with_overrides(sweep__tau=tau)
+            assert err.value.errors == [rule.format(tau)]
+        for tau in (0.0, 0.19):
+            assert parse_config(f"time.T_final = 0.2\nsweep.tau = {tau}\n")["sweep.tau"] == tau
+
     def test_list_values(self):
         cfg = parse_config("sweep.gammas = 5, 10, 20\nbench.grids = 50,100\n")
         assert cfg["sweep.gammas"] == (5.0, 10.0, 20.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tissuesim.grid import Grid, divergence, face_gradient, laplacian_neumann, upwind_face_values
+from tissuesim.grid import Grid, divergence, face_gradient, laplacian_neumann
 
 from reference_ops import integrate, laplacian_dirichlet, upwind_face_value
 
@@ -177,19 +177,3 @@ class TestUpwind:
         c = np.array([0.2, 0.2, 0.4, 0.8])
         assert upwind_face_value(g, c, 0.0, 1) == pytest.approx(0.3)
 
-    @given(
-        st.floats(-1e3, 1e3, allow_nan=False),
-        st.floats(0, 1),
-        st.floats(0, 1),
-    )
-    @settings(max_examples=100)
-    def test_vectorized_matches_scalar(self, u, a, b):
-        left = np.array([a])
-        right = np.array([b])
-        out = upwind_face_values(left, right, np.array([u]))[0]
-        if u > 0:
-            assert out == a
-        elif u < 0:
-            assert out == b
-        else:
-            assert out == pytest.approx(0.5 * (a + b))

@@ -185,11 +185,12 @@ class TestSweep:
         with pytest.raises(ConfigError, match=self.GAMMAS_RULE):
             parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(10.0, 5.0))
 
-    def test_tau_must_be_inside_horizon(self, no_run):
-        for tau in (0.5, 0.2):   # T_final = 0.2
-            cfg = parse_config(BUMP_TEXT).with_overrides(sweep__gammas=(5.0, 10.0), sweep__tau=tau)
-            with pytest.raises(ConfigError, match=r"sweep.tau: must lie in \(0, T_final\)"):
-                gamma_sweep(cfg)
+    def test_zero_horizon_is_rejected_before_any_run(self, no_run):
+        # the schema keeps a given tau below T_final; at T_final = 0 the
+        # automatic tau 0.1 T_final is 0, which only the sweep can reject
+        cfg = parse_config(BUMP_TEXT.replace("time.T_final = 0.2", "time.T_final = 0.0"))
+        with pytest.raises(ConfigError, match=r"sweep.tau: must lie in \(0, T_final\)"):
+            gamma_sweep(cfg)
 
     def test_rejects_gamma_below_one(self):
         with pytest.raises(ConfigError, match=self.GAMMAS_RULE):
@@ -207,9 +208,9 @@ class TestSweep:
         for delta in (0.05, 0.4):
             base = shipped.with_overrides(
                 initial__height=1.5, time__T_final=0.01, time__snapshot_stride=1,
-                sweep__delta=delta,
+                sweep__delta=delta, sweep__tau=0.001,
             )
-            report = gamma_sweep(base.with_overrides(sweep__gammas=(1.0, 2.0), sweep__tau=0.001))
+            report = gamma_sweep(base.with_overrides(sweep__gammas=(1.0, 2.0)))
             assert report.delta == delta
             for entry in report.entries:
                 states = []

@@ -44,6 +44,7 @@ from tissuesim.stepper import (
 )
 
 from reference_ops import (
+    explicit_fraction,
     integrate,
     jacobi_pcg,
     laplacian_dirichlet,
@@ -53,6 +54,7 @@ from reference_ops import (
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 EPS_STUDY_CONFIG = CONFIGS / "eps_study.cfg"
+GROWTH_CONFIG = CONFIGS / "growth_1d.cfg"
 
 
 def rates(g=("constant", 0.0), k1=("constant", 0.0), k2=("constant", 0.0),
@@ -728,6 +730,49 @@ class TestFractionUpdate:
         assert c_new.min() >= -1e-12
         assert c_new.max() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("c0", [0.2, 0.7])
+    @pytest.mark.parametrize("cells", [
+        {"grid.cells_x": 200},
+        {"grid.dim": 2, "grid.cells_x": 64, "grid.cells_y": 48, "grid.extent_y": 1.0},
+    ], ids=["200", "64x48"])
+    def test_uniform_fraction_is_a_fixed_point_of_the_transport(self, c0, cells):
+        # the lifted growth_1d bump moves the fraction at a nonzero velocity;
+        # a uniform c has no jump at any face, so the update is bit for bit
+        # the reaction-only one of a uniform density, which has no velocity
+        cfg = parse_config(GROWTH_CONFIG.read_text()).with_overrides(**cells, **{"initial.c0": c0})
+        grid, params = build_grid(cfg), make_params(cfg)
+        n, c, d = initial_fields(cfg, grid, params)
+        s = State(t=0.0, grid=grid, n=n + 1.0 / params.gamma, c=c, d=d, gamma=params.gamma)
+        u = stepper._face_velocities(grid, s.n, params.gamma, 0.0)
+        assert min(float(np.max(np.abs(ui))) for ui in u) > 1.0
+        dt = suggest_dt(s, params, derive_constants(params, d), 0.5)
+        still = fraction_update(s, np.full(grid.shape, 0.5), dt, params)
+        assert np.all(still != c0)  # the reaction acts
+        assert fraction_update(s, s.n, dt, params).tobytes() == still.tobytes()
+
+    @pytest.mark.parametrize("grid", [
+        Grid(dim=2, extents=(1.4, 0.5), cells=(7, 5)),
+        Grid(dim=2, extents=(3.0, 1.125), cells=(12, 9)),
+    ], ids=["7x5", "12x9"])
+    def test_2d_explicit_part_matches_a_per_cell_loop(self, grid):
+        # h_x is twice h_y, so an axis that took the other's width would
+        # show; the density peaks inside, so each axis has faces of both signs
+        params = ModelParams(rates=rates(k1=("linear", 0.5), k2=("constant", 0.5)),
+                             D=1.0, gamma=3.0, d_b=1.0)
+        rng = np.random.default_rng(11)
+        x, y = grid.coordinate_fields()
+        n = 1.2 - 0.2 * (x - 0.4 * grid.extents[0]) ** 2 - (y - 0.6 * grid.extents[1]) ** 2
+        n += rng.uniform(0.0, 0.01, grid.shape)
+        c = rng.uniform(0.0, 1.0, grid.shape)
+        d = rng.uniform(0.0, 1.0, grid.shape)
+        s = State(t=0.0, grid=grid, n=n, c=c, d=d, gamma=params.gamma)
+        u = stepper._face_velocities(grid, n, params.gamma, 0.0)
+        assert all(np.any(ui > 0.0) and np.any(ui < 0.0) for ui in u)
+        k1, k2, rate_sum = stepper._fraction_rates(s, params)
+        dt = 0.9 / float(np.max(stepper._fraction_budget(grid, 1.0, rate_sum, u)))
+        expected = explicit_fraction(grid, n, c, k1, k2, params.D, dt, params.gamma)
+        np.testing.assert_allclose(fraction_update(s, n, dt, params), expected, rtol=0.0, atol=1e-15)
+
     @given(
         c_vals=arrays(float, 16, elements=st.floats(0.0, 1.0)),
         n_vals=arrays(float, 16, elements=st.floats(0.0, 1.5)),
@@ -1219,7 +1264,8 @@ class TestDtController:
         dt = suggest_dt(state, params, consts, settings.safety)
         u = stepper._face_velocities(state.grid, state.n, params.gamma, params.eps_reg)
         rate_sum = stepper._fraction_rates(state, params)[2]
-        stepper._enforce_budget(stepper._fraction_budget(state.grid, dt, rate_sum, u))
+        budget = stepper._fraction_budget(state.grid, dt, rate_sum, u)
+        assert float(np.max(budget)) <= 1.0 + stepper.CFL_SLACK
 
     def test_step_takes_the_suggested_dt(self, case):
         state, params, consts, settings = case

@@ -13,9 +13,10 @@ match.  The script lists every CSV whose bytes differ (or that only one side
 wrote) and every case whose exit codes differ, and exits 1 if there is any;
 it exits 0 when all CSVs are byte-identical.  For a CSV whose bytes differ
 it also prints the largest relative difference |a - b| / max(|a|, |b|) over
-the numeric fields at the same place in both files, so a change that moves
-values within a tolerance can quote how far they moved.  It needs only the
-standard library and the packages tissuesim itself imports.
+the numeric fields at the same place in both files, and the column it is
+in, so a change that moves values within a tolerance can quote how far they
+moved and where.  It needs only the standard library and the packages
+tissuesim itself imports.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ CASES = (
     ("check_sweep_gammas_decreasing", "check", "sweep.cfg", {"sweep.gammas": "10,5"}),
     # a misspelled key, the only input that makes the parser load difflib
     ("check_unknown_key", "check", "sweep.cfg", {"time.T_fianl": "0.5"}),
+    # a sweep window that starts past the horizon, which the schema rejects
+    ("check_sweep_tau_past_horizon", "check", "sweep.cfg", {"sweep.tau": "5"}),
 )
 
 
@@ -169,33 +172,46 @@ def _fields(line: str) -> list[str]:
 
 
 def max_relative_difference(a: bytes, b: bytes) -> str:
-    """The largest relative difference over the numeric fields of two CSVs, as text.
+    """The largest relative difference over the numeric fields of two CSVs, and its column, as text.
 
     Fields pair up by line and column; ``# key = value`` preamble lines
     compare their values.  Two NaNs agree; a field that is a number on one
     side only, a NaN against a number, or unequal infinities count as inf.
-    Files whose line or field counts differ cannot be paired field by field.
+    The column is the header's name of the field, or the key of a preamble
+    line; the first field to reach the largest difference names it.  Files
+    whose line or field counts differ cannot be paired field by field.
     """
     lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
     if len(lines_a) != len(lines_b):
         return f"line counts differ ({len(lines_a)} vs {len(lines_b)})"
-    worst = 0.0
+    worst, where = 0.0, None
+    header = None  # the first line that is not a preamble line names the columns
     for line_a, line_b in zip(lines_a, lines_b):
         fields_a, fields_b = _fields(line_a), _fields(line_b)
         if len(fields_a) != len(fields_b):
             return "field counts differ"
-        for text_a, text_b in zip(fields_a, fields_b):
+        if line_a.startswith("#"):
+            names = [line_a[1:].split("=", 1)[0].strip()] * len(fields_a)
+        elif header is None:
+            header = names = fields_a
+        else:
+            names = header
+        for name, text_a, text_b in zip(names, fields_a, fields_b):
             if text_a == text_b:
                 continue
             x, y = _number(text_a), _number(text_b)
             if x is None and y is None:
                 continue
             if x is None or y is None or math.isnan(x) != math.isnan(y):
-                worst = math.inf
+                moved = math.inf
             elif x != y:
                 scale = max(abs(x), abs(y))
-                worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
-    return f"max relative difference {worst:.3e}"
+                moved = abs(x - y) / scale if math.isfinite(scale) else math.inf
+            else:
+                continue
+            if moved > worst:
+                worst, where = moved, name
+    return f"max relative difference {worst:.3e}" + (f" in column {where}" if where else "")
 
 
 def main(argv: list[str]) -> int:
