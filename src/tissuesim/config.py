@@ -5,9 +5,11 @@ The config grammar is line based::
     # comment
     section.key = value
 
-Every key is validated against the schema below; unknown keys are hard
-errors (with a closest-match suggestion), and all problems are reported
-together with their line numbers rather than stopping at the first one.
+One builder serves a text and ``RunConfig.with_overrides``: every key is
+validated against the schema below, then the cross-key rules run, and all
+problems are reported together (from a text, with line numbers; an unknown
+key gets a closest-match suggestion).  A cross-key rule runs only when
+every key it reads parsed, so it never cites a default for a failed value.
 Every number must be finite: ``inf``, ``nan`` and values such as ``1e400``
 that overflow are rejected.  The schema is the only check on a run's input;
 the model layer relies on it for the structural hypotheses on the rates
@@ -149,24 +151,8 @@ class RunConfig:
         Write a dotted key with ``__`` for the dot (``model__gamma=7``) or
         unpack a dict (``**{"model.gamma": 7}``).
         """
-        updates = {k.replace("__", "."): v for k, v in dotted.items()}
-        table = dict(self.values)
-        errors = []
-        for name, raw in updates.items():
-            if name not in _BY_NAME:
-                errors.append(f"unknown key '{name}'")
-                continue
-            key = _BY_NAME[name]
-            val, err = _coerce(key, raw if isinstance(raw, str) else _render(key, raw))
-            if err:
-                errors.append(f"{name}: {err}")
-            else:
-                table[name] = val
-        cfg = RunConfig(values=tuple((k.name, table[k.name]) for k in _SCHEMA))
-        errors = errors or _cross_validate(cfg)  # cross-checks only on valid keys
-        if errors:
-            raise ConfigError(errors)
-        return cfg
+        entries = (("", name.replace("__", "."), raw) for name, raw in dotted.items())
+        return _build(dict(self.values), entries, [])
 
 
 def _coerce(key: _Key, text: str):
@@ -205,61 +191,78 @@ def _render(key: _Key, value) -> str:
     return str(value)
 
 
-def _cross_validate(cfg: RunConfig) -> list[str]:
-    """Checks spanning several keys (rate-table consistency mostly)."""
+# (keys read, when the rule fails, its message formatted with their values)
+_RULES = (
+    (("model.a", "model.psi_preset", "model.psi_alpha"),
+     lambda a, psi, alpha: psi == "saturating" and alpha <= a,
+     "model.psi_alpha: a saturating consumption rate never reaches the supply rate "
+     "a = {0!r} unless psi_alpha > a; no critical concentration exists"),
+    (("initial.profile", "initial.c0"), lambda profile, c0: profile == "barenblatt" and c0 != 0.0,
+     "initial.c0: the self-similar benchmark profile requires c0 = 0"),
+    (("model.eps_reg", "initial.lift"), lambda eps, lift: eps == 0.0 and lift == "eps",
+     "initial.lift: eps lift needs model.eps_reg > 0"),
+    (("time.T_final", "sweep.tau"),
+     lambda T, tau: tau != 0.0 and not tau < T,  # tau = 0 means 0.1 T_final
+     "sweep.tau: must lie in (0, T_final) = (0, {0}), got {1}"),
+)
+
+
+def _cross_validate(table: dict, failed: set) -> list[str]:
+    """The message of each cross-key rule that fails, of the rules that read no failed key."""
     problems = []
-    a = cfg["model.a"]
-    psi_preset = cfg["model.psi_preset"]
-    psi_alpha = cfg["model.psi_alpha"]
-    if psi_preset == "saturating" and psi_alpha <= a:
-        problems.append(
-            "model.psi_alpha: a saturating consumption rate never reaches the supply "
-            f"rate a = {a!r} unless psi_alpha > a; no critical concentration exists"
-        )
-    if cfg["initial.profile"] == "barenblatt" and cfg["initial.c0"] != 0.0:
-        problems.append("initial.c0: the self-similar benchmark profile requires c0 = 0")
-    if cfg["model.eps_reg"] == 0.0 and cfg["initial.lift"] == "eps":
-        problems.append("initial.lift: eps lift needs model.eps_reg > 0")
-    T, tau = cfg["time.T_final"], cfg["sweep.tau"]
-    if tau != 0.0 and not tau < T:  # 0 means 0.1 T_final
-        problems.append(f"sweep.tau: must lie in (0, T_final) = (0, {T}), got {tau}")
+    for names, fails, message in _RULES:
+        values = [table[name] for name in names]
+        if failed.isdisjoint(names) and fails(*values):
+            problems.append(message.format(*values))
     return problems
+
+
+def _build(table: dict, entries, errors: list[str]) -> RunConfig:
+    """``_coerce`` each (label, name, value) of ``entries`` into ``table``, then cross-validate.
+
+    ``entries`` may append its own errors as it goes, so each keeps its
+    place.  A failed key silences only the cross-key rules that read it.
+    """
+    failed, seen = set(), set()
+    for label, name, raw in entries:
+        key = _BY_NAME.get(name)
+        if key is None:
+            import difflib  # only a misspelled key pays for it
+            hint = difflib.get_close_matches(name, _BY_NAME.keys(), n=1)
+            suffix = f" (did you mean '{hint[0]}'?)" if hint else ""
+            errors.append(f"{label}unknown key '{name}'{suffix}")
+        elif name in seen:
+            errors.append(f"{label}duplicate key '{name}'")
+        else:
+            seen.add(name)
+            value, err = _coerce(key, raw if isinstance(raw, str) else _render(key, raw))
+            if err:
+                errors.append(f"{label}{name}: {err}")
+                failed.add(name)
+            else:
+                table[name] = value
+    errors.extend(_cross_validate(table, failed))
+    if errors:
+        raise ConfigError(errors)
+    return RunConfig(values=tuple((k.name, table[k.name]) for k in _SCHEMA))
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a config; raises ConfigError with every problem."""
-    table = {k.name: k.default for k in _SCHEMA}
     errors = []
-    seen = set()
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            errors.append(f"line {lineno}: expected 'section.key = value', got '{line}'")
-            continue
-        name, _, raw_value = line.partition("=")
-        name = name.strip()
-        if name not in _BY_NAME:
-            import difflib  # only a misspelled key pays for it
-            hint = difflib.get_close_matches(name, _BY_NAME.keys(), n=1)
-            suffix = f" (did you mean '{hint[0]}'?)" if hint else ""
-            errors.append(f"line {lineno}: unknown key '{name}'{suffix}")
-            continue
-        if name in seen:
-            errors.append(f"line {lineno}: duplicate key '{name}'")
-            continue
-        seen.add(name)
-        value, err = _coerce(_BY_NAME[name], raw_value)
-        if err:
-            errors.append(f"line {lineno}: {name}: {err}")
-            continue
-        table[name] = value
-    cfg = RunConfig(values=tuple((k.name, table[k.name]) for k in _SCHEMA))
-    errors.extend(_cross_validate(cfg))
-    if errors:
-        raise ConfigError(errors)
-    return cfg
+
+    def entries():
+        for lineno, raw_line in enumerate(text.splitlines(), start=1):
+            line = raw_line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                errors.append(f"line {lineno}: expected 'section.key = value', got '{line}'")
+                continue
+            name, _, raw_value = line.partition("=")
+            yield f"line {lineno}: ", name.strip(), raw_value
+
+    return _build({k.name: k.default for k in _SCHEMA}, entries(), errors)
 
 
 def default_config() -> RunConfig:

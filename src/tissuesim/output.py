@@ -1,10 +1,13 @@
 """CSV serialization of snapshots, timeseries and campaign reports.
 
-All files are plain CSV with a small ``# key = value`` preamble, columns in a
-fixed order, 17-significant-digit scientific notation and LF line endings, so
-that two identical runs produce byte-identical files and golden-file diffs
-stay meaningful.  Writes go to a temporary name in the target directory and
-are renamed into place; no output file is ever left half-written.
+Every file is written by one table writer: a small ``# key = value``
+preamble, a header naming the columns in a fixed order, and one line per
+row, with LF line endings.  ``fmt`` formats every cell: None as an empty
+cell, text as it is, a bool as 1 or 0, an int in decimal and any other
+number in 17-significant-digit scientific notation, so that two identical
+runs produce byte-identical files and golden-file diffs stay meaningful.
+Writes go to a temporary name in the target directory and are renamed into
+place; no output file is ever left half-written.
 """
 
 from __future__ import annotations
@@ -26,7 +29,11 @@ _LEDGER_COLUMNS = tuple(f.name for f in dataclasses.fields(LedgerRow))
 
 
 def fmt(x) -> str:
-    """Full-precision scientific notation (17 significant digits)."""
+    """One CSV cell: None empty, text as it is, bool 1/0, int in decimal, a float to 17 digits."""
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, int):
@@ -34,8 +41,17 @@ def fmt(x) -> str:
     return f"{float(x):.16e}"
 
 
-def _atomic_write(path: str, lines: Iterable[str]) -> None:
-    """Write each of ``lines`` followed by LF; a line may itself span several rows."""
+def _write_table(path: str, preamble: dict, columns: Iterable[str], rows: Iterable) -> None:
+    """The one table writer: ``# key = value`` per preamble item, the header, then each row.
+
+    Every preamble value and row cell goes through ``fmt``; a row of one
+    text cell passes through as it is, so it may hold several lines.
+    """
+    lines = itertools.chain(
+        (f"# {key} = {fmt(value)}" for key, value in preamble.items()),
+        [",".join(columns)],
+        (",".join(map(fmt, row)) for row in rows),
+    )
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
@@ -68,18 +84,14 @@ def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
     pattern of the block once, with the ``%.16e`` format that ``fmt`` uses,
     so the text is the same as ``fmt`` on every value; comparing bit
     patterns keeps -0.0, NaN payloads and subnormals apart.  Each block's
-    columns are formed from slices of the state's arrays and written before
-    the next block is formatted, so no whole-grid temporary is made.
+    columns are formed from slices of the state's arrays, and its lines go
+    to the table writer as one text cell before the next block is
+    formatted, so no whole-grid temporary is made.
     """
     grid = state.grid
-    coord_names = ("x", "y")[: grid.dim]
-    header = [
-        f"# time = {fmt(state.t)}",
-        f"# gamma = {fmt(state.gamma)}",
-        f"# grid = {_grid_descriptor(grid)}",
-        f"# config = {cfg_hash}",
-        ",".join(coord_names + ("n", "n1", "n2", "c", "d", "p", "v")),
-    ]
+    preamble = {"time": state.t, "gamma": state.gamma, "grid": _grid_descriptor(grid),
+                "config": cfg_hash}
+    columns = ("x", "y")[: grid.dim] + ("n", "n1", "n2", "c", "d", "p", "v")
     centers = [grid.centers(axis) for axis in range(grid.dim)]
     n, c, d, v = (x.ravel() for x in (state.n, state.c, state.d, state.v))
 
@@ -89,24 +101,22 @@ def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
             index = np.unravel_index(np.arange(start, stop), grid.shape)
             nb, cb = n[start:stop], c[start:stop]
             # n1 = (1 - c) n, n2 = c n and p = (n+)^gamma
-            columns = [x[i] for x, i in zip(centers, index)] + [
+            fields = [x[i] for x, i in zip(centers, index)] + [
                 nb, (1.0 - cb) * nb, cb * nb, cb, d[start:stop],
                 positive_power(nb, state.gamma), v[start:stop],
             ]
-            block = np.stack(columns, axis=1)
+            block = np.stack(fields, axis=1)
             bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
             text = ("%.16e\n" * bits.size) % tuple(bits.view(float).tolist())
             values = np.array(text.split("\n")[:-1], dtype=object)[inverse.reshape(block.shape)]
-            yield "\n".join(map(",".join, values.tolist()))
+            yield ("\n".join(map(",".join, values.tolist())),)
 
-    _atomic_write(path, itertools.chain(header, blocks()))
+    _write_table(path, preamble, columns, blocks())
 
 
 def write_timeseries(path: str, ledger: EnergyLedger, cfg_hash: str) -> None:
-    lines = [f"# config = {cfg_hash}", ",".join(_LEDGER_COLUMNS)]
-    for row in ledger.rows:
-        lines.append(",".join(fmt(getattr(row, col)) for col in _LEDGER_COLUMNS))
-    _atomic_write(path, lines)
+    rows = ([getattr(row, col) for col in _LEDGER_COLUMNS] for row in ledger.rows)
+    _write_table(path, {"config": cfg_hash}, _LEDGER_COLUMNS, rows)
 
 
 def write_sweep_report(path: str, report: SweepReport) -> None:
@@ -120,41 +130,23 @@ def write_sweep_report(path: str, report: SweepReport) -> None:
     Wall-clock timings are intentionally not serialized (they would break
     byte-identical reruns); callers print them to the console instead.
     """
-    lines = [
-        f"# tau = {fmt(report.tau)}",
-        f"# delta = {fmt(report.delta)}",
-        "gamma,config,ok,h7_pass,h7_ratio,energy,excess_max,seg_integral,"
-        "comp_integral,fraction_gap,dist_to_next",
-    ]
-    for i, e in enumerate(report.entries):
-        dist = report.distances[i] if i < len(report.distances) else float("nan")
-        h7 = "" if e.run.h7_pass is None else ("1" if e.run.h7_pass else "0")
-        lines.append(",".join([
-            fmt(e.gamma), e.run.cfg_hash, "1" if e.run.ok else "0", h7, fmt(e.run.h7_ratio),
-            fmt(e.energy), fmt(e.excess_max), fmt(e.seg_integral),
-            fmt(e.comp_integral), fmt(e.fraction_gap), fmt(dist),
-        ]))
-    _atomic_write(path, lines)
+    columns = ("gamma", "config", "ok", "h7_pass", "h7_ratio", "energy", "excess_max",
+               "seg_integral", "comp_integral", "fraction_gap", "dist_to_next")
+    distances = itertools.chain(report.distances, itertools.repeat(float("nan")))
+    rows = ([e.gamma, e.run.cfg_hash, e.run.ok, e.run.h7_pass, e.run.h7_ratio, e.energy,
+             e.excess_max, e.seg_integral, e.comp_integral, e.fraction_gap, dist]
+            for e, dist in zip(report.entries, distances))
+    _write_table(path, {"tau": report.tau, "delta": report.delta}, columns, rows)
 
 
 def write_eps_report(path: str, entries: list[EpsEntry]) -> None:
-    lines = ["eps,config,ok,distance,cutoff_activations,min_density,barrier"]
-    for e in entries:
-        lines.append(",".join([
-            fmt(e.eps), e.run.cfg_hash, "1" if e.run.ok else "0", fmt(e.distance),
-            str(e.run.total_cutoff_activations), fmt(e.min_density), fmt(e.barrier),
-        ]))
-    _atomic_write(path, lines)
+    columns = ("eps", "config", "ok", "distance", "cutoff_activations", "min_density", "barrier")
+    rows = ([e.eps, e.run.cfg_hash, e.run.ok, e.distance, e.run.total_cutoff_activations,
+             e.min_density, e.barrier] for e in entries)
+    _write_table(path, {}, columns, rows)
 
 
 def write_bench_report(path: str, report: BenchReport) -> None:
-    lines = [
-        f"# gamma = {fmt(report.gamma)}",
-        "cells,h,l1_error,rel_error,order,mass_drift",
-    ]
-    for r in report.rows:
-        lines.append(",".join([
-            str(r.cells), fmt(r.h), fmt(r.l1_error), fmt(r.rel_error),
-            fmt(r.order), fmt(r.mass_drift),
-        ]))
-    _atomic_write(path, lines)
+    columns = ("cells", "h", "l1_error", "rel_error", "order", "mass_drift")
+    rows = ([r.cells, r.h, r.l1_error, r.rel_error, r.order, r.mass_drift] for r in report.rows)
+    _write_table(path, {"gamma": report.gamma}, columns, rows)

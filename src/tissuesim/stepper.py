@@ -66,6 +66,12 @@ CFL_SLACK = 1e-9
 #: iteration cap of the 2D density CG
 LINEAR_MAX = 10_000
 
+#: the density Newton forms its residual's rounding floor only below this residual
+FLOOR_CHECK = 1e-6
+
+#: the undamped Newton fallback may grow the residual by at most this factor
+FALLBACK_GROWTH = 100.0
+
 
 def positive_power(x: np.ndarray, e: float) -> np.ndarray:
     """``np.maximum(x, 0.0) ** e`` for e >= 1, bit for bit, with pow only where it can be nonzero.
@@ -212,6 +218,25 @@ def _density_rhs(n: np.ndarray, grid: Grid, params: ModelParams, co: _Coefficien
     if params.eps_reg > 0.0:
         out += params.eps_reg * laplacian_neumann(grid, n)
     return out
+
+
+def _residual_floor(n: np.ndarray, grid: Grid, params: ModelParams, co: _Coefficients,
+                    dt: float) -> float:
+    """8 u max(|n| + dt (|L| |K(n)| + eps |L| |n|)), the level to which f(n) can be evaluated.
+
+    u is the unit roundoff and |L| the no-flux Laplacian's stencil with
+    every coefficient made positive: each interior face adds
+    (x_lo + x_hi) / h^2 to both of its cells.
+    """
+    x = np.abs(_flux_potential(n, params.gamma, co.ell, float(n.max())))
+    x += params.eps_reg * np.abs(n)
+    scale = np.abs(n)
+    for (lo, hi), h in zip(grid.sides, grid.h):
+        face = x[lo] + x[hi]
+        face *= dt / h / h
+        scale[lo] += face
+        scale[hi] += face
+    return 8.0 * np.finfo(float).eps * float(scale.max())
 
 
 def _density_jacobian(
@@ -421,7 +446,9 @@ def density_solve(
     """Backward-Euler solve for the total density with frozen c and d.
 
     Damped Newton on the cell vector, converged when max|f| <= newton_tol
-    for the residual f(n) = n - n_old - dt*rhs(n).  Newton system k is
+    for the residual f(n) = n - n_old - dt*rhs(n), or when max|f| <=
+    FLOOR_CHECK is at most the rounding floor of f (``_residual_floor``),
+    below which no iterate can be told from another.  Newton system k is
     solved to the relative tolerance max(linear_tol, min(0.1, max|f_k|)),
     an inexact-Newton forcing term that keeps the quadratic convergence
     (Dembo, Eisenstat and Steihaug 1982) without solving early systems
@@ -429,9 +456,11 @@ def density_solve(
     line search halves the step until the residual shrinks; the iterate it
     accepts brings its right side and residual into the next iteration, so
     each iterate's right side is evaluated once.  When 8 halvings fail, the
-    full step is taken as a fallback; a second fallback in one solve raises
-    SolverFailure.  After convergence the update is re-applied in explicit
-    conservative form, n_new = n_old + dt*rhs(n*), so that no-flux runs
+    full step is taken as a fallback if its residual is finite and at most
+    FALLBACK_GROWTH times the current one; a larger growth, or a second
+    fallback in one solve, raises SolverFailure.  After convergence the
+    update is re-applied in explicit conservative form,
+    n_new = n_old + dt*rhs(n*), so that no-flux runs
     conserve mass to rounding rather than to the Newton tolerance.  The
     result is floored at zero with clamps counted.
     """
@@ -450,7 +479,9 @@ def density_solve(
         report.newton_residual = res_norm
         if not math.isfinite(res_norm):
             raise SolverFailure("density Newton residual is non-finite")
-        if res_norm <= settings.newton_tol:
+        if res_norm <= settings.newton_tol or (
+            res_norm <= FLOOR_CHECK and res_norm <= _residual_floor(n_k, grid, params, co, dt)
+        ):
             break
         if it == settings.newton_max:
             raise SolverFailure(
@@ -462,7 +493,7 @@ def density_solve(
         delta, lin = _solve_newton_system(grid, a, r, dt, -f, tol, LINEAR_MAX, op)
         report.linear_iters += lin
         # damped update: halve until the residual shrinks; the full step,
-        # which is the first trial, is the fallback.  A trial far past
+        # which is the first trial, is the bounded fallback.  A trial far past
         # saturation overflows n^(gamma+1); its residual is then not finite,
         # which rejects it like any other residual that does not shrink
         step_len = 1.0
@@ -474,20 +505,25 @@ def density_solve(
                 rhs_trial = _density_rhs(trial, grid, params, co)
                 f_trial = trial - n_old
                 f_trial -= dt * rhs_trial
-            if full is None:
-                full = (trial, rhs_trial, f_trial)
             trial_norm = float(np.abs(f_trial).max())
+            if full is None:
+                full = (trial, rhs_trial, f_trial, trial_norm)
             if math.isfinite(trial_norm) and trial_norm < res_norm:
                 break
             step_len *= 0.5
         else:
+            trial, rhs_trial, f_trial, full_norm = full
+            if not full_norm <= FALLBACK_GROWTH * res_norm:  # also rejects a non-finite one
+                raise SolverFailure(
+                    "density Newton's undamped step grew the residual from "
+                    f"{res_norm:.3e} to {full_norm:.3e}"
+                )
             report.newton_fallbacks += 1
             if report.newton_fallbacks > 1:
                 raise SolverFailure(
                     "density Newton fell back to an undamped step twice "
                     f"(residual {res_norm:.3e})"
                 )
-            trial, rhs_trial, f_trial = full
         n_k, rhs_k, f = trial, rhs_trial, f_trial
 
     n_new = n_old + dt * rhs_k

@@ -1,16 +1,23 @@
+import math
 import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from tissuesim.cli import main
 from tissuesim.config import default_config, parse_config
-from tissuesim.diagnostics import EnergyLedger, make_ledger_row
+from tissuesim.diagnostics import EnergyLedger, LedgerRow, make_ledger_row
 from tissuesim.grid import Grid
-from tissuesim.harness import make_params, run
-from tissuesim.output import fmt, write_snapshot, write_timeseries
+from tissuesim.harness import (
+    BenchReport, BenchRow, EpsEntry, SweepEntry, SweepReport, make_params, run,
+)
+from tissuesim.output import (
+    fmt, write_bench_report, write_eps_report, write_snapshot, write_sweep_report,
+    write_timeseries,
+)
 from tissuesim.stepper import State, StepReport, positive_power
 
 
@@ -141,6 +148,93 @@ class TestWriters:
         assert leftovers == []
 
 
+class TestWriterText:
+    """Each table writer's exact text for a small record: nan, -0.0, a
+    subnormal, an unset h7_pass, a failed run, int columns and a config hash."""
+
+    HASH = "0123456789ab"
+
+    def run_of(self, ok, h7_pass=None, h7_ratio=math.nan, cutoffs=0):
+        # the fields of a RunResult that the writers read
+        return SimpleNamespace(cfg_hash=self.HASH, ok=ok, h7_pass=h7_pass, h7_ratio=h7_ratio,
+                               total_cutoff_activations=cutoffs)
+
+    def written(self, tmp_path, write, *args):
+        path = tmp_path / "table.csv"
+        write(str(path), *args)
+        return path.read_bytes().decode()
+
+    def test_timeseries(self, tmp_path):
+        cycle = [0.125, 1.0, -0.0, 2.5e-310, 1e300, math.nan, 0.1]
+        values = {name: cycle[i % len(cycle)] for i, name in enumerate(LedgerRow.__dataclass_fields__)}
+        values.update(newton_iters=7, clamped_cells=0, cutoff_activations=12)
+        text = self.written(tmp_path, write_timeseries, EnergyLedger(rows=[LedgerRow(**values)]),
+                            self.HASH)
+        cells = ("1.2500000000000000e-01,1.0000000000000000e+00,-0.0000000000000000e+00,"
+                 "2.5000000000000171e-310,1.0000000000000001e+300,nan,1.0000000000000001e-01,")
+        assert text == (
+            "# config = 0123456789ab\n"
+            "t,mass,n_min,n_max,c_min,c_max,d_min,d_max,v_sq,grad_v_sq,t_v_sq,t_grad_v_sq,"
+            "entropy_rate,excess,segregation,comp_resid,comp_t2,dt_used,newton_iters,"
+            "clamped_cells,cutoff_activations\n"
+            + cells * 2 + "1.2500000000000000e-01,1.0000000000000000e+00,"
+            "-0.0000000000000000e+00,2.5000000000000171e-310,7,0,12\n"
+        )
+
+    def test_sweep_report(self, tmp_path):
+        report = SweepReport(tau=0.05, delta=0.1, distances=[0.0625], entries=[
+            SweepEntry(gamma=5.0, run=self.run_of(False), energy=0.25, excess_max=0.0,
+                       seg_integral=math.nan, comp_integral=1e-20, fraction_gap=math.nan),
+            SweepEntry(gamma=40.0, run=self.run_of(True, True, 0.5), energy=1.0 / 3.0,
+                       excess_max=-0.0, seg_integral=2.0, comp_integral=3e-5, fraction_gap=0.125),
+        ])
+        assert self.written(tmp_path, write_sweep_report, report) == (
+            "# tau = 5.0000000000000003e-02\n"
+            "# delta = 1.0000000000000001e-01\n"
+            "gamma,config,ok,h7_pass,h7_ratio,energy,excess_max,seg_integral,comp_integral,"
+            "fraction_gap,dist_to_next\n"
+            "5.0000000000000000e+00,0123456789ab,0,,nan,2.5000000000000000e-01,"
+            "0.0000000000000000e+00,nan,9.9999999999999995e-21,nan,6.2500000000000000e-02\n"
+            "4.0000000000000000e+01,0123456789ab,1,1,5.0000000000000000e-01,"
+            "3.3333333333333331e-01,-0.0000000000000000e+00,2.0000000000000000e+00,"
+            "3.0000000000000001e-05,1.2500000000000000e-01,nan\n"
+        )
+
+    def test_eps_report(self, tmp_path):
+        entries = [
+            EpsEntry(eps=0.1, run=self.run_of(False, cutoffs=3), distance=math.nan,
+                     min_density=0.0, barrier=2.5),
+            EpsEntry(eps=0.01, run=self.run_of(True), distance=1e-3, min_density=1e-14,
+                     barrier=math.nan),
+        ]
+        assert self.written(tmp_path, write_eps_report, entries) == (
+            "eps,config,ok,distance,cutoff_activations,min_density,barrier\n"
+            "1.0000000000000001e-01,0123456789ab,0,nan,3,0.0000000000000000e+00,"
+            "2.5000000000000000e+00\n"
+            "1.0000000000000000e-02,0123456789ab,1,1.0000000000000000e-03,0,"
+            "1.0000000000000000e-14,nan\n"
+        )
+
+    def test_bench_report(self, tmp_path):
+        report = BenchReport(gamma=2.0, rows=[
+            BenchRow(cells=100, run=self.run_of(False), h=0.04, l1_error=math.nan,
+                     rel_error=math.nan, order=math.nan, mass_drift=math.nan),
+            BenchRow(cells=200, run=self.run_of(True), h=0.02, l1_error=1e-3, rel_error=2e-3,
+                     order=1.5, mass_drift=0.0),
+        ])
+        assert self.written(tmp_path, write_bench_report, report) == (
+            "# gamma = 2.0000000000000000e+00\n"
+            "cells,h,l1_error,rel_error,order,mass_drift\n"
+            "100,4.0000000000000001e-02,nan,nan,nan,nan\n"
+            "200,2.0000000000000000e-02,1.0000000000000000e-03,2.0000000000000000e-03,"
+            "1.5000000000000000e+00,0.0000000000000000e+00\n"
+        )
+
+    def test_fmt_cells(self):
+        assert [fmt(x) for x in (None, "abc", True, False, 12, 0.5)] == [
+            "", "abc", "1", "0", "12", "5.0000000000000000e-01"]
+
+
 class TestDeterminism:
     def test_sweep_report_byte_identical(self, tmp_path):
         from tissuesim.harness import gamma_sweep
@@ -219,6 +313,20 @@ class TestCli:
             assert main([sub, "--config", cfg_path]) == 4
             assert named in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("text, named", [
+        ("time.T_final = -1\nsweep.tau = 2\n", ["time.T_final: must be >= 0"]),
+        ("model.a = abc\nmodel.psi_preset = saturating\nmodel.psi_alpha = 0.5\n",
+         ["model.a: expected float"]),
+        ("time.T_fianl = 3\ntime.T_final = 0.5\nsweep.tau = 2\n",
+         ["unknown key 'time.T_fianl'", "sweep.tau: must lie in (0, T_final) = (0, 0.5)"]),
+    ])
+    def test_check_reports_each_error_once(self, tmp_path, capsys, text, named):
+        assert main(["check", "--config", write_cfg(tmp_path, text)]) == 4
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == len(named)
+        for line, expected in zip(errors, named):
+            assert expected in line
 
     def test_overflowing_critical_level_is_named(self, tmp_path, capsys):
         # a / psi_alpha = 1e310 overflows: psi does reach a, at a level past the largest float

@@ -123,6 +123,30 @@ class TestParse:
         for tau in (0.0, 0.19):
             assert parse_config(f"time.T_final = 0.2\nsweep.tau = {tau}\n")["sweep.tau"] == tau
 
+    @pytest.mark.parametrize("given, expected", [
+        # the failed T_final silences the tau rule, which would cite the default T_final
+        ({"time.T_final": "-1", "sweep.tau": "2"}, ["{}time.T_final: must be >= 0"]),
+        # the failed a silences the psi rule, which would cite the default a
+        ({"model.a": "abc", "model.psi_preset": "saturating", "model.psi_alpha": "0.5"},
+         ["{}model.a: expected float, got 'abc'"]),
+        # a misspelled key reads no rule, so the tau rule still runs
+        ({"time.T_fianl": "3", "time.T_final": "0.5", "sweep.tau": "2"},
+         ["{}unknown key 'time.T_fianl' (did you mean 'time.T_final'?)",
+          "sweep.tau: must lie in (0, T_final) = (0, 0.5), got 2.0"]),
+        # a key that failed silences no rule that does not read it
+        ({"model.gamma": "0.5", "model.eps_reg": "0", "initial.lift": "eps"},
+         ["{}model.gamma: pressure exponent gamma must be >= 1",
+          "initial.lift: eps lift needs model.eps_reg > 0"]),
+    ])
+    def test_failed_key_silences_only_the_rules_that_read_it(self, given, expected):
+        text = "".join(f"{name} = {value}\n" for name, value in given.items())
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == [e.format("line 1: ") for e in expected]
+        with pytest.raises(ConfigError) as err:
+            default_config().with_overrides(**given)
+        assert err.value.errors == [e.format("") for e in expected]
+
     def test_list_values(self):
         cfg = parse_config("sweep.gammas = 5, 10, 20\nbench.grids = 50,100\n")
         assert cfg["sweep.gammas"] == (5.0, 10.0, 20.0)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -219,6 +220,75 @@ class TestDensitySolve:
         assert report.rejections[0].startswith("density Newton fell back")
         assert report.dt_used == 0.025
         assert report.newton_fallbacks == 0
+
+    def test_blown_up_fallback_is_rejected_at_once(self, monkeypatch):
+        # a direction 1000 times the Newton step overshoots at every one of
+        # the 8 step lengths, and its full step grows the residual about
+        # 1000-fold, past FALLBACK_GROWTH: the first fallback rejects the
+        # attempt and names both residuals
+        s, params = self.growth_setup()
+        real = stepper._solve_newton_system
+        calls = []
+
+        def overshoot(*args):
+            delta, lin = real(*args)
+            calls.append(delta)
+            return 1e3 * delta, lin
+
+        monkeypatch.setattr(stepper, "_solve_newton_system", overshoot)
+        with pytest.raises(SolverFailure) as err:
+            density_solve(s, 0.05, params, SETTINGS)
+        before, after = map(float, re.fullmatch(
+            r"density Newton's undamped step grew the residual from (\S+) to (\S+)", str(err.value)
+        ).groups())
+        assert after > stepper.FALLBACK_GROWTH * before
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(40,), (12, 10)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("times_floor", [100.0, 0.5])
+    def test_stop_test_against_the_rounding_floor(self, shape, times_floor):
+        # newton_tol far below the floor leaves the floor as the only stop
+        # test.  dt is scaled so that the first residual, -dt rhs(n_old),
+        # is the given multiple of the floor: at 100 times it, Newton must
+        # iterate; at half of it, the start is accepted as it is
+        s, params = floor_case(shape, eps=0.05)
+        co = stepper._coefficients(s, params)
+        rhs_max = np.max(np.abs(stepper._density_rhs(s.n, s.grid, params, co)))
+
+        def multiple(dt):
+            return dt * rhs_max / stepper._residual_floor(s.n, s.grid, params, co, dt)
+
+        dt = 1e-12 * times_floor / multiple(1e-12)
+        assert multiple(dt) == pytest.approx(times_floor, rel=1e-6)
+        _, report = density_solve(s, dt, params, SolverSettings(newton_tol=1e-300))
+        assert (report.newton_iters > 1) == (times_floor > 1.0)
+        assert report.newton_fallbacks == 0
+
+    @pytest.mark.parametrize("shape, dt", [((400,), 0.05), ((64, 64), 0.5)], ids=["1d", "2d"])
+    def test_solve_stalled_at_the_rounding_floor_is_accepted(self, shape, dt):
+        # dt eps / h^2 = 1.6e4 (1D) and 4.1e3 (2D): the residual cannot be
+        # evaluated to newton_tol = 1e-10, and the absolute test alone falls
+        # back to an undamped step twice.  The floor accepts the stalled
+        # iterate, with no fallback
+        s, params = floor_case(shape, eps=2.0)
+        n_new, report = density_solve(s, dt, params, SETTINGS)
+        assert report.newton_fallbacks == 0
+        co = stepper._coefficients(s, params)
+        floor = stepper._residual_floor(n_new, s.grid, params, co, dt)
+        assert SETTINGS.newton_tol < report.newton_residual <= floor
+
+
+def floor_case(shape, eps):
+    """A viscous bump on a 1D or 2D unit grid, the data of the rounding-floor tests."""
+    grid = Grid(dim=len(shape), extents=(1.0,) * len(shape), cells=shape)
+    r2 = sum((x - 0.5) ** 2 for x in grid.coordinate_fields())
+    params = ModelParams(
+        rates=rates(g=("linear", 1.0), k1=("linear", 0.5), k2=("constant", 0.5)),
+        D=1.0, gamma=3.0, d_b=1.0, eps_reg=eps, ell_cut=10.0,
+    )
+    s = State(t=0.0, grid=grid, n=eps + 0.05 + 0.9 * np.exp(-30 * r2),
+              c=np.full(grid.shape, 0.2), d=np.full(grid.shape, 0.9), gamma=3.0)
+    return s, params
 
 
 def flip_first_directions(monkeypatch, count):
@@ -1291,9 +1361,10 @@ def test_refined_late_state_is_out_of_reach_of_halving(eps_late_state):
 
 
 def test_2d_newton_overflow_is_a_rejection(monkeypatch):
-    # the stiff 2D sweep data at gamma = 640: one attempt's Newton system
-    # overflows |S rhs|.  The suite turns warnings into errors, so an
-    # overflow warning on that path would fail this run.
+    # the stiff 2D sweep data at gamma = 640: one attempt's undamped Newton
+    # step grows the residual by about 1e228, which the bounded fallback
+    # rejects before the next Newton system can overflow |S rhs|.  The suite
+    # turns warnings into errors, so an overflow warning would fail this run.
     cfg = parse_config((CONFIGS / "sweep.cfg").read_text()).with_overrides(**{
         "grid.dim": 2, "grid.cells_x": 96, "grid.cells_y": 96, "grid.extent_y": 1.0,
         "initial.center_y": 0.5, "initial.height": 0.9, "initial.lift": "gamma",
@@ -1310,7 +1381,18 @@ def test_2d_newton_overflow_is_a_rejection(monkeypatch):
     monkeypatch.setattr(harness, "step", spy)
     res = run(cfg)
     assert res.ok
-    assert sum("Newton system overflows" in m for m in rejections) == 1
+    assert (res.steps, res.rejected_attempts) == (4, 3)
+    grew = [m for m in rejections if "undamped step grew the residual" in m]
+    assert len(grew) == 1 and re.search(r"from 2\.9\d+e-01 to 2\.6\d+e\+228$", grew[0])
+
+
+def test_2d_newton_system_overflow_is_a_solver_failure():
+    # a right side whose |S rhs| overflows raises before any operator work
+    grid = Grid(dim=2, extents=(1.0, 1.0), cells=(6, 5))
+    big = np.full(grid.shape, 1e200)
+    with pytest.raises(SolverFailure, match="Newton system overflows"):
+        stepper._solve_newton_system(grid, big, np.zeros(grid.shape), 0.01, big, 1e-10,
+                                     stepper.LINEAR_MAX, stepper._DensityOperator(grid))
 
 
 def test_2d_suggested_dt_meets_the_budget():

@@ -112,6 +112,10 @@ CASES = (
     # the eps CSV's barrier column prints M0 at full precision
     ("eps_study_saturating", "eps-study", "eps_study.cfg", SATURATING),
     ("stiff_2d_well_prepared", "run", "sweep.cfg", STIFF_2D_WELL_PREPARED),
+    # criterion 11's well-prepared data at the two stiffest gammas: 8 and 6
+    # rejected attempts, each an undamped Newton step that blows the residual up
+    ("sweep_well_prepared", "sweep", "sweep.cfg",
+     {"initial.height": "0.9", "sweep.gammas": "320,640"}),
     # the 100, 200 and 400 cell grids take 26, 52 and 105 steps: only the finest stops
     ("bench_stopped_grid", "bench", "barenblatt.cfg", {"time.max_steps": "60"}),
     # a decreasing gamma list, which the schema rejects
