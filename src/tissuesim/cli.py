@@ -5,7 +5,8 @@ Subcommands:
   sweep      gamma sweep with the stiff-limit diagnostics
   eps-study  viscous-scheme refinement against the eps = 0 reference
   bench      self-similar-solution convergence benchmark
-  check      validate a config, print derived constants, run nothing
+  check      validate a config and run ``run``'s set-up: print its derived
+             constants and H7 verdict, and its warnings on stderr; take no step
 
 Exit codes: 0 success, 2 invariant violation in ``run`` (without
 --permissive), 3 solver or I/O failure, 4 configuration error.  ``sweep``,
@@ -22,19 +23,9 @@ import os
 import sys
 
 from . import output
-from .config import config_hash, parse_config
+from .config import parse_config
 from .errors import ConfigError, SolverFailure
-from .harness import (
-    barenblatt_benchmark,
-    build_grid,
-    check_initial_mass,
-    derive_constants,
-    eps_study,
-    gamma_sweep,
-    initial_fields,
-    make_params,
-    run,
-)
+from .harness import barenblatt_benchmark, eps_study, gamma_sweep, run, set_up
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -104,21 +95,20 @@ def _out_path(cfg, name: str) -> str:
 
 
 def _cmd_check(cfg) -> int:
-    params = make_params(cfg)
-    grid = build_grid(cfg)
-    n0, _, d0 = initial_fields(cfg, grid, params)
-    consts = derive_constants(params, d0)
-    print(f"config  {config_hash(cfg)}")
+    result, _ = set_up(cfg)
+    for w in result.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    consts = result.consts
+    print(f"config  {result.cfg_hash}")
     print(f"L       {consts.L:.12g}")
     print(f"G0      {consts.G0:.12g}")
     print(f"M0      {consts.M0:.12g}")
     print(f"d_crit  {consts.d_crit:.12g}")
-    sigma, ok, ratio = check_initial_mass(cfg, consts, grid, n0)
-    if ok is None:
-        print(f"H7      not checkable (sigma = {sigma:.6g} not admissible)")
+    if result.h7_pass is None:
+        print(f"H7      not checkable (sigma = {result.sigma:.6g} not admissible)")
     else:
-        verdict = "pass" if ok else "FAIL"
-        print(f"H7      {verdict} (sigma = {sigma:.6g}, ratio = {ratio:.6g})")
+        verdict = "pass" if result.h7_pass else "FAIL"
+        print(f"H7      {verdict} (sigma = {result.sigma:.6g}, ratio = {result.h7_ratio:.6g})")
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import Grid, divergence, face_gradient
-from .model import DerivedConstants, ModelParams
+from .model import BOUND_INFLATION, DerivedConstants, ModelParams
 from .stepper import State, StepReport, positive_power
 
 
@@ -320,7 +320,7 @@ C_TOL, D_TOL = 1e-12, 1e-10
 
 @dataclass(frozen=True)
 class TolConfig:
-    """The optional bound data of the invariant sweep, which ``run`` derives."""
+    """The optional bound data of the invariant sweep, which ``harness.set_up`` derives."""
 
     cap_base: float | None = None   # max of lifted initial density (weak max principle)
     min_floor: float | None = None  # eps * exp(-M0 T) barrier for regularized runs
@@ -363,7 +363,7 @@ def check_all(state: State, consts: DerivedConstants, tolcfg: TolConfig) -> list
         ("nutrient ceiling", d.max() - d_high, lambda: d - d_high),
     ]
     if tolcfg.cap_base is not None:
-        cap = math.exp(consts.G0 * state.t) * tolcfg.cap_base * (1.0 + 1e-6)
+        cap = math.exp(consts.G0 * state.t) * tolcfg.cap_base * (1.0 + BOUND_INFLATION)
         bounds.append(("weak maximum principle", n.max() - cap, lambda: n - cap))
     if tolcfg.min_floor is not None:
         floor = tolcfg.min_floor - 1e-12

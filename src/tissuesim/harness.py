@@ -11,6 +11,9 @@ equation, dn/dt = gamma/(gamma+1) * lap(n^(gamma+1)), against the closed-form
 self-similar source solution (the classical convergence oracle for porous
 medium solvers).
 
+``set_up`` fixes everything a run needs before its first step, warnings
+included; ``run`` marches from it, and ``tissuesim check`` prints from it.
+
 Every campaign (``gamma_sweep``, ``eps_study``, ``barenblatt_benchmark``)
 takes the ``RunConfig`` and reads its own keys (``sweep.*``, ``eps.values``,
 ``bench.grids``), whose lists and ``sweep.tau`` the schema has checked;
@@ -180,6 +183,8 @@ class RunResult:
     ledger: EnergyLedger
     consts: DerivedConstants
     cfg_hash: str
+    bounds: TolConfig         # the optional bound data the run checks
+    sigma: float = math.nan
     h7_pass: bool | None = None
     h7_ratio: float = math.nan
     warnings: list[str] = field(default_factory=list)
@@ -205,25 +210,6 @@ class RunResult:
         return "; ".join(self.violations) if self.violations else None
 
 
-def check_initial_mass(
-    cfg: RunConfig, consts: DerivedConstants, grid: Grid, n0: np.ndarray
-) -> tuple[float, bool | None, float]:
-    """The initial-mass hypothesis H7 on the unlifted n0: (sigma, pass, ratio).
-
-    sigma is ``model.sigma``, or 0.5 e^(-G0 T) when that is 0.  H7 is
-    checked only for an admissible sigma < e^(-G0 T); otherwise the result
-    is (sigma, None, nan).
-    """
-    T = cfg["time.T_final"]
-    sigma = cfg["model.sigma"]
-    if sigma == 0.0:
-        sigma = 0.5 * math.exp(-consts.G0 * T)
-    if sigma < math.exp(-consts.G0 * T):
-        h7_pass, h7_ratio = check_h7(grid, n0, sigma, consts.G0, T)
-        return sigma, h7_pass, h7_ratio
-    return sigma, None, math.nan
-
-
 def _inject_fault(state: State, mode: str, consts: DerivedConstants) -> State:
     if mode == "d_ceiling":
         d = state.d.copy()
@@ -236,41 +222,40 @@ def _inject_fault(state: State, mode: str, consts: DerivedConstants) -> State:
     return state
 
 
-def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
-    """Drive the stepper to T_final, recording the ledger.
+def set_up(cfg: RunConfig) -> tuple[RunResult, ModelParams]:
+    """What ``run`` fixes before its first step: a ``RunResult`` with no step or ledger row.
 
-    ``on_state``, when given, is called with the initial (lifted) state and
-    then with every accepted state, whatever the snapshot stride; ``run``
-    itself keeps only the initial state and the state of the last ledger row.
-    ``check_all`` checks the invariants of the initial state and of the
-    state after every step.  Solver failures and invariant violations
-    (stored as their messages) stop the run but still return the partial
-    result so callers can flush outputs; ``RunResult.ok`` tells them apart
-    from a clean finish.  A run that needs more than ``time.max_steps``
-    steps fails after that many.  A stopped run's last accepted state gets a
-    ledger row of its own if its step was off the stride, so the outputs end
-    with the state the run stopped at.
+    It holds the grid and the lifted initial state, the derived constants,
+    the initial-mass hypothesis H7 on the unlifted n0, the bound data its
+    run checks and every set-up warning.  sigma is ``model.sigma``, or
+    0.5 e^(-G0 T) when that is 0; H7 is checked only for an admissible
+    sigma < e^(-G0 T).  The parameters returned carry the resolved cutoff
+    level: with eps > 0, ``model.ell_cut = 0`` becomes the inactive-cutoff
+    bound max(L, e^(2 M0 T) max n0), slightly inflated, and a given level
+    below that bound is kept with a warning; a bound that overflows raises
+    ``ConfigError``.
     """
-    t_start = _time.perf_counter()
     grid = build_grid(cfg)
     params = make_params(cfg)
-    settings = make_settings(cfg)
     n0, c0, d0 = initial_fields(cfg, grid, params)
     consts = derive_constants(params, d0)
 
     warnings: list[str] = []
     T = params.T_final
-
-    sigma, h7_pass, h7_ratio = check_initial_mass(cfg, consts, grid, n0)
-    if h7_pass is None:
+    sigma_max = math.exp(-consts.G0 * T)
+    sigma = cfg["model.sigma"] or 0.5 * sigma_max
+    h7_pass, h7_ratio = None, math.nan
+    if sigma < sigma_max:
+        h7_pass, h7_ratio = check_h7(grid, n0, sigma, consts.G0, T)
+        if not h7_pass:
+            warnings.append(
+                f"initial-mass hypothesis fails: superlevel ratio {h7_ratio:.3g} > 1 "
+                f"(sigma = {sigma:.3g})"
+            )
+    else:
         warnings.append(
             f"sigma = {sigma:.3g} is not admissible (needs < e^(-G0 T) = "
-            f"{math.exp(-consts.G0 * T):.3g}); hypothesis not checked"
-        )
-    elif not h7_pass:
-        warnings.append(
-            f"initial-mass hypothesis fails: superlevel ratio {h7_ratio:.3g} > 1 "
-            f"(sigma = {sigma:.3g})"
+            f"{sigma_max:.3g}); hypothesis not checked"
         )
 
     lift = cfg["initial.lift"]
@@ -279,17 +264,19 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
     elif lift == "eps":
         n0, c0 = apply_lift(n0, c0, params.eps_reg)
 
-    tolcfg = TolConfig(
+    # the schema admits the eps lift only with eps > 0
+    bounds = TolConfig(
         cap_base=float(n0.max()) if lift == "gamma" else None,
-        min_floor=(
-            params.eps_reg * math.exp(-consts.M0 * T)
-            if (params.eps_reg > 0.0 and lift == "eps")
-            else None
-        ),
+        min_floor=params.eps_reg * math.exp(-consts.M0 * T) if lift == "eps" else None,
     )
 
     if params.eps_reg > 0.0:
-        ell_floor = max(consts.L, math.exp(2.0 * consts.M0 * T) * float(n0.max()))
+        try:
+            ell_floor = max(consts.L, math.exp(2.0 * consts.M0 * T) * float(n0.max()))
+        except OverflowError:
+            raise ConfigError([
+                f"the inactive-cutoff bound e^(2 M0 T) max n0 overflows at M0 T = {consts.M0 * T:.6g}"
+            ]) from None
         if params.ell_cut == 0.0:
             params = replace(params, ell_cut=ell_floor * (1.0 + BOUND_INFLATION))
         elif params.ell_cut < ell_floor:
@@ -299,40 +286,64 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
             )
 
     state = State(t=0.0, grid=grid, n=n0, c=c0, d=d0, gamma=params.gamma)
-    ledger = EnergyLedger()
-    delta = cfg["sweep.delta"]
-    ledger.rows.append(make_ledger_row(state, params, delta, StepReport()))
-    if on_state is not None:
-        on_state(state)
-
-    result = RunResult(
+    return RunResult(
         initial_state=state,
         final_state=state,
-        ledger=ledger,
+        ledger=EnergyLedger(),
         consts=consts,
         cfg_hash=config_hash(cfg),
+        bounds=bounds,
+        sigma=sigma,
         h7_pass=h7_pass,
         h7_ratio=h7_ratio,
         warnings=warnings,
-    )
+    ), params
 
-    initial_violations = check_all(state, consts, tolcfg)
-    if initial_violations:
-        result.violations = [str(v) for v in initial_violations]
-        if not permissive:
-            result.wall_clock = _time.perf_counter() - t_start
-            return result
+
+def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
+    """Drive the stepper from ``set_up``'s initial state to T_final, recording the ledger.
+
+    ``on_state``, when given, is called with the initial (lifted) state and
+    then with every accepted state, whatever the snapshot stride; ``run``
+    itself keeps only the initial state and the state of the last ledger row.
+    ``check_all`` checks the invariants of every state, the initial one
+    included, before the step from it.  Solver failures and invariant
+    violations (stored as their messages) stop the run but still return the
+    partial result so callers can flush outputs; ``RunResult.ok`` tells them
+    apart from a clean finish.  A run that needs more than
+    ``time.max_steps`` steps fails after that many.  A stopped run's last
+    accepted state gets a ledger row of its own if its step was off the
+    stride, so the outputs end with the state the run stopped at.
+    """
+    t_start = _time.perf_counter()
+    result, params = set_up(cfg)
+    settings = make_settings(cfg)
+    consts, ledger = result.consts, result.ledger
+    delta = cfg["sweep.delta"]
 
     def record(state: State, report: StepReport) -> None:
         result.final_state = state
         ledger.rows.append(make_ledger_row(state, params, delta, report))
 
+    state = result.initial_state
+    record(state, StepReport())
+    if on_state is not None:
+        on_state(state)
+
+    T = params.T_final
     stride = cfg["time.snapshot_stride"]
     inject = cfg["debug.inject"]
     max_steps = cfg["time.max_steps"]
     steps = 0
     try:
-        while state.t < T - 1e-14:
+        while True:
+            found = check_all(state, consts, result.bounds)
+            if found:
+                result.violations = [str(v) for v in found]
+                if not permissive:
+                    break
+            if state.t >= T - 1e-14:
+                break
             if steps == max_steps:
                 raise SolverFailure(f"max_steps = {max_steps} reached before T_final")
             dt_hint = min(suggest_dt(state, params, consts, settings.safety), settings.dt_max)
@@ -348,11 +359,6 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
                 on_state(state)
             if (steps % stride == 0) or state.t >= T - 1e-14:
                 record(state, report)
-            found = check_all(state, consts, tolcfg)
-            if found:
-                result.violations = [str(v) for v in found]
-                if not permissive:
-                    break
     except SolverFailure as exc:
         result.failure = str(exc)
     if result.final_state is not state:  # stopped off the stride
@@ -495,7 +501,7 @@ def eps_study(cfg: RunConfig) -> list[EpsEntry]:
             run=res,
             distance=dist,
             min_density=min(lows),
-            barrier=eps * math.exp(-res.consts.M0 * T),
+            barrier=res.bounds.min_floor,
         ))
     return entries
 

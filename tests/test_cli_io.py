@@ -270,17 +270,31 @@ class TestCli:
         assert code == 0
         assert "L " in out and "G0" in out and "M0" in out and "H7" in out
 
-    def test_check_and_run_agree_on_an_inadmissible_sigma(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, warned, h7", [
         # G0 = 1 and T = 0.05 admit sigma < e^-0.05 = 0.951 only
-        cfg_path = write_cfg(
-            tmp_path, BASE_TEXT + f"model.sigma = 0.99\noutput.dir = {tmp_path}/out\n"
-        )
+        (BASE_TEXT + "model.sigma = 0.99\n",
+         "warning: sigma = 0.99 is not admissible (needs < e^(-G0 T) = 0.951)",
+         "H7      not checkable (sigma = 0.99 not admissible)"),
+        # every cell of a uniform n0 = 1 lies above sigma
+        (BASE_TEXT.replace("= bump", "= uniform").replace("n0 = 0.1", "n0 = 1"),
+         "warning: initial-mass hypothesis fails: superlevel ratio 1.05 > 1",
+         "H7      FAIL"),
+        # a given cutoff level below max(L, e^(2 M0 T) max n0)
+        (BASE_TEXT + "model.eps_reg = 0.01\ninitial.lift = eps\nmodel.ell_cut = 0.6\n",
+         "warning: cutoff level 0.6 is below the inactive-cutoff bound",
+         "H7      pass"),
+    ], ids=["inadmissible_sigma", "h7_failure", "low_cutoff"])
+    def test_check_prints_every_warning_run_prints(self, tmp_path, capsys, text, warned, h7):
+        cfg_path = write_cfg(tmp_path, text + f"output.dir = {tmp_path}/out\n")
         assert main(["check", "--config", cfg_path]) == 0
-        out = capsys.readouterr().out
-        assert "H7      not checkable (sigma = 0.99 not admissible)" in out
+        out, check_err = capsys.readouterr()
+        assert h7 in out
         assert main(["run", "--config", cfg_path]) == 0
-        err = capsys.readouterr().err
-        assert "warning: sigma = 0.99 is not admissible (needs < e^(-G0 T) = 0.951)" in err
+        run_warnings = [line for line in capsys.readouterr().err.splitlines()
+                        if line.startswith("warning: ")]
+        assert any(line.startswith(warned) for line in run_warnings)
+        assert run_warnings == [line for line in check_err.splitlines()
+                                if line.startswith("warning: ")]
 
     def test_missing_config_flag_is_config_error(self, capsys):
         code = main(["run"])
@@ -306,6 +320,10 @@ class TestCli:
         ("initial.center = nan\n", "initial.center: must be a finite number"),
         # finite data whose rate K1(L) = 1e309 overflows
         ("model.K1_alpha = 1e308\nmodel.d_b = 10\n", "rate K1 is not finite"),
+        # finite data whose viscous cutoff bound e^(2 M0 T) = e^2000 overflows
+        ("model.eps_reg = 0.01\ninitial.lift = eps\nmodel.G_preset = constant\n"
+         "model.G_alpha = 1000\ntime.T_final = 1\n",
+         "the inactive-cutoff bound e^(2 M0 T) max n0 overflows at M0 T = 1000"),
     ])
     def test_non_finite_input_is_config_error_in_check_and_run(self, tmp_path, capsys, text, named):
         cfg_path = write_cfg(tmp_path, text + f"output.dir = {tmp_path}/out\n")

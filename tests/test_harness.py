@@ -14,6 +14,7 @@ from tissuesim.errors import ConfigError
 from tissuesim.diagnostics import (
     FieldSamples,
     aronson_benilan_gap,
+    check_all,
     excess_measure,
     free_boundary,
     grad_squared_integral,
@@ -137,6 +138,29 @@ class TestRun:
         assert res.final_state is states[-1]
         assert res.ledger.rows[-1].t == res.final_state.t == full[-2].t < 0.2
         assert np.array_equal(res.final_state.n, full[-2].n)
+
+    @pytest.mark.parametrize("overrides, steps", [
+        ({"time__T_final": 0.05}, 48),
+        ({"time__T_final": 0.0}, 0),
+        # the fault breaks the fraction bound after step 1, which stops the run
+        ({"debug__inject": "c_bounds"}, 1),
+    ])
+    def test_invariants_checked_once_per_state(self, monkeypatch, overrides, steps):
+        # every state, the initial one included, is checked once, against the
+        # bound data the run reports
+        checked = []
+
+        def spy(state, consts, tolcfg):
+            checked.append((state, tolcfg))
+            return check_all(state, consts, tolcfg)
+
+        monkeypatch.setattr(harness, "check_all", spy)
+        cfg = parse_config((CONFIGS / "growth_1d.cfg").read_text()).with_overrides(**overrides)
+        res = run(cfg)
+        assert res.steps == steps
+        assert len(checked) == steps + 1
+        assert checked[0][0] is res.initial_state and checked[-1][0] is res.final_state
+        assert all(tolcfg is res.bounds for _, tolcfg in checked)
 
     def test_h7_recorded(self):
         cfg = parse_config(BUMP_TEXT)

@@ -17,7 +17,6 @@ from tissuesim.diagnostics import TolConfig, check_all
 from tissuesim.errors import SolverFailure
 from tissuesim.grid import Grid, laplacian_neumann
 from tissuesim.harness import (
-    apply_lift,
     barenblatt_benchmark,
     build_grid,
     gamma_sweep,
@@ -25,9 +24,9 @@ from tissuesim.harness import (
     make_params,
     make_settings,
     run,
+    set_up,
 )
 from tissuesim.model import (
-    BOUND_INFLATION,
     ModelParams,
     RateFunction,
     RateFunctions,
@@ -1255,20 +1254,12 @@ class TestRegularizedStep:
 
 
 def eps_study_start(eps, cells=100):
-    """The eps study's initial state and parameters, resolved as harness.run does."""
+    """The eps study's initial state and parameters, resolved by harness.set_up."""
     cfg = parse_config(EPS_STUDY_CONFIG.read_text()).with_overrides(grid__cells_x=cells)
     if eps > 0.0:
         cfg = cfg.with_overrides(model__eps_reg=eps, initial__lift="eps")
-    grid = build_grid(cfg)
-    params = make_params(cfg)
-    n0, c0, d0 = initial_fields(cfg, grid, params)
-    consts = derive_constants(params, d0)
-    if eps > 0.0:
-        n0, c0 = apply_lift(n0, c0, eps)
-        ell = max(consts.L, math.exp(2.0 * consts.M0 * params.T_final) * float(n0.max()))
-        params = replace(params, ell_cut=ell * (1.0 + BOUND_INFLATION))
-    state = State(t=0.0, grid=grid, n=n0, c=c0, d=d0, gamma=params.gamma)
-    return state, params, consts, make_settings(cfg)
+    start, params = set_up(cfg)
+    return start.initial_state, params, start.consts, make_settings(cfg)
 
 
 def old_suggest_dt(state, params, consts, safety):

@@ -107,6 +107,11 @@ CASES = (
     ("inject_c_bounds_sweep", "sweep", "sweep.cfg", {"debug.inject": "c_bounds"}),
     ("inject_c_bounds_eps_study", "eps-study", "eps_study.cfg", {"debug.inject": "c_bounds"}),
     ("inject_c_bounds_bench", "bench", "barenblatt.cfg", {"debug.inject": "c_bounds"}),
+    # a cutoff level below the inactive-cutoff bound, where run warns: the
+    # only case whose cutoff clamps the flux potential, density residual and
+    # Jacobian (3830 activations in 149 steps)
+    ("run_low_cutoff", "run", "growth_1d.cfg",
+     {"model.eps_reg": "0.01", "initial.lift": "eps", "model.ell_cut": "0.6"}),
     ("run_saturating", "run", "growth_1d.cfg", SATURATING),
     ("sweep_saturating", "sweep", "sweep.cfg", SATURATING),
     # the eps CSV's barrier column prints M0 at full precision
