@@ -104,7 +104,10 @@ def _cmd_check(cfg) -> int:
     print(f"G0      {consts.G0:.12g}")
     print(f"M0      {consts.M0:.12g}")
     print(f"d_crit  {consts.d_crit:.12g}")
-    if result.h7_pass is None:
+    if result.h7_pass is None and result.sigma == 0.0:  # the automatic sigma underflowed
+        G0_T = consts.G0 * cfg["time.T_final"]
+        print(f"H7      not checkable (e^(-G0 T) underflows to 0 at G0 T = {G0_T:.6g})")
+    elif result.h7_pass is None:
         print(f"H7      not checkable (sigma = {result.sigma:.6g} not admissible)")
     else:
         verdict = "pass" if result.h7_pass else "FAIL"

@@ -229,10 +229,11 @@ def set_up(cfg: RunConfig) -> tuple[RunResult, ModelParams]:
     the initial-mass hypothesis H7 on the unlifted n0, the bound data its
     run checks and every set-up warning.  sigma is ``model.sigma``, or
     0.5 e^(-G0 T) when that is 0; H7 is checked only for an admissible
-    sigma < e^(-G0 T).  The parameters returned carry the resolved cutoff
-    level: with eps > 0, ``model.ell_cut = 0`` becomes the inactive-cutoff
-    bound max(L, e^(2 M0 T) max n0), slightly inflated, and a given level
-    below that bound is kept with a warning; a bound that overflows raises
+    sigma < e^(-G0 T), and none is when e^(-G0 T) underflows to 0.  The
+    parameters returned carry the resolved cutoff level: with eps > 0,
+    ``model.ell_cut = 0`` becomes the inactive-cutoff bound
+    max(L, e^(2 M0 T) max n0), slightly inflated, and a given level below
+    that bound is kept with a warning; a bound that overflows raises
     ``ConfigError``.
     """
     grid = build_grid(cfg)
@@ -252,6 +253,9 @@ def set_up(cfg: RunConfig) -> tuple[RunResult, ModelParams]:
                 f"initial-mass hypothesis fails: superlevel ratio {h7_ratio:.3g} > 1 "
                 f"(sigma = {sigma:.3g})"
             )
+    elif sigma == 0.0:  # the automatic sigma, of an e^(-G0 T) that underflows
+        warnings.append(f"e^(-G0 T) underflows to 0 at G0 T = {consts.G0 * T:.6g}, so no "
+                        "sigma is admissible; hypothesis not checked")
     else:
         warnings.append(
             f"sigma = {sigma:.3g} is not admissible (needs < e^(-G0 T) = "
@@ -475,10 +479,15 @@ class EpsEntry:
 def eps_study(cfg: RunConfig) -> list[EpsEntry]:
     """Viscous-scheme consistency: distances of each of ``eps.values`` to the eps = 0 run.
 
-    A stopped eps run gets a nan distance.  A stopped eps = 0 reference
-    raises SolverFailure, since without it no distance exists.
+    Every eps run is set up before the reference takes a step, so a set-up
+    ``ConfigError`` stops the study at once.  A stopped eps run gets a nan
+    distance.  A stopped eps = 0 reference raises SolverFailure, since
+    without it no distance exists.
     """
     eps_list = cfg["eps.values"]
+    eps_cfgs = [cfg.with_overrides(model__eps_reg=eps, initial__lift="eps") for eps in eps_list]
+    for eps_cfg in eps_cfgs:
+        set_up(eps_cfg)
     T = cfg["time.T_final"]
     times = np.linspace(0.0, T, EPS_COMPARE_TIMES)
     ref_cfg = cfg.with_overrides(model__eps_reg=0.0, initial__lift="none")
@@ -489,12 +498,10 @@ def eps_study(cfg: RunConfig) -> list[EpsEntry]:
     volume = ref.final_state.grid.cell_volume
 
     entries: list[EpsEntry] = []
-    for eps in eps_list:
+    for eps, eps_cfg in zip(eps_list, eps_cfgs):
         lows: list[float] = []    # min n of every accepted state
-        res, samples = _sampled_run(
-            cfg.with_overrides(model__eps_reg=eps, initial__lift="eps"), times,
-            lambda state: lows.append(float(state.n.min())),
-        )
+        res, samples = _sampled_run(eps_cfg, times,
+                                    lambda state: lows.append(float(state.n.min())))
         dist = space_time_distance(times, samples.v, ref_samples.v, volume) if res.ok else math.nan
         entries.append(EpsEntry(
             eps=eps,

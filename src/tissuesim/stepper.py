@@ -86,10 +86,7 @@ def positive_power(x: np.ndarray, e: float) -> np.ndarray:
     floor = 2.0 ** -min(1100.0 / e, 1074.0)
     if x.min() >= floor:
         return x ** e
-    out = np.zeros(x.shape)
-    live = ~(x < floor)
-    out[live] = x[live] ** e
-    return out
+    return np.power(x, e, out=np.zeros(x.shape), where=~(x < floor))
 
 
 @dataclass(frozen=True)
@@ -167,14 +164,6 @@ class _Coefficients:
     in_band: bool         # c in [0, 1] and n_old >= 0
     spread: float         # max of c and 1 - c over the cells
 
-    def unclamped(self, n_max: float) -> bool:
-        """No cutoff acts on n1 = (1-c) n or n2 = c n for any n in [0, n_max].
-
-        Newton iterates are floored at zero, so n >= 0 holds in every
-        residual of a solve once it holds for the old density.
-        """
-        return self.in_band and n_max * self.spread <= self.ell
-
 
 def _coefficients(state: State, params: ModelParams) -> _Coefficients:
     ell = _cutoff_level(params)
@@ -191,69 +180,84 @@ def _coefficients(state: State, params: ModelParams) -> _Coefficients:
     )
 
 
-def _flux_potential(n: np.ndarray, gamma: float, ell: float, n_max: float) -> np.ndarray:
-    """Cutoff flux potential: gamma * integral of cutoff(s, ell)^gamma ds.
+@dataclass
+class _Iterate:
+    """A density Newton iterate n evaluated once, with c and d frozen at the step's start."""
 
-    Equals gamma/(gamma+1) * (n+)^(gamma+1) on [0, ell] and continues
+    n: np.ndarray
+    rhs: np.ndarray       # right-hand side of dn/dt = ...
+    f: np.ndarray         # residual n - n_old - dt rhs
+    norm: float           # max|f|
+    unclamped: bool       # no cutoff acts on (1-c) n or c n: the branch rhs took
+    floor: float          # rounding floor of f where newton_tol < norm <= FLOOR_CHECK, else 0
+
+
+def _evaluate_iterate(n: np.ndarray, n_old: np.ndarray, dt: float, grid: Grid,
+                      params: ModelParams, co: _Coefficients, newton_tol: float) -> _Iterate:
+    """Evaluate the iterate n: its right side, residual and, near convergence, rounding floor.
+
+    The flux potential K(n) = gamma * integral of cutoff(s, ell)^gamma ds
+    equals gamma/(gamma+1) * (n+)^(gamma+1) on [0, ell] and continues
     linearly above, which is exactly the effect of clamping the mobility
-    coefficients.  ``n_max`` is max(n).
+    coefficients.  The floor, 8 u max(|n| + dt (|L| |K(n)| + eps |L| |n|)),
+    is the level to which f can be evaluated: u is the unit roundoff and
+    |L| the no-flux Laplacian's stencil with every coefficient made
+    positive, so each interior face adds (x_lo + x_hi) / h^2 to both of its
+    cells.  It is formed only where it can stop a solve that newton_tol
+    does not.  A trial far past saturation overflows n^(gamma+1); its
+    residual is then not finite, which no stop or acceptance test passes.
     """
-    if n_max <= ell:
-        return gamma / (gamma + 1.0) * positive_power(n, gamma + 1.0)
-    above = np.where(n > ell, gamma * ell**gamma * (n - ell), 0.0)
-    return gamma / (gamma + 1.0) * positive_power(cutoff(n, ell), gamma + 1.0) + above
-
-
-def _density_rhs(n: np.ndarray, grid: Grid, params: ModelParams, co: _Coefficients) -> np.ndarray:
-    """Right-hand side of dn/dt = ... with c, d frozen at the current state."""
+    gamma, ell = params.gamma, co.ell
     n_max = float(n.max())
-    pot = _flux_potential(n, params.gamma, co.ell, n_max)
-    if co.unclamped(n_max):
-        reaction = co.rate * n
-    else:
-        n1, n2 = cutoff((1.0 - co.c) * n, co.ell), cutoff(co.c * n, co.ell)
-        reaction = co.g * n1 + (co.g - params.D) * n2
-    out = laplacian_neumann(grid, pot)
-    out += reaction
-    if params.eps_reg > 0.0:
-        out += params.eps_reg * laplacian_neumann(grid, n)
-    return out
-
-
-def _residual_floor(n: np.ndarray, grid: Grid, params: ModelParams, co: _Coefficients,
-                    dt: float) -> float:
-    """8 u max(|n| + dt (|L| |K(n)| + eps |L| |n|)), the level to which f(n) can be evaluated.
-
-    u is the unit roundoff and |L| the no-flux Laplacian's stencil with
-    every coefficient made positive: each interior face adds
-    (x_lo + x_hi) / h^2 to both of its cells.
-    """
-    x = np.abs(_flux_potential(n, params.gamma, co.ell, float(n.max())))
-    x += params.eps_reg * np.abs(n)
-    scale = np.abs(n)
-    for (lo, hi), h in zip(grid.sides, grid.h):
-        face = x[lo] + x[hi]
-        face *= dt / h / h
-        scale[lo] += face
-        scale[hi] += face
-    return 8.0 * np.finfo(float).eps * float(scale.max())
+    # no cutoff acts on (1-c) n or c n for any n in [0, n_max]: in_band checks
+    # n >= 0 on the old density, and Newton iterates are floored at zero
+    unclamped = co.in_band and n_max * co.spread <= ell
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_max <= ell:
+            pot = gamma / (gamma + 1.0) * positive_power(n, gamma + 1.0)
+        else:
+            pot = gamma / (gamma + 1.0) * positive_power(cutoff(n, ell), gamma + 1.0)
+            pot += np.where(n > ell, gamma * ell**gamma * (n - ell), 0.0)
+        rhs = laplacian_neumann(grid, pot)
+        if unclamped:  # the reaction
+            rhs += co.rate * n
+        else:
+            rhs += co.g * cutoff((1.0 - co.c) * n, ell) + (co.g - params.D) * cutoff(co.c * n, ell)
+        if params.eps_reg > 0.0:
+            rhs += params.eps_reg * laplacian_neumann(grid, n)
+        f = n - n_old
+        f -= dt * rhs
+    norm = float(np.abs(f).max())
+    floor = 0.0
+    if newton_tol < norm <= FLOOR_CHECK:
+        x = np.abs(pot, out=pot)
+        x += params.eps_reg * np.abs(n)
+        scale = np.abs(n)
+        for (lo, hi), h in zip(grid.sides, grid.h):
+            face = x[lo] + x[hi]
+            face *= dt / h / h
+            scale[lo] += face
+            scale[hi] += face
+        floor = 8.0 * np.finfo(float).eps * float(scale.max())
+    return _Iterate(n=n, rhs=rhs, f=f, norm=norm, unclamped=unclamped, floor=floor)
 
 
 def _density_jacobian(
-    n: np.ndarray, params: ModelParams, co: _Coefficients
+    it: _Iterate, params: ModelParams, co: _Coefficients
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal factors (a, r) of the Newton Jacobian of ``_density_rhs``.
+    """Diagonal factors (a, r) of the Newton Jacobian of the right side at ``it``.
 
     a is d/dn of the flux potential, floored away from the vacuum, plus eps;
     r is d/dn of the reaction, with each species term switched off where the
     right derivative of its cutoff is zero (outside [0, ell)), so that a
     vacuum cell gets the same r on both paths when no clamp acts.
     """
+    n = it.n
     floored = np.maximum(n, VACUUM_FLOOR)
     if co.ell < math.inf:  # cutoff(., inf) is the identity on [VACUUM_FLOOR, inf)
         floored = cutoff(floored, co.ell)
     a = params.gamma * positive_power(floored, params.gamma) + params.eps_reg
-    if co.unclamped(float(n.max())):
+    if it.unclamped:
         return a, co.rate
     c = co.c
     n1 = (1.0 - c) * n
@@ -447,21 +451,21 @@ def density_solve(
 
     Damped Newton on the cell vector, converged when max|f| <= newton_tol
     for the residual f(n) = n - n_old - dt*rhs(n), or when max|f| <=
-    FLOOR_CHECK is at most the rounding floor of f (``_residual_floor``),
-    below which no iterate can be told from another.  Newton system k is
-    solved to the relative tolerance max(linear_tol, min(0.1, max|f_k|)),
-    an inexact-Newton forcing term that keeps the quadratic convergence
-    (Dembo, Eisenstat and Steihaug 1982) without solving early systems
-    beyond what their residual can use; the 1D direct solve is exact.  The
-    line search halves the step until the residual shrinks; the iterate it
-    accepts brings its right side and residual into the next iteration, so
-    each iterate's right side is evaluated once.  When 8 halvings fail, the
-    full step is taken as a fallback if its residual is finite and at most
-    FALLBACK_GROWTH times the current one; a larger growth, or a second
-    fallback in one solve, raises SolverFailure.  After convergence the
-    update is re-applied in explicit conservative form,
-    n_new = n_old + dt*rhs(n*), so that no-flux runs
-    conserve mass to rounding rather than to the Newton tolerance.  The
+    FLOOR_CHECK is at most the rounding floor of f, below which no iterate
+    can be told from another.  Newton system k is solved to the relative
+    tolerance max(linear_tol, min(0.1, max|f_k|)), an inexact-Newton
+    forcing term that keeps the quadratic convergence (Dembo, Eisenstat
+    and Steihaug 1982) without solving early systems beyond what their
+    residual can use; the 1D direct solve is exact.  The line search halves
+    the step until the residual shrinks.  Each iterate, the start and every
+    trial, is evaluated once (``_evaluate_iterate``), floor included, and
+    the one accepted brings that record into the next iteration.  When 8
+    halvings fail, the full step is taken as a fallback if its residual is
+    finite and at most FALLBACK_GROWTH times the current one; a larger
+    growth, or a second fallback in one solve, raises SolverFailure.  After
+    convergence the update is re-applied in explicit conservative form,
+    n_new = n_old + dt*rhs(n*), so that no-flux runs conserve mass to
+    rounding rather than to the Newton tolerance.  The
     result is floored at zero with clamps counted.
     """
     grid = state.grid
@@ -469,67 +473,52 @@ def density_solve(
     co = _coefficients(state, params)
     op = _DensityOperator(grid) if grid.dim == 2 else None
     report = StepReport(dt_used=dt)
-    n_k = n_old.copy()
-    rhs_k = _density_rhs(n_k, grid, params, co)
-    f = n_k - n_old
-    f -= dt * rhs_k
+    cur = _evaluate_iterate(n_old.copy(), n_old, dt, grid, params, co, settings.newton_tol)
     for it in range(settings.newton_max + 1):
-        res_norm = float(np.abs(f).max())
         report.newton_iters = it + 1  # residual evaluations, 1 on a fixed point
-        report.newton_residual = res_norm
-        if not math.isfinite(res_norm):
+        report.newton_residual = cur.norm
+        if not math.isfinite(cur.norm):
             raise SolverFailure("density Newton residual is non-finite")
-        if res_norm <= settings.newton_tol or (
-            res_norm <= FLOOR_CHECK and res_norm <= _residual_floor(n_k, grid, params, co, dt)
-        ):
+        if cur.norm <= settings.newton_tol or cur.norm <= cur.floor:
             break
         if it == settings.newton_max:
             raise SolverFailure(
                 f"density Newton did not converge in {settings.newton_max} iterations "
-                f"(residual {res_norm:.3e})"
+                f"(residual {cur.norm:.3e})"
             )
-        a, r = _density_jacobian(n_k, params, co)
-        tol = max(settings.linear_tol, min(0.1, res_norm))
-        delta, lin = _solve_newton_system(grid, a, r, dt, -f, tol, LINEAR_MAX, op)
+        a, r = _density_jacobian(cur, params, co)
+        tol = max(settings.linear_tol, min(0.1, cur.norm))
+        delta, lin = _solve_newton_system(grid, a, r, dt, -cur.f, tol, LINEAR_MAX, op)
         report.linear_iters += lin
         # damped update: halve until the residual shrinks; the full step,
-        # which is the first trial, is the bounded fallback.  A trial far past
-        # saturation overflows n^(gamma+1); its residual is then not finite,
-        # which rejects it like any other residual that does not shrink
-        step_len = 1.0
-        full = None
-        for _ in range(8):
-            trial = n_k + step_len * delta
-            np.maximum(trial, 0.0, out=trial)
-            with np.errstate(over="ignore", invalid="ignore"):
-                rhs_trial = _density_rhs(trial, grid, params, co)
-                f_trial = trial - n_old
-                f_trial -= dt * rhs_trial
-            trial_norm = float(np.abs(f_trial).max())
-            if full is None:
-                full = (trial, rhs_trial, f_trial, trial_norm)
-            if math.isfinite(trial_norm) and trial_norm < res_norm:
+        # which is the first trial, is the bounded fallback
+        for k in range(8):
+            n_trial = cur.n + 0.5**k * delta
+            np.maximum(n_trial, 0.0, out=n_trial)
+            trial = _evaluate_iterate(n_trial, n_old, dt, grid, params, co, settings.newton_tol)
+            if k == 0:
+                full = trial
+            if math.isfinite(trial.norm) and trial.norm < cur.norm:
                 break
-            step_len *= 0.5
         else:
-            trial, rhs_trial, f_trial, full_norm = full
-            if not full_norm <= FALLBACK_GROWTH * res_norm:  # also rejects a non-finite one
+            if not full.norm <= FALLBACK_GROWTH * cur.norm:  # also rejects a non-finite one
                 raise SolverFailure(
                     "density Newton's undamped step grew the residual from "
-                    f"{res_norm:.3e} to {full_norm:.3e}"
+                    f"{cur.norm:.3e} to {full.norm:.3e}"
                 )
             report.newton_fallbacks += 1
             if report.newton_fallbacks > 1:
                 raise SolverFailure(
                     "density Newton fell back to an undamped step twice "
-                    f"(residual {res_norm:.3e})"
+                    f"(residual {cur.norm:.3e})"
                 )
-        n_k, rhs_k, f = trial, rhs_trial, f_trial
+            trial = full
+        cur = trial
 
-    n_new = n_old + dt * rhs_k
+    n_new = n_old + dt * cur.rhs
     report.clamped_cells = int(np.count_nonzero(n_new < 0.0))
     n_new = np.maximum(n_new, 0.0)
-    report.cutoff_activations = _count_cutoff_activations(n_k, state.c, co.ell)
+    report.cutoff_activations = _count_cutoff_activations(cur.n, state.c, co.ell)
     return n_new, report
 
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tissuesim import harness
 from tissuesim.cli import main
 from tissuesim.config import default_config, parse_config
 from tissuesim.diagnostics import EnergyLedger, LedgerRow, make_ledger_row
@@ -295,6 +296,33 @@ class TestCli:
         assert any(line.startswith(warned) for line in run_warnings)
         assert run_warnings == [line for line in check_err.splitlines()
                                 if line.startswith("warning: ")]
+
+    # constant G = 1000 over T = 1: G0 T = M0 T = 1000
+    STIFF_GROWTH_TEXT = (BASE_TEXT.replace("time.T_final = 0.05", "time.T_final = 1")
+                         + "model.G_preset = constant\nmodel.G_alpha = 1000\n")
+
+    def test_check_names_an_underflowing_automatic_sigma(self, tmp_path, capsys):
+        # e^(-1000) underflows to 0, and with it the automatic sigma 0.5 e^(-G0 T)
+        assert main(["check", "--config", write_cfg(tmp_path, self.STIFF_GROWTH_TEXT)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ("warning: e^(-G0 T) underflows to 0 at G0 T = 1000, so no sigma is "
+                       "admissible; hypothesis not checked\n")
+        assert "H7      not checkable (e^(-G0 T) underflows to 0 at G0 T = 1000)\n" in out
+
+    def test_eps_study_exits_on_a_set_up_error_before_the_reference_steps(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # each eps run's inactive-cutoff bound e^(2 M0 T) max n0 overflows;
+        # the eps = 0 reference, which has no such bound, would march for minutes
+        def no_step(*args):
+            raise AssertionError("the eps = 0 reference took a step")
+
+        monkeypatch.setattr(harness, "step", no_step)
+        text = self.STIFF_GROWTH_TEXT + f"eps.values = 0.01\noutput.dir = {tmp_path}/out\n"
+        assert main(["eps-study", "--config", write_cfg(tmp_path, text)]) == 4
+        assert ("config error: the inactive-cutoff bound e^(2 M0 T) max n0 overflows at "
+                "M0 T = 1000") in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
 
     def test_missing_config_flag_is_config_error(self, capsys):
         code = main(["run"])

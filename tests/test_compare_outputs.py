@@ -52,3 +52,24 @@ def test_largest_difference_names_its_column():
     # a text field that differs moves nothing and names no column
     relabelled = parent.replace(b"config = abc", b"config = abd")
     assert tool.max_relative_difference(parent, relabelled) == "max relative difference 0.000e+00"
+
+
+def test_first_differing_console_line():
+    tool = load_tool()
+    parent = b"config  abc\nH7      not checkable (sigma = 0 not admissible)\n"
+    change = b"config  abc\nH7      not checkable (e^(-G0 T) underflows)\n"
+    assert tool.first_line_difference(parent, change) == (
+        "line 2: 'H7      not checkable (sigma = 0 not admissible)' -> "
+        "'H7      not checkable (e^(-G0 T) underflows)'"
+    )
+    assert tool.first_line_difference(parent, parent + b"x\n") == "line 3: '<none>' -> 'x'"
+
+
+def test_check_case_returns_its_console_output(tmp_path):
+    tool = load_tool()
+    case = next(c for c in tool.CASES if c[0] == "check_h7_sigma_underflow")
+    code, outputs = tool.run_case(str(TOOL.parents[1]), case, str(tmp_path))
+    assert code == 0
+    assert sorted(outputs) == ["stderr", "stdout"]
+    assert outputs["stderr"].startswith(b"warning: e^(-G0 T) underflows to 0 at G0 T = 1000")
+    assert b"H7      not checkable (e^(-G0 T) underflows to 0 at G0 T = 1000)\n" in outputs["stdout"]

@@ -252,10 +252,11 @@ class TestDensitySolve:
         # iterate; at half of it, the start is accepted as it is
         s, params = floor_case(shape, eps=0.05)
         co = stepper._coefficients(s, params)
-        rhs_max = np.max(np.abs(stepper._density_rhs(s.n, s.grid, params, co)))
 
         def multiple(dt):
-            return dt * rhs_max / stepper._residual_floor(s.n, s.grid, params, co, dt)
+            start = stepper._evaluate_iterate(s.n, s.n, dt, s.grid, params, co, 0.0)
+            assert start.norm <= stepper.FLOOR_CHECK  # so its floor is formed
+            return start.norm / start.floor
 
         dt = 1e-12 * times_floor / multiple(1e-12)
         assert multiple(dt) == pytest.approx(times_floor, rel=1e-6)
@@ -264,17 +265,30 @@ class TestDensitySolve:
         assert report.newton_fallbacks == 0
 
     @pytest.mark.parametrize("shape, dt", [((400,), 0.05), ((64, 64), 0.5)], ids=["1d", "2d"])
-    def test_solve_stalled_at_the_rounding_floor_is_accepted(self, shape, dt):
+    def test_solve_stalled_at_the_rounding_floor_is_accepted(self, monkeypatch, shape, dt):
         # dt eps / h^2 = 1.6e4 (1D) and 4.1e3 (2D): the residual cannot be
         # evaluated to newton_tol = 1e-10, and the absolute test alone falls
-        # back to an undamped step twice.  The floor accepts the stalled
-        # iterate, with no fallback
+        # back to an undamped step twice.  The floor of the accepted
+        # iterate, the last one evaluated, accepts it, with no fallback
         s, params = floor_case(shape, eps=2.0)
-        n_new, report = density_solve(s, dt, params, SETTINGS)
+        evaluated = evaluations(monkeypatch)
+        _, report = density_solve(s, dt, params, SETTINGS)
         assert report.newton_fallbacks == 0
-        co = stepper._coefficients(s, params)
-        floor = stepper._residual_floor(n_new, s.grid, params, co, dt)
-        assert SETTINGS.newton_tol < report.newton_residual <= floor
+        assert evaluated[-1].norm == report.newton_residual
+        assert SETTINGS.newton_tol < report.newton_residual <= evaluated[-1].floor
+
+
+def evaluations(monkeypatch):
+    """Record every ``_Iterate`` that ``stepper._evaluate_iterate`` returns, in order."""
+    real = stepper._evaluate_iterate
+    seen = []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(stepper, "_evaluate_iterate", spy)
+    return seen
 
 
 def floor_case(shape, eps):
@@ -317,14 +331,15 @@ def reference_density_solve(state, dt, params, settings):
     report = stepper.StepReport(dt_used=dt)
     n_k = n_old.copy()
     for it in range(settings.newton_max + 1):
-        f = n_k - n_old - dt * stepper._density_rhs(n_k, grid, params, co)
+        evaluated = stepper._evaluate_iterate(n_k, n_old, dt, grid, params, co, 0.0)
+        f = n_k - n_old - dt * evaluated.rhs
         res_norm = float(np.max(np.abs(f)))
         report.newton_iters = it + 1
         report.newton_residual = res_norm
         if res_norm <= settings.newton_tol:
             break
         assert it < settings.newton_max
-        a, r = stepper._density_jacobian(n_k, params, co)
+        a, r = stepper._density_jacobian(evaluated, params, co)
         delta, _ = stepper._solve_newton_system(
             grid, a, r, dt, -f, settings.linear_tol, stepper.LINEAR_MAX, op
         )
@@ -332,7 +347,8 @@ def reference_density_solve(state, dt, params, settings):
         accepted = None
         for _ in range(8):
             trial = np.maximum(n_k + step_len * delta, 0.0)
-            f_trial = trial - n_old - dt * stepper._density_rhs(trial, grid, params, co)
+            rhs_trial = stepper._evaluate_iterate(trial, n_old, dt, grid, params, co, 0.0).rhs
+            f_trial = trial - n_old - dt * rhs_trial
             trial_norm = float(np.max(np.abs(f_trial)))
             if math.isfinite(trial_norm) and trial_norm < res_norm:
                 accepted = trial
@@ -341,8 +357,8 @@ def reference_density_solve(state, dt, params, settings):
         if accepted is None:
             accepted = np.maximum(n_k + delta, 0.0)
         n_k = accepted
-    n_new = np.maximum(n_old + dt * stepper._density_rhs(n_k, grid, params, co), 0.0)
-    return n_new, report
+    rhs = stepper._evaluate_iterate(n_k, n_old, dt, grid, params, co, 0.0).rhs
+    return np.maximum(n_old + dt * rhs, 0.0), report
 
 
 def bump_1d(cells=40, gamma=3.0, eps=0.0, ell=0.0, c_jump=False):
@@ -359,25 +375,15 @@ def bump_1d(cells=40, gamma=3.0, eps=0.0, ell=0.0, c_jump=False):
 
 
 class TestNewtonLoop:
-    def count_rhs_calls(self, monkeypatch):
-        real = stepper._density_rhs
-        seen = []
-
-        def spy(n, *args):
-            seen.append(n.copy())
-            return real(n, *args)
-
-        monkeypatch.setattr(stepper, "_density_rhs", spy)
-        return seen
-
     @pytest.mark.parametrize("flipped", [0, 1])
     def test_each_iterate_evaluated_once(self, monkeypatch, flipped):
         # one call for the start and one per line-search trial: none for an
         # accepted iterate's residual and none for the conservative update
         s, params = bump_1d()
         flip_first_directions(monkeypatch, flipped)
-        seen = self.count_rhs_calls(monkeypatch)
+        evaluated = evaluations(monkeypatch)
         _, report = density_solve(s, 0.01, params, SETTINGS)
+        seen = [it.n for it in evaluated]
         assert report.newton_iters >= 4
         assert report.newton_fallbacks == flipped
         # every direction takes its full step at once, except a flipped one,
@@ -386,6 +392,47 @@ class TestNewtonLoop:
         assert np.array_equal(seen[0], s.n)
         for i, a in enumerate(seen):
             assert not any(np.array_equal(a, b) for b in seen[i + 1:])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("ell_cut, unclamped", [("0", True), ("0.6", False)],
+                             ids=["inactive_cutoff", "low_cutoff"])
+    def test_each_evaluation_raises_its_iterate_to_gamma_plus_one_once(
+        self, monkeypatch, dim, ell_cut, unclamped
+    ):
+        # growth_1d with the eps lift: ell_cut = 0 resolves to the inactive
+        # bound, and 0.6 lies below it, so the cutoff clamps every iterate.
+        # The potential of an iterate is its only power gamma + 1; its
+        # residual floor reuses it
+        cfg = parse_config(GROWTH_CONFIG.read_text()).with_overrides(
+            model__eps_reg=0.01, initial__lift="eps", model__ell_cut=ell_cut)
+        if dim == 2:
+            cfg = cfg.with_overrides(grid__dim=2, grid__cells_x=16, grid__cells_y=16)
+        start, params = set_up(cfg)
+        s = start.initial_state
+        dt = suggest_dt(s, params, start.consts, 0.5)
+        events = []
+        real_power = stepper.positive_power
+
+        def power_spy(x, e):
+            if e == params.gamma + 1.0:
+                events.append("power")
+            return real_power(x, e)
+
+        evaluated = evaluations(monkeypatch)
+        real_evaluate = stepper._evaluate_iterate
+
+        def evaluate_spy(*args):
+            events.append("evaluate")
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(stepper, "_evaluate_iterate", evaluate_spy)
+        monkeypatch.setattr(stepper, "positive_power", power_spy)
+        _, report = density_solve(s, dt, params, SolverSettings(newton_tol=0.0))
+        assert report.newton_iters > 1
+        assert events == ["evaluate", "power"] * len(evaluated)
+        assert {it.unclamped for it in evaluated} == {unclamped}
+        # with no tolerance the floor stops the solve, formed from the same power
+        assert report.newton_residual <= evaluated[-1].floor
 
     @pytest.mark.parametrize("flipped", [0, 1])
     @pytest.mark.parametrize(
@@ -426,13 +473,15 @@ class TestNewtonLoop:
         ])
         n_k = n_old.copy()
         for _ in range(settings.newton_max):
-            f = n_k - n_old - dt * stepper._density_rhs(n_k, grid, params, co)
+            evaluated = stepper._evaluate_iterate(n_k, n_old, dt, grid, params, co, 0.0)
+            f = n_k - n_old - dt * evaluated.rhs
             if np.max(np.abs(f)) <= settings.newton_tol:
                 break
-            a, r = stepper._density_jacobian(n_k, params, co)
+            a, r = stepper._density_jacobian(evaluated, params, co)
             jac = np.eye(grid.num_cells) - dt * (lap * a.ravel() + np.diag(r.ravel()))
             n_k = n_k + np.linalg.solve(jac, -f.ravel()).reshape(grid.shape)
-        return np.maximum(n_old + dt * stepper._density_rhs(n_k, grid, params, co), 0.0)
+        rhs = stepper._evaluate_iterate(n_k, n_old, dt, grid, params, co, 0.0).rhs
+        return np.maximum(n_old + dt * rhs, 0.0)
 
     @pytest.mark.parametrize("linear_tol", [1e-10, 1e-5])
     def test_2d_forcing_term(self, monkeypatch, linear_tol):
@@ -474,8 +523,9 @@ class TestDensityJacobian:
             params = ModelParams(rates=rates(g=("linear", 1.0)), D=1.0, gamma=2.0, d_b=1.0,
                                  eps_reg=0.01, ell_cut=ell)
             co = stepper._coefficients(s, params)
-            assert co.unclamped(float(n.max())) == (ell == 10.0)
-            _, r_at[ell] = stepper._density_jacobian(n, params, co)
+            evaluated = stepper._evaluate_iterate(n, n, 0.01, grid, params, co, 0.0)
+            assert evaluated.unclamped == (ell == 10.0)
+            _, r_at[ell] = stepper._density_jacobian(evaluated, params, co)
         vacuum = n == 0.0
         assert np.array_equal(r_at[10.0][vacuum], np.full(3, 0.25 - 0.5))
         assert np.array_equal(r_at[0.4][vacuum], r_at[10.0][vacuum])

@@ -9,9 +9,11 @@ root, as ``python -m tissuesim`` with ``PYTHONPATH=<root>/src`` and
 ``OPENBLAS_NUM_THREADS=1``, on a config built from that root's ``configs/``
 plus the case's overrides.  Both sides of a case write to the same ``--out``
 directory, one after the other, so the config hashes stamped into the CSVs
-match.  The script lists every CSV whose bytes differ (or that only one side
-wrote) and every case whose exit codes differ, and exits 1 if there is any;
-it exits 0 when all CSVs are byte-identical.  For a CSV whose bytes differ
+match.  A ``check`` case, which prints no timings, also compares its
+standard output and standard error byte for byte.  The script lists every
+CSV or console stream whose bytes differ (or that only one side wrote) and
+every case whose exit codes differ, and exits 1 if there is any; it exits 0
+when all of them are byte-identical.  For a CSV whose bytes differ
 it also prints the largest relative difference |a - b| / max(|a|, |b|) over
 the numeric fields at the same place in both files, and the column it is
 in, so a change that moves values within a tolerance can quote how far they
@@ -129,6 +131,9 @@ CASES = (
     ("check_unknown_key", "check", "sweep.cfg", {"time.T_fianl": "0.5"}),
     # a sweep window that starts past the horizon, which the schema rejects
     ("check_sweep_tau_past_horizon", "check", "sweep.cfg", {"sweep.tau": "5"}),
+    # G0 T = 1000: e^(-G0 T), and with it the automatic sigma, underflows to 0
+    ("check_h7_sigma_underflow", "check", "growth_1d.cfg",
+     {"model.G_preset": "constant", "model.G_alpha": "1000", "time.T_final": "1"}),
 )
 
 
@@ -146,7 +151,10 @@ def config_text(path: str, overrides: dict[str, str]) -> str:
 
 
 def run_case(root: str, case: tuple, work: str) -> tuple[int, dict[str, bytes]]:
-    """Run one case on one root; return its exit code and the bytes of each CSV it wrote."""
+    """Run one case on one root; return its exit code and the bytes of each CSV it wrote.
+
+    A ``check`` case also returns its console output, as ``stdout`` and ``stderr``.
+    """
     name, sub, config, overrides = case
     cfg_path = os.path.join(work, f"{name}.cfg")
     with open(cfg_path, "w", encoding="utf-8") as f:
@@ -154,11 +162,12 @@ def run_case(root: str, case: tuple, work: str) -> tuple[int, dict[str, bytes]]:
     out = os.path.join(work, name)
     shutil.rmtree(out, ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1")
+    console = subprocess.PIPE if sub == "check" else subprocess.DEVNULL
     proc = subprocess.run(
         [sys.executable, "-m", "tissuesim", sub, "--config", cfg_path, "--out", out],
-        env=env, cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=env, cwd=work, stdout=console, stderr=console,
     )
-    files = {}
+    files = {"stdout": proc.stdout, "stderr": proc.stderr} if sub == "check" else {}
     if os.path.isdir(out):
         for entry in sorted(os.listdir(out)):
             if entry.endswith(".csv"):
@@ -223,6 +232,17 @@ def max_relative_difference(a: bytes, b: bytes) -> str:
     return f"max relative difference {worst:.3e}" + (f" in column {where}" if where else "")
 
 
+def first_line_difference(a: bytes, b: bytes) -> str:
+    """The first line of two console outputs that differs, as ``parent -> change`` text."""
+    lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
+    for i in range(max(len(lines_a), len(lines_b))):
+        line_a = lines_a[i] if i < len(lines_a) else "<none>"
+        line_b = lines_b[i] if i < len(lines_b) else "<none>"
+        if line_a != line_b:
+            return f"line {i + 1}: {line_a!r} -> {line_b!r}"
+    return "line endings differ"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: compare_outputs.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
@@ -243,11 +263,13 @@ def main(argv: list[str]) -> int:
                 if a is None or b is None:
                     differ.append(f"{name}/{entry}: only in {'change' if a is None else 'parent'}")
                 elif a != b:
-                    differ.append(f"{name}/{entry}: bytes differ, {max_relative_difference(a, b)}")
-            print(f"{name}: exit {code_a}/{code_b}, {len(files_a | files_b)} CSVs")
+                    summary = (first_line_difference(a, b) if entry in ("stdout", "stderr")
+                               else max_relative_difference(a, b))
+                    differ.append(f"{name}/{entry}: bytes differ, {summary}")
+            print(f"{name}: exit {code_a}/{code_b}, {len(files_a | files_b)} outputs")
     for line in differ:
         print(f"DIFFERS {line}")
-    print(f"{compared} CSVs compared, {len(differ)} differences")
+    print(f"{compared} outputs compared, {len(differ)} differences")
     return 1 if differ else 0
 
 
