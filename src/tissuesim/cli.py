@@ -104,14 +104,7 @@ def _cmd_check(cfg) -> int:
     print(f"G0      {consts.G0:.12g}")
     print(f"M0      {consts.M0:.12g}")
     print(f"d_crit  {consts.d_crit:.12g}")
-    if result.h7_pass is None and result.sigma == 0.0:  # the automatic sigma underflowed
-        G0_T = consts.G0 * cfg["time.T_final"]
-        print(f"H7      not checkable (e^(-G0 T) underflows to 0 at G0 T = {G0_T:.6g})")
-    elif result.h7_pass is None:
-        print(f"H7      not checkable (sigma = {result.sigma:.6g} not admissible)")
-    else:
-        verdict = "pass" if result.h7_pass else "FAIL"
-        print(f"H7      {verdict} (sigma = {result.sigma:.6g}, ratio = {result.h7_ratio:.6g})")
+    print(f"H7      {result.h7}")
     return EXIT_OK
 
 

@@ -134,6 +134,7 @@ _SCHEMA: list[_Key] = [
 ]
 
 _BY_NAME = {k.name: k for k in _SCHEMA}
+_POSITION = {k.name: i for i, k in enumerate(_SCHEMA)}  # where a RunConfig keeps each key
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ class RunConfig:
     values: tuple  # canonical (name, value) pairs in schema order
 
     def __getitem__(self, name: str):
-        return dict(self.values)[name]
+        return self.values[_POSITION[name]][1]
 
     def with_overrides(self, **dotted) -> "RunConfig":
         """Return a copy with the given keys replaced.

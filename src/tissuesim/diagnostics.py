@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import Grid, divergence, face_gradient
-from .model import BOUND_INFLATION, DerivedConstants, ModelParams
+from .model import BOUND_INFLATION, DerivedConstants, ModelParams, saturating_exp
 from .stepper import State, StepReport, positive_power
 
 
@@ -363,7 +363,7 @@ def check_all(state: State, consts: DerivedConstants, tolcfg: TolConfig) -> list
         ("nutrient ceiling", d.max() - d_high, lambda: d - d_high),
     ]
     if tolcfg.cap_base is not None:
-        cap = math.exp(consts.G0 * state.t) * tolcfg.cap_base * (1.0 + BOUND_INFLATION)
+        cap = saturating_exp(consts.G0 * state.t) * tolcfg.cap_base * (1.0 + BOUND_INFLATION)
         bounds.append(("weak maximum principle", n.max() - cap, lambda: n - cap))
     if tolcfg.min_floor is not None:
         floor = tolcfg.min_floor - 1e-12

@@ -53,6 +53,7 @@ from .model import (
     RateFunctions,
     check_h7,
     derive_constants,
+    saturating_exp,
 )
 from .stepper import SolverSettings, State, StepReport, step, suggest_dt
 
@@ -184,7 +185,7 @@ class RunResult:
     consts: DerivedConstants
     cfg_hash: str
     bounds: TolConfig         # the optional bound data the run checks
-    sigma: float = math.nan
+    h7: str                   # the H7 verdict: pass (...), FAIL (...) or not checkable (...)
     h7_pass: bool | None = None
     h7_ratio: float = math.nan
     warnings: list[str] = field(default_factory=list)
@@ -226,41 +227,34 @@ def set_up(cfg: RunConfig) -> tuple[RunResult, ModelParams]:
     """What ``run`` fixes before its first step: a ``RunResult`` with no step or ledger row.
 
     It holds the grid and the lifted initial state, the derived constants,
-    the initial-mass hypothesis H7 on the unlifted n0, the bound data its
-    run checks and every set-up warning.  sigma is ``model.sigma``, or
-    0.5 e^(-G0 T) when that is 0; H7 is checked only for an admissible
-    sigma < e^(-G0 T), and none is when e^(-G0 T) underflows to 0.  The
-    parameters returned carry the resolved cutoff level: with eps > 0,
-    ``model.ell_cut = 0`` becomes the inactive-cutoff bound
-    max(L, e^(2 M0 T) max n0), slightly inflated, and a given level below
-    that bound is kept with a warning; a bound that overflows raises
-    ``ConfigError``.
+    the verdict of the initial-mass hypothesis H7 on the unlifted n0 (a
+    warning too unless it is pass), the bound data its run checks and every
+    set-up warning.  sigma is ``model.sigma``, or 0.5 e^(-G0 T) when that is
+    0; H7 is checked only for a nonzero sigma below e^(-G0 T).  Every
+    e^(rate T) factor saturates (``saturating_exp``).  The parameters
+    returned carry the resolved cutoff level: with eps > 0, ``model.ell_cut
+    = 0`` becomes the inactive-cutoff bound max(L, e^(2 M0 T) max n0),
+    slightly inflated, and a given level below that bound is kept with a
+    warning; a bound that overflows raises ``ConfigError``.
     """
     grid = build_grid(cfg)
     params = make_params(cfg)
     n0, c0, d0 = initial_fields(cfg, grid, params)
     consts = derive_constants(params, d0)
 
-    warnings: list[str] = []
     T = params.T_final
-    sigma_max = math.exp(-consts.G0 * T)
+    sigma_max = saturating_exp(-consts.G0 * T)
     sigma = cfg["model.sigma"] or 0.5 * sigma_max
     h7_pass, h7_ratio = None, math.nan
-    if sigma < sigma_max:
+    if sigma == 0.0:  # the automatic sigma, of an e^(-G0 T) below twice the smallest float
+        factor = "e^(-G0 T)" if sigma_max == 0.0 else "0.5 e^(-G0 T)"
+        h7 = f"not checkable ({factor} underflows to 0 at G0 T = {consts.G0 * T:.6g})"
+    elif sigma < sigma_max:
         h7_pass, h7_ratio = check_h7(grid, n0, sigma, consts.G0, T)
-        if not h7_pass:
-            warnings.append(
-                f"initial-mass hypothesis fails: superlevel ratio {h7_ratio:.3g} > 1 "
-                f"(sigma = {sigma:.3g})"
-            )
-    elif sigma == 0.0:  # the automatic sigma, of an e^(-G0 T) that underflows
-        warnings.append(f"e^(-G0 T) underflows to 0 at G0 T = {consts.G0 * T:.6g}, so no "
-                        "sigma is admissible; hypothesis not checked")
+        h7 = f"{'pass' if h7_pass else 'FAIL'} (sigma = {sigma:.6g}, ratio = {h7_ratio:.6g})"
     else:
-        warnings.append(
-            f"sigma = {sigma:.3g} is not admissible (needs < e^(-G0 T) = "
-            f"{sigma_max:.3g}); hypothesis not checked"
-        )
+        h7 = f"not checkable (sigma = {sigma:.6g} not admissible)"
+    warnings = [] if h7_pass else [f"H7 {h7}"]
 
     lift = cfg["initial.lift"]
     if lift == "gamma":
@@ -271,16 +265,15 @@ def set_up(cfg: RunConfig) -> tuple[RunResult, ModelParams]:
     # the schema admits the eps lift only with eps > 0
     bounds = TolConfig(
         cap_base=float(n0.max()) if lift == "gamma" else None,
-        min_floor=params.eps_reg * math.exp(-consts.M0 * T) if lift == "eps" else None,
+        min_floor=params.eps_reg * saturating_exp(-consts.M0 * T) if lift == "eps" else None,
     )
 
-    if params.eps_reg > 0.0:
-        try:
-            ell_floor = max(consts.L, math.exp(2.0 * consts.M0 * T) * float(n0.max()))
-        except OverflowError:
+    if params.eps_reg > 0.0:  # e^(2 M0 T) = inf times max n0 = 0 is nan, which max skips
+        ell_floor = max(consts.L, saturating_exp(2.0 * consts.M0 * T) * float(n0.max()))
+        if ell_floor == math.inf:
             raise ConfigError([
                 f"the inactive-cutoff bound e^(2 M0 T) max n0 overflows at M0 T = {consts.M0 * T:.6g}"
-            ]) from None
+            ])
         if params.ell_cut == 0.0:
             params = replace(params, ell_cut=ell_floor * (1.0 + BOUND_INFLATION))
         elif params.ell_cut < ell_floor:
@@ -297,7 +290,7 @@ def set_up(cfg: RunConfig) -> tuple[RunResult, ModelParams]:
         consts=consts,
         cfg_hash=config_hash(cfg),
         bounds=bounds,
-        sigma=sigma,
+        h7=h7,
         h7_pass=h7_pass,
         h7_ratio=h7_ratio,
         warnings=warnings,

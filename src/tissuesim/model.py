@@ -161,22 +161,30 @@ def cutoff(s, ell: float):
     return out
 
 
+def saturating_exp(x: float) -> float:
+    """e^x of every e^(rate t) bound factor: ``math.exp(x)``, or inf where that overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def check_h7(grid: Grid, n0: np.ndarray, sigma: float, G0: float, T: float) -> tuple[bool, float]:
     """Initial-mass smallness hypothesis behind the stiff-limit estimates.
 
     Measures the superlevel set {n0 >= sigma} of the cell values n0 on
     ``grid`` and compares it to |Omega| / (e^{G0 T} * max n0).  Returns (passed, ratio) where ratio is
     measured / allowed; ratio <= 1 passes.  sigma must lie in (0, e^{-G0 T}).
+    An allowance that underflows to 0 fails with ratio inf; an infinite one passes with ratio 0.
     """
-    if not (0.0 < sigma < math.exp(-G0 * T)):
-        raise ValueError(
-            f"sigma must lie in (0, e^(-G0*T)) = (0, {math.exp(-G0 * T):.6g}), got {sigma}"
-        )
+    sigma_max = saturating_exp(-G0 * T)
+    if not (0.0 < sigma < sigma_max):
+        raise ValueError(f"sigma must lie in (0, e^(-G0*T)) = (0, {sigma_max:.6g}), got {sigma}")
     vol = grid.cell_volume
     measured = float(np.count_nonzero(n0 >= sigma)) * vol
     if measured == 0.0:
         return True, 0.0
-    # some cell has n0 >= sigma > 0, so max n0 > 0
-    allowed = grid.num_cells * vol / (math.exp(G0 * T) * float(n0.max()))
-    ratio = measured / allowed
+    scale = saturating_exp(G0 * T) * float(n0.max())
+    allowed = grid.num_cells * vol / scale if scale > 0.0 else math.inf
+    ratio = measured / allowed if allowed > 0.0 else math.inf
     return ratio <= 1.0, ratio

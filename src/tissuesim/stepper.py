@@ -618,7 +618,7 @@ def fraction_update(
     reaction = k1 * (1.0 - c) - k2 * c - params.D * c * (1.0 - c)
 
     c_star = c + dt * (-adv + reaction)
-    if not params.eps_reg > 0.0:
+    if not dt * params.eps_reg > 0.0:  # no viscosity, or a dt eps that underflows to 0
         return c_star
     # (I - dt eps lap_N) c_new = c*, divided through by dt eps
     shift = 1.0 / (dt * params.eps_reg)

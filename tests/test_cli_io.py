@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,8 +10,9 @@ import pytest
 
 from tissuesim import harness
 from tissuesim.cli import main
-from tissuesim.config import default_config, parse_config
+from tissuesim.config import default_config, parse_config, serialize_config
 from tissuesim.diagnostics import EnergyLedger, LedgerRow, make_ledger_row
+from tissuesim.errors import ConfigError
 from tissuesim.grid import Grid
 from tissuesim.harness import (
     BenchReport, BenchRow, EpsEntry, SweepEntry, SweepReport, make_params, run,
@@ -274,12 +276,12 @@ class TestCli:
     @pytest.mark.parametrize("text, warned, h7", [
         # G0 = 1 and T = 0.05 admit sigma < e^-0.05 = 0.951 only
         (BASE_TEXT + "model.sigma = 0.99\n",
-         "warning: sigma = 0.99 is not admissible (needs < e^(-G0 T) = 0.951)",
+         "warning: H7 not checkable (sigma = 0.99 not admissible)",
          "H7      not checkable (sigma = 0.99 not admissible)"),
-        # every cell of a uniform n0 = 1 lies above sigma
+        # every cell of a uniform n0 = 1 lies above sigma: ratio e^0.05
         (BASE_TEXT.replace("= bump", "= uniform").replace("n0 = 0.1", "n0 = 1"),
-         "warning: initial-mass hypothesis fails: superlevel ratio 1.05 > 1",
-         "H7      FAIL"),
+         "warning: H7 FAIL (sigma = 0.475615, ratio = 1.05127)",
+         "H7      FAIL (sigma = 0.475615, ratio = 1.05127)"),
         # a given cutoff level below max(L, e^(2 M0 T) max n0)
         (BASE_TEXT + "model.eps_reg = 0.01\ninitial.lift = eps\nmodel.ell_cut = 0.6\n",
          "warning: cutoff level 0.6 is below the inactive-cutoff bound",
@@ -305,9 +307,58 @@ class TestCli:
         # e^(-1000) underflows to 0, and with it the automatic sigma 0.5 e^(-G0 T)
         assert main(["check", "--config", write_cfg(tmp_path, self.STIFF_GROWTH_TEXT)]) == 0
         out, err = capsys.readouterr()
-        assert err == ("warning: e^(-G0 T) underflows to 0 at G0 T = 1000, so no sigma is "
-                       "admissible; hypothesis not checked\n")
+        assert err == "warning: H7 not checkable (e^(-G0 T) underflows to 0 at G0 T = 1000)\n"
         assert "H7      not checkable (e^(-G0 T) underflows to 0 at G0 T = 1000)\n" in out
+
+    GROWTH_1D = parse_config((Path(__file__).parent.parent / "configs" / "growth_1d.cfg").read_text())
+    CONSTANT_G = {"model.G_preset": "constant", "time.T_final": 1}
+
+    # growth_1d.cfg with overrides: set-ups whose e^(rate T) bound factors
+    # overflow or underflow still get one H7 text, on stdout and as the warning
+    @pytest.mark.parametrize("overrides, h7", [
+        # e^(G0 T) = e^720 in the allowance overflows, while e^(-G0 T) is subnormal
+        ({**CONSTANT_G, "model.G_alpha": 720}, "FAIL (sigma = 1.01612e-313, ratio = inf)"),
+        # e^(-G0 T) = 4.9e-324 is not 0, but the automatic sigma, half of it, is
+        ({**CONSTANT_G, "model.G_alpha": 744.5},
+         "not checkable (0.5 e^(-G0 T) underflows to 0 at G0 T = 744.5)"),
+        # e^(G0 T) max n0 overflows although e^(G0 T) alone does not
+        ({"model.G_alpha": 700, "initial.n0": 1e300}, "FAIL (sigma = 4.9648e-153, ratio = inf)"),
+        # e^(-G0 T) = e^750 overflows, and so does the automatic sigma
+        ({"model.G_preset": "constant", "model.G_alpha": -1500},
+         "not checkable (sigma = inf not admissible)"),
+    ], ids=["allowance_factor_overflow", "sigma_rounds_to_zero", "allowance_overflow",
+            "negative_growth"])
+    def test_check_gives_an_extreme_set_up_one_h7_text(self, tmp_path, capsys, overrides, h7):
+        text = serialize_config(self.GROWTH_1D.with_overrides(**overrides))
+        assert main(["check", "--config", write_cfg(tmp_path, text)]) == 0
+        out, err = capsys.readouterr()
+        assert f"\nH7      {h7}\n" in out
+        assert err == f"warning: H7 {h7}\n"
+
+    # values around where e^x over- and underflows (x = 709.8 and -745.1), and the extremes
+    EXTREMES = (0, 1e-300, 0.5, 1, 700, 709.9, 720, 744.5, 745, 750, 1e300,
+                -1e-300, -1, -750, -1500, -1e300)
+    DRAWN_KEYS = ("model.G_alpha", "model.D", "model.a", "model.psi_alpha", "model.d_b",
+                  "initial.n0", "time.T_final", "model.sigma", "model.eps_reg", "model.gamma")
+
+    def test_check_exits_0_or_4_on_every_extreme_config(self, tmp_path, capsys):
+        # a fixed draw of 200 schema-valid configs on 16 cells; an uncaught
+        # exception, or a numpy warning (an error under pytest), fails the test
+        rng = random.Random(30)
+        base = self.GROWTH_1D.with_overrides(grid__cells_x=16)
+        path, codes = tmp_path / "case.cfg", []
+        while len(codes) < 200:
+            keys = rng.sample(self.DRAWN_KEYS, rng.randint(1, 5))
+            overrides = {key: rng.choice(self.EXTREMES) for key in keys}
+            overrides["model.G_preset"] = rng.choice(("linear", "saturating", "constant"))
+            try:
+                cfg = base.with_overrides(**overrides)
+            except ConfigError:
+                continue
+            path.write_text(serialize_config(cfg))
+            codes.append(main(["check", "--config", str(path)]))
+        capsys.readouterr()
+        assert set(codes) == {0, 4}
 
     def test_eps_study_exits_on_a_set_up_error_before_the_reference_steps(
         self, tmp_path, capsys, monkeypatch

@@ -71,5 +71,7 @@ def test_check_case_returns_its_console_output(tmp_path):
     code, outputs = tool.run_case(str(TOOL.parents[1]), case, str(tmp_path))
     assert code == 0
     assert sorted(outputs) == ["stderr", "stdout"]
-    assert outputs["stderr"].startswith(b"warning: e^(-G0 T) underflows to 0 at G0 T = 1000")
+    assert outputs["stderr"] == (
+        b"warning: H7 not checkable (e^(-G0 T) underflows to 0 at G0 T = 1000)\n"
+    )
     assert b"H7      not checkable (e^(-G0 T) underflows to 0 at G0 T = 1000)\n" in outputs["stdout"]

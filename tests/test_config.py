@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 from pathlib import Path
 
 import pytest
@@ -198,3 +200,11 @@ class TestRoundTrip:
     def test_overrides_validate(self):
         with pytest.raises(ConfigError):
             default_config().with_overrides(model__gamma=0.25)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda cfg: pickle.loads(pickle.dumps(cfg))])
+    def test_copies_keep_values_lookups_and_hash(self, clone):
+        cfg = default_config().with_overrides(model__gamma=6.0)
+        twin = clone(cfg)
+        assert twin == cfg and hash(twin) == hash(cfg)
+        assert twin["model.gamma"] == 6.0 and config_hash(twin) == config_hash(cfg)

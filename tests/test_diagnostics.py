@@ -547,6 +547,10 @@ class TestCheckAll:
         s = make_state(np.full(8, 2.0), t=1.0)  # cap = e^1 * 1.0 = 2.718
         assert check_all(s, CONSTS, TolConfig(cap_base=1.0)) == []
 
+    def test_weak_max_cap_that_overflows_checks_nothing(self):
+        s = make_state(np.full(8, 2.0), t=800.0)  # cap = e^800 * 1.0 overflows to inf
+        assert check_all(s, CONSTS, TolConfig(cap_base=1.0)) == []
+
     @pytest.mark.parametrize("field, invariants", [
         ("n", ("density nonnegativity",)),
         ("c", ("fraction lower bound", "fraction upper bound")),

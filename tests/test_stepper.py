@@ -819,6 +819,14 @@ class TestFractionUpdate:
         exact = 0.5 * (1.0 - math.exp(-2.0))
         assert s.c[0] == pytest.approx(exact, abs=5e-3)
 
+    def test_viscosity_whose_dt_eps_underflows_to_0_is_skipped(self):
+        # dt eps = 1e-30 * 1e-300 is 0 in floating point, so (I - dt eps lap) is the identity
+        grid = small_grid(8)
+        plain = ModelParams(rates=rates(k1=("constant", 1.0)), gamma=2.0, d_b=0.0)
+        s = replace(uniform_state(grid, n=0.5), c=np.linspace(0.1, 0.9, 8))
+        viscous = fraction_update(s, s.n, 1e-30, replace(plain, eps_reg=1e-300, ell_cut=10.0))
+        assert viscous.tobytes() == fraction_update(s, s.n, 1e-30, plain).tobytes()
+
     def test_budget_violation_raises(self):
         grid = small_grid(3)
         params = ModelParams(rates=rates(k1=("constant", 30.0)), gamma=2.0, d_b=0.0)

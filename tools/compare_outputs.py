@@ -134,6 +134,29 @@ CASES = (
     # G0 T = 1000: e^(-G0 T), and with it the automatic sigma, underflows to 0
     ("check_h7_sigma_underflow", "check", "growth_1d.cfg",
      {"model.G_preset": "constant", "model.G_alpha": "1000", "time.T_final": "1"}),
+    # five set-ups whose e^(rate t) bound factors saturate, each of which once
+    # exited 1 with a traceback.  G0 T = 720: e^(G0 T) in the H7 allowance
+    # overflows; "H7      FAIL (sigma = 1.01612e-313, ratio = inf)"
+    ("check_h7_overflow", "check", "growth_1d.cfg",
+     {"model.G_preset": "constant", "model.G_alpha": "720", "time.T_final": "1"}),
+    # G0 T = 744.5: e^(-G0 T) = 4.9e-324, half of which rounds to 0;
+    # "H7      not checkable (0.5 e^(-G0 T) underflows to 0 at G0 T = 744.5)"
+    ("check_h7_sigma_rounds_to_zero", "check", "growth_1d.cfg",
+     {"model.G_preset": "constant", "model.G_alpha": "744.5", "time.T_final": "1"}),
+    # e^(G0 T) max n0 overflows; "H7      FAIL (sigma = 4.9648e-153, ratio = inf)"
+    ("check_h7_allowance_overflow", "check", "growth_1d.cfg",
+     {"model.G_alpha": "700", "initial.n0": "1e300"}),
+    # G0 T = -750: e^(-G0 T) overflows; "H7      not checkable (sigma = inf not admissible)"
+    ("check_negative_growth", "check", "growth_1d.cfg",
+     {"model.G_preset": "constant", "model.G_alpha": "-1500"}),
+    # e^(G0 t) of the weak-maximum-principle cap overflows at t = 709.8;
+    # "run <hash>: 15841 steps to t = 720, mass 0.722222222222"
+    ("run_cap_overflow", "run", "growth_1d.cfg",
+     {"grid.cells_x": "20", "initial.profile": "uniform", "initial.n0": "0.5",
+      "initial.c0": "1", "model.sigma": "1", "model.G_preset": "constant",
+      "model.G_alpha": "1", "model.D": "1", "model.K1_preset": "constant",
+      "model.K1_alpha": "10", "model.K2_alpha": "0", "time.T_final": "720",
+      "time.snapshot_stride": "1000"}),
 )
 
 
