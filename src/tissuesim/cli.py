@@ -95,7 +95,7 @@ def _out_path(cfg, name: str) -> str:
 
 
 def _cmd_check(cfg) -> int:
-    result, _ = set_up(cfg)
+    result = set_up(cfg)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     consts = result.consts

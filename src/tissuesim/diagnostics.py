@@ -9,7 +9,8 @@ few solver-verification checks (porous-medium time-monotonicity gap, bounds).
 ``v_integrals`` computes the integrands for the ledger rows and the time
 quadratures alike.  ``WindowIntegrals`` and ``FieldSamples`` are fed every
 accepted state of a run, so no time quantity depends on the snapshot stride.
-All of them read v from ``State.v``, which each state computes once.
+All of them read v from ``State.v``, which each state computes once, and
+the model data from ``State.params``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class VIntegrals(NamedTuple):
     comp_resid: float      # integral of |div(v_face grad v) - |grad v|^2 + v R|
 
 
-def v_integrals(state: State, params: ModelParams) -> VIntegrals:
+def v_integrals(state: State) -> VIntegrals:
     """The integrals of v = n^(gamma+1), from the state's v and one face gradient of it.
 
     The residual takes v lap v in the product form div(v grad v) - |grad v|^2,
@@ -60,6 +61,7 @@ def v_integrals(state: State, params: ModelParams) -> VIntegrals:
     grads = face_gradient(grid, v)
     v_face = tuple(0.5 * (v[lo] + v[hi]) for lo, hi in grid.sides)
     div_term = divergence(grid, tuple(vf * g for vf, g in zip(v_face, grads)))
+    params = state.params
     growth = np.asarray(params.rates.G(state.d), dtype=float)
     reaction = growth * state.n - params.D * state.c * state.n
     cellwise = div_term - cellwise_grad_squared(grid, grads) + v * reaction
@@ -113,12 +115,10 @@ class EnergyLedger:
         return out
 
 
-def make_ledger_row(
-    state: State, params: ModelParams, delta: float, report: StepReport
-) -> LedgerRow:
+def make_ledger_row(state: State, delta: float, report: StepReport) -> LedgerRow:
     """The ledger row of ``state``, reached by the step ``report`` describes."""
-    vi = v_integrals(state, params)
-    half_power = positive_power(state.n, (state.gamma + 1.0) / 2.0)
+    vi = v_integrals(state)
+    half_power = positive_power(state.n, (state.params.gamma + 1.0) / 2.0)
     return LedgerRow(
         t=state.t,
         mass=float(np.sum(state.n)) * state.grid.cell_volume,
@@ -164,15 +164,15 @@ class WindowIntegrals:
     are nan until a state at or past tau arrives.
     """
 
-    def __init__(self, tau: float, params: ModelParams, delta: float):
-        self.tau, self.params, self.delta = tau, params, delta
+    def __init__(self, tau: float, delta: float):
+        self.tau, self.delta = tau, delta
         self.energy = self.seg_integral = self.comp_integral = self.excess_max = math.nan
         self._before: State | None = None    # the last state before tau
         self._last: tuple | None = None      # (t, integrands) of the last node
         self._sums = np.zeros(3)
 
     def _integrands(self, state: State) -> np.ndarray:
-        t, vi = state.t, v_integrals(state, self.params)
+        t, vi = state.t, v_integrals(state)
         return np.array([t * vi.v_sq + t * vi.grad_v_sq, vi.segregation, t**2 * vi.comp_resid])
 
     def add(self, state: State) -> None:
@@ -261,7 +261,7 @@ def reaction_free(params: ModelParams, c0) -> bool:
     return params.rates.G.is_zero and params.rates.K1.is_zero and not np.any(c0)
 
 
-def aronson_benilan_gap(states, params: ModelParams) -> float:
+def aronson_benilan_gap(states) -> float:
     """Min over cells and consecutive state pairs of (dn/dt + n / (gamma t)).
 
     ``states`` are consecutive accepted states of one run, the initial one
@@ -271,6 +271,7 @@ def aronson_benilan_gap(states, params: ModelParams) -> float:
     dt = t1 - t0, is excluded to keep the 1/t weight from amplifying
     startup error.
     """
+    params = states[0].params
     if not reaction_free(params, states[0].c):
         raise ValueError("the porous-medium monotonicity gap requires a reaction-free run")
     gap = math.inf

@@ -12,7 +12,10 @@ self-similar source solution (the classical convergence oracle for porous
 medium solvers).
 
 ``set_up`` fixes everything a run needs before its first step, warnings
-included; ``run`` marches from it, and ``tissuesim check`` prints from it.
+included; its initial state carries the run's one ``ModelParams``, cutoff
+level resolved, and every later state carries them on.  ``run`` marches
+from it, with ``suggest_dt`` proposing each dt, and ``tissuesim check``
+prints from it.
 
 Every campaign (``gamma_sweep``, ``eps_study``, ``barenblatt_benchmark``)
 takes the ``RunConfig`` and reads its own keys (``sweep.*``, ``eps.values``,
@@ -26,6 +29,7 @@ it stopped; only the eps = 0 reference of the eps study aborts its campaign.
 from __future__ import annotations
 
 import math
+import sys
 import time as _time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -223,19 +227,20 @@ def _inject_fault(state: State, mode: str, consts: DerivedConstants) -> State:
     return state
 
 
-def set_up(cfg: RunConfig) -> tuple[RunResult, ModelParams]:
+def set_up(cfg: RunConfig) -> RunResult:
     """What ``run`` fixes before its first step: a ``RunResult`` with no step or ledger row.
 
     It holds the grid and the lifted initial state, the derived constants,
     the verdict of the initial-mass hypothesis H7 on the unlifted n0 (a
     warning too unless it is pass), the bound data its run checks and every
     set-up warning.  sigma is ``model.sigma``, or 0.5 e^(-G0 T) when that is
-    0; H7 is checked only for a nonzero sigma below e^(-G0 T).  Every
-    e^(rate T) factor saturates (``saturating_exp``).  The parameters
-    returned carry the resolved cutoff level: with eps > 0, ``model.ell_cut
-    = 0`` becomes the inactive-cutoff bound max(L, e^(2 M0 T) max n0),
-    slightly inflated, and a given level below that bound is kept with a
-    warning; a bound that overflows raises ``ConfigError``.
+    0, the largest float where that overflows; H7 is checked only for a
+    nonzero sigma below e^(-G0 T).  Every e^(rate T) factor saturates
+    (``saturating_exp``).  The initial state carries the run's parameters
+    with the resolved cutoff level: with eps > 0, ``model.ell_cut = 0``
+    becomes the inactive-cutoff bound max(L, e^(2 M0 T) max n0), slightly
+    inflated, and a given level below that bound is kept with a warning; a
+    bound that overflows raises ``ConfigError``.
     """
     grid = build_grid(cfg)
     params = make_params(cfg)
@@ -244,7 +249,7 @@ def set_up(cfg: RunConfig) -> tuple[RunResult, ModelParams]:
 
     T = params.T_final
     sigma_max = saturating_exp(-consts.G0 * T)
-    sigma = cfg["model.sigma"] or 0.5 * sigma_max
+    sigma = cfg["model.sigma"] or min(0.5 * sigma_max, sys.float_info.max)
     h7_pass, h7_ratio = None, math.nan
     if sigma == 0.0:  # the automatic sigma, of an e^(-G0 T) below twice the smallest float
         factor = "e^(-G0 T)" if sigma_max == 0.0 else "0.5 e^(-G0 T)"
@@ -282,7 +287,7 @@ def set_up(cfg: RunConfig) -> tuple[RunResult, ModelParams]:
                 f"{ell_floor:.6g}; clamping may distort the solution"
             )
 
-    state = State(t=0.0, grid=grid, n=n0, c=c0, d=d0, gamma=params.gamma)
+    state = State(t=0.0, grid=grid, n=n0, c=c0, d=d0, params=params)
     return RunResult(
         initial_state=state,
         final_state=state,
@@ -294,7 +299,7 @@ def set_up(cfg: RunConfig) -> tuple[RunResult, ModelParams]:
         h7_pass=h7_pass,
         h7_ratio=h7_ratio,
         warnings=warnings,
-    ), params
+    )
 
 
 def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
@@ -313,21 +318,21 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
     stride, so the outputs end with the state the run stopped at.
     """
     t_start = _time.perf_counter()
-    result, params = set_up(cfg)
+    result = set_up(cfg)
     settings = make_settings(cfg)
     consts, ledger = result.consts, result.ledger
     delta = cfg["sweep.delta"]
 
     def record(state: State, report: StepReport) -> None:
         result.final_state = state
-        ledger.rows.append(make_ledger_row(state, params, delta, report))
+        ledger.rows.append(make_ledger_row(state, delta, report))
 
     state = result.initial_state
     record(state, StepReport())
     if on_state is not None:
         on_state(state)
 
-    T = params.T_final
+    T = state.params.T_final
     stride = cfg["time.snapshot_stride"]
     inject = cfg["debug.inject"]
     max_steps = cfg["time.max_steps"]
@@ -343,8 +348,7 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
                 break
             if steps == max_steps:
                 raise SolverFailure(f"max_steps = {max_steps} reached before T_final")
-            dt_hint = min(suggest_dt(state, params, consts, settings.safety), settings.dt_max)
-            state, report = step(state, params, consts, settings, dt_hint)
+            state, report = step(state, consts, settings, suggest_dt(state, consts, settings))
             steps += 1
             result.total_cutoff_activations += report.cutoff_activations
             result.newton_iters += report.newton_iters
@@ -430,7 +434,7 @@ def gamma_sweep(cfg: RunConfig) -> SweepReport:
     prev: FieldSamples | None = None   # the previous gamma's samples, if it finished cleanly
     for gamma in gammas:
         cfg_g = cfg.with_overrides(model__gamma=gamma, initial__lift="gamma")
-        integrals = WindowIntegrals(tau, make_params(cfg_g), delta)
+        integrals = WindowIntegrals(tau, delta)
         res, samples = _sampled_run(cfg_g, times, integrals.add)
         dist = gap = math.nan
         if prev is not None and res.ok:

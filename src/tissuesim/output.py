@@ -89,7 +89,7 @@ def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
     formatted, so no whole-grid temporary is made.
     """
     grid = state.grid
-    preamble = {"time": state.t, "gamma": state.gamma, "grid": _grid_descriptor(grid),
+    preamble = {"time": state.t, "gamma": state.params.gamma, "grid": _grid_descriptor(grid),
                 "config": cfg_hash}
     columns = ("x", "y")[: grid.dim] + ("n", "n1", "n2", "c", "d", "p", "v")
     centers = [grid.centers(axis) for axis in range(grid.dim)]
@@ -103,7 +103,7 @@ def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
             # n1 = (1 - c) n, n2 = c n and p = (n+)^gamma
             fields = [x[i] for x, i in zip(centers, index)] + [
                 nb, (1.0 - cb) * nb, cb * nb, cb, d[start:stop],
-                positive_power(nb, state.gamma), v[start:stop],
+                positive_power(nb, state.params.gamma), v[start:stop],
             ]
             block = np.stack(fields, axis=1)
             bits, inverse = np.unique(block.view(np.int64), return_inverse=True)

@@ -36,18 +36,21 @@ routed through the band cutoff [0, ell].  The unregularized scheme is its
 eps = 0 case, whose cutoff level is ell = inf: the viscous terms vanish and,
 for n >= 0 with c in [0, 1], no clamp acts.
 
+A ``State`` carries the ``ModelParams`` it evolves under, and every function
+here that takes a state reads them from it, so one run has one gamma.
+
 ``suggest_dt`` is the one dt controller.  Its dt meets the CFL and reaction
-bounds, scaled by the safety factor, and the whole fraction monotonicity
-budget of the current state, viscous drift included; the implicit viscosity
-adds no step limit.  ``step`` halves dt
-after a rejected attempt, a guard for a hint from elsewhere or a new density
-whose advective inflow outgrows the current one.
+bounds, scaled by the safety factor, the whole fraction monotonicity budget
+of the current state, viscous drift included, and the ``dt_max`` cap; the
+implicit viscosity adds no step limit.  ``step`` halves dt after a rejected
+attempt, a guard for a hint from elsewhere or a new density whose advective
+inflow outgrows the current one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -91,10 +94,12 @@ def positive_power(x: np.ndarray, e: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class State:
-    """Cell arrays n, c, d on ``grid`` at one instant, and the v they give.
+    """Cell arrays n, c, d on ``grid`` at one instant, the params they evolve under, and their v.
 
-    v = n^(gamma+1) is computed on first use and kept, read-only, for the
-    life of the state, so the ledger, the accumulators and a snapshot of one
+    Every function that reads a state reads its model data, gamma included,
+    from ``params``; a step's new state carries its start's params.  v =
+    n^(gamma+1) is computed on first use and kept, read-only, for the life
+    of the state, so the ledger, the accumulators and a snapshot of one
     state share it.
     """
 
@@ -103,7 +108,7 @@ class State:
     n: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    gamma: float
+    params: ModelParams
 
     def __post_init__(self):
         for name in ("n", "c", "d"):
@@ -114,7 +119,7 @@ class State:
 
     @cached_property
     def v(self) -> np.ndarray:
-        v = positive_power(self.n, self.gamma + 1.0)
+        v = positive_power(self.n, self.params.gamma + 1.0)
         v.flags.writeable = False
         return v
 
@@ -165,7 +170,8 @@ class _Coefficients:
     spread: float         # max of c and 1 - c over the cells
 
 
-def _coefficients(state: State, params: ModelParams) -> _Coefficients:
+def _coefficients(state: State) -> _Coefficients:
+    params = state.params
     ell = _cutoff_level(params)
     c = state.c
     g = np.asarray(params.rates.G(cutoff(state.d, ell)), dtype=float)
@@ -442,10 +448,7 @@ def _solve_newton_system(
 
 
 def density_solve(
-    state: State,
-    dt: float,
-    params: ModelParams,
-    settings: SolverSettings,
+    state: State, dt: float, settings: SolverSettings
 ) -> tuple[np.ndarray, StepReport]:
     """Backward-Euler solve for the total density with frozen c and d.
 
@@ -468,9 +471,9 @@ def density_solve(
     rounding rather than to the Newton tolerance.  The
     result is floored at zero with clamps counted.
     """
-    grid = state.grid
+    grid, params = state.grid, state.params
     n_old = state.n
-    co = _coefficients(state, params)
+    co = _coefficients(state)
     op = _DensityOperator(grid) if grid.dim == 2 else None
     report = StepReport(dt_used=dt)
     cur = _evaluate_iterate(n_old.copy(), n_old, dt, grid, params, co, settings.newton_tol)
@@ -544,12 +547,13 @@ def _with_viscous_drift(
     return u
 
 
-def _fraction_rates(state: State, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fraction_rates(state: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K1, K2 and K1 + K2 + D on the cutoff-clamped current nutrient.
 
     They depend only on the state a step starts from; ``suggest_dt`` and
     ``fraction_update`` each evaluate them.
     """
+    params = state.params
     d_arg = cutoff(state.d, _cutoff_level(params))
     k1 = np.asarray(params.rates.K1(d_arg), dtype=float)
     k2 = np.asarray(params.rates.K2(d_arg), dtype=float)
@@ -580,12 +584,7 @@ def _fraction_budget(
     return budget
 
 
-def fraction_update(
-    state: State,
-    n_new: np.ndarray,
-    dt: float,
-    params: ModelParams,
-) -> np.ndarray:
+def fraction_update(state: State, n_new: np.ndarray, dt: float) -> np.ndarray:
     """Explicit upwind advection and reaction of the fraction, then implicit viscosity.
 
     The explicit part c* = c + dt (-adv + reaction) advects by the face
@@ -602,10 +601,10 @@ def fraction_update(
     and it is clipped to [min c*, max c*], which removes only the rounding
     of the solve.
     """
-    grid = state.grid
+    grid, params = state.grid, state.params
     c = state.c
     u = _face_velocities(grid, n_new, params.gamma, params.eps_reg)
-    k1, k2, rate_sum = _fraction_rates(state, params)
+    k1, k2, rate_sum = _fraction_rates(state)
     worst = float(np.max(_fraction_budget(grid, dt, rate_sum, u)))
     if not worst <= 1.0 + CFL_SLACK:  # a NaN budget fails too
         raise SolverFailure(f"fraction update monotonicity budget {worst:.3f} exceeds 1")
@@ -666,7 +665,6 @@ def nutrient_solve(
     n_new: np.ndarray,
     c_new: np.ndarray,
     dt: float,
-    params: ModelParams,
     consts: DerivedConstants,
 ) -> tuple[np.ndarray, int, int]:
     """Semi-implicit nutrient solve: implicit diffusion, explicit consumption.
@@ -676,7 +674,7 @@ def nutrient_solve(
     [0, L], counting clamp events.  Returns (d_new, clamped_cells,
     linear_iterations), one iteration for the direct solve.
     """
-    d_old = state.d
+    d_old, params = state.d, state.params
     b_dt = params.b / dt
     psi_old = np.asarray(params.rates.psi(d_old), dtype=float)
     source = -psi_old * n_new + params.a * c_new * n_new
@@ -693,23 +691,19 @@ def nutrient_solve(
     return d_new, clamped, 1
 
 
-def suggest_dt(
-    state: State,
-    params: ModelParams,
-    consts: DerivedConstants,
-    safety: float,
-) -> float:
+def suggest_dt(state: State, consts: DerivedConstants, settings: SolverSettings) -> float:
     """The step's dt controller: a dt that the fraction monotonicity budget accepts.
 
     dt = min(safety * min(h / max|u|, 1 / (K1_max + K2_max + D)), 1 / max beta),
-    clipped to the remaining horizon.  The CFL velocity u leaves out the
-    viscous drift.  beta is ``_fraction_budget`` at dt = 1 on the current
-    state, with the per-cell ``_fraction_rates`` and the face velocities
-    including the drift; the budget is linear in dt, so 1 / max beta is the
-    largest dt it accepts at the current density.  This bound carries the
-    drift's inflow, which the CFL bound leaves out.  The fraction viscosity
-    is implicit and sets no bound.
+    clipped to ``dt_max`` and to the remaining horizon.  The CFL velocity u
+    leaves out the viscous drift.  beta is ``_fraction_budget`` at dt = 1 on
+    the current state, with the per-cell ``_fraction_rates`` and the face
+    velocities including the drift; the budget is linear in dt, so 1 / max
+    beta is the largest dt it accepts at the current density.  This bound
+    carries the drift's inflow, which the CFL bound leaves out.  The
+    fraction viscosity is implicit and sets no bound.
     """
+    params = state.params
     u = _face_velocities(state.grid, state.n, params.gamma, 0.0)
     speed = 0.0
     for ui in u:
@@ -720,12 +714,13 @@ def suggest_dt(
     dt_adv = h_min / speed if speed > 0.0 else math.inf
     rate_sum = consts.K1_max + consts.K2_max + params.D
     dt_react = 1.0 / rate_sum if rate_sum > 0.0 else math.inf
-    dt = safety * min(dt_adv, dt_react)
+    dt = settings.safety * min(dt_adv, dt_react)
     u = _with_viscous_drift(state.grid, u, state.n, params.eps_reg)
-    budget = _fraction_budget(state.grid, 1.0, _fraction_rates(state, params)[2], u)
+    budget = _fraction_budget(state.grid, 1.0, _fraction_rates(state)[2], u)
     beta = float(np.max(budget))
     if beta > 0.0:
         dt = min(dt, 1.0 / beta)
+    dt = min(dt, settings.dt_max)
     remaining = params.T_final - state.t
     if remaining > 0.0:
         dt = min(dt, remaining)
@@ -733,29 +728,18 @@ def suggest_dt(
 
 
 def _pipeline(
-    state: State,
-    params: ModelParams,
-    consts: DerivedConstants,
-    settings: SolverSettings,
-    dt: float,
+    state: State, consts: DerivedConstants, settings: SolverSettings, dt: float
 ) -> tuple[State, StepReport]:
-    n_new, report = density_solve(state, dt, params, settings)
-    c_new = fraction_update(state, n_new, dt, params)
-    d_new, clamped, lin = nutrient_solve(state, n_new, c_new, dt, params, consts)
+    n_new, report = density_solve(state, dt, settings)
+    c_new = fraction_update(state, n_new, dt)
+    d_new, clamped, lin = nutrient_solve(state, n_new, c_new, dt, consts)
     report.clamped_cells += clamped
     report.linear_iters += lin
-    new_state = State(
-        t=state.t + dt, grid=state.grid, n=n_new, c=c_new, d=d_new, gamma=params.gamma
-    )
-    return new_state, report
+    return replace(state, t=state.t + dt, n=n_new, c=c_new, d=d_new), report
 
 
 def step(
-    state: State,
-    params: ModelParams,
-    consts: DerivedConstants,
-    settings: SolverSettings,
-    dt_hint: float,
+    state: State, consts: DerivedConstants, settings: SolverSettings, dt_hint: float
 ) -> tuple[State, StepReport]:
     """Advance one step of the scheme: try dt_hint, halving dt after each rejected attempt.
 
@@ -767,6 +751,7 @@ def step(
     the fraction budget of the current state holds, so the halvings are
     guards.
     """
+    params = state.params
     if params.eps_reg > 0.0 and not (params.ell_cut > 0.0):
         raise ValueError("eps_reg > 0 requires a resolved cutoff level ell_cut > 0")
     if not (dt_hint > 0.0):
@@ -775,7 +760,7 @@ def step(
     rejections: list[str] = []
     for _ in range(settings.retry_max + 1):
         try:
-            new_state, report = _pipeline(state, params, consts, settings, dt)
+            new_state, report = _pipeline(state, consts, settings, dt)
         except SolverFailure as exc:
             rejections.append(str(exc))
             dt *= 0.5

@@ -35,7 +35,6 @@ from tissuesim.harness import (
     barenblatt_benchmark,
     eps_study,
     gamma_sweep,
-    make_params,
     run,
 )
 from tissuesim.model import ModelParams, RateFunction, RateFunctions, derive_constants
@@ -304,7 +303,7 @@ def test_08_eps_consistency_2d(eps_report_2d):
 def test_09_porous_medium_monotonicity(barenblatt_run):
     res, states = barenblatt_run
     assert res.ok, res.failure or res.violations
-    gap = aronson_benilan_gap(states, make_params(parse_config(BENCH_TEXT)))
+    gap = aronson_benilan_gap(states)
     h = states[0].grid.h[0]
     dt_med = float(np.median(np.diff([s.t for s in states])))
     tol = -10.0 * (h * h + dt_med)
@@ -453,10 +452,10 @@ def test_10b_brute_force_oracle():
         n=np.array(n0),
         c=np.array(c0),
         d=np.array(d0),
-        gamma=gamma,
+        params=params,
     )
     for _ in range(3):
-        state, report = step(state, params, consts, settings, dt)
+        state, report = step(state, consts, settings, dt)
         assert report.retries == 0 and report.dt_used == dt
 
     def rate_eval(dv):
@@ -503,14 +502,13 @@ WELL_HEIGHT = 0.9
 
 def _unweighted_energy(cfg, tau):
     """(U(0), U(tau)) of one run, from every accepted state."""
-    params = make_params(cfg)
     t_start = None          # start time of the step that reached the state
     total = late = 0.0
 
     def on_state(state):
         nonlocal t_start, total, late
         if t_start is not None:
-            term = (state.t - t_start) * v_integrals(state, params).grad_v_sq
+            term = (state.t - t_start) * v_integrals(state).grad_v_sq
             total += term
             if t_start >= tau:
                 late += term

@@ -70,7 +70,8 @@ class TestWriters:
         n = np.linspace(0.1, 0.7, cells)
         c = np.linspace(0.0, 0.6, cells)
         d = np.full(cells, 0.4)
-        return State(t=0.25, grid=grid, n=n, c=c, d=d, gamma=4.0)
+        params = make_params(default_config().with_overrides(model__gamma=4.0))
+        return State(t=0.25, grid=grid, n=n, c=c, d=d, params=params)
 
     def test_snapshot_rows_and_species_identity(self, tmp_path):
         s = self.make_state(4)
@@ -103,12 +104,13 @@ class TestWriters:
         n[: special.size] = special
         n[-3:] = (-0.0, 0.0, 5e-324)
         s = State(t=0.125, grid=grid, n=n.reshape(cells), c=c.reshape(cells),
-                  d=np.full(cells, 0.5), gamma=3.0)
+                  d=np.full(cells, 0.5),
+                  params=make_params(default_config().with_overrides(model__gamma=3.0)))
         path = tmp_path / "snap.csv"
         with np.errstate(invalid="ignore", over="ignore"):
             write_snapshot(str(path), s, "abc123")
             fields = [*grid.coordinate_fields(), s.n, (1.0 - s.c) * s.n, s.c * s.n, s.c, s.d,
-                      positive_power(s.n, s.gamma), s.v]
+                      positive_power(s.n, s.params.gamma), s.v]
         extents = "x".join(["1.0"] * grid.dim)
         header = [
             "# time = 1.2500000000000000e-01",
@@ -133,8 +135,7 @@ class TestWriters:
 
     def test_full_precision_and_lf_endings(self, tmp_path):
         s = self.make_state(4)
-        params = make_params(default_config())
-        ledger = EnergyLedger(rows=[make_ledger_row(s, params, 0.05, StepReport(dt_used=0.01))])
+        ledger = EnergyLedger(rows=[make_ledger_row(s, 0.05, StepReport(dt_used=0.01))])
         path = str(tmp_path / "ts.csv")
         write_timeseries(path, ledger, "abc123")
         raw = Path(path).read_bytes()
@@ -314,7 +315,8 @@ class TestCli:
     CONSTANT_G = {"model.G_preset": "constant", "time.T_final": 1}
 
     # growth_1d.cfg with overrides: set-ups whose e^(rate T) bound factors
-    # overflow or underflow still get one H7 text, on stdout and as the warning
+    # overflow or underflow still get one H7 text, on stdout and, unless it
+    # is a pass, as the warning
     @pytest.mark.parametrize("overrides, h7", [
         # e^(G0 T) = e^720 in the allowance overflows, while e^(-G0 T) is subnormal
         ({**CONSTANT_G, "model.G_alpha": 720}, "FAIL (sigma = 1.01612e-313, ratio = inf)"),
@@ -323,9 +325,9 @@ class TestCli:
          "not checkable (0.5 e^(-G0 T) underflows to 0 at G0 T = 744.5)"),
         # e^(G0 T) max n0 overflows although e^(G0 T) alone does not
         ({"model.G_alpha": 700, "initial.n0": 1e300}, "FAIL (sigma = 4.9648e-153, ratio = inf)"),
-        # e^(-G0 T) = e^750 overflows, and so does the automatic sigma
+        # e^(-G0 T) = e^750 overflows, and the automatic sigma is the largest float
         ({"model.G_preset": "constant", "model.G_alpha": -1500},
-         "not checkable (sigma = inf not admissible)"),
+         "pass (sigma = 1.79769e+308, ratio = 0)"),
     ], ids=["allowance_factor_overflow", "sigma_rounds_to_zero", "allowance_overflow",
             "negative_growth"])
     def test_check_gives_an_extreme_set_up_one_h7_text(self, tmp_path, capsys, overrides, h7):
@@ -333,7 +335,24 @@ class TestCli:
         assert main(["check", "--config", write_cfg(tmp_path, text)]) == 0
         out, err = capsys.readouterr()
         assert f"\nH7      {h7}\n" in out
-        assert err == f"warning: H7 {h7}\n"
+        assert err == ("" if h7.startswith("pass") else f"warning: H7 {h7}\n")
+
+    @pytest.mark.parametrize("sigma, h7", [
+        (0, "pass (sigma = 1.79769e+308, ratio = 0)"),
+        (1e300, "pass (sigma = 1e+300, ratio = 0)"),
+    ], ids=["automatic", "given"])
+    def test_check_passes_h7_where_every_finite_sigma_is_admissible(
+        self, tmp_path, capsys, sigma, h7
+    ):
+        # G0 T = -750: e^(-G0 T) overflows, so every finite sigma lies below
+        # it; the automatic sigma, whose 0.5 e^(-G0 T) overflows too, gets a
+        # verdict as a given one does, and neither warns
+        cfg = self.GROWTH_1D.with_overrides(
+            model__G_preset="constant", model__G_alpha=-1500, model__sigma=sigma)
+        assert main(["check", "--config", write_cfg(tmp_path, serialize_config(cfg))]) == 0
+        out, err = capsys.readouterr()
+        assert f"\nH7      {h7}\n" in out
+        assert err == ""
 
     # values around where e^x over- and underflows (x = 709.8 and -745.1), and the extremes
     EXTREMES = (0, 1e-300, 0.5, 1, 700, 709.9, 720, 744.5, 745, 750, 1e300,

@@ -25,7 +25,7 @@ from tissuesim.model import DerivedConstants, ModelParams, RateFunction, RateFun
 from tissuesim.stepper import State, StepReport
 
 
-def make_params(g_alpha=0.0):
+def make_params(g_alpha=0.0, gamma=5.0):
     return ModelParams(
         rates=RateFunctions(
             G=RateFunction("constant", alpha=g_alpha),
@@ -33,11 +33,12 @@ def make_params(g_alpha=0.0):
             K2=RateFunction("constant", alpha=0.0),
             psi=RateFunction("linear", alpha=1.0),
         ),
+        gamma=gamma,
         d_b=0.0,
     )
 
 
-def make_state(n_values, t=0.0, gamma=2.0, c=0.0, d=0.0, extent=1.0):
+def make_state(n_values, t=0.0, gamma=2.0, c=0.0, d=0.0, extent=1.0, g_alpha=0.0):
     n_values = np.asarray(n_values, dtype=float)
     grid = Grid(dim=1, extents=(extent,), cells=(len(n_values),))
     return State(
@@ -46,7 +47,7 @@ def make_state(n_values, t=0.0, gamma=2.0, c=0.0, d=0.0, extent=1.0):
         n=n_values,
         c=np.full(grid.shape, float(c)),
         d=np.full(grid.shape, float(d)),
-        gamma=gamma,
+        params=make_params(g_alpha, gamma),
     )
 
 
@@ -55,7 +56,7 @@ def at_time(state, t):
 
 
 def window(states, tau, delta=0.05):
-    acc = WindowIntegrals(tau, make_params(), delta)
+    acc = WindowIntegrals(tau, delta)
     for s in states:
         acc.add(s)
     return acc
@@ -87,15 +88,14 @@ class TestWeightedEnergy:
         # [tau1, tau2] + [tau2, T] = [tau1, T] for every integral, with tau1
         # inside a step and tau2 on an accepted time; n changes along the run
         rng = np.random.default_rng(2)
-        base = make_state(0.5 + 0.3 * rng.random(12), c=0.3, d=0.4)
-        params = make_params(g_alpha=0.7)
+        base = make_state(0.5 + 0.3 * rng.random(12), c=0.3, d=0.4, g_alpha=0.7)
         states = [
             replace(base, t=t, n=base.n * (1.0 + t))
             for t in np.linspace(0, 1, 21)
         ]
 
         def integrals(tau, upto):
-            acc = WindowIntegrals(tau, params, 0.05)
+            acc = WindowIntegrals(tau, 0.05)
             for s in states[:upto]:
                 acc.add(s)
             return np.array([acc.energy, acc.seg_integral, acc.comp_integral])
@@ -126,7 +126,7 @@ class TestWindowIntegrals:
         # segregation integrand constant; the split step keeps both exact
         rng = np.random.default_rng(5)
         s = make_state(0.2 + 0.5 * rng.random(10), gamma=1.5)
-        vi = v_integrals(s, make_params())
+        vi = v_integrals(s)
         rate = vi.v_sq + vi.grad_v_sq
         for tau in (0.1, 0.35, 0.6):
             acc = window([at_time(s, t) for t in (0.0, 0.2, 0.5, 0.9)], tau)
@@ -146,9 +146,9 @@ class TestWindowIntegrals:
         seen = []
         real = diagnostics.v_integrals
 
-        def spy(state, params):
+        def spy(state):
             seen.append(state.t)
-            return real(state, params)
+            return real(state)
 
         monkeypatch.setattr(diagnostics, "v_integrals", spy)
         s = make_state(np.full(8, 0.6))
@@ -168,7 +168,7 @@ class TestFieldSamples:
         grid = Grid(dim=len(shape), extents=(1.0,) * len(shape), cells=shape)
         return [
             State(t=t, grid=grid, n=0.2 + rng.random(shape), c=rng.random(shape),
-                  d=np.zeros(shape), gamma=3.0)
+                  d=np.zeros(shape), params=make_params(gamma=3.0))
             for t in times
         ]
 
@@ -237,11 +237,11 @@ class TestSpaceTimeDistance:
             space_time_distance(np.array([0.0, 1.0]), np.zeros((2, 3)), np.zeros((2, 4)), 1.0)
 
 
-def reference_make_ledger_row(state, params, delta, dt_used):
+def reference_make_ledger_row(state, delta, dt_used):
     """``make_ledger_row`` as it was before the v integrals shared one helper:
     each integral computes v, and its face gradient, on its own."""
 
-    grid = state.grid
+    grid, params = state.grid, state.params
 
     def grad_squared_integral(f):
         total = 0.0
@@ -275,7 +275,7 @@ def reference_make_ledger_row(state, params, delta, dt_used):
     v = state.v
     v_sq = float(np.sum(v**2)) * grid.cell_volume
     gv_sq = grad_squared_integral(v)
-    half_power = np.maximum(state.n, 0.0) ** ((state.gamma + 1.0) / 2.0)
+    half_power = np.maximum(state.n, 0.0) ** ((params.gamma + 1.0) / 2.0)
     comp = complementarity_residual(state, params)
     return LedgerRow(
         t=state.t,
@@ -308,17 +308,14 @@ class TestLedgerRow:
     def test_matches_reference_bitwise(self, seed, shape):
         rng = np.random.default_rng(seed)
         grid = Grid(dim=len(shape), extents=(1.0, 0.8)[:len(shape)], cells=shape)
-        state = State(
-            t=rng.uniform(0.0, 2.0),
-            grid=grid,
-            n=rng.uniform(0.0, 1.3, shape),
-            c=rng.random(shape),
-            d=rng.random(shape),
-            gamma=float(rng.choice([1.0, 3.0, 40.0])),
-        )
-        params = make_params(g_alpha=rng.uniform(0.0, 2.0))
-        got = make_ledger_row(state, params, 0.05, StepReport(dt_used=1e-3))
-        want = reference_make_ledger_row(state, params, 0.05, 1e-3)
+        # the draws in the order the fields once took them: t, n, c, d, gamma, G
+        t = rng.uniform(0.0, 2.0)
+        n, c, d = rng.uniform(0.0, 1.3, shape), rng.random(shape), rng.random(shape)
+        gamma = float(rng.choice([1.0, 3.0, 40.0]))
+        params = make_params(g_alpha=rng.uniform(0.0, 2.0), gamma=gamma)
+        state = State(t=t, grid=grid, n=n, c=c, d=d, params=params)
+        got = make_ledger_row(state, 0.05, StepReport(dt_used=1e-3))
+        want = reference_make_ledger_row(state, 0.05, 1e-3)
         for name in LedgerRow.__dataclass_fields__:
             a, b = getattr(got, name), getattr(want, name)
             assert np.float64(a).tobytes() == np.float64(b).tobytes(), name
@@ -327,27 +324,23 @@ class TestLedgerRow:
 class TestComplementarity:
     def test_vanishing_v_means_zero(self):
         # n below 1 with a large exponent: v ~ 0 and every term carries v
-        s = make_state(np.full(32, 0.5), gamma=40.0)
-        params = make_params(g_alpha=1.0)
-        assert v_integrals(s, params).comp_resid <= 0.5**41 * 10
+        s = make_state(np.full(32, 0.5), gamma=40.0, g_alpha=1.0)
+        assert v_integrals(s).comp_resid <= 0.5**41 * 10
 
     def test_saturated_static_reaction_free_is_zero(self):
-        s = make_state(np.ones(32), gamma=5.0)
-        params = make_params(g_alpha=0.0)
-        assert v_integrals(s, params).comp_resid == pytest.approx(0.0, abs=1e-14)
+        s = make_state(np.ones(32), gamma=5.0, g_alpha=0.0)
+        assert v_integrals(s).comp_resid == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_functions_do_not_mutate(self):
         vals = 0.4 + 0.2 * np.sin(np.linspace(0, 6, 24))
-        s = make_state(vals.copy(), gamma=3.0)
-        params = make_params(g_alpha=0.5)
-        v_integrals(s, params)
+        s = make_state(vals.copy(), gamma=3.0, g_alpha=0.5)
+        v_integrals(s)
         assert np.array_equal(s.n, vals)
 
     def test_identically_zero_v_gives_exact_zero(self):
         # every term carries a factor of v or grad v
-        s = make_state(np.zeros(16), gamma=7.0, d=0.4)
-        params = make_params(g_alpha=2.0)
-        assert v_integrals(s, params).comp_resid == 0.0
+        s = make_state(np.zeros(16), gamma=7.0, d=0.4, g_alpha=2.0)
+        assert v_integrals(s).comp_resid == 0.0
 
 
 class TestExcessMeasure:
@@ -375,32 +368,30 @@ class TestExcessMeasure:
 class TestSegregation:
     def test_zero_v(self):
         s = make_state(np.zeros(8))
-        assert v_integrals(s, make_params()).segregation == 0.0
+        assert v_integrals(s).segregation == 0.0
 
     def test_saturated_density(self):
         s = make_state(np.ones(8))
-        assert v_integrals(s, make_params()).segregation == 0.0
+        assert v_integrals(s).segregation == 0.0
 
     def test_intermediate_positive(self):
         s = make_state(np.full(8, 0.5), gamma=1.0)
         # |1 - 0.5| * 0.5^2 = 0.125
-        assert v_integrals(s, make_params()).segregation == pytest.approx(0.125)
+        assert v_integrals(s).segregation == pytest.approx(0.125)
 
 
 class TestEntropyDissipation:
     # the ledger's entropy_rate column: integral |grad n^((gamma+1)/2)|^2
     def test_static_uniform_zero(self):
         s = make_state(np.full(8, 0.7))
-        assert make_ledger_row(s, make_params(), 0.05, StepReport()).entropy_rate == 0.0
+        assert make_ledger_row(s, 0.05, StepReport()).entropy_rate == 0.0
 
     def test_nonuniform_positive(self):
         s = make_state(0.5 + 0.3 * np.sin(np.linspace(0, 3, 16)))
-        assert make_ledger_row(s, make_params(), 0.05, StepReport()).entropy_rate > 0.0
+        assert make_ledger_row(s, 0.05, StepReport()).entropy_rate > 0.0
 
 
 class TestAronsonBenilan:
-    PARAMS = replace(make_params(), gamma=2.0)
-
     def test_static_gap_is_density_over_gamma_t(self):
         s = make_state(np.full(8, 0.6), gamma=2.0)
         states = [at_time(s, t) for t in (0.0, 0.05, 1.0, 1.05, 1.1)]
@@ -408,25 +399,25 @@ class TestAronsonBenilan:
         # each admitted pair; the pair from t = 0 and the pair from
         # t = 0.05 < 10 * 0.95 are skipped, and the minimum is at the
         # largest admitted t = 1.05
-        got = aronson_benilan_gap(states, self.PARAMS)
+        got = aronson_benilan_gap(states)
         assert got == pytest.approx(0.6 / (2.0 * 1.05))
 
     def test_reactions_present_rejected(self):
-        s = make_state(np.full(8, 0.6))
+        s = make_state(np.full(8, 0.6), g_alpha=1.0)
         states = [at_time(s, t) for t in (0.0, 1.0, 1.01)]
         with pytest.raises(ValueError):
-            aronson_benilan_gap(states, replace(make_params(g_alpha=1.0), gamma=2.0))
+            aronson_benilan_gap(states)
         # the autophagic species dies at rate D c, so c > 0 at the start is a reaction too
         with_n2 = [at_time(make_state(np.full(8, 0.6), c=0.1), t) for t in (0.0, 1.0, 1.01)]
         with pytest.raises(ValueError):
-            aronson_benilan_gap(with_n2, self.PARAMS)
+            aronson_benilan_gap(with_n2)
 
     def test_early_snapshots_excluded(self):
         s = make_state(np.full(8, 0.6), gamma=2.0)
         states = [at_time(s, t) for t in (0.0, 0.5, 1.0)]
         # the pair from t = 0 and the pair from t = 0.5 < 10 * 0.5 are both
         # excluded, leaving an empty scan
-        assert aronson_benilan_gap(states, self.PARAMS) == math.inf
+        assert aronson_benilan_gap(states) == math.inf
 
 
 class TestFreeBoundary:
@@ -441,7 +432,7 @@ class TestFreeBoundary:
         v_target = np.maximum(0.0, 1.0 - np.abs(x))
         n = v_target ** (1.0 / 2.0)  # gamma = 1: v = n^2
         s = State(t=0.0, grid=grid, n=n, c=np.zeros(grid.shape), d=np.zeros(grid.shape),
-                  gamma=1.0)
+                  params=make_params(gamma=1.0))
         crossings = free_boundary(s, 0.5) - 2.0
         assert len(crossings) == 2
         assert crossings[0] == pytest.approx(-0.5, abs=1e-9)
@@ -452,7 +443,7 @@ class TestFreeBoundary:
         x = grid.coordinate_fields()[0]
         n = np.where(x < 0.5, 1.0, 0.0)
         s = State(t=0.0, grid=grid, n=n, c=np.zeros(grid.shape),
-                  d=np.zeros(grid.shape), gamma=1.0)
+                  d=np.zeros(grid.shape), params=make_params(gamma=1.0))
         found = free_boundary(s, 0.25)
         rows = [f for f in found if f[0] == 0]
         assert len(rows) == 4  # one crossing per y-line
@@ -607,6 +598,6 @@ class TestCheckAll:
             n = near([0.0, 1e-12, 2e-3, 0.9, 2.5, 3.0])
             c = near([0.0, 1e-12, 0.5, 1.0, 1.0 + 1e-12])
             d = near([0.0, 1e-10, 0.5, CONSTS.L, CONSTS.L + 1e-10])
-            s = State(t=0.3 * (seed % 3), grid=grid, n=n, c=c, d=d, gamma=2.0)
+            s = State(t=0.3 * (seed % 3), grid=grid, n=n, c=c, d=d, params=make_params(gamma=2.0))
             for tolcfg in (TolConfig(), TolConfig(cap_base=1.0, min_floor=2e-3)):
                 assert check_all(s, CONSTS, tolcfg) == self.reference_check(s, CONSTS, tolcfg)

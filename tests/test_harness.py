@@ -3,6 +3,7 @@ import math
 import time
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from tissuesim.diagnostics import (
     reaction_free,
 )
 from tissuesim.grid import face_gradient
+from tissuesim.model import BOUND_INFLATION
 from tissuesim.output import write_snapshot
 from tissuesim.harness import (
     barenblatt_benchmark,
@@ -174,6 +176,22 @@ class TestRun:
         n0 = res.initial_state.n
         assert n0.min() >= 1.0 / 4.0 - 1e-12  # background 0.05 is below the 1/gamma lift
 
+    def test_every_state_carries_the_resolved_params(self):
+        # with eps > 0, ell_cut = 0 asks set_up for the inactive-cutoff bound
+        # max(L, e^(2 M0 T) max n0), slightly inflated; the initial state and
+        # every accepted state carry the one params object with that level
+        cfg = parse_config(BUMP_TEXT + "model.eps_reg = 0.05\ninitial.lift = eps\n")
+        assert cfg["model.ell_cut"] == 0.0
+        states = []
+        res = run(cfg, on_state=states.append)
+        assert res.ok and len(states) == res.steps + 1 > 1
+        consts, params = res.consts, states[0].params
+        bound = max(consts.L, math.exp(2.0 * consts.M0 * params.T_final) * states[0].n.max())
+        assert params.ell_cut == bound * (1.0 + BOUND_INFLATION) > 0.0
+        assert params == replace(make_params(cfg), ell_cut=params.ell_cut)
+        assert states[0] is res.initial_state
+        assert all(s.params is params for s in states + [res.final_state])
+
     def test_performance_smoke(self):
         cfg = parse_config(BUMP_TEXT.replace("grid.cells_x = 64", "grid.cells_x = 200"))
         t0 = time.perf_counter()
@@ -271,7 +289,7 @@ class TestSweep:
         assert all(e.run.ok for e in report.entries)
         write_snapshot(str(tmp_path / "last.csv"), states[-1], "x")
         computed = Counter((id(x), e) for x, e in powers)
-        per_state = [computed[id(s.n), s.gamma + 1.0] for s in states]
+        per_state = [computed[id(s.n), s.params.gamma + 1.0] for s in states]
         assert len(states) > 2 * 10
         assert per_state[-1] == 1 and max(per_state) == 1
 
@@ -312,9 +330,9 @@ class TestEpsStudy:
         reports = []
         real_step = harness.step
 
-        def spy(state, params, consts, settings, dt_hint):
-            hint = min(5.0 * dt_hint, params.T_final - state.t)
-            new_state, report = real_step(state, params, consts, settings, hint)
+        def spy(state, consts, settings, dt_hint):
+            hint = min(5.0 * dt_hint, state.params.T_final - state.t)
+            new_state, report = real_step(state, consts, settings, hint)
             reports.append(report)
             return new_state, report
 
@@ -400,7 +418,7 @@ bench.grids = 50,100
         states = []
         assert run(cfg, on_state=states.append).ok
         assert reaction_free(params, cfg["initial.c0"])
-        assert aronson_benilan_gap(states, params) > -1.0
+        assert aronson_benilan_gap(states) > -1.0
 
 
 def entropy_dissipation(cfg):
@@ -409,7 +427,7 @@ def entropy_dissipation(cfg):
     times, rates = [], []
 
     def on_state(s):
-        half_power = np.maximum(s.n, 0.0) ** ((s.gamma + 1.0) / 2.0)
+        half_power = np.maximum(s.n, 0.0) ** ((s.params.gamma + 1.0) / 2.0)
         times.append(s.t)
         rates.append(grad_squared_integral(face_gradient(s.grid, half_power), s.grid.cell_volume))
 

@@ -296,7 +296,8 @@ class TestFreeBoundary2D:
         grid = Grid(dim=2, extents=(1.0, 0.8), cells=cells)
         n = np.random.default_rng(10).uniform(0.0, 1.0, grid.shape)
         zeros = np.zeros(grid.shape)
-        state = State(t=0.0, grid=grid, n=n, c=zeros, d=zeros, gamma=1.0)
+        params = make_params(parse_config("model.gamma = 1\n"))
+        state = State(t=0.0, grid=grid, n=n, c=zeros, d=zeros, params=params)
         found = free_boundary(state, 0.25)
         expected = reference_free_boundary_2d(state, 0.25)
         assert len(found) == len(expected) > 0

@@ -67,15 +67,20 @@ def rates(g=("constant", 0.0), k1=("constant", 0.0), k2=("constant", 0.0),
     )
 
 
-def uniform_state(grid, n=1.0, c=0.0, d=0.0, gamma=2.0, t=0.0):
+def uniform_state(grid, params, n=1.0, c=0.0, d=0.0, t=0.0):
     return State(
         t=t,
         grid=grid,
         n=np.full(grid.shape, n),
         c=np.full(grid.shape, c),
         d=np.full(grid.shape, d),
-        gamma=gamma,
+        params=params,
     )
+
+
+def with_params(state, **changes):
+    """``state`` under its parameters with ``changes`` applied."""
+    return replace(state, params=replace(state.params, **changes))
 
 
 def small_grid(cells=3, extent=1.0):
@@ -92,7 +97,7 @@ def viscous_only(k1=0.0):
     params = ModelParams(rates=rates(k1=("constant", k1)), D=1e-30, gamma=2.0, d_b=0.0,
                          T_final=10.0, eps_reg=0.01, ell_cut=10.0)
     consts = derive_constants(params, np.full(grid.shape, 0.0))
-    return uniform_state(grid, n=0.5, c=0.2), params, consts
+    return uniform_state(grid, params, n=0.5, c=0.2), params, consts
 
 
 class TestState:
@@ -102,10 +107,10 @@ class TestState:
         arrays = {"n": np.ones(8), "c": np.zeros(8), "d": np.zeros(8)}
         arrays[name] = np.zeros(7)
         with pytest.raises(ValueError, match=name):
-            State(t=0.0, grid=grid, gamma=2.0, **arrays)
+            State(t=0.0, grid=grid, params=ModelParams(rates=rates(), gamma=2.0), **arrays)
 
     def test_v_is_read_only_and_kept(self):
-        s = uniform_state(small_grid(5), n=0.5, gamma=3.0)
+        s = uniform_state(small_grid(5), ModelParams(rates=rates(), gamma=3.0), n=0.5)
         v = s.v
         assert v is s.v
         assert np.array_equal(v, np.full(5, 0.5**4))
@@ -116,7 +121,7 @@ class TestState:
         assert np.array_equal(s.v, np.full(5, 0.5**4))
 
     def test_replaced_state_computes_its_own_v(self):
-        s = uniform_state(small_grid(5), n=0.5, gamma=3.0)
+        s = uniform_state(small_grid(5), ModelParams(rates=rates(), gamma=3.0), n=0.5)
         assert s.v[0] == 0.5**4
         moved = replace(s, n=np.full(5, 2.0))
         assert np.array_equal(moved.v, np.full(5, 16.0))
@@ -126,8 +131,8 @@ class TestDensitySolve:
     def test_uniform_no_reaction_is_fixed_point(self):
         grid = small_grid(5)
         params = ModelParams(rates=rates(), gamma=2.0, d_b=0.0)
-        s = uniform_state(grid, n=0.7)
-        n_new, report = density_solve(s, 0.1, params, SETTINGS)
+        s = uniform_state(grid, params, n=0.7)
+        n_new, report = density_solve(s, 0.1, SETTINGS)
         assert np.allclose(n_new, 0.7, atol=1e-14)
         assert report.newton_iters == 1
 
@@ -138,8 +143,8 @@ class TestDensitySolve:
         dt = 0.05
         grid = small_grid(3)
         params = ModelParams(rates=rates(g=("constant", g_rate)), gamma=3.0, d_b=0.0)
-        s = uniform_state(grid, n=0.5, gamma=3.0)
-        n_new, _ = density_solve(s, dt, params, SETTINGS)
+        s = uniform_state(grid, params, n=0.5)
+        n_new, _ = density_solve(s, dt, SETTINGS)
         oracle = 0.5 / (1.0 - g_rate * dt)
         assert np.allclose(n_new, oracle, rtol=1e-12)
 
@@ -148,10 +153,10 @@ class TestDensitySolve:
         grid = small_grid(3)
         params = ModelParams(rates=rates(g=("constant", g_rate)), gamma=2.0, d_b=0.0,
                              T_final=1.0)
-        s = uniform_state(grid, n=0.1)
+        s = uniform_state(grid, params, n=0.1)
         dt = 0.005
         while s.t < 1.0 - 1e-12:
-            n_new, _ = density_solve(s, dt, params, SETTINGS)
+            n_new, _ = density_solve(s, dt, SETTINGS)
             s = replace(s, t=s.t + dt, n=n_new)
         exact = 0.1 * math.exp(1.0)
         # backward Euler overshoots growth at O(dt)
@@ -163,18 +168,18 @@ class TestDensitySolve:
         params = ModelParams(rates=rates(), gamma=4.0, d_b=0.0)
         n0 = 0.5 + 0.4 * np.sin(2 * np.pi * grid.centers(0)) + 0.05 * rng.random(50)
         s = State(t=0.0, grid=grid, n=n0, c=np.zeros(grid.shape), d=np.zeros(grid.shape),
-                  gamma=4.0)
+                  params=params)
         mass0 = integrate(grid, n0)
-        n_new, _ = density_solve(s, 0.01, params, SETTINGS)
+        n_new, _ = density_solve(s, 0.01, SETTINGS)
         assert abs(integrate(grid, n_new) - mass0) <= 1e-12 * mass0
 
     def test_nonconvergence_raises(self):
         grid = small_grid(16)
         params = ModelParams(rates=rates(g=("constant", 5.0)), gamma=2.0, d_b=0.0)
-        s = uniform_state(grid, n=1.0)
+        s = uniform_state(grid, params, n=1.0)
         # g*dt > 1 makes backward Euler growth infeasible; Newton cannot converge
         with pytest.raises(SolverFailure):
-            density_solve(s, 0.5, params, SolverSettings(newton_max=8))
+            density_solve(s, 0.5, SolverSettings(newton_max=8))
 
     def test_undamped_fallback_counted(self, monkeypatch):
         # an ascent direction on the first iteration defeats all 8 halvings,
@@ -182,8 +187,8 @@ class TestDensitySolve:
         g_rate, dt = 0.8, 0.05
         grid = small_grid(3)
         params = ModelParams(rates=rates(g=("constant", g_rate)), gamma=3.0, d_b=0.0)
-        s = uniform_state(grid, n=0.5, gamma=3.0)
-        _, plain = density_solve(s, dt, params, SETTINGS)
+        s = uniform_state(grid, params, n=0.5)
+        _, plain = density_solve(s, dt, SETTINGS)
         assert plain.newton_fallbacks == 0
 
         real = stepper._solve_newton_system
@@ -195,26 +200,26 @@ class TestDensitySolve:
             return (-delta if len(calls) == 1 else delta), lin
 
         monkeypatch.setattr(stepper, "_solve_newton_system", first_flipped)
-        n_new, report = density_solve(s, dt, params, SETTINGS)
+        n_new, report = density_solve(s, dt, SETTINGS)
         assert report.newton_fallbacks == 1
         assert np.allclose(n_new, 0.5 / (1.0 - g_rate * dt), rtol=1e-12)
 
     def growth_setup(self):
         grid = small_grid(3)
         params = ModelParams(rates=rates(g=("constant", 0.8)), gamma=3.0, d_b=0.0, T_final=1.0)
-        return uniform_state(grid, n=0.5, gamma=3.0), params
+        return uniform_state(grid, params, n=0.5), params
 
     def test_second_fallback_is_a_solver_failure(self, monkeypatch):
         s, params = self.growth_setup()
         flip_first_directions(monkeypatch, 2)
         with pytest.raises(SolverFailure, match="undamped step twice"):
-            density_solve(s, 0.05, params, SETTINGS)
+            density_solve(s, 0.05, SETTINGS)
 
     def test_step_halves_dt_after_a_second_fallback(self, monkeypatch):
         s, params = self.growth_setup()
         consts = derive_constants(params, s.d)
         flip_first_directions(monkeypatch, 2)
-        _, report = step(s, params, consts, SETTINGS, 0.05)
+        _, report = step(s, consts, SETTINGS, 0.05)
         assert report.retries == 1
         assert report.rejections[0].startswith("density Newton fell back")
         assert report.dt_used == 0.025
@@ -236,7 +241,7 @@ class TestDensitySolve:
 
         monkeypatch.setattr(stepper, "_solve_newton_system", overshoot)
         with pytest.raises(SolverFailure) as err:
-            density_solve(s, 0.05, params, SETTINGS)
+            density_solve(s, 0.05, SETTINGS)
         before, after = map(float, re.fullmatch(
             r"density Newton's undamped step grew the residual from (\S+) to (\S+)", str(err.value)
         ).groups())
@@ -251,7 +256,7 @@ class TestDensitySolve:
         # is the given multiple of the floor: at 100 times it, Newton must
         # iterate; at half of it, the start is accepted as it is
         s, params = floor_case(shape, eps=0.05)
-        co = stepper._coefficients(s, params)
+        co = stepper._coefficients(s)
 
         def multiple(dt):
             start = stepper._evaluate_iterate(s.n, s.n, dt, s.grid, params, co, 0.0)
@@ -260,7 +265,7 @@ class TestDensitySolve:
 
         dt = 1e-12 * times_floor / multiple(1e-12)
         assert multiple(dt) == pytest.approx(times_floor, rel=1e-6)
-        _, report = density_solve(s, dt, params, SolverSettings(newton_tol=1e-300))
+        _, report = density_solve(s, dt, SolverSettings(newton_tol=1e-300))
         assert (report.newton_iters > 1) == (times_floor > 1.0)
         assert report.newton_fallbacks == 0
 
@@ -272,7 +277,7 @@ class TestDensitySolve:
         # iterate, the last one evaluated, accepts it, with no fallback
         s, params = floor_case(shape, eps=2.0)
         evaluated = evaluations(monkeypatch)
-        _, report = density_solve(s, dt, params, SETTINGS)
+        _, report = density_solve(s, dt, SETTINGS)
         assert report.newton_fallbacks == 0
         assert evaluated[-1].norm == report.newton_residual
         assert SETTINGS.newton_tol < report.newton_residual <= evaluated[-1].floor
@@ -300,7 +305,7 @@ def floor_case(shape, eps):
         D=1.0, gamma=3.0, d_b=1.0, eps_reg=eps, ell_cut=10.0,
     )
     s = State(t=0.0, grid=grid, n=eps + 0.05 + 0.9 * np.exp(-30 * r2),
-              c=np.full(grid.shape, 0.2), d=np.full(grid.shape, 0.9), gamma=3.0)
+              c=np.full(grid.shape, 0.2), d=np.full(grid.shape, 0.9), params=params)
     return s, params
 
 
@@ -317,16 +322,16 @@ def flip_first_directions(monkeypatch, count):
     monkeypatch.setattr(stepper, "_solve_newton_system", flipped)
 
 
-def reference_density_solve(state, dt, params, settings):
+def reference_density_solve(state, dt, settings):
     """The Newton loop that recomputes each residual at its top, kept as the reference.
 
     It evaluates the right side of an accepted iterate again at the top of
     the next iteration, and of the converged iterate once more for the
     conservative update; ``density_solve`` must give the same bits.
     """
-    grid = state.grid
+    grid, params = state.grid, state.params
     n_old = state.n
-    co = stepper._coefficients(state, params)
+    co = stepper._coefficients(state)
     op = stepper._DensityOperator(grid) if grid.dim == 2 else None
     report = stepper.StepReport(dt_used=dt)
     n_k = n_old.copy()
@@ -370,7 +375,7 @@ def bump_1d(cells=40, gamma=3.0, eps=0.0, ell=0.0, c_jump=False):
     )
     c = np.where(x < 0.5, 0.6, 0.2) if c_jump else np.full(cells, 0.2)
     s = State(t=0.0, grid=grid, n=0.05 + eps + 0.9 * np.exp(-30 * (x - 0.5) ** 2),
-              c=c, d=np.full(grid.shape, 0.9), gamma=gamma)
+              c=c, d=np.full(grid.shape, 0.9), params=params)
     return s, params
 
 
@@ -382,7 +387,7 @@ class TestNewtonLoop:
         s, params = bump_1d()
         flip_first_directions(monkeypatch, flipped)
         evaluated = evaluations(monkeypatch)
-        _, report = density_solve(s, 0.01, params, SETTINGS)
+        _, report = density_solve(s, 0.01, SETTINGS)
         seen = [it.n for it in evaluated]
         assert report.newton_iters >= 4
         assert report.newton_fallbacks == flipped
@@ -407,9 +412,10 @@ class TestNewtonLoop:
             model__eps_reg=0.01, initial__lift="eps", model__ell_cut=ell_cut)
         if dim == 2:
             cfg = cfg.with_overrides(grid__dim=2, grid__cells_x=16, grid__cells_y=16)
-        start, params = set_up(cfg)
+        start = set_up(cfg)
         s = start.initial_state
-        dt = suggest_dt(s, params, start.consts, 0.5)
+        params = s.params
+        dt = suggest_dt(s, start.consts, SETTINGS)
         events = []
         real_power = stepper.positive_power
 
@@ -427,7 +433,7 @@ class TestNewtonLoop:
 
         monkeypatch.setattr(stepper, "_evaluate_iterate", evaluate_spy)
         monkeypatch.setattr(stepper, "positive_power", power_spy)
-        _, report = density_solve(s, dt, params, SolverSettings(newton_tol=0.0))
+        _, report = density_solve(s, dt, SolverSettings(newton_tol=0.0))
         assert report.newton_iters > 1
         assert events == ["evaluate", "power"] * len(evaluated)
         assert {it.unclamped for it in evaluated} == {unclamped}
@@ -442,10 +448,10 @@ class TestNewtonLoop:
         s, params = bump_1d(eps=eps, ell=ell, c_jump=eps > 0.0)
         for dt in (0.002, 0.02):
             flip_first_directions(monkeypatch, flipped)
-            n_new, report = density_solve(s, dt, params, SETTINGS)
+            n_new, report = density_solve(s, dt, SETTINGS)
             monkeypatch.undo()
             flip_first_directions(monkeypatch, flipped)
-            n_ref, ref = reference_density_solve(s, dt, params, SETTINGS)
+            n_ref, ref = reference_density_solve(s, dt, SETTINGS)
             monkeypatch.undo()
             assert np.array_equal(n_new, n_ref)
             assert report.newton_iters == ref.newton_iters > 1
@@ -459,14 +465,14 @@ class TestNewtonLoop:
         n0 = 0.2 + 0.9 * np.exp(-((x - 0.45) ** 2 + (y - 0.4) ** 2) / 0.05)
         params = ModelParams(rates=rates(g=("linear", 1.0)), D=1.0, gamma=3.0, d_b=1.0)
         s = State(t=0.0, grid=grid, n=n0, c=np.where(x > 0.5, 0.5, 0.2),
-                  d=np.full(grid.shape, 0.9), gamma=3.0)
+                  d=np.full(grid.shape, 0.9), params=params)
         return s, params
 
-    def dense_newton(self, s, dt, params, settings):
+    def dense_newton(self, s, dt, settings):
         """Undamped Newton with every system solved by dense elimination."""
-        grid = s.grid
+        grid, params = s.grid, s.params
         n_old = s.n
-        co = stepper._coefficients(s, params)
+        co = stepper._coefficients(s)
         lap = np.column_stack([
             laplacian_neumann(grid, e.reshape(grid.shape)).ravel()
             for e in np.eye(grid.num_cells)
@@ -496,7 +502,7 @@ class TestNewtonLoop:
             return solve_system(grid, a, r, dt, rhs, tol, *rest)
 
         monkeypatch.setattr(stepper, "_solve_newton_system", system_spy)
-        n_new, report = density_solve(s, 0.01, params, settings)
+        n_new, report = density_solve(s, 0.01, settings)
         assert len(tols) == len(res_norms) == report.newton_iters - 1
         assert tols == [max(linear_tol, min(0.1, f)) for f in res_norms]
         # the cap, the residual itself and, with the looser floor, the floor all occur
@@ -504,7 +510,7 @@ class TestNewtonLoop:
         assert (tols[-1] == linear_tol) == (linear_tol == 1e-5)
         assert report.newton_residual <= settings.newton_tol
         assert report.newton_fallbacks == 0
-        ref = self.dense_newton(s, 0.01, params, settings)
+        ref = self.dense_newton(s, 0.01, settings)
         assert np.max(np.abs(n_new - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
@@ -515,14 +521,14 @@ class TestDensityJacobian:
         # lies inside both bands, so G(cutoff(d)) = 0.25 on both
         grid = small_grid(6)
         n = np.array([0.0, 0.0, 0.5, 1.0, 0.5, 0.0])
-        s = State(t=0.0, grid=grid, n=n, c=np.full(grid.shape, 0.5),
-                  d=np.full(grid.shape, 0.25),
-                  gamma=2.0)
         r_at = {}
         for ell in (10.0, 0.4):
             params = ModelParams(rates=rates(g=("linear", 1.0)), D=1.0, gamma=2.0, d_b=1.0,
                                  eps_reg=0.01, ell_cut=ell)
-            co = stepper._coefficients(s, params)
+            s = State(t=0.0, grid=grid, n=n, c=np.full(grid.shape, 0.5),
+                      d=np.full(grid.shape, 0.25),
+                      params=params)
+            co = stepper._coefficients(s)
             evaluated = stepper._evaluate_iterate(n, n, 0.01, grid, params, co, 0.0)
             assert evaluated.unclamped == (ell == 10.0)
             _, r_at[ell] = stepper._density_jacobian(evaluated, params, co)
@@ -780,16 +786,16 @@ class TestFractionUpdate:
     def test_zero_fraction_stays_without_transitions(self):
         grid = small_grid(8)
         params = ModelParams(rates=rates(k2=("constant", 3.0)), gamma=2.0, d_b=0.0)
-        s = uniform_state(grid, n=0.5, c=0.0, d=0.3)
-        c_new = fraction_update(s, s.n, 0.05, params)
+        s = uniform_state(grid, params, n=0.5, c=0.0, d=0.3)
+        c_new = fraction_update(s, s.n, 0.05)
         assert np.all(c_new == 0.0)
 
     def test_full_fraction_stays_without_back_transition(self):
         # at c = 1 both K2 and the crowding death term vanish
         grid = small_grid(8)
         params = ModelParams(rates=rates(k1=("constant", 2.0)), gamma=2.0, d_b=0.0)
-        s = uniform_state(grid, n=0.5, c=1.0, d=0.3)
-        c_new = fraction_update(s, s.n, 0.05, params)
+        s = uniform_state(grid, params, n=0.5, c=1.0, d=0.3)
+        c_new = fraction_update(s, s.n, 0.05)
         assert np.allclose(c_new, 1.0, atol=1e-15)
 
     def test_single_step_reaction_oracle(self):
@@ -800,8 +806,8 @@ class TestFractionUpdate:
             rates=rates(k1=("constant", 1.0), k2=("constant", 1.0)),
             D=1e-30, gamma=2.0, d_b=0.0,
         )
-        s = uniform_state(grid, n=0.5, c=0.0)
-        c_new = fraction_update(s, s.n, 0.1, params)
+        s = uniform_state(grid, params, n=0.5, c=0.0)
+        c_new = fraction_update(s, s.n, 0.1)
         assert c_new[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_many_steps_track_relaxation_odes(self):
@@ -811,10 +817,10 @@ class TestFractionUpdate:
             rates=rates(k1=("constant", 1.0), k2=("constant", 1.0)),
             D=1e-30, gamma=2.0, d_b=0.0,
         )
-        s = uniform_state(grid, n=0.5, c=0.0)
+        s = uniform_state(grid, params, n=0.5, c=0.0)
         dt = 0.01
         for _ in range(100):
-            c_new = fraction_update(s, s.n, dt, params)
+            c_new = fraction_update(s, s.n, dt)
             s = replace(s, t=s.t + dt, c=c_new)
         exact = 0.5 * (1.0 - math.exp(-2.0))
         assert s.c[0] == pytest.approx(exact, abs=5e-3)
@@ -823,26 +829,26 @@ class TestFractionUpdate:
         # dt eps = 1e-30 * 1e-300 is 0 in floating point, so (I - dt eps lap) is the identity
         grid = small_grid(8)
         plain = ModelParams(rates=rates(k1=("constant", 1.0)), gamma=2.0, d_b=0.0)
-        s = replace(uniform_state(grid, n=0.5), c=np.linspace(0.1, 0.9, 8))
-        viscous = fraction_update(s, s.n, 1e-30, replace(plain, eps_reg=1e-300, ell_cut=10.0))
-        assert viscous.tobytes() == fraction_update(s, s.n, 1e-30, plain).tobytes()
+        s = replace(uniform_state(grid, plain, n=0.5), c=np.linspace(0.1, 0.9, 8))
+        viscous = fraction_update(with_params(s, eps_reg=1e-300, ell_cut=10.0), s.n, 1e-30)
+        assert viscous.tobytes() == fraction_update(s, s.n, 1e-30).tobytes()
 
     def test_budget_violation_raises(self):
         grid = small_grid(3)
         params = ModelParams(rates=rates(k1=("constant", 30.0)), gamma=2.0, d_b=0.0)
-        s = uniform_state(grid, n=0.5, c=0.2, d=1.0)
+        s = uniform_state(grid, params, n=0.5, c=0.2, d=1.0)
         with pytest.raises(SolverFailure):
-            fraction_update(s, s.n, 0.1, params)  # dt*(K1+K2+D) = 3.1 > 1
+            fraction_update(s, s.n, 0.1)  # dt*(K1+K2+D) = 3.1 > 1
 
     def test_nan_density_fails_the_budget(self):
         # a NaN in n_new makes the budget NaN, which must not pass for <= 1
         grid = small_grid(8)
         params = ModelParams(rates=rates(), gamma=2.0, d_b=0.0)
-        s = uniform_state(grid, n=0.5, c=0.2)
+        s = uniform_state(grid, params, n=0.5, c=0.2)
         n_new = s.n.copy()
         n_new[3] = math.nan
         with pytest.raises(SolverFailure, match="budget nan exceeds 1"):
-            fraction_update(s, n_new, 0.01, params)
+            fraction_update(s, n_new, 0.01)
 
     def test_advection_stays_in_bounds(self):
         # a sharp fraction front advected by a strong pressure gradient
@@ -851,9 +857,9 @@ class TestFractionUpdate:
         x = grid.centers(0)
         n = 1.0 - 0.8 * x
         c = (x < 0.5).astype(float)
-        s = State(t=0.0, grid=grid, n=n, c=c, d=np.zeros(grid.shape), gamma=2.0)
+        s = State(t=0.0, grid=grid, n=n, c=c, d=np.zeros(grid.shape), params=params)
         dt = 0.25 * grid.h[0] / 2.0
-        c_new = fraction_update(s, n, dt, params)
+        c_new = fraction_update(s, n, dt)
         assert c_new.min() >= -1e-12
         assert c_new.max() <= 1.0 + 1e-12
 
@@ -869,13 +875,13 @@ class TestFractionUpdate:
         cfg = parse_config(GROWTH_CONFIG.read_text()).with_overrides(**cells, **{"initial.c0": c0})
         grid, params = build_grid(cfg), make_params(cfg)
         n, c, d = initial_fields(cfg, grid, params)
-        s = State(t=0.0, grid=grid, n=n + 1.0 / params.gamma, c=c, d=d, gamma=params.gamma)
+        s = State(t=0.0, grid=grid, n=n + 1.0 / params.gamma, c=c, d=d, params=params)
         u = stepper._face_velocities(grid, s.n, params.gamma, 0.0)
         assert min(float(np.max(np.abs(ui))) for ui in u) > 1.0
-        dt = suggest_dt(s, params, derive_constants(params, d), 0.5)
-        still = fraction_update(s, np.full(grid.shape, 0.5), dt, params)
+        dt = suggest_dt(s, derive_constants(params, d), SETTINGS)
+        still = fraction_update(s, np.full(grid.shape, 0.5), dt)
         assert np.all(still != c0)  # the reaction acts
-        assert fraction_update(s, s.n, dt, params).tobytes() == still.tobytes()
+        assert fraction_update(s, s.n, dt).tobytes() == still.tobytes()
 
     @pytest.mark.parametrize("grid", [
         Grid(dim=2, extents=(1.4, 0.5), cells=(7, 5)),
@@ -892,13 +898,13 @@ class TestFractionUpdate:
         n += rng.uniform(0.0, 0.01, grid.shape)
         c = rng.uniform(0.0, 1.0, grid.shape)
         d = rng.uniform(0.0, 1.0, grid.shape)
-        s = State(t=0.0, grid=grid, n=n, c=c, d=d, gamma=params.gamma)
+        s = State(t=0.0, grid=grid, n=n, c=c, d=d, params=params)
         u = stepper._face_velocities(grid, n, params.gamma, 0.0)
         assert all(np.any(ui > 0.0) and np.any(ui < 0.0) for ui in u)
-        k1, k2, rate_sum = stepper._fraction_rates(s, params)
+        k1, k2, rate_sum = stepper._fraction_rates(s)
         dt = 0.9 / float(np.max(stepper._fraction_budget(grid, 1.0, rate_sum, u)))
         expected = explicit_fraction(grid, n, c, k1, k2, params.D, dt, params.gamma)
-        np.testing.assert_allclose(fraction_update(s, n, dt, params), expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(fraction_update(s, n, dt), expected, rtol=0.0, atol=1e-15)
 
     @given(
         c_vals=arrays(float, 16, elements=st.floats(0.0, 1.0)),
@@ -920,11 +926,11 @@ class TestFractionUpdate:
             n=n_vals,
             c=c_vals,
             d=np.full(grid.shape, d_val),
-            gamma=2.0,
+            params=params,
         )
         dt = 0.2 * grid.h[0] / max(1.0, 2.0 * float(np.max(n_vals)) ** 2)
         try:
-            c_new = fraction_update(s, s.n, dt, params)
+            c_new = fraction_update(s, s.n, dt)
         except SolverFailure:
             return  # budget rejected the step; nothing to assert
         assert c_new.min() >= -1e-12
@@ -950,16 +956,16 @@ class TestImplicitViscosity:
     EPS = 0.05
     PARAMS = ModelParams(rates=rates(), D=0.0, gamma=2.0, d_b=0.0, eps_reg=EPS, ell_cut=10.0)
 
-    @staticmethod
-    def state(grid, c):
+    @classmethod
+    def state(cls, grid, c):
         return State(t=0.0, grid=grid, n=np.full(grid.shape, 0.5), c=c,
-                     d=np.zeros(grid.shape), gamma=2.0)
+                     d=np.zeros(grid.shape), params=cls.PARAMS)
 
     def update(self, grid, seed):
         c = np.random.default_rng(seed).uniform(0.0, 1.0, grid.shape)
         s = self.state(grid, c)
         dt = 100.0 * min(grid.h) ** 2 / (2.0 * self.EPS * grid.dim)
-        return c, fraction_update(s, s.n, dt, self.PARAMS), dt
+        return c, fraction_update(s, s.n, dt), dt
 
     def test_solves_the_backward_euler_system(self, grid):
         c_star, c_new, dt = self.update(grid, 1)
@@ -982,14 +988,14 @@ class TestImplicitViscosity:
         # clip to [min c*, max c*] keeps c exact
         s = self.state(grid, np.full(grid.shape, c_value))
         for dt in (0.01, 1.0, 10.0):
-            assert np.all(fraction_update(s, s.n, dt, self.PARAMS) == c_value)
+            assert np.all(fraction_update(s, s.n, dt) == c_value)
 
     def test_plain_scheme_takes_no_line_solve(self, grid):
         s = self.state(grid, np.full(grid.shape, 0.2))
         with mock.patch.object(stepper, "_line_solve", wraps=stepper._line_solve) as spy:
-            fraction_update(s, s.n, 0.01, replace(self.PARAMS, eps_reg=0.0))
+            fraction_update(with_params(s, eps_reg=0.0), s.n, 0.01)
             assert spy.call_count == 0
-            fraction_update(s, s.n, 0.01, self.PARAMS)
+            fraction_update(s, s.n, 0.01)
             assert spy.call_count == 1
 
 
@@ -1031,8 +1037,8 @@ class TestNutrientSolve:
         grid = small_grid(8)
         params = ModelParams(rates=rates(), gamma=2.0, d_b=0.7)
         consts = derive_constants(params, np.full(grid.shape, 0.7))
-        s = uniform_state(grid, n=0.0, d=0.7)
-        d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 0.1, params, consts)
+        s = uniform_state(grid, params, n=0.0, d=0.7)
+        d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 0.1, consts)
         assert np.allclose(d_new, 0.7, atol=1e-12)
         assert clamped == 0
 
@@ -1040,8 +1046,8 @@ class TestNutrientSolve:
         grid = small_grid(16)
         params = ModelParams(rates=rates(), gamma=2.0, d_b=1.0)
         consts = derive_constants(params, np.full(grid.shape, 0.2))
-        s = uniform_state(grid, n=0.0, d=0.2)
-        d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.05, params, consts)
+        s = uniform_state(grid, params, n=0.0, d=0.2)
+        d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.05, consts)
         assert np.all(d_new > 0.2 - 1e-12)
         assert np.all(d_new < 1.0 + 1e-12)
         # interior cells move strictly toward the boundary value
@@ -1055,8 +1061,8 @@ class TestNutrientSolve:
         params = ModelParams(rates=rates(psi=("linear", 1.0)), a=1.0, b=1.0,
                              gamma=2.0, d_b=1.0)
         consts = derive_constants(params, np.full(grid.shape, 1.0))
-        s = uniform_state(grid, n=1.0, c=0.0, d=1.0)
-        d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.1, params, consts)
+        s = uniform_state(grid, params, n=1.0, c=0.0, d=1.0)
+        d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.1, consts)
         assert d_new[1] == pytest.approx(0.9, abs=1e-9)
 
     def test_clamping_counted(self):
@@ -1064,8 +1070,8 @@ class TestNutrientSolve:
         grid = small_grid(8)
         params = ModelParams(rates=rates(psi=("linear", 5.0)), a=5.0, gamma=2.0, d_b=1.0)
         consts = derive_constants(params, np.full(grid.shape, 1.0))
-        s = uniform_state(grid, n=10.0, c=0.0, d=1.0)
-        d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 1.0, params, consts)
+        s = uniform_state(grid, params, n=10.0, c=0.0, d=1.0)
+        d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 1.0, consts)
         assert clamped > 0
         assert d_new.min() >= 0.0
 
@@ -1080,10 +1086,10 @@ class TestNutrientSolve:
         params = ModelParams(rates=rates(psi=("linear", 1.0)), a=1.0, b=1.0, gamma=2.0, d_b=0.6)
         field = lambda lo, hi: rng.uniform(lo, hi, grid.shape)
         s = State(t=0.0, grid=grid, n=field(0.2, 1.0), c=field(0.0, 1.0), d=field(0.3, 0.7),
-                  gamma=2.0)
+                  params=params)
         consts = derive_constants(params, s.d)
         dt = 0.05
-        d_new, clamped, lin = nutrient_solve(s, s.n, s.c, dt, params, consts)
+        d_new, clamped, lin = nutrient_solve(s, s.n, s.c, dt, consts)
 
         cols = [laplacian_dirichlet(grid, e.reshape(grid.shape), 0.0).ravel()
                 for e in np.eye(grid.num_cells)]
@@ -1105,15 +1111,15 @@ class TestSuggestDt:
             D=1.0, gamma=2.0, d_b=0.0, T_final=100.0,
         )
         consts = derive_constants(params, np.full(grid.shape, 0.0))
-        s = uniform_state(grid, n=0.4)
-        assert suggest_dt(s, params, consts, 0.5) == pytest.approx(0.125)
+        s = uniform_state(grid, params, n=0.4)
+        assert suggest_dt(s, consts, SETTINGS) == pytest.approx(0.125)
 
     def test_horizon_clipping(self):
         grid = small_grid(4)
         params = ModelParams(rates=rates(), D=1.0, gamma=2.0, d_b=0.0, T_final=1.0)
         consts = derive_constants(params, np.full(grid.shape, 0.0))
-        s = uniform_state(grid, n=0.4, t=1.0 - 1e-9)
-        assert suggest_dt(s, params, consts, 0.5) == pytest.approx(1e-9)
+        s = uniform_state(grid, params, n=0.4, t=1.0 - 1e-9)
+        assert suggest_dt(s, consts, SETTINGS) == pytest.approx(1e-9)
 
     def test_velocity_bound_arithmetic(self):
         # |u| = 2 at gamma = 1, h = 0.1, large reaction headroom, safety 0.9
@@ -1126,18 +1132,18 @@ class TestSuggestDt:
             n=np.array([0.4, 0.2, 0.2]),
             c=np.zeros(grid.shape),
             d=np.zeros(grid.shape),
-            gamma=1.0,
+            params=params,
         )
-        assert suggest_dt(s, params, consts, 0.9) == pytest.approx(0.045)
+        assert suggest_dt(s, consts, SolverSettings(safety=0.9)) == pytest.approx(0.045)
 
     def test_viscous_bound_arithmetic(self):
         # the implicit viscosity sets no bound: with no transport and no
         # reactions the whole horizon is suggested, with eps as without it,
         # at 20 times the old explicit limit h^2 / (2 eps) = 0.5
         s, params, consts = viscous_only()
-        dt = suggest_dt(s, params, consts, 0.5)
-        assert dt == 10.0 == suggest_dt(s, replace(params, eps_reg=0.0), consts, 0.5)
-        s2, report = step(s, params, consts, SETTINGS, dt)
+        dt = suggest_dt(s, consts, SETTINGS)
+        assert dt == 10.0 == suggest_dt(with_params(s, eps_reg=0.0), consts, SETTINGS)
+        s2, report = step(s, consts, SETTINGS, dt)
         assert report.retries == 0 and report.dt_used == dt
         assert np.all(s2.c == 0.2)  # a uniform fraction stays uniform, in [0, 1]
 
@@ -1151,8 +1157,8 @@ class TestStep:
 
     def test_global_fixed_point(self):
         grid, params, consts = self.make_inert()
-        s = uniform_state(grid, n=0.6, c=0.0, d=0.0)
-        s2, report = step(s, params, consts, SETTINGS, 0.05)
+        s = uniform_state(grid, params, n=0.6, c=0.0, d=0.0)
+        s2, report = step(s, consts, SETTINGS, 0.05)
         assert s2.t == pytest.approx(0.05)
         assert np.allclose(s2.n, 0.6, atol=1e-14)
         assert np.all(s2.c == 0.0)
@@ -1163,11 +1169,12 @@ class TestStep:
         grid, params, consts = self.make_inert(cells=40)
         x = grid.centers(0)
         n0 = np.maximum(1.0 - 4.0 * (x - 0.5) ** 2, 0.0)
-        s = State(t=0.0, grid=grid, n=n0, c=np.zeros(grid.shape), d=np.zeros(grid.shape), gamma=2.0)
+        s = State(t=0.0, grid=grid, n=n0, c=np.zeros(grid.shape), d=np.zeros(grid.shape),
+                  params=params)
         mass0 = integrate(grid, n0)
         for _ in range(5):
-            dt = suggest_dt(s, params, consts, 0.5)
-            s, _ = step(s, params, consts, SETTINGS, dt)
+            dt = suggest_dt(s, consts, SETTINGS)
+            s, _ = step(s, consts, SETTINGS, dt)
         assert abs(integrate(grid, s.n) - mass0) <= 1e-12 * mass0
 
     def test_retry_halves_dt_until_feasible(self):
@@ -1176,9 +1183,9 @@ class TestStep:
             rates=rates(k1=("constant", 4.0)), D=1.0, gamma=2.0, d_b=0.0, T_final=1.0,
         )
         consts = derive_constants(params, np.full(grid.shape, 0.0))
-        s = uniform_state(grid, n=0.5, c=0.2)
+        s = uniform_state(grid, params, n=0.5, c=0.2)
         # dt * (K1 + K2 + D) = 1.5 > 1 violates the budget; one halving fixes it
-        s2, report = step(s, params, consts, SETTINGS, 0.3)
+        s2, report = step(s, consts, SETTINGS, 0.3)
         assert report.retries == 1
         assert report.rejections[0].startswith("fraction update monotonicity budget")
         assert report.dt_used == pytest.approx(0.15)
@@ -1189,24 +1196,24 @@ class TestStep:
             rates=rates(k1=("constant", 4.0)), D=1.0, gamma=2.0, d_b=0.0, T_final=1.0,
         )
         consts = derive_constants(params, np.full(grid.shape, 0.0))
-        s = uniform_state(grid, n=0.5, c=0.2)
+        s = uniform_state(grid, params, n=0.5, c=0.2)
         with pytest.raises(SolverFailure):
-            step(s, params, consts, SolverSettings(retry_max=0), 0.3)
+            step(s, consts, SolverSettings(retry_max=0), 0.3)
 
     def test_viscous_budget_forces_halvings(self):
         s, params, consts = viscous_only(k1=2.0)
         k = 3  # budgets 6.4, 3.2, 1.6, then 0.8 at dt = 0.4
-        s2, report = step(s, params, consts, SolverSettings(retry_max=k), 3.2)
+        s2, report = step(s, consts, SolverSettings(retry_max=k), 3.2)
         assert report.retries == k == len(report.rejections)
         assert all(r.startswith("fraction update monotonicity budget") for r in report.rejections)
         assert report.dt_used == 0.4
         assert np.all((s2.c >= 0.0) & (s2.c <= 1.0))
         # the viscosity adds nothing to the budget: the plain scheme is
         # rejected alike, and without the reaction the full step is taken
-        _, plain = step(s, replace(params, eps_reg=0.0), consts, SolverSettings(retry_max=k), 3.2)
+        _, plain = step(with_params(s, eps_reg=0.0), consts, SolverSettings(retry_max=k), 3.2)
         assert plain.rejections == report.rejections
         s_inert, params_inert, consts_inert = viscous_only()
-        _, inert = step(s_inert, params_inert, consts_inert, SETTINGS, 3.2)
+        _, inert = step(s_inert, consts_inert, SETTINGS, 3.2)
         assert inert.retries == 0 and inert.rejections == []
 
     @pytest.mark.parametrize("hint, k", [(0.4, 0), (3.2, 3)])
@@ -1214,22 +1221,23 @@ class TestStep:
         # each attempt sums the fraction budget once, in fraction_update
         s, params, consts = viscous_only(k1=2.0)
         with mock.patch.object(stepper, "_fraction_budget", wraps=stepper._fraction_budget) as spy:
-            _, report = step(s, params, consts, SETTINGS, hint)
+            _, report = step(s, consts, SETTINGS, hint)
         assert report.retries == k
         assert spy.call_count == k + 1
 
     def test_viscous_budget_exhausts_retries(self):
         s, params, consts = viscous_only(k1=2.0)
         with pytest.raises(SolverFailure, match="after 2 dt halvings"):
-            step(s, params, consts, SolverSettings(retry_max=2), 3.2)
+            step(s, consts, SolverSettings(retry_max=2), 3.2)
 
     def test_determinism(self):
         grid, params, consts = self.make_inert(cells=20)
         x = grid.centers(0)
         n0 = 0.5 + 0.3 * np.cos(2 * np.pi * x)
-        s = State(t=0.0, grid=grid, n=n0, c=np.full(grid.shape, 0.25), d=np.zeros(grid.shape), gamma=2.0)
-        a, _ = step(s, params, consts, SETTINGS, 0.01)
-        b, _ = step(s, params, consts, SETTINGS, 0.01)
+        s = State(t=0.0, grid=grid, n=n0, c=np.full(grid.shape, 0.25), d=np.zeros(grid.shape),
+                  params=params)
+        a, _ = step(s, consts, SETTINGS, 0.01)
+        b, _ = step(s, consts, SETTINGS, 0.01)
         assert np.array_equal(a.n, b.n)
         assert np.array_equal(a.c, b.c)
         assert np.array_equal(a.d, b.d)
@@ -1249,11 +1257,11 @@ class TestStep:
             n=0.4 + 0.5 * np.exp(-30 * (x - 0.5) ** 2),
             c=np.full(grid.shape, 0.25),
             d=np.full(grid.shape, 0.9),
-            gamma=3.0,
+            params=params,
         )
         dt = 0.01
         tight = SolverSettings(newton_tol=1e-12)
-        n_new, _ = density_solve(s, dt, params, tight)
+        n_new, _ = density_solve(s, dt, tight)
         g_of_d = np.asarray(params.rates.G(s.d))
         reaction = (g_of_d - params.D * s.c) * n_new
         gained = integrate(grid, n_new) - integrate(grid, s.n)
@@ -1279,30 +1287,31 @@ class TestRegularizedStep:
             )
         x = grid.centers(0)
         n0 = 0.3 + 0.4 * np.exp(-20 * (x - 0.5) ** 2) + eps
-        s = State(t=0.0, grid=grid, n=n0, c=np.full(grid.shape, 0.2), d=np.full(grid.shape, 1.0), gamma=3.0)
+        s = State(t=0.0, grid=grid, n=n0, c=np.full(grid.shape, 0.2), d=np.full(grid.shape, 1.0),
+                  params=params)
         return s, params, consts
 
     def test_inactive_cutoff_counts_zero(self):
         s, params, consts = self.make_setup(0.05)
-        _, report = step(s, params, consts, SETTINGS, 0.01)
+        _, report = step(s, consts, SETTINGS, 0.01)
         assert report.cutoff_activations == 0
 
     def test_low_cutoff_level_activates(self):
         s, params, consts = self.make_setup(0.05, ell=0.4)  # below max n ~ 0.75
-        _, report = step(s, params, consts, SETTINGS, 0.01)
+        _, report = step(s, consts, SETTINGS, 0.01)
         assert report.cutoff_activations > 0
 
     def test_step_rejects_unresolved_cutoff(self):
         s, params, consts = self.make_setup(0.05)
         with pytest.raises(ValueError, match="ell_cut"):
-            step(s, replace(params, ell_cut=0.0), consts, SETTINGS, 0.01)
+            step(with_params(s, ell_cut=0.0), consts, SETTINGS, 0.01)
 
     def test_viscosity_spreads_the_fraction(self):
         s, params, consts = self.make_setup(0.1)
         c = s.c.copy()
         c[:12] = 0.6
         s = replace(s, t=0.0, c=c)
-        s2, _ = step(s, params, consts, SETTINGS, 0.001)
+        s2, _ = step(s, consts, SETTINGS, 0.001)
         assert s2.c.max() <= 0.6 + 1e-12
         assert s2.c.min() >= 0.0
         # the jump at the interface is smoothed
@@ -1316,12 +1325,13 @@ def eps_study_start(eps, cells=100):
     cfg = parse_config(EPS_STUDY_CONFIG.read_text()).with_overrides(grid__cells_x=cells)
     if eps > 0.0:
         cfg = cfg.with_overrides(model__eps_reg=eps, initial__lift="eps")
-    start, params = set_up(cfg)
-    return start.initial_state, params, start.consts, make_settings(cfg)
+    start = set_up(cfg)
+    return start.initial_state, start.initial_state.params, start.consts, make_settings(cfg)
 
 
-def old_suggest_dt(state, params, consts, safety):
+def old_suggest_dt(state, consts, safety):
     """The controller before the fraction budget bound: CFL and reaction bounds only."""
+    params = state.params
     u = stepper._face_velocities(state.grid, state.n, params.gamma, 0.0)
     speed = max([0.0, *(float(np.max(np.abs(ui))) for ui in u if ui.size)])
     dt_adv = min(state.grid.h) / speed if speed > 0.0 else math.inf
@@ -1334,10 +1344,11 @@ def old_suggest_dt(state, params, consts, safety):
     return dt
 
 
-def budget_limit(state, params):
+def budget_limit(state):
     """1 / max beta: the largest dt the full fraction budget accepts at the current state."""
+    params = state.params
     u = stepper._face_velocities(state.grid, state.n, params.gamma, params.eps_reg)
-    rate_sum = stepper._fraction_rates(state, params)[2]
+    rate_sum = stepper._fraction_rates(state)[2]
     return 1.0 / float(np.max(stepper._fraction_budget(state.grid, 1.0, rate_sum, u)))
 
 
@@ -1366,7 +1377,7 @@ def controller_case(eps, cells, late_state=None):
             return np.interp(x, x_late, f)
 
         state = State(t=late_state.t, grid=state.grid, n=on_grid(late_state.n),
-                      c=on_grid(late_state.c), d=on_grid(late_state.d), gamma=params.gamma)
+                      c=on_grid(late_state.c), d=on_grid(late_state.d), params=params)
     return state, params, consts, settings
 
 
@@ -1380,16 +1391,16 @@ class TestDtController:
 
     def test_suggested_dt_meets_the_budget(self, case):
         state, params, consts, settings = case
-        dt = suggest_dt(state, params, consts, settings.safety)
+        dt = suggest_dt(state, consts, settings)
         u = stepper._face_velocities(state.grid, state.n, params.gamma, params.eps_reg)
-        rate_sum = stepper._fraction_rates(state, params)[2]
+        rate_sum = stepper._fraction_rates(state)[2]
         budget = stepper._fraction_budget(state.grid, dt, rate_sum, u)
         assert float(np.max(budget)) <= 1.0 + stepper.CFL_SLACK
 
     def test_step_takes_the_suggested_dt(self, case):
         state, params, consts, settings = case
-        dt = suggest_dt(state, params, consts, settings.safety)
-        _, report = step(state, params, consts, settings, dt)
+        dt = suggest_dt(state, consts, settings)
+        _, report = step(state, consts, settings, dt)
         assert report.retries == 0 and report.rejections == []
         assert report.dt_used == dt
 
@@ -1400,12 +1411,12 @@ def test_refined_late_state_is_out_of_reach_of_halving(eps_late_state):
     # the viscosity was explicit.  It is implicit now: the whole budget
     # accepts that hint, the controller suggests it, and step takes it
     state, params, consts, settings = controller_case(0.1, 400, eps_late_state)
-    old = old_suggest_dt(state, params, consts, settings.safety)
+    old = old_suggest_dt(state, consts, settings.safety)
     h = state.grid.h[0]
     assert old > 2**settings.retry_max * h**2 / (2.0 * params.eps_reg)
-    assert old <= budget_limit(state, params)
-    assert suggest_dt(state, params, consts, settings.safety) == old
-    _, report = step(state, params, consts, settings, old)
+    assert old <= budget_limit(state)
+    assert suggest_dt(state, consts, settings) == old
+    _, report = step(state, consts, settings, old)
     assert report.retries == 0 and report.dt_used == old
 
 
@@ -1457,13 +1468,14 @@ def test_2d_suggested_dt_meets_the_budget():
     consts = derive_constants(params, np.full(grid.shape, 1.0))
     x, y = grid.coordinate_fields()
     n = (0.3 + np.abs(x - grid.centers(0)[8]) + np.abs(y - grid.centers(1)[6])) ** (1.0 / 3.0)
-    s = State(t=0.0, grid=grid, n=n, c=np.full(grid.shape, 0.2), d=np.full(grid.shape, 1.0), gamma=3.0)
-    dt = suggest_dt(s, params, consts, SETTINGS.safety)
-    assert dt == pytest.approx(budget_limit(s, params), rel=1e-12)  # the budget binds
-    assert dt < 0.5 * old_suggest_dt(s, params, consts, SETTINGS.safety)
+    s = State(t=0.0, grid=grid, n=n, c=np.full(grid.shape, 0.2), d=np.full(grid.shape, 1.0),
+              params=params)
+    dt = suggest_dt(s, consts, SETTINGS)
+    assert dt == pytest.approx(budget_limit(s), rel=1e-12)  # the budget binds
+    assert dt < 0.5 * old_suggest_dt(s, consts, SETTINGS.safety)
     # the viscous drift's inflow is part of it
-    assert dt < suggest_dt(s, replace(params, eps_reg=0.0), consts, SETTINGS.safety)
-    _, report = step(s, params, consts, SETTINGS, dt)
+    assert dt < suggest_dt(with_params(s, eps_reg=0.0), consts, SETTINGS)
+    _, report = step(s, consts, SETTINGS, dt)
     assert report.retries == 0
 
 
@@ -1472,9 +1484,9 @@ def test_plain_suggestion_is_the_old_formula(monkeypatch):
     # suggested dt is the CFL and reaction formula, bit for bit
     seen = []
 
-    def spy(state, params, consts, safety):
-        dt = suggest_dt(state, params, consts, safety)
-        assert dt == old_suggest_dt(state, params, consts, safety)
+    def spy(state, consts, settings):
+        dt = suggest_dt(state, consts, settings)
+        assert dt == old_suggest_dt(state, consts, settings.safety)
         seen.append(dt)
         return dt
 

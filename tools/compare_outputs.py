@@ -96,6 +96,9 @@ CASES = (
     ("run_growth_1d", "run", "growth_1d.cfg", {}),
     ("sweep_shipped", "sweep", "sweep.cfg", {}),
     ("sweep_stiff", "sweep", "sweep.cfg", {"sweep.gammas": "5,10,20,40,80,160,320,640"}),
+    # the viscous sweep: set_up resolves ell_cut = 0 to the inactive-cutoff
+    # bound, and the window integrals read the params each state carries
+    ("sweep_viscous", "sweep", "sweep.cfg", {"model.eps_reg": "0.01"}),
     ("eps_study", "eps-study", "eps_study.cfg", {}),
     ("eps_study_2d", "eps-study", "eps_study.cfg", EPS_STUDY_2D),
     # 400 cells at eps = 2, 1, 0.5: density Newton systems whose |A| |x| far
@@ -146,7 +149,8 @@ CASES = (
     # e^(G0 T) max n0 overflows; "H7      FAIL (sigma = 4.9648e-153, ratio = inf)"
     ("check_h7_allowance_overflow", "check", "growth_1d.cfg",
      {"model.G_alpha": "700", "initial.n0": "1e300"}),
-    # G0 T = -750: e^(-G0 T) overflows; "H7      not checkable (sigma = inf not admissible)"
+    # G0 T = -750: e^(-G0 T) overflows, and the automatic sigma is the largest
+    # float; "H7      pass (sigma = 1.79769e+308, ratio = 0)", with no warning
     ("check_negative_growth", "check", "growth_1d.cfg",
      {"model.G_preset": "constant", "model.G_alpha": "-1500"}),
     # e^(G0 t) of the weak-maximum-principle cap overflows at t = 709.8;
