@@ -2,13 +2,17 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tissuesim import harness
+from tissuesim import harness, output
 from tissuesim.cli import main
 from tissuesim.config import default_config, parse_config, serialize_config
 from tissuesim.diagnostics import EnergyLedger, LedgerRow, make_ledger_row
@@ -64,6 +68,16 @@ def write_cfg(tmp_path, text, name="case.cfg"):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def growth_state():
+    """A growth-like 128 x 128 state: the 2D growth data three steps on (t = 0.002)."""
+    cfg = parse_config((Path(__file__).parent.parent / "configs" / "growth_1d.cfg").read_text())
+    return run(cfg.with_overrides(**{
+        "grid.dim": 2, "grid.cells_x": 128, "grid.cells_y": 128, "grid.extent_y": 1.0,
+        "initial.center_y": 0.5, "time.T_final": 0.002,
+    })).final_state
+
+
 class TestWriters:
     def make_state(self, cells=4):
         grid = Grid(dim=1, extents=(1.0,), cells=(cells,))
@@ -88,11 +102,11 @@ class TestWriters:
 
     @pytest.mark.parametrize("cells", [(20,), (1100,), (41, 29)], ids=["1d", "1d-blocks", "2d"])
     def test_snapshot_matches_cellwise_format(self, tmp_path, cells):
-        # formatting each distinct bit pattern of a block once must give
-        # fmt's text for every value, in C cell order, byte for byte; 1100
-        # and 41 x 29 cells span two blocks.  The special values include
-        # both zeros, nan with two payloads and both signs, infinities and
-        # subnormals; n is constant on most cells and repeats values of c
+        # the snapshot writer must give fmt's text for every value, in C
+        # cell order, byte for byte; 1100 and 41 x 29 cells span two
+        # blocks.  The special values include both zeros, nan with two
+        # payloads and both signs, infinities and subnormals; n is constant
+        # on most cells and repeats values of c
         grid = Grid(dim=len(cells), extents=(1.0,) * len(cells), cells=cells)
         rng = np.random.default_rng(3)
         payload_nan, negative_nan = np.array([0x7FF8000000000001, -0x0008000000000000]).view(float)
@@ -124,6 +138,94 @@ class TestWriters:
         assert path.read_bytes() == "".join(line + "\n" for line in header + rows).encode()
         for token in ("nan", "-inf", "-0.0000000000000000e+00", "4.9406564584124654e-324"):
             assert token in text
+
+    def test_snapshot_text_of_every_kind_of_double_is_fmt(self, tmp_path):
+        # a seeded property test of the snapshot writer: 114 201 drawn values
+        # in n, c and d, and the n1, n2, p and v formed from them, each
+        # against fmt cell by cell
+        rng = np.random.default_rng(32)
+
+        def signed(values):
+            return np.concatenate([values, -values])
+
+        def odd(low, high, size):
+            return rng.integers(low, high, size) | 1
+
+        sign_bit = np.uint64(1 << 63)
+        # random bit patterns over every binade (NaNs and infinities among them)
+        patterns = rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(float)
+        subnormals = (rng.integers(1, 2**52, 10_000, dtype=np.uint64)
+                      | rng.integers(0, 2, 10_000, dtype=np.uint64) * sign_bit).view(float)
+        payloads = rng.integers(1, 2**52, 200, dtype=np.uint64) | np.uint64(0x7FF << 52)
+        nans = np.concatenate([payloads, payloads | sign_bit]).view(float)
+        # 10^k and both neighbours; 14 of these 10^k lie just below 10^k, so
+        # their 17-digit significand carries into the next decade
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        assert Fraction(1e-305) < Fraction(1, 10**305) and fmt(1e-305) == "1.0000000000000000e-305"
+        neighbours = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        # exact decimal ties: o/4 in [1e15, 2^51), o/8 in [1e14, 1e15) and
+        # o/16 in [1e13, 1e14), o odd, end in ...5 at the 18th digit; fmt
+        # rounds them half to even
+        assert fmt(2000000000000000.25) == "2.0000000000000002e+15"
+        ties = np.concatenate([odd(4 * 10**15, 2**53, 5000) / 4, odd(8 * 10**14, 8 * 10**15, 5000) / 8,
+                               odd(16 * 10**13, 16 * 10**14, 5000) / 16, [2000000000000000.25]])
+        values = np.concatenate([
+            patterns, subnormals, nans, signed(neighbours), signed(ties), rng.random(10_000),
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.7976931348623157e308],
+        ])
+        cells = -(-values.size // 3)
+        values = rng.permutation(np.resize(values, 3 * cells)).reshape(3, cells)
+        assert values.size >= 100_000
+        grid = Grid(dim=1, extents=(1.0,), cells=(cells,))
+        s = State(t=0.5, grid=grid, n=values[0], c=values[1], d=values[2],
+                  params=make_params(default_config().with_overrides(model__gamma=3.0)))
+        path = tmp_path / "snap.csv"
+        with np.errstate(invalid="ignore", over="ignore"):
+            write_snapshot(str(path), s, "abc123")
+            fields = [grid.centers(), s.n, (1.0 - s.c) * s.n, s.c * s.n, s.c, s.d,
+                      positive_power(s.n, s.params.gamma), s.v]
+        rows = [",".join(map(fmt, row)) for row in zip(*(f.tolist() for f in fields))]
+        assert path.read_text().splitlines()[5:] == rows
+
+    def test_snapshot_of_a_growth_state_formats_no_cell_alone(self, tmp_path, monkeypatch,
+                                                                growth_state):
+        # a silent fall back to formatting one value at a time would call
+        # fmt per cell; only the preamble's time and gamma may go through it
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return fmt(x)
+
+        assert all(np.isfinite(x).all() for x in (growth_state.n, growth_state.c, growth_state.d))
+        monkeypatch.setattr(output, "fmt", spy)
+        write_snapshot(str(tmp_path / "snap.csv"), growth_state, "abc123")
+        assert [x for x in calls if not isinstance(x, str)] == [
+            growth_state.t, growth_state.params.gamma,
+        ]
+
+    def test_snapshot_of_a_growth_state_stays_within_its_memory(self, tmp_path, growth_state):
+        # the writer's temporaries are bounded by its blocks.  When each
+        # distinct value of a block was formatted through Python strings, the
+        # tracemalloc peak of this write was 505 309 to 505 443 bytes over
+        # three writes; the kernel's is about 408 600.  The first write builds
+        # the kernel's tables, so it is not the one measured
+        path = str(tmp_path / "snap.csv")
+        write_snapshot(path, growth_state, "abc123")
+        tracemalloc.start()
+        try:
+            write_snapshot(path, growth_state, "abc123")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 505_309
+
+    def test_import_builds_no_formatter_table(self):
+        code = "import tissuesim.cli, tissuesim.output as o; print(o._format_tables.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout == "0\n"
 
     def test_empty_history_header_only(self, tmp_path):
         path = str(tmp_path / "ts.csv")

@@ -108,6 +108,9 @@ CASES = (
     ("growth_2d", "run", "growth_1d.cfg", GROWTH_2D),
     ("stiff_2d", "run", "growth_1d.cfg", STIFF_2D),
     ("inject_c_bounds", "run", "growth_1d.cfg", {"debug.inject": "c_bounds"}),
+    # the same injection in 2D stops after one step; its final snapshot holds
+    # the negative n1 cell -1.0000516102593125e-01 (a 2D snapshot's sign path)
+    ("inject_c_bounds_2d", "run", "growth_1d.cfg", {**GROWTH_2D, "debug.inject": "c_bounds"}),
     # each run of these campaigns stops after its first step
     ("inject_c_bounds_sweep", "sweep", "sweep.cfg", {"debug.inject": "c_bounds"}),
     ("inject_c_bounds_eps_study", "eps-study", "eps_study.cfg", {"debug.inject": "c_bounds"}),
