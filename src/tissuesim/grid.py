@@ -10,9 +10,10 @@ Conventions:
     a face array sits between ``values[lo][k]`` and ``values[hi][k]``.  In 1D
     that is ``((slice(None, -1),), (slice(1, None),))``.
 
-Each operator is written once for any dimension, as a loop over the axes'
-sides in axis order (x before y).  All operators are pure functions of their
-inputs.
+Each operator is written once for any dimension, as a loop over the axes in
+axis order (x before y): over their sides, or, in ``laplacian_neumann``, over
+their strides on the flat cell vector.  All operators are pure functions of
+their inputs.
 """
 
 from __future__ import annotations
@@ -109,14 +110,23 @@ def laplacian_neumann(grid: Grid, v: np.ndarray) -> np.ndarray:
     It is ``divergence(grid, face_gradient(grid, v))`` with the same roundings,
     each face difference divided by h twice, formed once per face: every
     face flux enters its two cells with opposite signs, which keeps the
-    discrete conservation identity exact.
+    discrete conservation identity exact.  Each axis's face differences are
+    one shift by that axis's stride on the flat cell vector, so no pass
+    reads a strided slice.  In 2D the y shift also pairs the last cell of
+    each row with the first of the next; those differences are set to 0,
+    and adding that +0 to a cell changes nothing, sign of zero included,
+    since no partial sum here is ever -0.
     """
     out = np.zeros(grid.shape)
-    for (lo, hi), h in zip(grid.sides, grid.h):
-        q = v[hi] - v[lo]
+    flat, total = v.ravel(), out.ravel()
+    stride = flat.size
+    for n, h in zip(grid.cells, grid.h):
+        stride //= n
+        q = flat[stride:] - flat[:-stride]
         q /= h
         q /= h
-        out[lo] += q
-        out[hi] -= q
+        if stride == 1 and grid.dim == 2:  # the y axis: drop the differences across a row end
+            q[n - 1::n] = 0.0
+        total[:-stride] += q
+        total[stride:] -= q
     return out
-

@@ -53,22 +53,23 @@ def fmt(x) -> str:
 def _write_table(path: str, preamble: dict, columns: Iterable[str], rows: Iterable) -> None:
     """The one table writer: ``# key = value`` per preamble item, the header, then each row.
 
-    Every preamble value and row cell goes through ``fmt``; a row of one
-    text cell passes through as it is, so it may hold several lines.
+    Every preamble value and row cell goes through ``fmt``, and each line
+    is written as UTF-8 bytes to a binary file; a row given as ``bytes``
+    is written as it is, so it may hold several lines.
     """
     lines = itertools.chain(
-        (f"# {key} = {fmt(value)}" for key, value in preamble.items()),
-        [",".join(columns)],
-        (",".join(map(fmt, row)) for row in rows),
+        (f"# {key} = {fmt(value)}".encode() for key, value in preamble.items()),
+        [",".join(columns).encode()],
+        (row if isinstance(row, bytes) else ",".join(map(fmt, row)).encode() for row in rows),
     )
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
-        with os.fdopen(fd, "w", newline="\n") as f:
+        with os.fdopen(fd, "wb") as f:
             for line in lines:
                 f.write(line)
-                f.write("\n")
+                f.write(b"\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -247,14 +248,14 @@ def _slots(block: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _block_text(block: np.ndarray) -> str:
-    """``fmt``'s text of every value of a 2D block: cells joined by commas, rows by LF.
+def _block_text(block: np.ndarray) -> bytes:
+    """``fmt``'s text of every value of a 2D block, as ASCII bytes: cells joined by commas, rows by LF.
 
     One boolean compress drops the spaces of ``_slots``, and the last LF is
     left to the table writer.
     """
     slots = _slots(block)
-    return str(slots[slots != ord(" ")][:-1], "ascii")
+    return slots[slots != ord(" ")][:-1].tobytes()
 
 
 #: cells per block of ``write_snapshot``.  The kernel's temporaries grow with
@@ -276,7 +277,7 @@ def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
     of the 128 x 128 growth run's values does.  The kernel's tables are built by
     the first call, not at import.  The kernel takes a block of cells at a
     time: each block's columns are formed from slices of the state's
-    arrays, and its lines go to the table writer as one text cell before
+    arrays, and its lines go to the table writer as one row of bytes before
     the next block is formed, so no whole-grid temporary is made.
     """
     grid = state.grid
@@ -296,7 +297,7 @@ def write_snapshot(path: str, state: State, cfg_hash: str) -> None:
                 nb, (1.0 - cb) * nb, cb * nb, cb, d[start:stop],
                 positive_power(nb, state.params.gamma), v[start:stop],
             ]
-            yield (_block_text(np.stack(fields, axis=1)),)
+            yield _block_text(np.stack(fields, axis=1))
 
     _write_table(path, preamble, columns, blocks())
 

@@ -4,12 +4,14 @@ One step advances, in order:
 
   1. total density n: backward Euler on the degenerate diffusion equation
      dn/dt = lap(K(n)) + eps*lap(n) + (G(d) - D*c) n, solved by Newton
-     (K is the flux potential, gamma/(gamma+1) * n^(gamma+1)); each Newton
-     system is a tridiagonal direct solve in 1D and, in 2D, CG on the
-     red-black reduced system of the symmetrized 5-point stencil scaled to
-     a unit diagonal: the Schur complement on the black cells of a
-     checkerboard, with the red cells back-substituted, to a tolerance
-     sized to the Newton residual;
+     (K is the flux potential, gamma/(gamma+1) * n^(gamma+1)).  One
+     ``_NewtonSystem`` record per solve holds what the solve freezes, and
+     its Newton operator solves each Newton system: ``_BandOperator``, a
+     tridiagonal direct solve, in 1D and, in 2D, ``_DensityOperator``, CG
+     on the red-black reduced system of the symmetrized 5-point stencil
+     scaled to a unit diagonal (the Schur complement on the black cells of
+     a checkerboard, with the red cells back-substituted), to a tolerance
+     sized to the Newton residual and safeguarded against oversolving;
   2. autophagic fraction c = n2/n: explicit upwind advection by the Darcy
      velocity u = -grad(n^gamma), in advective form (each face's inflow
      times the jump from its upstream cell), plus explicit reaction
@@ -158,34 +160,6 @@ def _cutoff_level(params: ModelParams) -> float:
     return params.ell_cut if params.eps_reg > 0.0 else math.inf
 
 
-@dataclass(frozen=True)
-class _Coefficients:
-    """Density-equation coefficients frozen at the state a step starts from."""
-
-    ell: float            # cutoff level
-    g: np.ndarray         # G(cutoff(d))
-    c: np.ndarray
-    rate: np.ndarray      # G - D c: the reaction rate wherever no clamp acts
-    in_band: bool         # c in [0, 1] and n_old >= 0
-    spread: float         # max of c and 1 - c over the cells
-
-
-def _coefficients(state: State) -> _Coefficients:
-    params = state.params
-    ell = _cutoff_level(params)
-    c = state.c
-    g = np.asarray(params.rates.G(cutoff(state.d, ell)), dtype=float)
-    c_min, c_max = float(c.min()), float(c.max())
-    return _Coefficients(
-        ell=ell,
-        g=g,
-        c=c,
-        rate=g - params.D * c,
-        in_band=c_min >= 0.0 and c_max <= 1.0 and float(state.n.min()) >= 0.0,
-        spread=max(c_max, 1.0 - c_min),
-    )
-
-
 @dataclass
 class _Iterate:
     """A density Newton iterate n evaluated once, with c and d frozen at the step's start."""
@@ -198,79 +172,102 @@ class _Iterate:
     floor: float          # rounding floor of f where newton_tol < norm <= FLOOR_CHECK, else 0
 
 
-def _evaluate_iterate(n: np.ndarray, n_old: np.ndarray, dt: float, grid: Grid,
-                      params: ModelParams, co: _Coefficients, newton_tol: float) -> _Iterate:
-    """Evaluate the iterate n: its right side, residual and, near convergence, rounding floor.
+class _NewtonSystem:
+    """What one density solve freezes: its step's data, coefficients and Newton operator.
 
-    The flux potential K(n) = gamma * integral of cutoff(s, ell)^gamma ds
-    equals gamma/(gamma+1) * (n+)^(gamma+1) on [0, ell] and continues
-    linearly above, which is exactly the effect of clamping the mobility
-    coefficients.  The floor, 8 u max(|n| + dt (|L| |K(n)| + eps |L| |n|)),
-    is the level to which f can be evaluated: u is the unit roundoff and
-    |L| the no-flux Laplacian's stencil with every coefficient made
-    positive, so each interior face adds (x_lo + x_hi) / h^2 to both of its
-    cells.  It is formed only where it can stop a solve that newton_tol
-    does not.  A trial far past saturation overflows n^(gamma+1); its
-    residual is then not finite, which no stop or acceptance test passes.
+    It holds n_old, dt, the grid, the params and newton_tol; the density
+    equation's coefficients at the state the step starts from (the cutoff
+    level ell, g = G(cutoff(d)), c, the reaction rate G - D c wherever no
+    clamp acts, ``in_band``: c in [0, 1] and n_old >= 0, and ``spread``:
+    the larger of max c and 1 - min c); gamma/(gamma+1); and the Newton
+    operator of the grid's dimension, a ``_BandOperator`` in 1D and a
+    ``_DensityOperator`` in 2D, each built with dt.
     """
-    gamma, ell = params.gamma, co.ell
-    n_max = float(n.max())
-    # no cutoff acts on (1-c) n or c n for any n in [0, n_max]: in_band checks
-    # n >= 0 on the old density, and Newton iterates are floored at zero
-    unclamped = co.in_band and n_max * co.spread <= ell
-    with np.errstate(over="ignore", invalid="ignore"):
-        if n_max <= ell:
-            pot = gamma / (gamma + 1.0) * positive_power(n, gamma + 1.0)
-        else:
-            pot = gamma / (gamma + 1.0) * positive_power(cutoff(n, ell), gamma + 1.0)
-            pot += np.where(n > ell, gamma * ell**gamma * (n - ell), 0.0)
-        rhs = laplacian_neumann(grid, pot)
-        if unclamped:  # the reaction
-            rhs += co.rate * n
-        else:
-            rhs += co.g * cutoff((1.0 - co.c) * n, ell) + (co.g - params.D) * cutoff(co.c * n, ell)
-        if params.eps_reg > 0.0:
-            rhs += params.eps_reg * laplacian_neumann(grid, n)
-        f = n - n_old
-        f -= dt * rhs
-    norm = float(np.abs(f).max())
-    floor = 0.0
-    if newton_tol < norm <= FLOOR_CHECK:
-        x = np.abs(pot, out=pot)
-        x += params.eps_reg * np.abs(n)
-        scale = np.abs(n)
-        for (lo, hi), h in zip(grid.sides, grid.h):
-            face = x[lo] + x[hi]
-            face *= dt / h / h
-            scale[lo] += face
-            scale[hi] += face
-        floor = 8.0 * np.finfo(float).eps * float(scale.max())
-    return _Iterate(n=n, rhs=rhs, f=f, norm=norm, unclamped=unclamped, floor=floor)
 
+    def __init__(self, state: State, dt: float, newton_tol: float):
+        self.grid, self.params, self.n_old, self.c = state.grid, state.params, state.n, state.c
+        self.dt, self.newton_tol = dt, newton_tol
+        params, c = self.params, self.c
+        self.ell = _cutoff_level(params)
+        self.g = np.asarray(params.rates.G(cutoff(state.d, self.ell)), dtype=float)
+        self.rate = self.g - params.D * c
+        c_min, c_max = float(c.min()), float(c.max())
+        self.in_band = c_min >= 0.0 and c_max <= 1.0 and float(state.n.min()) >= 0.0
+        self.spread = max(c_max, 1.0 - c_min)
+        self.potential_scale = params.gamma / (params.gamma + 1.0)
+        self.op = (_BandOperator if self.grid.dim == 1 else _DensityOperator)(self.grid, dt)
 
-def _density_jacobian(
-    it: _Iterate, params: ModelParams, co: _Coefficients
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal factors (a, r) of the Newton Jacobian of the right side at ``it``.
+    def evaluate(self, n: np.ndarray) -> _Iterate:
+        """Evaluate the iterate n: its right side, residual and, near convergence, rounding floor.
 
-    a is d/dn of the flux potential, floored away from the vacuum, plus eps;
-    r is d/dn of the reaction, with each species term switched off where the
-    right derivative of its cutoff is zero (outside [0, ell)), so that a
-    vacuum cell gets the same r on both paths when no clamp acts.
-    """
-    n = it.n
-    floored = np.maximum(n, VACUUM_FLOOR)
-    if co.ell < math.inf:  # cutoff(., inf) is the identity on [VACUUM_FLOOR, inf)
-        floored = cutoff(floored, co.ell)
-    a = params.gamma * positive_power(floored, params.gamma) + params.eps_reg
-    if it.unclamped:
-        return a, co.rate
-    c = co.c
-    n1 = (1.0 - c) * n
-    n2 = c * n
-    active1 = ((n1 >= 0.0) & (n1 < co.ell)).astype(float)
-    active2 = ((n2 >= 0.0) & (n2 < co.ell)).astype(float)
-    return a, co.g * (1.0 - c) * active1 + (co.g - params.D) * c * active2
+        The flux potential K(n) = gamma * integral of cutoff(s, ell)^gamma ds
+        equals gamma/(gamma+1) * (n+)^(gamma+1) on [0, ell] and continues
+        linearly above, which is exactly the effect of clamping the mobility
+        coefficients.  The floor, 8 u max(|n| + dt (|L| |K(n)| + eps |L| |n|)),
+        is the level to which f can be evaluated: u is the unit roundoff and
+        |L| the no-flux Laplacian's stencil with every coefficient made
+        positive, so each interior face adds (x_lo + x_hi) / h^2 to both of its
+        cells.  It is formed only where it can stop a solve that newton_tol
+        does not.  A trial far past saturation overflows n^(gamma+1); its
+        residual is then not finite, which no stop or acceptance test passes.
+        """
+        grid, params, ell, dt = self.grid, self.params, self.ell, self.dt
+        gamma = params.gamma
+        n_max = float(n.max())
+        # no cutoff acts on (1-c) n or c n for any n in [0, n_max]: in_band checks
+        # n >= 0 on the old density, and Newton iterates are floored at zero
+        unclamped = self.in_band and n_max * self.spread <= ell
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n_max <= ell:
+                pot = self.potential_scale * positive_power(n, gamma + 1.0)
+            else:
+                pot = self.potential_scale * positive_power(cutoff(n, ell), gamma + 1.0)
+                pot += np.where(n > ell, gamma * ell**gamma * (n - ell), 0.0)
+            rhs = laplacian_neumann(grid, pot)
+            if unclamped:  # the reaction
+                rhs += self.rate * n
+            else:
+                g, c = self.g, self.c
+                rhs += g * cutoff((1.0 - c) * n, ell) + (g - params.D) * cutoff(c * n, ell)
+            if params.eps_reg > 0.0:
+                rhs += params.eps_reg * laplacian_neumann(grid, n)
+            f = n - self.n_old
+            f -= dt * rhs
+        norm = float(np.abs(f).max())
+        floor = 0.0
+        if self.newton_tol < norm <= FLOOR_CHECK:
+            x = np.abs(pot, out=pot)
+            x += params.eps_reg * np.abs(n)
+            scale = np.abs(n)
+            for (lo, hi), h in zip(grid.sides, grid.h):
+                face = x[lo] + x[hi]
+                face *= dt / h / h
+                scale[lo] += face
+                scale[hi] += face
+            floor = 8.0 * np.finfo(float).eps * float(scale.max())
+        return _Iterate(n=n, rhs=rhs, f=f, norm=norm, unclamped=unclamped, floor=floor)
+
+    def jacobian(self, it: _Iterate) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal factors (a, r) of the Newton Jacobian of the right side at ``it``.
+
+        a is d/dn of the flux potential, floored away from the vacuum, plus eps;
+        r is d/dn of the reaction, with each species term switched off where the
+        right derivative of its cutoff is zero (outside [0, ell)), so that a
+        vacuum cell gets the same r on both paths when no clamp acts.
+        """
+        n, params, ell = it.n, self.params, self.ell
+        floored = np.maximum(n, VACUUM_FLOOR)
+        if ell < math.inf:  # cutoff(., inf) is the identity on [VACUUM_FLOOR, inf)
+            floored = cutoff(floored, ell)
+        a = params.gamma * positive_power(floored, params.gamma) + params.eps_reg
+        if it.unclamped:
+            return a, self.rate
+        c = self.c
+        n1 = (1.0 - c) * n
+        n2 = c * n
+        active1 = ((n1 >= 0.0) & (n1 < ell)).astype(float)
+        active2 = ((n2 >= 0.0) & (n2 < ell)).astype(float)
+        return a, self.g * (1.0 - c) * active1 + (self.g - params.D) * c * active2
 
 
 def _count_cutoff_activations(n: np.ndarray, c: np.ndarray, ell: float) -> int:
@@ -281,6 +278,32 @@ def _count_cutoff_activations(n: np.ndarray, c: np.ndarray, ell: float) -> int:
     for s in (n1, n2):
         hit = hit | (s > ell) | (s < 0.0)
     return int(np.count_nonzero(hit))
+
+
+class _BandOperator:
+    """The 1D Newton matrix I - dt (lap diag(a) + diag(r)) in band form, solved directly.
+
+    Its diagonal is 1 + dt deg a / h^2 - dt r, deg the number of interior
+    faces of a cell, whose row factors dt deg are fixed for a density
+    solve; cell i couples to i - 1 and i + 1 with w = -dt a / h^2 of the
+    neighbour.
+    """
+
+    def __init__(self, grid: Grid, dt: float):
+        self.dt, self.h2 = dt, grid.h[0] ** 2
+        self.dt_deg = np.full(grid.cells[0], 2.0 * dt)
+        self.dt_deg[0] = self.dt_deg[-1] = dt
+
+    def solve(self, a: np.ndarray, r: np.ndarray, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+        """delta with (I - dt (lap diag(a) + diag(r))) delta = rhs, and one iteration; ``tol`` is unused."""
+        diag = self.dt_deg * a
+        diag /= self.h2
+        diag += 1.0
+        diag -= self.dt * r
+        # row i + 1 holds w[i] below the diagonal, row i w[i + 1] above
+        w = np.multiply(a, -self.dt)
+        w /= self.h2
+        return linalg.thomas_solve(w[:-1], diag, w[1:], rhs), 1
 
 
 class _DensityOperator:
@@ -307,12 +330,13 @@ class _DensityOperator:
     m + q.  The product t y of one colour sits between q + 1 zeros on either
     side, so a shift reaches only zeros past the x walls; t is zero on every
     ghost entry, which keeps the ghost entries of every CG vector zero.  One
-    density solve builds one operator; each Newton system refills its scales
-    in place, and every array is allocated here, once.
+    density solve builds one operator, with its dt; each Newton system
+    refills its scales in place, and every array is allocated here, once.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, dt: float):
         nx, ny = grid.cells
+        self.dt = dt
         self.shape = grid.shape
         self.stride = ny + 1 + ny % 2
         self.q = self.stride // 2
@@ -323,7 +347,7 @@ class _DensityOperator:
         degy = np.full(grid.shape, 2.0)
         degy[:, 0] = degy[:, -1] = 1.0
         self.faces_over_h2 = degx / hx2 + degy / hy2  # D = 1 - dt r + dt a faces_over_h2
-        self.hx2 = hx2
+        self.dt_over_hx2 = dt / hx2
         self.y_ratio = hx2 / hy2                     # y couplings relative to x couplings
         # on the whole layout: t, D and the scaled right side, which becomes the solution
         self.t, self.diagonal, self.x = np.zeros((3, 2 * half))
@@ -340,10 +364,10 @@ class _DensityOperator:
         nx, ny = self.shape
         return flat[:nx * self.stride].reshape(nx, self.stride)[:, :ny]
 
-    def assemble(self, a: np.ndarray, diag_reaction: np.ndarray, dt: float) -> None:
+    def assemble(self, a: np.ndarray, diag_reaction: np.ndarray) -> None:
         """Fill the scales for S J S^-1 with a > 0 and diag_reaction = 1 - dt r > 0."""
         d = self.cells(self.diagonal)
-        np.multiply(a, dt, out=d)
+        np.multiply(a, self.dt, out=d)
         d *= self.faces_over_h2
         d += diag_reaction
         t = self.cells(self.t)
@@ -352,8 +376,8 @@ class _DensityOperator:
         np.copyto(self.t_red, self.t[0::2])
         np.copyto(self.t_black, self.t[1::2])
         np.copyto(self.weights, self.diagonal[1::2])
-        np.multiply(self.t_red, dt / self.hx2, out=self.coupling_red)
-        np.multiply(self.t_black, dt / self.hx2, out=self.coupling_black)
+        np.multiply(self.t_red, self.dt_over_hx2, out=self.coupling_red)
+        np.multiply(self.t_black, self.dt_over_hx2, out=self.coupling_black)
 
     def _couple(self, y, t, coupling, shift, out) -> None:
         """out = coupling (neighbour sum of t y) on the other colour.
@@ -384,67 +408,41 @@ class _DensityOperator:
         self.apply_ct(self.red, out)
         np.subtract(y, out, out=out)
 
+    def solve(self, a: np.ndarray, r: np.ndarray, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+        """delta with (I - dt (lap diag(a) + diag(r))) delta = rhs, and its CG iterations.
 
-def _solve_newton_system(
-    grid: Grid,
-    a: np.ndarray,
-    r: np.ndarray,
-    dt: float,
-    rhs: np.ndarray,
-    tol: float,
-    max_iters: int,
-    op: _DensityOperator | None,
-) -> tuple[np.ndarray, int]:
-    """Solve (I - dt*(lap o diag(a) + diag(r))) delta = rhs.
-
-    1D goes through the banded direct solver and ignores ``tol``,
-    ``max_iters`` and ``op``, which is None there.  2D is symmetrized with
-    S = diag(sqrt(a)) -- S J S^-1 = diag(1 - dt r) - dt S lap S is SPD --
-    scaled by the diagonal D of that matrix and reduced to its black cells
-    (see ``_DensityOperator``); CG on the reduced system runs, in at most
-    ``max_iters`` iterations, until sqrt(sum D_black r^2) is at most
-    tol * |S rhs|.  The back-substitution leaves the red residual zero up
-    to rounding, so that is the 2-norm test on the symmetrized system.  A
-    bound that overflows raises SolverFailure before any operator work.
-    """
-    if grid.dim == 1:
-        # diag = 1 + dt deg a / h^2 - dt r, deg the number of interior faces
-        h2 = grid.h[0] ** 2
-        diag = np.full(grid.cells[0], 2.0 * dt)
-        diag[0] = diag[-1] = dt
-        diag *= a
-        diag /= h2
-        diag += 1.0
-        diag -= dt * r
-        # cell i couples to i - 1 and i + 1 with w = -dt a / h^2 of the
-        # neighbour: row i + 1 holds w[i] below the diagonal, row i w[i + 1] above
-        w = np.multiply(a, -dt)
-        w /= h2
-        return linalg.thomas_solve(w[:-1], diag, w[1:], rhs), 1
-
-    diag_reaction = 1.0 - dt * r
-    if np.min(diag_reaction) <= 0.0:
-        raise SolverFailure("density Jacobian lost positivity; dt too large for the reactions")
-    a_safe = np.maximum(a, 1e-30)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = tol * math.sqrt(float(np.vdot(a_safe * rhs, rhs)))  # tol |S rhs|
-    if not math.isfinite(bound):
-        raise SolverFailure("density Newton system overflows: |S rhs| is not finite")
-    op.assemble(a_safe, diag_reaction, dt)
-    # b = D^-1/2 S rhs = t rhs, and the reduced right side is b_black + C^T b_red
-    b = op.x
-    np.multiply(op.cells(op.t), rhs, out=op.cells(b))
-    op.apply_ct(b[0::2], op.reduced_rhs)
-    op.reduced_rhs += b[1::2]
-    result = linalg.pcg_solve(op.matvec, op.weights, op.reduced_rhs, bound, max_iters, op.work)
-    # x_red = b_red + C x_black, in place of b
-    b[1::2] = result.x
-    op.apply_c(result.x, op.red)
-    b[0::2] += op.red
-    # the solution of S J S^-1 is D^-1/2 x, and delta = S^-1 D^-1/2 x = t x / a
-    delta = op.cells(b) * op.cells(op.t)
-    delta /= a_safe
-    return delta, result.iterations
+        The system is symmetrized with S = diag(sqrt(a)) -- S J S^-1 =
+        diag(1 - dt r) - dt S lap S is SPD -- scaled by its diagonal D and
+        reduced to its black cells; CG on the reduced system runs, in at
+        most LINEAR_MAX iterations, until sqrt(sum D_black r^2) is at most
+        tol * |S rhs|.  The back-substitution leaves the red residual zero
+        up to rounding, so that is the 2-norm test on the symmetrized
+        system.  A bound that overflows raises SolverFailure before any
+        operator work.
+        """
+        diag_reaction = 1.0 - self.dt * r
+        if np.min(diag_reaction) <= 0.0:
+            raise SolverFailure("density Jacobian lost positivity; dt too large for the reactions")
+        a_safe = np.maximum(a, 1e-30)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = tol * math.sqrt(float(np.vdot(a_safe * rhs, rhs)))  # tol |S rhs|
+        if not math.isfinite(bound):
+            raise SolverFailure("density Newton system overflows: |S rhs| is not finite")
+        self.assemble(a_safe, diag_reaction)
+        # b = D^-1/2 S rhs = t rhs, and the reduced right side is b_black + C^T b_red
+        b = self.x
+        np.multiply(self.cells(self.t), rhs, out=self.cells(b))
+        self.apply_ct(b[0::2], self.reduced_rhs)
+        self.reduced_rhs += b[1::2]
+        result = linalg.pcg_solve(self.matvec, self.weights, self.reduced_rhs, bound, LINEAR_MAX, self.work)
+        # x_red = b_red + C x_black, in place of b
+        b[1::2] = result.x
+        self.apply_c(result.x, self.red)
+        b[0::2] += self.red
+        # the solution of S J S^-1 is D^-1/2 x, and delta = S^-1 D^-1/2 x = t x / a
+        delta = self.cells(b) * self.cells(self.t)
+        delta /= a_safe
+        return delta, result.iterations
 
 
 def density_solve(
@@ -455,14 +453,22 @@ def density_solve(
     Damped Newton on the cell vector, converged when max|f| <= newton_tol
     for the residual f(n) = n - n_old - dt*rhs(n), or when max|f| <=
     FLOOR_CHECK is at most the rounding floor of f, below which no iterate
-    can be told from another.  Newton system k is solved to the relative
-    tolerance max(linear_tol, min(0.1, max|f_k|)), an inexact-Newton
-    forcing term that keeps the quadratic convergence (Dembo, Eisenstat
-    and Steihaug 1982) without solving early systems beyond what their
-    residual can use; the 1D direct solve is exact.  The line search halves
-    the step until the residual shrinks.  Each iterate, the start and every
-    trial, is evaluated once (``_evaluate_iterate``), floor included, and
-    the one accepted brings that record into the next iteration.  When 8
+    can be told from another.  The solve builds one ``_NewtonSystem``
+    record, which freezes n_old, dt, the grid, the params, newton_tol and
+    the coefficients at the step's start, and the Newton operator of the
+    grid's dimension; every Newton system goes through that operator's
+    ``solve``.  Newton system k is solved to the relative tolerance
+    max(linear_tol, min(0.1, max(|f_k|, 0.5 newton_tol / |f_k|))), |f_k| =
+    max|f_k|: an inexact-Newton forcing term that keeps the quadratic
+    convergence (Dembo, Eisenstat and Steihaug 1982) without solving early
+    systems beyond what their residual can use, with the safeguard of
+    Eisenstat and Walker (1996) in Kelley's form (1995, section 6.3), which
+    solves the last system only to about newton_tol / 2 rather than to
+    |f_k|^2; newton_tol still decides acceptance, and the 1D direct solve
+    is exact.  The line search halves the step until the residual shrinks.
+    Each iterate, the start and every trial, is evaluated once
+    (``_NewtonSystem.evaluate``), floor included, and the one accepted
+    brings that record into the next iteration.  When 8
     halvings fail, the full step is taken as a fallback if its residual is
     finite and at most FALLBACK_GROWTH times the current one; a larger
     growth, or a second fallback in one solve, raises SolverFailure.  After
@@ -471,12 +477,10 @@ def density_solve(
     rounding rather than to the Newton tolerance.  The
     result is floored at zero with clamps counted.
     """
-    grid, params = state.grid, state.params
     n_old = state.n
-    co = _coefficients(state)
-    op = _DensityOperator(grid) if grid.dim == 2 else None
+    system = _NewtonSystem(state, dt, settings.newton_tol)
     report = StepReport(dt_used=dt)
-    cur = _evaluate_iterate(n_old.copy(), n_old, dt, grid, params, co, settings.newton_tol)
+    cur = system.evaluate(n_old.copy())
     for it in range(settings.newton_max + 1):
         report.newton_iters = it + 1  # residual evaluations, 1 on a fixed point
         report.newton_residual = cur.norm
@@ -489,16 +493,17 @@ def density_solve(
                 f"density Newton did not converge in {settings.newton_max} iterations "
                 f"(residual {cur.norm:.3e})"
             )
-        a, r = _density_jacobian(cur, params, co)
-        tol = max(settings.linear_tol, min(0.1, cur.norm))
-        delta, lin = _solve_newton_system(grid, a, r, dt, -cur.f, tol, LINEAR_MAX, op)
+        a, r = system.jacobian(cur)
+        # forcing term with Eisenstat and Walker's safeguard against oversolving
+        tol = max(settings.linear_tol, min(0.1, max(cur.norm, 0.5 * settings.newton_tol / cur.norm)))
+        delta, lin = system.op.solve(a, r, -cur.f, tol)
         report.linear_iters += lin
         # damped update: halve until the residual shrinks; the full step,
         # which is the first trial, is the bounded fallback
         for k in range(8):
             n_trial = cur.n + 0.5**k * delta
             np.maximum(n_trial, 0.0, out=n_trial)
-            trial = _evaluate_iterate(n_trial, n_old, dt, grid, params, co, settings.newton_tol)
+            trial = system.evaluate(n_trial)
             if k == 0:
                 full = trial
             if math.isfinite(trial.norm) and trial.norm < cur.norm:
@@ -521,7 +526,7 @@ def density_solve(
     n_new = n_old + dt * cur.rhs
     report.clamped_cells = int(np.count_nonzero(n_new < 0.0))
     n_new = np.maximum(n_new, 0.0)
-    report.cutoff_activations = _count_cutoff_activations(cur.n, state.c, co.ell)
+    report.cutoff_activations = _count_cutoff_activations(cur.n, state.c, system.ell)
     return n_new, report
 
 

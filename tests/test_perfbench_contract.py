@@ -75,7 +75,7 @@ def test_thomas_solve_calls_count_the_1d_linear_systems(monkeypatch):
     from tissuesim import harness, linalg, stepper
     from tissuesim.config import parse_config
 
-    calls = {"thomas_solve": 0, "_solve_newton_system": 0, "nutrient_solve": 0}
+    calls = {"thomas_solve": 0, "solve": 0, "nutrient_solve": 0}
 
     def spy(module, name):
         real = getattr(module, name)
@@ -87,14 +87,14 @@ def test_thomas_solve_calls_count_the_1d_linear_systems(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     spy(linalg, "thomas_solve")
-    spy(stepper, "_solve_newton_system")
+    spy(stepper._BandOperator, "solve")
     spy(stepper, "nutrient_solve")
     cfg = parse_config((CONFIGS / "growth_1d.cfg").read_text()).with_overrides(time__T_final=0.05)
     res = harness.run(cfg)
     assert res.ok and res.rejected_attempts == 0
-    assert calls["_solve_newton_system"] == res.newton_iters - res.steps > res.steps > 0
+    assert calls["solve"] == res.newton_iters - res.steps > res.steps > 0
     assert calls["nutrient_solve"] == res.steps
-    assert calls["thomas_solve"] == calls["_solve_newton_system"] + calls["nutrient_solve"]
+    assert calls["thomas_solve"] == calls["solve"] + calls["nutrient_solve"]
 
 
 def test_import_loads_no_scipy_fft_or_sparse():

@@ -191,7 +191,7 @@ class TestDensitySolve:
         _, plain = density_solve(s, dt, SETTINGS)
         assert plain.newton_fallbacks == 0
 
-        real = stepper._solve_newton_system
+        real = stepper._BandOperator.solve
         calls = []
 
         def first_flipped(*args):
@@ -199,7 +199,7 @@ class TestDensitySolve:
             calls.append(delta)
             return (-delta if len(calls) == 1 else delta), lin
 
-        monkeypatch.setattr(stepper, "_solve_newton_system", first_flipped)
+        monkeypatch.setattr(stepper._BandOperator, "solve", first_flipped)
         n_new, report = density_solve(s, dt, SETTINGS)
         assert report.newton_fallbacks == 1
         assert np.allclose(n_new, 0.5 / (1.0 - g_rate * dt), rtol=1e-12)
@@ -231,7 +231,7 @@ class TestDensitySolve:
         # 1000-fold, past FALLBACK_GROWTH: the first fallback rejects the
         # attempt and names both residuals
         s, params = self.growth_setup()
-        real = stepper._solve_newton_system
+        real = stepper._BandOperator.solve
         calls = []
 
         def overshoot(*args):
@@ -239,7 +239,7 @@ class TestDensitySolve:
             calls.append(delta)
             return 1e3 * delta, lin
 
-        monkeypatch.setattr(stepper, "_solve_newton_system", overshoot)
+        monkeypatch.setattr(stepper._BandOperator, "solve", overshoot)
         with pytest.raises(SolverFailure) as err:
             density_solve(s, 0.05, SETTINGS)
         before, after = map(float, re.fullmatch(
@@ -255,11 +255,10 @@ class TestDensitySolve:
         # test.  dt is scaled so that the first residual, -dt rhs(n_old),
         # is the given multiple of the floor: at 100 times it, Newton must
         # iterate; at half of it, the start is accepted as it is
-        s, params = floor_case(shape, eps=0.05)
-        co = stepper._coefficients(s)
+        s, _ = floor_case(shape, eps=0.05)
 
         def multiple(dt):
-            start = stepper._evaluate_iterate(s.n, s.n, dt, s.grid, params, co, 0.0)
+            start = stepper._NewtonSystem(s, dt, 0.0).evaluate(s.n)
             assert start.norm <= stepper.FLOOR_CHECK  # so its floor is formed
             return start.norm / start.floor
 
@@ -284,15 +283,15 @@ class TestDensitySolve:
 
 
 def evaluations(monkeypatch):
-    """Record every ``_Iterate`` that ``stepper._evaluate_iterate`` returns, in order."""
-    real = stepper._evaluate_iterate
+    """Record every ``_Iterate`` that ``stepper._NewtonSystem.evaluate`` returns, in order."""
+    real = stepper._NewtonSystem.evaluate
     seen = []
 
     def spy(*args):
         seen.append(real(*args))
         return seen[-1]
 
-    monkeypatch.setattr(stepper, "_evaluate_iterate", spy)
+    monkeypatch.setattr(stepper._NewtonSystem, "evaluate", spy)
     return seen
 
 
@@ -311,15 +310,18 @@ def floor_case(shape, eps):
 
 def flip_first_directions(monkeypatch, count):
     """Reverse the first ``count`` Newton directions, turning each into an ascent direction."""
-    real = stepper._solve_newton_system
     calls = []
 
-    def flipped(*args):
-        delta, lin = real(*args)
-        calls.append(delta)
-        return (-delta if len(calls) <= count else delta), lin
+    def flipping(real):
+        def flipped(*args):
+            delta, lin = real(*args)
+            calls.append(delta)
+            return (-delta if len(calls) <= count else delta), lin
 
-    monkeypatch.setattr(stepper, "_solve_newton_system", flipped)
+        return flipped
+
+    for operator in (stepper._BandOperator, stepper._DensityOperator):
+        monkeypatch.setattr(operator, "solve", flipping(operator.solve))
 
 
 def reference_density_solve(state, dt, settings):
@@ -329,14 +331,12 @@ def reference_density_solve(state, dt, settings):
     the next iteration, and of the converged iterate once more for the
     conservative update; ``density_solve`` must give the same bits.
     """
-    grid, params = state.grid, state.params
     n_old = state.n
-    co = stepper._coefficients(state)
-    op = stepper._DensityOperator(grid) if grid.dim == 2 else None
+    system = stepper._NewtonSystem(state, dt, 0.0)
     report = stepper.StepReport(dt_used=dt)
     n_k = n_old.copy()
     for it in range(settings.newton_max + 1):
-        evaluated = stepper._evaluate_iterate(n_k, n_old, dt, grid, params, co, 0.0)
+        evaluated = system.evaluate(n_k)
         f = n_k - n_old - dt * evaluated.rhs
         res_norm = float(np.max(np.abs(f)))
         report.newton_iters = it + 1
@@ -344,15 +344,13 @@ def reference_density_solve(state, dt, settings):
         if res_norm <= settings.newton_tol:
             break
         assert it < settings.newton_max
-        a, r = stepper._density_jacobian(evaluated, params, co)
-        delta, _ = stepper._solve_newton_system(
-            grid, a, r, dt, -f, settings.linear_tol, stepper.LINEAR_MAX, op
-        )
+        a, r = system.jacobian(evaluated)
+        delta, _ = system.op.solve(a, r, -f, settings.linear_tol)
         step_len = 1.0
         accepted = None
         for _ in range(8):
             trial = np.maximum(n_k + step_len * delta, 0.0)
-            rhs_trial = stepper._evaluate_iterate(trial, n_old, dt, grid, params, co, 0.0).rhs
+            rhs_trial = system.evaluate(trial).rhs
             f_trial = trial - n_old - dt * rhs_trial
             trial_norm = float(np.max(np.abs(f_trial)))
             if math.isfinite(trial_norm) and trial_norm < res_norm:
@@ -362,7 +360,7 @@ def reference_density_solve(state, dt, settings):
         if accepted is None:
             accepted = np.maximum(n_k + delta, 0.0)
         n_k = accepted
-    rhs = stepper._evaluate_iterate(n_k, n_old, dt, grid, params, co, 0.0).rhs
+    rhs = system.evaluate(n_k).rhs
     return np.maximum(n_old + dt * rhs, 0.0), report
 
 
@@ -425,13 +423,13 @@ class TestNewtonLoop:
             return real_power(x, e)
 
         evaluated = evaluations(monkeypatch)
-        real_evaluate = stepper._evaluate_iterate
+        real_evaluate = stepper._NewtonSystem.evaluate
 
         def evaluate_spy(*args):
             events.append("evaluate")
             return real_evaluate(*args)
 
-        monkeypatch.setattr(stepper, "_evaluate_iterate", evaluate_spy)
+        monkeypatch.setattr(stepper._NewtonSystem, "evaluate", evaluate_spy)
         monkeypatch.setattr(stepper, "positive_power", power_spy)
         _, report = density_solve(s, dt, SolverSettings(newton_tol=0.0))
         assert report.newton_iters > 1
@@ -470,48 +468,75 @@ class TestNewtonLoop:
 
     def dense_newton(self, s, dt, settings):
         """Undamped Newton with every system solved by dense elimination."""
-        grid, params = s.grid, s.params
+        grid = s.grid
         n_old = s.n
-        co = stepper._coefficients(s)
+        system = stepper._NewtonSystem(s, dt, 0.0)
         lap = np.column_stack([
             laplacian_neumann(grid, e.reshape(grid.shape)).ravel()
             for e in np.eye(grid.num_cells)
         ])
         n_k = n_old.copy()
         for _ in range(settings.newton_max):
-            evaluated = stepper._evaluate_iterate(n_k, n_old, dt, grid, params, co, 0.0)
+            evaluated = system.evaluate(n_k)
             f = n_k - n_old - dt * evaluated.rhs
             if np.max(np.abs(f)) <= settings.newton_tol:
                 break
-            a, r = stepper._density_jacobian(evaluated, params, co)
+            a, r = system.jacobian(evaluated)
             jac = np.eye(grid.num_cells) - dt * (lap * a.ravel() + np.diag(r.ravel()))
             n_k = n_k + np.linalg.solve(jac, -f.ravel()).reshape(grid.shape)
-        rhs = stepper._evaluate_iterate(n_k, n_old, dt, grid, params, co, 0.0).rhs
+        rhs = system.evaluate(n_k).rhs
         return np.maximum(n_old + dt * rhs, 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_record_and_one_operator_per_solve(self, monkeypatch, dim):
+        # every Newton system of a solve goes through the one operator its record built
+        s = bump_1d()[0] if dim == 1 else self.state_2d()[0]
+        built = []
+        for cls in (stepper._NewtonSystem, stepper._BandOperator, stepper._DensityOperator):
+            def counted(obj, *args, init=cls.__init__, name=cls.__name__):
+                built.append(name)
+                init(obj, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        for _ in range(2):
+            _, report = density_solve(s, 0.01, SETTINGS)
+            assert report.newton_iters > 2
+        operator = "_BandOperator" if dim == 1 else "_DensityOperator"
+        assert built == ["_NewtonSystem", operator] * 2
 
     @pytest.mark.parametrize("linear_tol", [1e-10, 1e-5])
     def test_2d_forcing_term(self, monkeypatch, linear_tol):
         s, params = self.state_2d()
         settings = SolverSettings(linear_tol=linear_tol)
         res_norms, tols = [], []
-        solve_system = stepper._solve_newton_system
+        solve_system = stepper._DensityOperator.solve
 
-        def system_spy(grid, a, r, dt, rhs, tol, *rest):
+        def system_spy(op, a, r, rhs, tol):
             res_norms.append(float(np.max(np.abs(rhs))))
             tols.append(tol)
-            return solve_system(grid, a, r, dt, rhs, tol, *rest)
+            return solve_system(op, a, r, rhs, tol)
 
-        monkeypatch.setattr(stepper, "_solve_newton_system", system_spy)
-        n_new, report = density_solve(s, 0.01, settings)
-        assert len(tols) == len(res_norms) == report.newton_iters - 1
-        assert tols == [max(linear_tol, min(0.1, f)) for f in res_norms]
-        # the cap, the residual itself and, with the looser floor, the floor all occur
-        assert tols[0] == 0.1 and linear_tol < tols[-2] < 0.1
-        assert (tols[-1] == linear_tol) == (linear_tol == 1e-5)
-        assert report.newton_residual <= settings.newton_tol
-        assert report.newton_fallbacks == 0
-        ref = self.dense_newton(s, 0.01, settings)
-        assert np.max(np.abs(n_new - ref)) <= 1e-9 * np.max(np.abs(ref))
+        monkeypatch.setattr(stepper._DensityOperator, "solve", system_spy)
+        safeguard = 0.5 * settings.newton_tol
+        for dt in (0.01, 0.012):
+            res_norms.clear()
+            tols.clear()
+            n_new, report = density_solve(s, dt, settings)
+            assert len(tols) == len(res_norms) == report.newton_iters - 1
+            assert tols == [max(linear_tol, min(0.1, max(f, safeguard / f))) for f in res_norms]
+            # the cap and the residual itself occur
+            assert tols[0] == 0.1 and linear_tol < tols[-2] < 0.1
+            if dt == 0.01:
+                # the last residual, 8.7e-6, lies above sqrt(newton_tol / 2): the
+                # safeguard is idle, and the looser floor binds
+                assert (tols[-1] == linear_tol) == (linear_tol == 1e-5)
+            else:
+                # the last residual, 9.0e-10, is solved no further than newton_tol needs
+                assert tols[-1] == safeguard / res_norms[-1] > max(linear_tol, res_norms[-1])
+            assert report.newton_residual <= settings.newton_tol
+            assert report.newton_fallbacks == 0
+            ref = self.dense_newton(s, dt, settings)
+            assert np.max(np.abs(n_new - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 class TestDensityJacobian:
@@ -528,10 +553,10 @@ class TestDensityJacobian:
             s = State(t=0.0, grid=grid, n=n, c=np.full(grid.shape, 0.5),
                       d=np.full(grid.shape, 0.25),
                       params=params)
-            co = stepper._coefficients(s)
-            evaluated = stepper._evaluate_iterate(n, n, 0.01, grid, params, co, 0.0)
+            system = stepper._NewtonSystem(s, 0.01, 0.0)
+            evaluated = system.evaluate(n)
             assert evaluated.unclamped == (ell == 10.0)
-            _, r_at[ell] = stepper._density_jacobian(evaluated, params, co)
+            _, r_at[ell] = system.jacobian(evaluated)
         vacuum = n == 0.0
         assert np.array_equal(r_at[10.0][vacuum], np.full(3, 0.25 - 0.5))
         assert np.array_equal(r_at[0.4][vacuum], r_at[10.0][vacuum])
@@ -608,12 +633,44 @@ class TestNewtonSystem1D:
 
         monkeypatch.setattr(stepper.linalg, "thomas_solve", spy)
         for dt in (1e-3, 0.07):
-            delta, lin = stepper._solve_newton_system(grid, a, r, dt, rhs, 1e-10, 100, None)
+            delta, lin = stepper._BandOperator(grid, dt).solve(a, r, rhs, 1e-10)
             assert lin == 1
             m = seen[-1]
             for got, want in zip(m, reference_newton_tridiag(grid, a, r, dt)):
                 assert got.tobytes() == want.tobytes()
             assert np.max(np.abs(tridiag_matvec(*m, delta) - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+
+def deleted_1d_newton_solve(grid, a, r, dt, rhs):
+    """The 1D Newton solve as it was assembled for each system before ``_BandOperator``."""
+    h2 = grid.h[0] ** 2
+    diag = np.full(grid.cells[0], 2.0 * dt)
+    diag[0] = diag[-1] = dt
+    diag *= a
+    diag /= h2
+    diag += 1.0
+    diag -= dt * r
+    w = np.multiply(a, -dt)
+    w /= h2
+    return stepper.linalg.thomas_solve(w[:-1], diag, w[1:], rhs)
+
+
+class TestBandOperator:
+    @pytest.mark.parametrize("cells", [3, 7, 400])
+    def test_solve_matches_the_per_system_assembly_bitwise(self, cells):
+        # one operator per dt serves several systems, as in a density solve
+        grid = Grid(dim=1, extents=(0.9,), cells=(cells,))
+        rng = np.random.default_rng(cells + 1)
+        for dt in (1e-3, 0.07):
+            op = stepper._BandOperator(grid, dt)
+            for _ in range(3):
+                a = rng.uniform(0.0, 3.0, cells)
+                a[::4] = 0.0
+                r = rng.uniform(-1.0, 1.0, cells)
+                rhs = rng.standard_normal(cells)
+                delta, lin = op.solve(a, r, rhs, 0.1)
+                assert lin == 1
+                assert delta.tobytes() == deleted_1d_newton_solve(grid, a, r, dt, rhs).tobytes()
 
 
 def split_colours(op, values):
@@ -637,8 +694,8 @@ class TestDensityOperator:
         rng = np.random.default_rng(seed)
         a = rng.uniform(0.05, 3.0, grid.shape)
         r = rng.uniform(-1.0, 1.0, grid.shape)
-        op = stepper._DensityOperator(grid)
-        op.assemble(a, 1.0 - dt * r, dt)
+        op = stepper._DensityOperator(grid, dt)
+        op.assemble(a, 1.0 - dt * r)
         return grid, a, r, dt, op
 
     @staticmethod
@@ -718,7 +775,7 @@ class TestDensityOperator:
         rhs = np.random.default_rng(6).standard_normal(grid.shape)
         red_ghost, black_ghost = ghost_masks(op)
         for tol in (0.1, 1e-4, 1e-10):
-            delta, iters = stepper._solve_newton_system(grid, a, r, dt, rhs, tol, 500, op)
+            delta, iters = op.solve(a, r, rhs, tol)
             # every CG vector and the back-substituted solution keep their ghosts zero
             assert np.all(op.work[:, black_ghost] == 0.0) and np.all(op.reduced_rhs[black_ghost] == 0.0)
             assert np.all(op.x[0::2][red_ghost] == 0.0) and np.all(op.x[1::2][black_ghost] == 0.0)
@@ -746,7 +803,7 @@ class TestDensityOperator:
         r = rng.uniform(-1.0, 1.0, grid.shape)
         rhs = rng.standard_normal(grid.shape)
         cell_bytes = 8 * grid.num_cells
-        op = stepper._DensityOperator(grid)
+        op = stepper._DensityOperator(grid, 0.01)
         pcg = stepper.linalg.pcg_solve
         counted = []
 
@@ -770,7 +827,7 @@ class TestDensityOperator:
             tracemalloc.start()
             try:
                 tick.base = tracemalloc.get_traced_memory()[0]
-                delta, iters = stepper._solve_newton_system(grid, a, r, 0.01, rhs, tol, 500, op)
+                delta, iters = op.solve(a, r, rhs, tol)
                 tick()
             finally:
                 tracemalloc.stop()
@@ -1451,8 +1508,7 @@ def test_2d_newton_system_overflow_is_a_solver_failure():
     grid = Grid(dim=2, extents=(1.0, 1.0), cells=(6, 5))
     big = np.full(grid.shape, 1e200)
     with pytest.raises(SolverFailure, match="Newton system overflows"):
-        stepper._solve_newton_system(grid, big, np.zeros(grid.shape), 0.01, big, 1e-10,
-                                     stepper.LINEAR_MAX, stepper._DensityOperator(grid))
+        stepper._DensityOperator(grid, 0.01).solve(big, np.zeros(grid.shape), big, 1e-10)
 
 
 def test_2d_suggested_dt_meets_the_budget():
