@@ -10,7 +10,6 @@ from .config import RunConfig, config_hash, default_config, parse_config, serial
 from .diagnostics import (
     EnergyLedger,
     FieldSamples,
-    TolConfig,
     WindowIntegrals,
     aronson_benilan_gap,
     check_all,
@@ -26,6 +25,7 @@ from .harness import (
     eps_study,
     gamma_sweep,
     run,
+    set_up,
 )
 from .model import (
     DerivedConstants,

@@ -98,7 +98,7 @@ def _cmd_check(cfg) -> int:
     result = set_up(cfg)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    consts = result.consts
+    consts = result.initial_state.params.consts
     print(f"config  {result.cfg_hash}")
     print(f"L       {consts.L:.12g}")
     print(f"G0      {consts.G0:.12g}")
@@ -116,7 +116,7 @@ def _flush_run_outputs(cfg, result) -> None:
 
 
 def _cmd_run(cfg, permissive: bool) -> int:
-    result = run(cfg, permissive=permissive)
+    result = run(set_up(cfg), permissive=permissive)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     _flush_run_outputs(cfg, result)

@@ -10,7 +10,7 @@ few solver-verification checks (porous-medium time-monotonicity gap, bounds).
 quadratures alike.  ``WindowIntegrals`` and ``FieldSamples`` are fed every
 accepted state of a run, so no time quantity depends on the snapshot stride.
 All of them read v from ``State.v``, which each state computes once, and
-the model data from ``State.params``.
+the model data, the run's bound data included, from ``State.params``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import Grid, divergence, face_gradient
-from .model import BOUND_INFLATION, DerivedConstants, ModelParams, saturating_exp
+from .model import BOUND_INFLATION, ModelParams, saturating_exp
 from .stepper import State, StepReport, positive_power
 
 
@@ -265,9 +265,9 @@ def aronson_benilan_gap(states) -> float:
     """Min over cells and consecutive state pairs of (dn/dt + n / (gamma t)).
 
     ``states`` are consecutive accepted states of one run, the initial one
-    first (``run(cfg, on_state=states.append)``).  Only meaningful for
-    reaction-free runs (the pure porous medium equation); nonnegative there
-    up to discretization error.  A pair whose earlier state has t < 10 dt,
+    first (``run(set_up(cfg), on_state=states.append)``).  Only meaningful
+    for reaction-free runs (the pure porous medium equation); nonnegative
+    there up to discretization error.  A pair whose earlier state has t < 10 dt,
     dt = t1 - t0, is excluded to keep the 1/t weight from amplifying
     startup error.
     """
@@ -320,14 +320,6 @@ C_TOL, D_TOL = 1e-12, 1e-10
 
 
 @dataclass(frozen=True)
-class TolConfig:
-    """The optional bound data of the invariant sweep, which ``harness.set_up`` derives."""
-
-    cap_base: float | None = None   # max of lifted initial density (weak max principle)
-    min_floor: float | None = None  # eps * exp(-M0 T) barrier for regularized runs
-
-
-@dataclass(frozen=True)
 class Violation:
     invariant: str
     cell: tuple
@@ -342,8 +334,8 @@ def _worst_cell(mask_values: np.ndarray) -> tuple:
     return tuple(int(i) for i in idx)
 
 
-def check_all(state: State, consts: DerivedConstants, tolcfg: TolConfig) -> list[Violation]:
-    """Bound and maximum-principle checks; empty list on success.
+def check_all(state: State) -> list[Violation]:
+    """Bound and maximum-principle checks under ``state.params.consts``; empty list on success.
 
     Each bound is tested on one min or max of its field.  Rounded addition
     and subtraction are monotone, so the largest excess over the cells is
@@ -351,7 +343,7 @@ def check_all(state: State, consts: DerivedConstants, tolcfg: TolConfig) -> list
     violated bound, to locate its worst cell.  A NaN violates every bound of its field.
     """
     out = []
-    n, c, d = state.n, state.c, state.d
+    n, c, d, consts = state.n, state.c, state.d, state.params.consts
     n_min = n.min()
     c_high = 1.0 + C_TOL
     d_high = consts.L + D_TOL
@@ -363,11 +355,11 @@ def check_all(state: State, consts: DerivedConstants, tolcfg: TolConfig) -> list
         ("nutrient floor", -(d.min() + D_TOL), lambda: -(d + D_TOL)),
         ("nutrient ceiling", d.max() - d_high, lambda: d - d_high),
     ]
-    if tolcfg.cap_base is not None:
-        cap = saturating_exp(consts.G0 * state.t) * tolcfg.cap_base * (1.0 + BOUND_INFLATION)
+    if consts.cap_base is not None:
+        cap = saturating_exp(consts.G0 * state.t) * consts.cap_base * (1.0 + BOUND_INFLATION)
         bounds.append(("weak maximum principle", n.max() - cap, lambda: n - cap))
-    if tolcfg.min_floor is not None:
-        floor = tolcfg.min_floor - 1e-12
+    if consts.min_floor is not None:
+        floor = consts.min_floor - 1e-12
         bounds.append(("lower barrier", floor - n_min, lambda: floor - n))
     for name, excess, per_cell in bounds:
         if not excess <= 0.0:

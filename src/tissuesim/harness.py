@@ -12,10 +12,11 @@ self-similar source solution (the classical convergence oracle for porous
 medium solvers).
 
 ``set_up`` fixes everything a run needs before its first step, warnings
-included; its initial state carries the run's one ``ModelParams``, cutoff
-level resolved, and every later state carries them on.  ``run`` marches
-from it, with ``suggest_dt`` proposing each dt, and ``tissuesim check``
-prints from it.
+included, in a ``RunResult`` that keeps the run's config.  Its initial state
+carries the run's one ``ModelParams``, cutoff level and derived constants
+(``consts``, bound data included) resolved, and every later state carries
+them on.  ``run`` marches that record, with ``suggest_dt`` proposing each
+dt, and ``tissuesim check`` prints from it.
 
 Every campaign (``gamma_sweep``, ``eps_study``, ``barenblatt_benchmark``)
 takes the ``RunConfig`` and reads its own keys (``sweep.*``, ``eps.values``,
@@ -40,7 +41,6 @@ from .config import RunConfig, config_hash
 from .diagnostics import (
     EnergyLedger,
     FieldSamples,
-    TolConfig,
     WindowIntegrals,
     check_all,
     make_ledger_row,
@@ -51,7 +51,6 @@ from .errors import ConfigError, SolverFailure
 from .grid import Grid
 from .model import (
     BOUND_INFLATION,
-    DerivedConstants,
     ModelParams,
     RateFunction,
     RateFunctions,
@@ -183,12 +182,11 @@ def apply_lift(n: np.ndarray, c: np.ndarray, amount: float) -> tuple[np.ndarray,
 
 @dataclass
 class RunResult:
+    cfg: RunConfig
     initial_state: State
     final_state: State        # the state of the last ledger row
     ledger: EnergyLedger
-    consts: DerivedConstants
     cfg_hash: str
-    bounds: TolConfig         # the optional bound data the run checks
     h7: str                   # the H7 verdict: pass (...), FAIL (...) or not checkable (...)
     h7_pass: bool | None = None
     h7_ratio: float = math.nan
@@ -201,7 +199,7 @@ class RunResult:
     newton_iters: int = 0
     linear_iters: int = 0
     rejected_attempts: int = 0
-    wall_clock: float = 0.0
+    wall_clock: float = 0.0   # seconds run took to march, set-up excluded
 
     @property
     def ok(self) -> bool:
@@ -215,10 +213,10 @@ class RunResult:
         return "; ".join(self.violations) if self.violations else None
 
 
-def _inject_fault(state: State, mode: str, consts: DerivedConstants) -> State:
+def _inject_fault(state: State, mode: str) -> State:
     if mode == "d_ceiling":
         d = state.d.copy()
-        d.flat[0] = consts.L + 1.0
+        d.flat[0] = state.params.consts.L + 1.0
         return replace(state, d=d)
     if mode == "c_bounds":
         c = state.c.copy()
@@ -230,17 +228,19 @@ def _inject_fault(state: State, mode: str, consts: DerivedConstants) -> State:
 def set_up(cfg: RunConfig) -> RunResult:
     """What ``run`` fixes before its first step: a ``RunResult`` with no step or ledger row.
 
-    It holds the grid and the lifted initial state, the derived constants,
-    the verdict of the initial-mass hypothesis H7 on the unlifted n0 (a
-    warning too unless it is pass), the bound data its run checks and every
-    set-up warning.  sigma is ``model.sigma``, or 0.5 e^(-G0 T) when that is
-    0, the largest float where that overflows; H7 is checked only for a
-    nonzero sigma below e^(-G0 T).  Every e^(rate T) factor saturates
-    (``saturating_exp``).  The initial state carries the run's parameters
-    with the resolved cutoff level: with eps > 0, ``model.ell_cut = 0``
-    becomes the inactive-cutoff bound max(L, e^(2 M0 T) max n0), slightly
-    inflated, and a given level below that bound is kept with a warning; a
-    bound that overflows raises ``ConfigError``.
+    It holds ``cfg``, the grid and the lifted initial state, the verdict of
+    the initial-mass hypothesis H7 on the unlifted n0 (a warning too unless
+    it is pass) and every set-up warning.  sigma is ``model.sigma``, or
+    0.5 e^(-G0 T) when that is 0, the largest float where that overflows;
+    H7 is checked only for a nonzero sigma below e^(-G0 T).  Every
+    e^(rate T) factor saturates (``saturating_exp``).  The initial state's
+    params carry ``consts``, ``derive_constants(params, d0)`` with the bound
+    data the run checks (max n0 under the 1/gamma lift, eps e^(-M0 T) under
+    the eps lift), and the resolved cutoff level: with eps > 0,
+    ``model.ell_cut = 0`` becomes the inactive-cutoff bound
+    max(L, e^(2 M0 T) max n0), slightly inflated, and a given level below
+    that bound is kept with a warning; a bound that overflows raises
+    ``ConfigError``.
     """
     grid = build_grid(cfg)
     params = make_params(cfg)
@@ -264,14 +264,10 @@ def set_up(cfg: RunConfig) -> RunResult:
     lift = cfg["initial.lift"]
     if lift == "gamma":
         n0, c0 = apply_lift(n0, c0, 1.0 / params.gamma)
-    elif lift == "eps":
+        consts = replace(consts, cap_base=float(n0.max()))
+    elif lift == "eps":  # which the schema admits only with eps > 0
         n0, c0 = apply_lift(n0, c0, params.eps_reg)
-
-    # the schema admits the eps lift only with eps > 0
-    bounds = TolConfig(
-        cap_base=float(n0.max()) if lift == "gamma" else None,
-        min_floor=params.eps_reg * saturating_exp(-consts.M0 * T) if lift == "eps" else None,
-    )
+        consts = replace(consts, min_floor=params.eps_reg * saturating_exp(-consts.M0 * T))
 
     if params.eps_reg > 0.0:  # e^(2 M0 T) = inf times max n0 = 0 is nan, which max skips
         ell_floor = max(consts.L, saturating_exp(2.0 * consts.M0 * T) * float(n0.max()))
@@ -287,14 +283,13 @@ def set_up(cfg: RunConfig) -> RunResult:
                 f"{ell_floor:.6g}; clamping may distort the solution"
             )
 
-    state = State(t=0.0, grid=grid, n=n0, c=c0, d=d0, params=params)
+    state = State(t=0.0, grid=grid, n=n0, c=c0, d=d0, params=replace(params, consts=consts))
     return RunResult(
+        cfg=cfg,
         initial_state=state,
         final_state=state,
         ledger=EnergyLedger(),
-        consts=consts,
         cfg_hash=config_hash(cfg),
-        bounds=bounds,
         h7=h7,
         h7_pass=h7_pass,
         h7_ratio=h7_ratio,
@@ -302,25 +297,27 @@ def set_up(cfg: RunConfig) -> RunResult:
     )
 
 
-def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
-    """Drive the stepper from ``set_up``'s initial state to T_final, recording the ledger.
+def run(setup: RunResult, permissive: bool = False, on_state=None) -> RunResult:
+    """March the record ``set_up`` returned to T_final, recording the ledger; return that record.
 
-    ``on_state``, when given, is called with the initial (lifted) state and
-    then with every accepted state, whatever the snapshot stride; ``run``
-    itself keeps only the initial state and the state of the last ledger row.
-    ``check_all`` checks the invariants of every state, the initial one
-    included, before the step from it.  Solver failures and invariant
-    violations (stored as their messages) stop the run but still return the
-    partial result so callers can flush outputs; ``RunResult.ok`` tells them
-    apart from a clean finish.  A run that needs more than
-    ``time.max_steps`` steps fails after that many.  A stopped run's last
-    accepted state gets a ledger row of its own if its step was off the
-    stride, so the outputs end with the state the run stopped at.
+    The run's keys come from ``setup.cfg``; a record that has marched
+    already raises ValueError.  ``on_state``, when given, is called with the
+    initial (lifted) state and then with every accepted state, whatever the
+    snapshot stride; ``run`` itself keeps only the initial state and the
+    state of the last ledger row.  ``check_all`` checks the invariants of
+    every state, the initial one included, before the step from it.  Solver
+    failures and invariant violations (stored as their messages) stop the
+    run but still return the partial result so callers can flush outputs;
+    ``RunResult.ok`` tells them apart from a clean finish.  A run that needs
+    more than ``time.max_steps`` steps fails after that many.  A stopped
+    run's last accepted state gets a ledger row of its own if its step was
+    off the stride, so the outputs end with the state the run stopped at.
     """
     t_start = _time.perf_counter()
-    result = set_up(cfg)
+    result, cfg, ledger = setup, setup.cfg, setup.ledger
+    if ledger.rows:
+        raise ValueError("this set-up has marched already; set each run up afresh")
     settings = make_settings(cfg)
-    consts, ledger = result.consts, result.ledger
     delta = cfg["sweep.delta"]
 
     def record(state: State, report: StepReport) -> None:
@@ -339,7 +336,7 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
     steps = 0
     try:
         while True:
-            found = check_all(state, consts, result.bounds)
+            found = check_all(state)
             if found:
                 result.violations = [str(v) for v in found]
                 if not permissive:
@@ -348,14 +345,14 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
                 break
             if steps == max_steps:
                 raise SolverFailure(f"max_steps = {max_steps} reached before T_final")
-            state, report = step(state, consts, settings, suggest_dt(state, consts, settings))
+            state, report = step(state, settings, suggest_dt(state, settings))
             steps += 1
             result.total_cutoff_activations += report.cutoff_activations
             result.newton_iters += report.newton_iters
             result.linear_iters += report.linear_iters
             result.rejected_attempts += report.retries
             if inject != "none" and steps == 1:
-                state = _inject_fault(state, inject, consts)
+                state = _inject_fault(state, inject)
             if on_state is not None:
                 on_state(state)
             if (steps % stride == 0) or state.t >= T - 1e-14:
@@ -374,9 +371,9 @@ def run(cfg: RunConfig, permissive: bool = False, on_state=None) -> RunResult:
 
 
 def _sampled_run(
-    cfg: RunConfig, times: np.ndarray, extra: Callable[[State], None]
+    setup: RunResult, times: np.ndarray, extra: Callable[[State], None]
 ) -> tuple[RunResult, FieldSamples]:
-    """Run ``cfg``, feeding every accepted state to ``extra`` and to samples at ``times``."""
+    """Run ``setup``, feeding every accepted state to ``extra`` and to samples at ``times``."""
     samples = FieldSamples(times)
 
     def on_state(state: State) -> None:
@@ -384,7 +381,7 @@ def _sampled_run(
         samples.add(state)
 
     # run is looked up at call time, so a wrapper set on harness.run sees every campaign run
-    return run(cfg, on_state=on_state), samples
+    return run(setup, on_state=on_state), samples
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +432,7 @@ def gamma_sweep(cfg: RunConfig) -> SweepReport:
     for gamma in gammas:
         cfg_g = cfg.with_overrides(model__gamma=gamma, initial__lift="gamma")
         integrals = WindowIntegrals(tau, delta)
-        res, samples = _sampled_run(cfg_g, times, integrals.add)
+        res, samples = _sampled_run(set_up(cfg_g), times, integrals.add)
         dist = gap = math.nan
         if prev is not None and res.ok:
             volume = res.final_state.grid.cell_volume
@@ -476,28 +473,27 @@ class EpsEntry:
 def eps_study(cfg: RunConfig) -> list[EpsEntry]:
     """Viscous-scheme consistency: distances of each of ``eps.values`` to the eps = 0 run.
 
-    Every eps run is set up before the reference takes a step, so a set-up
-    ``ConfigError`` stops the study at once.  A stopped eps run gets a nan
-    distance.  A stopped eps = 0 reference raises SolverFailure, since
+    Every eps run is set up, once, before the reference takes a step, so a
+    set-up ``ConfigError`` stops the study at once.  A stopped eps run gets
+    a nan distance.  A stopped eps = 0 reference raises SolverFailure, since
     without it no distance exists.
     """
     eps_list = cfg["eps.values"]
-    eps_cfgs = [cfg.with_overrides(model__eps_reg=eps, initial__lift="eps") for eps in eps_list]
-    for eps_cfg in eps_cfgs:
-        set_up(eps_cfg)
+    setups = [set_up(cfg.with_overrides(model__eps_reg=eps, initial__lift="eps"))
+              for eps in eps_list]
     T = cfg["time.T_final"]
     times = np.linspace(0.0, T, EPS_COMPARE_TIMES)
-    ref_cfg = cfg.with_overrides(model__eps_reg=0.0, initial__lift="none")
     ref_samples = FieldSamples(times)
-    ref = run(ref_cfg, on_state=ref_samples.add)
+    ref = run(set_up(cfg.with_overrides(model__eps_reg=0.0, initial__lift="none")),
+              on_state=ref_samples.add)
     if not ref.ok:
         raise SolverFailure(f"reference run failed: {ref.failure_text}")
     volume = ref.final_state.grid.cell_volume
 
     entries: list[EpsEntry] = []
-    for eps, eps_cfg in zip(eps_list, eps_cfgs):
+    for eps, setup in zip(eps_list, setups):
         lows: list[float] = []    # min n of every accepted state
-        res, samples = _sampled_run(eps_cfg, times,
+        res, samples = _sampled_run(setup, times,
                                     lambda state: lows.append(float(state.n.min())))
         dist = space_time_distance(times, samples.v, ref_samples.v, volume) if res.ok else math.nan
         entries.append(EpsEntry(
@@ -505,7 +501,7 @@ def eps_study(cfg: RunConfig) -> list[EpsEntry]:
             run=res,
             distance=dist,
             min_density=min(lows),
-            barrier=res.bounds.min_floor,
+            barrier=res.initial_state.params.consts.min_floor,
         ))
     return entries
 
@@ -549,7 +545,7 @@ def barenblatt_benchmark(cfg: RunConfig) -> BenchReport:
     rows: list[BenchRow] = []
     prev_err = prev_h = math.nan
     for n_cells in cfg["bench.grids"]:
-        res = run(cfg.with_overrides(grid__cells_x=n_cells))
+        res = run(set_up(cfg.with_overrides(grid__cells_x=n_cells)))
         final = res.final_state
         grid = final.grid
         err = rel = drift = math.nan

@@ -91,7 +91,7 @@ class RateFunctions:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All physical and constitutive data for one run."""
+    """All physical and constitutive data for one run, its derived constants included."""
 
     rates: RateFunctions
     D: float = 1.0          # extra death rate of autophagic cells
@@ -102,11 +102,12 @@ class ModelParams:
     ell_cut: float = 0.0    # cutoff level (0 = derive automatically)
     d_b: float = 1.0        # boundary nutrient value
     T_final: float = 1.0
+    consts: DerivedConstants | None = None  # None until harness.set_up resolves it
 
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Constants derived from the data: nutrient ceiling and rate bounds."""
+    """Nutrient ceiling and rate bounds (``derive_constants``) and the bound data ``set_up`` adds."""
 
     L: float        # nutrient ceiling max(d_b, max d0, d_crit)
     G0: float       # max of G over [0, L]
@@ -114,6 +115,8 @@ class DerivedConstants:
     d_crit: float   # critical nutrient concentration, psi(d_crit) = a
     K1_max: float   # max of K1 over [0, L]
     K2_max: float   # max of K2 over [0, L]
+    cap_base: float | None = None   # max of lifted initial density (weak max principle)
+    min_floor: float | None = None  # eps * exp(-M0 T) barrier for regularized runs
 
 
 def derive_constants(params: ModelParams, d0: np.ndarray) -> DerivedConstants:

@@ -38,8 +38,9 @@ routed through the band cutoff [0, ell].  The unregularized scheme is its
 eps = 0 case, whose cutoff level is ell = inf: the viscous terms vanish and,
 for n >= 0 with c in [0, 1], no clamp acts.
 
-A ``State`` carries the ``ModelParams`` it evolves under, and every function
-here that takes a state reads them from it, so one run has one gamma.
+A ``State`` carries the ``ModelParams`` it evolves under, derived constants
+included, and every function here that takes a state reads them from it, so
+one run has one gamma and one nutrient ceiling.
 
 ``suggest_dt`` is the one dt controller.  Its dt meets the CFL and reaction
 bounds, scaled by the safety factor, the whole fraction monotonicity budget
@@ -60,7 +61,7 @@ import numpy as np
 from . import linalg
 from .errors import SolverFailure
 from .grid import Grid, face_gradient, laplacian_neumann
-from .model import DerivedConstants, ModelParams, cutoff
+from .model import ModelParams, cutoff
 
 #: Jacobian degeneracy floor: diffusion derivative is evaluated at max(n, this)
 VACUUM_FLOOR = 1e-14
@@ -98,11 +99,11 @@ def positive_power(x: np.ndarray, e: float) -> np.ndarray:
 class State:
     """Cell arrays n, c, d on ``grid`` at one instant, the params they evolve under, and their v.
 
-    Every function that reads a state reads its model data, gamma included,
-    from ``params``; a step's new state carries its start's params.  v =
-    n^(gamma+1) is computed on first use and kept, read-only, for the life
-    of the state, so the ledger, the accumulators and a snapshot of one
-    state share it.
+    Every function that reads a state reads its model data, gamma and L
+    included, from ``params``; a step's new state carries its start's
+    params.  v = n^(gamma+1) is computed on first use and kept, read-only,
+    for the life of the state, so the ledger, the accumulators and a
+    snapshot of one state share it.
     """
 
     t: float
@@ -666,18 +667,14 @@ def _line_solve(grid: Grid, shift: float, rhs: np.ndarray, dirichlet: bool) -> n
 
 
 def nutrient_solve(
-    state: State,
-    n_new: np.ndarray,
-    c_new: np.ndarray,
-    dt: float,
-    consts: DerivedConstants,
+    state: State, n_new: np.ndarray, c_new: np.ndarray, dt: float
 ) -> tuple[np.ndarray, int, int]:
     """Semi-implicit nutrient solve: implicit diffusion, explicit consumption.
 
     Solves (b/dt)(d_new - d_old) - lap_dirichlet(d_new) = -psi(d_old) n + a c n
     directly (``_line_solve`` with shift b/dt) and clamps the result to
-    [0, L], counting clamp events.  Returns (d_new, clamped_cells,
-    linear_iterations), one iteration for the direct solve.
+    [0, params.consts.L], counting clamp events.  Returns (d_new,
+    clamped_cells, linear_iterations), one iteration for the direct solve.
     """
     d_old, params = state.d, state.params
     b_dt = params.b / dt
@@ -691,12 +688,12 @@ def nutrient_solve(
         walls[-1] += 2.0 * params.d_b / h**2
     d_new = _line_solve(state.grid, b_dt, rhs, dirichlet=True)
 
-    clamped = int(np.count_nonzero((d_new < 0.0) | (d_new > consts.L)))
-    d_new = np.clip(d_new, 0.0, consts.L)
+    clamped = int(np.count_nonzero((d_new < 0.0) | (d_new > params.consts.L)))
+    d_new = np.clip(d_new, 0.0, params.consts.L)
     return d_new, clamped, 1
 
 
-def suggest_dt(state: State, consts: DerivedConstants, settings: SolverSettings) -> float:
+def suggest_dt(state: State, settings: SolverSettings) -> float:
     """The step's dt controller: a dt that the fraction monotonicity budget accepts.
 
     dt = min(safety * min(h / max|u|, 1 / (K1_max + K2_max + D)), 1 / max beta),
@@ -717,7 +714,7 @@ def suggest_dt(state: State, consts: DerivedConstants, settings: SolverSettings)
         raise SolverFailure("non-finite transport velocity")
     h_min = min(state.grid.h)
     dt_adv = h_min / speed if speed > 0.0 else math.inf
-    rate_sum = consts.K1_max + consts.K2_max + params.D
+    rate_sum = params.consts.K1_max + params.consts.K2_max + params.D
     dt_react = 1.0 / rate_sum if rate_sum > 0.0 else math.inf
     dt = settings.safety * min(dt_adv, dt_react)
     u = _with_viscous_drift(state.grid, u, state.n, params.eps_reg)
@@ -732,31 +729,29 @@ def suggest_dt(state: State, consts: DerivedConstants, settings: SolverSettings)
     return dt
 
 
-def _pipeline(
-    state: State, consts: DerivedConstants, settings: SolverSettings, dt: float
-) -> tuple[State, StepReport]:
+def _pipeline(state: State, settings: SolverSettings, dt: float) -> tuple[State, StepReport]:
     n_new, report = density_solve(state, dt, settings)
     c_new = fraction_update(state, n_new, dt)
-    d_new, clamped, lin = nutrient_solve(state, n_new, c_new, dt, consts)
+    d_new, clamped, lin = nutrient_solve(state, n_new, c_new, dt)
     report.clamped_cells += clamped
     report.linear_iters += lin
     return replace(state, t=state.t + dt, n=n_new, c=c_new, d=d_new), report
 
 
-def step(
-    state: State, consts: DerivedConstants, settings: SolverSettings, dt_hint: float
-) -> tuple[State, StepReport]:
+def step(state: State, settings: SolverSettings, dt_hint: float) -> tuple[State, StepReport]:
     """Advance one step of the scheme: try dt_hint, halving dt after each rejected attempt.
 
-    eps_reg = 0 runs the plain scheme; eps_reg > 0 needs a resolved cutoff
-    level ell_cut > 0.  An attempt runs the density solve, the fraction
-    update and the nutrient solve at its dt; a SolverFailure from any of
-    them rejects it, records its message in ``StepReport.rejections`` and
-    halves dt, up to retry_max times.  At the dt ``suggest_dt`` proposes,
-    the fraction budget of the current state holds, so the halvings are
-    guards.
+    The state's params need their resolved ``consts``.  eps_reg = 0 runs the
+    plain scheme; eps_reg > 0 needs a resolved cutoff level ell_cut > 0.  An
+    attempt runs the density solve, the fraction update and the nutrient
+    solve at its dt; a SolverFailure from any of them rejects it, records
+    its message in ``StepReport.rejections`` and halves dt, up to retry_max
+    times.  At the dt ``suggest_dt`` proposes, the fraction budget of the
+    current state holds, so the halvings are guards.
     """
     params = state.params
+    if params.consts is None:
+        raise ValueError("step needs the run's derived constants in params.consts")
     if params.eps_reg > 0.0 and not (params.ell_cut > 0.0):
         raise ValueError("eps_reg > 0 requires a resolved cutoff level ell_cut > 0")
     if not (dt_hint > 0.0):
@@ -765,7 +760,7 @@ def step(
     rejections: list[str] = []
     for _ in range(settings.retry_max + 1):
         try:
-            new_state, report = _pipeline(state, consts, settings, dt)
+            new_state, report = _pipeline(state, settings, dt)
         except SolverFailure as exc:
             rejections.append(str(exc))
             dt *= 0.5

@@ -24,6 +24,7 @@ Criteria recap (tolerances pinned here, nothing deferred):
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from tissuesim.harness import (
     eps_study,
     gamma_sweep,
     run,
+    set_up,
 )
 from tissuesim.model import ModelParams, RateFunction, RateFunctions, derive_constants
 from tissuesim.output import write_snapshot, write_timeseries
@@ -130,7 +132,7 @@ time.snapshot_stride = 5
 @pytest.fixture(scope="module")
 def mass_run():
     t0 = time.perf_counter()
-    res = run(parse_config(MASS_TEXT))
+    res = run(set_up(parse_config(MASS_TEXT)))
     return res, time.perf_counter() - t0
 
 
@@ -145,7 +147,7 @@ def bench_report():
 def maxprin_runs():
     out = {}
     for gamma in (5.0, 40.0):
-        out[gamma] = run(parse_config(FULL_TEXT).with_overrides(model__gamma=gamma))
+        out[gamma] = run(set_up(parse_config(FULL_TEXT).with_overrides(model__gamma=gamma)))
     return out
 
 
@@ -174,7 +176,8 @@ def eps_report_2d():
 @pytest.fixture(scope="module")
 def barenblatt_run():
     states = []
-    res = run(parse_config(BENCH_TEXT).with_overrides(grid__cells_x=200), on_state=states.append)
+    cfg = parse_config(BENCH_TEXT).with_overrides(grid__cells_x=200)
+    res = run(set_up(cfg), on_state=states.append)
     return res, states
 
 
@@ -206,7 +209,7 @@ def test_03_weak_maximum_principle(maxprin_runs):
         assert res.ok, res.failure or res.violations
         cap_base = res.ledger.rows[0].n_max  # max of the lifted initial data
         for row in res.ledger.rows:
-            cap = math.exp(res.consts.G0 * row.t) * cap_base * (1.0 + 1e-6)
+            cap = math.exp(res.initial_state.params.consts.G0 * row.t) * cap_base * (1.0 + 1e-6)
             worst = max(worst, row.n_max - cap)
     ok = worst <= 0.0
     _report(3, ok, f"max density stays under e^(G0 t)(max n0 + 1/gamma): margin {-worst:.3e}")
@@ -214,10 +217,11 @@ def test_03_weak_maximum_principle(maxprin_runs):
 
 def test_04_bound_suite(mass_run, maxprin_runs, sweep, barenblatt_run):
     ledgers = [mass_run[0].ledger, barenblatt_run[0].ledger]
-    consts_l = [mass_run[0].consts.L, barenblatt_run[0].consts.L]
+    consts_l = [mass_run[0].initial_state.params.consts.L,
+                barenblatt_run[0].initial_state.params.consts.L]
     for res in maxprin_runs.values():
         ledgers.append(res.ledger)
-        consts_l.append(res.consts.L)
+        consts_l.append(res.initial_state.params.consts.L)
     sweep_rep, _ = sweep
     for e in sweep_rep.entries:
         ledgers.append(e.run.ledger)
@@ -335,7 +339,7 @@ def _rerun_payloads(text, tmp_path_factory):
     payloads = []
     for name in ("a", "b"):
         out = tmp_path_factory.mktemp(name)
-        res = run(cfg)
+        res = run(set_up(cfg))
         assert res.ok
         ts = out / "timeseries.csv"
         snap = out / "final.csv"
@@ -444,6 +448,7 @@ def test_10b_brute_force_oracle():
     c0 = [0.2, 0.3, 0.1, 0.0]
     d0 = [1.0, 0.9, 0.8, 1.0]
     consts = derive_constants(params, np.array(d0))
+    params = replace(params, consts=consts)
     settings = SolverSettings(newton_tol=1e-13)
 
     state = State(
@@ -455,7 +460,7 @@ def test_10b_brute_force_oracle():
         params=params,
     )
     for _ in range(3):
-        state, report = step(state, consts, settings, dt)
+        state, report = step(state, settings, dt)
         assert report.retries == 0 and report.dt_used == dt
 
     def rate_eval(dv):
@@ -514,7 +519,7 @@ def _unweighted_energy(cfg, tau):
                 late += term
         t_start = state.t
 
-    res = run(cfg, on_state=on_state)
+    res = run(set_up(cfg), on_state=on_state)
     assert res.ok, res.failure_text
     return total, late
 

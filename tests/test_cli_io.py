@@ -19,7 +19,7 @@ from tissuesim.diagnostics import EnergyLedger, LedgerRow, make_ledger_row
 from tissuesim.errors import ConfigError
 from tissuesim.grid import Grid
 from tissuesim.harness import (
-    BenchReport, BenchRow, EpsEntry, SweepEntry, SweepReport, make_params, run,
+    BenchReport, BenchRow, EpsEntry, SweepEntry, SweepReport, make_params, run, set_up,
 )
 from tissuesim.output import (
     fmt, write_bench_report, write_eps_report, write_snapshot, write_sweep_report,
@@ -72,10 +72,10 @@ def write_cfg(tmp_path, text, name="case.cfg"):
 def growth_state():
     """A growth-like 128 x 128 state: the 2D growth data three steps on (t = 0.002)."""
     cfg = parse_config((Path(__file__).parent.parent / "configs" / "growth_1d.cfg").read_text())
-    return run(cfg.with_overrides(**{
+    return run(set_up(cfg.with_overrides(**{
         "grid.dim": 2, "grid.cells_x": 128, "grid.cells_y": 128, "grid.extent_y": 1.0,
         "initial.center_y": 0.5, "time.T_final": 0.002,
-    })).final_state
+    }))).final_state
 
 
 class TestWriters:
@@ -360,7 +360,7 @@ class TestDeterminism:
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         for out in (out_a, out_b):
-            res = run(cfg)
+            res = run(set_up(cfg))
             from tissuesim.output import write_snapshot as ws, write_timeseries as wt
             wt(str(out / "ts.csv"), res.ledger, res.cfg_hash)
             ws(str(out / "final.csv"), res.final_state, res.cfg_hash)

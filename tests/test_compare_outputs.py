@@ -54,6 +54,22 @@ def test_largest_difference_names_its_column():
     assert tool.max_relative_difference(parent, relabelled) == "max relative difference 0.000e+00"
 
 
+def test_difference_is_relative_to_its_column():
+    tool = load_tool()
+    # a vacuum-front cell at 5.8e-296 on one side and 0 on the other moves by
+    # 5.8e-296 of the column's largest value, not by 1.0; the cell of n that
+    # moved by 7.5e-12 then names the largest difference
+    parent = b"# config = abc\nx,n\n5.0e-01,1.0e+00\n6.0e-01,5.8e-296\n"
+    front = parent.replace(b"5.8e-296", b"0.0e+00")
+    assert tool.max_relative_difference(parent, front) == (
+        "max relative difference 5.800e-296 in column n"
+    )
+    moved = front.replace(b"1.0e+00", b"1.0000000000075e+00")
+    assert tool.max_relative_difference(parent, moved) == (
+        "max relative difference 7.500e-12 in column n"
+    )
+
+
 def test_first_differing_console_line():
     tool = load_tool()
     parent = b"config  abc\nH7      not checkable (sigma = 0 not admissible)\n"

@@ -8,7 +8,6 @@ from tissuesim import diagnostics, stepper
 from tissuesim.diagnostics import (
     FieldSamples,
     LedgerRow,
-    TolConfig,
     Violation,
     WindowIntegrals,
     aronson_benilan_gap,
@@ -49,6 +48,11 @@ def make_state(n_values, t=0.0, gamma=2.0, c=0.0, d=0.0, extent=1.0, g_alpha=0.0
         d=np.full(grid.shape, float(d)),
         params=make_params(g_alpha, gamma),
     )
+
+
+def with_consts(state, **bound_data):
+    """``state`` under ``CONSTS`` with ``bound_data`` (cap_base, min_floor) set."""
+    return replace(state, params=replace(state.params, consts=replace(CONSTS, **bound_data)))
 
 
 def at_time(state, t):
@@ -508,14 +512,14 @@ class TestLineCrossings:
 class TestCheckAll:
     def test_valid_state_empty(self):
         s = make_state(np.full(8, 0.5), c=0.3, d=0.8)
-        assert check_all(s, CONSTS, TolConfig()) == []
+        assert check_all(with_consts(s)) == []
 
     def test_nutrient_ceiling_violation_named(self):
         s = make_state(np.full(8, 0.5), c=0.3, d=0.0)
         d = s.d.copy()
         d[3] = CONSTS.L + 1.0
         bad = replace(s, d=d)
-        found = check_all(bad, CONSTS, TolConfig())
+        found = check_all(with_consts(bad))
         assert len(found) == 1
         assert "nutrient ceiling" in found[0].invariant
         assert found[0].cell == (3,)
@@ -525,22 +529,22 @@ class TestCheckAll:
         c = s.c.copy()
         c[5] = 1.5
         bad = replace(s, c=c)
-        found = check_all(bad, CONSTS, TolConfig())
+        found = check_all(with_consts(bad))
         assert len(found) == 1
         assert "fraction upper" in found[0].invariant
 
     def test_weak_max_principle_checked_when_cap_given(self):
         s = make_state(np.full(8, 3.0), t=0.0)
-        found = check_all(s, CONSTS, TolConfig(cap_base=1.0))
+        found = check_all(with_consts(s, cap_base=1.0))
         assert any("maximum principle" in v.invariant for v in found)
 
     def test_weak_max_cap_grows_with_time(self):
         s = make_state(np.full(8, 2.0), t=1.0)  # cap = e^1 * 1.0 = 2.718
-        assert check_all(s, CONSTS, TolConfig(cap_base=1.0)) == []
+        assert check_all(with_consts(s, cap_base=1.0)) == []
 
     def test_weak_max_cap_that_overflows_checks_nothing(self):
         s = make_state(np.full(8, 2.0), t=800.0)  # cap = e^800 * 1.0 overflows to inf
-        assert check_all(s, CONSTS, TolConfig(cap_base=1.0)) == []
+        assert check_all(with_consts(s, cap_base=1.0)) == []
 
     @pytest.mark.parametrize("field, invariants", [
         ("n", ("density nonnegativity",)),
@@ -551,19 +555,19 @@ class TestCheckAll:
         s = make_state(np.full(8, 0.5), c=0.3, d=0.8)
         values = getattr(s, field).copy()
         values[2] = math.nan
-        found = check_all(replace(s, **{field: values}), CONSTS, TolConfig())
+        found = check_all(with_consts(replace(s, **{field: values})))
         assert tuple(v.invariant for v in found) == invariants
         assert all(v.cell == (2,) and math.isnan(v.magnitude) for v in found)
 
     def test_lower_barrier(self):
         s = make_state(np.full(8, 1e-6))
-        found = check_all(s, CONSTS, TolConfig(min_floor=1e-3))
+        found = check_all(with_consts(s, min_floor=1e-3))
         assert any("barrier" in v.invariant for v in found)
 
     @staticmethod
-    def reference_check(state, consts, tolcfg):
+    def reference_check(state):
         """Cell-by-cell form of every bound: the full excess array, then its max."""
-        n, c, d = state.n, state.c, state.d
+        n, c, d, consts = state.n, state.c, state.d, state.params.consts
         excesses = [
             ("density nonnegativity", -n),
             ("fraction lower bound", -(c + diagnostics.C_TOL)),
@@ -571,11 +575,11 @@ class TestCheckAll:
             ("nutrient floor", -(d + diagnostics.D_TOL)),
             ("nutrient ceiling", d - (consts.L + diagnostics.D_TOL)),
         ]
-        if tolcfg.cap_base is not None:
-            cap = math.exp(consts.G0 * state.t) * tolcfg.cap_base * (1.0 + 1e-6)
+        if consts.cap_base is not None:
+            cap = math.exp(consts.G0 * state.t) * consts.cap_base * (1.0 + 1e-6)
             excesses.append(("weak maximum principle", n - cap))
-        if tolcfg.min_floor is not None:
-            excesses.append(("lower barrier", (tolcfg.min_floor - 1e-12) - n))
+        if consts.min_floor is not None:
+            excesses.append(("lower barrier", (consts.min_floor - 1e-12) - n))
         out = []
         for name, excess in excesses:
             if np.max(excess) > 0.0:
@@ -599,5 +603,5 @@ class TestCheckAll:
             c = near([0.0, 1e-12, 0.5, 1.0, 1.0 + 1e-12])
             d = near([0.0, 1e-10, 0.5, CONSTS.L, CONSTS.L + 1e-10])
             s = State(t=0.3 * (seed % 3), grid=grid, n=n, c=c, d=d, params=make_params(gamma=2.0))
-            for tolcfg in (TolConfig(), TolConfig(cap_base=1.0, min_floor=2e-3)):
-                assert check_all(s, CONSTS, tolcfg) == self.reference_check(s, CONSTS, tolcfg)
+            for checked in (with_consts(s), with_consts(s, cap_base=1.0, min_floor=2e-3)):
+                assert check_all(checked) == self.reference_check(checked)

@@ -32,6 +32,7 @@ from tissuesim.harness import (
     initial_fields,
     make_params,
     run,
+    set_up,
     space_time_distance,
 )
 
@@ -71,7 +72,7 @@ class TestRun:
     def test_zero_horizon_single_snapshot(self):
         cfg = parse_config(INERT_TEXT.replace("time.T_final = 0.2", "time.T_final = 0.0"))
         states = []
-        res = run(cfg, on_state=states.append)
+        res = run(set_up(cfg), on_state=states.append)
         assert res.ok
         assert len(states) == 1
         assert res.initial_state is res.final_state is states[0]
@@ -79,7 +80,7 @@ class TestRun:
 
     def test_inert_run_is_static(self):
         cfg = parse_config(INERT_TEXT)
-        res = run(cfg)
+        res = run(set_up(cfg))
         assert res.ok
         first, last = res.initial_state, res.final_state
         assert np.allclose(last.n, first.n, atol=1e-13)
@@ -91,7 +92,7 @@ class TestRun:
         # the stride thins the ledger rows; the final state is the last row's
         cfg = parse_config(BUMP_TEXT)
         states = []
-        res = run(cfg, on_state=states.append)
+        res = run(set_up(cfg), on_state=states.append)
         assert res.ok
         assert res.initial_state is states[0] and res.initial_state.t == 0.0
         assert res.final_state is states[-1] and res.final_state.t == pytest.approx(0.2)
@@ -101,7 +102,7 @@ class TestRun:
 
     def test_run_keeps_no_intermediate_state(self):
         refs = []
-        res = run(parse_config(BUMP_TEXT), on_state=lambda s: refs.append(weakref.ref(s)))
+        res = run(set_up(parse_config(BUMP_TEXT)), on_state=lambda s: refs.append(weakref.ref(s)))
         gc.collect()
         alive = [r() for r in refs if r() is not None]
         assert len(refs) > 4 + 1   # longer than one stride
@@ -112,7 +113,7 @@ class TestRun:
         # the fault stops the run after step 1, before the first stride-5
         # row; the state it stopped at still gets a row, with step 1's report
         text = BUMP_TEXT.replace("time.snapshot_stride = 4", "time.snapshot_stride = 5")
-        res = run(parse_config(text + "debug.inject = c_bounds\n"))
+        res = run(set_up(parse_config(text + "debug.inject = c_bounds\n")))
         assert res.violations and res.steps == 1
         assert len(res.ledger.rows) == 2
         assert res.final_state.t == res.ledger.rows[-1].t > 0.0
@@ -121,8 +122,8 @@ class TestRun:
         assert res.ledger.rows[-1].dt_used == res.final_state.t
 
     def test_max_steps_admits_exactly_the_needed_steps(self):
-        needed = run(parse_config(BUMP_TEXT)).steps
-        res = run(parse_config(BUMP_TEXT + f"time.max_steps = {needed}\n"))
+        needed = run(set_up(parse_config(BUMP_TEXT))).steps
+        res = run(set_up(parse_config(BUMP_TEXT + f"time.max_steps = {needed}\n")))
         assert res.ok and res.steps == needed
         assert res.final_state.t == pytest.approx(0.2)
 
@@ -130,10 +131,10 @@ class TestRun:
         # one step short of T_final: the run fails after max_steps steps and
         # its outputs end at the state it reached
         full = []
-        run(parse_config(BUMP_TEXT), on_state=full.append)
+        run(set_up(parse_config(BUMP_TEXT)), on_state=full.append)
         needed = len(full) - 1
         states = []
-        res = run(parse_config(BUMP_TEXT + f"time.max_steps = {needed - 1}\n"),
+        res = run(set_up(parse_config(BUMP_TEXT + f"time.max_steps = {needed - 1}\n")),
                   on_state=states.append)
         assert "max_steps" in res.failure
         assert res.steps == needed - 1 and len(states) == needed
@@ -149,30 +150,30 @@ class TestRun:
     ])
     def test_invariants_checked_once_per_state(self, monkeypatch, overrides, steps):
         # every state, the initial one included, is checked once, against the
-        # bound data the run reports
+        # bound data its set-up resolved into the params every state carries
         checked = []
 
-        def spy(state, consts, tolcfg):
-            checked.append((state, tolcfg))
-            return check_all(state, consts, tolcfg)
+        def spy(state):
+            checked.append((state, state.params.consts))
+            return check_all(state)
 
         monkeypatch.setattr(harness, "check_all", spy)
         cfg = parse_config((CONFIGS / "growth_1d.cfg").read_text()).with_overrides(**overrides)
-        res = run(cfg)
+        res = run(set_up(cfg))
         assert res.steps == steps
         assert len(checked) == steps + 1
         assert checked[0][0] is res.initial_state and checked[-1][0] is res.final_state
-        assert all(tolcfg is res.bounds for _, tolcfg in checked)
+        assert all(consts is res.initial_state.params.consts for _, consts in checked)
 
     def test_h7_recorded(self):
         cfg = parse_config(BUMP_TEXT)
-        res = run(cfg)
+        res = run(set_up(cfg))
         assert res.h7_pass is not None
         assert math.isfinite(res.h7_ratio)
 
     def test_gamma_lift_applied(self):
         cfg = parse_config(BUMP_TEXT + "initial.lift = gamma\n")
-        res = run(cfg)
+        res = run(set_up(cfg))
         n0 = res.initial_state.n
         assert n0.min() >= 1.0 / 4.0 - 1e-12  # background 0.05 is below the 1/gamma lift
 
@@ -183,21 +184,51 @@ class TestRun:
         cfg = parse_config(BUMP_TEXT + "model.eps_reg = 0.05\ninitial.lift = eps\n")
         assert cfg["model.ell_cut"] == 0.0
         states = []
-        res = run(cfg, on_state=states.append)
+        res = run(set_up(cfg), on_state=states.append)
         assert res.ok and len(states) == res.steps + 1 > 1
-        consts, params = res.consts, states[0].params
+        consts, params = states[0].params.consts, states[0].params
         bound = max(consts.L, math.exp(2.0 * consts.M0 * params.T_final) * states[0].n.max())
         assert params.ell_cut == bound * (1.0 + BOUND_INFLATION) > 0.0
-        assert params == replace(make_params(cfg), ell_cut=params.ell_cut)
+        assert params == replace(make_params(cfg), ell_cut=params.ell_cut, consts=params.consts)
         assert states[0] is res.initial_state
         assert all(s.params is params for s in states + [res.final_state])
+
+    def test_a_record_marches_once(self):
+        setup = set_up(parse_config(BUMP_TEXT))
+        assert run(setup) is setup and setup.steps > 0
+        with pytest.raises(ValueError, match="marched already"):
+            run(setup)
 
     def test_performance_smoke(self):
         cfg = parse_config(BUMP_TEXT.replace("grid.cells_x = 64", "grid.cells_x = 200"))
         t0 = time.perf_counter()
-        res = run(cfg)
+        res = run(set_up(cfg))
         assert res.ok
         assert time.perf_counter() - t0 < 10.0
+
+
+class TestOwnConstants:
+    """A state clamps and checks against the constants of its own set-up."""
+
+    def two_states(self):
+        # growth_1d with d_b = 3 and 5, so L = 3 and 5, and the same fields under both
+        cfg = parse_config((CONFIGS / "growth_1d.cfg").read_text())
+        low, high = (set_up(cfg.with_overrides(model__d_b=d_b)).initial_state for d_b in (3.0, 5.0))
+        d = np.full(low.grid.shape, 4.0)
+        return replace(low, d=d), replace(high, n=low.n, c=low.c, d=d)
+
+    def test_nutrient_solve_clamps_at_its_own_ceiling(self):
+        low, high = self.two_states()
+        assert (low.params.consts.L, high.params.consts.L) == (3.0, 5.0)
+        d_low, clamped_low, _ = stepper.nutrient_solve(low, low.n, low.c, 1e-3)
+        d_high, clamped_high, _ = stepper.nutrient_solve(high, high.n, high.c, 1e-3)
+        assert clamped_low == low.grid.num_cells and d_low.max() == 3.0
+        assert clamped_high == 0 and 3.0 < d_high.min() and d_high.max() < 5.0
+
+    def test_check_all_flags_against_its_own_ceiling(self):
+        low, high = self.two_states()
+        assert [v.invariant for v in check_all(low)] == ["nutrient ceiling"]
+        assert check_all(high) == []
 
 
 @pytest.fixture
@@ -256,7 +287,7 @@ class TestSweep:
             assert report.delta == delta
             for entry in report.entries:
                 states = []
-                run(base.with_overrides(model__gamma=entry.gamma, initial__lift="gamma"),
+                run(set_up(base.with_overrides(model__gamma=entry.gamma, initial__lift="gamma")),
                     on_state=states.append)
                 late = [s for s in states if s.t >= 0.001 - 1e-14]
                 assert entry.excess_max == max(excess_measure(s, delta) for s in late)
@@ -275,12 +306,12 @@ class TestSweep:
             powers.append((x, e))
             return real_power(x, e)
 
-        def run_spy(cfg, permissive=False, on_state=None):
+        def run_spy(setup, permissive=False, on_state=None):
             def both(state):
                 states.append(state)
                 on_state(state)
 
-            return real_run(cfg, permissive, both)
+            return real_run(setup, permissive, both)
 
         monkeypatch.setattr(stepper, "positive_power", power_spy)
         monkeypatch.setattr(harness, "run", run_spy)
@@ -324,20 +355,36 @@ class TestEpsStudy:
         assert entries[0].run.ok
         assert entries[0].distance > 0.0
 
+    def test_each_run_is_set_up_once(self, monkeypatch):
+        # one set-up per eps value, then one for the eps = 0 reference; each
+        # eps run marches the record its set-up built
+        seen = []
+        real_set_up = harness.set_up
+
+        def spy(cfg):
+            seen.append(cfg["model.eps_reg"])
+            return real_set_up(cfg)
+
+        monkeypatch.setattr(harness, "set_up", spy)
+        entries = eps_study(parse_config((CONFIGS / "eps_study.cfg").read_text()))
+        assert seen == [0.1, 0.01, 0.001, 0.0]
+        assert [e.run.cfg["model.eps_reg"] for e in entries] == [0.1, 0.01, 0.001]
+        assert all(e.run.ok for e in entries)
+
     def test_rejected_attempts_total(self, monkeypatch):
         # the spy hands step 5x the suggested dt, so the fraction budget
         # rejects attempts; the run sums the accepted steps' retries
         reports = []
         real_step = harness.step
 
-        def spy(state, consts, settings, dt_hint):
+        def spy(state, settings, dt_hint):
             hint = min(5.0 * dt_hint, state.params.T_final - state.t)
-            new_state, report = real_step(state, consts, settings, hint)
+            new_state, report = real_step(state, settings, hint)
             reports.append(report)
             return new_state, report
 
         monkeypatch.setattr(harness, "step", spy)
-        res = run(parse_config(BUMP_TEXT + "model.eps_reg = 0.05\ninitial.lift = eps\n"))
+        res = run(set_up(parse_config(BUMP_TEXT + "model.eps_reg = 0.05\ninitial.lift = eps\n")))
         assert res.ok
         assert len(reports) == res.steps
         assert res.rejected_attempts == sum(r.retries for r in reports) > 0
@@ -416,7 +463,7 @@ bench.grids = 50,100
         cfg = parse_config(self.BENCH_TEXT)
         params = make_params(cfg)
         states = []
-        assert run(cfg, on_state=states.append).ok
+        assert run(set_up(cfg), on_state=states.append).ok
         assert reaction_free(params, cfg["initial.c0"])
         assert aronson_benilan_gap(states) > -1.0
 
@@ -431,7 +478,7 @@ def entropy_dissipation(cfg):
         times.append(s.t)
         rates.append(grad_squared_integral(face_gradient(s.grid, half_power), s.grid.cell_volume))
 
-    assert run(cfg, on_state=on_state).ok
+    assert run(set_up(cfg), on_state=on_state).ok
     return float(np.trapezoid(rates, times))
 
 
@@ -508,7 +555,7 @@ time.T_final = 0.5
 time.snapshot_stride = 10
 """
         states = []
-        assert run(parse_config(text), on_state=states.append).ok
+        assert run(set_up(parse_config(text)), on_state=states.append).ok
         threshold = 1e-4
         fronts = []
         for state in states:
@@ -539,11 +586,11 @@ time.snapshot_stride = 5
 """
 
     def test_full_physics_2d_run(self):
-        res = run(parse_config(self.TEXT_2D))
+        res = run(set_up(parse_config(self.TEXT_2D)))
         assert res.ok, res.failure or res.violations
         row = res.ledger.rows[-1]
         assert row.c_min >= -1e-12 and row.c_max <= 1.0 + 1e-12
-        assert row.d_min >= -1e-10 and row.d_max <= res.consts.L + 1e-10
+        assert row.d_min >= -1e-10 and row.d_max <= res.initial_state.params.consts.L + 1e-10
 
     def test_mass_conserved_2d_reaction_free(self):
         text = self.TEXT_2D + (
@@ -552,7 +599,7 @@ time.snapshot_stride = 5
         )
         text = text.replace("initial.c0 = 0.2", "initial.c0 = 0.0")
         text = text.replace("initial.lift = gamma", "initial.lift = none")
-        res = run(parse_config(text))
+        res = run(set_up(parse_config(text)))
         assert res.ok
         m0 = res.ledger.rows[0].mass
         mT = res.ledger.rows[-1].mass
@@ -576,7 +623,7 @@ time.snapshot_stride = 5
 
         monkeypatch.setattr(linalg, "pcg_solve", pcg_spy)
         monkeypatch.setattr(stepper, "density_solve", density_spy)
-        res = run(parse_config(text))
+        res = run(set_up(parse_config(text)))
         assert res.ok
         # no attempt was rejected, so every solve belongs to an accepted step
         assert len(reports) == res.steps > 0
@@ -585,8 +632,8 @@ time.snapshot_stride = 5
         assert sum(cg_iters) > 0
 
     def test_2d_deterministic(self):
-        a = run(parse_config(self.TEXT_2D))
-        b = run(parse_config(self.TEXT_2D))
+        a = run(set_up(parse_config(self.TEXT_2D)))
+        b = run(set_up(parse_config(self.TEXT_2D)))
         assert np.array_equal(a.final_state.n, b.final_state.n)
 
 
@@ -595,8 +642,8 @@ class TestDistances:
         cfg = parse_config(BUMP_TEXT)
         times = np.linspace(0.05, 0.2, 17)
         a, b = FieldSamples(times), FieldSamples(times)
-        res = run(cfg, on_state=a.add)
-        run(cfg, on_state=b.add)
+        res = run(set_up(cfg), on_state=a.add)
+        run(set_up(cfg), on_state=b.add)
         d = space_time_distance(times, a.v, b.v, res.final_state.grid.cell_volume)
         assert d == 0.0
 

@@ -47,7 +47,7 @@ def test_traced_run_attributes_every_attempt():
     cfg = parse_config((CONFIGS / "growth_1d.cfg").read_text())
     tracer.install()
     try:
-        res = harness.run(cfg)
+        res = harness.run(harness.set_up(cfg))
     finally:
         unrestored = tracer.uninstall()
     assert unrestored == []
@@ -90,7 +90,7 @@ def test_thomas_solve_calls_count_the_1d_linear_systems(monkeypatch):
     spy(stepper._BandOperator, "solve")
     spy(stepper, "nutrient_solve")
     cfg = parse_config((CONFIGS / "growth_1d.cfg").read_text()).with_overrides(time__T_final=0.05)
-    res = harness.run(cfg)
+    res = harness.run(harness.set_up(cfg))
     assert res.ok and res.rejected_attempts == 0
     assert calls["solve"] == res.newton_iters - res.steps > res.steps > 0
     assert calls["nutrient_solve"] == res.steps

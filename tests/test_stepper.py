@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from tissuesim import harness, stepper
 from tissuesim.config import parse_config
-from tissuesim.diagnostics import TolConfig, check_all
+from tissuesim.diagnostics import check_all
 from tissuesim.errors import SolverFailure
 from tissuesim.grid import Grid, laplacian_neumann
 from tissuesim.harness import (
@@ -96,8 +96,8 @@ def viscous_only(k1=0.0):
     grid = small_grid(10)
     params = ModelParams(rates=rates(k1=("constant", k1)), D=1e-30, gamma=2.0, d_b=0.0,
                          T_final=10.0, eps_reg=0.01, ell_cut=10.0)
-    consts = derive_constants(params, np.full(grid.shape, 0.0))
-    return uniform_state(grid, params, n=0.5, c=0.2), params, consts
+    params = replace(params, consts=derive_constants(params, np.full(grid.shape, 0.0)))
+    return uniform_state(grid, params, n=0.5, c=0.2), params
 
 
 class TestState:
@@ -217,9 +217,9 @@ class TestDensitySolve:
 
     def test_step_halves_dt_after_a_second_fallback(self, monkeypatch):
         s, params = self.growth_setup()
-        consts = derive_constants(params, s.d)
+        s = with_params(s, consts=derive_constants(params, s.d))
         flip_first_directions(monkeypatch, 2)
-        _, report = step(s, consts, SETTINGS, 0.05)
+        _, report = step(s, SETTINGS, 0.05)
         assert report.retries == 1
         assert report.rejections[0].startswith("density Newton fell back")
         assert report.dt_used == 0.025
@@ -413,7 +413,7 @@ class TestNewtonLoop:
         start = set_up(cfg)
         s = start.initial_state
         params = s.params
-        dt = suggest_dt(s, start.consts, SETTINGS)
+        dt = suggest_dt(s, SETTINGS)
         events = []
         real_power = stepper.positive_power
 
@@ -932,10 +932,11 @@ class TestFractionUpdate:
         cfg = parse_config(GROWTH_CONFIG.read_text()).with_overrides(**cells, **{"initial.c0": c0})
         grid, params = build_grid(cfg), make_params(cfg)
         n, c, d = initial_fields(cfg, grid, params)
+        params = replace(params, consts=derive_constants(params, d))
         s = State(t=0.0, grid=grid, n=n + 1.0 / params.gamma, c=c, d=d, params=params)
         u = stepper._face_velocities(grid, s.n, params.gamma, 0.0)
         assert min(float(np.max(np.abs(ui))) for ui in u) > 1.0
-        dt = suggest_dt(s, derive_constants(params, d), SETTINGS)
+        dt = suggest_dt(s, SETTINGS)
         still = fraction_update(s, np.full(grid.shape, 0.5), dt)
         assert np.all(still != c0)  # the reaction acts
         assert fraction_update(s, s.n, dt).tobytes() == still.tobytes()
@@ -1093,18 +1094,18 @@ class TestNutrientSolve:
     def test_boundary_steady_state(self):
         grid = small_grid(8)
         params = ModelParams(rates=rates(), gamma=2.0, d_b=0.7)
-        consts = derive_constants(params, np.full(grid.shape, 0.7))
+        params = replace(params, consts=derive_constants(params, np.full(grid.shape, 0.7)))
         s = uniform_state(grid, params, n=0.0, d=0.7)
-        d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 0.1, consts)
+        d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 0.1)
         assert np.allclose(d_new, 0.7, atol=1e-12)
         assert clamped == 0
 
     def test_relaxation_toward_boundary_value(self):
         grid = small_grid(16)
         params = ModelParams(rates=rates(), gamma=2.0, d_b=1.0)
-        consts = derive_constants(params, np.full(grid.shape, 0.2))
+        params = replace(params, consts=derive_constants(params, np.full(grid.shape, 0.2)))
         s = uniform_state(grid, params, n=0.0, d=0.2)
-        d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.05, consts)
+        d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.05)
         assert np.all(d_new > 0.2 - 1e-12)
         assert np.all(d_new < 1.0 + 1e-12)
         # interior cells move strictly toward the boundary value
@@ -1117,18 +1118,18 @@ class TestNutrientSolve:
         grid = Grid(dim=1, extents=(3e6,), cells=(3,))
         params = ModelParams(rates=rates(psi=("linear", 1.0)), a=1.0, b=1.0,
                              gamma=2.0, d_b=1.0)
-        consts = derive_constants(params, np.full(grid.shape, 1.0))
+        params = replace(params, consts=derive_constants(params, np.full(grid.shape, 1.0)))
         s = uniform_state(grid, params, n=1.0, c=0.0, d=1.0)
-        d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.1, consts)
+        d_new, _, _ = nutrient_solve(s, s.n, s.c, 0.1)
         assert d_new[1] == pytest.approx(0.9, abs=1e-9)
 
     def test_clamping_counted(self):
         # a savage explicit sink pulls d below zero; the clamp catches it
         grid = small_grid(8)
         params = ModelParams(rates=rates(psi=("linear", 5.0)), a=5.0, gamma=2.0, d_b=1.0)
-        consts = derive_constants(params, np.full(grid.shape, 1.0))
+        params = replace(params, consts=derive_constants(params, np.full(grid.shape, 1.0)))
         s = uniform_state(grid, params, n=10.0, c=0.0, d=1.0)
-        d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 1.0, consts)
+        d_new, clamped, _ = nutrient_solve(s, s.n, s.c, 1.0)
         assert clamped > 0
         assert d_new.min() >= 0.0
 
@@ -1144,9 +1145,9 @@ class TestNutrientSolve:
         field = lambda lo, hi: rng.uniform(lo, hi, grid.shape)
         s = State(t=0.0, grid=grid, n=field(0.2, 1.0), c=field(0.0, 1.0), d=field(0.3, 0.7),
                   params=params)
-        consts = derive_constants(params, s.d)
+        s = with_params(s, consts=derive_constants(params, s.d))
         dt = 0.05
-        d_new, clamped, lin = nutrient_solve(s, s.n, s.c, dt, consts)
+        d_new, clamped, lin = nutrient_solve(s, s.n, s.c, dt)
 
         cols = [laplacian_dirichlet(grid, e.reshape(grid.shape), 0.0).ravel()
                 for e in np.eye(grid.num_cells)]
@@ -1167,22 +1168,22 @@ class TestSuggestDt:
             rates=rates(k1=("constant", 2.0), k2=("constant", 1.0)),
             D=1.0, gamma=2.0, d_b=0.0, T_final=100.0,
         )
-        consts = derive_constants(params, np.full(grid.shape, 0.0))
+        params = replace(params, consts=derive_constants(params, np.full(grid.shape, 0.0)))
         s = uniform_state(grid, params, n=0.4)
-        assert suggest_dt(s, consts, SETTINGS) == pytest.approx(0.125)
+        assert suggest_dt(s, SETTINGS) == pytest.approx(0.125)
 
     def test_horizon_clipping(self):
         grid = small_grid(4)
         params = ModelParams(rates=rates(), D=1.0, gamma=2.0, d_b=0.0, T_final=1.0)
-        consts = derive_constants(params, np.full(grid.shape, 0.0))
+        params = replace(params, consts=derive_constants(params, np.full(grid.shape, 0.0)))
         s = uniform_state(grid, params, n=0.4, t=1.0 - 1e-9)
-        assert suggest_dt(s, consts, SETTINGS) == pytest.approx(1e-9)
+        assert suggest_dt(s, SETTINGS) == pytest.approx(1e-9)
 
     def test_velocity_bound_arithmetic(self):
         # |u| = 2 at gamma = 1, h = 0.1, large reaction headroom, safety 0.9
         grid = Grid(dim=1, extents=(0.3,), cells=(3,))
         params = ModelParams(rates=rates(), D=1.0, gamma=1.0, d_b=0.0, T_final=100.0)
-        consts = derive_constants(params, np.full(grid.shape, 0.0))
+        params = replace(params, consts=derive_constants(params, np.full(grid.shape, 0.0)))
         s = State(
             t=0.0,
             grid=grid,
@@ -1191,16 +1192,16 @@ class TestSuggestDt:
             d=np.zeros(grid.shape),
             params=params,
         )
-        assert suggest_dt(s, consts, SolverSettings(safety=0.9)) == pytest.approx(0.045)
+        assert suggest_dt(s, SolverSettings(safety=0.9)) == pytest.approx(0.045)
 
     def test_viscous_bound_arithmetic(self):
         # the implicit viscosity sets no bound: with no transport and no
         # reactions the whole horizon is suggested, with eps as without it,
         # at 20 times the old explicit limit h^2 / (2 eps) = 0.5
-        s, params, consts = viscous_only()
-        dt = suggest_dt(s, consts, SETTINGS)
-        assert dt == 10.0 == suggest_dt(with_params(s, eps_reg=0.0), consts, SETTINGS)
-        s2, report = step(s, consts, SETTINGS, dt)
+        s, params = viscous_only()
+        dt = suggest_dt(s, SETTINGS)
+        assert dt == 10.0 == suggest_dt(with_params(s, eps_reg=0.0), SETTINGS)
+        s2, report = step(s, SETTINGS, dt)
         assert report.retries == 0 and report.dt_used == dt
         assert np.all(s2.c == 0.2)  # a uniform fraction stays uniform, in [0, 1]
 
@@ -1209,29 +1210,28 @@ class TestStep:
     def make_inert(self, cells=6):
         grid = small_grid(cells)
         params = ModelParams(rates=rates(), D=1.0, a=1.0, gamma=2.0, d_b=0.0, T_final=1.0)
-        consts = derive_constants(params, np.full(grid.shape, 0.0))
-        return grid, params, consts
+        return grid, replace(params, consts=derive_constants(params, np.full(grid.shape, 0.0)))
 
     def test_global_fixed_point(self):
-        grid, params, consts = self.make_inert()
+        grid, params = self.make_inert()
         s = uniform_state(grid, params, n=0.6, c=0.0, d=0.0)
-        s2, report = step(s, consts, SETTINGS, 0.05)
+        s2, report = step(s, SETTINGS, 0.05)
         assert s2.t == pytest.approx(0.05)
         assert np.allclose(s2.n, 0.6, atol=1e-14)
         assert np.all(s2.c == 0.0)
         assert np.allclose(s2.d, 0.0, atol=1e-14)
-        assert check_all(s2, consts, TolConfig()) == []
+        assert check_all(s2) == []
 
     def test_mass_constant_without_reactions(self):
-        grid, params, consts = self.make_inert(cells=40)
+        grid, params = self.make_inert(cells=40)
         x = grid.centers(0)
         n0 = np.maximum(1.0 - 4.0 * (x - 0.5) ** 2, 0.0)
         s = State(t=0.0, grid=grid, n=n0, c=np.zeros(grid.shape), d=np.zeros(grid.shape),
                   params=params)
         mass0 = integrate(grid, n0)
         for _ in range(5):
-            dt = suggest_dt(s, consts, SETTINGS)
-            s, _ = step(s, consts, SETTINGS, dt)
+            dt = suggest_dt(s, SETTINGS)
+            s, _ = step(s, SETTINGS, dt)
         assert abs(integrate(grid, s.n) - mass0) <= 1e-12 * mass0
 
     def test_retry_halves_dt_until_feasible(self):
@@ -1239,10 +1239,10 @@ class TestStep:
         params = ModelParams(
             rates=rates(k1=("constant", 4.0)), D=1.0, gamma=2.0, d_b=0.0, T_final=1.0,
         )
-        consts = derive_constants(params, np.full(grid.shape, 0.0))
+        params = replace(params, consts=derive_constants(params, np.full(grid.shape, 0.0)))
         s = uniform_state(grid, params, n=0.5, c=0.2)
         # dt * (K1 + K2 + D) = 1.5 > 1 violates the budget; one halving fixes it
-        s2, report = step(s, consts, SETTINGS, 0.3)
+        s2, report = step(s, SETTINGS, 0.3)
         assert report.retries == 1
         assert report.rejections[0].startswith("fraction update monotonicity budget")
         assert report.dt_used == pytest.approx(0.15)
@@ -1252,49 +1252,55 @@ class TestStep:
         params = ModelParams(
             rates=rates(k1=("constant", 4.0)), D=1.0, gamma=2.0, d_b=0.0, T_final=1.0,
         )
-        consts = derive_constants(params, np.full(grid.shape, 0.0))
+        params = replace(params, consts=derive_constants(params, np.full(grid.shape, 0.0)))
         s = uniform_state(grid, params, n=0.5, c=0.2)
         with pytest.raises(SolverFailure):
-            step(s, consts, SolverSettings(retry_max=0), 0.3)
+            step(s, SolverSettings(retry_max=0), 0.3)
 
     def test_viscous_budget_forces_halvings(self):
-        s, params, consts = viscous_only(k1=2.0)
+        s, params = viscous_only(k1=2.0)
         k = 3  # budgets 6.4, 3.2, 1.6, then 0.8 at dt = 0.4
-        s2, report = step(s, consts, SolverSettings(retry_max=k), 3.2)
+        s2, report = step(s, SolverSettings(retry_max=k), 3.2)
         assert report.retries == k == len(report.rejections)
         assert all(r.startswith("fraction update monotonicity budget") for r in report.rejections)
         assert report.dt_used == 0.4
         assert np.all((s2.c >= 0.0) & (s2.c <= 1.0))
         # the viscosity adds nothing to the budget: the plain scheme is
         # rejected alike, and without the reaction the full step is taken
-        _, plain = step(with_params(s, eps_reg=0.0), consts, SolverSettings(retry_max=k), 3.2)
+        _, plain = step(with_params(s, eps_reg=0.0), SolverSettings(retry_max=k), 3.2)
         assert plain.rejections == report.rejections
-        s_inert, params_inert, consts_inert = viscous_only()
-        _, inert = step(s_inert, consts_inert, SETTINGS, 3.2)
+        s_inert, params_inert = viscous_only()
+        _, inert = step(s_inert, SETTINGS, 3.2)
         assert inert.retries == 0 and inert.rejections == []
 
     @pytest.mark.parametrize("hint, k", [(0.4, 0), (3.2, 3)])
     def test_one_budget_evaluation_per_attempt(self, hint, k):
         # each attempt sums the fraction budget once, in fraction_update
-        s, params, consts = viscous_only(k1=2.0)
+        s, params = viscous_only(k1=2.0)
         with mock.patch.object(stepper, "_fraction_budget", wraps=stepper._fraction_budget) as spy:
-            _, report = step(s, consts, SETTINGS, hint)
+            _, report = step(s, SETTINGS, hint)
         assert report.retries == k
         assert spy.call_count == k + 1
 
     def test_viscous_budget_exhausts_retries(self):
-        s, params, consts = viscous_only(k1=2.0)
+        s, params = viscous_only(k1=2.0)
         with pytest.raises(SolverFailure, match="after 2 dt halvings"):
-            step(s, consts, SolverSettings(retry_max=2), 3.2)
+            step(s, SolverSettings(retry_max=2), 3.2)
+
+    def test_step_needs_resolved_constants(self):
+        grid, params = self.make_inert()
+        s = uniform_state(grid, replace(params, consts=None), n=0.6)
+        with pytest.raises(ValueError, match="params.consts"):
+            step(s, SETTINGS, 0.05)
 
     def test_determinism(self):
-        grid, params, consts = self.make_inert(cells=20)
+        grid, params = self.make_inert(cells=20)
         x = grid.centers(0)
         n0 = 0.5 + 0.3 * np.cos(2 * np.pi * x)
         s = State(t=0.0, grid=grid, n=n0, c=np.full(grid.shape, 0.25), d=np.zeros(grid.shape),
                   params=params)
-        a, _ = step(s, consts, SETTINGS, 0.01)
-        b, _ = step(s, consts, SETTINGS, 0.01)
+        a, _ = step(s, SETTINGS, 0.01)
+        b, _ = step(s, SETTINGS, 0.01)
         assert np.array_equal(a.n, b.n)
         assert np.array_equal(a.c, b.c)
         assert np.array_equal(a.d, b.d)
@@ -1342,33 +1348,34 @@ class TestRegularizedStep:
                 gamma=params.gamma, eps_reg=eps, ell_cut=auto * 1.01,
                 d_b=params.d_b, T_final=params.T_final,
             )
+        params = replace(params, consts=consts)
         x = grid.centers(0)
         n0 = 0.3 + 0.4 * np.exp(-20 * (x - 0.5) ** 2) + eps
         s = State(t=0.0, grid=grid, n=n0, c=np.full(grid.shape, 0.2), d=np.full(grid.shape, 1.0),
                   params=params)
-        return s, params, consts
+        return s, params
 
     def test_inactive_cutoff_counts_zero(self):
-        s, params, consts = self.make_setup(0.05)
-        _, report = step(s, consts, SETTINGS, 0.01)
+        s, params = self.make_setup(0.05)
+        _, report = step(s, SETTINGS, 0.01)
         assert report.cutoff_activations == 0
 
     def test_low_cutoff_level_activates(self):
-        s, params, consts = self.make_setup(0.05, ell=0.4)  # below max n ~ 0.75
-        _, report = step(s, consts, SETTINGS, 0.01)
+        s, params = self.make_setup(0.05, ell=0.4)  # below max n ~ 0.75
+        _, report = step(s, SETTINGS, 0.01)
         assert report.cutoff_activations > 0
 
     def test_step_rejects_unresolved_cutoff(self):
-        s, params, consts = self.make_setup(0.05)
+        s, params = self.make_setup(0.05)
         with pytest.raises(ValueError, match="ell_cut"):
-            step(with_params(s, ell_cut=0.0), consts, SETTINGS, 0.01)
+            step(with_params(s, ell_cut=0.0), SETTINGS, 0.01)
 
     def test_viscosity_spreads_the_fraction(self):
-        s, params, consts = self.make_setup(0.1)
+        s, params = self.make_setup(0.1)
         c = s.c.copy()
         c[:12] = 0.6
         s = replace(s, t=0.0, c=c)
-        s2, _ = step(s, consts, SETTINGS, 0.001)
+        s2, _ = step(s, SETTINGS, 0.001)
         assert s2.c.max() <= 0.6 + 1e-12
         assert s2.c.min() >= 0.0
         # the jump at the interface is smoothed
@@ -1383,12 +1390,12 @@ def eps_study_start(eps, cells=100):
     if eps > 0.0:
         cfg = cfg.with_overrides(model__eps_reg=eps, initial__lift="eps")
     start = set_up(cfg)
-    return start.initial_state, start.initial_state.params, start.consts, make_settings(cfg)
+    return start.initial_state, start.initial_state.params, make_settings(cfg)
 
 
-def old_suggest_dt(state, consts, safety):
+def old_suggest_dt(state, safety):
     """The controller before the fraction budget bound: CFL and reaction bounds only."""
-    params = state.params
+    params, consts = state.params, state.params.consts
     u = stepper._face_velocities(state.grid, state.n, params.gamma, 0.0)
     speed = max([0.0, *(float(np.max(np.abs(ui))) for ui in u if ui.size)])
     dt_adv = min(state.grid.h) / speed if speed > 0.0 else math.inf
@@ -1419,14 +1426,14 @@ def eps_late_state():
     cfg = parse_config(EPS_STUDY_CONFIG.read_text()).with_overrides(
         model__eps_reg=0.1, initial__lift="eps", time__T_final=LATE_T
     )
-    res = run(cfg)
+    res = run(set_up(cfg))
     assert res.ok
     return res.final_state
 
 
 def controller_case(eps, cells, late_state=None):
     """The eps study on ``cells`` cells, at its start or at ``late_state`` put on its grid."""
-    state, params, consts, settings = eps_study_start(eps, cells)
+    state, params, settings = eps_study_start(eps, cells)
     if late_state is not None:
         x, x_late = state.grid.centers(0), late_state.grid.centers(0)
 
@@ -1435,7 +1442,7 @@ def controller_case(eps, cells, late_state=None):
 
         state = State(t=late_state.t, grid=state.grid, n=on_grid(late_state.n),
                       c=on_grid(late_state.c), d=on_grid(late_state.d), params=params)
-    return state, params, consts, settings
+    return state, params, settings
 
 
 @pytest.mark.parametrize("late", [False, True], ids=["start", "late"])
@@ -1447,17 +1454,17 @@ class TestDtController:
         return controller_case(eps, cells, eps_late_state if late else None)
 
     def test_suggested_dt_meets_the_budget(self, case):
-        state, params, consts, settings = case
-        dt = suggest_dt(state, consts, settings)
+        state, params, settings = case
+        dt = suggest_dt(state, settings)
         u = stepper._face_velocities(state.grid, state.n, params.gamma, params.eps_reg)
         rate_sum = stepper._fraction_rates(state)[2]
         budget = stepper._fraction_budget(state.grid, dt, rate_sum, u)
         assert float(np.max(budget)) <= 1.0 + stepper.CFL_SLACK
 
     def test_step_takes_the_suggested_dt(self, case):
-        state, params, consts, settings = case
-        dt = suggest_dt(state, consts, settings)
-        _, report = step(state, consts, settings, dt)
+        state, params, settings = case
+        dt = suggest_dt(state, settings)
+        _, report = step(state, settings, dt)
         assert report.retries == 0 and report.rejections == []
         assert report.dt_used == dt
 
@@ -1467,13 +1474,13 @@ def test_refined_late_state_is_out_of_reach_of_halving(eps_late_state):
     # the explicit viscous limit h^2 / (2 eps), so step failed from it while
     # the viscosity was explicit.  It is implicit now: the whole budget
     # accepts that hint, the controller suggests it, and step takes it
-    state, params, consts, settings = controller_case(0.1, 400, eps_late_state)
-    old = old_suggest_dt(state, consts, settings.safety)
+    state, params, settings = controller_case(0.1, 400, eps_late_state)
+    old = old_suggest_dt(state, settings.safety)
     h = state.grid.h[0]
     assert old > 2**settings.retry_max * h**2 / (2.0 * params.eps_reg)
     assert old <= budget_limit(state)
-    assert suggest_dt(state, consts, settings) == old
-    _, report = step(state, consts, settings, old)
+    assert suggest_dt(state, settings) == old
+    _, report = step(state, settings, old)
     assert report.retries == 0 and report.dt_used == old
 
 
@@ -1496,7 +1503,7 @@ def test_2d_newton_overflow_is_a_rejection(monkeypatch):
         return new_state, report
 
     monkeypatch.setattr(harness, "step", spy)
-    res = run(cfg)
+    res = run(set_up(cfg))
     assert res.ok
     assert (res.steps, res.rejected_attempts) == (4, 3)
     grew = [m for m in rejections if "undamped step grew the residual" in m]
@@ -1521,17 +1528,17 @@ def test_2d_suggested_dt_meets_the_budget():
         rates=rates(g=("linear", 0.5), k1=("linear", 0.3), k2=("constant", 0.2)),
         D=1.0, a=1.0, gamma=3.0, d_b=1.0, T_final=0.1, eps_reg=0.05, ell_cut=2.0,
     )
-    consts = derive_constants(params, np.full(grid.shape, 1.0))
+    params = replace(params, consts=derive_constants(params, np.full(grid.shape, 1.0)))
     x, y = grid.coordinate_fields()
     n = (0.3 + np.abs(x - grid.centers(0)[8]) + np.abs(y - grid.centers(1)[6])) ** (1.0 / 3.0)
     s = State(t=0.0, grid=grid, n=n, c=np.full(grid.shape, 0.2), d=np.full(grid.shape, 1.0),
               params=params)
-    dt = suggest_dt(s, consts, SETTINGS)
+    dt = suggest_dt(s, SETTINGS)
     assert dt == pytest.approx(budget_limit(s), rel=1e-12)  # the budget binds
-    assert dt < 0.5 * old_suggest_dt(s, consts, SETTINGS.safety)
+    assert dt < 0.5 * old_suggest_dt(s, SETTINGS.safety)
     # the viscous drift's inflow is part of it
-    assert dt < suggest_dt(with_params(s, eps_reg=0.0), consts, SETTINGS)
-    _, report = step(s, consts, SETTINGS, dt)
+    assert dt < suggest_dt(with_params(s, eps_reg=0.0), SETTINGS)
+    _, report = step(s, SETTINGS, dt)
     assert report.retries == 0
 
 
@@ -1540,9 +1547,9 @@ def test_plain_suggestion_is_the_old_formula(monkeypatch):
     # suggested dt is the CFL and reaction formula, bit for bit
     seen = []
 
-    def spy(state, consts, settings):
-        dt = suggest_dt(state, consts, settings)
-        assert dt == old_suggest_dt(state, consts, settings.safety)
+    def spy(state, settings):
+        dt = suggest_dt(state, settings)
+        assert dt == old_suggest_dt(state, settings.safety)
         seen.append(dt)
         return dt
 
@@ -1550,8 +1557,8 @@ def test_plain_suggestion_is_the_old_formula(monkeypatch):
         return parse_config((CONFIGS / name).read_text())
 
     monkeypatch.setattr(harness, "suggest_dt", spy)
-    assert run(read("growth_1d.cfg")).ok
-    assert run(read("eps_study.cfg")).ok  # the study's eps = 0 reference
+    assert run(set_up(read("growth_1d.cfg"))).ok
+    assert run(set_up(read("eps_study.cfg"))).ok  # the study's eps = 0 reference
     assert all(e.run.ok for e in gamma_sweep(read("sweep.cfg")).entries)
     barenblatt_benchmark(read("barenblatt.cfg"))
     assert len(seen) > 100

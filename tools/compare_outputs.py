@@ -14,10 +14,12 @@ standard output and standard error byte for byte.  The script lists every
 CSV or console stream whose bytes differ (or that only one side wrote) and
 every case whose exit codes differ, and exits 1 if there is any; it exits 0
 when all of them are byte-identical.  For a CSV whose bytes differ
-it also prints the largest relative difference |a - b| / max(|a|, |b|) over
-the numeric fields at the same place in both files, and the column it is
-in, so a change that moves values within a tolerance can quote how far they
-moved and where.  It needs only the standard library and the packages
+it also prints the largest relative difference over the numeric fields at
+the same place in both files, |a - b| over the largest finite |value| of
+the field's column in both files, and the column it is in, so a change that
+moves values within a tolerance can quote how far they moved and where; a
+cell near zero beside large ones, such as a vacuum-front cell, reads its
+move against the column's scale rather than its own.  It needs only the standard library and the packages
 tissuesim itself imports.
 """
 
@@ -223,42 +225,48 @@ def max_relative_difference(a: bytes, b: bytes) -> str:
     """The largest relative difference over the numeric fields of two CSVs, and its column, as text.
 
     Fields pair up by line and column; ``# key = value`` preamble lines
-    compare their values.  Two NaNs agree; a field that is a number on one
-    side only, a NaN against a number, or unequal infinities count as inf.
-    The column is the header's name of the field, or the key of a preamble
+    compare their values.  A pair of finite numbers moves by |a - b| over
+    the largest finite |value| of its column, or of its preamble key, in
+    both files, so a cell near zero reads how far it moved against the
+    column's scale.  Two NaNs agree; a field that is a number on one side
+    only, a NaN against a number, or unequal infinities count as inf.  The
+    column is the header's name of the field, or the key of a preamble
     line; the first field to reach the largest difference names it.  Files
     whose line or field counts differ cannot be paired field by field.
     """
     lines_a, lines_b = a.decode().splitlines(), b.decode().splitlines()
     if len(lines_a) != len(lines_b):
         return f"line counts differ ({len(lines_a)} vs {len(lines_b)})"
-    worst, where = 0.0, None
+    pairs = []    # (column, number or None, number or None) of every field that differs
+    scale = {}    # column -> largest finite |value| in both files
     header = None  # the first line that is not a preamble line names the columns
     for line_a, line_b in zip(lines_a, lines_b):
         fields_a, fields_b = _fields(line_a), _fields(line_b)
         if len(fields_a) != len(fields_b):
             return "field counts differ"
         if line_a.startswith("#"):
-            names = [line_a[1:].split("=", 1)[0].strip()] * len(fields_a)
+            names = [("#", line_a[1:].split("=", 1)[0].strip())] * len(fields_a)
         elif header is None:
-            header = names = fields_a
+            header = names = [("", f) for f in fields_a]
         else:
             names = header
         for name, text_a, text_b in zip(names, fields_a, fields_b):
-            if text_a == text_b:
-                continue
             x, y = _number(text_a), _number(text_b)
-            if x is None and y is None:
-                continue
-            if x is None or y is None or math.isnan(x) != math.isnan(y):
-                moved = math.inf
-            elif x != y:
-                scale = max(abs(x), abs(y))
-                moved = abs(x - y) / scale if math.isfinite(scale) else math.inf
-            else:
-                continue
-            if moved > worst:
-                worst, where = moved, name
+            for v in (x, y):
+                if v is not None and math.isfinite(v):
+                    scale[name] = max(scale.get(name, 0.0), abs(v))
+            if text_a != text_b and (x is not None or y is not None):
+                pairs.append((name, x, y))
+    worst, where = 0.0, None
+    for name, x, y in pairs:
+        if x is None or y is None or math.isnan(x) != math.isnan(y):
+            moved = math.inf
+        elif x != y:
+            moved = abs(x - y) / scale[name] if math.isfinite(x) and math.isfinite(y) else math.inf
+        else:
+            continue
+        if moved > worst:
+            worst, where = moved, name[1]
     return f"max relative difference {worst:.3e}" + (f" in column {where}" if where else "")
 
 
